@@ -6,12 +6,13 @@
 //!           [--shards <n>]
 //! uqsim chaos <scenario.json> --faults <faults.json> [--duration <secs>]
 //!             [--seed <n>] [--json] [--events <n>] [--shards <n>]
+//! uqsim why --config <scenario.json> [--faults <faults.json>] [--duration <secs>]
+//!           [--seed <n>] [--json] [--events <n>] [--shards <n>] [--out <dir>]
 //! uqsim top --config <scenario.json> [--duration <secs>] [--interval <secs>]
 //!           [--seed <n>] [--no-ansi]
 //! uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>]
 //!             [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>]
 //!             [--faults <faults.json>] [--shards <n>]
-//! uqsim sweep <scenario.json> --loads <qps,...> [--duration <secs>]
 //! uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]
 //! uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] [--events <n>]
 //!             [--shards <n>]
@@ -28,27 +29,25 @@
 //!
 //! `run` executes the scenario and prints a latency/throughput summary
 //! (machine-readable with `--json`). With `--metrics-out <dir>` it enables
-//! the telemetry layer (periodic sampler + self-profiling) and writes
-//! `metrics.prom` (Prometheus text), `metrics.csv` (long-form
-//! `t_s,metric,label,value` time series), and `metrics.json` (full
-//! telemetry dump) into the directory. `top` is a live terminal view: it
+//! the telemetry sampler and writes `metrics.prom` (Prometheus text),
+//! `metrics.csv` (long-form `t_s,metric,label,value` time series), and
+//! `metrics.json` (full telemetry dump) into the directory; all three are
+//! byte-stable per `(scenario, seed)`. `top` is a live terminal view: it
 //! steps the simulation one sampler interval at a time and redraws a
 //! per-instance utilization / queue-depth / thread-occupancy table plus
 //! the latest windowed latency percentiles, like `top(1)` for the
-//! simulated cluster. `sweep --config` runs the scenario
-//! across a QPS grid × seed replications on the [`uqsim_runner`] thread
-//! pool and emits an aggregated CSV (or `--json`) table with 95%
-//! confidence intervals; its output is byte-identical at any `--jobs`
-//! value. The legacy positional `sweep <path> --loads` form runs a serial
-//! single-seed sweep and prints a human-readable table. `trace` with a
-//! positional path samples
-//! distributed-tracing-style request traces and prints them as JSON lines;
-//! `trace --config` instead records the full per-request span log, writes
-//! it as Chrome `trace_event` JSON (open the file in `about:tracing` or
-//! <https://ui.perfetto.dev>), and audits it against the simulator's
-//! invariants, exiting non-zero on any violation. `validate` parses and
-//! builds without running. `example` prints a complete scenario file to
-//! start from; more elaborate ones ship under `crates/cli/configs/`.
+//! simulated cluster. `sweep --config` runs the scenario across a QPS
+//! grid × seed replications on the [`uqsim_runner`] thread pool and emits
+//! an aggregated CSV (or `--json`) table with 95% confidence intervals;
+//! its output is byte-identical at any `--jobs` value. `trace` with a
+//! positional path samples distributed-tracing-style request traces and
+//! prints them as JSON lines; `trace --config` instead records the full
+//! per-request span log, writes it as Chrome `trace_event` JSON (open the
+//! file in `about:tracing` or <https://ui.perfetto.dev>), and audits it
+//! against the simulator's invariants, exiting non-zero on any violation.
+//! `validate` parses and builds without running. `example` prints a
+//! complete scenario file to start from; more elaborate ones ship under
+//! `crates/cli/configs/`.
 //!
 //! `run` and `sweep --config` accept `--faults <faults.json>`: a fault
 //! plan ([`uqsim_core::FaultPlan`]) of scheduled fault windows (instance
@@ -62,17 +61,22 @@
 //! deterministic: the same scenario + plan + seed reproduces the same
 //! report byte-for-byte at any `--jobs` value.
 //!
-//! `run`, `chaos`, `trace --config`, and `sweep --config` accept
-//! `--shards <n>`: the scenario is split into request-closed *cells*
-//! (DESIGN.md §11) and the cells execute on `n` worker threads via
-//! [`uqsim_core::run_partitioned`]. Every output — the printed summary,
-//! metrics files, Chrome trace, chaos report, sweep table — is
-//! byte-identical at any `--shards` value, so `--shards` is purely a
-//! wall-clock knob, like `--jobs` for sweeps. (The partitioned engine
-//! draws per-cell RNG streams, so its results are statistically
-//! equivalent but not bitwise equal to a run *without* `--shards`;
-//! compare partitioned runs against partitioned runs.) Partition
-//! diagnostics go to stderr, keeping stdout shard-invariant.
+//! Every simulating subcommand is one [`RunPlan`] — scenario source
+//! (file, directory, or `--gen`), fault plan, seed, duration, shard count
+//! — and `run`, `chaos`, `why`, `trace --config`, and `sweep --config`
+//! execute it through the one run pipeline,
+//! [`uqsim_core::run_partitioned`]: the scenario is split into
+//! request-closed *cells* (DESIGN.md §11), the cells run on `--shards <n>`
+//! worker threads (one when the flag is absent), and their outputs are
+//! merged in cell order. A scenario that does not split — each bundled
+//! config — is a single cell under the master seed. Every output — the
+//! printed summary, metrics files, Chrome trace, chaos report, sweep
+//! table — is byte-identical at any `--shards` value *including none*, so
+//! `--shards` is purely a wall-clock knob, like `--jobs` for sweeps.
+//! Partition diagnostics (cell and shard counts) go to stderr, keeping
+//! stdout shard-invariant. A `--duration` that does not exceed the
+//! scenario's `warmup_s` is rejected up front: the measurement window
+//! would be empty.
 //!
 //! `gen` synthesizes a DeathStarBench-class scenario from a compact
 //! generation spec ([`uqsim_synth::GenSpec`]): layered service graphs with
@@ -86,12 +90,15 @@
 //! `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::run::RunResult;
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
+use uqsim_core::{FaultPlan, PartitionOptions, PartitionedRun, SimError};
 
 const EXAMPLE: &str = include_str!("../configs/quickstart.json");
 
@@ -128,7 +135,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  uqsim run <scenario.json> [--duration <secs>] [--json] \
+        "usage:\n  uqsim run <scenario.json> [--duration <secs>] [--seed <n>] [--json] \
          [--metrics-out <dir>] [--sample-interval <secs>] [--faults <faults.json>] \
          [--shards <n>]\n  \
          uqsim chaos <scenario.json> --faults <faults.json> [--duration <secs>] \
@@ -140,20 +147,123 @@ fn usage() -> ExitCode {
          uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>] \
          [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>] \
          [--faults <faults.json>] [--shards <n>]\n  \
-         uqsim sweep <scenario.json> --loads <qps,...> [--duration <secs>]\n  \
          uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]\n  \
          uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] \
          [--events <n>] [--shards <n>]\n  \
          uqsim gen --spec <gen.json> [--seed <n>] [--out <dir>] [--json]\n  \
          uqsim validate <scenario.json|dir>\n  uqsim split <scenario.json> <dir>\n  uqsim example\n\
          \nrun, chaos, why, and sweep --config also accept --gen <gen.json> in place of a\n\
-         scenario path: the spec is generated (seed = --seed) and run like any scenario."
+         scenario path: the spec is generated (seed = --seed) and run like any scenario.\n\
+         --duration must exceed the scenario's warmup_s."
     );
     ExitCode::from(2)
 }
 
+/// Why a subcommand did not run to an outcome.
+enum Failure {
+    /// Unknown flag, missing or unparsable value, missing required
+    /// argument: print the usage text, exit 2.
+    Usage,
+    /// A well-formed flag whose value cannot be used (a decreasing `--qps`
+    /// range): print the message, exit 2.
+    Invalid(String),
+    /// Loading, building, running or writing failed: print the error,
+    /// exit 1.
+    Error(SimError),
+}
+
+impl From<SimError> for Failure {
+    fn from(e: SimError) -> Self {
+        Failure::Error(e)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Error(e.into())
+    }
+}
+
+/// `Ok(true)`: success. `Ok(false)`: the command ran and one of its own
+/// checks failed (unclean audit, truncated span log, invalid scenario) —
+/// it has already said so on stderr; exit 1.
+type Outcome = Result<bool, Failure>;
+
+/// Flags that stand alone; every other flag is followed by one value.
+const SWITCHES: &[&str] = &["--json", "--no-ansi"];
+
+/// One subcommand's command line, split once into flags and bare words.
+struct Args {
+    flags: Vec<(String, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `raw` into the flags a subcommand lists in `accepted`
+    /// (space-separated) and up to `max_positional` bare words. An unlisted
+    /// flag, a flag without its value, or a surplus bare word is a usage
+    /// error.
+    fn parse(raw: &[String], accepted: &str, max_positional: usize) -> Result<Args, Failure> {
+        let mut args = Args {
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut words = raw.iter();
+        while let Some(word) = words.next() {
+            if word.starts_with("--") {
+                if !accepted.split(' ').any(|flag| flag == word) {
+                    return Err(Failure::Usage);
+                }
+                let value = if SWITCHES.contains(&word.as_str()) {
+                    String::new()
+                } else {
+                    words.next().ok_or(Failure::Usage)?.clone()
+                };
+                args.flags.push((word.clone(), value));
+            } else if args.positional.len() < max_positional {
+                args.positional.push(word.clone());
+            } else {
+                return Err(Failure::Usage);
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of `flag` as written (the last one wins), if given.
+    fn raw(&self, flag: &str) -> Option<&str> {
+        let given = self.flags.iter().rev().find(|(name, _)| name == flag);
+        given.map(|(_, value)| value.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.raw(flag).is_some()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.raw(flag).map(PathBuf::from)
+    }
+
+    /// The parsed value of `flag`; an unparsable value is a usage error.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Failure> {
+        let parsed = self.raw(flag).map(str::parse);
+        parsed.transpose().map_err(|_| Failure::Usage)
+    }
+
+    fn get_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, Failure> {
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
+
+    /// A strictly positive `flag`, or `default` when absent.
+    fn positive(&self, flag: &str, default: f64) -> Result<f64, Failure> {
+        match self.get_or(flag, default)? {
+            v if v > 0.0 => Ok(v),
+            _ => Err(Failure::Usage),
+        }
+    }
+}
+
 /// Loads a scenario from a single file or a Table I directory.
-fn load(path: &Path) -> Result<ScenarioConfig, uqsim_core::SimError> {
+fn load(path: &Path) -> Result<ScenarioConfig, SimError> {
     if path.is_dir() {
         ScenarioConfig::from_dir(path)
     } else {
@@ -161,1178 +271,307 @@ fn load(path: &Path) -> Result<ScenarioConfig, uqsim_core::SimError> {
     }
 }
 
-/// `--gen <spec>` support: generates the spec's scenario into a temp
-/// Table I directory and returns its path, so every command can load it
-/// exactly like a hand-written scenario directory. The command's `--seed`
-/// doubles as the generation seed (falling back to the spec's own
-/// default), keeping `(spec, seed) → scenario` reproducible from any
-/// entry point. The summary goes to stderr; stdout stays reserved for
-/// the command's own (byte-stable) output.
-fn materialize_gen(
-    spec_path: &Path,
-    seed: Option<u64>,
-) -> Result<std::path::PathBuf, uqsim_core::SimError> {
+/// `--gen <spec>` support: generates the spec's scenario and loads it the
+/// way a hand-written scenario directory is loaded — written out as a
+/// Table I directory under the temp dir, read back, and the directory
+/// removed — so a generated scenario runs byte-for-byte like the same
+/// scenario from `uqsim gen --out`. The command's `--seed` doubles as the
+/// generation seed (falling back to the spec's own default), keeping
+/// `(spec, seed) → scenario` reproducible from any entry point. The
+/// summary goes to stderr; stdout stays reserved for the command's own
+/// (byte-stable) output.
+fn generate(spec_path: &Path, seed: Option<u64>) -> Result<ScenarioConfig, SimError> {
     let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
     let seed = seed.unwrap_or(spec.seed);
-    let cfg = spec.generate(seed)?;
+    let generated = spec.generate(seed)?;
     let dir = std::env::temp_dir().join(format!(
         "uqsim-gen-{}-{}-{seed}",
         std::process::id(),
         spec.name
     ));
-    cfg.write_dir(&dir)?;
-    eprintln!(
-        "generated {} seed {seed}: {} -> {}",
-        spec.name,
-        uqsim_synth::summarize(&cfg),
-        dir.display()
-    );
-    Ok(dir)
-}
-
-/// `uqsim gen`: generate a scenario from a spec, deterministically per
-/// `(spec, seed)`. `--out <dir>` writes the Table I layout the other
-/// commands load; `--json` prints the single-file scenario to stdout
-/// (byte-identical across runs — CI regenerates and `cmp`s it); with
-/// neither, the spec is validated, generated, and built, and only the
-/// summary line is printed.
-fn gen_cmd(
-    spec_path: &Path,
-    seed: Option<u64>,
-    out: Option<&Path>,
-    json: bool,
-) -> Result<(), uqsim_core::SimError> {
-    let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
-    let seed = seed.unwrap_or(spec.seed);
-    let cfg = spec.generate(seed)?;
-    if let Some(dir) = out {
-        cfg.write_dir(dir)?;
-        eprintln!("wrote Table I layout to {}", dir.display());
-    }
-    if json {
-        println!("{}", cfg.to_json());
-    }
-    if out.is_none() && !json {
-        // Dry run: prove the generated scenario actually builds.
-        cfg.build()?;
-    }
+    let loaded = generated
+        .write_dir(&dir)
+        .and_then(|()| ScenarioConfig::from_dir(&dir));
+    // Best effort: a directory that never got created is already gone.
+    let _ = std::fs::remove_dir_all(&dir);
     eprintln!(
         "generated {} seed {seed}: {}",
         spec.name,
-        uqsim_synth::summarize(&cfg)
+        uqsim_synth::summarize(&generated)
     );
-    Ok(())
+    loaded
 }
 
-fn main() -> ExitCode {
-    uqsim_core::telemetry::set_alloc_probe(|| ALLOCATIONS.load(Ordering::Relaxed));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("example") => {
-            println!("{EXAMPLE}");
-            ExitCode::SUCCESS
-        }
-        Some("split") => {
-            let (Some(src), Some(dst)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            match load(Path::new(src)).and_then(|c| c.write_dir(Path::new(dst))) {
-                Ok(()) => {
-                    println!("wrote Table I layout to {dst}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("validate") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            match load(Path::new(path)).and_then(|c| c.build()) {
-                Ok(sim) => {
-                    println!(
-                        "ok: {} instances, {} pending events at t=0",
-                        sim.instance_count(),
-                        sim.live_requests()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("invalid: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("gen") => {
-            let mut spec_path = None;
-            let mut seed = None;
-            let mut out = None;
-            let mut json = false;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--spec" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        spec_path = Some(v.clone());
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(spec_path) = spec_path else {
-                return usage();
-            };
-            match gen_cmd(Path::new(&spec_path), seed, out.as_deref(), json) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("sweep") if args.iter().any(|a| a == "--config" || a == "--gen") => {
-            sweep_grid(&args[1..])
-        }
-        Some("sweep") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let mut duration = 5.0f64;
-            let mut loads: Vec<f64> = Vec::new();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--loads" => {
-                        let Some(list) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        loads = list.split(',').filter_map(|x| x.parse().ok()).collect();
-                        i += 2;
-                    }
-                    _ => return usage(),
-                }
-            }
-            if loads.is_empty() {
-                return usage();
-            }
-            match sweep(Path::new(path), &loads, duration) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("trace") => {
-            let mut positional = None;
-            let mut config = None;
-            let mut out = None;
-            let mut duration = 2.0f64;
-            let mut every = 100u64;
-            let mut max = 20usize;
-            let mut events = 1_000_000usize;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--every" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        every = v;
-                        i += 2;
-                    }
-                    "--max" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        max = v;
-                        i += 2;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            if let Some(config) = config {
-                // Chrome trace_event export with invariant auditing.
-                let outcome = match shards {
-                    Some(shards) => chrome_export_sharded(
-                        Path::new(&config),
-                        duration,
-                        out.as_deref(),
-                        events,
-                        shards,
-                    ),
-                    None => chrome_export(Path::new(&config), duration, out.as_deref(), events),
-                };
-                match outcome {
-                    Ok(true) => ExitCode::SUCCESS,
-                    Ok(false) => ExitCode::FAILURE,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            } else {
-                // Legacy JSON-lines sampled request traces.
-                if shards.is_some() {
-                    // Sampled JSON-lines traces have no partitioned form.
-                    return usage();
-                }
-                let Some(path) = positional else {
-                    return usage();
-                };
-                match trace(Path::new(&path), duration, every, max) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-        }
-        Some("run") => {
-            let mut positional: Option<String> = None;
-            let mut gen_spec: Option<String> = None;
-            let mut duration = 5.0f64;
-            let mut json = false;
-            let mut seed = None;
-            let mut metrics_out = None;
-            let mut sample_interval = 0.1f64;
-            let mut faults = None;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--metrics-out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        metrics_out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--sample-interval" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        if v <= 0.0 {
-                            return usage();
-                        }
-                        sample_interval = v;
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let path = match (positional, gen_spec) {
-                (Some(p), None) => std::path::PathBuf::from(p),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let path = path.as_path();
-            let outcome = match shards {
-                Some(shards) => run_sharded(
-                    path,
-                    duration,
-                    seed,
-                    json,
-                    metrics_out.as_deref(),
-                    sample_interval,
-                    faults.as_deref(),
-                    shards,
-                ),
-                None => run(
-                    path,
-                    duration,
-                    seed,
-                    json,
-                    metrics_out.as_deref(),
-                    sample_interval,
-                    faults.as_deref(),
-                ),
-            };
-            match outcome {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("chaos") => {
-            let mut positional: Option<String> = None;
-            let mut gen_spec: Option<String> = None;
-            let mut duration = 5.0f64;
-            let mut seed = None;
-            let mut json = false;
-            let mut faults = None;
-            let mut events = 4_000_000usize;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(faults) = faults else {
-                return usage();
-            };
-            let path = match (positional, gen_spec) {
-                (Some(p), None) => std::path::PathBuf::from(p),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let path = path.as_path();
-            let outcome = match shards {
-                Some(shards) => chaos_sharded(path, &faults, duration, seed, json, events, shards),
-                None => chaos(path, &faults, duration, seed, json, events),
-            };
-            match outcome {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("why") => {
-            let mut config = None;
-            let mut gen_spec: Option<String> = None;
-            let mut faults = None;
-            let mut duration = 5.0f64;
-            let mut seed = None;
-            let mut json = false;
-            let mut events = 4_000_000usize;
-            let mut shards = None;
-            let mut out = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let config = match (config, gen_spec) {
-                (Some(c), None) => std::path::PathBuf::from(c),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let outcome = match shards {
-                Some(shards) => why_sharded(
-                    Path::new(&config),
-                    faults.as_deref(),
-                    duration,
-                    seed,
-                    json,
-                    shards,
-                    out.as_deref(),
-                ),
-                None => why(
-                    Path::new(&config),
-                    faults.as_deref(),
-                    duration,
-                    seed,
-                    json,
-                    events,
-                    out.as_deref(),
-                ),
-            };
-            match outcome {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("top") => {
-            let mut config = None;
-            let mut duration = 10.0f64;
-            let mut interval = 1.0f64;
-            let mut seed = None;
-            let mut ansi = true;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--interval" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                            return usage();
-                        };
-                        if v <= 0.0 {
-                            return usage();
-                        }
-                        interval = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--no-ansi" => {
-                        ansi = false;
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(config) = config else {
-                return usage();
-            };
-            match top(Path::new(&config), duration, interval, seed, ansi) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run(
-    path: &Path,
+/// What every simulating subcommand shares, parsed, loaded and validated
+/// in one place: the scenario (from a file, a Table I directory, or a
+/// `--gen` spec) under its master seed, the optional fault plan, the
+/// simulated duration, the shard count, and where the output goes.
+struct RunPlan {
+    /// The scenario as named on the command line; reports echo it.
+    scenario: String,
+    /// The loaded scenario; `cfg.seed` is the run's master seed.
+    cfg: ScenarioConfig,
+    /// The fault plan as named on the command line, and loaded.
+    faults: Option<(String, FaultPlan)>,
     duration_s: f64,
-    seed: Option<u64>,
+    /// `--shards`; `0` (one shard) when the flag is absent.
+    shards: usize,
     json: bool,
-    metrics_out: Option<&Path>,
-    sample_interval_s: f64,
-    faults: Option<&Path>,
-) -> Result<(), uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let mut sim = cfg.build()?;
-    if let Some(faults) = faults {
-        let plan = uqsim_core::FaultPlan::from_file(faults)?;
-        sim.install_faults(&plan)?;
-    }
-    if metrics_out.is_some() {
-        sim.enable_telemetry(TelemetryConfig {
-            sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
-            self_profile: true,
-            ..TelemetryConfig::default()
-        });
-    }
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-    let s = sim.latency_summary();
-    let measured_span = duration_s - cfg.warmup_s;
-    let throughput = s.count as f64 / measured_span.max(f64::EPSILON);
-    let goodput = (s.count as u64).saturating_sub(sim.degraded_measured()) as f64
-        / measured_span.max(f64::EPSILON);
-    if json {
-        let mut out = serde_json::json!({
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "generated": sim.generated(),
-            "completed": sim.completed(),
-            "throughput_qps": throughput,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
-            "events_processed": sim.events_processed(),
-        });
-        if let Some(f) = sim.fault_summary() {
-            if let serde_json::Value::Object(obj) = &mut out {
-                obj.insert("goodput_qps", serde_json::json!(goodput));
-                obj.insert(
-                    "faults",
-                    serde_json::to_value(&f).expect("fault summary serializes"),
-                );
-            }
+    out: Option<PathBuf>,
+}
+
+impl RunPlan {
+    /// Builds the plan from the shared flags: the scenario is the bare
+    /// word, `--config`, or `--gen` (exactly one), `--seed` overrides its
+    /// seed, `--duration` defaults to `default_duration_s`.
+    ///
+    /// Rejects a duration that does not exceed the scenario's warm-up:
+    /// every statistic would be taken over an empty window.
+    fn from_args(args: &Args, default_duration_s: f64) -> Result<RunPlan, Failure> {
+        let seed: Option<u64> = args.get("--seed")?;
+        let duration_s: f64 = args.get_or("--duration", default_duration_s)?;
+        let shards = match args.get::<usize>("--shards")? {
+            Some(0) => return Err(Failure::Usage),
+            given => given.unwrap_or(0),
+        };
+        let path = args.positional.first().map(String::as_str);
+        let (scenario, mut cfg) = match (path.xor(args.raw("--config")), args.raw("--gen")) {
+            (Some(path), None) => (path, load(Path::new(path))?),
+            (None, Some(spec)) => (spec, generate(Path::new(spec), seed)?),
+            _ => return Err(Failure::Usage),
+        };
+        if let Some(seed) = seed {
+            cfg.seed = seed;
         }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("summary serializes")
-        );
-    } else {
-        println!("simulated {duration_s}s (warmup {}s)", cfg.warmup_s);
-        println!(
-            "requests: generated {}, completed {}",
-            sim.generated(),
-            sim.completed()
-        );
-        println!("throughput: {throughput:.0} req/s over the measured window");
-        println!(
-            "latency: mean {:.3}ms p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms max {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.max * 1e3,
-            s.count
-        );
-        println!("engine: {} events processed", sim.events_processed());
-        if let Some(f) = sim.fault_summary() {
-            println!(
-                "faults: {} dropped, {} shed, {} timed out, {} retries, {} degraded \
-                 ({:.0} req/s goodput)",
-                f.dropped, f.shed, f.timed_out, f.retried, f.degraded, goodput
-            );
+        if duration_s.is_nan() || duration_s <= cfg.warmup_s {
+            return Err(SimError::InvalidScenario(format!(
+                "{scenario}: --duration {duration_s}s does not exceed warmup_s {}s, \
+                 so the measurement window would be empty",
+                cfg.warmup_s
+            ))
+            .into());
         }
+        let faults = match args.raw("--faults") {
+            Some(path) => Some((path.to_string(), FaultPlan::from_file(Path::new(path))?)),
+            None => None,
+        };
+        Ok(RunPlan {
+            scenario: scenario.to_string(),
+            cfg,
+            faults,
+            duration_s,
+            shards,
+            json: args.has("--json"),
+            out: args.path("--out"),
+        })
     }
-    if let Some(dir) = metrics_out {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("metrics.prom"), sim.metrics_prometheus())?;
-        std::fs::write(
-            dir.join("metrics.csv"),
-            sim.metrics_csv().expect("sampler is enabled"),
-        )?;
-        std::fs::write(
-            dir.join("metrics.json"),
-            serde_json::to_string_pretty(&sim.metrics_json()).expect("metrics serialize"),
+
+    fn duration(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.duration_s)
+    }
+
+    fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref().map(|(_, plan)| plan)
+    }
+
+    fn faults_path(&self) -> Option<&str> {
+        self.faults.as_ref().map(|(path, _)| path.as_str())
+    }
+
+    /// Executes the plan through the one run pipeline: cells on
+    /// `--shards` workers, merged in cell order. Each cell records what
+    /// `telemetry` and `span_tracing` ask for and nothing else. The cell
+    /// and shard counts go to stderr so stdout stays shard-invariant.
+    fn run(
+        &self,
+        telemetry: Option<TelemetryConfig>,
+        span_tracing: Option<usize>,
+    ) -> Result<PartitionedRun, SimError> {
+        let opts = PartitionOptions {
+            shards: self.shards,
+            telemetry,
+            span_tracing,
+        };
+        let run = uqsim_core::run_partitioned(
+            &self.cfg,
+            self.fault_plan(),
+            self.cfg.seed,
+            self.duration(),
+            &opts,
         )?;
         eprintln!(
-            "wrote metrics.prom, metrics.csv, metrics.json to {}",
-            dir.display()
+            "partition: {} cell(s) on {} shard(s)",
+            run.cells.len(),
+            run.shards
         );
+        Ok(run)
     }
-    Ok(())
 }
 
-/// `run --shards N`: the partitioned sibling of [`run`]. The scenario is
-/// split into request-closed cells ([`uqsim_core::run_partitioned`]) and
-/// the cells execute on `shards` worker threads; every stdout byte and
-/// every metrics file is identical at any `--shards` value. Partition
-/// diagnostics (cell count, shard count) go to stderr so stdout stays
-/// shard-invariant.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    metrics_out: Option<&Path>,
-    sample_interval_s: f64,
-    faults: Option<&Path>,
-    shards: usize,
-) -> Result<(), uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = match faults {
-        Some(p) => Some(uqsim_core::FaultPlan::from_file(p)?),
-        None => None,
-    };
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    if metrics_out.is_some() {
-        opts.telemetry.sample_interval = Some(SimDuration::from_secs_f64(sample_interval_s));
+/// The telemetry `chaos`, `why`, and every sweep cell switch on:
+/// latency decomposition plus the streaming critical-path profile.
+fn critpath_telemetry() -> Option<TelemetryConfig> {
+    PartitionOptions::default().telemetry
+}
+
+/// Says which cells' span logs overflowed (`what` names the consequence)
+/// and returns the total number of events lost.
+fn report_truncation(run: &PartitionedRun, events: usize, what: &str) -> u64 {
+    for c in run.cells.iter().filter(|c| c.span_dropped() > 0) {
+        eprintln!(
+            "cell {} span log truncated ({} events dropped at capacity {events}); \
+             {what} — raise --events",
+            c.cell,
+            c.span_dropped()
+        );
     }
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        plan.as_ref(),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let r = &run.result;
-    if json {
-        let mut out = serde_json::json!({
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "cells": run.cells.len(),
-            "generated": r.generated,
-            "completed": r.completed,
-            "throughput_qps": r.achieved_qps,
-            "latency_s": {
-                "count": r.latency.count, "mean": r.latency.mean, "p50": r.latency.p50,
-                "p95": r.latency.p95, "p99": r.latency.p99, "max": r.latency.max,
-            },
-            "events_processed": r.events_processed,
-        });
-        if let Some(f) = &r.fault {
-            if let serde_json::Value::Object(obj) = &mut out {
-                obj.insert("goodput_qps", serde_json::json!(r.goodput_qps));
-                obj.insert(
-                    "faults",
-                    serde_json::to_value(f).expect("fault summary serializes"),
-                );
-            }
-        }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("summary serializes")
-        );
-    } else {
-        println!("simulated {duration_s}s (warmup {}s)", cfg.warmup_s);
-        println!(
-            "requests: generated {}, completed {}",
-            r.generated, r.completed
-        );
-        println!(
-            "throughput: {:.0} req/s over the measured window",
-            r.achieved_qps
-        );
-        println!(
-            "latency: mean {:.3}ms p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms max {:.3}ms ({} samples)",
-            r.latency.mean * 1e3,
-            r.latency.p50 * 1e3,
-            r.latency.p95 * 1e3,
-            r.latency.p99 * 1e3,
-            r.latency.max * 1e3,
-            r.latency.count
-        );
-        println!("engine: {} events processed", r.events_processed);
-        if let Some(f) = &r.fault {
-            println!(
-                "faults: {} dropped, {} shed, {} timed out, {} retries, {} degraded \
-                 ({:.0} req/s goodput)",
-                f.dropped, f.shed, f.timed_out, f.retried, f.degraded, r.goodput_qps
-            );
-        }
+    run.cells.iter().map(|c| c.span_dropped()).sum()
+}
+
+fn print_violations(violations: &[String]) {
+    for v in violations {
+        eprintln!("  {v}");
     }
+}
+
+fn pretty(doc: &serde_json::Value) -> String {
+    serde_json::to_string_pretty(doc).expect("a JSON value serializes")
+}
+
+fn latency_json(s: &uqsim_core::metrics::LatencySummary) -> serde_json::Value {
+    serde_json::json!({
+        "count": s.count, "mean": s.mean, "p50": s.p50,
+        "p95": s.p95, "p99": s.p99, "max": s.max,
+    })
+}
+
+/// `uqsim run`: one run, the latency/throughput summary on stdout, and
+/// with `--metrics-out` the three metrics files.
+fn cmd_run(args: &Args) -> Outcome {
+    let metrics_out = args.path("--metrics-out");
+    let sample_interval_s = args.positive("--sample-interval", 0.1)?;
+    let plan = RunPlan::from_args(args, 5.0)?;
+    // No telemetry unless it is asked for: a plain run pays for the event
+    // loop and nothing else.
+    let telemetry = metrics_out.as_ref().map(|_| TelemetryConfig {
+        sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
+        ..TelemetryConfig::default()
+    });
+    let run = plan.run(telemetry, None)?;
+    print_run_summary(&plan, &run.result);
     if let Some(dir) = metrics_out {
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(&dir)?;
         std::fs::write(dir.join("metrics.prom"), run.prometheus())?;
         std::fs::write(
             dir.join("metrics.csv"),
             run.csv().expect("sampler is enabled"),
         )?;
-        std::fs::write(
-            dir.join("metrics.json"),
-            serde_json::to_string_pretty(&run.json()).expect("metrics serialize"),
-        )?;
+        std::fs::write(dir.join("metrics.json"), pretty(&run.json()))?;
         eprintln!(
             "wrote metrics.prom, metrics.csv, metrics.json to {}",
             dir.display()
         );
     }
-    Ok(())
+    Ok(true)
 }
 
-/// Runs one faulted scenario with full span tracing, audits
+fn print_run_summary(plan: &RunPlan, r: &RunResult) {
+    let (duration_s, warmup_s) = (plan.duration_s, plan.cfg.warmup_s);
+    if plan.json {
+        let mut out = serde_json::json!({
+            "duration_s": duration_s,
+            "warmup_s": warmup_s,
+            "generated": r.generated,
+            "completed": r.completed,
+            "throughput_qps": r.achieved_qps,
+            "latency_s": latency_json(&r.latency),
+            "events_processed": r.events_processed,
+        });
+        if let (Some(f), serde_json::Value::Object(obj)) = (&r.fault, &mut out) {
+            obj.insert("goodput_qps", serde_json::json!(r.goodput_qps));
+            obj.insert(
+                "faults",
+                serde_json::to_value(f).expect("fault summary serializes"),
+            );
+        }
+        println!("{}", pretty(&out));
+        return;
+    }
+    println!("simulated {duration_s}s (warmup {warmup_s}s)");
+    println!(
+        "requests: generated {}, completed {}",
+        r.generated, r.completed
+    );
+    println!(
+        "throughput: {:.0} req/s over the measured window",
+        r.achieved_qps
+    );
+    println!(
+        "latency: mean {:.3}ms p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms max {:.3}ms ({} samples)",
+        r.latency.mean * 1e3,
+        r.latency.p50 * 1e3,
+        r.latency.p95 * 1e3,
+        r.latency.p99 * 1e3,
+        r.latency.max * 1e3,
+        r.latency.count
+    );
+    println!("engine: {} events processed", r.events_processed);
+    if let Some(f) = &r.fault {
+        println!(
+            "faults: {} dropped, {} shed, {} timed out, {} retries, {} degraded \
+             ({:.0} req/s goodput)",
+            f.dropped, f.shed, f.timed_out, f.retried, f.degraded, r.goodput_qps
+        );
+    }
+}
+
+/// `uqsim chaos`: runs one faulted scenario with full span tracing, audits
 /// request-outcome conservation, and prints a failure-mode report: the
 /// fault timeline, terminal-outcome counters, resilience activity, and
-/// goodput vs. achieved throughput. Returns whether the audit was clean.
+/// goodput vs. achieved throughput. Succeeds iff the audit was clean.
 ///
-/// The report is deterministic: the same scenario + plan + seed prints
-/// byte-identical text on every run.
-fn chaos(
-    path: &Path,
-    faults_path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
+/// The fault plan is validated against the whole scenario, split per
+/// cell, and installed in every cell; per-cell timelines, counters,
+/// audits, and latency samples are merged deterministically, so the same
+/// scenario + plan + seed prints byte-identical text on every run, at any
+/// `--shards` value.
+fn cmd_chaos(args: &Args) -> Outcome {
+    if !args.has("--faults") {
+        return Err(Failure::Usage);
     }
-    let plan = uqsim_core::FaultPlan::from_file(faults_path)?;
-    let mut sim = cfg.build()?;
-    sim.install_faults(&plan)?;
-    sim.enable_span_tracing(events);
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-
-    let f = sim.fault_summary().expect("fault plan is installed");
-    let s = sim.latency_summary();
-    let ts = sim.timeout_latency_summary();
-    let measured = (duration_s - cfg.warmup_s).max(f64::EPSILON);
-    let achieved = s.count as f64 / measured;
-    let goodput = (s.count as u64).saturating_sub(sim.degraded_measured()) as f64 / measured;
-    let log = sim.span_log().expect("span tracing is enabled");
-    let truncated = log.dropped() > 0;
-    if truncated {
-        eprintln!(
-            "warning: span log truncated ({} events dropped at capacity {events}); \
-             audit skipped — raise --events",
-            log.dropped()
-        );
-    }
-    let report = (!truncated).then(|| sim.audit_trace().expect("span tracing is enabled"));
-    let clean = report.as_ref().is_some_and(|r| r.is_clean());
-    let critpath = sim
-        .critpath_profile()
-        .map(|p| p.report())
-        .filter(|r| r.requests > 0);
-
-    if json {
-        let out = serde_json::json!({
-            "scenario": path.display().to_string(),
-            "faults": faults_path.display().to_string(),
-            "seed": cfg.seed,
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "generated": sim.generated(),
-            "completed": sim.completed(),
-            "outcomes": {
-                "dropped": f.dropped,
-                "shed": f.shed,
-                "timed_out": f.timed_out,
-                "degraded": f.degraded,
-            },
-            "resilience": {
-                "retried": f.retried,
-                "hedged": f.hedged,
-                "breaker_trips": f.breaker_trips,
-                "jobs_killed": f.jobs_killed,
-                "packets_dropped": f.packets_dropped,
-                "retransmits": f.retransmits,
-            },
-            "throughput_qps": achieved,
-            "goodput_qps": goodput,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
-            "timeout_latency_s": { "count": ts.count, "p50": ts.p50, "p99": ts.p99 },
-            "timeline": serde_json::to_value(&f.timeline).expect("timeline serializes"),
-            "critpath": critpath.as_ref().map(|r| r.to_json()),
-            "audit": if truncated {
-                serde_json::json!({ "skipped": "span log truncated; raise --events" })
-            } else {
-                let r = report.as_ref().expect("audited");
-                serde_json::json!({
-                    "clean": r.is_clean(),
-                    "violations": r.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                })
-            },
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("report serializes")
-        );
-    } else {
-        println!(
-            "chaos report: {} + {} (seed {}, {duration_s}s simulated, warmup {}s)",
-            path.display(),
-            faults_path.display(),
-            cfg.seed,
-            cfg.warmup_s
-        );
-        println!();
-        println!("timeline:");
-        if f.timeline.is_empty() {
-            println!("  (no fault windows fired)");
-        }
-        for entry in &f.timeline {
-            println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
-        }
-        println!();
-        println!("outcomes:");
-        println!(
-            "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
-            sim.generated(),
-            sim.completed(),
-            f.dropped,
-            f.shed,
-            f.timed_out
-        );
-        println!(
-            "  degraded responses {} (breaker sheds + quorum early-fires)",
-            f.degraded
-        );
-        println!();
-        println!("resilience:");
-        println!(
-            "  retries {}  hedges {}  breaker trips {}",
-            f.retried, f.hedged, f.breaker_trips
-        );
-        println!(
-            "  jobs killed {}  packets dropped {}  retransmits {}",
-            f.jobs_killed, f.packets_dropped, f.retransmits
-        );
-        println!();
-        println!(
-            "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
-             p99 {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.count
-        );
-        if ts.count > 0 {
-            println!(
-                "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
-                ts.p50 * 1e3,
-                ts.p99 * 1e3,
-                ts.count
-            );
-        }
-        println!(
-            "goodput: {goodput:.0} req/s of {achieved:.0} req/s achieved \
-             ({:.1}% full fidelity)",
-            100.0 * goodput / achieved.max(f64::EPSILON)
-        );
-        println!();
-        if let Some(rep) = &critpath {
-            print_tail_attribution(rep);
-        }
-        if truncated {
-            println!(
-                "audit: skipped ({} span events dropped; raise --events)",
-                log.dropped()
-            );
-        } else {
-            let r = report.as_ref().expect("audited");
-            if r.is_clean() {
-                println!(
-                    "audit: clean — every request reached exactly one terminal state \
-                     ({} spans checked)",
-                    r.spans_checked
-                );
-            } else {
-                println!("audit: {} violations", r.violations.len());
-                for v in &r.violations {
-                    println!("  {v}");
-                }
-            }
-        }
-    }
-    Ok(clean)
+    let events: usize = args.get_or("--events", 4_000_000)?;
+    let plan = RunPlan::from_args(args, 5.0)?;
+    let run = plan.run(critpath_telemetry(), Some(events))?;
+    let dropped_spans = report_truncation(&run, events, "audit skipped");
+    let audit = (dropped_spans == 0).then(|| run.audit().expect("span tracing is enabled"));
+    print_chaos_report(&plan, &run.result, audit.as_ref(), dropped_spans);
+    Ok(audit.is_some_and(|a| a.is_clean()))
 }
 
-/// `chaos --shards N`: the partitioned chaos runner. The fault plan is
-/// validated against the whole scenario, split per cell, and installed in
-/// every cell; per-cell timelines, counters, audits, and latency samples
-/// are merged deterministically, so the printed report is byte-identical
-/// at any `--shards` value.
-#[allow(clippy::too_many_arguments)]
-fn chaos_sharded(
-    path: &Path,
-    faults_path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-    shards: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = uqsim_core::FaultPlan::from_file(faults_path)?;
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    opts.span_tracing = Some(events);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        Some(&plan),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let r = &run.result;
+/// Renders the chaos report; `audit` is `None` when `dropped_spans` span
+/// events were lost and the audit was skipped.
+fn print_chaos_report(
+    plan: &RunPlan,
+    r: &RunResult,
+    audit: Option<&uqsim_core::AuditReport>,
+    dropped_spans: u64,
+) {
     let f = r.fault.as_ref().expect("fault plan is installed");
-    let s = &r.latency;
-    let ts = &r.timeout_latency;
-    let dropped_spans: u64 = run.cells.iter().map(|c| c.span_dropped).sum();
-    let truncated = dropped_spans > 0;
-    if truncated {
-        for c in &run.cells {
-            if c.span_dropped > 0 {
-                eprintln!(
-                    "warning: cell {} span log truncated ({} events dropped at \
-                     capacity {events}); audit skipped — raise --events",
-                    c.cell, c.span_dropped
-                );
-            }
-        }
-    }
-    let report = (!truncated).then(|| run.audit().expect("span tracing is enabled"));
-    let clean = report.as_ref().is_some_and(|rep| rep.is_clean());
-    let critpath = run
-        .result
+    let (s, ts) = (&r.latency, &r.timeout_latency);
+    let (scenario, faults) = (&plan.scenario, plan.faults_path().unwrap_or_default());
+    let (seed, duration_s, warmup_s) = (plan.cfg.seed, plan.duration_s, plan.cfg.warmup_s);
+    let critpath = r
         .critpath
         .as_ref()
         .map(|p| p.report())
         .filter(|rep| rep.requests > 0);
-
-    if json {
+    if plan.json {
         let out = serde_json::json!({
-            "scenario": path.display().to_string(),
-            "faults": faults_path.display().to_string(),
+            "scenario": scenario,
+            "faults": faults,
             "seed": seed,
             "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "cells": run.cells.len(),
+            "warmup_s": warmup_s,
             "generated": r.generated,
             "completed": r.completed,
             "outcomes": {
@@ -1351,110 +590,95 @@ fn chaos_sharded(
             },
             "throughput_qps": r.achieved_qps,
             "goodput_qps": r.goodput_qps,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
+            "latency_s": latency_json(s),
             "timeout_latency_s": { "count": ts.count, "p50": ts.p50, "p99": ts.p99 },
             "timeline": serde_json::to_value(&f.timeline).expect("timeline serializes"),
             "critpath": critpath.as_ref().map(|rep| rep.to_json()),
-            "audit": if truncated {
-                serde_json::json!({ "skipped": "span log truncated; raise --events" })
-            } else {
-                let rep = report.as_ref().expect("audited");
-                serde_json::json!({
-                    "clean": rep.is_clean(),
-                    "violations": rep.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                })
+            "audit": match audit {
+                None => serde_json::json!({ "skipped": "span log truncated; raise --events" }),
+                Some(a) => serde_json::json!({
+                    "clean": a.is_clean(),
+                    "violations": a.violations,
+                }),
             },
         });
+        println!("{}", pretty(&out));
+        return;
+    }
+    println!(
+        "chaos report: {scenario} + {faults} (seed {seed}, {duration_s}s simulated, \
+         warmup {warmup_s}s)"
+    );
+    println!();
+    println!("timeline:");
+    if f.timeline.is_empty() {
+        println!("  (no fault windows fired)");
+    }
+    for entry in &f.timeline {
+        println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
+    }
+    println!();
+    println!("outcomes:");
+    println!(
+        "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
+        r.generated, r.completed, f.dropped, f.shed, f.timed_out
+    );
+    println!(
+        "  degraded responses {} (breaker sheds + quorum early-fires)",
+        f.degraded
+    );
+    println!();
+    println!("resilience:");
+    println!(
+        "  retries {}  hedges {}  breaker trips {}",
+        f.retried, f.hedged, f.breaker_trips
+    );
+    println!(
+        "  jobs killed {}  packets dropped {}  retransmits {}",
+        f.jobs_killed, f.packets_dropped, f.retransmits
+    );
+    println!();
+    println!(
+        "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
+         p99 {:.3}ms ({} samples)",
+        s.mean * 1e3,
+        s.p50 * 1e3,
+        s.p95 * 1e3,
+        s.p99 * 1e3,
+        s.count
+    );
+    if ts.count > 0 {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("report serializes")
+            "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
+            ts.p50 * 1e3,
+            ts.p99 * 1e3,
+            ts.count
         );
-    } else {
-        println!(
-            "chaos report: {} + {} (seed {}, {duration_s}s simulated, warmup {}s)",
-            path.display(),
-            faults_path.display(),
-            seed,
-            cfg.warmup_s
-        );
-        println!();
-        println!("timeline:");
-        if f.timeline.is_empty() {
-            println!("  (no fault windows fired)");
-        }
-        for entry in &f.timeline {
-            println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
-        }
-        println!();
-        println!("outcomes:");
-        println!(
-            "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
-            r.generated, r.completed, f.dropped, f.shed, f.timed_out
-        );
-        println!(
-            "  degraded responses {} (breaker sheds + quorum early-fires)",
-            f.degraded
-        );
-        println!();
-        println!("resilience:");
-        println!(
-            "  retries {}  hedges {}  breaker trips {}",
-            f.retried, f.hedged, f.breaker_trips
-        );
-        println!(
-            "  jobs killed {}  packets dropped {}  retransmits {}",
-            f.jobs_killed, f.packets_dropped, f.retransmits
-        );
-        println!();
-        println!(
-            "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
-             p99 {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.count
-        );
-        if ts.count > 0 {
-            println!(
-                "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
-                ts.p50 * 1e3,
-                ts.p99 * 1e3,
-                ts.count
-            );
-        }
-        println!(
-            "goodput: {:.0} req/s of {:.0} req/s achieved ({:.1}% full fidelity)",
-            r.goodput_qps,
-            r.achieved_qps,
-            100.0 * r.goodput_qps / r.achieved_qps.max(f64::EPSILON)
-        );
-        println!();
-        if let Some(rep) = &critpath {
-            print_tail_attribution(rep);
-        }
-        if truncated {
-            println!("audit: skipped ({dropped_spans} span events dropped; raise --events)");
-        } else {
-            let rep = report.as_ref().expect("audited");
-            if rep.is_clean() {
-                println!(
-                    "audit: clean — every request reached exactly one terminal state \
-                     ({} spans checked)",
-                    rep.spans_checked
-                );
-            } else {
-                println!("audit: {} violations", rep.violations.len());
-                for v in &rep.violations {
-                    println!("  {v}");
-                }
+    }
+    println!(
+        "goodput: {:.0} req/s of {:.0} req/s achieved ({:.1}% full fidelity)",
+        r.goodput_qps,
+        r.achieved_qps,
+        100.0 * r.goodput_qps / r.achieved_qps.max(f64::EPSILON)
+    );
+    println!();
+    if let Some(rep) = &critpath {
+        print_tail_attribution(rep);
+    }
+    match audit {
+        None => println!("audit: skipped ({dropped_spans} span events dropped; raise --events)"),
+        Some(a) if a.is_clean() => println!(
+            "audit: clean — every request reached exactly one terminal state \
+             ({} spans checked)",
+            a.spans_checked
+        ),
+        Some(a) => {
+            println!("audit: {} violations", a.violations.len());
+            for v in &a.violations {
+                println!("  {v}");
             }
         }
     }
-    Ok(clean)
 }
 
 /// Prints the chaos report's tail-attribution section: where the
@@ -1498,141 +722,56 @@ fn print_tail_attribution(rep: &uqsim_core::CpcReport) {
 /// `uqsim why`: critical-path extraction and tail-latency attribution.
 ///
 /// Runs the scenario (optionally faulted) with both streaming critical-path
-/// accumulation and full span tracing, cross-checks the streaming profile
-/// against an independent replay of the recorded trace, audits the trace,
-/// and prints the cohort/differential attribution report. Fails (non-zero
-/// exit) when the span log truncated — a truncated stream would silently
-/// under-attribute — when the audit finds violations, or when streaming and
-/// replayed attribution disagree.
-#[allow(clippy::too_many_arguments)]
-fn why(
-    path: &Path,
-    faults: Option<&Path>,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-    out: Option<&Path>,
-) -> Result<bool, uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let mut sim = cfg.build()?;
-    if let Some(faults) = faults {
-        let plan = uqsim_core::FaultPlan::from_file(faults)?;
-        sim.install_faults(&plan)?;
-    }
-    sim.enable_span_tracing(events);
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-
-    let log = sim.span_log().expect("span tracing is enabled");
-    if log.dropped() > 0 {
-        eprintln!(
-            "error: span log truncated ({} events dropped at capacity {events}); \
-             attribution would be incomplete — raise --events",
-            log.dropped()
-        );
+/// accumulation and full span tracing, audits the trace, cross-checks each
+/// cell's streaming profile against an independent replay of that cell's
+/// recorded trace, and prints the cohort/differential attribution report
+/// of the merged profile. Fails (non-zero exit) when a span log truncated
+/// — a truncated stream would silently under-attribute — when the audit
+/// finds violations, or when streaming and replayed attribution disagree.
+/// Cell decomposition depends on the scenario, not the worker count, so
+/// every rendered output is byte-identical at any `--shards` value.
+fn cmd_why(args: &Args) -> Outcome {
+    let events: usize = args.get_or("--events", 4_000_000)?;
+    let plan = RunPlan::from_args(args, 5.0)?;
+    let run = plan.run(critpath_telemetry(), Some(events))?;
+    if report_truncation(&run, events, "attribution would be incomplete") > 0 {
         return Ok(false);
     }
-    let audit = sim.audit_trace().expect("span tracing is enabled");
+    let audit = run.audit().expect("span tracing is enabled");
     if !audit.is_clean() {
         eprintln!(
             "error: trace audit found {} violation(s); refusing to attribute",
             audit.violations.len()
         );
-        for v in &audit.violations {
-            eprintln!("  {v}");
-        }
+        print_violations(&audit.violations);
         return Ok(false);
     }
-    let streaming = sim
-        .critpath_profile()
-        .expect("critpath telemetry is enabled");
-    let replayed = match uqsim_core::CpcProfile::from_trace(log, &sim.trace_meta()) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("error: {msg}");
+    let mut replayed_events = 0;
+    for c in &run.cells {
+        let log = c.sim.span_log().expect("span tracing is enabled");
+        let replayed = match uqsim_core::CpcProfile::from_trace(log, &c.sim.trace_meta()) {
+            Ok(profile) => profile,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                return Ok(false);
+            }
+        };
+        if c.result.critpath.as_ref() != Some(&replayed) {
+            eprintln!(
+                "error: cell {}: streaming and trace-replayed attribution disagree; \
+                 this is an engine bug — please report it",
+                c.cell
+            );
             return Ok(false);
         }
-    };
-    if replayed != streaming {
-        eprintln!(
-            "error: streaming and trace-replayed attribution disagree; \
-             this is an engine bug — please report it"
-        );
-        return Ok(false);
+        replayed_events += log.len();
     }
     eprintln!(
-        "why: {} span events replayed, {} spans audited, streaming == replay",
-        log.len(),
+        "why: {replayed_events} span events replayed, {} spans audited, streaming == replay",
         audit.spans_checked
     );
-    emit_why(
-        path,
-        faults,
-        cfg.seed,
-        duration_s,
-        cfg.warmup_s,
-        json,
-        &streaming,
-        out,
-    )?;
-    Ok(true)
-}
-
-/// `why --shards N`: the partitioned attribution runner. Each cell streams
-/// its own bounded-memory profile; the merged profile — and therefore
-/// every rendered output — is byte-identical at any `--shards` value
-/// (cell decomposition depends on the scenario, not the worker count).
-#[allow(clippy::too_many_arguments)]
-fn why_sharded(
-    path: &Path,
-    faults: Option<&Path>,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    shards: usize,
-    out: Option<&Path>,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = match faults {
-        Some(p) => Some(uqsim_core::FaultPlan::from_file(p)?),
-        None => None,
-    };
-    let opts = uqsim_core::PartitionOptions::with_shards(shards);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        plan.as_ref(),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let profile = run
-        .result
-        .critpath
-        .as_ref()
-        .expect("partitioned runs stream critpath profiles");
-    emit_why(
-        path,
-        faults,
-        seed,
-        duration_s,
-        cfg.warmup_s,
-        json,
-        profile,
-        out,
-    )?;
+    let profile = run.result.critpath.as_ref();
+    emit_why(&plan, profile.expect("critpath telemetry is enabled"))?;
     Ok(true)
 }
 
@@ -1642,56 +781,35 @@ fn why_sharded(
 /// `critpath.folded` (flame-graph folded stacks), and `critpath.prom`
 /// (Prometheus `uqsim_critpath_*` exposition). All renderings are
 /// deterministic functions of the profile.
-#[allow(clippy::too_many_arguments)]
-fn emit_why(
-    path: &Path,
-    faults: Option<&Path>,
-    seed: u64,
-    duration_s: f64,
-    warmup_s: f64,
-    json: bool,
-    profile: &uqsim_core::CpcProfile,
-    out: Option<&Path>,
-) -> Result<(), uqsim_core::SimError> {
+fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimError> {
     let report = profile.report();
-    if json {
+    let (seed, duration_s, warmup_s) = (plan.cfg.seed, plan.duration_s, plan.cfg.warmup_s);
+    if plan.json {
         let mut doc = report.to_json();
         if let serde_json::Value::Object(obj) = &mut doc {
-            obj.insert(
-                "scenario".to_string(),
-                serde_json::json!(path.display().to_string()),
-            );
-            obj.insert(
-                "faults".to_string(),
-                serde_json::json!(faults.map(|f| f.display().to_string())),
-            );
-            obj.insert("seed".to_string(), serde_json::json!(seed));
-            obj.insert("duration_s".to_string(), serde_json::json!(duration_s));
-            obj.insert("warmup_s".to_string(), serde_json::json!(warmup_s));
+            obj.insert("scenario", serde_json::json!(plan.scenario));
+            obj.insert("faults", serde_json::json!(plan.faults_path()));
+            obj.insert("seed", serde_json::json!(seed));
+            obj.insert("duration_s", serde_json::json!(duration_s));
+            obj.insert("warmup_s", serde_json::json!(warmup_s));
         }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("report serializes")
-        );
+        println!("{}", pretty(&doc));
     } else {
         println!(
             "why: {}{} (seed {seed}, {duration_s}s simulated, warmup {warmup_s}s)",
-            path.display(),
-            faults
-                .map(|f| format!(" + {}", f.display()))
+            plan.scenario,
+            plan.faults_path()
+                .map(|f| format!(" + {f}"))
                 .unwrap_or_default()
         );
         println!();
         print!("{}", report.to_text());
     }
-    if let Some(dir) = out {
+    if let Some(dir) = &plan.out {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("critpath.txt"), report.to_text())?;
         std::fs::write(dir.join("critpath.csv"), report.to_csv())?;
-        std::fs::write(
-            dir.join("critpath.json"),
-            serde_json::to_string_pretty(&report.to_json()).expect("report serializes"),
-        )?;
+        std::fs::write(dir.join("critpath.json"), pretty(&report.to_json()))?;
         std::fs::write(dir.join("critpath.folded"), profile.to_folded())?;
         std::fs::write(
             dir.join("critpath.prom"),
@@ -1706,30 +824,23 @@ fn emit_why(
     Ok(())
 }
 
-/// `top(1)` for the simulated cluster: steps the simulation one sampler
-/// interval at a time and redraws per-instance utilization, queue depth,
-/// and thread occupancy plus the latest windowed latency percentiles.
-/// With ANSI enabled each frame overdraws the previous one; `--no-ansi`
-/// appends frames instead (useful for piping to a file).
-fn top(
-    path: &Path,
-    duration_s: f64,
-    interval_s: f64,
-    seed: Option<u64>,
-    ansi: bool,
-) -> Result<(), uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let mut sim = cfg.build()?;
+/// `uqsim top`: `top(1)` for the simulated cluster. Steps one simulator
+/// one sampler interval at a time and redraws per-instance utilization,
+/// queue depth, and thread occupancy plus the latest windowed latency
+/// percentiles. With ANSI enabled each frame overdraws the previous one;
+/// `--no-ansi` appends frames instead (useful for piping to a file).
+fn cmd_top(args: &Args) -> Outcome {
+    let interval_s = args.positive("--interval", 1.0)?;
+    let ansi = !args.has("--no-ansi");
+    let plan = RunPlan::from_args(args, 10.0)?;
+    let mut sim = plan.cfg.build()?;
     let interval = SimDuration::from_secs_f64(interval_s);
     sim.enable_telemetry(TelemetryConfig {
         sample_interval: Some(interval),
         self_profile: true,
         ..TelemetryConfig::default()
     });
-    let deadline = sim.now() + SimDuration::from_secs_f64(duration_s);
+    let deadline = sim.now() + plan.duration();
     while sim.now() < deadline {
         let step = interval.min(deadline - sim.now());
         sim.run_for(step);
@@ -1739,7 +850,7 @@ fn top(
         }
         print_top_frame(&sim, interval_s);
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Renders one `uqsim top` frame from the latest sampler tick.
@@ -1836,176 +947,41 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
     }
 }
 
-/// The parallel grid sweep: `Q` QPS points × `K` seed replications fanned
-/// across the [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
+/// `uqsim sweep`: `Q` QPS points × `K` seed replications fanned across the
+/// [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
 /// across-replication 95% confidence intervals. Progress goes to stderr;
 /// the table goes to stdout (or `--out`), and its bytes do not depend on
-/// `--jobs`.
-fn sweep_grid(args: &[String]) -> ExitCode {
-    let mut config = None;
-    let mut gen_spec: Option<String> = None;
-    let mut qps_spec = None;
-    let mut reps = 3usize;
-    let mut jobs = uqsim_runner::available_jobs();
-    let mut duration = 5.0f64;
-    let mut seed = None;
-    let mut json = false;
-    let mut out = None;
-    let mut faults = None;
-    let mut shards = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                if v == 0 {
-                    return usage();
-                }
-                shards = v;
-                i += 2;
-            }
-            "--faults" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                faults = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--config" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                config = Some(v.clone());
-                i += 2;
-            }
-            "--gen" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                gen_spec = Some(v.clone());
-                i += 2;
-            }
-            "--qps" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                qps_spec = Some(v.clone());
-                i += 2;
-            }
-            "--reps" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                reps = v;
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                jobs = v;
-                i += 2;
-            }
-            "--duration" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                duration = v;
-                i += 2;
-            }
-            "--seed" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                seed = Some(v);
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--out" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                out = Some(v.clone());
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
-    let Some(qps_spec) = qps_spec else {
-        return usage();
-    };
-    let config = match (config, gen_spec) {
-        (Some(c), None) => std::path::PathBuf::from(c),
-        (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-            Ok(dir) => dir,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => return usage(),
-    };
-    let qps = match uqsim_runner::sweep::parse_qps_spec(&qps_spec) {
-        Ok(qps) => qps,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match load(Path::new(&config)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match faults.map(|p| uqsim_core::FaultPlan::from_file(&p)) {
-        None => None,
-        Some(Ok(plan)) => Some(plan),
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `--jobs` or `--shards`.
+fn cmd_sweep(args: &Args) -> Outcome {
+    let qps_spec = args.raw("--qps").ok_or(Failure::Usage)?;
+    let reps: usize = args.get_or("--reps", 3)?;
+    let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
+    let plan = RunPlan::from_args(args, 5.0)?;
+    let qps = uqsim_runner::sweep::parse_qps_spec(qps_spec).map_err(Failure::Invalid)?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),
-        base_seed: seed.unwrap_or(cfg.seed),
-        duration: SimDuration::from_secs_f64(duration),
+        base_seed: plan.cfg.seed,
+        duration: plan.duration(),
         jobs: jobs.max(1),
-        faults: plan,
-        shards,
+        faults: plan.fault_plan().cloned(),
+        shards: plan.shards,
     };
     eprintln!(
-        "sweep: {} qps points x {} reps = {} cells on {} worker(s){}",
+        "sweep: {} qps points x {} reps = {} cells on {} worker(s), {} shard(s) per cell",
         spec.qps.len(),
         spec.reps,
         spec.qps.len() * spec.reps,
         spec.jobs,
-        if spec.shards >= 1 {
-            format!(", partitioned engine at {} shard(s) per cell", spec.shards)
-        } else {
-            String::new()
-        }
+        spec.shards.max(1)
     );
-    let table = match uqsim_runner::sweep::run_scenario_sweep(&cfg, &spec, &|p| {
+    let table = uqsim_runner::sweep::run_scenario_sweep(&plan.cfg, &spec, &|p| {
         eprintln!(
             "  [{}/{}] qps={:.0} seed={}",
             p.finished, p.total, p.offered_qps, p.seed
         );
-    }) {
-        Ok(table) => table,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut text = if json {
+    })?;
+    let mut text = if plan.json {
         table.to_json()
     } else {
         table.to_csv()
@@ -2013,173 +989,32 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     if !text.ends_with('\n') {
         text.push('\n');
     }
-    match out {
+    match &plan.out {
         Some(file) => {
-            if let Err(e) = std::fs::write(&file, &text) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {file}");
+            std::fs::write(file, &text)?;
+            eprintln!("wrote {}", file.display());
         }
         None => print!("{text}"),
     }
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
-/// Runs the scenario once per offered load, scaling every client's rate
-/// schedule so the configured rates act as a load *shape*.
-fn sweep(path: &Path, loads: &[f64], duration_s: f64) -> Result<(), uqsim_core::SimError> {
-    let base = load(path)?;
-    println!(
-        "{:>12} {:>13} {:>9} {:>9} {:>9} {:>9}",
-        "offered_qps", "achieved_qps", "mean_ms", "p50_ms", "p95_ms", "p99_ms"
-    );
-    for &qps in loads {
-        // `with_offered_qps` scales every client kind uniformly (schedules
-        // pinned, MMPP/session rates rescaled, traces left as-is).
-        let cfg = base.with_offered_qps(qps);
-        let mut sim = cfg.build()?;
-        sim.run_for(SimDuration::from_secs_f64(duration_s));
-        let s = sim.latency_summary();
-        let achieved = s.count as f64 / (duration_s - cfg.warmup_s).max(f64::EPSILON);
-        println!(
-            "{:>12.0} {:>13.0} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            qps,
-            achieved,
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3
-        );
+/// `uqsim trace`: with `--config`, the Chrome `trace_event` export and
+/// audit; with a bare scenario path, sampled request traces as JSON lines.
+fn cmd_trace(args: &Args) -> Outcome {
+    if args.has("--config") {
+        return chrome_export(args);
     }
-    Ok(())
-}
-
-/// Runs the scenario with span tracing enabled, writes a Chrome
-/// `trace_event` JSON file (viewable in `about:tracing` or Perfetto), and
-/// audits the trace against the simulator's invariants. Returns whether the
-/// audit came back clean.
-fn chrome_export(
-    path: &Path,
-    duration_s: f64,
-    out: Option<&str>,
-    events: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut sim = cfg.build()?;
-    sim.enable_span_tracing(events);
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-    let chrome = sim.chrome_trace().expect("span tracing is enabled");
-    let text = serde_json::to_string_pretty(&chrome).expect("trace serializes");
-    match out {
-        Some(file) => {
-            std::fs::write(file, text)?;
-            eprintln!("wrote {file}");
-        }
-        None => println!("{text}"),
+    if args.has("--shards") {
+        // Sampled JSON-lines traces come from one simulator's recorder.
+        return Err(Failure::Usage);
     }
-    let log = sim.span_log().expect("span tracing is enabled");
-    let report = sim.audit_trace().expect("span tracing is enabled");
-    eprintln!(
-        "trace: {} events ({} dropped), {} spans audited, {} completed requests",
-        log.len(),
-        log.dropped(),
-        report.spans_checked,
-        sim.completed()
-    );
-    if report.is_clean() {
-        eprintln!("audit: clean");
-    } else {
-        eprintln!("audit: {} violations", report.violations.len());
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-    }
-    if log.dropped() > 0 {
-        eprintln!(
-            "error: span log truncated ({} events dropped at capacity {events}); \
-             the trace is incomplete — raise --events",
-            log.dropped()
-        );
-        return Ok(false);
-    }
-    Ok(report.is_clean())
-}
-
-/// `trace --config --shards N`: partitioned Chrome export. Per-cell
-/// traces merge with disjoint pid ranges and `c<i>:`-prefixed scope ids;
-/// the written JSON and the audit verdict are byte-identical at any
-/// `--shards` value.
-fn chrome_export_sharded(
-    path: &Path,
-    duration_s: f64,
-    out: Option<&str>,
-    events: usize,
-    shards: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    opts.span_tracing = Some(events);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        None,
-        cfg.seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let chrome = run.chrome_trace().expect("span tracing is enabled");
-    let text = serde_json::to_string_pretty(&chrome).expect("trace serializes");
-    match out {
-        Some(file) => {
-            std::fs::write(file, text)?;
-            eprintln!("wrote {file}");
-        }
-        None => println!("{text}"),
-    }
-    let dropped: u64 = run.cells.iter().map(|c| c.span_dropped).sum();
-    let report = run.audit().expect("span tracing is enabled");
-    eprintln!(
-        "trace: {} events ({} dropped), {} spans audited, {} completed requests",
-        chrome["traceEvents"].as_array().map_or(0, Vec::len),
-        dropped,
-        report.spans_checked,
-        run.result.completed
-    );
-    if report.is_clean() {
-        eprintln!("audit: clean");
-    } else {
-        eprintln!("audit: {} violations", report.violations.len());
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-    }
-    if dropped > 0 {
-        for c in &run.cells {
-            if c.span_dropped > 0 {
-                eprintln!(
-                    "error: cell {} span log truncated ({} events dropped at \
-                     capacity {events}); the trace is incomplete — raise --events",
-                    c.cell, c.span_dropped
-                );
-            }
-        }
-        return Ok(false);
-    }
-    Ok(report.is_clean())
-}
-
-/// Runs the scenario with tracing enabled and prints sampled request
-/// traces as JSON lines.
-fn trace(path: &Path, duration_s: f64, every: u64, max: usize) -> Result<(), uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut sim = cfg.build()?;
+    let every: u64 = args.get_or("--every", 100)?;
+    let max: usize = args.get_or("--max", 20)?;
+    let plan = RunPlan::from_args(args, 2.0)?;
+    let mut sim = plan.cfg.build()?;
     sim.enable_tracing(every.max(1), max);
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
+    sim.run_for(plan.duration());
     for t in sim.traces() {
         println!("{}", serde_json::to_string(t).expect("trace serializes"));
     }
@@ -2188,7 +1023,165 @@ fn trace(path: &Path, duration_s: f64, every: u64, max: usize) -> Result<(), uqs
         sim.traces().len(),
         sim.completed()
     );
-    Ok(())
+    Ok(true)
+}
+
+/// Runs the scenario with span tracing enabled, writes a Chrome
+/// `trace_event` JSON file (viewable in `about:tracing` or Perfetto), and
+/// audits the trace against the simulator's invariants. Succeeds iff the
+/// log is complete and the audit clean. The trace of a scenario with more
+/// than one cell gives each cell its own pid range and `c<i>:`-prefixed
+/// scope ids; the written JSON and the audit verdict are byte-identical at
+/// any `--shards` value.
+fn chrome_export(args: &Args) -> Outcome {
+    let events: usize = args.get_or("--events", 1_000_000)?;
+    let plan = RunPlan::from_args(args, 2.0)?;
+    let run = plan.run(None, Some(events))?;
+    let text = pretty(&run.chrome_trace().expect("span tracing is enabled"));
+    match &plan.out {
+        Some(file) => {
+            std::fs::write(file, text)?;
+            eprintln!("wrote {}", file.display());
+        }
+        None => println!("{text}"),
+    }
+    let recorded: usize = run
+        .cells
+        .iter()
+        .map(|c| c.sim.span_log().map_or(0, |log| log.len()))
+        .sum();
+    let audit = run.audit().expect("span tracing is enabled");
+    let dropped = report_truncation(&run, events, "the trace is incomplete");
+    eprintln!(
+        "trace: {recorded} events ({dropped} dropped), {} spans audited, {} completed requests",
+        audit.spans_checked, run.result.completed
+    );
+    if audit.is_clean() {
+        eprintln!("audit: clean");
+    } else {
+        eprintln!("audit: {} violations", audit.violations.len());
+        print_violations(&audit.violations);
+    }
+    Ok(dropped == 0 && audit.is_clean())
+}
+
+/// `uqsim gen`: generate a scenario from a spec, deterministically per
+/// `(spec, seed)`. `--out <dir>` writes the Table I layout the other
+/// commands load; `--json` prints the single-file scenario to stdout
+/// (byte-identical across runs — CI regenerates and `cmp`s it); with
+/// neither, the spec is validated, generated, and built, and only the
+/// summary line is printed.
+fn cmd_gen(args: &Args) -> Outcome {
+    let spec_path = args.path("--spec").ok_or(Failure::Usage)?;
+    let seed: Option<u64> = args.get("--seed")?;
+    let (out, json) = (args.path("--out"), args.has("--json"));
+    let spec = uqsim_synth::GenSpec::from_file(&spec_path)?;
+    let seed = seed.unwrap_or(spec.seed);
+    let cfg = spec.generate(seed)?;
+    if let Some(dir) = &out {
+        cfg.write_dir(dir)?;
+        eprintln!("wrote Table I layout to {}", dir.display());
+    }
+    if json {
+        println!("{}", cfg.to_json());
+    }
+    if out.is_none() && !json {
+        // Dry run: prove the generated scenario actually builds.
+        cfg.build()?;
+    }
+    eprintln!(
+        "generated {} seed {seed}: {}",
+        spec.name,
+        uqsim_synth::summarize(&cfg)
+    );
+    Ok(true)
+}
+
+fn cmd_validate(args: &Args) -> Outcome {
+    let path = args.positional.first().ok_or(Failure::Usage)?;
+    match load(Path::new(path)).and_then(|c| c.build()) {
+        Ok(sim) => println!(
+            "ok: {} instances, {} pending events at t=0",
+            sim.instance_count(),
+            sim.live_requests()
+        ),
+        Err(e) => {
+            eprintln!("invalid: {e}");
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+fn cmd_split(args: &Args) -> Outcome {
+    let [src, dst] = args.positional.as_slice() else {
+        return Err(Failure::Usage);
+    };
+    load(Path::new(src))?.write_dir(Path::new(dst))?;
+    println!("wrote Table I layout to {dst}");
+    Ok(true)
+}
+
+fn cmd_example(_: &Args) -> Outcome {
+    println!("{EXAMPLE}");
+    Ok(true)
+}
+
+/// One subcommand: the flags (space-separated) and bare words it accepts,
+/// and what it does with them.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    positional: usize,
+    run: fn(&Args) -> Outcome,
+}
+
+/// The subcommand table. A flag is parsed where it is read ([`RunPlan`]
+/// for the shared ones); this table only says which subcommand takes it.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", positional: 1, run: cmd_run,
+        flags: "--gen --faults --seed --duration --shards --json --metrics-out --sample-interval" },
+    Command { name: "chaos", positional: 1, run: cmd_chaos,
+        flags: "--gen --faults --seed --duration --shards --json --events" },
+    Command { name: "why", positional: 0, run: cmd_why,
+        flags: "--config --gen --faults --seed --duration --shards --json --events --out" },
+    Command { name: "sweep", positional: 0, run: cmd_sweep,
+        flags: "--config --gen --faults --seed --duration --shards --json --out --qps --reps --jobs" },
+    Command { name: "top", positional: 0, run: cmd_top,
+        flags: "--config --seed --duration --interval --no-ansi" },
+    Command { name: "trace", positional: 1, run: cmd_trace,
+        flags: "--config --duration --shards --out --events --every --max" },
+    Command { name: "gen", positional: 0, run: cmd_gen,
+        flags: "--spec --seed --out --json" },
+    Command { name: "validate", positional: 1, run: cmd_validate, flags: "" },
+    Command { name: "split", positional: 2, run: cmd_split, flags: "" },
+    Command { name: "example", positional: 0, run: cmd_example, flags: "" },
+];
+
+fn main() -> ExitCode {
+    uqsim_core::telemetry::set_alloc_probe(|| ALLOCATIONS.load(Ordering::Relaxed));
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = raw
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        return usage();
+    };
+    let outcome = Args::parse(&raw[1..], cmd.flags, cmd.positional).and_then(|a| (cmd.run)(&a));
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(Failure::Usage) => usage(),
+        Err(Failure::Invalid(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Error(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]

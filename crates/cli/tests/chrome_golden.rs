@@ -1,13 +1,14 @@
 //! Golden-file and determinism tests for the Chrome `trace_event` export.
 //!
 //! The golden snapshot pins the exact JSON the quickstart scenario produces
-//! for its first 64 trace events — regenerate it with:
+//! for its first 64 trace events — regenerate it with (the command exits 1
+//! after writing the file: a 64-event log is truncated on purpose):
 //!
 //! ```text
 //! cargo run --release -p uqsim-cli -- trace \
 //!     --config crates/cli/configs/quickstart.json \
 //!     --out crates/cli/tests/golden/quickstart_trace.json \
-//!     --duration 0.05 --events 64
+//!     --duration 0.6 --events 64
 //! ```
 
 use uqsim_core::config::ScenarioConfig;

@@ -1,8 +1,9 @@
 //! End-to-end gates for the workload-synthesis surface (`uqsim gen`):
 //! the bundled DeathStarBench-class spec must hit the headline scale
 //! (≥300 services, ≥1000 instances), regenerate byte-identically per
-//! (spec, seed), run TraceAuditor-clean, and produce byte-identical
-//! output at `--shards 1` vs `--shards 4`.
+//! (spec, seed), run TraceAuditor-clean, produce byte-identical output
+//! with no `--shards`, at `--shards 1` and at `--shards 4`, and leave
+//! nothing behind in the temp dir.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -57,27 +58,30 @@ fn bundled_spec_hits_headline_scale() {
 }
 
 /// The generated cluster runs end-to-end: the merged trace audit is
-/// clean, and every output is byte-identical at shards 1 vs 4.
+/// clean, and every output is byte-identical at shards 0 (the field's
+/// "flag absent" value), 1 and 4.
 #[test]
 fn generated_cluster_runs_audit_clean_and_shard_invariant() {
     let spec = GenSpec::from_file(Path::new(&spec_path())).unwrap();
     let cfg = spec.generate(11).unwrap();
     let opts = |shards: usize| PartitionOptions {
         shards,
-        telemetry: TelemetryConfig::default(),
+        telemetry: Some(TelemetryConfig::default()),
         span_tracing: Some(1 << 16),
-        sync_windows: 8,
     };
     let d = SimDuration::from_millis(350);
     let one = run_partitioned(&cfg, None, 11, d, &opts(1)).unwrap();
-    let four = run_partitioned(&cfg, None, 11, d, &opts(4)).unwrap();
     assert!(one.result.completed > 0, "requests must complete");
-    assert_eq!(one.result, four.result, "results at shards 1 vs 4");
-    assert_eq!(
-        one.prometheus(),
-        four.prometheus(),
-        "prometheus at shards 1 vs 4"
-    );
+    let one_prom = one.prometheus();
+    for shards in [0, 4] {
+        let other = run_partitioned(&cfg, None, 11, d, &opts(shards)).unwrap();
+        assert_eq!(one.result, other.result, "results at shards 1 vs {shards}");
+        assert_eq!(
+            one_prom,
+            other.prometheus(),
+            "prometheus at shards 1 vs {shards}"
+        );
+    }
     let audit = one.audit().expect("span tracing on");
     assert!(
         audit.violations.is_empty(),
@@ -85,4 +89,34 @@ fn generated_cluster_runs_audit_clean_and_shard_invariant() {
         audit.violations
     );
     assert!(audit.events_checked > 0);
+}
+
+/// `uqsim run --gen` prints the same bytes with no flag and at `--shards
+/// 2`, and removes the Table I directory it generates into: the child's
+/// `TMPDIR` is empty afterwards.
+#[test]
+fn run_gen_is_shard_invariant_and_leaves_tmpdir_empty() {
+    let tmp = std::env::temp_dir().join(format!("uqsim-gen-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("tmpdir");
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_uqsim"))
+            .env("TMPDIR", &tmp)
+            .args(["run", "--gen", &spec_path(), "--seed", "3"])
+            .args(["--duration", "0.3", "--json"])
+            .args(extra)
+            .output()
+            .expect("uqsim binary runs");
+        assert!(out.status.success(), "run --gen {extra:?} failed: {out:?}");
+        let left: Vec<_> = std::fs::read_dir(&tmp).expect("tmpdir").collect();
+        assert!(left.is_empty(), "run --gen {extra:?} left {left:?}");
+        out.stdout
+    };
+    let sharded = run(&["--shards", "2"]);
+    assert!(!sharded.is_empty());
+    assert_eq!(
+        run(&[]),
+        sharded,
+        "stdout differs with and without --shards"
+    );
+    std::fs::remove_dir_all(&tmp).expect("remove tmpdir");
 }

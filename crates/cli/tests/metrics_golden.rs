@@ -92,17 +92,20 @@ fn quickstart_metrics_csv_matches_golden() {
     );
 }
 
-/// The partitioned merge of a single-cell run must be the byte-identity:
-/// the two merge paths (single-run vs partitioned) may only diverge when
-/// there is more than one windowed summary to keep apart.
+/// The merge of a single-cell run must be the byte-identity — here, the
+/// golden CSV itself: the run pipeline on the quickstart scenario (one
+/// cell, under the scenario's own seed) is the bare simulator above.
 #[test]
 fn single_cell_partitioned_csv_is_passthrough() {
     let cfg = ScenarioConfig::from_json(QUICKSTART).expect("bundled config parses");
     let mut opts = uqsim_core::PartitionOptions::with_shards(1);
-    opts.telemetry.sample_interval = Some(SimDuration::from_millis(10));
+    opts.telemetry = Some(TelemetryConfig {
+        sample_interval: Some(SimDuration::from_millis(10)),
+        ..TelemetryConfig::default()
+    });
     let run =
         uqsim_core::run_partitioned(&cfg, None, cfg.seed, SimDuration::from_millis(1500), &opts)
-            .expect("partitioned run succeeds");
+            .expect("run succeeds");
     assert_eq!(
         run.cells.len(),
         1,
@@ -110,7 +113,12 @@ fn single_cell_partitioned_csv_is_passthrough() {
     );
     assert_eq!(
         run.csv().expect("sampler on"),
-        run.cells[0].csv.clone().expect("sampler on"),
+        include_str!("golden/quickstart_metrics.csv"),
         "single-cell merge_csv is not a pass-through"
+    );
+    assert_eq!(
+        run.prometheus(),
+        include_str!("golden/quickstart_metrics.prom"),
+        "single-cell merge_registries is not a pass-through"
     );
 }

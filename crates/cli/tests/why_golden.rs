@@ -12,8 +12,9 @@
 //!    UQSIM_BLESS=1 cargo test -p uqsim-cli --test why_golden
 //!    ```
 //!
-//! 2. **Shard invariance** — `why --shards 1` and `why --shards 4` print
-//!    byte-identical stdout (spec invariant P7 extended to attribution).
+//! 2. **Shard invariance** — `why`, `why --shards 1` and `why --shards 4`
+//!    print byte-identical stdout (spec invariant P7 extended to
+//!    attribution), so the golden report is also the sharded one.
 //!
 //! 3. **Truncation refusal** — when the span log overflows, `why` exits
 //!    non-zero with a clear stderr message instead of attributing from an
@@ -80,18 +81,27 @@ fn why_json_is_byte_deterministic() {
 
 #[test]
 fn why_attribution_is_shard_invariant() {
-    let one = why(&["--shards", "1"]);
+    let none = why(&[]);
     assert!(
-        one.status.success(),
-        "why --shards 1 failed: {}",
-        String::from_utf8_lossy(&one.stderr)
+        none.status.success(),
+        "why failed: {}",
+        String::from_utf8_lossy(&none.stderr)
     );
-    let four = why(&["--shards", "4"]);
-    assert!(four.status.success());
-    assert_eq!(
-        one.stdout, four.stdout,
-        "attribution bytes drifted between --shards 1 and --shards 4"
-    );
+    for shards in ["1", "4"] {
+        let sharded = why(&["--shards", shards]);
+        assert!(
+            sharded.status.success(),
+            "why --shards {shards} failed: {}",
+            String::from_utf8_lossy(&sharded.stderr)
+        );
+        assert_eq!(
+            none.stdout, sharded.stdout,
+            "attribution bytes drifted between no flag and --shards {shards}"
+        );
+        // Every arm keeps the streaming == replay self-check.
+        let stderr = String::from_utf8_lossy(&sharded.stderr);
+        assert!(stderr.contains("streaming == replay"), "{stderr}");
+    }
 }
 
 #[test]

@@ -225,11 +225,10 @@ impl Distribution {
     }
 
     /// The greatest lower bound of the distribution's support, seconds: no
-    /// sample can be smaller. The partitioned execution engine
-    /// ([`crate::partition`]) uses the wire-latency lower bound as
-    /// conservative lookahead — the minimum simulated delay any
-    /// cross-machine hop must pay — so this must be a true infimum, never
-    /// an estimate.
+    /// sample can be smaller. For a wire-latency distribution this is the
+    /// minimum simulated delay any cross-machine hop must pay — the
+    /// lookahead a conservative cross-cell link would use (DESIGN.md §11,
+    /// appendix) — so it must be a true infimum, never an estimate.
     ///
     /// # Examples
     ///

@@ -373,6 +373,24 @@ impl EventQueue {
         Some(ev)
     }
 
+    /// Removes and returns the earliest event if it fires at or before
+    /// `horizon`; later events stay queued. Goes through the same refill
+    /// path as [`EventQueue::pop`], so a bounded drain costs what an
+    /// unbounded one does.
+    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent> {
+        if self.bottom.is_empty() {
+            if self.len == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        if self.bottom.last()?.time > horizon {
+            return None;
+        }
+        self.len -= 1;
+        self.bottom.pop()
+    }
+
     /// Refills bottom from the finest rung (refining oversized buckets),
     /// anchoring a fresh rung from top when the ladder is empty. On return
     /// bottom is non-empty (callers check `len > 0` first).
@@ -560,6 +578,24 @@ mod tests {
         stop_at(&mut q, 1_000_000);
         stop_at(&mut q, 2_000_000_000);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_000_000)));
+    }
+
+    #[test]
+    fn bounded_pop_stops_at_the_horizon_and_reaches_into_rungs() {
+        let mut q = EventQueue::new();
+        stop_at(&mut q, 5);
+        assert_eq!(q.pop().unwrap().time.as_nanos(), 5);
+        // Bottom is empty now: both events route into top, so the bounded
+        // pop has to refill before it can compare.
+        stop_at(&mut q, 1_000_000);
+        stop_at(&mut q, 2_000_000_000);
+        assert!(q.pop_at_or_before(SimTime::from_nanos(999_999)).is_none());
+        assert_eq!(q.len(), 2, "a refused pop removes nothing");
+        let ev = q.pop_at_or_before(SimTime::from_nanos(1_000_000)).unwrap();
+        assert_eq!(ev.time.as_nanos(), 1_000_000);
+        assert!(q.pop_at_or_before(SimTime::from_nanos(1_000_000)).is_none());
+        assert_eq!(q.pop().unwrap().time.as_nanos(), 2_000_000_000);
+        assert!(q.pop_at_or_before(SimTime::MAX).is_none());
     }
 
     #[test]

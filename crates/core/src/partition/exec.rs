@@ -1,12 +1,16 @@
-//! The partitioned execution engine: cells on shards, synced and merged.
+//! The run pipeline: cells on shards, merged.
 //!
-//! Spec: DESIGN.md §11.1 ("Execution"). [`run_partitioned`] is the
-//! partitioned sibling of [`run_one_faulted`](crate::run::run_one_faulted):
-//! it splits the scenario into cells, assigns them to shards, drives every
-//! cell through the same K-independent schedule of conservative sync
-//! windows, and merges the per-cell outputs deterministically. The shard
-//! count (and the worker scheduling under it) affects wall-clock time
-//! only — never a single output byte.
+//! Spec: DESIGN.md §11.1 ("Execution"). [`run_partitioned`] is the one
+//! build → run → summarize path every entry point shares
+//! ([`run_one`](crate::run::run_one), the sweep runner, and the CLI's
+//! `run`/`chaos`/`why`/`trace --config`/`sweep`): it splits the scenario
+//! into cells, assigns them to shards, runs every cell as a whole
+//! [`Simulator`] to the deadline, and merges the per-cell outputs
+//! deterministically. A scenario that cannot be split is one cell under the
+//! master seed, and the merge of one cell is the identity, so the classic
+//! single-simulator run is the one-cell case of this function. The shard
+//! count (and the worker scheduling under it) affects wall-clock time only
+//! — never a single output byte.
 
 use std::collections::HashSet;
 
@@ -17,52 +21,46 @@ use crate::config::ScenarioConfig;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::run::RunResult;
-use crate::telemetry::{MetricsRegistry, StreamingHistogram, TelemetryConfig};
+use crate::sim::Simulator;
+use crate::telemetry::TelemetryConfig;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{chrome_trace, AuditReport};
+use crate::trace::AuditReport;
 
-use super::clock::ShardClocks;
-use super::graph::split_fault_plan;
+use super::graph::{split_fault_plan, CellSpec};
 use super::merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_json, merge_registries, merge_results,
 };
 use super::plan::{cell_seed, PartitionPlan};
 
-/// Knobs for a partitioned run. Only [`PartitionOptions::shards`] affects
-/// scheduling; everything else configures what each cell records, and is
-/// applied identically to every cell.
+/// Knobs for a run. Only [`PartitionOptions::shards`] affects scheduling;
+/// everything else configures what each cell records, and is applied
+/// identically to every cell.
 #[derive(Debug, Clone)]
 pub struct PartitionOptions {
     /// Worker shards to spread cells over (`0` is treated as `1`).
     pub shards: usize,
-    /// Telemetry configuration installed on every cell.
-    /// [`TelemetryConfig::self_profile`] is forcibly disabled — wall-clock
-    /// samples are inherently nondeterministic and would break the
-    /// byte-identical-output guarantee.
-    pub telemetry: TelemetryConfig,
+    /// Telemetry configuration installed on every cell; `None` leaves the
+    /// telemetry layer off altogether (every hot-path hook stays a single
+    /// branch). [`TelemetryConfig::self_profile`] is forcibly disabled —
+    /// wall-clock samples are inherently nondeterministic and would break
+    /// the byte-identical-output guarantee.
+    pub telemetry: Option<TelemetryConfig>,
     /// Span-log capacity per cell; `Some` enables span tracing (and with
     /// it the merged Chrome trace and audit report).
     pub span_tracing: Option<usize>,
-    /// Conservative sync windows per run (`0` is treated as `1`). The
-    /// window schedule depends on the run duration and this count only —
-    /// never on the shard count — so chunked advancement preserves
-    /// K-invariance (spec invariant **P4**).
-    pub sync_windows: usize,
 }
 
 impl PartitionOptions {
     /// Options for a plain `shards`-way run: default (decomposition-only)
-    /// telemetry plus the streaming critical-path profile, no span tracing,
-    /// 8 sync windows.
+    /// telemetry plus the streaming critical-path profile, no span tracing.
     pub fn with_shards(shards: usize) -> Self {
         PartitionOptions {
             shards: shards.max(1),
-            telemetry: TelemetryConfig {
+            telemetry: Some(TelemetryConfig {
                 critpath: true,
                 ..TelemetryConfig::default()
-            },
+            }),
             span_tracing: None,
-            sync_windows: 8,
         }
     }
 }
@@ -73,55 +71,36 @@ impl Default for PartitionOptions {
     }
 }
 
-/// Everything one cell produced: its run summary plus the raw material
-/// (samples, histograms, registry, exports) the `merge` layer needs to reassemble cluster-level outputs losslessly.
-#[derive(Debug, Clone)]
+/// One finished cell: its run summary and the simulator that produced it.
+/// The simulator is kept (moved, not copied) so that every export — the
+/// Prometheus registry, CSV, JSON, Chrome trace, audit, span log — is
+/// rendered from it only when a caller asks, exactly as for a bare
+/// [`Simulator`].
+#[derive(Debug)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
     pub cell: usize,
     /// Shard that executed the cell (diagnostic only — results never
     /// depend on it).
     pub shard: usize,
-    /// Machines the cell owns (sizes the Chrome-trace pid space).
-    pub machines: usize,
-    /// Instances the cell owns (weights the utilization merge).
-    pub instances: usize,
-    /// Machines with irq cores (weights the network-utilization merge).
-    pub irq_machines: usize,
-    /// The cell's run summary, under its derived [`cell_seed`].
+    /// The cell's run summary, under its [`cell_seed`].
     pub result: RunResult,
-    /// Degraded completions inside the measurement window (the goodput
-    /// subtrahend; re-aggregated by [`merge_results`]).
-    pub degraded_measured: u64,
-    /// Raw post-warmup latency samples, seconds, in completion order.
-    pub latency_samples: Vec<f64>,
-    /// Raw timeout-latency samples, seconds, in deadline order.
-    pub timeout_samples: Vec<f64>,
-    /// The cell's Prometheus registry.
-    pub registry: MetricsRegistry,
-    /// The cell's e2e latency histogram (when telemetry is enabled).
-    pub e2e_hist: Option<StreamingHistogram>,
-    /// The cell's per-component latency histograms (when telemetry is
-    /// enabled), in [`LatencyComponent`](crate::telemetry::LatencyComponent)
-    /// order.
-    pub comp_hists: Option<Vec<StreamingHistogram>>,
-    /// The cell's time-series CSV (when the sampler is enabled).
-    pub csv: Option<String>,
-    /// The cell's full `metrics_json` dump.
-    pub json: Value,
-    /// The cell's Chrome trace (when span tracing is enabled).
-    pub chrome: Option<Value>,
-    /// The cell's audit report (when span tracing is enabled).
-    pub audit: Option<AuditReport>,
+    /// The cell's simulator, stopped at the deadline.
+    pub sim: Simulator,
+}
+
+impl CellOutput {
     /// Span events this cell dropped because its log filled up (`0` when
     /// tracing is off). A nonzero value means the audit and Chrome trace
     /// are incomplete — raise the per-cell capacity.
-    pub span_dropped: u64,
+    pub fn span_dropped(&self) -> u64 {
+        self.sim.span_log().map_or(0, |log| log.dropped())
+    }
 }
 
-/// A completed partitioned run: the merged cluster-level summary plus the
-/// per-cell outputs and the plan that produced them.
-#[derive(Debug, Clone)]
+/// A completed run: the merged cluster-level summary plus the per-cell
+/// outputs it was merged from.
+#[derive(Debug)]
 pub struct PartitionedRun {
     /// Cluster-level summary (master seed, merged per [`merge_results`]).
     pub result: RunResult,
@@ -145,7 +124,8 @@ impl PartitionedRun {
         merge_csv(&self.cells)
     }
 
-    /// The merged JSON metrics dump (cluster header + per-cell dumps).
+    /// The merged JSON metrics dump (one cell: that cell's own dump; more:
+    /// a cluster header over the per-cell dumps).
     pub fn json(&self) -> Value {
         merge_json(&self.result, &self.cells)
     }
@@ -162,10 +142,11 @@ impl PartitionedRun {
 }
 
 /// Rejects fault-plan references that no cell will claim, with the same
-/// [`SimError::UnknownEntity`] the unsharded
+/// [`SimError::UnknownEntity`] that
 /// [`Simulator::install_faults`](crate::sim::Simulator::install_faults)
-/// raises — per-cell plans are *filtered*, so without this check a
-/// misspelled entity name would silently vanish instead of erroring.
+/// raises for a whole scenario — per-cell plans are *filtered*, so without
+/// this check a misspelled entity name would silently vanish instead of
+/// erroring.
 fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> {
     let instances: HashSet<&str> = cfg.instances.iter().map(|i| i.name.as_str()).collect();
     let machines: HashSet<&str> = cfg.machines.iter().map(|m| m.name.as_str()).collect();
@@ -198,101 +179,57 @@ fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> 
     Ok(())
 }
 
-/// Builds, syncs, and summarizes one cell (see [`run_partitioned`]).
-#[allow(clippy::too_many_arguments)]
+/// Builds, runs, and summarizes one cell (see [`run_partitioned`]).
 fn run_cell(
-    plan: &PartitionPlan,
-    clocks: &ShardClocks,
-    cell: usize,
+    spec: &CellSpec,
     shard: usize,
     faults: Option<&FaultPlan>,
     master_seed: u64,
     duration: SimDuration,
     opts: &PartitionOptions,
 ) -> SimResult<CellOutput> {
-    let spec = &plan.cells[cell];
-    let sub = spec.config.with_seed(cell_seed(master_seed, cell as u64));
-    let mut sim = sub.build()?;
+    let seed = cell_seed(master_seed, spec.id as u64);
+    let mut sim = spec.config.with_seed(seed).build()?;
     if let Some(p) = faults {
         // Install even when the filtered slice is empty: the presence of a
         // plan changes which metric families the registry emits, and every
         // cell must stay structurally congruent for the merge.
         sim.install_faults(&split_fault_plan(p, spec))?;
     }
-    let mut tcfg = opts.telemetry;
-    tcfg.self_profile = false;
-    sim.enable_telemetry(tcfg);
+    if let Some(tcfg) = opts.telemetry {
+        sim.enable_telemetry(TelemetryConfig {
+            self_profile: false,
+            ..tcfg
+        });
+    }
     if let Some(cap) = opts.span_tracing {
         sim.enable_span_tracing(cap);
     }
-
-    // Advance through the K-independent window schedule, waiting at each
-    // boundary until every in-neighbor's published clock guarantees no
-    // remote event can still land inside the window (inert today — closed
-    // cells have no in-neighbors, so horizons are infinite).
-    let windows = opts.sync_windows.max(1) as u128;
-    let total = duration.as_nanos() as u128;
-    for j in 1..windows {
-        let boundary = SimTime::from_nanos((total * j / windows) as u64);
-        while clocks.horizon(cell, &plan.lookahead) < boundary {
-            std::thread::yield_now();
-        }
-        sim.run_until_paused(boundary);
-        clocks.publish(cell, boundary);
-    }
-    let deadline = SimTime::ZERO + duration;
-    while clocks.horizon(cell, &plan.lookahead) < deadline {
-        std::thread::yield_now();
-    }
-    sim.run_until(deadline);
-    clocks.publish(cell, deadline);
-
-    let result = crate::run::summarize(&sim, sub.seed, duration, sub.warmup_s);
-    let span_dropped = sim.span_log().map_or(0, |log| log.dropped());
-    let chrome = sim
-        .span_log()
-        .map(|log| chrome_trace(log, &sim.trace_meta()));
+    sim.run_until(SimTime::ZERO + duration);
     Ok(CellOutput {
-        cell,
+        cell: spec.id,
         shard,
-        machines: sub.machines.len(),
-        instances: sub.instances.len(),
-        irq_machines: sub
-            .machines
-            .iter()
-            .filter(|m| m.network.irq_cores > 0)
-            .count(),
-        degraded_measured: sim.degraded_measured(),
-        latency_samples: sim.latency_samples().to_vec(),
-        timeout_samples: sim.timeout_latency_samples().to_vec(),
-        registry: sim.metrics_registry(),
-        e2e_hist: sim.e2e_latency_histogram().cloned(),
-        comp_hists: sim.component_latency_histograms().map(<[_]>::to_vec),
-        csv: sim.metrics_csv(),
-        json: sim.metrics_json(),
-        audit: sim.audit_trace(),
-        chrome,
-        span_dropped,
-        result,
+        result: crate::run::summarize(&sim, seed, duration, spec.config.warmup_s),
+        sim,
     })
 }
 
-/// Runs `cfg` partitioned across `opts.shards` worker threads and merges
-/// the per-cell outputs into cluster-level results.
+/// Runs `cfg` for `duration` under `seed` and merges the per-cell outputs
+/// into cluster-level results — the one run pipeline.
 ///
 /// The scenario is split into request-closed cells
-/// ([`split_cells`](crate::partition::split_cells)), each cell runs as an independent simulator under
-/// its [`cell_seed`], shards execute cells in parallel, and every output —
-/// run summary, Prometheus text, CSV, JSON, Chrome trace, audit, chaos
-/// summary — is merged in cell order. **The merged outputs are
-/// byte-identical at any `shards` value**, faulted or not; see the module
-/// docs and DESIGN.md §11 for the argument.
+/// ([`split_cells`](crate::partition::split_cells)), each cell runs as an
+/// independent simulator under its [`cell_seed`], `opts.shards` workers
+/// execute cells in parallel, and every output — run summary, Prometheus
+/// text, CSV, JSON, Chrome trace, audit, chaos summary — is merged in cell
+/// order. **The merged outputs are byte-identical at any `shards` value**,
+/// faulted or not; see the module docs and DESIGN.md §11 for the argument.
 ///
-/// Relative to the unsharded
-/// [`run_one_faulted`](crate::run::run_one_faulted), per-cell RNG streams differ from the
-/// single global stream, so partitioned results are statistically
-/// equivalent but not bitwise equal to unsharded results — compare
-/// partitioned runs against partitioned runs.
+/// A scenario whose entities are all connected is a single cell run under
+/// `seed` itself (`cell_seed(seed, 0) == seed`), and every merge of one
+/// cell is the identity: the result, and every export, equals what a bare
+/// [`Simulator`] built from `cfg.with_seed(seed)` with the same observers
+/// produces, byte for byte.
 ///
 /// # Errors
 ///
@@ -334,9 +271,7 @@ pub fn run_partitioned(
         validate_fault_plan(cfg, plan)?;
     }
     let plan = PartitionPlan::new(cfg, opts.shards)?;
-    let clocks = ShardClocks::new(plan.cells.len());
     let plan_ref = &plan;
-    let clocks_ref = &clocks;
     let tasks: Vec<_> = (0..plan.shards)
         .map(|s| {
             move || -> Vec<(usize, SimResult<CellOutput>)> {
@@ -344,10 +279,8 @@ pub fn run_partitioned(
                     .shard_cells(s)
                     .into_iter()
                     .map(|cell| {
-                        (
-                            cell,
-                            run_cell(plan_ref, clocks_ref, cell, s, faults, seed, duration, opts),
-                        )
+                        let out = run_cell(&plan_ref.cells[cell], s, faults, seed, duration, opts);
+                        (cell, out)
                     })
                     .collect()
             }
@@ -357,10 +290,10 @@ pub fn run_partitioned(
     let mut outputs: Vec<(usize, SimResult<CellOutput>)> =
         pool.run(tasks).into_iter().flatten().collect();
     outputs.sort_by_key(|&(cell, _)| cell);
-    let mut cells = Vec::with_capacity(outputs.len());
-    for (_, out) in outputs {
-        cells.push(out?);
-    }
+    let cells = outputs
+        .into_iter()
+        .map(|(_, out)| out)
+        .collect::<SimResult<Vec<CellOutput>>>()?;
     let result = merge_results(seed, &cells);
     Ok(PartitionedRun {
         result,

@@ -6,7 +6,11 @@
 //! Prometheus exposition, CSV, JSON dump, Chrome trace, audit report, and
 //! chaos summary are byte-identical at any shard count (spec invariant
 //! **P5**, pinned by the `shards_*_byte_identical` tests in
-//! `tests/partition.rs` and the CLI differential tests).
+//! `tests/partition.rs` and the CLI differential tests). Each merge reads
+//! the cells' finished simulators when it is called and renders nothing it
+//! is not asked for; the merge of **one** cell is the identity — the
+//! cell's own artifact, with no cell labels, prefixes or wrappers — which
+//! `crates/cli/tests/one_cell_identity.rs` pins against a bare simulator.
 
 use std::cmp::Ordering;
 
@@ -15,7 +19,6 @@ use crate::fault::FaultSummary;
 use crate::metrics::LatencySummary;
 use crate::run::RunResult;
 use crate::telemetry::{Metric, MetricValue, MetricsRegistry, MetricsSnapshot, StreamingHistogram};
-use crate::time::SimDuration;
 use crate::trace::AuditReport;
 use serde::Value;
 use serde_json::json;
@@ -29,7 +32,8 @@ use super::exec::CellOutput;
 /// percentiles); throughput and goodput are recomputed from the merged
 /// counts over the shared measurement window. The merged result carries
 /// the *master* seed — each cell ran under its own derived
-/// [`cell_seed`](super::cell_seed).
+/// [`cell_seed`](super::cell_seed). One cell's summary is returned as it
+/// is (its seed *is* the master seed), with no sample copied.
 ///
 /// # Panics
 ///
@@ -37,18 +41,24 @@ use super::exec::CellOutput;
 /// produces at least one cell).
 pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
     assert!(!cells.is_empty(), "cannot merge zero cells");
+    if let [only] = cells {
+        return RunResult {
+            seed: master_seed,
+            ..only.result.clone()
+        };
+    }
     let duration = cells[0].result.duration;
     let warmup = cells[0].result.warmup;
     let mut samples = Vec::new();
     let mut timeout_samples = Vec::new();
     for c in cells {
-        samples.extend_from_slice(&c.latency_samples);
-        timeout_samples.extend_from_slice(&c.timeout_samples);
+        samples.extend_from_slice(c.sim.latency_samples());
+        timeout_samples.extend_from_slice(c.sim.timeout_latency_samples());
     }
     let latency = LatencySummary::from_samples(&samples);
     let timeout_latency = LatencySummary::from_samples(&timeout_samples);
     let measured = (duration.as_secs_f64() - warmup.as_secs_f64()).max(f64::EPSILON);
-    let degraded_measured: u64 = cells.iter().map(|c| c.degraded_measured).sum();
+    let degraded_measured: u64 = cells.iter().map(|c| c.sim.degraded_measured()).sum();
     let good = (latency.count as u64).saturating_sub(degraded_measured);
     let sum = |f: fn(&RunResult) -> u64| -> u64 { cells.iter().map(|c| f(&c.result)).sum() };
     let faults: Vec<&FaultSummary> = cells
@@ -98,21 +108,24 @@ pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
 fn merge_snapshots(cells: &[CellOutput]) -> MetricsSnapshot {
     let mut out = MetricsSnapshot::default();
     let wavg = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let inst_w: f64 = cells.iter().map(|c| c.instances as f64).sum();
-    let irq_w: f64 = cells.iter().map(|c| c.irq_machines as f64).sum();
+    let inst_w = |c: &CellOutput| c.sim.instance_count() as f64;
+    let irq_w = |c: &CellOutput| {
+        let irq = c.sim.machines.iter().filter(|m| !m.irq_cores.is_empty());
+        irq.count() as f64
+    };
     out.instance_utilization = wavg(
         cells
             .iter()
-            .map(|c| c.result.metrics.instance_utilization * c.instances as f64)
+            .map(|c| c.result.metrics.instance_utilization * inst_w(c))
             .sum(),
-        inst_w,
+        cells.iter().map(inst_w).sum(),
     );
     out.network_utilization = wavg(
         cells
             .iter()
-            .map(|c| c.result.metrics.network_utilization * c.irq_machines as f64)
+            .map(|c| c.result.metrics.network_utilization * irq_w(c))
             .sum(),
-        irq_w,
+        cells.iter().map(irq_w).sum(),
     );
     out.decomposed_requests = cells
         .iter()
@@ -200,11 +213,12 @@ fn family<'a>(reg: &'a MetricsRegistry, name: &str) -> Vec<&'a Metric> {
 /// it and merges values per its strategy (counters sum, live gauges sum,
 /// per-entity series concatenate in cell order, latency summaries are
 /// rebuilt from the merged underlying histograms). A family emitted by no
-/// cell is omitted, exactly as an unsharded registry omits it.
+/// cell is omitted, exactly as a single simulator's registry omits it.
 pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
+    let registries: Vec<MetricsRegistry> = cells.iter().map(|c| c.sim.metrics_registry()).collect();
     let mut out = MetricsRegistry::new();
     for &(name, strategy) in FAMILIES {
-        let per_cell: Vec<Vec<&Metric>> = cells.iter().map(|c| family(&c.registry, name)).collect();
+        let per_cell: Vec<Vec<&Metric>> = registries.iter().map(|r| family(r, name)).collect();
         let Some(first) = per_cell.iter().flatten().next().copied() else {
             continue;
         };
@@ -242,7 +256,7 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
             Merge::HistE2e => {
                 let mut merged = StreamingHistogram::new();
                 for c in cells {
-                    if let Some(h) = &c.e2e_hist {
+                    if let Some(h) = c.sim.e2e_latency_histogram() {
                         merged.merge(h);
                     }
                 }
@@ -258,10 +272,12 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
                 for (j, m) in proto.iter().enumerate() {
                     let mut merged = StreamingHistogram::new();
                     for c in cells {
-                        if let Some(hs) = &c.comp_hists {
-                            if let Some(h) = hs.get(j) {
-                                merged.merge(h);
-                            }
+                        if let Some(h) = c
+                            .sim
+                            .component_latency_histograms()
+                            .and_then(|hs| hs.get(j))
+                        {
+                            merged.merge(h);
                         }
                     }
                     out.summary(m.name, m.help, m.labels.clone(), &merged);
@@ -274,16 +290,16 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
     // name order) rather than silently dropped.
     let known: Vec<&str> = FAMILIES.iter().map(|&(n, _)| n).collect();
     let mut extra: Vec<&'static str> = Vec::new();
-    for c in cells {
-        for m in c.registry.metrics() {
+    for r in &registries {
+        for m in r.metrics() {
             if !known.contains(&m.name) && !extra.contains(&m.name) {
                 extra.push(m.name);
             }
         }
     }
     for name in extra {
-        for c in cells {
-            for m in family(&c.registry, name) {
+        for r in &registries {
+            for m in family(r, name) {
                 out.push(m.clone());
             }
         }
@@ -312,8 +328,8 @@ fn tick_blocks(csv: &str) -> Vec<Vec<&str>> {
 /// tick-major stream: for each sampler tick, cell 0's rows, then cell 1's,
 /// and so on. Because the windowed latency percentiles of different cells
 /// cannot be combined into one summary row, each cell's `windowed_*` rows
-/// keep their values and gain a `cell<i>` label where the unsharded CSV
-/// leaves the label empty; per-entity gauge rows pass through unchanged
+/// keep their values and gain a `cell<i>` label where a single simulator's
+/// CSV leaves the label empty; per-entity gauge rows pass through unchanged
 /// (entity names are cell-disjoint). Returns `None` when any cell ran
 /// without the sampler (all cells share one telemetry config, so this is
 /// all-or-nothing in practice).
@@ -324,20 +340,21 @@ fn tick_blocks(csv: &str) -> Vec<Vec<&str>> {
 /// the five `windowed_*` summary rows, then every gauge series in its
 /// registration (configuration) order — and cells concatenate in cell
 /// order. A **single-cell** merge is the identity: its bytes equal the
-/// unsharded CSV exactly, `windowed_*` labels included, so the two merge
-/// paths only diverge when there is genuinely more than one summary to
-/// keep apart.
+/// cell's own CSV exactly, `windowed_*` labels included — cell labels
+/// appear only when there is genuinely more than one summary to keep
+/// apart.
 ///
 /// All cells tick on the same schedule (same duration, same interval); if
 /// tick counts ever differ the merge stops at the shortest cell.
 pub fn merge_csv(cells: &[CellOutput]) -> Option<String> {
     if let [only] = cells {
-        return only.csv.clone();
+        return only.sim.metrics_csv();
     }
-    let mut per_cell: Vec<Vec<Vec<&str>>> = Vec::with_capacity(cells.len());
-    for c in cells {
-        per_cell.push(tick_blocks(c.csv.as_deref()?));
-    }
+    let csvs = cells
+        .iter()
+        .map(|c| c.sim.metrics_csv())
+        .collect::<Option<Vec<String>>>()?;
+    let per_cell: Vec<Vec<Vec<&str>>> = csvs.iter().map(|csv| tick_blocks(csv)).collect();
     let n_ticks = per_cell.iter().map(Vec::len).min().unwrap_or(0);
     let mut out = String::from("t_s,metric,label,value\n");
     for k in 0..n_ticks {
@@ -362,12 +379,16 @@ pub fn merge_csv(cells: &[CellOutput]) -> Option<String> {
     Some(out)
 }
 
-/// Merges the per-cell `metrics_json` dumps under a cluster-level header:
-/// the merged run counters / latency / snapshot / fault summary from
-/// `merged`, a `partition` block recording the cell count, and the
-/// untouched per-cell dumps under `"cells"` (in cell order) for drill-down.
+/// Merges the per-cell `metrics_json` dumps. One cell: that cell's dump,
+/// untouched. More: a cluster-level header — the merged run counters /
+/// latency / snapshot / fault summary from `merged`, a `partition` block
+/// recording the cell count — over the per-cell dumps under `"cells"` (in
+/// cell order) for drill-down.
 pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
-    let cell_dumps: Vec<Value> = cells.iter().map(|c| c.json.clone()).collect();
+    if let [only] = cells {
+        return only.sim.metrics_json();
+    }
+    let cell_dumps: Vec<Value> = cells.iter().map(|c| c.sim.metrics_json()).collect();
     json!({
         "partition": {
             "cells": cells.len() as u64,
@@ -395,12 +416,16 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
 /// cell, so processes stay distinct and ordered by cell; async-span `id`s
 /// gain a `c<cell>:` prefix so span ids from different cells can never
 /// alias. Event order inside a cell is preserved; cells concatenate in
-/// cell order. Returns `None` when any cell ran without span tracing.
+/// cell order. One cell's trace is returned as rendered (nothing to keep
+/// apart). Returns `None` when any cell ran without span tracing.
 pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
+    if let [only] = cells {
+        return only.sim.chrome_trace();
+    }
     let mut events: Vec<Value> = Vec::new();
     let mut base = 0u64;
     for (i, c) in cells.iter().enumerate() {
-        let trace = c.chrome.as_ref()?;
+        let trace = c.sim.chrome_trace()?;
         let arr = trace.get("traceEvents").and_then(Value::as_array)?;
         for ev in arr {
             let mut ev = ev.clone();
@@ -415,7 +440,7 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
             }
             events.push(ev);
         }
-        base += c.machines as u64 + 1;
+        base += c.sim.machines.len() as u64 + 1;
     }
     Some(json!({
         "traceEvents": Value::Array(events),
@@ -424,13 +449,17 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
 }
 
 /// Merges per-cell audit reports: counts sum, violations and notes
-/// concatenate in cell order with a `[cell <i>]` prefix. The merged report
-/// is clean iff every per-cell report is clean. Returns `None` when any
-/// cell ran without span tracing (no log to audit).
+/// concatenate in cell order with a `[cell <i>]` prefix (one cell's report
+/// is returned as it is). The merged report is clean iff every per-cell
+/// report is clean. Returns `None` when any cell ran without span tracing
+/// (no log to audit).
 pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
+    if let [only] = cells {
+        return only.sim.audit_trace();
+    }
     let mut out = AuditReport::default();
     for (i, c) in cells.iter().enumerate() {
-        let r = c.audit.as_ref()?;
+        let r = c.sim.audit_trace()?;
         out.events_checked += r.events_checked;
         out.spans_checked += r.spans_checked;
         out.violations
@@ -462,13 +491,6 @@ pub fn merge_fault_summaries(summaries: &[&FaultSummary]) -> FaultSummary {
     out.timeline
         .sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap_or(Ordering::Equal));
     out
-}
-
-/// The measurement window length shared by every cell of a partitioned
-/// run, in seconds (duration minus warmup, floored at machine epsilon).
-#[allow(dead_code)]
-fn measured_secs(duration: SimDuration, warmup: SimDuration) -> f64 {
-    (duration.as_secs_f64() - warmup.as_secs_f64()).max(f64::EPSILON)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
-//! Partitioned single-run parallelism: shard one scenario across cores.
+//! The run pipeline: one scenario as request-closed cells, on any number
+//! of cores.
 //!
 //! The sweep engine (`uqsim-runner`) parallelizes *across* independent
-//! simulations; this module parallelizes *inside* one big scenario. The
-//! full execution-model specification — ownership rules, message timestamp
-//! invariants, lookahead derivation, and the determinism argument — lives
-//! in `DESIGN.md §11`; the spec's invariants are referenced below and in
-//! the test suite as **P1**–**P7**.
+//! simulations; this module is how every *one* of them runs, and
+//! parallelizes *inside* a big scenario. The full execution-model
+//! specification — ownership rules, the determinism argument, and the
+//! design note on the conservative-sync layer that was removed — lives in
+//! `DESIGN.md §11`; the spec's invariants are referenced below and in the
+//! test suite as **P1**–**P7**.
 //!
 //! # The model in one paragraph
 //!
@@ -16,25 +18,24 @@
 //! is request-closed by construction: no request, reply, pool grant, or
 //! fault effect ever crosses a cell boundary (**P1**), so each cell runs
 //! as a complete, independent [`Simulator`](crate::sim::Simulator) with
-//! its own ladder queue, arenas, RNG streams, and telemetry sampler. Cells
-//! are deterministically assigned to `K` shards (LPT bin packing, **P2**)
-//! and driven by `vendor/minipool` workers through conservative sync
-//! windows ([`ShardClocks`]); per-cell seeds derive from the master seed
-//! and the cell index alone (**P3**). Because nothing a cell computes
-//! depends on `K`, worker scheduling, or sync timing (**P4**), and every
-//! merge (the `merge` layer) is a deterministic function of per-cell outputs in
-//! cell order (**P5**), the merged run/trace/metrics/chaos outputs are
-//! **byte-identical at any shard count** — the same guarantee the sweep
-//! engine makes for `--jobs`.
+//! its own ladder queue, arenas, RNG streams, and telemetry sampler — one
+//! `run_until(deadline)` per cell. Cells are deterministically assigned to
+//! `K` shards (LPT bin packing, **P2**) and executed by `vendor/minipool`
+//! workers; per-cell seeds derive from the master seed and the cell index
+//! alone, cell 0 running the master seed itself (**P3**). Because nothing
+//! a cell computes depends on `K` or worker scheduling (**P4**), and every
+//! merge (the `merge` layer) is a deterministic function of per-cell
+//! outputs in cell order (**P5**), the merged run/trace/metrics/chaos
+//! outputs are **byte-identical at any shard count** — the same guarantee
+//! the sweep engine makes for `--jobs`. A scenario that does not split is
+//! one cell, and the merge of one cell is the identity, so the result is
+//! also exactly what a bare `Simulator` under the master seed produces
+//! (**P7**: any shard count, *including none*).
 //!
-//! Cross-*cell* traffic does not exist in this version (cells are closed);
-//! the conservative-sync layer ([`ShardClocks`], [`LookaheadMatrix`])
-//! still bounds every cell's advance the CMB way — horizon = min over
-//! in-neighbors of (published clock + lookahead), with the lookahead of a
-//! link derived from the wire-latency floor
-//! ([`Distribution::lower_bound`](crate::dist::Distribution::lower_bound))
-//! that every cross-machine hop must pay (**P6**). DESIGN.md §11.6
-//! specifies the v2 cross-cell RPC protocol on top of the same clocks.
+//! Cross-*cell* traffic does not exist (cells are closed), so cells never
+//! synchronize; DESIGN.md §11's appendix records the conservative-sync
+//! design (clocks, lookahead, windows, **P6**) that a cross-cell RPC
+//! protocol would need, and why it was removed until one exists.
 //!
 //! # Quick start
 //!
@@ -54,17 +55,15 @@
 //! # }
 //! ```
 
-mod clock;
 mod exec;
 mod graph;
 mod merge;
 mod plan;
 
-pub use clock::ShardClocks;
 pub use exec::{run_partitioned, CellOutput, PartitionOptions, PartitionedRun};
 pub use graph::{split_cells, split_fault_plan, CellSpec};
 pub use merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries, merge_json,
     merge_registries, merge_results,
 };
-pub use plan::{cell_seed, LookaheadMatrix, PartitionPlan};
+pub use plan::{cell_seed, PartitionPlan};

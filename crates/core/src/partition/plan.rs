@@ -1,132 +1,50 @@
-//! Shard assignment and lookahead derivation.
+//! Shard assignment and per-cell seeds.
 //!
-//! Spec: DESIGN.md §11.3 ("Placement") and §11.4 ("Lookahead"). The plan
-//! is the *only* place the shard count `K` enters the partitioned engine,
-//! and it affects scheduling alone: cells, per-cell seeds, and per-cell
-//! results are computed from the scenario and the master seed only (spec
-//! invariants **P2**/**P3**).
+//! Spec: DESIGN.md §11.3 ("Placement"). The plan is the *only* place the
+//! shard count `K` enters a run, and it affects scheduling alone: cells,
+//! per-cell seeds, and per-cell results are computed from the scenario and
+//! the master seed only (spec invariants **P2**/**P3**).
 
 use crate::config::ScenarioConfig;
 use crate::error::SimResult;
 use crate::rng::RngFactory;
-use crate::time::SimDuration;
 
 use super::graph::{split_cells, CellSpec};
 
 /// The master seed of cell `cell` under `master_seed`.
 ///
-/// Derivation: the first draw of the core RNG factory's `("cell", cell)`
-/// stream — the same decoupled-stream machinery every simulator component
-/// uses, so cell seeds never collide with (or perturb) any in-simulation
-/// stream of the parent seed. The mapping is frozen by the
-/// `cell_seed_derivation_is_pinned` test: changing it would silently
-/// re-seed every partitioned golden.
+/// Cell 0 runs `master_seed` itself — the rule the sweep runner's
+/// `seed_for(base, 0) == base` already follows — so a scenario that is one
+/// cell is exactly the bare [`Simulator`](crate::sim::Simulator) under the
+/// master seed. Later cells take the first draw of the core RNG factory's
+/// `("cell", cell)` stream — the same decoupled-stream machinery every
+/// simulator component uses, so cell seeds never collide with (or perturb)
+/// any in-simulation stream of the parent seed. The mapping is frozen by
+/// the `cell_seed_derivation_is_pinned` test: changing it would silently
+/// re-seed every multi-cell golden.
 ///
 /// # Examples
 ///
 /// ```
 /// use uqsim_core::partition::cell_seed;
 ///
+/// assert_eq!(cell_seed(42, 0), 42);
 /// // Deterministic, and distinct per cell:
-/// assert_eq!(cell_seed(42, 0), cell_seed(42, 0));
-/// assert_ne!(cell_seed(42, 0), cell_seed(42, 1));
-/// assert_ne!(cell_seed(42, 0), cell_seed(43, 0));
+/// assert_eq!(cell_seed(42, 1), cell_seed(42, 1));
+/// assert_ne!(cell_seed(42, 1), cell_seed(42, 2));
+/// assert_ne!(cell_seed(42, 1), cell_seed(43, 1));
 /// ```
 pub fn cell_seed(master_seed: u64, cell: u64) -> u64 {
     use rand::Rng;
-    RngFactory::new(master_seed).stream("cell", cell).gen()
-}
-
-/// Conservative lookahead between cells: `between(src, dst)` is the
-/// minimum simulated delay any event leaving `src` needs before it can
-/// affect `dst`, or `None` when no such path exists (infinite lookahead —
-/// the cells never interact).
-///
-/// For a link that does exist, the lookahead is the wire-latency floor of
-/// the destination's machines
-/// ([`Distribution::lower_bound`](crate::dist::Distribution::lower_bound)):
-/// every cross-machine hop pays at least that much wire time, so an event
-/// sent at `t` can be delivered no earlier than `t + lookahead` — the
-/// classic CMB guarantee (spec invariant **P6**).
-///
-/// In the current engine cells are request-closed, so
-/// [`PartitionPlan::new`] produces a matrix with no links; the matrix (and
-/// [`ShardClocks`](super::ShardClocks) horizons over it) is exercised
-/// directly by unit tests and is the contract the v2 cross-cell RPC
-/// protocol (DESIGN.md §11.6) plugs into via [`LookaheadMatrix::from_links`].
-#[derive(Debug, Clone)]
-pub struct LookaheadMatrix {
-    n: usize,
-    /// Row-major `n×n` link lookaheads; `None` = no link.
-    floor: Vec<Option<SimDuration>>,
-}
-
-impl LookaheadMatrix {
-    /// A matrix with no links: every pair has infinite lookahead.
-    pub fn unlinked(n: usize) -> Self {
-        LookaheadMatrix {
-            n,
-            floor: vec![None; n * n],
-        }
-    }
-
-    /// Builds a matrix from explicit `(src, dst, lookahead)` links,
-    /// keeping the minimum when a pair is listed twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link names a cell `>= n`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use uqsim_core::partition::LookaheadMatrix;
-    /// use uqsim_core::time::SimDuration;
-    ///
-    /// let la = LookaheadMatrix::from_links(
-    ///     2,
-    ///     &[(0, 1, SimDuration::from_micros(20))],
-    /// );
-    /// assert_eq!(la.between(0, 1), Some(SimDuration::from_micros(20)));
-    /// assert_eq!(la.between(1, 0), None); // links are directed
-    /// ```
-    pub fn from_links(n: usize, links: &[(usize, usize, SimDuration)]) -> Self {
-        let mut m = LookaheadMatrix::unlinked(n);
-        for &(src, dst, la) in links {
-            assert!(
-                src < n && dst < n,
-                "link ({src},{dst}) out of range for {n} cells"
-            );
-            let slot = &mut m.floor[src * n + dst];
-            *slot = Some(slot.map_or(la, |prev| prev.min(la)));
-        }
-        m
-    }
-
-    /// Number of cells the matrix covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when the matrix covers no cells.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The lookahead of the `src → dst` link, or `None` when unlinked.
-    pub fn between(&self, src: usize, dst: usize) -> Option<SimDuration> {
-        self.floor[src * self.n + dst]
-    }
-
-    /// The cells with a link *into* `dst` — the neighbors whose published
-    /// clocks bound `dst`'s safe horizon.
-    pub fn in_neighbors(&self, dst: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&src| src != dst && self.between(src, dst).is_some())
+    if cell == 0 {
+        master_seed
+    } else {
+        RngFactory::new(master_seed).stream("cell", cell).gen()
     }
 }
 
-/// A complete partitioned-execution plan: the cells, their deterministic
-/// shard assignment, and the inter-cell lookahead matrix.
+/// A complete execution plan: the cells and their deterministic shard
+/// assignment.
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
     /// The request-closed cells, in canonical (smallest-machine) order.
@@ -135,8 +53,6 @@ pub struct PartitionPlan {
     pub shards: usize,
     /// `assignment[cell] = shard` (LPT bin packing; see [`PartitionPlan::new`]).
     pub assignment: Vec<usize>,
-    /// Conservative inter-cell lookahead (no links while cells are closed).
-    pub lookahead: LookaheadMatrix,
 }
 
 /// Deterministic cost proxy for LPT packing: how much simulated machinery
@@ -189,12 +105,10 @@ impl PartitionPlan {
             assignment[c] = shard;
             load[shard] += weights[c];
         }
-        let lookahead = LookaheadMatrix::unlinked(cells.len());
         Ok(PartitionPlan {
             cells,
             shards,
             assignment,
-            lookahead,
         })
     }
 

@@ -2,9 +2,10 @@
 //!
 //! [`run_one`] is the unit of work the parallel sweep engine
 //! (`uqsim_runner`) fans across threads: it takes a *scenario description*
-//! (plain data, cheap to clone and [`Send`]), overrides the seed, builds a
-//! fresh [`Simulator`](crate::sim::Simulator), runs it for a fixed simulated duration, and returns
-//! a compact, `Send` summary. Because each call owns its simulator and the
+//! (plain data, cheap to clone and [`Send`]), overrides the seed, runs it
+//! through the one run pipeline ([`crate::partition::run_partitioned`], on
+//! the caller's thread) for a fixed simulated duration, and returns a
+//! compact, `Send` summary. Because each call owns its simulators and the
 //! scenario is immutable input, any number of `run_one` calls can execute
 //! concurrently with byte-for-byte the results of running them serially.
 //!
@@ -32,7 +33,8 @@ use crate::config::ScenarioConfig;
 use crate::error::SimResult;
 use crate::fault::{FaultPlan, FaultSummary};
 use crate::metrics::LatencySummary;
-use crate::telemetry::{MetricsSnapshot, TelemetryConfig};
+use crate::partition::{run_partitioned, PartitionOptions};
+use crate::telemetry::MetricsSnapshot;
 use crate::time::SimDuration;
 
 /// A tiny self-contained scenario (one machine, one two-stage service, one
@@ -144,7 +146,7 @@ pub struct RunResult {
     /// Events the engine processed — the wall-clock cost proxy.
     pub events_processed: u64,
     /// Utilization and latency-decomposition summary (decomposition-only
-    /// telemetry; see [`TelemetryConfig::default`]).
+    /// telemetry; see [`TelemetryConfig::default`](crate::telemetry::TelemetryConfig)).
     pub metrics: MetricsSnapshot,
     /// Fault-engine counters and fault-window timeline; `None` when the run
     /// had no fault plan.
@@ -156,11 +158,11 @@ pub struct RunResult {
     pub critpath: Option<crate::critpath::CpcProfile>,
 }
 
-/// Builds `cfg` with its seed replaced by `seed`, runs it for `duration`
-/// of simulated time, and summarizes.
+/// Runs `cfg` under `seed` for `duration` of simulated time and
+/// summarizes.
 ///
 /// This is the `Send`-safe unit of parallel execution: the input is plain
-/// data, the simulator lives and dies inside the call, and the returned
+/// data, the simulators live and die inside the call, and the returned
 /// [`RunResult`] is plain data again. Identical `(cfg, seed, duration)`
 /// inputs produce identical results, on any thread, in any order.
 ///
@@ -176,6 +178,12 @@ pub fn run_one(cfg: &ScenarioConfig, seed: u64, duration: SimDuration) -> SimRes
 /// `run_one_faulted(cfg, None, seed, d)`; passing `Some(plan)` schedules
 /// the plan's fault windows and arms its per-client resilience policies.
 ///
+/// Both are the summary of a one-shard [`run_partitioned`] with
+/// [`PartitionOptions::default`] (decomposition telemetry plus the
+/// streaming critical-path profile), so a scenario made of several
+/// request-closed cells runs as those cells and a connected one as a
+/// single simulator under `seed`.
+///
 /// Determinism extends to faulted runs: identical
 /// `(cfg, plan, seed, duration)` inputs reproduce byte-identical results,
 /// on any thread, in any order — the fault engine draws from its own
@@ -185,31 +193,18 @@ pub fn run_one(cfg: &ScenarioConfig, seed: u64, duration: SimDuration) -> SimRes
 /// # Errors
 ///
 /// Propagates scenario-construction failures and fault-plan references to
-/// unknown instances/machines/clients/pools
-/// ([`Simulator::install_faults`](crate::sim::Simulator::install_faults)).
+/// unknown instances/machines/clients.
 pub fn run_one_faulted(
     cfg: &ScenarioConfig,
     faults: Option<&FaultPlan>,
     seed: u64,
     duration: SimDuration,
 ) -> SimResult<RunResult> {
-    let cfg = cfg.with_seed(seed);
-    let mut sim = cfg.build()?;
-    if let Some(plan) = faults {
-        sim.install_faults(plan)?;
-    }
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
-    sim.run_for(duration);
-    Ok(summarize(&sim, seed, duration, cfg.warmup_s))
+    run_partitioned(cfg, faults, seed, duration, &PartitionOptions::default()).map(|run| run.result)
 }
 
-/// Summarizes a finished simulator into a [`RunResult`]. Shared by
-/// [`run_one_faulted`] and the partitioned engine
-/// ([`crate::partition::run_partitioned`]), which must summarize each cell
-/// with byte-for-byte the same arithmetic.
+/// Summarizes a finished simulator into a [`RunResult`] — one cell of
+/// [`crate::partition::run_partitioned`].
 pub(crate) fn summarize(
     sim: &crate::sim::Simulator,
     seed: u64,

@@ -353,18 +353,17 @@ impl Simulator {
     /// a later `run_until_paused`/[`Simulator::run_until`] call resumes
     /// exactly where this one left off.
     ///
-    /// This is the chunked-advance primitive of the partitioned execution
-    /// engine ([`crate::partition`]): a shard worker repeatedly advances
-    /// its cells to conservative sync horizons. Because pausing injects no
-    /// event, a run chopped into any sequence of non-decreasing horizons
-    /// followed by a final [`Simulator::run_until`] pops the same events in
-    /// the same `(time, seq)` order — and therefore draws the same random
-    /// numbers and produces the same state — as one uninterrupted
-    /// `run_until` (spec invariant **P4** in DESIGN.md §11, enforced by
-    /// `chunked_advance_matches_single_shot` in `tests/partition.rs`).
+    /// Use it to look at a run mid-flight (e.g. read a counter at the
+    /// warm-up boundary). Because pausing injects no event, a run chopped
+    /// into any sequence of non-decreasing horizons followed by a final
+    /// [`Simulator::run_until`] pops the same events in the same
+    /// `(time, seq)` order — and therefore draws the same random numbers
+    /// and produces the same state — as one uninterrupted `run_until`
+    /// (spec invariant **P4** in DESIGN.md §11, enforced by
+    /// `chunked_advance_matches_single_shot` in `tests/partition.rs`), at
+    /// the same cost per event.
     pub fn run_until_paused(&mut self, horizon: SimTime) {
-        while self.events.peek_time().is_some_and(|t| t <= horizon) {
-            let ev = self.events.pop().expect("peeked event must pop");
+        while let Some(ev) = self.events.pop_at_or_before(horizon) {
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
             self.events_processed += 1;

@@ -8,8 +8,7 @@ use uqsim_core::config::ScenarioConfig;
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
 use uqsim_core::partition::{
-    cell_seed, run_partitioned, split_cells, LookaheadMatrix, PartitionOptions, PartitionPlan,
-    ShardClocks,
+    cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan,
 };
 use uqsim_core::rng::RngFactory;
 use uqsim_core::run::EXAMPLE_SCENARIO;
@@ -129,12 +128,11 @@ fn cluster_faults() -> FaultPlan {
 fn full_options(shards: usize) -> PartitionOptions {
     PartitionOptions {
         shards,
-        telemetry: TelemetryConfig {
+        telemetry: Some(TelemetryConfig {
             sample_interval: Some(SimDuration::from_millis(50)),
             ..TelemetryConfig::default()
-        },
+        }),
         span_tracing: Some(1 << 16),
-        sync_windows: 8,
     }
 }
 
@@ -295,20 +293,24 @@ fn cell_numbering_is_shard_independent() {
 }
 
 /// **P3** — the master-seed → cell-seed mapping is frozen. These literals
-/// are load-bearing: changing the derivation re-seeds every partitioned
+/// are load-bearing: changing the derivation re-seeds every multi-cell
 /// golden, so it must be deliberate and show up here.
 #[test]
 fn cell_seed_derivation_is_pinned() {
-    // The derivation: first draw of the factory's ("cell", i) stream.
     use rand::Rng;
-    for (master, cell) in [(42u64, 0u64), (42, 1), (7, 0), (7, 3)] {
-        let expected: u64 = RngFactory::new(master).stream("cell", cell).gen();
-        assert_eq!(cell_seed(master, cell), expected);
+    for master in [0u64, 7, 42, u64::MAX] {
+        // Cell 0 is the master seed itself: a one-cell scenario is the
+        // bare simulator under that seed.
+        assert_eq!(cell_seed(master, 0), master);
+        // Every later cell: first draw of the factory's ("cell", i) stream.
+        for cell in [1u64, 2, 3, 29] {
+            let expected: u64 = RngFactory::new(master).stream("cell", cell).gen();
+            assert_eq!(cell_seed(master, cell), expected);
+        }
     }
     // And the frozen values themselves:
-    assert_eq!(cell_seed(42, 0), 6103144817593345708);
     assert_eq!(cell_seed(42, 1), 13026359202090660146);
-    assert_eq!(cell_seed(7, 0), 612300986710873840);
+    assert_eq!(cell_seed(7, 3), 14399742206398174224);
 }
 
 // ---------------------------------------------------------------------
@@ -316,8 +318,9 @@ fn cell_seed_derivation_is_pinned() {
 // ---------------------------------------------------------------------
 
 /// **P4** — advancing through paused horizons and finishing with
-/// `run_until` reproduces a single-shot `run_until` exactly. (Horizons are
-/// odd nanosecond counts so no event collides with a chunk boundary.)
+/// `run_until` reproduces a single-shot `run_until` exactly: however a
+/// caller steps a cell, its trajectory is the uninterrupted one. (Horizons
+/// are odd nanosecond counts so no event collides with a chunk boundary.)
 #[test]
 fn chunked_advance_matches_single_shot() {
     let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
@@ -340,40 +343,13 @@ fn chunked_advance_matches_single_shot() {
 }
 
 // ---------------------------------------------------------------------
-// P6: lookahead and conservative horizons
+// Design note (DESIGN.md §11 appendix): the floor a cross-cell link needs
 // ---------------------------------------------------------------------
 
-/// **P6** — a cell's horizon is the minimum over in-neighbors of
-/// `published clock + link lookahead`, unbounded with no in-links.
-#[test]
-fn horizons_follow_neighbor_clocks() {
-    let la = LookaheadMatrix::from_links(
-        3,
-        &[
-            (0, 2, SimDuration::from_micros(20)),
-            (1, 2, SimDuration::from_micros(50)),
-        ],
-    );
-    let clocks = ShardClocks::new(3);
-    assert_eq!(clocks.horizon(0, &la), SimTime::MAX, "no in-links");
-    assert_eq!(
-        clocks.horizon(2, &la),
-        SimTime::from_nanos(20_000),
-        "both neighbor clocks at zero: min lookahead binds"
-    );
-    clocks.publish(0, SimTime::from_nanos(100_000));
-    assert_eq!(
-        clocks.horizon(2, &la),
-        SimTime::from_nanos(50_000),
-        "cell 1's unpublished clock now binds"
-    );
-    clocks.publish(1, SimTime::from_nanos(100_000));
-    assert_eq!(clocks.horizon(2, &la), SimTime::from_nanos(120_000));
-}
-
-/// **P6** — the lookahead of a cross-cell link is the wire-latency floor:
-/// `Distribution::lower_bound` of the destination's wire-latency
-/// distribution, which samples can never undercut.
+/// Cells never link today, but the number a link's lookahead would be is
+/// still computable: the wire-latency floor, `Distribution::lower_bound`
+/// of the destination's wire-latency distribution, which samples can
+/// never undercut.
 #[test]
 fn lookahead_floor_is_wire_latency_lower_bound() {
     let cfg = cluster(2);
@@ -464,7 +440,7 @@ fn merge_of_one_cell_is_registry_identity() {
     )
     .unwrap();
     assert_eq!(run.cells.len(), 1);
-    assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
+    assert_eq!(run.prometheus(), run.cells[0].sim.metrics_prometheus());
 }
 
 /// **P5** — the merged audit is clean whenever every per-cell audit is

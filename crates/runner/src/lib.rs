@@ -16,7 +16,7 @@
 //! * [`sweep`] — the scenario-level engine: take a
 //!   [`ScenarioConfig`](uqsim_core::config::ScenarioConfig), a QPS grid,
 //!   and a replication count; run every `(qps, seed)` cell via
-//!   [`uqsim_core::run_one`]; aggregate replications into a
+//!   [`uqsim_core::run_partitioned`]; aggregate replications into a
 //!   [`SweepTable`](sweep::SweepTable) with 95% confidence intervals.
 //!
 //! ## Determinism

@@ -1,8 +1,9 @@
 //! Scenario-level sweep execution: QPS grid × seed replications, fanned
 //! across a thread pool, aggregated into a stable table.
 //!
-//! The unit of work is [`uqsim_core::run_one`]; a sweep of `Q` QPS points
-//! with `R` replications submits `Q·R` independent cells. Aggregation
+//! The unit of work is one [`uqsim_core::run_partitioned`] call — the run
+//! pipeline [`uqsim_core::run_one`] and the CLI share; a sweep of `Q` QPS
+//! points with `R` replications submits `Q·R` independent cells. Aggregation
 //! folds replications in seed order and points in grid order, so a
 //! [`SweepTable`] — and its CSV/JSON serializations — is byte-identical
 //! for a fixed `(scenario, qps grid, reps, base_seed, duration)` at *any*
@@ -12,9 +13,9 @@ use crate::stats::{mean_ci95, MeanCi};
 use crate::try_run_indexed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::run::{run_one_faulted, RunResult};
+use uqsim_core::run::RunResult;
 use uqsim_core::time::SimDuration;
-use uqsim_core::{FaultPlan, SimResult};
+use uqsim_core::{run_partitioned, FaultPlan, PartitionOptions, SimResult};
 
 /// SplitMix64 finalizer (same mixing the core's RNG factory uses).
 fn splitmix64(mut z: u64) -> u64 {
@@ -104,12 +105,10 @@ pub struct SweepSpec {
     /// determinism key: a fixed `(scenario, plan, grid, reps, base_seed,
     /// duration)` is byte-identical at any `jobs`.
     pub faults: Option<FaultPlan>,
-    /// Engine selection per cell: `0` runs the classic single-simulator
-    /// engine ([`run_one_faulted`]); `N ≥ 1` runs the partitioned engine
-    /// ([`uqsim_core::run_partitioned`]) at `N` shards. Partitioned
-    /// results are byte-identical at any `N ≥ 1` (spec invariant **P7**)
-    /// but use per-cell RNG streams, so they differ numerically from
-    /// `shards: 0` — pick one engine per experiment.
+    /// Worker shards *inside* each cell's run (`0` is treated as `1`):
+    /// a scenario made of several request-closed cells spreads them over
+    /// this many threads. Affects wall-clock only, never results (spec
+    /// invariant **P7**).
     pub shards: usize,
 }
 
@@ -369,7 +368,8 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
 ///
 /// Each cell re-scales the scenario to its offered load
 /// ([`ScenarioConfig::with_offered_qps`]) and re-seeds it ([`seed_for`]),
-/// then runs [`run_one_faulted`] with the spec's fault plan (if any).
+/// then runs it through [`run_partitioned`] at `spec.shards` with the
+/// spec's fault plan (if any).
 /// `progress` is invoked once per finished cell, possibly from worker
 /// threads (hence `Sync`).
 ///
@@ -387,21 +387,13 @@ pub fn run_scenario_sweep(
     let scaled: Vec<ScenarioConfig> = spec.qps.iter().map(|&q| cfg.with_offered_qps(q)).collect();
     let total = scaled.len() * reps;
     let finished = AtomicUsize::new(0);
+    let opts = PartitionOptions::with_shards(spec.shards);
     let results: Vec<RunResult> = try_run_indexed(spec.jobs, total, |i| {
         let (qi, rep) = (i / reps, i % reps);
         let seed = seed_for(spec.base_seed, rep);
-        let out = if spec.shards >= 1 {
-            uqsim_core::run_partitioned(
-                &scaled[qi],
-                spec.faults.as_ref(),
-                seed,
-                spec.duration,
-                &uqsim_core::PartitionOptions::with_shards(spec.shards),
-            )
-            .map(|run| run.result)
-        } else {
-            run_one_faulted(&scaled[qi], spec.faults.as_ref(), seed, spec.duration)
-        };
+        let faults = spec.faults.as_ref();
+        let out =
+            run_partitioned(&scaled[qi], faults, seed, spec.duration, &opts).map(|run| run.result);
         progress(Progress {
             finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
             total,
@@ -620,8 +612,9 @@ mod tests {
             shards,
             ..tiny_spec(jobs)
         };
-        let base = run_scenario_sweep(&cfg, &spec(1, 1), &|_| {}).unwrap();
-        for (jobs, shards) in [(1, 2), (4, 2), (2, 4)] {
+        // `shards: 0` (the field's default in every literal) is one shard.
+        let base = run_scenario_sweep(&cfg, &spec(1, 0), &|_| {}).unwrap();
+        for (jobs, shards) in [(1, 1), (1, 2), (4, 2), (2, 4), (4, 0)] {
             let other = run_scenario_sweep(&cfg, &spec(jobs, shards), &|_| {}).unwrap();
             assert_eq!(
                 base.to_csv(),
@@ -630,10 +623,6 @@ mod tests {
             );
             assert_eq!(base.to_json(), other.to_json());
         }
-        // The partitioned engine draws per-cell RNG streams, so it is a
-        // different (equally valid) statistical sample from shards: 0.
-        let classic = run_scenario_sweep(&cfg, &spec(1, 0), &|_| {}).unwrap();
-        assert_ne!(base.to_csv(), classic.to_csv());
     }
 
     #[test]
