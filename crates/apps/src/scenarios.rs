@@ -31,8 +31,6 @@ pub struct CommonOpts {
     pub seed: u64,
     /// Latency warmup.
     pub warmup: SimDuration,
-    /// Windowed-stats width, if any.
-    pub window: Option<SimDuration>,
     /// Noise profile standing in for real-system effects, if any.
     pub noise: Option<NoiseProfile>,
 }
@@ -42,7 +40,6 @@ impl Default for CommonOpts {
         CommonOpts {
             seed: 42,
             warmup: SimDuration::from_secs(1),
-            window: None,
             noise: None,
         }
     }
@@ -52,9 +49,6 @@ impl CommonOpts {
     fn builder(&self) -> ScenarioBuilder {
         let mut b = ScenarioBuilder::new(self.seed);
         b.warmup(self.warmup);
-        if let Some(w) = self.window {
-            b.window(w);
-        }
         b
     }
 
@@ -1674,7 +1668,7 @@ pub fn pod_cluster(pods: usize, qps_per_pod: f64) -> SimResult<ScenarioConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uqsim_core::time::SimDuration;
+    use uqsim_core::time::{SimDuration, SimTime};
 
     fn quick(mut sim: Simulator, secs: u64) -> Simulator {
         sim.run_for(SimDuration::from_secs(secs));
@@ -1717,7 +1711,8 @@ mod tests {
         // Disk utilization dwarfs nginx utilization at this load.
         let disk = sim.instance_by_name("disk").unwrap();
         let ng = sim.instance_by_name("nginx").unwrap();
-        assert!(sim.instance_utilization(disk) > 3.0 * sim.instance_utilization(ng));
+        let util = |i| sim.instance_utilization_since(i, SimTime::ZERO);
+        assert!(util(disk) > 3.0 * util(ng));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and watch the p99 get pinned by the stragglers.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example fanout_tail
+//! cargo run --release -p uqsim-bench --example fanout_tail
 //! ```
 
 use uqsim_apps::scenarios::{tail_at_scale, TailAtScaleConfig};

@@ -2,14 +2,14 @@
 //! entirely from JSON (the paper's Table I inputs), from inside a program.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example json_scenario
+//! cargo run --release -p uqsim-bench --example json_scenario
 //! ```
 
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::time::SimDuration;
+use uqsim_core::time::{SimDuration, SimTime};
 
 /// The 2-tier NGINX→memcached scenario shipped with the CLI.
-const TWO_TIER: &str = include_str!("../crates/cli/configs/two_tier.json");
+const TWO_TIER: &str = include_str!("../../cli/configs/two_tier.json");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ScenarioConfig::from_json(TWO_TIER)?;
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mc = sim.instance_by_name("memcached").expect("deployed");
     println!(
         "  utilization: nginx {:.0}%, memcached {:.0}%",
-        sim.instance_utilization(nginx) * 100.0,
-        sim.instance_utilization(mc) * 100.0
+        sim.instance_utilization_since(nginx, SimTime::ZERO) * 100.0,
+        sim.instance_utilization_since(mc, SimTime::ZERO) * 100.0
     );
     println!(
         "\nEdit crates/cli/configs/two_tier.json and re-run — no recompilation of models needed."

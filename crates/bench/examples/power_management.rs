@@ -4,7 +4,7 @@
 //! there is slack.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example power_management
+//! cargo run --release -p uqsim-bench --example power_management
 //! ```
 
 use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
@@ -18,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.arrivals = ArrivalProcess::Poisson {
         schedule: RateSchedule::diurnal(8_000.0, 40_000.0, 30.0, 12),
     };
-    cfg.common.window = Some(interval);
     let mut sim = two_tier(&cfg)?;
 
     let nginx = sim.instance_by_name("nginx").expect("deployed");

@@ -3,7 +3,7 @@
 //! curve.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example quickstart
+//! cargo run --release -p uqsim-bench --example quickstart
 //! ```
 
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};

@@ -1,19 +1,22 @@
 //! The full social network with the paper's complete action set: reads
 //! (cache hit and miss), composes (writes), and profile browses — plus the
-//! observability features: per-request-type latency breakdowns and sampled
-//! distributed-style traces.
+//! observability features: per-request-type latency breakdowns and
+//! distributed-style request traces sampled from the span log.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example social_mix
+//! cargo run --release -p uqsim-bench --example social_mix
 //! ```
 
 use uqsim_apps::scenarios::{social_network_full, SocialNetworkFullConfig};
 use uqsim_core::time::SimDuration;
+use uqsim_core::trace::sampled_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SocialNetworkFullConfig::at_qps(3_500.0);
     let mut sim = social_network_full(&cfg)?;
-    sim.enable_tracing(2_000, 4);
+    // Enough span-log room for the first 2,000 requests; the four traces
+    // below are every 500th of them.
+    sim.enable_span_tracing(400_000);
     sim.run_for(SimDuration::from_secs(5));
 
     println!("mix: 65% read, 15% read-miss, 15% compose, 5% browse @ 3.5 kQPS\n");
@@ -45,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nsampled traces (one span per path node):");
-    for t in sim.traces() {
+    let log = sim.span_log().expect("span tracing is enabled");
+    for t in sampled_traces(log, &sim.trace_meta(), 500, 4) {
         println!(
             "  {} [{:.0}us total]",
             t.request_type,

@@ -6,7 +6,7 @@
 //! synchronous-RPC thread blocking — all at once.
 //!
 //! ```text
-//! cargo run --release -p uqsim-examples --example social_network
+//! cargo run --release -p uqsim-bench --example social_network
 //! ```
 
 use uqsim_apps::scenarios::{social_network, SocialNetworkConfig};

@@ -6,8 +6,8 @@
 use crate::RunOpts;
 use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
 use uqsim_core::client::{ArrivalProcess, RateSchedule};
-use uqsim_core::metrics::WindowStats;
-use uqsim_core::time::SimDuration;
+use uqsim_core::telemetry::{TelemetryConfig, TelemetryWindow};
+use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::SimResult;
 
 /// The generated series.
@@ -15,8 +15,8 @@ use uqsim_core::SimResult;
 pub struct Result {
     /// The piecewise-constant offered-rate schedule: `(start_s, qps)`.
     pub schedule: Vec<(f64, f64)>,
-    /// Windowed achieved throughput and latency.
-    pub windows: Vec<WindowStats>,
+    /// Achieved throughput and latency per `period / 24` sampler window.
+    pub windows: Vec<TelemetryWindow>,
 }
 
 /// Runs the experiment.
@@ -34,22 +34,31 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
         schedule: schedule.clone(),
     };
     cfg.common.warmup = SimDuration::from_millis(0);
-    cfg.common.window = Some(SimDuration::from_secs_f64(period / 24.0));
+    let window = SimDuration::from_secs_f64(period / 24.0);
     let mut sim = two_tier(&cfg)?;
-    sim.run_for(SimDuration::from_secs_f64(2.0 * period));
-    let windows: Vec<WindowStats> = sim.window_series().unwrap_or(&[]).to_vec();
+    sim.enable_telemetry(TelemetryConfig {
+        sample_interval: Some(window),
+        ..TelemetryConfig::default()
+    });
+    // The series is the windows closed by `2 * period`. A sampler tick
+    // landing on the run deadline loses to the stop event, so the run goes
+    // one window further.
+    let horizon = SimTime::ZERO + SimDuration::from_secs_f64(2.0 * period);
+    sim.run_until(horizon + window);
+    let closed = sim.telemetry_windows().iter().filter(|w| w.end <= horizon);
+    let windows: Vec<TelemetryWindow> = closed.copied().collect();
     println!(
         "{:>9} {:>12} {:>14} {:>9}",
         "time_s", "offered_qps", "achieved_qps", "p99_ms"
     );
-    for w in &windows {
-        let offered = schedule.rate_at(w.start);
+    for (i, w) in windows.iter().enumerate() {
+        let start = SimTime::ZERO + window * i as u64;
         println!(
             "{:>9.1} {:>12.0} {:>14.0} {:>9.3}",
-            w.start.as_secs_f64(),
-            offered,
+            start.as_secs_f64(),
+            schedule.rate_at(start),
             w.throughput,
-            w.latency.p99 * 1e3
+            w.p99_s * 1e3
         );
     }
     println!(

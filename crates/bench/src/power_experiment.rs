@@ -74,7 +74,6 @@ pub fn run(cfg: &PowerRunConfig) -> SimResult<PowerRunResult> {
     };
     tt.common.seed = cfg.seed;
     tt.common.warmup = SimDuration::from_millis(200);
-    tt.common.window = Some(cfg.interval);
     if cfg.noisy {
         tt.common.noise = Some(NoiseProfile::default());
     }

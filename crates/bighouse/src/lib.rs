@@ -304,9 +304,31 @@ pub fn service_distribution_for(
     }
 }
 
+/// Erlang-C probability that an arrival waits in an M/M/k queue with
+/// offered load `a = lambda / mu` and `k` servers — the closed form the
+/// single-queue model (and µqSim's station tests) are checked against.
+pub fn erlang_c(k: usize, a: f64) -> f64 {
+    let mut term = 1.0; // a^0 / 0!
+    let mut sum = term;
+    for n in 1..k {
+        term *= a / n as f64;
+        sum += term;
+    }
+    let tail = term * a / k as f64 / (1.0 - a / k as f64);
+    tail / (sum + tail)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn erlang_c_known_values() {
+        // M/M/1: C = rho.
+        assert!((erlang_c(1, 0.5) - 0.5).abs() < 1e-12);
+        // M/M/2 at rho=0.5 (a=1): C = 1/3.
+        assert!((erlang_c(2, 1.0) - 1.0 / 3.0).abs() < 1e-12);
+    }
 
     fn mm1(lambda: f64, mu: f64, seed: u64) -> BigHouseResult {
         BigHouse::new(BigHouseConfig {

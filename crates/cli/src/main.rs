@@ -13,7 +13,8 @@
 //! uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>]
 //!             [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>]
 //!             [--faults <faults.json>] [--shards <n>]
-//! uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]
+//! uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>] [--events <n>]
+//!             [--shards <n>]
 //! uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] [--events <n>]
 //!             [--shards <n>]
 //! uqsim gen --spec <gen.json> [--seed <n>] [--out <dir>] [--json]
@@ -39,12 +40,14 @@
 //! simulated cluster. `sweep --config` runs the scenario across a QPS
 //! grid × seed replications on the [`uqsim_runner`] thread pool and emits
 //! an aggregated CSV (or `--json`) table with 95% confidence intervals;
-//! its output is byte-identical at any `--jobs` value. `trace` with a
-//! positional path samples distributed-tracing-style request traces and
-//! prints them as JSON lines; `trace --config` instead records the full
-//! per-request span log, writes it as Chrome `trace_event` JSON (open the
-//! file in `about:tracing` or <https://ui.perfetto.dev>), and audits it
-//! against the simulator's invariants, exiting non-zero on any violation.
+//! its output is byte-identical at any `--jobs` value. `trace` records
+//! the full per-request span log and renders one of two views of it: with
+//! a positional path, every `--every`-th completed request (up to `--max`)
+//! as a distributed-tracing-style JSON line; with `--config`, the whole log
+//! as Chrome `trace_event` JSON (open the file in `about:tracing` or
+//! <https://ui.perfetto.dev>), audited against the simulator's invariants,
+//! exiting non-zero on any violation. Both exit non-zero when `--events`
+//! was too small for the view to be complete.
 //! `validate` parses and builds without running. `example` prints a
 //! complete scenario file to start from; more elaborate ones ship under
 //! `crates/cli/configs/`.
@@ -63,9 +66,9 @@
 //!
 //! Every simulating subcommand is one [`RunPlan`] — scenario source
 //! (file, directory, or `--gen`), fault plan, seed, duration, shard count
-//! — and `run`, `chaos`, `why`, `trace --config`, and `sweep --config`
-//! execute it through the one run pipeline,
-//! [`uqsim_core::run_partitioned`]: the scenario is split into
+//! — and `run`, `chaos`, `why`, `trace`, and `sweep --config` execute it
+//! through the one run pipeline, [`uqsim_core::run_partitioned`]: the
+//! scenario is split into
 //! request-closed *cells* (DESIGN.md §11), the cells run on `--shards <n>`
 //! worker threads (one when the flag is absent), and their outputs are
 //! merged in cell order. A scenario that does not split — each bundled
@@ -147,7 +150,8 @@ fn usage() -> ExitCode {
          uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>] \
          [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>] \
          [--faults <faults.json>] [--shards <n>]\n  \
-         uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]\n  \
+         uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>] \
+         [--events <n>] [--shards <n>]\n  \
          uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] \
          [--events <n>] [--shards <n>]\n  \
          uqsim gen --spec <gen.json> [--seed <n>] [--out <dir>] [--json]\n  \
@@ -999,44 +1003,58 @@ fn cmd_sweep(args: &Args) -> Outcome {
     Ok(true)
 }
 
-/// `uqsim trace`: with `--config`, the Chrome `trace_event` export and
-/// audit; with a bare scenario path, sampled request traces as JSON lines.
+/// `uqsim trace`: one run with the span log on, rendered one of two ways —
+/// with `--config`, the Chrome `trace_event` export and audit; with a bare
+/// scenario path, sampled request traces as JSON lines.
 fn cmd_trace(args: &Args) -> Outcome {
-    if args.has("--config") {
-        return chrome_export(args);
-    }
-    if args.has("--shards") {
-        // Sampled JSON-lines traces come from one simulator's recorder.
-        return Err(Failure::Usage);
-    }
+    let events: usize = args.get_or("--events", 1_000_000)?;
     let every: u64 = args.get_or("--every", 100)?;
     let max: usize = args.get_or("--max", 20)?;
     let plan = RunPlan::from_args(args, 2.0)?;
-    let mut sim = plan.cfg.build()?;
-    sim.enable_tracing(every.max(1), max);
-    sim.run_for(plan.duration());
-    for t in sim.traces() {
+    let run = plan.run(None, Some(events))?;
+    if args.has("--config") {
+        chrome_export(&plan, &run, events)
+    } else {
+        print_sampled_traces(&run, events, every.max(1), max)
+    }
+}
+
+/// Prints every `every`-th completed request of each cell's span log (cells
+/// in order, `max` traces in all) as one JSON line per request. Fails if a
+/// log was cut short before `max` traces were found: some may be missing.
+fn print_sampled_traces(run: &PartitionedRun, events: usize, every: u64, max: usize) -> Outcome {
+    let mut traces = Vec::new();
+    for c in &run.cells {
+        let log = c.sim.span_log().expect("span tracing is enabled");
+        let room = max - traces.len();
+        traces.extend(uqsim_core::trace::sampled_traces(
+            log,
+            &c.sim.trace_meta(),
+            every,
+            room,
+        ));
+    }
+    for t in &traces {
         println!("{}", serde_json::to_string(t).expect("trace serializes"));
     }
     eprintln!(
         "{} traces over {} completed requests",
-        sim.traces().len(),
-        sim.completed()
+        traces.len(),
+        run.result.completed
     );
+    if traces.len() < max && report_truncation(run, events, "sampled traces may be missing") > 0 {
+        return Ok(false);
+    }
     Ok(true)
 }
 
-/// Runs the scenario with span tracing enabled, writes a Chrome
-/// `trace_event` JSON file (viewable in `about:tracing` or Perfetto), and
-/// audits the trace against the simulator's invariants. Succeeds iff the
-/// log is complete and the audit clean. The trace of a scenario with more
-/// than one cell gives each cell its own pid range and `c<i>:`-prefixed
-/// scope ids; the written JSON and the audit verdict are byte-identical at
-/// any `--shards` value.
-fn chrome_export(args: &Args) -> Outcome {
-    let events: usize = args.get_or("--events", 1_000_000)?;
-    let plan = RunPlan::from_args(args, 2.0)?;
-    let run = plan.run(None, Some(events))?;
+/// Writes the run's span log as a Chrome `trace_event` JSON file (viewable
+/// in `about:tracing` or Perfetto) and audits it against the simulator's
+/// invariants. Succeeds iff the log is complete and the audit clean. The
+/// trace of a scenario with more than one cell gives each cell its own pid
+/// range and `c<i>:`-prefixed scope ids; the written JSON and the audit
+/// verdict are byte-identical at any `--shards` value.
+fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome {
     let text = pretty(&run.chrome_trace().expect("span tracing is enabled"));
     match &plan.out {
         Some(file) => {
@@ -1051,7 +1069,7 @@ fn chrome_export(args: &Args) -> Outcome {
         .map(|c| c.sim.span_log().map_or(0, |log| log.len()))
         .sum();
     let audit = run.audit().expect("span tracing is enabled");
-    let dropped = report_truncation(&run, events, "the trace is incomplete");
+    let dropped = report_truncation(run, events, "the trace is incomplete");
     eprintln!(
         "trace: {recorded} events ({dropped} dropped), {} spans audited, {} completed requests",
         audit.spans_checked, run.result.completed

@@ -105,8 +105,6 @@ fn flags_a_subcommand_does_not_take_are_usage_errors() {
         vec!["run", "--config", &cfg],
         // The serial `sweep <path> --loads` form is gone.
         vec!["sweep", &cfg, "--loads", "1000,2000"],
-        // Sampled traces come from one simulator.
-        vec!["trace", &cfg, "--shards", "2"],
         vec!["run", &cfg, "--shards", "0"],
         vec!["run", &cfg, "--duration"],
         vec!["run", &cfg, "--duration", "soon"],

@@ -17,7 +17,7 @@ use crate::ids::{
 };
 use crate::job::{JobArena, RequestArena};
 use crate::machine::{Core, CoreOwner, MachineSpec};
-use crate::metrics::{LatencyRecorder, WindowedRecorder};
+use crate::metrics::LatencyRecorder;
 use crate::path::{InstanceSelect, NodeTarget, RequestType};
 use crate::queue::StageQueue;
 use crate::rng::RngFactory;
@@ -138,12 +138,6 @@ impl ScenarioBuilder {
     /// Sets the latency warmup period (default 1 s).
     pub fn warmup(&mut self, warmup: SimDuration) -> &mut Self {
         self.cfg.warmup = warmup;
-        self
-    }
-
-    /// Enables windowed latency collection with the given window width.
-    pub fn window(&mut self, width: SimDuration) -> &mut Self {
-        self.cfg.window = Some(width);
         self
     }
 
@@ -542,7 +536,6 @@ impl ScenarioBuilder {
             controllers: Vec::new(),
             e2e: LatencyRecorder::new(warmup_at),
             per_type: vec![LatencyRecorder::new(warmup_at); self.request_types.len()],
-            windowed: self.cfg.window.map(WindowedRecorder::new),
             interval_e2e: Vec::new(),
             interval_instance: vec![Vec::new(); n_instances],
             instance_residency: vec![LatencyRecorder::new(warmup_at); n_instances],
@@ -552,8 +545,6 @@ impl ScenarioBuilder {
             completed_after_timeout: 0,
             events_processed: 0,
             stopped: false,
-            tracing: None,
-            traces: Vec::new(),
             span_log: None,
             telemetry: None,
             util_checkpoints: Vec::new(),
@@ -790,7 +781,7 @@ mod tests {
     fn utilization_matches_rho() {
         let mut sim = echo_scenario(5_000.0, 100e-6, 17);
         sim.run_for(SimDuration::from_secs(10));
-        let u = sim.instance_utilization(InstanceId::from_raw(0));
+        let u = sim.instance_utilization_since(InstanceId::from_raw(0), SimTime::ZERO);
         assert!((u - 0.5).abs() < 0.05, "utilization {u}");
     }
 

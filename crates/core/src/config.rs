@@ -201,9 +201,6 @@ pub struct ScenarioConfig {
     /// Warmup, seconds.
     #[serde(default = "default_warmup")]
     pub warmup_s: f64,
-    /// Windowed-stats width, seconds (optional).
-    #[serde(default)]
-    pub window_s: Option<f64>,
     /// `machines.json`.
     pub machines: Vec<MachineSpec>,
     /// The `service.json` files.
@@ -260,7 +257,7 @@ impl ScenarioConfig {
     /// * `graph.json` — `{ "instances": [...], "pools": [...] }`
     /// * `path.json` — `[RequestTypeConfig, ...]`
     /// * `client.json` — `[ClientConfig, ...]`
-    /// * `sim.json` — optional `{ "seed", "warmup_s", "window_s" }`
+    /// * `sim.json` — optional `{ "seed", "warmup_s" }`
     ///
     /// # Errors
     ///
@@ -287,8 +284,6 @@ impl ScenarioConfig {
             seed: u64,
             #[serde(default = "default_warmup")]
             warmup_s: f64,
-            #[serde(default)]
-            window_s: Option<f64>,
         }
 
         let machines: Vec<MachineSpec> = load(dir, "machines.json")?;
@@ -302,13 +297,11 @@ impl ScenarioConfig {
             SimFile {
                 seed: default_seed(),
                 warmup_s: default_warmup(),
-                window_s: None,
             }
         };
         Ok(ScenarioConfig {
             seed: sim.seed,
             warmup_s: sim.warmup_s,
-            window_s: sim.window_s,
             machines,
             services,
             instances: graph.instances,
@@ -353,9 +346,7 @@ impl ScenarioConfig {
         )?;
         write(
             "sim.json",
-            serde_json::json!({
-                "seed": self.seed, "warmup_s": self.warmup_s, "window_s": self.window_s
-            }),
+            serde_json::json!({ "seed": self.seed, "warmup_s": self.warmup_s }),
         )?;
         Ok(())
     }
@@ -426,9 +417,6 @@ impl ScenarioConfig {
     pub fn build(&self) -> SimResult<Simulator> {
         let mut b = ScenarioBuilder::new(self.seed);
         b.warmup(SimDuration::from_secs_f64(self.warmup_s));
-        if let Some(w) = self.window_s {
-            b.window(SimDuration::from_secs_f64(w));
-        }
 
         let mut machine_ids = HashMap::new();
         for m in &self.machines {

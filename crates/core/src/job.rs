@@ -23,8 +23,6 @@ pub struct NodeRuntime {
     pub thread: Option<ThreadId>,
     /// When the (merged) job entered the node's instance.
     pub enter: Option<SimTime>,
-    /// When the node's execution finished.
-    pub exit: Option<SimTime>,
 }
 
 /// A live request.
@@ -78,7 +76,7 @@ pub struct Request {
     pub superseded: bool,
     /// Latency-decomposition frontier: everything before `mark` has already
     /// been attributed to a component. Advanced by
-    /// `Simulator::attribute_latency`; starts at `submitted`.
+    /// `charge_latency` in `sim.rs`; starts at `submitted`.
     pub mark: SimTime,
     /// Nanoseconds attributed to each [`crate::telemetry::LatencyComponent`]
     /// so far. Because every charge advances `mark` to "now", the entries

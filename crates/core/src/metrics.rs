@@ -5,9 +5,10 @@
 //! power-management study). This module provides:
 //!
 //! * [`LatencySummary`] — percentiles/mean over a set of samples,
-//! * [`LatencyRecorder`] — an accumulating recorder with warmup filtering,
-//! * [`WindowedRecorder`] — fixed-width time windows producing a series of
-//!   summaries (Fig. 16 traces, Table III violation rates).
+//! * [`LatencyRecorder`] — an accumulating recorder with warmup filtering.
+//!
+//! The windowed series (Fig. 15/16, Table III) are the telemetry sampler's
+//! [`TelemetryWindow`](crate::telemetry::TelemetryWindow)s.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -161,110 +162,6 @@ impl LatencyRecorder {
     }
 }
 
-/// One completed window of a [`WindowedRecorder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowStats {
-    /// Window start time.
-    pub start: SimTime,
-    /// Window end time (exclusive).
-    pub end: SimTime,
-    /// Latency summary over completions in the window.
-    pub latency: LatencySummary,
-    /// Completions per second over the window.
-    pub throughput: f64,
-}
-
-/// Collects latency samples into fixed-width, non-overlapping windows.
-///
-/// Used by the power manager (which makes one decision per window) and by
-/// the Fig. 16 traces.
-#[derive(Debug, Clone)]
-pub struct WindowedRecorder {
-    width: SimDuration,
-    current_start: SimTime,
-    current: Vec<f64>,
-    finished: Vec<WindowStats>,
-}
-
-impl WindowedRecorder {
-    /// Creates a recorder with the given window width, starting at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn new(width: SimDuration) -> Self {
-        assert!(width > SimDuration::ZERO, "window width must be positive");
-        WindowedRecorder {
-            width,
-            current_start: SimTime::ZERO,
-            current: Vec::new(),
-            finished: Vec::new(),
-        }
-    }
-
-    /// Window width.
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
-    /// Advances window boundaries up to `now`, closing any elapsed windows
-    /// (empty ones included, so the series has no gaps).
-    ///
-    /// [`record`](WindowedRecorder::record) calls this itself, which keeps
-    /// the series gap-free *between* completions; the simulator additionally
-    /// calls it when a run deadline fires, so idle time at the *end* of a
-    /// run shows up as explicit count-0 windows instead of silently
-    /// truncating the time axis.
-    pub fn advance_to(&mut self, now: SimTime) {
-        while now >= self.current_start + self.width {
-            let end = self.current_start + self.width;
-            let latency = LatencySummary::from_samples(&self.current);
-            let throughput = self.current.len() as f64 / self.width.as_secs_f64();
-            self.finished.push(WindowStats {
-                start: self.current_start,
-                end,
-                latency,
-                throughput,
-            });
-            self.current.clear();
-            self.current_start = end;
-        }
-    }
-
-    /// Records a completion; call with non-decreasing `now`.
-    pub fn record(&mut self, now: SimTime, latency: SimDuration) {
-        self.advance_to(now);
-        self.current.push(latency.as_secs_f64());
-    }
-
-    /// All closed windows so far.
-    pub fn finished(&self) -> &[WindowStats] {
-        &self.finished
-    }
-
-    /// Closes the in-progress window (even if shorter than `width`) and
-    /// returns the full series.
-    pub fn into_series(mut self) -> Vec<WindowStats> {
-        if !self.current.is_empty() {
-            let end = self.current_start + self.width;
-            let latency = LatencySummary::from_samples(&self.current);
-            let throughput = self.current.len() as f64 / self.width.as_secs_f64();
-            self.finished.push(WindowStats {
-                start: self.current_start,
-                end,
-                latency,
-                throughput,
-            });
-        }
-        self.finished
-    }
-
-    /// Summary of the most recently *closed* window, if any.
-    pub fn last_window(&self) -> Option<&WindowStats> {
-        self.finished.last()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,88 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_recorder_closes_empty_windows() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        w.record(SimTime::from_secs_f64(0.5), SimDuration::from_millis(1));
-        w.record(SimTime::from_secs_f64(3.5), SimDuration::from_millis(2));
-        let series = w.into_series();
-        assert_eq!(series.len(), 4);
-        assert_eq!(series[0].latency.count, 1);
-        assert_eq!(series[1].latency.count, 0);
-        assert_eq!(series[2].latency.count, 0);
-        assert_eq!(series[3].latency.count, 1);
-        assert!((series[0].throughput - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn advance_to_emits_trailing_empty_windows() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        w.record(SimTime::from_secs_f64(0.5), SimDuration::from_millis(1));
-        // A long idle stretch after the last completion must still close
-        // windows — with zero counts — up to the advance point.
-        w.advance_to(SimTime::from_secs_f64(3.7));
-        let series = w.finished();
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0].latency.count, 1);
-        assert_eq!(series[1].latency.count, 0);
-        assert_eq!(series[2].latency.count, 0);
-        assert_eq!(series[2].end, SimTime::from_secs_f64(3.0));
-        // Idempotent: advancing to the same instant adds nothing.
-        w.advance_to(SimTime::from_secs_f64(3.7));
-        assert_eq!(w.finished().len(), 3);
-    }
-
-    #[test]
-    fn windowed_recorder_boundaries() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        // Exactly at the boundary goes into the next window.
-        w.record(SimTime::from_secs_f64(1.0), SimDuration::from_millis(1));
-        let series = w.into_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].latency.count, 0);
-        assert_eq!(series[1].latency.count, 1);
-    }
-
-    #[test]
-    fn last_window_tracks_closed() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        assert!(w.last_window().is_none());
-        w.record(SimTime::from_secs_f64(0.2), SimDuration::from_millis(5));
-        w.advance_to(SimTime::from_secs_f64(1.5));
-        let last = w.last_window().unwrap();
-        assert_eq!(last.latency.count, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_window_panics() {
-        let _ = WindowedRecorder::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn window_stats_serde_roundtrip() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        w.record(SimTime::from_secs_f64(0.5), SimDuration::from_millis(2));
-        let series = w.into_series();
-        let json = serde_json::to_string(&series).unwrap();
-        let back: Vec<WindowStats> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, series);
-    }
-
-    #[test]
     fn summary_of_empty_is_all_zero() {
         let s = LatencySummary::from_samples(&[]);
         assert_eq!(s, LatencySummary::empty());
         assert_eq!(s.count, 0);
-    }
-
-    #[test]
-    fn into_series_includes_partial_window() {
-        let mut w = WindowedRecorder::new(SimDuration::from_secs(1));
-        w.record(SimTime::from_secs_f64(0.25), SimDuration::from_millis(1));
-        w.record(SimTime::from_secs_f64(1.25), SimDuration::from_millis(1));
-        let series = w.into_series();
-        assert_eq!(series.len(), 2, "second (partial) window must be closed");
-        assert_eq!(series[1].latency.count, 1);
     }
 }

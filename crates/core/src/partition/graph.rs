@@ -286,7 +286,6 @@ pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
         let mut config = ScenarioConfig {
             seed: cfg.seed,
             warmup_s: cfg.warmup_s,
-            window_s: cfg.window_s,
             machines: Vec::new(),
             services: cfg.services.clone(),
             instances: Vec::new(),

@@ -15,9 +15,9 @@ use crate::ids::{
     ClientId, ConnectionId, ControllerId, InstanceId, JobId, MachineId, PathNodeId, PoolId,
     RequestId, ServiceId, StageId, ThreadId,
 };
-use crate::job::{JobArena, RequestArena};
+use crate::job::{JobArena, Request, RequestArena};
 use crate::machine::{Core, MachineSpec};
-use crate::metrics::{LatencyRecorder, LatencySummary, WindowStats, WindowedRecorder};
+use crate::metrics::{LatencyRecorder, LatencySummary};
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType};
 use crate::service::ServiceModel;
 use crate::time::{SimDuration, SimTime};
@@ -30,7 +30,7 @@ use rand::Rng;
 use std::collections::VecDeque;
 
 /// Where a latency charge happened, resolved lazily against the request
-/// inside `attribute_latency` (`Client` avoids a second arena lookup at the
+/// inside [`charge_latency`] (`Client` avoids a second arena lookup at the
 /// call site — the charged request's own client is meant).
 #[derive(Debug, Clone, Copy)]
 enum CritSiteRef {
@@ -40,6 +40,47 @@ enum CritSiteRef {
     Pool(PoolId),
 }
 
+/// The one place a latency charge is written: charges `req`'s
+/// not-yet-attributed time `[mark, now]` to `component` and advances the
+/// frontier to `now`. Consecutive charges telescope, so on completion the
+/// components sum exactly to `completed - submitted`.
+///
+/// `site` records *where* the time was spent; with `critpath` (the
+/// streaming critical-path mode) on, every non-zero charge additionally
+/// buffers a [`CritSeg`] on the request (folded into the CPC profile at
+/// completion).
+#[inline]
+fn charge_latency(
+    req: &mut Request,
+    now: SimTime,
+    critpath: bool,
+    component: crate::telemetry::LatencyComponent,
+    site: CritSiteRef,
+) {
+    let dt = (now - req.mark).as_nanos();
+    req.mark = now;
+    req.components_ns[component as usize] += dt;
+    if critpath && dt > 0 {
+        // A retry's launch delay is backoff, not ordinary client
+        // connection wait; hedge twins keep the plain kind.
+        let kind = if component == crate::telemetry::LatencyComponent::ClientWait
+            && req.attempt > 0
+            && req.hedge_twin.is_none()
+        {
+            EdgeKind::RetryBackoff
+        } else {
+            EdgeKind::from_component(component)
+        };
+        let site = match site {
+            CritSiteRef::Client => CritSite::Client(req.client),
+            CritSiteRef::Instance(i) => CritSite::Instance(i),
+            CritSiteRef::Stage(i, s) => CritSite::Stage(i, s),
+            CritSiteRef::Pool(p) => CritSite::Pool(p),
+        };
+        req.crit.push(CritSeg { site, kind, ns: dt });
+    }
+}
+
 /// Global simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -47,8 +88,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Completions before this time are excluded from the latency summary.
     pub warmup: SimDuration,
-    /// If set, also collect fixed-width windowed latency series.
-    pub window: Option<SimDuration>,
 }
 
 impl Default for SimConfig {
@@ -56,7 +95,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 1,
             warmup: SimDuration::from_secs(1),
-            window: None,
         }
     }
 }
@@ -225,7 +263,6 @@ pub struct Simulator {
     // Metrics.
     pub(crate) e2e: LatencyRecorder,
     pub(crate) per_type: Vec<LatencyRecorder>,
-    pub(crate) windowed: Option<WindowedRecorder>,
     pub(crate) interval_e2e: Vec<f64>,
     pub(crate) interval_instance: Vec<Vec<f64>>,
     pub(crate) instance_residency: Vec<LatencyRecorder>,
@@ -235,8 +272,6 @@ pub struct Simulator {
     pub(crate) completed_after_timeout: u64,
     pub(crate) events_processed: u64,
     pub(crate) stopped: bool,
-    pub(crate) tracing: Option<TraceConfig>,
-    pub(crate) traces: Vec<RequestTrace>,
     /// Span/event recorder (see [`crate::trace`]); `None` keeps every
     /// hot-path hook to a single branch.
     pub(crate) span_log: Option<Box<TraceLog>>,
@@ -266,39 +301,6 @@ pub struct Simulator {
     /// Latencies of requests at their timeout deadline (the latency the
     /// client observed for failed calls); never mixed into `e2e`.
     pub(crate) e2e_timeout: LatencyRecorder,
-}
-
-/// Request-tracing configuration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceConfig {
-    pub(crate) sample_every: u64,
-    pub(crate) capacity: usize,
-}
-
-/// One traced span: a request's visit to one path node.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct SpanRecord {
-    /// Path-node name.
-    pub node: String,
-    /// Instance name the node executed on (empty for the client sink).
-    pub instance: String,
-    /// When the job entered the instance.
-    pub enter: SimTime,
-    /// When the node's execution finished.
-    pub exit: SimTime,
-}
-
-/// A sampled end-to-end request trace (distributed-tracing style).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct RequestTrace {
-    /// Request-type name.
-    pub request_type: String,
-    /// When the client generated the request.
-    pub submitted: SimTime,
-    /// When the response reached the client.
-    pub completed: SimTime,
-    /// Per-node spans, in node-id order.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -435,11 +437,6 @@ impl Simulator {
             .map(|i| crate::ids::RequestTypeId::from_raw(i as u32))
     }
 
-    /// The windowed latency series, if window collection was enabled.
-    pub fn window_series(&self) -> Option<&[WindowStats]> {
-        self.windowed.as_ref().map(|w| w.finished())
-    }
-
     /// Requests generated so far.
     pub fn generated(&self) -> u64 {
         self.generated
@@ -538,26 +535,6 @@ impl Simulator {
         s.degraded = self.degraded;
         s.timed_out = self.timeouts;
         Some(s)
-    }
-
-    /// Enables request tracing: every `sample_every`-th completion is
-    /// recorded (up to `capacity` traces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn enable_tracing(&mut self, sample_every: u64, capacity: usize) {
-        assert!(sample_every > 0, "sample_every must be positive");
-        self.tracing = Some(TraceConfig {
-            sample_every,
-            capacity,
-        });
-        self.traces.reserve(capacity.min(4096));
-    }
-
-    /// The traces recorded so far.
-    pub fn traces(&self) -> &[RequestTrace] {
-        &self.traces
     }
 
     /// Enables per-request span tracing (see [`crate::trace`]): every
@@ -770,44 +747,6 @@ impl Simulator {
             .map(|i| InstanceId::from_raw(i as u32))
     }
 
-    /// Mean core utilization of an instance since time zero.
-    ///
-    /// **Deprecated in spirit**: averaging from time zero folds the warmup
-    /// ramp into the number, which skews short runs. Prefer
-    /// [`Simulator::instance_utilization_since`] with the warmup boundary
-    /// (or any checkpointed time); this wrapper is kept for callers that
-    /// genuinely want the whole-run average.
-    ///
-    /// **Removal timeline**: this wrapper (and
-    /// [`Simulator::network_utilization`]) will gain a `#[deprecated]`
-    /// attribute in the release after next and be removed in 0.3.0;
-    /// migrate to the `_since` form with `SimTime::ZERO` to keep the
-    /// whole-run semantics.
-    pub fn instance_utilization(&self, instance: InstanceId) -> f64 {
-        let inst = &self.instances[instance.index()];
-        if self.now == SimTime::ZERO || inst.cores.is_empty() {
-            return 0.0;
-        }
-        let m = &self.machines[inst.machine.index()];
-        let busy: u64 = inst.cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        busy as f64 / (self.now.as_nanos() as f64 * inst.cores.len() as f64)
-    }
-
-    /// Mean irq-core utilization of a machine since time zero.
-    ///
-    /// **Deprecated in spirit**: see [`Simulator::instance_utilization`] —
-    /// prefer [`Simulator::network_utilization_since`] to exclude warmup.
-    /// Shares that wrapper's removal timeline (attribute next release,
-    /// gone in 0.3.0).
-    pub fn network_utilization(&self, machine: MachineId) -> f64 {
-        let m = &self.machines[machine.index()];
-        if self.now == SimTime::ZERO || m.irq_cores.is_empty() {
-            return 0.0;
-        }
-        let busy: u64 = m.irq_cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        busy as f64 / (self.now.as_nanos() as f64 * m.irq_cores.len() as f64)
-    }
-
     /// Total jobs currently queued at an instance.
     pub fn instance_queue_depth(&self, instance: InstanceId) -> usize {
         self.instances[instance.index()].queue_depth()
@@ -873,27 +812,13 @@ impl Simulator {
             ),
             EventKind::HedgeFire { request } => self.on_hedge_fire(request),
             EventKind::NetRetransmit(rt) => self.on_net_retransmit(rt.job, rt.from, rt.dest),
-            EventKind::Stop => {
-                // Close windowed-latency windows up to the stop time so
-                // trailing idle periods appear as explicit count=0 windows
-                // instead of silently truncating the time axis.
-                if let Some(w) = &mut self.windowed {
-                    w.advance_to(self.now);
-                }
-                self.stopped = true;
-            }
+            EventKind::Stop => self.stopped = true,
         }
     }
 
-    /// Charges the request's not-yet-attributed time `[mark, now]` to
-    /// `component` and advances the frontier to now. Consecutive charges
-    /// telescope, so on completion the components sum exactly to
-    /// `completed - submitted`. A single branch when telemetry is off.
-    ///
-    /// `site` records *where* the time was spent; when the streaming
-    /// critical-path mode is on, every non-zero charge additionally buffers
-    /// a [`CritSeg`] on the request (folded into the CPC profile at
-    /// completion).
+    /// Charges request `rid`'s time since its last charge to `component` at
+    /// `site` (see [`charge_latency`]). A single branch when telemetry is
+    /// off; a no-op for a request that is already gone.
     #[inline]
     fn attribute_latency(
         &mut self,
@@ -901,33 +826,11 @@ impl Simulator {
         component: crate::telemetry::LatencyComponent,
         site: CritSiteRef,
     ) {
-        let crit_on = match self.telemetry.as_deref() {
-            None => return,
-            Some(t) => t.cfg.critpath,
+        let Some(tel) = self.telemetry.as_deref() else {
+            return;
         };
         if let Some(req) = self.requests.get_mut(rid) {
-            let dt = (self.now - req.mark).as_nanos();
-            req.mark = self.now;
-            req.components_ns[component as usize] += dt;
-            if crit_on && dt > 0 {
-                // A retry's launch delay is backoff, not ordinary client
-                // connection wait; hedge twins keep the plain kind.
-                let kind = if component == crate::telemetry::LatencyComponent::ClientWait
-                    && req.attempt > 0
-                    && req.hedge_twin.is_none()
-                {
-                    EdgeKind::RetryBackoff
-                } else {
-                    EdgeKind::from_component(component)
-                };
-                let site = match site {
-                    CritSiteRef::Client => CritSite::Client(req.client),
-                    CritSiteRef::Instance(i) => CritSite::Instance(i),
-                    CritSiteRef::Stage(i, s) => CritSite::Stage(i, s),
-                    CritSiteRef::Pool(p) => CritSite::Pool(p),
-                };
-                req.crit.push(CritSeg { site, kind, ns: dt });
-            }
+            charge_latency(req, self.now, tel.cfg.critpath, component, site);
         }
     }
 
@@ -1099,9 +1002,6 @@ impl Simulator {
         } else {
             self.e2e.record(self.now, latency);
             self.per_type[ty.index()].record(self.now, latency);
-            if let Some(w) = &mut self.windowed {
-                w.record(self.now, latency);
-            }
             if !self.controllers.is_empty() {
                 self.interval_e2e.push(latency.as_secs_f64());
             }
@@ -1122,7 +1022,6 @@ impl Simulator {
             self.fault_on_success(client);
         }
         self.completed += 1;
-        self.maybe_trace(rid);
         let measured = !timed_out && !superseded && self.now >= SimTime::ZERO + self.cfg.warmup;
         if let Some(log) = self.span_log.as_deref_mut() {
             log.record(TraceEvent::RequestCompleted {
@@ -1252,39 +1151,6 @@ impl Simulator {
         }
         // Resilience policy: a timeout is a client-observed failure.
         self.fault_on_failure(client, ty, attempt, size);
-    }
-
-    /// Records a sampled trace of a completing request.
-    fn maybe_trace(&mut self, rid: RequestId) {
-        let Some(cfg) = self.tracing else { return };
-        if self.traces.len() >= cfg.capacity || !self.completed.is_multiple_of(cfg.sample_every) {
-            return;
-        }
-        let req = self.requests.get(rid).expect("completing request exists");
-        let ty = &self.request_types[req.ty.index()];
-        let spans = req
-            .nodes
-            .iter()
-            .zip(&ty.nodes)
-            .filter_map(|(nr, spec)| match (nr.enter, nr.exit) {
-                (Some(enter), Some(exit)) => Some(SpanRecord {
-                    node: spec.name.clone(),
-                    instance: nr
-                        .instance
-                        .map(|i| self.instances[i.index()].name.clone())
-                        .unwrap_or_default(),
-                    enter,
-                    exit,
-                }),
-                _ => None,
-            })
-            .collect();
-        self.traces.push(RequestTrace {
-            request_type: ty.name.clone(),
-            submitted: req.submitted,
-            completed: self.now,
-            spans,
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1701,21 +1567,17 @@ impl Simulator {
                     job.state_since = self.now;
                     (job.request, enqueued)
                 };
-                // Inlined attribute_latency: `inst` holds a borrow of
+                // Not `attribute_latency`: `inst` holds a borrow of
                 // self.instances, so only disjoint fields are touchable here.
                 if let Some(tel) = self.telemetry.as_deref_mut() {
                     if let Some(req) = self.requests.get_mut(rid) {
-                        let dt = (self.now - req.mark).as_nanos();
-                        req.mark = self.now;
-                        req.components_ns
-                            [crate::telemetry::LatencyComponent::QueueWait as usize] += dt;
-                        if tel.cfg.critpath && dt > 0 {
-                            req.crit.push(CritSeg {
-                                site: CritSite::Stage(inst_id, stage_idx as u32),
-                                kind: EdgeKind::QueueWait,
-                                ns: dt,
-                            });
-                        }
+                        charge_latency(
+                            req,
+                            self.now,
+                            tel.cfg.critpath,
+                            crate::telemetry::LatencyComponent::QueueWait,
+                            CritSiteRef::Stage(inst_id, stage_idx as u32),
+                        );
                     }
                     if self.now >= tel.warmup_at {
                         tel.stage_queue_wait[i][stage_idx].record((self.now - enqueued).as_nanos());
@@ -1895,23 +1757,21 @@ impl Simulator {
         let rid = job.request;
         let node = job.node;
 
-        let ty = {
+        let (ty, entered) = {
             let req = self.requests.get_mut(rid).expect("job's request exists");
             let nr = &mut req.nodes[node.index()];
-            nr.exit = Some(self.now);
             nr.instance = Some(inst_id);
             nr.thread = Some(thread);
-            if let Some(enter) = nr.enter {
-                let residency = self.now - enter;
-                // Interval samples only feed controller ticks; skip the
-                // push when no controller will ever drain them.
-                if !self.controllers.is_empty() {
-                    self.interval_instance[inst_id.index()].push(residency.as_secs_f64());
-                }
-                self.instance_residency[inst_id.index()].record(self.now, residency);
+            let entered = nr.enter.expect("a completing node was entered");
+            let residency = self.now - entered;
+            // Interval samples only feed controller ticks; skip the push
+            // when no controller will ever drain them.
+            if !self.controllers.is_empty() {
+                self.interval_instance[inst_id.index()].push(residency.as_secs_f64());
             }
+            self.instance_residency[inst_id.index()].record(self.now, residency);
             req.live_jobs -= 1;
-            req.ty
+            (req.ty, entered)
         };
         if let Some(log) = self.span_log.as_deref_mut() {
             log.record(TraceEvent::NodeDone {
@@ -1920,6 +1780,7 @@ impl Simulator {
                 node,
                 instance: inst_id,
                 thread,
+                entered,
                 t: self.now,
             });
         }

@@ -396,10 +396,8 @@ pub struct TelemetryConfig {
 }
 
 /// One closed sampler window: the latency summary over completions in the
-/// `sample_interval` ending at `end`. Matches what a
-/// [`crate::metrics::WindowedRecorder`] of the same width produces for the
-/// same run — empty windows are emitted with `count = 0` so time axes are
-/// gap-free.
+/// `sample_interval` ending at `end`. Empty windows are emitted with
+/// `count = 0` so time axes are gap-free.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TelemetryWindow {
     /// Window end (the tick time); the window covers the preceding interval.
@@ -934,8 +932,8 @@ impl TelemetryState {
         if timed_out {
             return;
         }
-        // The sampler window mirrors WindowedRecorder: every non-timed-out
-        // completion counts, warmup included.
+        // Every non-timed-out completion counts toward the sampler window,
+        // warmup included.
         if self.cfg.sample_interval.is_some() {
             self.window_buf.push(latency.as_secs_f64());
         }

@@ -9,13 +9,16 @@
 //! strictly opt-in — when disabled (the default) every hot-path hook is a
 //! single branch on a `None`, so the simulator's speed is unaffected.
 //!
-//! Two consumers are built on the log:
+//! Three views are built on the log:
 //!
 //! * [`chrome_trace`] renders the log as Chrome `trace_event` JSON —
 //!   machines become processes, cores become threads, batch services and
 //!   irq processing become complete (`"ph": "X"`) spans, and requests
 //!   become async (`"b"`/`"e"`) spans — viewable directly in
 //!   `about:tracing` or [Perfetto](https://ui.perfetto.dev).
+//! * [`sampled_traces`] filters it down to every N-th completed request as
+//!   a distributed-tracing-style [`RequestTrace`] — one span per path node
+//!   — which `uqsim trace <path>` prints as JSON lines.
 //! * [`TraceAuditor`] replays the log against the simulator's conservation
 //!   laws (every emitted request is completed or still in flight), span
 //!   causality (enqueue ≤ start ≤ end, spans inside the request's
@@ -237,6 +240,8 @@ pub enum TraceEvent {
         instance: InstanceId,
         /// The executing thread.
         thread: ThreadId,
+        /// When the (fan-in merged) job entered the instance.
+        entered: SimTime,
         /// Completion time.
         t: SimTime,
     },
@@ -488,6 +493,119 @@ impl StageSpan {
     pub fn total_s(&self) -> f64 {
         (self.end_t - self.enqueue_t).as_secs_f64()
     }
+}
+
+/// One span of a [`RequestTrace`]: a request's visit to one path node.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct SpanRecord {
+    /// Path-node name.
+    pub node: String,
+    /// Name of the instance the node executed on.
+    pub instance: String,
+    /// When the job entered the instance (for a fan-in node: when the
+    /// firing copy arrived).
+    pub enter: SimTime,
+    /// When the node's execution finished.
+    pub exit: SimTime,
+}
+
+/// One request's end-to-end trace, distributed-tracing style: a view of
+/// the span log produced by [`sampled_traces`]. `uqsim trace <path>`
+/// prints one per line as JSON.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct RequestTrace {
+    /// Request-type name.
+    pub request_type: String,
+    /// When the client generated the request.
+    pub submitted: SimTime,
+    /// When the response reached the client.
+    pub completed: SimTime,
+    /// The nodes that had finished when the response was delivered, in
+    /// node-id order (quorum stragglers finishing later are not part of
+    /// the response and are left out).
+    pub spans: Vec<SpanRecord>,
+}
+
+/// Filters a [`TraceLog`] down to sampled request traces: every
+/// `every`-th [`TraceEvent::RequestCompleted`] in log order (timed-out and
+/// superseded completions count too), up to `max` traces. The log is a
+/// prefix of the run, so a truncated log yields a prefix of the traces the
+/// complete log would.
+///
+/// # Panics
+///
+/// Panics if `every` is zero.
+pub fn sampled_traces(
+    log: &TraceLog,
+    meta: &TraceMeta,
+    every: u64,
+    max: usize,
+) -> Vec<RequestTrace> {
+    assert!(every > 0, "every must be positive");
+    // Per live request: emission time and the `(node, instance, entered,
+    // done)` of each node finished so far.
+    type Visit = (PathNodeId, InstanceId, SimTime, SimTime);
+    let mut live: HashMap<RequestId, (SimTime, Vec<Visit>)> = HashMap::new();
+    let mut completed = 0u64;
+    let mut out = Vec::new();
+    for ev in &log.events {
+        if out.len() >= max {
+            break;
+        }
+        match *ev {
+            TraceEvent::RequestEmitted { request, t, .. } => {
+                live.insert(request, (t, Vec::new()));
+            }
+            TraceEvent::NodeDone {
+                request,
+                node,
+                instance,
+                entered,
+                t,
+                ..
+            } => {
+                if let Some((_, visits)) = live.get_mut(&request) {
+                    visits.push((node, instance, entered, t));
+                }
+            }
+            TraceEvent::RequestCompleted {
+                request,
+                request_type,
+                t,
+                ..
+            } => {
+                completed += 1;
+                let Some((submitted, mut visits)) = live.remove(&request) else {
+                    continue;
+                };
+                if !completed.is_multiple_of(every) {
+                    continue;
+                }
+                let ty = &meta.request_types[request_type.index()];
+                visits.sort_by_key(|&(node, ..)| node);
+                out.push(RequestTrace {
+                    request_type: ty.name.clone(),
+                    submitted,
+                    completed: t,
+                    spans: visits
+                        .into_iter()
+                        .map(|(node, instance, enter, exit)| SpanRecord {
+                            node: ty.nodes[node.index()].clone(),
+                            instance: meta.instances[instance.index()].name.clone(),
+                            enter,
+                            exit,
+                        })
+                        .collect(),
+                });
+            }
+            TraceEvent::RequestDropped { request, .. }
+            | TraceEvent::RequestShed { request, .. } => {
+                live.remove(&request);
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Entity names needed to render a human-readable trace; obtained from

@@ -196,11 +196,12 @@ fn traces_record_spans_in_order() {
         uqsim_core::ids::RequestTypeId::from_raw(0),
     );
     let mut sim = build(spec, 100e-6, 2);
-    sim.enable_tracing(10, 100);
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
-    let traces = sim.traces();
+    let log = sim.span_log().unwrap();
+    let traces = uqsim_core::trace::sampled_traces(log, &sim.trace_meta(), 10, 100);
     assert!(!traces.is_empty() && traces.len() <= 100);
-    for t in traces {
+    for t in &traces {
         assert_eq!(t.request_type, "get");
         assert_eq!(t.spans.len(), 1, "one service node per request");
         let span = &t.spans[0];

@@ -1,15 +1,18 @@
 //! Integration tests of the telemetry layer: streaming-histogram accuracy
 //! against exact percentiles (proptest), merge algebra, the telescoping
-//! latency-decomposition invariant on trace-audited runs, sampler-window
-//! equivalence with [`WindowedRecorder`], and gap-free window series over
-//! trailing idle time.
+//! latency-decomposition invariant on trace-audited runs, sampler windows
+//! recomputed from the span log, and gap-free window series over trailing
+//! idle time.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use uqsim_core::client::{ArrivalProcess, RateSchedule};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::metrics::LatencySummary;
 use uqsim_core::run::EXAMPLE_SCENARIO;
 use uqsim_core::telemetry::{StreamingHistogram, TelemetryConfig};
-use uqsim_core::time::SimDuration;
+use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::trace::TraceEvent;
 
 /// Exact nearest-rank quantile over sorted integer samples — the reference
 /// the streaming histogram is measured against.
@@ -143,48 +146,73 @@ fn decomposition_sums_to_e2e_on_audited_social_network_run() {
     assert_decomposition_telescopes(&cfg, 1.0, 1_000);
 }
 
-/// The acceptance criterion tying the new sampler to the pre-existing
-/// [`WindowedRecorder`]: with the sampler interval equal to the recorder
-/// window width, both views of the same run must report bitwise-identical
-/// per-window counts and percentiles.
+/// The sampler's windows are a view the span log can reproduce: every
+/// non-timed-out `RequestCompleted`, with latency measured from its
+/// `RequestEmitted`, bucketed into `[k, k+1) * sample_interval` (a
+/// completion landing exactly on a tick belongs to the next window) and
+/// summarized per window, must give bitwise-identical counts, percentiles
+/// and throughput.
 #[test]
-fn telemetry_windows_match_windowed_recorder() {
-    let mut cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    cfg.window_s = Some(0.05);
+fn telemetry_windows_match_span_log() {
+    let interval = SimDuration::from_secs_f64(0.05);
+    let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
     let mut sim = cfg.build().unwrap();
     sim.enable_telemetry(TelemetryConfig {
-        sample_interval: Some(SimDuration::from_secs_f64(0.05)),
+        sample_interval: Some(interval),
         ..TelemetryConfig::default()
     });
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(1));
     let tw = sim.telemetry_windows();
-    let ws = sim.window_series().expect("window collection enabled");
-    // The recorder closes its final window when the run deadline fires,
-    // one event the sampler tick at the same instant loses to; compare
-    // the common prefix.
-    let n = tw.len().min(ws.len());
-    assert!(n >= 15, "only {n} comparable windows");
-    for k in 0..n {
-        assert_eq!(tw[k].end, ws[k].end, "window {k} end");
+    assert!(tw.len() >= 15, "only {} windows", tw.len());
+
+    let log = sim.span_log().unwrap();
+    assert_eq!(log.dropped(), 0, "span log too small for this test");
+    let mut emitted = HashMap::new();
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); tw.len()];
+    for ev in log.events() {
+        match *ev {
+            TraceEvent::RequestEmitted { request, t, .. } => {
+                emitted.insert(request, t);
+            }
+            TraceEvent::RequestCompleted {
+                request,
+                timed_out,
+                t,
+                ..
+            } => {
+                let submitted = emitted.remove(&request).expect("completion was emitted");
+                let k = (t.as_nanos() / interval.as_nanos()) as usize;
+                if !timed_out && k < samples.len() {
+                    samples[k].push((t - submitted).as_secs_f64());
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(samples.iter().all(|w| !w.is_empty()), "an empty window");
+    for (k, (w, bucket)) in tw.iter().zip(&samples).enumerate() {
+        let expect = LatencySummary::from_samples(bucket);
         assert_eq!(
-            tw[k].count as usize, ws[k].latency.count,
-            "window {k} count"
+            w.end,
+            SimTime::ZERO + interval * (k as u64 + 1),
+            "window {k} end"
         );
-        assert_eq!(tw[k].p50_s, ws[k].latency.p50, "window {k} p50");
-        assert_eq!(tw[k].p95_s, ws[k].latency.p95, "window {k} p95");
-        assert_eq!(tw[k].p99_s, ws[k].latency.p99, "window {k} p99");
-        assert_eq!(tw[k].throughput, ws[k].throughput, "window {k} throughput");
+        assert_eq!(w.count as usize, expect.count, "window {k} count");
+        assert_eq!(w.p50_s, expect.p50, "window {k} p50");
+        assert_eq!(w.p95_s, expect.p95, "window {k} p95");
+        assert_eq!(w.p99_s, expect.p99, "window {k} p99");
+        let throughput = expect.count as f64 / interval.as_secs_f64();
+        assert_eq!(w.throughput, throughput, "window {k} throughput");
     }
 }
 
 /// A run whose load stops well before the deadline must still produce a
-/// gap-free window series all the way to the deadline, with explicit
-/// count-0 windows over the idle tail — in both the windowed recorder and
-/// the telemetry sampler.
+/// gap-free window series up to the last sampler tick, with explicit
+/// count-0 windows over the idle tail.
 #[test]
 fn idle_tail_emits_trailing_empty_windows() {
     let mut cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    cfg.window_s = Some(0.1);
     // Deterministic arrivals that effectively stop at t=0.25s (the 0.01
     // qps tail means the next arrival lands 100 simulated seconds out).
     cfg.clients[0].arrivals = ArrivalProcess::Uniform {
@@ -192,36 +220,24 @@ fn idle_tail_emits_trailing_empty_windows() {
             segments: vec![(0.0, 2000.0), (0.25, 0.01)],
         },
     };
+    let interval = SimDuration::from_secs_f64(0.1);
     let mut sim = cfg.build().unwrap();
     sim.enable_telemetry(TelemetryConfig {
-        sample_interval: Some(SimDuration::from_secs_f64(0.1)),
+        sample_interval: Some(interval),
         ..TelemetryConfig::default()
     });
     sim.run_for(SimDuration::from_secs(1));
 
-    let ws = sim.window_series().expect("window collection enabled");
-    assert_eq!(ws.len(), 10, "series must reach the deadline without gaps");
-    assert!(
-        ws[0].latency.count > 0,
-        "load phase produced no completions"
-    );
-    for w in &ws[5..] {
-        assert_eq!(
-            w.latency.count, 0,
-            "idle window ending at {:?} has completions",
-            w.end
-        );
-    }
-    // Windows tile the time axis: each starts where the previous ended.
-    for pair in ws.windows(2) {
-        assert_eq!(pair[0].end, pair[1].start);
-    }
-
     // The sampler ticks at 0.1s..0.9s (the 1.0s tick loses to the stop
-    // event) and must show the same idle tail.
+    // event).
     let tw = sim.telemetry_windows();
     assert_eq!(tw.len(), 9);
+    assert!(tw[0].count > 0, "load phase produced no completions");
     for w in &tw[5..] {
         assert_eq!(w.count, 0, "idle sampler window at {:?}", w.end);
+    }
+    // Windows tile the time axis: one per interval, none skipped.
+    for (k, w) in tw.iter().enumerate() {
+        assert_eq!(w.end, SimTime::ZERO + interval * (k as u64 + 1));
     }
 }

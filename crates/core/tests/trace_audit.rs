@@ -330,17 +330,18 @@ fn span_log_agrees_with_sampled_traces() {
         .unwrap();
     b.add_client(ClientSpec::open_loop("c", 2_000.0, 64, ty), vec![i]);
     let mut sim = b.build().unwrap();
-    sim.enable_tracing(10, 100);
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert_clean(&sim);
-    assert!(!sim.traces().is_empty(), "sampled traces recorded");
+    let log = sim.span_log().unwrap();
+    let traces = uqsim_core::trace::sampled_traces(log, &sim.trace_meta(), 10, 100);
+    assert!(!traces.is_empty(), "sampled traces recorded");
 
-    // Span end times per request bound the sampled spans: both subsystems
-    // observed the same executions, so every sampled span's [enter, exit]
-    // must appear among the span log's batch intervals for that instance.
-    let spans = sim.span_log().unwrap().spans();
-    for t in sim.traces() {
+    // Span end times per request bound the sampled spans: both views read
+    // the same executions, so every sampled span's [enter, exit] must
+    // appear among the span log's batch intervals for that instance.
+    let spans = log.spans();
+    for t in &traces {
         let covered = spans.iter().any(|s| {
             s.enqueue_t >= t.submitted
                 && s.end_t <= t.completed

@@ -46,7 +46,6 @@ impl GenSpec {
         let mut cfg = ScenarioConfig {
             seed,
             warmup_s: self.warmup_s,
-            window_s: None,
             machines: Vec::new(),
             services: Vec::new(),
             instances: Vec::new(),

@@ -6,7 +6,7 @@ use uqsim_apps::scenarios::{
     fanout, social_network, three_tier, two_tier, FanoutConfig, SocialNetworkConfig,
     ThreeTierConfig, TwoTierConfig,
 };
-use uqsim_core::time::SimDuration;
+use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::Simulator;
 
 fn check_conservation(mut sim: Simulator, name: &str, max_inflight: usize) {
@@ -142,7 +142,7 @@ fn utilizations_are_physical() {
     sim.run_for(SimDuration::from_secs(3));
     for name in ["nginx", "memcached"] {
         let id = sim.instance_by_name(name).unwrap();
-        let u = sim.instance_utilization(id);
+        let u = sim.instance_utilization_since(id, SimTime::ZERO);
         assert!(
             (0.0..=1.0).contains(&u),
             "{name} utilization {u} out of [0,1]"
@@ -150,7 +150,8 @@ fn utilizations_are_physical() {
         assert!(u > 0.01, "{name} should be doing work");
     }
     for m in 0..2u32 {
-        let u = sim.network_utilization(uqsim_core::ids::MachineId::from_raw(m));
+        let m = uqsim_core::ids::MachineId::from_raw(m);
+        let u = sim.network_utilization_since(m, SimTime::ZERO);
         assert!(
             (0.0..=1.0).contains(&u),
             "network utilization {u} out of [0,1]"

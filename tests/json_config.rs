@@ -78,3 +78,24 @@ fn listing1_shape_is_loadable_as_service() {
     assert_eq!(v["stages"].as_array().unwrap().len(), model.stages.len());
     assert_eq!(v["paths"].as_array().unwrap().len(), model.paths.len());
 }
+
+#[test]
+fn retired_window_s_key_is_ignored_like_any_unknown_key() {
+    // `window_s` once switched on a windowed recorder. The loaders ignore
+    // keys they do not know, so files that still carry it load to the same
+    // scenario — from a single file and from a Table I `sim.json`.
+    let plain = ScenarioConfig::from_json(QUICKSTART).unwrap();
+    let with_key = QUICKSTART.replacen('{', "{\"window_s\": 0.1,", 1);
+    assert_eq!(ScenarioConfig::from_json(&with_key).unwrap(), plain);
+
+    let dir = std::env::temp_dir().join(format!("uqsim-window-s-{}", std::process::id()));
+    plain.write_dir(&dir).unwrap();
+    let sim_json = format!(
+        "{{\"seed\": {}, \"warmup_s\": {}, \"window_s\": 0.1}}",
+        plain.seed, plain.warmup_s
+    );
+    std::fs::write(dir.join("sim.json"), sim_json).unwrap();
+    let from_dir = ScenarioConfig::from_dir(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(from_dir.unwrap(), plain);
+}

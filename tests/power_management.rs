@@ -1,23 +1,50 @@
 //! End-to-end tests of the Algorithm 1 power manager driving the 2-tier
 //! application (the §V-B experiment, Fig. 16 / Table III shapes).
 
-use uqsim_bench::power_experiment::{run, PowerRunConfig};
+use std::sync::OnceLock;
+use uqsim_bench::power_experiment::{run, PowerRunConfig, PowerRunResult};
 use uqsim_core::time::SimDuration;
 
-fn quick(
-    interval_ms: u64,
-    noisy: bool,
-    seed: u64,
-) -> uqsim_bench::power_experiment::PowerRunResult {
-    run(&PowerRunConfig {
-        interval: SimDuration::from_millis(interval_ms),
-        duration: SimDuration::from_secs(30),
-        period_s: 15.0,
-        noisy,
-        seed,
-        ..PowerRunConfig::default()
-    })
-    .expect("power experiment builds")
+/// Every `(interval_ms, noisy, seed)` run the tests below read, each 30 s
+/// of simulated time. They are independent, so the first test to ask fans
+/// all of them over the runner pool at once; results are keyed by index,
+/// so what a test sees does not depend on the worker count.
+const RUNS: [(u64, bool, u64); 14] = [
+    (100, false, 42),
+    (100, false, 43),
+    (100, false, 44),
+    (1000, false, 42),
+    (1000, false, 43),
+    (1000, false, 44),
+    (500, false, 7),
+    (500, false, 8),
+    (500, false, 9),
+    (500, true, 7),
+    (500, true, 8),
+    (500, true, 9),
+    (100, false, 11),
+    (500, false, 3),
+];
+
+fn quick(interval_ms: u64, noisy: bool, seed: u64) -> &'static PowerRunResult {
+    static RESULTS: OnceLock<Vec<PowerRunResult>> = OnceLock::new();
+    let results = RESULTS.get_or_init(|| {
+        uqsim_runner::run_indexed(uqsim_runner::available_jobs(), RUNS.len(), |i| {
+            let (interval_ms, noisy, seed) = RUNS[i];
+            run(&PowerRunConfig {
+                interval: SimDuration::from_millis(interval_ms),
+                duration: SimDuration::from_secs(30),
+                period_s: 15.0,
+                noisy,
+                seed,
+                ..PowerRunConfig::default()
+            })
+            .expect("power experiment builds")
+        })
+    });
+    let wanted = (interval_ms, noisy, seed);
+    let i = RUNS.iter().position(|&r| r == wanted);
+    &results[i.expect("the run is listed in RUNS")]
 }
 
 #[test]

@@ -4,11 +4,60 @@
 //! arrivals, FIFO service, multi-server dispatch, sojourn accounting — are
 //! correct.
 
+use uqsim_bighouse::erlang_c;
+use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
+use uqsim_core::client::ClientSpec;
 use uqsim_core::dist::Distribution;
+use uqsim_core::ids::{PathNodeId, StageId};
+use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
+use uqsim_core::path::{PathNodeSpec, RequestType};
+use uqsim_core::service::{ExecPath, ServiceModel};
+use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::SimDuration;
-use uqsim_integration::{erlang_c, station};
+use uqsim_core::{SimResult, Simulator};
 
 const WARMUP: SimDuration = SimDuration::from_secs(2);
+
+/// Builds a bare G/G/k station: one single-stage service on `servers`
+/// cores, ideal (zero-cost) networking, and effectively unlimited client
+/// concurrency — the setup queueing-theory closed forms apply to.
+fn station(
+    qps: f64,
+    service: Distribution,
+    servers: usize,
+    seed: u64,
+    warmup: SimDuration,
+) -> SimResult<Simulator> {
+    let mut b = ScenarioBuilder::new(seed);
+    b.warmup(warmup);
+    let m = b.add_machine(MachineSpec {
+        name: "m".into(),
+        cores: servers,
+        dvfs: DvfsSpec::fixed(2.6),
+        network: NetworkSpec::passthrough(0.0),
+        power: Default::default(),
+    });
+    let s = b.add_service(ServiceModel::new(
+        "station",
+        vec![StageSpec::new(
+            "serve",
+            QueueDiscipline::Single,
+            ServiceTimeModel::per_job(service, 2.6),
+        )],
+        vec![ExecPath::new("serve", vec![StageId::from_raw(0)])],
+    ));
+    let i = b.add_instance("station0", s, m, servers, ExecSpec::Simple)?;
+    let mut node = PathNodeSpec::request("serve", s, i);
+    node.children = vec![PathNodeId::from_raw(1)];
+    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
+    let ty = b.add_request_type(RequestType::new(
+        "r",
+        vec![node, sink],
+        PathNodeId::from_raw(0),
+    ))?;
+    b.add_client(ClientSpec::open_loop("c", qps, 1_000_000, ty), vec![i]);
+    b.build()
+}
 
 fn run_station(
     qps: f64,
