@@ -98,6 +98,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::CellOutput;
 use uqsim_core::run::RunResult;
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
@@ -418,18 +419,29 @@ fn critpath_telemetry() -> Option<TelemetryConfig> {
     PartitionOptions::default().telemetry
 }
 
-/// Says which cells' span logs overflowed (`what` names the consequence)
-/// and returns the total number of events lost.
-fn report_truncation(run: &PartitionedRun, events: usize, what: &str) -> u64 {
+/// Span events lost to full logs, and the per-cell `--events` capacity
+/// that holds the same run whole.
+struct Truncation {
+    dropped: u64,
+    needed: u64,
+}
+
+/// Says which cells' span logs overflowed (`what` names the consequence);
+/// `None` when every log is complete.
+fn report_truncation(run: &PartitionedRun, events: usize, what: &str) -> Option<Truncation> {
+    let produced =
+        |c: &CellOutput| c.sim.span_log().map_or(0, |log| log.len()) as u64 + c.span_dropped();
+    let needed = run.cells.iter().map(produced).max().unwrap_or(0);
     for c in run.cells.iter().filter(|c| c.span_dropped() > 0) {
         eprintln!(
             "cell {} span log truncated ({} events dropped at capacity {events}); \
-             {what} — raise --events",
+             {what} — raise --events to at least {needed}",
             c.cell,
             c.span_dropped()
         );
     }
-    run.cells.iter().map(|c| c.span_dropped()).sum()
+    let dropped: u64 = run.cells.iter().map(|c| c.span_dropped()).sum();
+    (dropped > 0).then_some(Truncation { dropped, needed })
 }
 
 fn print_violations(violations: &[String]) {
@@ -546,19 +558,20 @@ fn cmd_chaos(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", 4_000_000)?;
     let plan = RunPlan::from_args(args, 5.0)?;
     let run = plan.run(critpath_telemetry(), Some(events))?;
-    let dropped_spans = report_truncation(&run, events, "audit skipped");
-    let audit = (dropped_spans == 0).then(|| run.audit().expect("span tracing is enabled"));
-    print_chaos_report(&plan, &run.result, audit.as_ref(), dropped_spans);
-    Ok(audit.is_some_and(|a| a.is_clean()))
+    let audit = match report_truncation(&run, events, "audit skipped") {
+        None => Ok(run.audit().expect("span tracing is enabled")),
+        Some(truncation) => Err(truncation),
+    };
+    print_chaos_report(&plan, &run.result, audit.as_ref());
+    Ok(audit.is_ok_and(|a| a.is_clean()))
 }
 
-/// Renders the chaos report; `audit` is `None` when `dropped_spans` span
-/// events were lost and the audit was skipped.
+/// Renders the chaos report; `audit` is the [`Truncation`] when span events
+/// were lost and the audit was skipped.
 fn print_chaos_report(
     plan: &RunPlan,
     r: &RunResult,
-    audit: Option<&uqsim_core::AuditReport>,
-    dropped_spans: u64,
+    audit: Result<&uqsim_core::AuditReport, &Truncation>,
 ) {
     let f = r.fault.as_ref().expect("fault plan is installed");
     let (s, ts) = (&r.latency, &r.timeout_latency);
@@ -599,8 +612,13 @@ fn print_chaos_report(
             "timeline": serde_json::to_value(&f.timeline).expect("timeline serializes"),
             "critpath": critpath.as_ref().map(|rep| rep.to_json()),
             "audit": match audit {
-                None => serde_json::json!({ "skipped": "span log truncated; raise --events" }),
-                Some(a) => serde_json::json!({
+                Err(t) => serde_json::json!({
+                    "skipped": format!(
+                        "span log truncated; raise --events to at least {}",
+                        t.needed
+                    ),
+                }),
+                Ok(a) => serde_json::json!({
                     "clean": a.is_clean(),
                     "violations": a.violations,
                 }),
@@ -670,13 +688,16 @@ fn print_chaos_report(
         print_tail_attribution(rep);
     }
     match audit {
-        None => println!("audit: skipped ({dropped_spans} span events dropped; raise --events)"),
-        Some(a) if a.is_clean() => println!(
+        Err(t) => println!(
+            "audit: skipped ({} span events dropped; raise --events to at least {})",
+            t.dropped, t.needed
+        ),
+        Ok(a) if a.is_clean() => println!(
             "audit: clean — every request reached exactly one terminal state \
              ({} spans checked)",
             a.spans_checked
         ),
-        Some(a) => {
+        Ok(a) => {
             println!("audit: {} violations", a.violations.len());
             for v in &a.violations {
                 println!("  {v}");
@@ -723,25 +744,32 @@ fn print_tail_attribution(rep: &uqsim_core::CpcReport) {
     println!();
 }
 
+/// `why`'s default span-log capacity per cell. A limit, not a reservation:
+/// it holds the largest bundled config at the default duration
+/// (`social_network`, 5 s: 4,550,942 events) with room to spare.
+const WHY_EVENTS: usize = 8_000_000;
+
 /// `uqsim why`: critical-path extraction and tail-latency attribution.
 ///
 /// Runs the scenario (optionally faulted) with both streaming critical-path
 /// accumulation and full span tracing, audits the trace, cross-checks each
 /// cell's streaming profile against an independent replay of that cell's
-/// recorded trace, and prints the cohort/differential attribution report
-/// of the merged profile. Fails (non-zero exit) when a span log truncated
+/// recorded trace (audits and replays are independent reads of finished
+/// logs and run side by side), and prints the cohort/differential
+/// attribution report of the merged profile. Fails (non-zero exit) when a span log truncated
 /// — a truncated stream would silently under-attribute — when the audit
 /// finds violations, or when streaming and replayed attribution disagree.
 /// Cell decomposition depends on the scenario, not the worker count, so
 /// every rendered output is byte-identical at any `--shards` value.
 fn cmd_why(args: &Args) -> Outcome {
-    let events: usize = args.get_or("--events", 4_000_000)?;
+    let events: usize = args.get_or("--events", WHY_EVENTS)?;
     let plan = RunPlan::from_args(args, 5.0)?;
     let run = plan.run(critpath_telemetry(), Some(events))?;
-    if report_truncation(&run, events, "attribution would be incomplete") > 0 {
+    if report_truncation(&run, events, "attribution would be incomplete").is_some() {
         return Ok(false);
     }
-    let audit = run.audit().expect("span tracing is enabled");
+    let (audit, replays) =
+        uqsim_core::partition::audit_and_replay(&run.cells).expect("span tracing is enabled");
     if !audit.is_clean() {
         eprintln!(
             "error: trace audit found {} violation(s); refusing to attribute",
@@ -751,9 +779,8 @@ fn cmd_why(args: &Args) -> Outcome {
         return Ok(false);
     }
     let mut replayed_events = 0;
-    for c in &run.cells {
-        let log = c.sim.span_log().expect("span tracing is enabled");
-        let replayed = match uqsim_core::CpcProfile::from_trace(log, &c.sim.trace_meta()) {
+    for (c, replayed) in run.cells.iter().zip(replays) {
+        let replayed = match replayed {
             Ok(profile) => profile,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -768,7 +795,7 @@ fn cmd_why(args: &Args) -> Outcome {
             );
             return Ok(false);
         }
-        replayed_events += log.len();
+        replayed_events += c.sim.span_log().map_or(0, |log| log.len());
     }
     eprintln!(
         "why: {replayed_events} span events replayed, {} spans audited, streaming == replay",
@@ -1042,7 +1069,9 @@ fn print_sampled_traces(run: &PartitionedRun, events: usize, every: u64, max: us
         traces.len(),
         run.result.completed
     );
-    if traces.len() < max && report_truncation(run, events, "sampled traces may be missing") > 0 {
+    if traces.len() < max
+        && report_truncation(run, events, "sampled traces may be missing").is_some()
+    {
         return Ok(false);
     }
     Ok(true)
@@ -1069,7 +1098,8 @@ fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome
         .map(|c| c.sim.span_log().map_or(0, |log| log.len()))
         .sum();
     let audit = run.audit().expect("span tracing is enabled");
-    let dropped = report_truncation(run, events, "the trace is incomplete");
+    let dropped =
+        report_truncation(run, events, "the trace is incomplete").map_or(0, |t| t.dropped);
     eprintln!(
         "trace: {recorded} events ({dropped} dropped), {} spans audited, {} completed requests",
         audit.spans_checked, run.result.completed

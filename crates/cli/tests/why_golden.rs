@@ -17,8 +17,13 @@
 //!    attribution), so the golden report is also the sharded one.
 //!
 //! 3. **Truncation refusal** — when the span log overflows, `why` exits
-//!    non-zero with a clear stderr message instead of attributing from an
-//!    incomplete stream.
+//!    non-zero with a stderr message that names the `--events` value that
+//!    would have sufficed, instead of attributing from an incomplete
+//!    stream; with no `--events` at all, every bundled config fits.
+//!
+//! 4. **Thread-order independence** — audit and replay run on two threads;
+//!    stdout *and* stderr are byte-identical across invocations, and the
+//!    auditor sees exactly the spans it always did.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -70,13 +75,50 @@ fn why_report_matches_golden() {
 
 #[test]
 fn why_json_is_byte_deterministic() {
-    let a = why(&["--json"]);
-    let b = why(&["--json"]);
-    assert!(a.status.success() && b.status.success());
-    assert_eq!(
-        a.stdout, b.stdout,
-        "identical why invocations produced different bytes"
-    );
+    let first = why(&["--json"]);
+    assert!(first.status.success());
+    for _ in 0..4 {
+        let again = why(&["--json"]);
+        assert!(again.status.success());
+        assert_eq!(
+            first.stdout, again.stdout,
+            "identical why invocations produced different bytes"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&first.stderr),
+            String::from_utf8_lossy(&again.stderr),
+            "identical why invocations produced different diagnostics"
+        );
+    }
+}
+
+/// `why --config <bundled config>` and nothing else: the default duration
+/// under the default span-log capacity.
+fn why_at_defaults(config: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_uqsim"))
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .args(["why", "--config", config])
+        .output()
+        .expect("uqsim binary runs")
+}
+
+#[test]
+fn why_accepts_every_bundled_config_at_its_defaults() {
+    for config in ["quickstart", "two_tier", "social_network"] {
+        let out = why_at_defaults(&format!("configs/{config}.json"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{config}: {stderr}");
+        if config == "quickstart" {
+            // The counts of the six-scan auditor: the one-pass auditor
+            // sees the same events and correlates the same spans.
+            assert!(
+                stderr.contains(
+                    "why: 225219 span events replayed, 50124 spans audited, streaming == replay"
+                ),
+                "{stderr}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -116,4 +158,15 @@ fn why_refuses_truncated_span_stream() {
         stderr.contains("truncated") && stderr.contains("--events"),
         "truncation message missing or unclear:\n{stderr}"
     );
+    // The message names the capacity that would have sufficed: one retry
+    // at exactly that value passes, one below it does not.
+    let needed: usize = stderr
+        .split("raise --events to at least ")
+        .nth(1)
+        .and_then(|rest| rest.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sufficient --events value named:\n{stderr}"));
+    assert!(why(&["--events", &needed.to_string()]).status.success());
+    assert!(!why(&["--events", &(needed - 1).to_string()])
+        .status
+        .success());
 }

@@ -35,12 +35,13 @@
 //! deterministically into a byte-identical result at any `--shards` count
 //! (invariant P7 of DESIGN.md §11).
 
+use crate::fasthash::FastMap;
 use crate::ids::{ClientId, InstanceId, JobId, PoolId, RequestId};
+use crate::slot_table::SlotTable;
 use crate::telemetry::{bucket_index, LatencyComponent, MetricsRegistry, StreamingHistogram};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceLog, TraceMeta};
 use serde_json::{json, Value};
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // Edge kinds and sites
@@ -194,7 +195,7 @@ impl BucketVecs {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CritAccum {
     e2e: StreamingHistogram,
-    cells: HashMap<(CritSite, EdgeKind), BucketVecs>,
+    cells: FastMap<(CritSite, EdgeKind), BucketVecs>,
 }
 
 impl CritAccum {
@@ -535,8 +536,10 @@ impl CpcProfile {
         if log.dropped() > 0 {
             return Err(format!(
                 "span log truncated ({} events dropped): critical-path attribution \
-                 requires the complete stream — raise the trace capacity (--events)",
-                log.dropped()
+                 requires the complete stream — raise the trace capacity (--events) to at \
+                 least {}",
+                log.dropped(),
+                log.len() as u64 + log.dropped()
             ));
         }
         struct ReqState {
@@ -552,15 +555,17 @@ impl CpcProfile {
             stage: u32,
             in_service: bool,
         }
-        let mut reqs: HashMap<RequestId, ReqState> = HashMap::new();
-        let mut jobs: HashMap<JobId, JobState> = HashMap::new();
+        let mut reqs: SlotTable<RequestId, ReqState> = SlotTable::default();
+        let mut jobs: SlotTable<JobId, JobState> = SlotTable::default();
+        // Segment buffers of finished requests, handed to the next ones.
+        let mut spare_segs: Vec<Vec<CritSeg>> = Vec::new();
         let mut accum = CritAccum::default();
         // Advances `rid`'s frontier to `t`, charging the elapsed interval
         // to (site, kind). Zero-length intervals are skipped, mirroring the
         // streaming mode. Charges against already-completed requests
         // (quorum stragglers) or unknown ids are no-ops.
         fn charge(
-            reqs: &mut HashMap<RequestId, ReqState>,
+            reqs: &mut SlotTable<RequestId, ReqState>,
             rid: RequestId,
             t: SimTime,
             site: CritSite,
@@ -574,6 +579,10 @@ impl CpcProfile {
                 }
             }
         }
+        fn recycle(spare: &mut Vec<Vec<CritSeg>>, mut segs: Vec<CritSeg>) {
+            segs.clear();
+            spare.push(segs);
+        }
         for ev in log.events() {
             match *ev {
                 TraceEvent::RequestEmitted {
@@ -586,7 +595,7 @@ impl CpcProfile {
                             mark: t,
                             client,
                             retry: false,
-                            segs: Vec::new(),
+                            segs: spare_segs.pop().unwrap_or_default(),
                         },
                     );
                 }
@@ -676,13 +685,13 @@ impl CpcProfile {
                     instance,
                     stage,
                     start,
-                    jobs: ref batch,
+                    jobs: batch,
                     ..
                 } => {
                     // Service begins: each batched job's wait since its
                     // frontier is queue time, charged in batch order (the
                     // exact order the simulator charges at dispatch).
-                    for &job in batch {
+                    for &job in log.batch_jobs(batch) {
                         let Some(j) = jobs.get_mut(&job) else {
                             continue;
                         };
@@ -756,10 +765,13 @@ impl CpcProfile {
                         }
                         accum.fold(e2e_ns, &r.segs);
                     }
+                    recycle(&mut spare_segs, r.segs);
                 }
                 TraceEvent::RequestDropped { request, .. }
                 | TraceEvent::RequestShed { request, .. } => {
-                    reqs.remove(&request);
+                    if let Some(r) = reqs.remove(&request) {
+                        recycle(&mut spare_segs, r.segs);
+                    }
                 }
                 TraceEvent::JobKilled { job, .. } => {
                     jobs.remove(&job);

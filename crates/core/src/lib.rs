@@ -97,6 +97,7 @@ pub mod rng;
 pub mod run;
 pub mod service;
 pub mod sim;
+mod slot_table;
 pub mod stage;
 pub mod telemetry;
 pub mod time;

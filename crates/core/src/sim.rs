@@ -1615,12 +1615,9 @@ impl Simulator {
             let max_ghz = machine.max_ghz;
             machine.cores[core_idx].dyn_energy_j +=
                 dur.as_secs_f64() * machine.spec.power.dynamic_power_w(freq, max_ghz);
-            // The batch's job list is only cloned if the log will actually
-            // retain the record (`record_with` skips the closure once the
-            // log is full), keeping tracing overhead flat.
             if let Some(log) = self.span_log.as_deref_mut() {
                 let start = self.now;
-                log.record_with(|| TraceEvent::BatchStart {
+                log.record_batch(&jobs, |jobs| TraceEvent::BatchStart {
                     instance: inst_id,
                     machine: MachineId::from_raw(m as u32),
                     stage: StageId::from_raw(stage_idx as u32),
@@ -1629,7 +1626,7 @@ impl Simulator {
                     freq_ghz: freq,
                     start,
                     end: start + dur,
-                    jobs: jobs.clone(),
+                    jobs,
                 });
             }
             inst.threads[t].running = Some(Batch {

@@ -27,6 +27,13 @@
 //!   connection-pool discipline (no double acquire/release), and warmup
 //!   accounting (measured completions match the latency recorder).
 //!
+//! Events are fixed-size `Copy` records with no heap payload: a
+//! [`TraceEvent::BatchStart`] names its jobs through a [`BatchJobs`] handle
+//! into one side arena owned by the log ([`TraceLog::batch_jobs`]). Every
+//! consumer — the three views above and
+//! [`CpcProfile::from_trace`](crate::critpath::CpcProfile::from_trace) — is
+//! one forward scan of [`TraceLog::events`].
+//!
 //! # Example
 //!
 //! ```
@@ -82,17 +89,18 @@
 //! # }
 //! ```
 
+use crate::fasthash::FastMap;
 use crate::ids::{
     ClientId, ConnectionId, InstanceId, JobId, MachineId, PathNodeId, PoolId, RequestId,
     RequestTypeId, StageId, ThreadId,
 };
+use crate::slot_table::SlotTable;
 use crate::time::SimTime;
 use serde_json::{json, Value};
-use std::collections::HashMap;
 
 /// One recorded event in a [`TraceLog`]. Events appear in execution order;
 /// events with equal timestamps keep the order the simulator produced them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A client generated a new request.
     RequestEmitted {
@@ -161,8 +169,9 @@ pub enum TraceEvent {
         start: SimTime,
         /// Service end.
         end: SimTime,
-        /// The batched jobs, in batch order.
-        jobs: Vec<JobId>,
+        /// The batched jobs, in batch order
+        /// ([`TraceLog::batch_jobs`] resolves the handle).
+        jobs: BatchJobs,
     },
     /// A job acquired a pooled connection.
     PoolAcquire {
@@ -328,6 +337,36 @@ impl TraceEvent {
     }
 }
 
+// The whole log is a flat array of these: an event owns no heap memory,
+// and a variant that grows past 56 bytes grows every one of the millions
+// of events a traced run records.
+const _: () = {
+    const fn is_copy<T: Copy>() {}
+    is_copy::<TraceEvent>();
+    assert!(std::mem::size_of::<TraceEvent>() <= 56);
+};
+
+/// The job list of one [`TraceEvent::BatchStart`]: a handle into the side
+/// arena of the [`TraceLog`] that recorded the event, resolved by
+/// [`TraceLog::batch_jobs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchJobs {
+    offset: u32,
+    len: u32,
+}
+
+impl BatchJobs {
+    /// Number of jobs in the batch.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for a batch of no jobs (the simulator never dispatches one).
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
 /// An append-only, bounded event log filled by the simulator while span
 /// tracing is enabled. When the capacity is reached further events are
 /// counted as dropped instead of recorded, so the retained prefix is always
@@ -335,6 +374,8 @@ impl TraceEvent {
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
+    /// Side arena: the job lists of all `BatchStart` events, back to back.
+    jobs: Vec<JobId>,
     capacity: usize,
     dropped: u64,
 }
@@ -344,6 +385,7 @@ impl TraceLog {
     pub fn new(capacity: usize) -> Self {
         TraceLog {
             events: Vec::new(),
+            jobs: Vec::new(),
             capacity,
             dropped: 0,
         }
@@ -358,13 +400,26 @@ impl TraceLog {
         }
     }
 
-    /// Appends the event produced by `make`, or counts a drop once the log
-    /// is full — the closure never runs in that case, so callers can defer
-    /// expensive payloads (e.g. cloning a batch's job list) until the
-    /// record is known to be retained.
-    pub(crate) fn record_with(&mut self, make: impl FnOnce() -> TraceEvent) {
+    /// Appends the [`TraceEvent::BatchStart`] that `make` builds around the
+    /// handle of `jobs`, copying the list into the arena — or counts a drop
+    /// once the log is full.
+    pub(crate) fn record_batch(
+        &mut self,
+        jobs: &[JobId],
+        make: impl FnOnce(BatchJobs) -> TraceEvent,
+    ) {
+        // Handles are 32-bit; an arena that would outgrow them ends the
+        // log, exactly as reaching the capacity does.
+        if u32::try_from(self.jobs.len() + jobs.len()).is_err() {
+            self.capacity = self.events.len();
+        }
         if self.events.len() < self.capacity {
-            self.events.push(make());
+            let handle = BatchJobs {
+                offset: self.jobs.len() as u32,
+                len: jobs.len() as u32,
+            };
+            self.jobs.extend_from_slice(jobs);
+            self.events.push(make(handle));
         } else {
             self.dropped += 1;
         }
@@ -373,6 +428,17 @@ impl TraceLog {
     /// The recorded events, in execution order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
+    }
+
+    /// The jobs of one of this log's [`TraceEvent::BatchStart`] events, in
+    /// batch order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle comes from another log and is out of range
+    /// here.
+    pub fn batch_jobs(&self, jobs: BatchJobs) -> &[JobId] {
+        &self.jobs[jobs.offset as usize..][..jobs.len()]
     }
 
     /// Number of recorded events.
@@ -394,59 +460,77 @@ impl TraceLog {
     /// events into per-job stage spans, in service order. Jobs whose
     /// enqueue fell outside the log are omitted.
     pub fn spans(&self) -> Vec<StageSpan> {
-        let mut pending: HashMap<(JobId, u32, u32), (SimTime, RequestId, PathNodeId)> =
-            HashMap::new();
+        let mut correlator = SpanCorrelator::default();
         let mut out = Vec::new();
         for ev in &self.events {
-            match ev {
-                TraceEvent::Enqueue {
-                    job,
-                    request,
-                    node,
-                    instance,
-                    stage,
-                    t,
-                } => {
-                    pending.insert((*job, instance.raw(), stage.raw()), (*t, *request, *node));
-                }
-                TraceEvent::BatchStart {
-                    instance,
-                    machine,
-                    stage,
-                    thread,
-                    core,
-                    freq_ghz,
-                    start,
-                    end,
-                    jobs,
-                } => {
-                    for &job in jobs {
-                        let Some((enqueue_t, request, node)) =
-                            pending.remove(&(job, instance.raw(), stage.raw()))
-                        else {
-                            continue;
-                        };
-                        out.push(StageSpan {
-                            request,
-                            job,
-                            node,
-                            instance: *instance,
-                            machine: *machine,
-                            stage: *stage,
-                            thread: *thread,
-                            core: *core,
-                            enqueue_t,
-                            start_t: *start,
-                            end_t: *end,
-                            batch_size: jobs.len() as u32,
-                            freq_ghz: *freq_ghz,
-                        });
-                    }
-                }
-                _ => {}
-            }
+            correlator.feed(self, ev, |span| out.push(span));
         }
         out
+    }
+}
+
+/// Pairs each [`TraceEvent::Enqueue`] with the [`TraceEvent::BatchStart`]
+/// that services it. [`TraceLog::spans`] and [`TraceAuditor::audit`] both
+/// get their spans from here, so they see the same ones.
+#[derive(Debug, Default)]
+struct SpanCorrelator {
+    /// Per `(job, instance, stage)` queue stay not yet serviced: enqueue
+    /// time, owning request, path node.
+    pending: SlotTable<(JobId, u32, u32), (SimTime, RequestId, PathNodeId)>,
+}
+
+impl SpanCorrelator {
+    /// Feeds the next event of `log`; `on_span` gets each span a
+    /// `BatchStart` completes, in batch order.
+    fn feed(&mut self, log: &TraceLog, ev: &TraceEvent, mut on_span: impl FnMut(StageSpan)) {
+        match *ev {
+            TraceEvent::Enqueue {
+                job,
+                request,
+                node,
+                instance,
+                stage,
+                t,
+            } => {
+                self.pending
+                    .insert((job, instance.raw(), stage.raw()), (t, request, node));
+            }
+            TraceEvent::BatchStart {
+                instance,
+                machine,
+                stage,
+                thread,
+                core,
+                freq_ghz,
+                start,
+                end,
+                jobs,
+            } => {
+                for &job in log.batch_jobs(jobs) {
+                    let Some((enqueue_t, request, node)) =
+                        self.pending.remove(&(job, instance.raw(), stage.raw()))
+                    else {
+                        continue;
+                    };
+                    on_span(StageSpan {
+                        request,
+                        job,
+                        node,
+                        instance,
+                        machine,
+                        stage,
+                        thread,
+                        core,
+                        enqueue_t,
+                        start_t: start,
+                        end_t: end,
+                        batch_size: jobs.len,
+                        freq_ghz,
+                    });
+                }
+            }
+            _ => {}
+        }
     }
 }
 
@@ -545,7 +629,7 @@ pub fn sampled_traces(
     // Per live request: emission time and the `(node, instance, entered,
     // done)` of each node finished so far.
     type Visit = (PathNodeId, InstanceId, SimTime, SimTime);
-    let mut live: HashMap<RequestId, (SimTime, Vec<Visit>)> = HashMap::new();
+    let mut live: SlotTable<RequestId, (SimTime, Vec<Visit>)> = SlotTable::default();
     let mut completed = 0u64;
     let mut out = Vec::new();
     for ev in &log.events {
@@ -857,11 +941,76 @@ impl AuditReport {
 
 /// Replays a [`TraceLog`] against the simulator's invariants. See the
 /// [module docs](self) for the full list of checks.
+///
+/// The audit is one forward scan. Everything it remembers about a request
+/// or a job sits in a slot-indexed table that still resolves a *displaced*
+/// generation of a reused slot to that generation's own state, so an event
+/// of an old request — a quorum straggler, a late reply after a timeout —
+/// is checked against its own request's emission and completion, never
+/// skipped. Violations are listed in log order, then the end-of-log
+/// reconciliation of the counters: the list is a function of the log alone.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceAuditor {
     /// Cap on reported violations (the log can contain millions of events;
     /// a broken invariant usually breaks everywhere at once).
     pub max_violations: usize,
+}
+
+/// What the auditor remembers about one request.
+#[derive(Debug, Clone, Copy)]
+struct RequestAudit {
+    emitted: Option<SimTime>,
+    completed: Option<SimTime>,
+    /// The terminal outcome reached, by name.
+    terminal: Option<&'static str>,
+    /// A fan-in of this request fired before all parents arrived (quorum /
+    /// best-effort), so straggler branches legitimately outlive it.
+    early_fired: bool,
+    /// Earliest enqueue and latest service end over its stage spans so far.
+    first_enqueue: SimTime,
+    last_end: SimTime,
+}
+
+impl RequestAudit {
+    fn new() -> Self {
+        RequestAudit {
+            emitted: None,
+            completed: None,
+            terminal: None,
+            early_fired: false,
+            first_enqueue: SimTime::MAX,
+            last_end: SimTime::ZERO,
+        }
+    }
+}
+
+/// The latest service interval on each lane of a two-level index —
+/// `(machine, core)` or `(instance, thread)`.
+#[derive(Debug, Default)]
+struct Lanes(Vec<Vec<Option<(SimTime, SimTime)>>>);
+
+impl Lanes {
+    /// Puts `[start, end)` on the lane and returns the interval before it
+    /// there if that one had not ended by `start`. The log is in time
+    /// order, so the interval before is the one an overlap would be with.
+    fn occupy(
+        &mut self,
+        (outer, inner): (u32, u32),
+        start: SimTime,
+        end: SimTime,
+    ) -> Option<(SimTime, SimTime)> {
+        let (outer, inner) = (outer as usize, inner as usize);
+        if outer >= self.0.len() {
+            self.0.resize_with(outer + 1, Vec::new);
+        }
+        let lanes = &mut self.0[outer];
+        if inner >= lanes.len() {
+            lanes.resize(inner + 1, None);
+        }
+        lanes[inner]
+            .replace((start, end))
+            .filter(|&(_, prev_end)| start < prev_end)
+    }
 }
 
 impl TraceAuditor {
@@ -896,86 +1045,243 @@ impl TraceAuditor {
             };
         }
 
-        // ---- Request lifecycle and conservation -------------------------
-        // Every emitted request must reach exactly one terminal outcome:
-        // completed, dropped, or shed. Timeouts are an orthogonal flag (a
-        // timed-out request may still complete late or be dropped).
-        let mut emitted: HashMap<RequestId, SimTime> = HashMap::new();
-        let mut completed: HashMap<RequestId, SimTime> = HashMap::new();
-        let mut terminal: HashMap<RequestId, &'static str> = HashMap::new();
+        let mut requests: SlotTable<RequestId, RequestAudit> = SlotTable::default();
+        let mut spans = SpanCorrelator::default();
+        let mut cores = Lanes::default();
+        let mut threads = Lanes::default();
+        // Per join node of a request: arrivals so far, and whether it fired.
+        let mut fan_state: FastMap<(RequestId, PathNodeId), (u32, bool)> = FastMap::default();
+        // Per connection: `Some(busy)` once an event named it.
+        let mut conn_busy: Vec<Option<bool>> = Vec::new();
+        let mut emitted_requests = 0u64;
+        let mut completed_requests = 0u64;
         let mut dropped_events = 0u64;
         let mut shed_events = 0u64;
         let mut measured_events = 0u64;
         let mut timeout_events = 0u64;
-        let mut terminal_of = |request: RequestId, kind: &'static str| -> Option<&'static str> {
-            terminal.insert(request, kind)
-        };
+
         for ev in log.events() {
-            match ev {
+            match *ev {
+                // ---- Request lifecycle ----------------------------------
+                // Every emitted request must reach exactly one terminal
+                // outcome: completed, dropped, or shed. Timeouts are an
+                // orthogonal flag (a timed-out request may still complete
+                // late or be dropped).
                 TraceEvent::RequestEmitted { request, t, .. } => {
-                    let prev = emitted.insert(*request, *t);
-                    if prev.is_some() {
+                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    if r.emitted.replace(t).is_some() {
                         violation!("request {request} emitted twice");
+                    } else {
+                        emitted_requests += 1;
+                    }
+                    if r.first_enqueue < t {
+                        violation!(
+                            "causality: request {request} enqueued at {} before emission at {t}",
+                            r.first_enqueue
+                        );
                     }
                 }
-                TraceEvent::RequestLaunched { request, t, .. } => match emitted.get(request) {
-                    Some(&e) if *t < e => {
-                        violation!("request {request} launched at {t} before emission at {e}");
+                TraceEvent::RequestLaunched { request, t, .. } => {
+                    match requests.get(&request).and_then(|r| r.emitted) {
+                        Some(e) if t < e => {
+                            violation!("request {request} launched at {t} before emission at {e}");
+                        }
+                        None if !truncated => {
+                            violation!("request {request} launched but never emitted");
+                        }
+                        _ => {}
                     }
-                    None if !truncated => {
-                        violation!("request {request} launched but never emitted");
-                    }
-                    _ => {}
-                },
+                }
                 TraceEvent::RequestCompleted {
                     request,
                     t,
                     measured,
                     ..
                 } => {
-                    if completed.insert(*request, *t).is_some() {
+                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    if r.completed.replace(t).is_some() {
                         violation!("request {request} completed twice");
+                    } else {
+                        completed_requests += 1;
                     }
-                    if let Some(prev) = terminal_of(*request, "completed") {
+                    if let Some(prev) = r.terminal.replace("completed") {
                         violation!("request {request} completed after terminal {prev}");
                     }
-                    if !truncated && !emitted.contains_key(request) {
+                    if !truncated && r.emitted.is_none() {
                         violation!("request {request} completed but never emitted");
                     }
-                    if *measured {
+                    if r.last_end > t && !r.early_fired {
+                        violation!(
+                            "causality: request {request} span ends at {} after completion at {t}",
+                            r.last_end
+                        );
+                    }
+                    if measured {
                         measured_events += 1;
                     }
                 }
                 TraceEvent::RequestDropped { request, .. } => {
                     dropped_events += 1;
-                    if let Some(prev) = terminal_of(*request, "dropped") {
+                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    if let Some(prev) = r.terminal.replace("dropped") {
                         violation!("request {request} dropped after terminal {prev}");
                     }
-                    if !truncated && !emitted.contains_key(request) {
+                    if !truncated && r.emitted.is_none() {
                         violation!("request {request} dropped but never emitted");
                     }
                 }
                 TraceEvent::RequestShed { request, .. } => {
                     shed_events += 1;
-                    if let Some(prev) = terminal_of(*request, "shed") {
+                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    if let Some(prev) = r.terminal.replace("shed") {
                         violation!("request {request} shed after terminal {prev}");
                     }
-                    if !truncated && !emitted.contains_key(request) {
+                    if !truncated && r.emitted.is_none() {
                         violation!("request {request} shed but never emitted");
                     }
                 }
-                TraceEvent::RequestRetry { request, .. }
-                    if !truncated && !emitted.contains_key(request) =>
-                {
-                    violation!("retry request {request} has no emission");
+                TraceEvent::RequestRetry { request, .. } => {
+                    let emitted = requests.get(&request).and_then(|r| r.emitted);
+                    if !truncated && emitted.is_none() {
+                        violation!("retry request {request} has no emission");
+                    }
                 }
                 TraceEvent::RequestTimeout { .. } => timeout_events += 1,
-                _ => {}
+
+                // ---- Non-overlap per core and per thread, span causality -
+                TraceEvent::NetRx {
+                    machine,
+                    core,
+                    start,
+                    end,
+                    ..
+                } => {
+                    let lane = (machine.raw(), core);
+                    if let Some(before) = cores.occupy(lane, start, end) {
+                        violation!("{}", overlap("core", lane, before, (start, end)));
+                    }
+                }
+                TraceEvent::Enqueue { .. } => spans.feed(log, ev, |_| {}),
+                TraceEvent::BatchStart {
+                    instance,
+                    machine,
+                    thread,
+                    core,
+                    start,
+                    end,
+                    ..
+                } => {
+                    for (kind, lanes, lane) in [
+                        ("core", &mut cores, (machine.raw(), core)),
+                        ("thread", &mut threads, (instance.raw(), thread.raw())),
+                    ] {
+                        if let Some(before) = lanes.occupy(lane, start, end) {
+                            violation!("{}", overlap(kind, lane, before, (start, end)));
+                        }
+                    }
+                    spans.feed(log, ev, |s| {
+                        report.spans_checked += 1;
+                        if s.enqueue_t > s.start_t || s.start_t > s.end_t {
+                            violation!(
+                                "span ordering: job {} at {}/{} has enqueue {} start {} end {}",
+                                s.job,
+                                s.instance,
+                                s.stage,
+                                s.enqueue_t,
+                                s.start_t,
+                                s.end_t
+                            );
+                        }
+                        let r = requests.get_or_insert_with(s.request, RequestAudit::new);
+                        r.first_enqueue = r.first_enqueue.min(s.enqueue_t);
+                        r.last_end = r.last_end.max(s.end_t);
+                        if let Some(e) = r.emitted {
+                            if s.enqueue_t < e {
+                                violation!(
+                                    "causality: request {} enqueued at {} before emission at {e}",
+                                    s.request,
+                                    s.enqueue_t
+                                );
+                            }
+                        }
+                        if let Some(c) = r.completed {
+                            if s.end_t > c && !r.early_fired {
+                                violation!(
+                                    "causality: request {} span ends at {} after completion at {c}",
+                                    s.request,
+                                    s.end_t
+                                );
+                            }
+                        }
+                    });
+                }
+
+                // ---- Fan-in discipline ----------------------------------
+                TraceEvent::FanIn {
+                    request,
+                    node,
+                    arrivals,
+                    fan_in,
+                    required,
+                    fired,
+                    ..
+                } => {
+                    if arrivals > fan_in {
+                        violation!(
+                            "fan-in: request {request} node {node} saw arrival {arrivals} of {fan_in}"
+                        );
+                    }
+                    if required == 0 || required > fan_in {
+                        violation!(
+                            "fan-in: request {request} node {node} requires {required} of {fan_in}"
+                        );
+                    }
+                    if fired != (arrivals == required) {
+                        violation!(
+                            "fan-in: request {request} node {node} fired={fired} at arrival \
+                             {arrivals} (requires {required} of {fan_in})"
+                        );
+                    }
+                    let state = fan_state.entry((request, node)).or_insert((0, false));
+                    if arrivals != state.0 + 1 {
+                        violation!(
+                            "fan-in: request {request} node {node} arrivals jumped {} -> {arrivals}",
+                            state.0
+                        );
+                    }
+                    // Arrivals after the firing are only legitimate absorbed
+                    // stragglers under an early-firing (quorum) policy.
+                    if state.1 && required == fan_in {
+                        violation!("fan-in: request {request} node {node} arrival after firing");
+                    }
+                    *state = (arrivals, state.1 || fired);
+                    if fired && required < fan_in {
+                        requests
+                            .get_or_insert_with(request, RequestAudit::new)
+                            .early_fired = true;
+                    }
+                }
+
+                // ---- Connection-pool discipline -------------------------
+                TraceEvent::PoolAcquire { conn, .. } | TraceEvent::PoolGrant { conn, .. } => {
+                    if conn_state(&mut conn_busy, conn).replace(true) == Some(true) {
+                        violation!("pool: connection {conn} acquired while busy");
+                    }
+                }
+                TraceEvent::PoolRelease { conn, .. } => {
+                    if conn_state(&mut conn_busy, conn).replace(false) != Some(true) {
+                        violation!("pool: connection {conn} released while free");
+                    }
+                }
+                TraceEvent::PoolBlock { .. }
+                | TraceEvent::NodeDone { .. }
+                | TraceEvent::JobKilled { .. } => {}
             }
         }
+
+        // ---- End-of-log reconciliation: conservation and the counters ---
         if !truncated {
-            let e = emitted.len() as u64;
-            let c = completed.len() as u64;
+            let (e, c) = (emitted_requests, completed_requests);
             if e != c + dropped_events + shed_events + counts.live_requests {
                 violation!(
                     "conservation: {e} emitted != {c} completed + {dropped_events} dropped + \
@@ -1022,181 +1328,36 @@ impl TraceAuditor {
             }
         }
 
-        // ---- Span causality ---------------------------------------------
-        // Requests whose fan-in fired early (quorum / best-effort) have
-        // straggler branches legitimately executing after completion.
-        let early_fired: std::collections::HashSet<RequestId> = log
-            .events()
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::FanIn {
-                    request,
-                    required,
-                    fan_in,
-                    fired: true,
-                    ..
-                } if required < fan_in => Some(*request),
-                _ => None,
-            })
-            .collect();
-        let spans = log.spans();
-        report.spans_checked = spans.len();
-        for s in &spans {
-            if s.enqueue_t > s.start_t || s.start_t > s.end_t {
-                violation!(
-                    "span ordering: job {} at {}/{} has enqueue {} start {} end {}",
-                    s.job,
-                    s.instance,
-                    s.stage,
-                    s.enqueue_t,
-                    s.start_t,
-                    s.end_t
-                );
-            }
-            if let Some(&e) = emitted.get(&s.request) {
-                if s.enqueue_t < e {
-                    violation!(
-                        "causality: request {} enqueued at {} before emission at {e}",
-                        s.request,
-                        s.enqueue_t
-                    );
-                }
-            }
-            if let Some(&c) = completed.get(&s.request) {
-                if s.end_t > c && !early_fired.contains(&s.request) {
-                    violation!(
-                        "causality: request {} span ends at {} after completion at {c}",
-                        s.request,
-                        s.end_t
-                    );
-                }
-            }
-        }
-
-        // ---- Non-overlap per core and per thread ------------------------
-        let mut per_core: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
-        let mut per_thread: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
-        for ev in log.events() {
-            match ev {
-                TraceEvent::BatchStart {
-                    instance,
-                    machine,
-                    thread,
-                    core,
-                    start,
-                    end,
-                    ..
-                } => {
-                    per_core
-                        .entry((machine.raw(), *core))
-                        .or_default()
-                        .push((start.as_nanos(), end.as_nanos()));
-                    per_thread
-                        .entry((instance.raw(), thread.raw()))
-                        .or_default()
-                        .push((start.as_nanos(), end.as_nanos()));
-                }
-                TraceEvent::NetRx {
-                    machine,
-                    core,
-                    start,
-                    end,
-                    ..
-                } => {
-                    per_core
-                        .entry((machine.raw(), *core))
-                        .or_default()
-                        .push((start.as_nanos(), end.as_nanos()));
-                }
-                _ => {}
-            }
-        }
-        for (kind, map) in [("core", &mut per_core), ("thread", &mut per_thread)] {
-            for (key, intervals) in map.iter_mut() {
-                intervals.sort_unstable();
-                for w in intervals.windows(2) {
-                    if w[1].0 < w[0].1 {
-                        violation!(
-                            "non-overlap: {kind} {key:?} services [{}, {}) and [{}, {}) \
-                             concurrently",
-                            w[0].0,
-                            w[0].1,
-                            w[1].0,
-                            w[1].1
-                        );
-                    }
-                }
-            }
-        }
-
-        // ---- Fan-in discipline ------------------------------------------
-        let mut fan_state: HashMap<(RequestId, PathNodeId), (u32, bool)> = HashMap::new();
-        for ev in log.events() {
-            if let TraceEvent::FanIn {
-                request,
-                node,
-                arrivals,
-                fan_in,
-                required,
-                fired,
-                ..
-            } = ev
-            {
-                if *arrivals > *fan_in {
-                    violation!(
-                        "fan-in: request {request} node {node} saw arrival {arrivals} of {fan_in}"
-                    );
-                }
-                if *required == 0 || *required > *fan_in {
-                    violation!(
-                        "fan-in: request {request} node {node} requires {required} of {fan_in}"
-                    );
-                }
-                if *fired != (*arrivals == *required) {
-                    violation!(
-                        "fan-in: request {request} node {node} fired={fired} at arrival \
-                         {arrivals} (requires {required} of {fan_in})"
-                    );
-                }
-                let state = fan_state.entry((*request, *node)).or_insert((0, false));
-                if *arrivals != state.0 + 1 {
-                    violation!(
-                        "fan-in: request {request} node {node} arrivals jumped {} -> {arrivals}",
-                        state.0
-                    );
-                }
-                // Arrivals after the firing are only legitimate absorbed
-                // stragglers under an early-firing (quorum) policy.
-                if state.1 && *required == *fan_in {
-                    violation!("fan-in: request {request} node {node} arrival after firing");
-                }
-                *state = (*arrivals, state.1 || *fired);
-            }
-        }
-
-        // ---- Connection-pool discipline ---------------------------------
-        let mut conn_busy: HashMap<ConnectionId, bool> = HashMap::new();
-        for ev in log.events() {
-            match ev {
-                TraceEvent::PoolAcquire { conn, .. } | TraceEvent::PoolGrant { conn, .. } => {
-                    let was_busy = conn_busy.insert(*conn, true);
-                    if was_busy == Some(true) {
-                        violation!("pool: connection {conn} acquired while busy");
-                    }
-                }
-                TraceEvent::PoolRelease { conn, .. } => {
-                    let was_busy = conn_busy.insert(*conn, false);
-                    if was_busy != Some(true) {
-                        violation!("pool: connection {conn} released while free");
-                    }
-                }
-                _ => {}
-            }
-        }
-
         report
     }
 }
+
+/// The violation for `now` starting on `lane` before `before` ended.
+fn overlap(
+    kind: &str,
+    lane: (u32, u32),
+    before: (SimTime, SimTime),
+    now: (SimTime, SimTime),
+) -> String {
+    format!(
+        "non-overlap: {kind} {lane:?} services [{}, {}) and [{}, {}) concurrently",
+        before.0.as_nanos(),
+        before.1.as_nanos(),
+        now.0.as_nanos(),
+        now.1.as_nanos()
+    )
+}
+
+/// `conn`'s entry in the dense busy table, grown on demand.
+fn conn_state(busy: &mut Vec<Option<bool>>, conn: ConnectionId) -> &mut Option<bool> {
+    if conn.index() >= busy.len() {
+        busy.resize(conn.index() + 1, None);
+    }
+    &mut busy[conn.index()]
+}
+
+#[cfg(test)]
+mod corruption;
 
 #[cfg(test)]
 mod tests {
@@ -1239,17 +1400,30 @@ mod tests {
         }
     }
 
-    fn batch(core: u32, start: u64, end: u64, jobs: Vec<JobId>) -> TraceEvent {
-        TraceEvent::BatchStart {
+    /// Records a batch on `(core, thread)` of instance 0 / machine 0,
+    /// its job list going through the log's arena.
+    fn batch(log: &mut TraceLog, core: u32, thread: u32, start: u64, end: u64, jobs: &[JobId]) {
+        log.record_batch(jobs, |jobs| TraceEvent::BatchStart {
             instance: InstanceId::from_raw(0),
             machine: MachineId::from_raw(0),
             stage: StageId::from_raw(0),
-            thread: ThreadId::from_raw(0),
+            thread: ThreadId::from_raw(thread),
             core,
             freq_ghz: 2.6,
             start: t(start),
             end: t(end),
             jobs,
+        });
+    }
+
+    fn enqueue(job: JobId, request: RequestId, at: u64) -> TraceEvent {
+        TraceEvent::Enqueue {
+            job,
+            request,
+            node: PathNodeId::from_raw(0),
+            instance: InstanceId::from_raw(0),
+            stage: StageId::from_raw(0),
+            t: t(at),
         }
     }
 
@@ -1287,19 +1461,9 @@ mod tests {
 
     #[test]
     fn clean_log_passes() {
-        let log = log_of(vec![
-            emit(1, 0),
-            TraceEvent::Enqueue {
-                job: jid(1),
-                request: rid(1),
-                node: PathNodeId::from_raw(0),
-                instance: InstanceId::from_raw(0),
-                stage: StageId::from_raw(0),
-                t: t(10),
-            },
-            batch(0, 20, 30, vec![jid(1)]),
-            complete(1, 40),
-        ]);
+        let mut log = log_of(vec![emit(1, 0), enqueue(jid(1), rid(1), 10)]);
+        batch(&mut log, 0, 0, 20, 30, &[jid(1)]);
+        log.record(complete(1, 40));
         let report = TraceAuditor::new().audit(&log, &counts(1, 1, 0, 1));
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.spans_checked, 1);
@@ -1337,22 +1501,10 @@ mod tests {
 
     #[test]
     fn core_overlap_detected() {
-        let disjoint = TraceEvent::BatchStart {
-            instance: InstanceId::from_raw(0),
-            machine: MachineId::from_raw(0),
-            stage: StageId::from_raw(0),
-            thread: ThreadId::from_raw(1),
-            core: 1,
-            freq_ghz: 2.6,
-            start: t(50),
-            end: t(150),
-            jobs: vec![jid(3)],
-        };
-        let log = log_of(vec![
-            batch(0, 0, 100, vec![jid(1)]),
-            batch(0, 50, 150, vec![jid(2)]), // overlaps on core 0 and thread 0
-            disjoint,                        // different core and thread: fine
-        ]);
+        let mut log = TraceLog::new(16);
+        batch(&mut log, 0, 0, 0, 100, &[jid(1)]);
+        batch(&mut log, 0, 0, 50, 150, &[jid(2)]); // overlaps on core 0 and thread 0
+        batch(&mut log, 1, 1, 50, 150, &[jid(3)]); // different core and thread: fine
         let report = TraceAuditor::new().audit(&log, &counts(0, 0, 0, 0));
         let overlaps: Vec<_> = report
             .violations
@@ -1365,17 +1517,9 @@ mod tests {
 
     #[test]
     fn span_ordering_violation_detected() {
-        let log = log_of(vec![
-            TraceEvent::Enqueue {
-                job: jid(1),
-                request: rid(1),
-                node: PathNodeId::from_raw(0),
-                instance: InstanceId::from_raw(0),
-                stage: StageId::from_raw(0),
-                t: t(50), // enqueued after service started
-            },
-            batch(0, 20, 30, vec![jid(1)]),
-        ]);
+        // Enqueued after service started.
+        let mut log = log_of(vec![enqueue(jid(1), rid(1), 50)]);
+        batch(&mut log, 0, 0, 20, 30, &[jid(1)]);
         let report = TraceAuditor::new().audit(&log, &counts(0, 0, 0, 0));
         assert!(
             report
@@ -1544,6 +1688,84 @@ mod tests {
     }
 
     #[test]
+    fn violation_list_is_a_function_of_the_log() {
+        // Overlaps on two cores and two threads: the list must come out in
+        // log order, and the same on every audit of the same log.
+        let mut log = TraceLog::new(16);
+        batch(&mut log, 1, 1, 0, 100, &[jid(1)]);
+        batch(&mut log, 0, 0, 10, 110, &[jid(2)]);
+        batch(&mut log, 0, 0, 60, 160, &[jid(3)]);
+        batch(&mut log, 1, 1, 50, 150, &[jid(4)]);
+        let first = TraceAuditor::new().audit(&log, &counts(0, 0, 0, 0));
+        let second = TraceAuditor::new().audit(&log, &counts(0, 0, 0, 0));
+        assert_eq!(first.violations, second.violations);
+        let lanes: Vec<&str> = first
+            .violations
+            .iter()
+            .map(|v| v.split(" services").next().unwrap())
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                "non-overlap: core (0, 0)",
+                "non-overlap: thread (0, 0)",
+                "non-overlap: core (0, 1)",
+                "non-overlap: thread (0, 1)",
+            ]
+        );
+        // Capped, it is still the same prefix.
+        let capped = TraceAuditor { max_violations: 3 }.audit(&log, &counts(0, 0, 0, 0));
+        assert_eq!(capped.violations, first.violations[..3]);
+    }
+
+    /// Generation 0 of request slot 1 completes, generation 1 takes the
+    /// slot, and only then does a straggler branch of generation 0 run —
+    /// its span ends after generation 0's completion. `quorum` says
+    /// whether generation 0's join fired on 2 of 3 parents or waited for
+    /// all 3.
+    fn straggler_after_slot_reuse(quorum: bool) -> AuditReport {
+        let (old, new) = (RequestId::new(1, 0), RequestId::new(1, 1));
+        let required = if quorum { 2 } else { 3 };
+        let emit_gen = |request, at| TraceEvent::RequestEmitted {
+            request,
+            request_type: RequestTypeId::from_raw(0),
+            client: ClientId::from_raw(0),
+            t: t(at),
+        };
+        let mut log = log_of(vec![
+            emit_gen(old, 0),
+            fan_in(1, 1, 3, required, false, 10),
+            fan_in(1, 2, 3, required, quorum, 20),
+        ]);
+        if !quorum {
+            log.record(fan_in(1, 3, 3, 3, true, 25));
+        }
+        log.record(complete(1, 30));
+        log.record(emit_gen(new, 40));
+        log.record(enqueue(jid(7), old, 45));
+        batch(&mut log, 0, 0, 50, 60, &[jid(7)]);
+        TraceAuditor::new().audit(&log, &counts(2, 1, 1, 1))
+    }
+
+    #[test]
+    fn displaced_generation_is_checked_against_its_own_request() {
+        // Under quorum the straggler is legitimate, slot reuse or not.
+        let report = straggler_after_slot_reuse(true);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.spans_checked, 1);
+        // Under `all` nothing may outlive the completion: the span is
+        // checked against generation 0's completion at 30, not skipped
+        // because generation 1 now holds the slot.
+        let report = straggler_after_slot_reuse(false);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(
+            report.violations[0].starts_with("causality: request RequestId(1.0) span ends at"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
     fn truncated_log_skips_conservation() {
         let mut log = TraceLog::new(1);
         log.record(emit(1, 0));
@@ -1573,11 +1795,9 @@ mod tests {
             pools: vec![],
             clients: vec![ClientMeta { name: "wrk".into() }],
         };
-        let log = log_of(vec![
-            emit(1, 1_000),
-            batch(0, 2_000, 3_500, vec![jid(1)]),
-            complete(1, 5_000),
-        ]);
+        let mut log = log_of(vec![emit(1, 1_000)]);
+        batch(&mut log, 0, 0, 2_000, 3_500, &[jid(1)]);
+        log.record(complete(1, 5_000));
         let v = chrome_trace(&log, &meta);
         let events = v["traceEvents"].as_array().unwrap();
         // 1 process + 2 thread metadata + 1 requests process + 3 payload.

@@ -1,0 +1,244 @@
+//! Corruption sweep: real span logs, one event corrupted at a time.
+//!
+//! Each case takes a clean log a bundled scenario recorded, breaks exactly
+//! one invariant by editing, duplicating or removing one event, and must
+//! come back from the auditor with that invariant's violation — while the
+//! untouched log stays clean and the auditor counts exactly the spans
+//! [`TraceLog::spans`] returns.
+
+use super::*;
+use crate::config::ScenarioConfig;
+use crate::fault::FaultPlan;
+use crate::time::SimDuration;
+
+const QUICKSTART: &str = include_str!("../../../cli/configs/quickstart.json");
+const QUICKSTART_FAULTS: &str = include_str!("../../../cli/configs/quickstart_faults.json");
+const SOCIAL_NETWORK: &str = include_str!("../../../cli/configs/social_network.json");
+
+/// Runs a bundled scenario with the span log on and returns the log with
+/// the counters it must reconcile with.
+fn record(scenario: &str, faults: Option<&str>, secs: f64) -> (TraceLog, AuditCounts) {
+    let mut sim = ScenarioConfig::from_json(scenario)
+        .expect("bundled scenario parses")
+        .build()
+        .expect("bundled scenario builds");
+    if let Some(plan) = faults {
+        let plan = FaultPlan::from_json(plan).expect("bundled fault plan parses");
+        sim.install_faults(&plan).expect("plan matches scenario");
+    }
+    sim.enable_span_tracing(2_000_000);
+    sim.run_for(SimDuration::from_secs_f64(secs));
+    let counts = sim.audit_counts();
+    let log = sim.take_span_log().expect("span tracing is on");
+    assert_eq!(log.dropped(), 0, "capacity too small for this test");
+    (log, counts)
+}
+
+/// Index of the first event `pick` accepts.
+fn find(log: &TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Option<usize> {
+    log.events.iter().position(pick)
+}
+
+fn duplicate(log: &mut TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Option<()> {
+    let i = find(log, pick)?;
+    log.events.insert(i + 1, log.events[i]);
+    Some(())
+}
+
+/// A measured completion: present in every log, and the one whose loss
+/// every counter notices.
+fn measured_completion(ev: &TraceEvent) -> bool {
+    matches!(ev, TraceEvent::RequestCompleted { measured: true, .. })
+}
+
+/// Index of the first `BatchStart` whose predecessor on its core is also
+/// its predecessor on its thread and lasted at least 2 ns, with that
+/// predecessor's end.
+fn batch_after_same_core_and_thread(log: &TraceLog) -> Option<(usize, SimTime)> {
+    let mut last_on_core = FastMap::default();
+    let mut last_on_thread = FastMap::default();
+    for (i, ev) in log.events.iter().enumerate() {
+        if let TraceEvent::BatchStart {
+            instance,
+            machine,
+            thread,
+            core,
+            start,
+            end,
+            ..
+        } = *ev
+        {
+            let on_core = last_on_core.insert((machine, core), (i, start, end));
+            let on_thread = last_on_thread.insert((instance, thread), (i, start, end));
+            match (on_core, on_thread) {
+                (Some(a), Some(b)) if a == b && a.2.as_nanos() >= a.1.as_nanos() + 2 => {
+                    return Some((i, a.2));
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// One way to break a log, and the violation it must produce.
+struct Corruption {
+    name: &'static str,
+    /// Every one of these must appear in some violation.
+    expect: &'static [&'static str],
+    /// Corrupts the log in place; `None` if the log has no event to corrupt.
+    apply: fn(&mut TraceLog) -> Option<()>,
+}
+
+const CORRUPTIONS: &[Corruption] = &[
+    Corruption {
+        name: "duplicate an emission",
+        expect: &["emitted twice"],
+        apply: |log| duplicate(log, |ev| matches!(ev, TraceEvent::RequestEmitted { .. })),
+    },
+    Corruption {
+        name: "drop a completion",
+        expect: &["conservation", "completion events", "warmup accounting"],
+        apply: |log| {
+            let i = find(log, measured_completion)?;
+            log.events.remove(i);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "complete twice",
+        expect: &["completed twice", "completed after terminal completed"],
+        apply: |log| duplicate(log, measured_completion),
+    },
+    Corruption {
+        name: "drop a terminal drop",
+        expect: &["conservation", "drop events"],
+        apply: |log| {
+            let i = find(log, |ev| matches!(ev, TraceEvent::RequestDropped { .. }))?;
+            log.events.remove(i);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "shift a batch back onto its core's and thread's previous one",
+        expect: &["non-overlap: core", "non-overlap: thread"],
+        apply: |log| {
+            let (i, prev_end) = batch_after_same_core_and_thread(log)?;
+            let TraceEvent::BatchStart { start, .. } = &mut log.events[i] else {
+                unreachable!("the index names a BatchStart");
+            };
+            *start = SimTime::from_nanos(prev_end.as_nanos() - 1);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "enqueue after service started",
+        expect: &["span ordering"],
+        apply: |log| {
+            let i = find(log, |ev| matches!(ev, TraceEvent::Enqueue { .. }))?;
+            let TraceEvent::Enqueue { t, .. } = &mut log.events[i] else {
+                unreachable!("the index names an Enqueue");
+            };
+            *t = SimTime::MAX;
+            Some(())
+        },
+    },
+    Corruption {
+        name: "end a span after its request completed",
+        expect: &["after completion"],
+        apply: |log| {
+            // The first completed request's first span, stretched past the
+            // completion. No bundled config fires a fan-in early, so every
+            // request is under `all`.
+            let (request, done) = log.events.iter().find_map(|ev| match *ev {
+                TraceEvent::RequestCompleted { request, t, .. } => Some((request, t)),
+                _ => None,
+            })?;
+            let span = log.spans().into_iter().find(|s| s.request == request)?;
+            let i = find(log, |ev| {
+                matches!(*ev, TraceEvent::BatchStart { instance, thread, start, .. }
+                    if (instance, thread, start) == (span.instance, span.thread, span.start_t))
+            })?;
+            let TraceEvent::BatchStart { end, .. } = &mut log.events[i] else {
+                unreachable!("the index names a BatchStart");
+            };
+            *end = SimTime::from_nanos(done.as_nanos() + 1);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "bump a fan-in arrival count",
+        expect: &["fan-in"],
+        apply: |log| {
+            let i = find(log, |ev| matches!(ev, TraceEvent::FanIn { .. }))?;
+            let TraceEvent::FanIn { arrivals, .. } = &mut log.events[i] else {
+                unreachable!("the index names a FanIn");
+            };
+            *arrivals += 1;
+            Some(())
+        },
+    },
+    Corruption {
+        name: "acquire a busy connection",
+        expect: &["acquired while busy"],
+        apply: |log| duplicate(log, |ev| matches!(ev, TraceEvent::PoolAcquire { .. })),
+    },
+    Corruption {
+        name: "release a free connection",
+        expect: &["released while free"],
+        apply: |log| duplicate(log, |ev| matches!(ev, TraceEvent::PoolRelease { .. })),
+    },
+    Corruption {
+        name: "flip measured",
+        expect: &["warmup accounting"],
+        apply: |log| {
+            let i = find(log, measured_completion)?;
+            let TraceEvent::RequestCompleted { measured, .. } = &mut log.events[i] else {
+                unreachable!("the index names a RequestCompleted");
+            };
+            *measured = false;
+            Some(())
+        },
+    },
+];
+
+#[test]
+fn every_one_event_corruption_of_a_real_log_is_flagged() {
+    let logs = [
+        ("quickstart", record(QUICKSTART, None, 1.0)),
+        (
+            "quickstart + faults",
+            record(QUICKSTART, Some(QUICKSTART_FAULTS), 1.6),
+        ),
+        // The one bundled config with join nodes and connection pools.
+        ("social_network", record(SOCIAL_NETWORK, None, 0.6)),
+    ];
+    let mut applied = vec![0; CORRUPTIONS.len()];
+    for (scenario, (log, counts)) in &logs {
+        let clean = TraceAuditor::new().audit(log, counts);
+        assert!(clean.is_clean(), "{scenario}: {:?}", clean.violations);
+        assert_eq!(clean.events_checked, log.len(), "{scenario}");
+        assert_eq!(clean.spans_checked, log.spans().len(), "{scenario}");
+        assert!(clean.spans_checked > 1_000, "{scenario}: a trivial log");
+
+        for (case, corruption) in CORRUPTIONS.iter().enumerate() {
+            let mut broken = log.clone();
+            if (corruption.apply)(&mut broken).is_none() {
+                continue;
+            }
+            applied[case] += 1;
+            let report = TraceAuditor::new().audit(&broken, counts);
+            for class in corruption.expect {
+                assert!(
+                    report.violations.iter().any(|v| v.contains(class)),
+                    "{scenario}, {}: no `{class}` violation in {:?}",
+                    corruption.name,
+                    report.violations
+                );
+            }
+        }
+    }
+    for (corruption, n) in CORRUPTIONS.iter().zip(applied) {
+        assert!(n > 0, "{}: no log had an event to corrupt", corruption.name);
+    }
+}
