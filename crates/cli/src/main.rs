@@ -88,9 +88,9 @@
 //! output is byte-identical across runs and machines. `run`, `chaos`,
 //! `why`, and `sweep --config` accept `--gen <gen.json>` in place of a
 //! scenario path: the spec is generated on the fly (the command's `--seed`
-//! doubles as the generation seed) and then treated exactly like a
-//! hand-written scenario directory. An example spec ships at
-//! `crates/cli/configs/gen_dsb.json`.
+//! doubles as the generation seed) and then treated exactly like the
+//! scenario directory `gen --out` would write for it. An example spec
+//! ships at `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -98,7 +98,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::partition::CellOutput;
+use uqsim_core::partition::{CellOutput, SpanTracing};
 use uqsim_core::run::RunResult;
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
@@ -276,35 +276,25 @@ fn load(path: &Path) -> Result<ScenarioConfig, SimError> {
     }
 }
 
-/// `--gen <spec>` support: generates the spec's scenario and loads it the
-/// way a hand-written scenario directory is loaded — written out as a
-/// Table I directory under the temp dir, read back, and the directory
-/// removed — so a generated scenario runs byte-for-byte like the same
-/// scenario from `uqsim gen --out`. The command's `--seed` doubles as the
-/// generation seed (falling back to the spec's own default), keeping
-/// `(spec, seed) → scenario` reproducible from any entry point. The
-/// summary goes to stderr; stdout stays reserved for the command's own
-/// (byte-stable) output.
+/// `--gen <spec>` support: generates the spec's scenario in memory. That
+/// is the scenario `uqsim gen --out` writes and a later command loads —
+/// the Table I layout round-trips a generated scenario exactly (pinned by
+/// the `gen_smoke` test), so there is nothing to gain from going through
+/// the disk. The command's `--seed` doubles as the generation seed
+/// (falling back to the spec's own default), keeping `(spec, seed) →
+/// scenario` reproducible from any entry point. The summary goes to
+/// stderr; stdout stays reserved for the command's own (byte-stable)
+/// output.
 fn generate(spec_path: &Path, seed: Option<u64>) -> Result<ScenarioConfig, SimError> {
     let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
     let seed = seed.unwrap_or(spec.seed);
     let generated = spec.generate(seed)?;
-    let dir = std::env::temp_dir().join(format!(
-        "uqsim-gen-{}-{}-{seed}",
-        std::process::id(),
-        spec.name
-    ));
-    let loaded = generated
-        .write_dir(&dir)
-        .and_then(|()| ScenarioConfig::from_dir(&dir));
-    // Best effort: a directory that never got created is already gone.
-    let _ = std::fs::remove_dir_all(&dir);
     eprintln!(
         "generated {} seed {seed}: {}",
         spec.name,
         uqsim_synth::summarize(&generated)
     );
-    loaded
+    Ok(generated)
 }
 
 /// What every simulating subcommand shares, parsed, loaded and validated
@@ -390,7 +380,7 @@ impl RunPlan {
     fn run(
         &self,
         telemetry: Option<TelemetryConfig>,
-        span_tracing: Option<usize>,
+        span_tracing: SpanTracing,
     ) -> Result<PartitionedRun, SimError> {
         let opts = PartitionOptions {
             shards: self.shards,
@@ -473,7 +463,7 @@ fn cmd_run(args: &Args) -> Outcome {
         sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
         ..TelemetryConfig::default()
     });
-    let run = plan.run(telemetry, None)?;
+    let run = plan.run(telemetry, SpanTracing::Off)?;
     print_run_summary(&plan, &run.result);
     if let Some(dir) = metrics_out {
         std::fs::create_dir_all(&dir)?;
@@ -557,7 +547,11 @@ fn cmd_chaos(args: &Args) -> Outcome {
     }
     let events: usize = args.get_or("--events", 4_000_000)?;
     let plan = RunPlan::from_args(args, 5.0)?;
-    let run = plan.run(critpath_telemetry(), Some(events))?;
+    let span_tracing = SpanTracing::Check {
+        events,
+        replay: false,
+    };
+    let run = plan.run(critpath_telemetry(), span_tracing)?;
     let audit = match report_truncation(&run, events, "audit skipped") {
         None => Ok(run.audit().expect("span tracing is enabled")),
         Some(truncation) => Err(truncation),
@@ -744,8 +738,9 @@ fn print_tail_attribution(rep: &uqsim_core::CpcReport) {
     println!();
 }
 
-/// `why`'s default span-log capacity per cell. A limit, not a reservation:
-/// it holds the largest bundled config at the default duration
+/// `why`'s default cap on span events per cell. A limit on events, not on
+/// memory — the log is streamed to the checks, not stored: it lets the
+/// largest bundled config through at the default duration
 /// (`social_network`, 5 s: 4,550,942 events) with room to spare.
 const WHY_EVENTS: usize = 8_000_000;
 
@@ -754,9 +749,10 @@ const WHY_EVENTS: usize = 8_000_000;
 /// Runs the scenario (optionally faulted) with both streaming critical-path
 /// accumulation and full span tracing, audits the trace, cross-checks each
 /// cell's streaming profile against an independent replay of that cell's
-/// recorded trace (audits and replays are independent reads of finished
-/// logs and run side by side), and prints the cohort/differential
-/// attribution report of the merged profile. Fails (non-zero exit) when a span log truncated
+/// span events (the audit and the replay fold the events chunk by chunk on
+/// a second thread while the cell runs; the log is never stored), and
+/// prints the cohort/differential attribution report of the merged
+/// profile. Fails (non-zero exit) when a span log truncated
 /// — a truncated stream would silently under-attribute — when the audit
 /// finds violations, or when streaming and replayed attribution disagree.
 /// Cell decomposition depends on the scenario, not the worker count, so
@@ -764,12 +760,15 @@ const WHY_EVENTS: usize = 8_000_000;
 fn cmd_why(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", WHY_EVENTS)?;
     let plan = RunPlan::from_args(args, 5.0)?;
-    let run = plan.run(critpath_telemetry(), Some(events))?;
+    let span_tracing = SpanTracing::Check {
+        events,
+        replay: true,
+    };
+    let run = plan.run(critpath_telemetry(), span_tracing)?;
     if report_truncation(&run, events, "attribution would be incomplete").is_some() {
         return Ok(false);
     }
-    let (audit, replays) =
-        uqsim_core::partition::audit_and_replay(&run.cells).expect("span tracing is enabled");
+    let audit = run.audit().expect("span tracing is enabled");
     if !audit.is_clean() {
         eprintln!(
             "error: trace audit found {} violation(s); refusing to attribute",
@@ -779,15 +778,16 @@ fn cmd_why(args: &Args) -> Outcome {
         return Ok(false);
     }
     let mut replayed_events = 0;
-    for (c, replayed) in run.cells.iter().zip(replays) {
-        let replayed = match replayed {
+    for c in &run.cells {
+        let checks = c.checks.as_ref().expect("the span log was checked");
+        let replayed = match checks.replay.as_ref().expect("replay was asked for") {
             Ok(profile) => profile,
             Err(msg) => {
                 eprintln!("error: {msg}");
                 return Ok(false);
             }
         };
-        if c.result.critpath.as_ref() != Some(&replayed) {
+        if c.result.critpath.as_ref() != Some(replayed) {
             eprintln!(
                 "error: cell {}: streaming and trace-replayed attribution disagree; \
                  this is an engine bug — please report it",
@@ -1038,7 +1038,7 @@ fn cmd_trace(args: &Args) -> Outcome {
     let every: u64 = args.get_or("--every", 100)?;
     let max: usize = args.get_or("--max", 20)?;
     let plan = RunPlan::from_args(args, 2.0)?;
-    let run = plan.run(None, Some(events))?;
+    let run = plan.run(None, SpanTracing::Retain(events))?;
     if args.has("--config") {
         chrome_export(&plan, &run, events)
     } else {

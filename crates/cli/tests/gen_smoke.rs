@@ -2,12 +2,13 @@
 //! the bundled DeathStarBench-class spec must hit the headline scale
 //! (≥300 services, ≥1000 instances), regenerate byte-identically per
 //! (spec, seed), run TraceAuditor-clean, produce byte-identical output
-//! with no `--shards`, at `--shards 1` and at `--shards 4`, and leave
-//! nothing behind in the temp dir.
+//! with no `--shards`, at `--shards 1` and at `--shards 4`, survive the
+//! Table I directory round trip unchanged, and leave nothing behind in the
+//! temp dir.
 
 use std::path::Path;
 use std::process::{Command, Output};
-use uqsim_core::partition::{run_partitioned, PartitionOptions};
+use uqsim_core::partition::{run_partitioned, PartitionOptions, SpanTracing};
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
 use uqsim_synth::{summarize, GenSpec};
@@ -67,7 +68,7 @@ fn generated_cluster_runs_audit_clean_and_shard_invariant() {
     let opts = |shards: usize| PartitionOptions {
         shards,
         telemetry: Some(TelemetryConfig::default()),
-        span_tracing: Some(1 << 16),
+        span_tracing: SpanTracing::Retain(1 << 16),
     };
     let d = SimDuration::from_millis(350);
     let one = run_partitioned(&cfg, None, 11, d, &opts(1)).unwrap();
@@ -91,9 +92,25 @@ fn generated_cluster_runs_audit_clean_and_shard_invariant() {
     assert!(audit.events_checked > 0);
 }
 
+/// `--gen` runs the generated scenario straight from memory; `gen --out`
+/// then a load by path must be the same scenario, or the two entry points
+/// would simulate different clusters for one `(spec, seed)`.
+#[test]
+fn generated_scenario_survives_the_table_i_round_trip() {
+    let spec = GenSpec::from_file(Path::new(&spec_path())).unwrap();
+    let dir = std::env::temp_dir().join(format!("uqsim-gen-roundtrip-{}", std::process::id()));
+    for seed in [1, 2, 3, 11, 12345] {
+        let cfg = spec.generate(seed).unwrap();
+        cfg.write_dir(&dir).expect("write Table I layout");
+        let loaded = uqsim_core::config::ScenarioConfig::from_dir(&dir).expect("read it back");
+        assert_eq!(loaded, cfg, "seed {seed}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the layout");
+}
+
 /// `uqsim run --gen` prints the same bytes with no flag and at `--shards
-/// 2`, and removes the Table I directory it generates into: the child's
-/// `TMPDIR` is empty afterwards.
+/// 2`, and writes nothing to the temp dir: the child's `TMPDIR` is empty
+/// afterwards.
 #[test]
 fn run_gen_is_shard_invariant_and_leaves_tmpdir_empty() {
     let tmp = std::env::temp_dir().join(format!("uqsim-gen-smoke-{}", std::process::id()));

@@ -8,6 +8,7 @@
 //! `[cell 0]` tag or `"cells"` wrapper appears.
 
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::SpanTracing;
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
 use uqsim_core::{run_partitioned, FaultPlan, PartitionOptions};
@@ -65,7 +66,7 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
     let opts = PartitionOptions {
         shards: 2,
         telemetry: Some(telemetry),
-        span_tracing: Some(SPAN_EVENTS),
+        span_tracing: SpanTracing::Retain(SPAN_EVENTS),
     };
     let run = run_partitioned(cfg, faults, SEED, duration, &opts).expect("run succeeds");
     let what = format!("{name}, faulted={}", faults.is_some());

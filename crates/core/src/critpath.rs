@@ -24,8 +24,9 @@
 //!   measured completions fold their segments into dense per-latency-bucket
 //!   accumulators. Bounded memory, non-perturbing (no extra events, no RNG
 //!   draws — completions are bit-identical with the mode on or off).
-//! * **Post-hoc** ([`CpcProfile::from_trace`]): replay a recorded span
-//!   [`TraceLog`] through the same frontier state machine. Every charge the
+//! * **Post-hoc** ([`ReplayFold`]; [`CpcProfile::from_trace`] for a
+//!   retained [`TraceLog`]): replay the recorded span events through the
+//!   same frontier state machine, chunk by chunk. Every charge the
 //!   simulator made corresponds to exactly one logged event at the same
 //!   timestamp in the same order, so the replay reproduces the streaming
 //!   profile exactly — `uqsim why` cross-asserts the two.
@@ -40,7 +41,7 @@ use crate::ids::{ClientId, InstanceId, JobId, PoolId, RequestId};
 use crate::slot_table::SlotTable;
 use crate::telemetry::{bucket_index, LatencyComponent, MetricsRegistry, StreamingHistogram};
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceLog, TraceMeta};
+use crate::trace::{SpanChunk, TraceEvent, TraceLog, TraceMeta};
 use serde_json::{json, Value};
 
 // ---------------------------------------------------------------------
@@ -520,10 +521,10 @@ impl CpcProfile {
         reg
     }
 
-    /// Reconstructs the profile post-hoc from a recorded span trace,
+    /// Reconstructs the profile post-hoc from a retained span log,
     /// replaying the simulator's telescoping-frontier state machine over
-    /// the event stream (see the [module docs](self) for the event ↔ charge
-    /// correspondence).
+    /// the event stream ([`ReplayFold`] fed the whole log at once; see the
+    /// [module docs](self) for the event ↔ charge correspondence).
     ///
     /// # Errors
     ///
@@ -533,57 +534,94 @@ impl CpcProfile {
     /// indicate a recorder or replay bug, never a property of the
     /// workload).
     pub fn from_trace(log: &TraceLog, meta: &TraceMeta) -> Result<CpcProfile, String> {
-        if log.dropped() > 0 {
-            return Err(format!(
-                "span log truncated ({} events dropped): critical-path attribution \
-                 requires the complete stream — raise the trace capacity (--events) to at \
-                 least {}",
-                log.dropped(),
-                log.len() as u64 + log.dropped()
-            ));
+        let mut fold = ReplayFold::new();
+        fold.feed(log.retained());
+        fold.finish(meta, log.len(), log.dropped())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replay
+// ---------------------------------------------------------------------
+
+/// What the replay remembers about one live request.
+#[derive(Debug)]
+struct ReqState {
+    submitted: SimTime,
+    mark: SimTime,
+    client: ClientId,
+    retry: bool,
+    segs: Vec<CritSeg>,
+}
+
+/// What the replay remembers about one live job.
+#[derive(Debug)]
+struct JobState {
+    request: RequestId,
+    instance: InstanceId,
+    stage: u32,
+    in_service: bool,
+}
+
+/// Advances `rid`'s frontier to `t`, charging the elapsed interval to
+/// (site, kind). Zero-length intervals are skipped, mirroring the streaming
+/// mode. Charges against already-completed requests (quorum stragglers) or
+/// unknown ids are no-ops.
+fn charge(
+    reqs: &mut SlotTable<RequestId, ReqState>,
+    rid: RequestId,
+    t: SimTime,
+    site: CritSite,
+    kind: EdgeKind,
+) {
+    if let Some(r) = reqs.get_mut(&rid) {
+        let dt = (t - r.mark).as_nanos();
+        r.mark = t;
+        if dt > 0 {
+            r.segs.push(CritSeg { site, kind, ns: dt });
         }
-        struct ReqState {
-            submitted: SimTime,
-            mark: SimTime,
-            client: ClientId,
-            retry: bool,
-            segs: Vec<CritSeg>,
+    }
+}
+
+fn recycle(spare: &mut Vec<Vec<CritSeg>>, mut segs: Vec<CritSeg>) {
+    segs.clear();
+    spare.push(segs);
+}
+
+/// The post-hoc replay as an incremental fold: [`feed`](ReplayFold::feed)
+/// it the span log's chunks in order, then [`finish`](ReplayFold::finish).
+/// The profile depends on the event sequence only, not on how it was cut
+/// into chunks.
+#[derive(Debug, Default)]
+pub struct ReplayFold {
+    reqs: SlotTable<RequestId, ReqState>,
+    jobs: SlotTable<JobId, JobState>,
+    /// Segment buffers of finished requests, handed to the next ones.
+    spare_segs: Vec<Vec<CritSeg>>,
+    accum: CritAccum,
+    /// The first request found not to telescope; the replay stops there.
+    error: Option<String>,
+}
+
+impl ReplayFold {
+    /// A replay that has seen no event yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replays the next chunk of the log.
+    pub fn feed(&mut self, chunk: &SpanChunk) {
+        if self.error.is_some() {
+            return;
         }
-        struct JobState {
-            request: RequestId,
-            instance: InstanceId,
-            stage: u32,
-            in_service: bool,
-        }
-        let mut reqs: SlotTable<RequestId, ReqState> = SlotTable::default();
-        let mut jobs: SlotTable<JobId, JobState> = SlotTable::default();
-        // Segment buffers of finished requests, handed to the next ones.
-        let mut spare_segs: Vec<Vec<CritSeg>> = Vec::new();
-        let mut accum = CritAccum::default();
-        // Advances `rid`'s frontier to `t`, charging the elapsed interval
-        // to (site, kind). Zero-length intervals are skipped, mirroring the
-        // streaming mode. Charges against already-completed requests
-        // (quorum stragglers) or unknown ids are no-ops.
-        fn charge(
-            reqs: &mut SlotTable<RequestId, ReqState>,
-            rid: RequestId,
-            t: SimTime,
-            site: CritSite,
-            kind: EdgeKind,
-        ) {
-            if let Some(r) = reqs.get_mut(&rid) {
-                let dt = (t - r.mark).as_nanos();
-                r.mark = t;
-                if dt > 0 {
-                    r.segs.push(CritSeg { site, kind, ns: dt });
-                }
-            }
-        }
-        fn recycle(spare: &mut Vec<Vec<CritSeg>>, mut segs: Vec<CritSeg>) {
-            segs.clear();
-            spare.push(segs);
-        }
-        for ev in log.events() {
+        let ReplayFold {
+            reqs,
+            jobs,
+            spare_segs,
+            accum,
+            ..
+        } = self;
+        for ev in chunk.events() {
             match *ev {
                 TraceEvent::RequestEmitted {
                     request, client, t, ..
@@ -614,7 +652,7 @@ impl CpcProfile {
                     } else {
                         EdgeKind::ClientWait
                     };
-                    charge(&mut reqs, request, t, CritSite::Client(client), kind);
+                    charge(reqs, request, t, CritSite::Client(client), kind);
                 }
                 TraceEvent::FanIn {
                     request,
@@ -633,7 +671,7 @@ impl CpcProfile {
                     } else {
                         EdgeKind::Network
                     };
-                    charge(&mut reqs, request, t, CritSite::Instance(i), kind);
+                    charge(reqs, request, t, CritSite::Instance(i), kind);
                 }
                 TraceEvent::Enqueue {
                     job,
@@ -651,7 +689,7 @@ impl CpcProfile {
                             j.instance = instance;
                             j.stage = stage.raw();
                             j.in_service = false;
-                            charge(&mut reqs, request, t, site, EdgeKind::Service);
+                            charge(reqs, request, t, site, EdgeKind::Service);
                         }
                         Some(j) => {
                             j.instance = instance;
@@ -672,7 +710,7 @@ impl CpcProfile {
                                 },
                             );
                             charge(
-                                &mut reqs,
+                                reqs,
                                 request,
                                 t,
                                 CritSite::Instance(instance),
@@ -691,14 +729,14 @@ impl CpcProfile {
                     // Service begins: each batched job's wait since its
                     // frontier is queue time, charged in batch order (the
                     // exact order the simulator charges at dispatch).
-                    for &job in log.batch_jobs(batch) {
+                    for &job in chunk.batch_jobs(batch) {
                         let Some(j) = jobs.get_mut(&job) else {
                             continue;
                         };
                         j.in_service = true;
                         let rid = j.request;
                         charge(
-                            &mut reqs,
+                            reqs,
                             rid,
                             start,
                             CritSite::Stage(instance, stage.raw()),
@@ -716,7 +754,7 @@ impl CpcProfile {
                     if let Some(j) = jobs.remove(&job) {
                         if j.in_service {
                             charge(
-                                &mut reqs,
+                                reqs,
                                 request,
                                 t,
                                 CritSite::Stage(instance, j.stage),
@@ -728,13 +766,7 @@ impl CpcProfile {
                 TraceEvent::PoolGrant {
                     pool, request, t, ..
                 } => {
-                    charge(
-                        &mut reqs,
-                        request,
-                        t,
-                        CritSite::Pool(pool),
-                        EdgeKind::Blocking,
-                    );
+                    charge(reqs, request, t, CritSite::Pool(pool), EdgeKind::Blocking);
                 }
                 TraceEvent::RequestCompleted {
                     request,
@@ -747,7 +779,7 @@ impl CpcProfile {
                         None => continue,
                     };
                     charge(
-                        &mut reqs,
+                        reqs,
                         request,
                         t,
                         CritSite::Client(client),
@@ -758,19 +790,20 @@ impl CpcProfile {
                         let e2e_ns = (t - r.submitted).as_nanos();
                         let sum: u64 = r.segs.iter().map(|s| s.ns).sum();
                         if sum != e2e_ns {
-                            return Err(format!(
+                            self.error = Some(format!(
                                 "critical path of request {request} does not telescope: \
                                  segments sum to {sum} ns, end-to-end is {e2e_ns} ns"
                             ));
+                            return;
                         }
                         accum.fold(e2e_ns, &r.segs);
                     }
-                    recycle(&mut spare_segs, r.segs);
+                    recycle(spare_segs, r.segs);
                 }
                 TraceEvent::RequestDropped { request, .. }
                 | TraceEvent::RequestShed { request, .. } => {
                     if let Some(r) = reqs.remove(&request) {
-                        recycle(&mut spare_segs, r.segs);
+                        recycle(spare_segs, r.segs);
                     }
                 }
                 TraceEvent::JobKilled { job, .. } => {
@@ -779,7 +812,33 @@ impl CpcProfile {
                 _ => {}
             }
         }
-        Ok(accum.snapshot(meta))
+    }
+
+    /// Ends the replay of a log that recorded `events` events and dropped
+    /// `dropped`, resolving site labels through `meta`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CpcProfile::from_trace`]: a truncated log, or a request whose
+    /// segments did not telescope.
+    pub fn finish(
+        self,
+        meta: &TraceMeta,
+        events: usize,
+        dropped: u64,
+    ) -> Result<CpcProfile, String> {
+        if dropped > 0 {
+            return Err(format!(
+                "span log truncated ({dropped} events dropped): critical-path attribution \
+                 requires the complete stream — raise the trace capacity (--events) to at \
+                 least {}",
+                events as u64 + dropped
+            ));
+        }
+        match self.error {
+            Some(msg) => Err(msg),
+            None => Ok(self.accum.snapshot(meta)),
+        }
     }
 }
 
@@ -1223,6 +1282,67 @@ mod tests {
             .registry()
             .to_prometheus()
             .contains("uqsim_critpath_requests 0"));
+    }
+
+    /// No log the simulator can record fails to telescope, so the check is
+    /// tripped from inside: a segment nothing charged, slipped into a live
+    /// request between two chunks.
+    #[test]
+    fn a_replay_error_outlives_the_chunk_it_was_found_in() {
+        use crate::ids::{ConnectionId, RequestTypeId};
+        let request = RequestId::new(1, 0);
+        let at = SimTime::from_nanos;
+        let chunk_of = |events: &[TraceEvent]| {
+            let mut log = TraceLog::new(events.len());
+            events.iter().for_each(|&ev| log.record(ev));
+            log
+        };
+        let opening = chunk_of(&[
+            TraceEvent::RequestEmitted {
+                request,
+                request_type: RequestTypeId::from_raw(0),
+                client: ClientId::from_raw(0),
+                t: at(0),
+            },
+            TraceEvent::RequestLaunched {
+                request,
+                conn: ConnectionId::from_raw(0),
+                t: at(10),
+            },
+        ]);
+        let closing = chunk_of(&[TraceEvent::RequestCompleted {
+            request,
+            request_type: RequestTypeId::from_raw(0),
+            timed_out: false,
+            measured: true,
+            t: at(50),
+        }]);
+        let replay = |tamper: bool, dropped: u64| {
+            let mut fold = ReplayFold::new();
+            fold.feed(opening.retained());
+            if tamper {
+                let live = fold.reqs.get_mut(&request).expect("the request is live");
+                live.segs.push(CritSeg {
+                    site: CritSite::Client(ClientId::from_raw(0)),
+                    kind: EdgeKind::Network,
+                    ns: 5,
+                });
+            }
+            fold.feed(closing.retained());
+            // Later chunks neither clear the error nor add to the profile.
+            fold.feed(opening.retained());
+            fold.feed(closing.retained());
+            fold.finish(&TraceMeta::default(), 6, dropped)
+        };
+        assert_eq!(replay(false, 0).expect("telescopes").requests(), 2);
+        let err = replay(true, 0).expect_err("55 ns of segments in 50 ns");
+        assert!(
+            err.contains("does not telescope: segments sum to 55 ns, end-to-end is 50 ns"),
+            "{err}"
+        );
+        // Truncation is reported first, as for a retained log.
+        let err = replay(true, 3).expect_err("truncated");
+        assert!(err.contains("raise the trace capacity (--events) to at least 9"));
     }
 
     #[test]

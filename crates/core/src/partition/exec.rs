@@ -18,19 +18,43 @@ use minipool::Pool;
 use serde::Value;
 
 use crate::config::ScenarioConfig;
+use crate::critpath::{CpcProfile, ReplayFold};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::run::RunResult;
 use crate::sim::Simulator;
 use crate::telemetry::TelemetryConfig;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::AuditReport;
+use crate::trace::{AuditFold, AuditReport, TraceAuditor};
 
 use super::graph::{split_fault_plan, CellSpec};
 use super::merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_json, merge_registries, merge_results,
 };
 use super::plan::{cell_seed, PartitionPlan};
+
+/// What a run does with its per-request span events (see [`crate::trace`]).
+/// The capacities are per cell, in events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanTracing {
+    /// Record nothing: every hot-path hook stays a single branch.
+    Off,
+    /// Keep each cell's log in memory, up to this many events, for the
+    /// views that read a finished log (the merged Chrome trace, sampled
+    /// request traces) and the audit.
+    Retain(usize),
+    /// Check the events instead of keeping them: each cell streams its log,
+    /// up to `events` events, to a second thread that audits it — and with
+    /// `replay` also replays it into a critical-path profile — while the
+    /// cell still runs ([`CellOutput::checks`]). The log costs a few
+    /// chunks of memory however long the run.
+    Check {
+        /// Most events a cell records; the rest count as dropped.
+        events: usize,
+        /// Also replay the events into a [`CpcProfile`].
+        replay: bool,
+    },
+}
 
 /// Knobs for a run. Only [`PartitionOptions::shards`] affects scheduling;
 /// everything else configures what each cell records, and is applied
@@ -45,9 +69,9 @@ pub struct PartitionOptions {
     /// wall-clock samples are inherently nondeterministic and would break
     /// the byte-identical-output guarantee.
     pub telemetry: Option<TelemetryConfig>,
-    /// Span-log capacity per cell; `Some` enables span tracing (and with
-    /// it the merged Chrome trace and audit report).
-    pub span_tracing: Option<usize>,
+    /// Whether each cell records span events, and whether it keeps them
+    /// (for the merged Chrome trace) or only checks them.
+    pub span_tracing: SpanTracing,
 }
 
 impl PartitionOptions {
@@ -60,7 +84,7 @@ impl PartitionOptions {
                 critpath: true,
                 ..TelemetryConfig::default()
             }),
-            span_tracing: None,
+            span_tracing: SpanTracing::Off,
         }
     }
 }
@@ -75,7 +99,9 @@ impl Default for PartitionOptions {
 /// The simulator is kept (moved, not copied) so that every export — the
 /// Prometheus registry, CSV, JSON, Chrome trace, audit, span log — is
 /// rendered from it only when a caller asks, exactly as for a bare
-/// [`Simulator`].
+/// [`Simulator`]. The exception is a span log the run was asked to check
+/// rather than keep: its events are gone when the cell ends, and what the
+/// checks found is in [`CellOutput::checks`].
 #[derive(Debug)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
@@ -87,6 +113,20 @@ pub struct CellOutput {
     pub result: RunResult,
     /// The cell's simulator, stopped at the deadline.
     pub sim: Simulator,
+    /// What the checks of a streamed span log found; `None` unless the run
+    /// asked for [`SpanTracing::Check`].
+    pub checks: Option<SpanChecks>,
+}
+
+/// The finished checks of one cell's streamed span log
+/// ([`SpanTracing::Check`]).
+#[derive(Debug)]
+pub struct SpanChecks {
+    /// The trace audit against the cell's final counters.
+    pub audit: AuditReport,
+    /// The critical-path profile replayed from the events (to compare with
+    /// the cell's streaming one), if the run asked for it.
+    pub replay: Option<Result<CpcProfile, String>>,
 }
 
 impl CellOutput {
@@ -130,7 +170,8 @@ impl PartitionedRun {
         merge_json(&self.result, &self.cells)
     }
 
-    /// The merged Chrome trace, or `None` when span tracing was off.
+    /// The merged Chrome trace, or `None` unless the span logs were
+    /// [retained](SpanTracing::Retain).
     pub fn chrome_trace(&self) -> Option<Value> {
         merge_chrome_traces(&self.cells)
     }
@@ -202,16 +243,69 @@ fn run_cell(
             ..tcfg
         });
     }
-    if let Some(cap) = opts.span_tracing {
-        sim.enable_span_tracing(cap);
-    }
-    sim.run_until(SimTime::ZERO + duration);
+    let deadline = SimTime::ZERO + duration;
+    let (sim, checks) = match opts.span_tracing {
+        SpanTracing::Off => {
+            sim.run_until(deadline);
+            (sim, None)
+        }
+        SpanTracing::Retain(capacity) => {
+            sim.enable_span_tracing(capacity);
+            sim.run_until(deadline);
+            (sim, None)
+        }
+        SpanTracing::Check { events, replay } => {
+            let (sim, checks) = run_checked(sim, deadline, events, replay);
+            (sim, Some(checks))
+        }
+    };
     Ok(CellOutput {
         cell: spec.id,
         shard,
         result: crate::run::summarize(&sim, seed, duration, spec.config.warmup_s),
         sim,
+        checks,
     })
+}
+
+/// Runs `sim` to `deadline` with a streamed span log of at most `events`
+/// events, folding the chunks into the audit (and with `replay` the
+/// critical-path replay) on a second thread as they fill.
+fn run_checked(
+    sim: Simulator,
+    deadline: SimTime,
+    events: usize,
+    replay: bool,
+) -> (Simulator, SpanChecks) {
+    let (sim, audit, replayed) = std::thread::scope(|scope| {
+        // Owned by this closure, so that a panic in the run drops the
+        // simulator, and with it the sending end of the stream, before the
+        // scope waits for the consumer — which otherwise never returns.
+        let mut sim = sim;
+        let chunks = sim.stream_span_tracing(events);
+        let consumer = scope.spawn(move || {
+            let mut audit = AuditFold::new(TraceAuditor::new());
+            let mut replayed = replay.then(ReplayFold::new);
+            chunks.drain(|chunk| {
+                audit.feed(chunk);
+                if let Some(fold) = &mut replayed {
+                    fold.feed(chunk);
+                }
+            });
+            (audit, replayed)
+        });
+        sim.run_until(deadline);
+        sim.close_span_stream();
+        let (audit, replayed) = consumer.join().expect("the span-check thread panicked");
+        (sim, audit, replayed)
+    });
+    let log = sim.span_log().expect("span tracing was just enabled");
+    let (events, dropped) = (log.len(), log.dropped());
+    let checks = SpanChecks {
+        audit: audit.finish(&sim.audit_counts(), events, dropped),
+        replay: replayed.map(|fold| fold.finish(&sim.trace_meta(), events, dropped)),
+    };
+    (sim, checks)
 }
 
 /// Runs `cfg` for `duration` under `seed` and merges the per-cell outputs

@@ -418,8 +418,12 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
 /// gain a `c<cell>:` prefix so span ids from different cells can never
 /// alias. Event order inside a cell is preserved; cells concatenate in
 /// cell order. One cell's trace is returned as rendered (nothing to keep
-/// apart). Returns `None` when any cell ran without span tracing.
+/// apart). Returns `None` when any cell ran without span tracing, or
+/// streamed its log away to be checked ([`CellOutput::checks`]).
 pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
+    if cells.iter().any(|c| c.checks.is_some()) {
+        return None;
+    }
     if let [only] = cells {
         return only.sim.chrome_trace();
     }
@@ -449,54 +453,35 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
     }))
 }
 
-/// One pure read of a cell's finished span log.
-enum LogCheck {
-    Audit(AuditReport),
-    Replay(Result<CpcProfile, String>),
-}
-
-/// Audits every cell's span log and, with `replay`, also replays it into a
-/// critical-path profile ([`CpcProfile::from_trace`]). The two are
-/// independent reads of a finished log, so each is its own task on a pool
-/// as wide as the machine; results come back in cell order whatever the
-/// width. Returns `None` when any cell ran without span tracing.
-fn check_logs(
-    cells: &[CellOutput],
-    replay: bool,
-) -> Option<(AuditReport, Vec<Result<CpcProfile, String>>)> {
-    // A `Simulator` is not `Sync`; the tasks share only its plain data.
-    let inputs = cells
+/// Merges per-cell audit reports: counts sum, violations and notes
+/// concatenate in cell order with a `[cell <i>]` prefix (one cell's report
+/// is returned as it is). The merged report is clean iff every per-cell
+/// report is clean. A cell that checked its span log while it ran
+/// ([`CellOutput::checks`]) has its report already; retained logs are
+/// audited here, in parallel. Returns `None` when any cell ran without
+/// span tracing (no log to audit).
+pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
+    let mut reports = match cells
         .iter()
-        .map(|c| {
-            let meta = replay.then(|| c.sim.trace_meta());
-            Some((c.sim.span_log()?, c.sim.audit_counts(), meta))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let per_cell = if replay { 2 } else { 1 };
-    let checks = Pool::with_available_jobs().map_indexed(per_cell * cells.len(), |task| {
-        let (log, counts, meta) = &inputs[task / per_cell];
-        match meta {
-            Some(meta) if task % per_cell == 1 => {
-                LogCheck::Replay(CpcProfile::from_trace(log, meta))
-            }
-            _ => LogCheck::Audit(TraceAuditor::new().audit(log, counts)),
+        .map(|c| c.checks.as_ref().map(|checks| checks.audit.clone()))
+        .collect::<Option<Vec<_>>>()
+    {
+        Some(reports) => reports,
+        None => {
+            // A `Simulator` is not `Sync`; the tasks share only its log
+            // and copied counters.
+            let inputs = cells
+                .iter()
+                .map(|c| Some((c.sim.span_log()?, c.sim.audit_counts())))
+                .collect::<Option<Vec<_>>>()?;
+            Pool::with_available_jobs().map_indexed(inputs.len(), |cell| {
+                let (log, counts) = &inputs[cell];
+                TraceAuditor::new().audit(log, counts)
+            })
         }
-    });
-    let (mut audits, mut replays) = (Vec::new(), Vec::new());
-    for check in checks {
-        match check {
-            LogCheck::Audit(report) => audits.push(report),
-            LogCheck::Replay(profile) => replays.push(profile),
-        }
-    }
-    Some((merge_audit_reports(audits), replays))
-}
-
-/// Counts sum, violations and notes concatenate in cell order with a
-/// `[cell <i>]` prefix; one cell's report is returned as it is.
-fn merge_audit_reports(mut reports: Vec<AuditReport>) -> AuditReport {
+    };
     if reports.len() == 1 {
-        return reports.remove(0);
+        return reports.pop();
     }
     let mut out = AuditReport::default();
     for (i, r) in reports.iter().enumerate() {
@@ -507,26 +492,7 @@ fn merge_audit_reports(mut reports: Vec<AuditReport>) -> AuditReport {
         out.notes
             .extend(r.notes.iter().map(|n| format!("[cell {i}] {n}")));
     }
-    out
-}
-
-/// Merges per-cell audit reports: counts sum, violations and notes
-/// concatenate in cell order with a `[cell <i>]` prefix (one cell's report
-/// is returned as it is). The merged report is clean iff every per-cell
-/// report is clean. Cells are audited in parallel. Returns `None` when any
-/// cell ran without span tracing (no log to audit).
-pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
-    check_logs(cells, false).map(|(audit, _)| audit)
-}
-
-/// [`merge_audits`] plus each cell's span log replayed into a
-/// critical-path profile ([`CpcProfile::from_trace`]), in cell order —
-/// what `uqsim why` checks before it attributes. Every cell's audit and
-/// replay run side by side.
-pub fn audit_and_replay(
-    cells: &[CellOutput],
-) -> Option<(AuditReport, Vec<Result<CpcProfile, String>>)> {
-    check_logs(cells, true)
+    Some(out)
 }
 
 /// Merges per-cell fault summaries: counters sum; timelines concatenate in

@@ -60,10 +60,12 @@ mod graph;
 mod merge;
 mod plan;
 
-pub use exec::{run_partitioned, CellOutput, PartitionOptions, PartitionedRun};
+pub use exec::{
+    run_partitioned, CellOutput, PartitionOptions, PartitionedRun, SpanChecks, SpanTracing,
+};
 pub use graph::{split_cells, split_fault_plan, CellSpec};
 pub use merge::{
-    audit_and_replay, merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries,
-    merge_json, merge_registries, merge_results,
+    merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries, merge_json,
+    merge_registries, merge_results,
 };
 pub use plan::{cell_seed, PartitionPlan};

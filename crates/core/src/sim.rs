@@ -22,8 +22,8 @@ use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType}
 use crate::service::ServiceModel;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
-    AuditCounts, AuditReport, ClientMeta, InstanceMeta, MachineMeta, PoolMeta, RequestTypeMeta,
-    TraceAuditor, TraceEvent, TraceLog, TraceMeta,
+    AuditCounts, AuditReport, ChunkReceiver, ClientMeta, InstanceMeta, MachineMeta, PoolMeta,
+    RequestTypeMeta, TraceAuditor, TraceEvent, TraceLog, TraceMeta,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -547,7 +547,28 @@ impl Simulator {
         self.span_log = Some(Box::new(TraceLog::new(capacity)));
     }
 
-    /// The span log, if span tracing is enabled.
+    /// Enables span tracing with a *streamed* log
+    /// ([`TraceLog::streaming`]): the same events, up to `capacity` in all,
+    /// but each full chunk goes to the returned receiver — to be
+    /// [drained](ChunkReceiver::drain) on another thread while this one
+    /// runs — instead of staying in memory. Call
+    /// [`close_span_stream`](Self::close_span_stream) when the run is over.
+    pub fn stream_span_tracing(&mut self, capacity: usize) -> ChunkReceiver {
+        let (log, chunks) = TraceLog::streaming(capacity);
+        self.span_log = Some(Box::new(log));
+        chunks
+    }
+
+    /// Hands the last chunk of a streamed span log to its consumer and
+    /// ends the stream ([`TraceLog::close`]).
+    pub fn close_span_stream(&mut self) {
+        if let Some(log) = self.span_log.as_deref_mut() {
+            log.close();
+        }
+    }
+
+    /// The span log, if span tracing is enabled. Of a streamed log only the
+    /// totals ([`TraceLog::len`], [`TraceLog::dropped`]) are still here.
     pub fn span_log(&self) -> Option<&TraceLog> {
         self.span_log.as_deref()
     }

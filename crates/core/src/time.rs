@@ -130,7 +130,7 @@ impl SimDuration {
             ns <= u64::MAX as f64,
             "duration overflows u64 nanoseconds: {secs}s"
         );
-        SimDuration(ns.round() as u64)
+        SimDuration(round_to_u64(ns))
     }
 
     /// Creates a duration from a floating-point number of microseconds.
@@ -180,6 +180,16 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
+}
+
+/// `x.round() as u64` for `0 <= x <= 2^64`, without the call into libm
+/// that `f64::round` is on x86-64 (this runs once per scheduled event).
+/// Truncating is exact, and so is the fraction left over: below 2^53 both
+/// are multiples of `x`'s last bit, and from 2^52 up `x` is an integer and
+/// nothing is left. Halves round away from zero, as `round` does.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -292,6 +302,49 @@ mod tests {
         assert_eq!(d.as_nanos(), 1);
         let d = SimDuration::from_secs_f64(1e-9 * 1.6);
         assert_eq!(d.as_nanos(), 2);
+    }
+
+    #[test]
+    fn round_to_u64_is_round_at_the_edges() {
+        let two_53 = (1u64 << 53) as f64;
+        for x in [
+            0.0,
+            0.49999999999999994, // the largest double below 0.5
+            0.5,
+            1.5,
+            2.5,
+            4503599627370495.5, // 2^52 - 0.5, the last double with a fraction
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            (1u64 << 63) as f64,
+            18446744073709549568.0, // the largest double below 2^64
+            u64::MAX as f64,        // 2^64: the cast saturates
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x}");
+        }
+        assert_eq!(round_to_u64(0.49999999999999994), 0);
+        assert_eq!(round_to_u64(2.5), 3);
+        assert_eq!(round_to_u64(u64::MAX as f64), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern in range, any whole number plus a half, and the
+        /// magnitudes the simulator actually schedules.
+        #[test]
+        fn round_to_u64_is_round(
+            bits in proptest::any::<u64>(),
+            whole in 0u64..(1 << 52),
+            secs in 0.0f64..100.0,
+        ) {
+            let anywhere = f64::from_bits(bits & (u64::MAX >> 1));
+            let half = whole as f64 + 0.5;
+            for x in [anywhere, half, secs * 1e9, secs * 1e3] {
+                if x <= u64::MAX as f64 {
+                    proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "{}", x);
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,10 +29,16 @@
 //!
 //! Events are fixed-size `Copy` records with no heap payload: a
 //! [`TraceEvent::BatchStart`] names its jobs through a [`BatchJobs`] handle
-//! into one side arena owned by the log ([`TraceLog::batch_jobs`]). Every
-//! consumer — the three views above and
-//! [`CpcProfile::from_trace`](crate::critpath::CpcProfile::from_trace) — is
-//! one forward scan of [`TraceLog::events`].
+//! into the side arena of the [`SpanChunk`] that holds the event
+//! ([`SpanChunk::batch_jobs`]). A retained log is one chunk that keeps
+//! growing; a *streamed* log ([`TraceLog::streaming`]) hands each full
+//! chunk to a consumer thread and reuses it once the consumer is done, so
+//! its memory does not grow with the run. Every consumer is one forward
+//! scan: the three views above read a retained log, and the two checks —
+//! [`AuditFold`] and [`ReplayFold`](crate::critpath::ReplayFold) — are
+//! incremental folds fed chunk by chunk, with [`TraceAuditor::audit`] and
+//! [`CpcProfile::from_trace`](crate::critpath::CpcProfile::from_trace) the
+//! "feed the one chunk, finish" case of the same code.
 //!
 //! # Example
 //!
@@ -97,6 +103,9 @@ use crate::ids::{
 use crate::slot_table::SlotTable;
 use crate::time::SimTime;
 use serde_json::{json, Value};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// One recorded event in a [`TraceLog`]. Events appear in execution order;
 /// events with equal timestamps keep the order the simulator produced them.
@@ -170,7 +179,7 @@ pub enum TraceEvent {
         /// Service end.
         end: SimTime,
         /// The batched jobs, in batch order
-        /// ([`TraceLog::batch_jobs`] resolves the handle).
+        /// ([`SpanChunk::batch_jobs`] resolves the handle).
         jobs: BatchJobs,
     },
     /// A job acquired a pooled connection.
@@ -347,8 +356,8 @@ const _: () = {
 };
 
 /// The job list of one [`TraceEvent::BatchStart`]: a handle into the side
-/// arena of the [`TraceLog`] that recorded the event, resolved by
-/// [`TraceLog::batch_jobs`].
+/// arena of the [`SpanChunk`] that holds the event, resolved by
+/// [`SpanChunk::batch_jobs`] ([`TraceLog::batch_jobs`] for a retained log).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchJobs {
     offset: u32,
@@ -367,36 +376,172 @@ impl BatchJobs {
     }
 }
 
+/// A run of consecutive span events together with the job lists of its own
+/// [`TraceEvent::BatchStart`]s — self-contained, so a consumer needs
+/// nothing but the chunk to read it. A retained [`TraceLog`] is one chunk;
+/// a streamed one is a sequence of them.
+#[derive(Debug, Clone, Default)]
+pub struct SpanChunk {
+    events: Vec<TraceEvent>,
+    /// Side arena: the job lists of this chunk's `BatchStart` events, back
+    /// to back.
+    jobs: Vec<JobId>,
+}
+
+impl SpanChunk {
+    /// The chunk's events, in execution order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
+    /// The jobs of one of this chunk's [`TraceEvent::BatchStart`] events,
+    /// in batch order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle comes from another chunk and is out of range
+    /// here.
+    pub fn batch_jobs(&self, jobs: BatchJobs) -> &[JobId] {
+        &self.jobs[jobs.offset as usize..][..jobs.len()]
+    }
+
+    /// An empty chunk of a streamed log, sized once for its whole life.
+    fn with_room() -> Self {
+        SpanChunk {
+            events: Vec::with_capacity(CHUNK_EVENTS),
+            jobs: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.jobs.clear();
+    }
+}
+
+/// Events per chunk of a streamed log (≈ 1.8 MB of events): large enough
+/// that a hand-off every ~32 Ki events costs nothing measurable, small
+/// enough that the few chunks in flight stay cache- and RSS-friendly.
+pub const CHUNK_EVENTS: usize = 32 * 1024;
+
+/// Full chunks that may wait for the consumer of a streamed log. With the
+/// chunk being filled and the one being consumed, a streamed log never
+/// owns more than [`STREAM_DEPTH`]` + 2` chunks.
+pub const STREAM_DEPTH: usize = 2;
+
+/// How long the consumer of a streamed log sleeps when no chunk is ready.
+/// It polls instead of blocking in `recv` so that the producer never has
+/// to wake it: a futex wake places the woken thread near its waker
+/// (wake-affine scheduling), which can leave the two threads sharing one
+/// core (DESIGN.md §9.2 has the measurements).
+const STREAM_POLL: Duration = Duration::from_micros(200);
+
+/// Chunks the consumer of a streamed log is done with, cleared, for the
+/// producer to fill again. A lock around a push or a pop once per chunk is
+/// never contended for long enough to park a thread.
+type SpareChunks = Arc<Mutex<Vec<SpanChunk>>>;
+
+/// The producer's end of a streamed log's chunk exchange.
+#[derive(Debug)]
+struct ChunkSender {
+    full: SyncSender<SpanChunk>,
+    spare: SpareChunks,
+}
+
+/// The consumer's end of a streamed log ([`TraceLog::streaming`]).
+#[derive(Debug)]
+pub struct ChunkReceiver {
+    full: Receiver<SpanChunk>,
+    spare: SpareChunks,
+}
+
+impl ChunkReceiver {
+    /// Hands every chunk of the log to `consume`, in order, until the log
+    /// is closed ([`TraceLog::close`]) or dropped; each chunk goes back to
+    /// the producer for reuse afterwards. Run this on its own thread while
+    /// the simulator runs.
+    pub fn drain(self, mut consume: impl FnMut(&SpanChunk)) {
+        loop {
+            match self.full.try_recv() {
+                Ok(mut chunk) => {
+                    consume(&chunk);
+                    chunk.clear();
+                    let mut spare = self.spare.lock().expect("a push or pop cannot panic");
+                    spare.push(chunk);
+                }
+                Err(TryRecvError::Empty) => std::thread::sleep(STREAM_POLL),
+                Err(TryRecvError::Disconnected) => return,
+            }
+        }
+    }
+}
+
 /// An append-only, bounded event log filled by the simulator while span
 /// tracing is enabled. When the capacity is reached further events are
-/// counted as dropped instead of recorded, so the retained prefix is always
+/// counted as dropped instead of recorded, so the recorded prefix is always
 /// a complete record of the run up to the cutoff.
-#[derive(Debug, Clone, Default)]
+///
+/// A log is either *retained* ([`TraceLog::new`]: every recorded event
+/// stays readable through [`TraceLog::events`]) or *streamed*
+/// ([`TraceLog::streaming`]: full chunks leave for the consumer, and only
+/// the chunk being filled is still here). [`TraceLog::len`] and
+/// [`TraceLog::dropped`] mean the same for both.
+#[derive(Debug)]
 pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    /// Side arena: the job lists of all `BatchStart` events, back to back.
-    jobs: Vec<JobId>,
+    /// The retained events: the whole log, or the chunk being filled.
+    chunk: SpanChunk,
+    /// Most events `chunk` may hold before it is handed off (streamed) or
+    /// the log is full: the one comparison the record path makes.
+    room: usize,
     capacity: usize,
+    /// Events in chunks already handed to the consumer.
+    handed_off: usize,
     dropped: u64,
+    chunks_allocated: usize,
+    stream: Option<ChunkSender>,
 }
 
 impl TraceLog {
-    /// Creates an empty log holding at most `capacity` events.
+    /// Creates an empty retained log holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceLog {
-            events: Vec::new(),
-            jobs: Vec::new(),
+            chunk: SpanChunk::default(),
+            room: capacity,
             capacity,
+            handed_off: 0,
             dropped: 0,
+            chunks_allocated: 1,
+            stream: None,
         }
+    }
+
+    /// Creates an empty streamed log recording at most `capacity` events in
+    /// all, and the receiver its chunks arrive at. The log must be
+    /// [closed](TraceLog::close) (or dropped) for [`ChunkReceiver::drain`]
+    /// to return.
+    pub fn streaming(capacity: usize) -> (Self, ChunkReceiver) {
+        let (full_tx, full_rx) = mpsc::sync_channel(STREAM_DEPTH);
+        let spare = SpareChunks::default();
+        let log = TraceLog {
+            chunk: SpanChunk::with_room(),
+            room: capacity.min(CHUNK_EVENTS),
+            stream: Some(ChunkSender {
+                full: full_tx,
+                spare: Arc::clone(&spare),
+            }),
+            ..TraceLog::new(capacity)
+        };
+        let receiver = ChunkReceiver {
+            full: full_rx,
+            spare,
+        };
+        (log, receiver)
     }
 
     /// Appends an event, or counts it as dropped once the log is full.
     pub(crate) fn record(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
+        if self.has_room() {
+            self.chunk.events.push(ev);
         }
     }
 
@@ -409,46 +554,116 @@ impl TraceLog {
         make: impl FnOnce(BatchJobs) -> TraceEvent,
     ) {
         // Handles are 32-bit; an arena that would outgrow them ends the
-        // log, exactly as reaching the capacity does.
-        if u32::try_from(self.jobs.len() + jobs.len()).is_err() {
-            self.capacity = self.events.len();
+        // log, exactly as reaching the capacity does. Only a retained log
+        // can get there: a streamed chunk's arena starts over every
+        // `CHUNK_EVENTS` events.
+        if u32::try_from(self.chunk.jobs.len() + jobs.len()).is_err() {
+            self.capacity = self.len();
+            self.room = self.chunk.events.len();
         }
-        if self.events.len() < self.capacity {
+        if self.has_room() {
             let handle = BatchJobs {
-                offset: self.jobs.len() as u32,
+                offset: self.chunk.jobs.len() as u32,
                 len: jobs.len() as u32,
             };
-            self.jobs.extend_from_slice(jobs);
-            self.events.push(make(handle));
-        } else {
-            self.dropped += 1;
+            self.chunk.jobs.extend_from_slice(jobs);
+            self.chunk.events.push(make(handle));
         }
     }
 
-    /// The recorded events, in execution order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// True if the next event fits, handing the full chunk of a streamed
+    /// log off first; otherwise counts the event as dropped.
+    #[inline]
+    fn has_room(&mut self) -> bool {
+        self.chunk.events.len() < self.room || self.make_room()
     }
 
-    /// The jobs of one of this log's [`TraceEvent::BatchStart`] events, in
-    /// batch order.
+    #[cold]
+    fn make_room(&mut self) -> bool {
+        if self.stream.is_some() && self.len() < self.capacity {
+            self.hand_off();
+            true
+        } else {
+            self.dropped += 1;
+            false
+        }
+    }
+
+    /// Sends the current chunk of a streamed log to the consumer — waiting
+    /// while [`STREAM_DEPTH`] chunks are already queued, i.e. while the
+    /// consumer is that far behind — and leaves an empty one in its place.
+    fn send_chunk(&mut self) {
+        let stream = self.stream.as_ref().expect("only a streamed log sends");
+        let full = std::mem::take(&mut self.chunk);
+        self.handed_off += full.events.len();
+        // Fails only if the consumer is gone (it panicked; joining it says
+        // so): the chunk is lost with it.
+        let _ = stream.full.send(full);
+    }
+
+    /// Sends the full chunk and continues in one the consumer gave back, or
+    /// a new one if none is waiting. Only `STREAM_DEPTH` queued chunks and
+    /// the one being consumed can be out when a new one is made, so a log
+    /// never owns more than `STREAM_DEPTH + 2`.
+    fn hand_off(&mut self) {
+        self.send_chunk();
+        self.room = (self.capacity - self.handed_off).min(CHUNK_EVENTS);
+        let stream = self.stream.as_ref().expect("the chunk was just sent");
+        let spare = stream
+            .spare
+            .lock()
+            .expect("a push or pop cannot panic")
+            .pop();
+        self.chunk = spare.unwrap_or_else(|| {
+            self.chunks_allocated += 1;
+            SpanChunk::with_room()
+        });
+    }
+
+    /// Ends a streamed log: hands the last, partly filled chunk to the
+    /// consumer and disconnects, which makes [`ChunkReceiver::drain`]
+    /// return once it has consumed everything. Events arriving afterwards
+    /// count as dropped. No effect on a retained log.
+    pub fn close(&mut self) {
+        if self.stream.is_some() {
+            self.send_chunk();
+            self.stream = None;
+            self.capacity = self.handed_off;
+            self.room = 0;
+        }
+    }
+
+    /// The events still retained, in execution order: all of a retained
+    /// log, only the chunk being filled of a streamed one.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.chunk.events
+    }
+
+    /// The retained events as a chunk (see [`TraceLog::events`]).
+    pub fn retained(&self) -> &SpanChunk {
+        &self.chunk
+    }
+
+    /// The jobs of one of this log's retained [`TraceEvent::BatchStart`]
+    /// events, in batch order.
     ///
     /// # Panics
     ///
     /// Panics if the handle comes from another log and is out of range
     /// here.
     pub fn batch_jobs(&self, jobs: BatchJobs) -> &[JobId] {
-        &self.jobs[jobs.offset as usize..][..jobs.len()]
+        self.chunk.batch_jobs(jobs)
     }
 
-    /// Number of recorded events.
+    /// Number of events recorded, whether still retained or already handed
+    /// to a streamed log's consumer.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.handed_off + self.chunk.events.len()
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Events that arrived after the log filled up.
@@ -456,22 +671,28 @@ impl TraceLog {
         self.dropped
     }
 
-    /// Correlates [`TraceEvent::Enqueue`] and [`TraceEvent::BatchStart`]
-    /// events into per-job stage spans, in service order. Jobs whose
-    /// enqueue fell outside the log are omitted.
+    /// Chunks this log ever allocated: 1 for a retained log, at most
+    /// [`STREAM_DEPTH`]` + 2` for a streamed one however long the run.
+    pub fn chunks_allocated(&self) -> usize {
+        self.chunks_allocated
+    }
+
+    /// Correlates the retained [`TraceEvent::Enqueue`] and
+    /// [`TraceEvent::BatchStart`] events into per-job stage spans, in
+    /// service order. Jobs whose enqueue fell outside the log are omitted.
     pub fn spans(&self) -> Vec<StageSpan> {
         let mut correlator = SpanCorrelator::default();
         let mut out = Vec::new();
-        for ev in &self.events {
-            correlator.feed(self, ev, |span| out.push(span));
+        for ev in &self.chunk.events {
+            correlator.feed(&self.chunk, ev, |span| out.push(span));
         }
         out
     }
 }
 
 /// Pairs each [`TraceEvent::Enqueue`] with the [`TraceEvent::BatchStart`]
-/// that services it. [`TraceLog::spans`] and [`TraceAuditor::audit`] both
-/// get their spans from here, so they see the same ones.
+/// that services it. [`TraceLog::spans`] and [`AuditFold`] both get their
+/// spans from here, so they see the same ones.
 #[derive(Debug, Default)]
 struct SpanCorrelator {
     /// Per `(job, instance, stage)` queue stay not yet serviced: enqueue
@@ -480,9 +701,9 @@ struct SpanCorrelator {
 }
 
 impl SpanCorrelator {
-    /// Feeds the next event of `log`; `on_span` gets each span a
+    /// Feeds the next event, one of `chunk`'s; `on_span` gets each span a
     /// `BatchStart` completes, in batch order.
-    fn feed(&mut self, log: &TraceLog, ev: &TraceEvent, mut on_span: impl FnMut(StageSpan)) {
+    fn feed(&mut self, chunk: &SpanChunk, ev: &TraceEvent, mut on_span: impl FnMut(StageSpan)) {
         match *ev {
             TraceEvent::Enqueue {
                 job,
@@ -506,7 +727,7 @@ impl SpanCorrelator {
                 end,
                 jobs,
             } => {
-                for &job in log.batch_jobs(jobs) {
+                for &job in chunk.batch_jobs(jobs) {
                     let Some((enqueue_t, request, node)) =
                         self.pending.remove(&(job, instance.raw(), stage.raw()))
                     else {
@@ -632,7 +853,7 @@ pub fn sampled_traces(
     let mut live: SlotTable<RequestId, (SimTime, Vec<Visit>)> = SlotTable::default();
     let mut completed = 0u64;
     let mut out = Vec::new();
-    for ev in &log.events {
+    for ev in log.events() {
         if out.len() >= max {
             break;
         }
@@ -942,13 +1163,16 @@ impl AuditReport {
 /// Replays a [`TraceLog`] against the simulator's invariants. See the
 /// [module docs](self) for the full list of checks.
 ///
-/// The audit is one forward scan. Everything it remembers about a request
-/// or a job sits in a slot-indexed table that still resolves a *displaced*
-/// generation of a reused slot to that generation's own state, so an event
-/// of an old request — a quorum straggler, a late reply after a timeout —
-/// is checked against its own request's emission and completion, never
-/// skipped. Violations are listed in log order, then the end-of-log
-/// reconciliation of the counters: the list is a function of the log alone.
+/// The audit is one forward scan, kept as an incremental fold
+/// ([`AuditFold`]) so that a streamed log is audited chunk by chunk while
+/// the run goes on. Everything it remembers about a request or a job sits
+/// in a slot-indexed table that still resolves a *displaced* generation of
+/// a reused slot to that generation's own state, so an event of an old
+/// request — a quorum straggler, a late reply after a timeout — is checked
+/// against its own request's emission and completion, never skipped.
+/// Violations are listed in log order, then the end-of-log reconciliation
+/// of the counters: the list is a function of the event sequence alone,
+/// wherever the chunk boundaries fall.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceAuditor {
     /// Cap on reported violations (the log can contain millions of events;
@@ -1013,54 +1237,120 @@ impl Lanes {
     }
 }
 
-impl TraceAuditor {
-    /// Creates an auditor with the default violation cap (100).
-    pub fn new() -> Self {
-        TraceAuditor {
-            max_violations: 100,
+/// The violations found so far, in log order, capped. Whether the log was
+/// truncated is only known when it ends, so a violation that only a
+/// complete log can be held to (an event whose request was "never
+/// emitted") is kept with a mark and dropped at the end if the log turns
+/// out truncated — which must leave exactly the list an auditor that knew
+/// from the start would have made, cap included.
+#[derive(Debug, Default)]
+struct Violations {
+    cap: usize,
+    /// `(needs a complete log, message)`: the first `cap` of all
+    /// violations and the first `cap` of the unmarked ones.
+    kept: Vec<(bool, String)>,
+    unmarked: usize,
+}
+
+impl Violations {
+    fn push(&mut self, needs_complete_log: bool, message: impl FnOnce() -> String) {
+        let unmarked = !needs_complete_log;
+        if self.kept.len() < self.cap || (unmarked && self.unmarked < self.cap) {
+            self.kept.push((needs_complete_log, message()));
+        }
+        self.unmarked += usize::from(unmarked);
+    }
+
+    fn finish(mut self, truncated: bool) -> Vec<String> {
+        if truncated {
+            self.kept
+                .retain(|&(needs_complete_log, _)| !needs_complete_log);
+        }
+        self.kept.truncate(self.cap);
+        self.kept.into_iter().map(|(_, message)| message).collect()
+    }
+}
+
+/// The trace audit as an incremental fold: [`feed`](AuditFold::feed) it
+/// the log's chunks in order, then [`finish`](AuditFold::finish) with the
+/// simulator's counters. The report depends on the event sequence only,
+/// not on how it was cut into chunks.
+#[derive(Debug)]
+pub struct AuditFold {
+    requests: SlotTable<RequestId, RequestAudit>,
+    spans: SpanCorrelator,
+    cores: Lanes,
+    threads: Lanes,
+    /// Per join node of a request: arrivals so far, and whether it fired.
+    fan_state: FastMap<(RequestId, PathNodeId), (u32, bool)>,
+    /// Per connection: `Some(busy)` once an event named it.
+    conn_busy: Vec<Option<bool>>,
+    emitted_requests: u64,
+    completed_requests: u64,
+    dropped_events: u64,
+    shed_events: u64,
+    measured_events: u64,
+    timeout_events: u64,
+    spans_checked: usize,
+    violations: Violations,
+}
+
+impl AuditFold {
+    /// An audit that has seen no event yet.
+    pub fn new(auditor: TraceAuditor) -> Self {
+        AuditFold {
+            requests: SlotTable::default(),
+            spans: SpanCorrelator::default(),
+            cores: Lanes::default(),
+            threads: Lanes::default(),
+            fan_state: FastMap::default(),
+            conn_busy: Vec::new(),
+            emitted_requests: 0,
+            completed_requests: 0,
+            dropped_events: 0,
+            shed_events: 0,
+            measured_events: 0,
+            timeout_events: 0,
+            spans_checked: 0,
+            violations: Violations {
+                cap: auditor.max_violations.max(1),
+                ..Violations::default()
+            },
         }
     }
 
-    /// Audits the log against `counts`. The returned report lists every
-    /// violation found (up to the cap) — an empty list means the run upheld
-    /// all checked invariants.
-    pub fn audit(&self, log: &TraceLog, counts: &AuditCounts) -> AuditReport {
-        let cap = self.max_violations.max(1);
-        let mut report = AuditReport {
-            events_checked: log.len(),
-            ..AuditReport::default()
-        };
-        let truncated = log.dropped() > 0;
-        if truncated {
-            report.notes.push(format!(
-                "log truncated ({} events dropped): conservation and completeness checks skipped",
-                log.dropped()
-            ));
-        }
+    /// Checks the next chunk of the log.
+    pub fn feed(&mut self, chunk: &SpanChunk) {
+        let AuditFold {
+            requests,
+            spans,
+            cores,
+            threads,
+            fan_state,
+            conn_busy,
+            emitted_requests,
+            completed_requests,
+            dropped_events,
+            shed_events,
+            measured_events,
+            timeout_events,
+            spans_checked,
+            violations,
+        } = self;
         macro_rules! violation {
             ($($arg:tt)*) => {
-                if report.violations.len() < cap {
-                    report.violations.push(format!($($arg)*));
-                }
+                violations.push(false, || format!($($arg)*))
+            };
+        }
+        // A violation only if the log is complete: a truncated one is
+        // allowed events whose beginning it lost.
+        macro_rules! incomplete {
+            ($($arg:tt)*) => {
+                violations.push(true, || format!($($arg)*))
             };
         }
 
-        let mut requests: SlotTable<RequestId, RequestAudit> = SlotTable::default();
-        let mut spans = SpanCorrelator::default();
-        let mut cores = Lanes::default();
-        let mut threads = Lanes::default();
-        // Per join node of a request: arrivals so far, and whether it fired.
-        let mut fan_state: FastMap<(RequestId, PathNodeId), (u32, bool)> = FastMap::default();
-        // Per connection: `Some(busy)` once an event named it.
-        let mut conn_busy: Vec<Option<bool>> = Vec::new();
-        let mut emitted_requests = 0u64;
-        let mut completed_requests = 0u64;
-        let mut dropped_events = 0u64;
-        let mut shed_events = 0u64;
-        let mut measured_events = 0u64;
-        let mut timeout_events = 0u64;
-
-        for ev in log.events() {
+        for ev in chunk.events() {
             match *ev {
                 // ---- Request lifecycle ----------------------------------
                 // Every emitted request must reach exactly one terminal
@@ -1072,7 +1362,7 @@ impl TraceAuditor {
                     if r.emitted.replace(t).is_some() {
                         violation!("request {request} emitted twice");
                     } else {
-                        emitted_requests += 1;
+                        *emitted_requests += 1;
                     }
                     if r.first_enqueue < t {
                         violation!(
@@ -1086,8 +1376,8 @@ impl TraceAuditor {
                         Some(e) if t < e => {
                             violation!("request {request} launched at {t} before emission at {e}");
                         }
-                        None if !truncated => {
-                            violation!("request {request} launched but never emitted");
+                        None => {
+                            incomplete!("request {request} launched but never emitted");
                         }
                         _ => {}
                     }
@@ -1102,13 +1392,13 @@ impl TraceAuditor {
                     if r.completed.replace(t).is_some() {
                         violation!("request {request} completed twice");
                     } else {
-                        completed_requests += 1;
+                        *completed_requests += 1;
                     }
                     if let Some(prev) = r.terminal.replace("completed") {
                         violation!("request {request} completed after terminal {prev}");
                     }
-                    if !truncated && r.emitted.is_none() {
-                        violation!("request {request} completed but never emitted");
+                    if r.emitted.is_none() {
+                        incomplete!("request {request} completed but never emitted");
                     }
                     if r.last_end > t && !r.early_fired {
                         violation!(
@@ -1117,36 +1407,36 @@ impl TraceAuditor {
                         );
                     }
                     if measured {
-                        measured_events += 1;
+                        *measured_events += 1;
                     }
                 }
                 TraceEvent::RequestDropped { request, .. } => {
-                    dropped_events += 1;
+                    *dropped_events += 1;
                     let r = requests.get_or_insert_with(request, RequestAudit::new);
                     if let Some(prev) = r.terminal.replace("dropped") {
                         violation!("request {request} dropped after terminal {prev}");
                     }
-                    if !truncated && r.emitted.is_none() {
-                        violation!("request {request} dropped but never emitted");
+                    if r.emitted.is_none() {
+                        incomplete!("request {request} dropped but never emitted");
                     }
                 }
                 TraceEvent::RequestShed { request, .. } => {
-                    shed_events += 1;
+                    *shed_events += 1;
                     let r = requests.get_or_insert_with(request, RequestAudit::new);
                     if let Some(prev) = r.terminal.replace("shed") {
                         violation!("request {request} shed after terminal {prev}");
                     }
-                    if !truncated && r.emitted.is_none() {
-                        violation!("request {request} shed but never emitted");
+                    if r.emitted.is_none() {
+                        incomplete!("request {request} shed but never emitted");
                     }
                 }
                 TraceEvent::RequestRetry { request, .. } => {
                     let emitted = requests.get(&request).and_then(|r| r.emitted);
-                    if !truncated && emitted.is_none() {
-                        violation!("retry request {request} has no emission");
+                    if emitted.is_none() {
+                        incomplete!("retry request {request} has no emission");
                     }
                 }
-                TraceEvent::RequestTimeout { .. } => timeout_events += 1,
+                TraceEvent::RequestTimeout { .. } => *timeout_events += 1,
 
                 // ---- Non-overlap per core and per thread, span causality -
                 TraceEvent::NetRx {
@@ -1161,7 +1451,7 @@ impl TraceAuditor {
                         violation!("{}", overlap("core", lane, before, (start, end)));
                     }
                 }
-                TraceEvent::Enqueue { .. } => spans.feed(log, ev, |_| {}),
+                TraceEvent::Enqueue { .. } => spans.feed(chunk, ev, |_| {}),
                 TraceEvent::BatchStart {
                     instance,
                     machine,
@@ -1172,15 +1462,15 @@ impl TraceAuditor {
                     ..
                 } => {
                     for (kind, lanes, lane) in [
-                        ("core", &mut cores, (machine.raw(), core)),
-                        ("thread", &mut threads, (instance.raw(), thread.raw())),
+                        ("core", &mut *cores, (machine.raw(), core)),
+                        ("thread", &mut *threads, (instance.raw(), thread.raw())),
                     ] {
                         if let Some(before) = lanes.occupy(lane, start, end) {
                             violation!("{}", overlap(kind, lane, before, (start, end)));
                         }
                     }
-                    spans.feed(log, ev, |s| {
-                        report.spans_checked += 1;
+                    spans.feed(chunk, ev, |s| {
+                        *spans_checked += 1;
                         if s.enqueue_t > s.start_t || s.start_t > s.end_t {
                             violation!(
                                 "span ordering: job {} at {}/{} has enqueue {} start {} end {}",
@@ -1264,12 +1554,12 @@ impl TraceAuditor {
 
                 // ---- Connection-pool discipline -------------------------
                 TraceEvent::PoolAcquire { conn, .. } | TraceEvent::PoolGrant { conn, .. } => {
-                    if conn_state(&mut conn_busy, conn).replace(true) == Some(true) {
+                    if conn_state(conn_busy, conn).replace(true) == Some(true) {
                         violation!("pool: connection {conn} acquired while busy");
                     }
                 }
                 TraceEvent::PoolRelease { conn, .. } => {
-                    if conn_state(&mut conn_busy, conn).replace(false) != Some(true) {
+                    if conn_state(conn_busy, conn).replace(false) != Some(true) {
                         violation!("pool: connection {conn} released while free");
                     }
                 }
@@ -1278,10 +1568,31 @@ impl TraceAuditor {
                 | TraceEvent::JobKilled { .. } => {}
             }
         }
+    }
+
+    /// Ends the audit of a log that recorded `events` events and dropped
+    /// `dropped`: reconciles what was seen with `counts` (skipped, with a
+    /// note, for a truncated log) and returns the report.
+    pub fn finish(self, counts: &AuditCounts, events: usize, dropped: u64) -> AuditReport {
+        let truncated = dropped > 0;
+        let mut notes = Vec::new();
+        if truncated {
+            notes.push(format!(
+                "log truncated ({dropped} events dropped): conservation and completeness checks skipped"
+            ));
+        }
+        let mut violations = self.violations;
+        macro_rules! violation {
+            ($($arg:tt)*) => {
+                violations.push(false, || format!($($arg)*))
+            };
+        }
 
         // ---- End-of-log reconciliation: conservation and the counters ---
         if !truncated {
-            let (e, c) = (emitted_requests, completed_requests);
+            let (e, c) = (self.emitted_requests, self.completed_requests);
+            let (dropped_events, shed_events) = (self.dropped_events, self.shed_events);
+            let (timeout_events, measured_events) = (self.timeout_events, self.measured_events);
             if e != c + dropped_events + shed_events + counts.live_requests {
                 violation!(
                     "conservation: {e} emitted != {c} completed + {dropped_events} dropped + \
@@ -1328,7 +1639,30 @@ impl TraceAuditor {
             }
         }
 
-        report
+        AuditReport {
+            violations: violations.finish(truncated),
+            notes,
+            events_checked: events,
+            spans_checked: self.spans_checked,
+        }
+    }
+}
+
+impl TraceAuditor {
+    /// Creates an auditor with the default violation cap (100).
+    pub fn new() -> Self {
+        TraceAuditor {
+            max_violations: 100,
+        }
+    }
+
+    /// Audits the retained log against `counts`. The returned report lists
+    /// every violation found (up to the cap) — an empty list means the run
+    /// upheld all checked invariants.
+    pub fn audit(&self, log: &TraceLog, counts: &AuditCounts) -> AuditReport {
+        let mut fold = AuditFold::new(*self);
+        fold.feed(log.retained());
+        fold.finish(counts, log.len(), log.dropped())
     }
 }
 
@@ -1774,6 +2108,75 @@ mod tests {
         let report = TraceAuditor::new().audit(&log, &counts(2, 0, 2, 0));
         assert!(report.is_clean(), "{:?}", report.violations);
         assert!(!report.notes.is_empty());
+    }
+
+    #[test]
+    fn held_back_violations_leave_the_list_a_knowing_auditor_makes() {
+        // `m*` need a complete log, `u*` do not; the cap is 3.
+        let list = |truncated: bool| {
+            let mut v = Violations {
+                cap: 3,
+                ..Violations::default()
+            };
+            for (marked, name) in [
+                (false, "u1"),
+                (true, "m1"),
+                (false, "u2"),
+                (true, "m2"),
+                (false, "u3"),
+                (false, "u4"),
+            ] {
+                v.push(marked, || name.to_string());
+            }
+            v.finish(truncated)
+        };
+        // Complete log: the first three of all. Truncated: the marked ones
+        // never counted, so the first three unmarked.
+        assert_eq!(list(false), ["u1", "m1", "u2"]);
+        assert_eq!(list(true), ["u1", "u2", "u3"]);
+    }
+
+    #[test]
+    fn streamed_log_hands_over_every_event_once_in_order() {
+        let capacity = 5 * CHUNK_EVENTS / 2;
+        let offered = capacity + 1_000;
+        let (mut log, chunks) = TraceLog::streaming(capacity);
+        let seen = std::thread::scope(|scope| {
+            let consumer = scope.spawn(move || {
+                // Emission times, and for a batch its first job.
+                let mut seen = Vec::new();
+                chunks.drain(|chunk| {
+                    for ev in chunk.events() {
+                        seen.push(match *ev {
+                            TraceEvent::BatchStart { start, jobs, .. } => {
+                                (start, Some(chunk.batch_jobs(jobs)[0]))
+                            }
+                            _ => (ev.time(), None),
+                        });
+                    }
+                });
+                seen
+            });
+            for i in 0..offered {
+                if i % 3 == 0 {
+                    batch(&mut log, 0, 0, i as u64, i as u64, &[jid(i as u32)]);
+                } else {
+                    log.record(emit(i as u32, i as u64));
+                }
+            }
+            log.close();
+            consumer.join().expect("consumer finishes")
+        });
+        assert_eq!(seen.len(), capacity);
+        for (i, &(at, job)) in seen.iter().enumerate() {
+            assert_eq!(at, t(i as u64));
+            assert_eq!(job, (i % 3 == 0).then(|| jid(i as u32)));
+        }
+        // The totals outlive the events.
+        assert_eq!(log.len(), capacity);
+        assert_eq!(log.dropped(), 1_000);
+        assert!(log.events().is_empty());
+        assert!(log.chunks_allocated() <= STREAM_DEPTH + 2);
     }
 
     #[test]

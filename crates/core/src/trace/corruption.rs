@@ -4,10 +4,13 @@
 //! one invariant by editing, duplicating or removing one event, and must
 //! come back from the auditor with that invariant's violation — while the
 //! untouched log stays clean and the auditor counts exactly the spans
-//! [`TraceLog::spans`] returns.
+//! [`TraceLog::spans`] returns. The same logs, cut into chunks of any
+//! size, must give the folds the streamed logs feed ([`AuditFold`],
+//! [`ReplayFold`]) exactly what the whole log gives them.
 
 use super::*;
 use crate::config::ScenarioConfig;
+use crate::critpath::{CpcProfile, ReplayFold};
 use crate::fault::FaultPlan;
 use crate::time::SimDuration;
 
@@ -18,6 +21,16 @@ const SOCIAL_NETWORK: &str = include_str!("../../../cli/configs/social_network.j
 /// Runs a bundled scenario with the span log on and returns the log with
 /// the counters it must reconcile with.
 fn record(scenario: &str, faults: Option<&str>, secs: f64) -> (TraceLog, AuditCounts) {
+    let (log, counts, _) = record_with_meta(scenario, faults, secs);
+    (log, counts)
+}
+
+/// [`record`], plus the names a replay of the log resolves its sites with.
+fn record_with_meta(
+    scenario: &str,
+    faults: Option<&str>,
+    secs: f64,
+) -> (TraceLog, AuditCounts, TraceMeta) {
     let mut sim = ScenarioConfig::from_json(scenario)
         .expect("bundled scenario parses")
         .build()
@@ -28,20 +41,28 @@ fn record(scenario: &str, faults: Option<&str>, secs: f64) -> (TraceLog, AuditCo
     }
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs_f64(secs));
-    let counts = sim.audit_counts();
+    let (counts, meta) = (sim.audit_counts(), sim.trace_meta());
     let log = sim.take_span_log().expect("span tracing is on");
     assert_eq!(log.dropped(), 0, "capacity too small for this test");
-    (log, counts)
+    (log, counts, meta)
+}
+
+/// A retained log with the same events.
+fn copy(log: &TraceLog) -> TraceLog {
+    TraceLog {
+        chunk: log.chunk.clone(),
+        ..TraceLog::new(log.capacity)
+    }
 }
 
 /// Index of the first event `pick` accepts.
 fn find(log: &TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Option<usize> {
-    log.events.iter().position(pick)
+    log.chunk.events.iter().position(pick)
 }
 
 fn duplicate(log: &mut TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Option<()> {
     let i = find(log, pick)?;
-    log.events.insert(i + 1, log.events[i]);
+    log.chunk.events.insert(i + 1, log.chunk.events[i]);
     Some(())
 }
 
@@ -57,7 +78,7 @@ fn measured_completion(ev: &TraceEvent) -> bool {
 fn batch_after_same_core_and_thread(log: &TraceLog) -> Option<(usize, SimTime)> {
     let mut last_on_core = FastMap::default();
     let mut last_on_thread = FastMap::default();
-    for (i, ev) in log.events.iter().enumerate() {
+    for (i, ev) in log.chunk.events.iter().enumerate() {
         if let TraceEvent::BatchStart {
             instance,
             machine,
@@ -101,7 +122,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["conservation", "completion events", "warmup accounting"],
         apply: |log| {
             let i = find(log, measured_completion)?;
-            log.events.remove(i);
+            log.chunk.events.remove(i);
             Some(())
         },
     },
@@ -115,7 +136,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["conservation", "drop events"],
         apply: |log| {
             let i = find(log, |ev| matches!(ev, TraceEvent::RequestDropped { .. }))?;
-            log.events.remove(i);
+            log.chunk.events.remove(i);
             Some(())
         },
     },
@@ -124,7 +145,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["non-overlap: core", "non-overlap: thread"],
         apply: |log| {
             let (i, prev_end) = batch_after_same_core_and_thread(log)?;
-            let TraceEvent::BatchStart { start, .. } = &mut log.events[i] else {
+            let TraceEvent::BatchStart { start, .. } = &mut log.chunk.events[i] else {
                 unreachable!("the index names a BatchStart");
             };
             *start = SimTime::from_nanos(prev_end.as_nanos() - 1);
@@ -136,7 +157,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["span ordering"],
         apply: |log| {
             let i = find(log, |ev| matches!(ev, TraceEvent::Enqueue { .. }))?;
-            let TraceEvent::Enqueue { t, .. } = &mut log.events[i] else {
+            let TraceEvent::Enqueue { t, .. } = &mut log.chunk.events[i] else {
                 unreachable!("the index names an Enqueue");
             };
             *t = SimTime::MAX;
@@ -150,7 +171,7 @@ const CORRUPTIONS: &[Corruption] = &[
             // The first completed request's first span, stretched past the
             // completion. No bundled config fires a fan-in early, so every
             // request is under `all`.
-            let (request, done) = log.events.iter().find_map(|ev| match *ev {
+            let (request, done) = log.chunk.events.iter().find_map(|ev| match *ev {
                 TraceEvent::RequestCompleted { request, t, .. } => Some((request, t)),
                 _ => None,
             })?;
@@ -159,7 +180,7 @@ const CORRUPTIONS: &[Corruption] = &[
                 matches!(*ev, TraceEvent::BatchStart { instance, thread, start, .. }
                     if (instance, thread, start) == (span.instance, span.thread, span.start_t))
             })?;
-            let TraceEvent::BatchStart { end, .. } = &mut log.events[i] else {
+            let TraceEvent::BatchStart { end, .. } = &mut log.chunk.events[i] else {
                 unreachable!("the index names a BatchStart");
             };
             *end = SimTime::from_nanos(done.as_nanos() + 1);
@@ -171,7 +192,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["fan-in"],
         apply: |log| {
             let i = find(log, |ev| matches!(ev, TraceEvent::FanIn { .. }))?;
-            let TraceEvent::FanIn { arrivals, .. } = &mut log.events[i] else {
+            let TraceEvent::FanIn { arrivals, .. } = &mut log.chunk.events[i] else {
                 unreachable!("the index names a FanIn");
             };
             *arrivals += 1;
@@ -193,7 +214,7 @@ const CORRUPTIONS: &[Corruption] = &[
         expect: &["warmup accounting"],
         apply: |log| {
             let i = find(log, measured_completion)?;
-            let TraceEvent::RequestCompleted { measured, .. } = &mut log.events[i] else {
+            let TraceEvent::RequestCompleted { measured, .. } = &mut log.chunk.events[i] else {
                 unreachable!("the index names a RequestCompleted");
             };
             *measured = false;
@@ -222,7 +243,7 @@ fn every_one_event_corruption_of_a_real_log_is_flagged() {
         assert!(clean.spans_checked > 1_000, "{scenario}: a trivial log");
 
         for (case, corruption) in CORRUPTIONS.iter().enumerate() {
-            let mut broken = log.clone();
+            let mut broken = copy(log);
             if (corruption.apply)(&mut broken).is_none() {
                 continue;
             }
@@ -240,5 +261,142 @@ fn every_one_event_corruption_of_a_real_log_is_flagged() {
     }
     for (corruption, n) in CORRUPTIONS.iter().zip(applied) {
         assert!(n > 0, "{}: no log had an event to corrupt", corruption.name);
+    }
+}
+
+/// The events of `log` cut into chunks of `size`, each with the job lists
+/// of its own batches — what a streamed log of that chunk size hands over.
+fn rechunk(log: &TraceLog, size: usize) -> Vec<SpanChunk> {
+    let cut = |events: &[TraceEvent]| {
+        let mut chunk = SpanChunk::default();
+        for ev in events {
+            let mut ev = *ev;
+            if let TraceEvent::BatchStart { jobs, .. } = &mut ev {
+                let list = log.batch_jobs(*jobs);
+                *jobs = BatchJobs {
+                    offset: chunk.jobs.len() as u32,
+                    len: list.len() as u32,
+                };
+                chunk.jobs.extend_from_slice(list);
+            }
+            chunk.events.push(ev);
+        }
+        chunk
+    };
+    log.events().chunks(size).map(cut).collect()
+}
+
+fn audit_chunks(chunks: &[SpanChunk], counts: &AuditCounts, dropped: u64) -> AuditReport {
+    let mut fold = AuditFold::new(TraceAuditor::new());
+    chunks.iter().for_each(|chunk| fold.feed(chunk));
+    let events = chunks.iter().map(|chunk| chunk.events.len()).sum();
+    fold.finish(counts, events, dropped)
+}
+
+fn replay_chunks(chunks: &[SpanChunk], meta: &TraceMeta) -> Result<CpcProfile, String> {
+    let mut fold = ReplayFold::new();
+    chunks.iter().for_each(|chunk| fold.feed(chunk));
+    let events = chunks.iter().map(|chunk| chunk.events.len()).sum();
+    fold.finish(meta, events, 0)
+}
+
+const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
+
+/// Corruptions that move a timestamp back past its request's frontier: the
+/// replay's `SimTime` subtraction panics on those, whole log or chunked.
+const BREAKS_TIME_ORDER: [&str; 2] = [
+    "shift a batch back onto its core's and thread's previous one",
+    "enqueue after service started",
+];
+
+#[test]
+fn folds_do_not_see_chunk_boundaries() {
+    let (log, counts, meta) = record_with_meta(SOCIAL_NETWORK, None, 0.6);
+    let mut logs = vec![("untouched", copy(&log))];
+    for corruption in CORRUPTIONS {
+        let mut broken = copy(&log);
+        if (corruption.apply)(&mut broken).is_some() {
+            logs.push((corruption.name, broken));
+        }
+    }
+    assert!(logs.len() > 8, "social_network takes most corruptions");
+    for (name, log) in &logs {
+        let whole = TraceAuditor::new().audit(log, &counts);
+        assert_eq!(whole.is_clean(), *name == "untouched", "{name}");
+        let replayable = !BREAKS_TIME_ORDER.contains(name);
+        let whole_profile = replayable.then(|| CpcProfile::from_trace(log, &meta));
+        for size in CHUNK_SIZES {
+            let chunks = rechunk(log, size);
+            assert_eq!(
+                audit_chunks(&chunks, &counts, 0),
+                whole,
+                "{name}, chunks of {size}"
+            );
+            if let Some(whole_profile) = &whole_profile {
+                assert_eq!(
+                    &replay_chunks(&chunks, &meta),
+                    whole_profile,
+                    "{name}, chunks of {size}"
+                );
+            }
+        }
+    }
+    // A faulted log too: retries, drops and sheds cross chunk boundaries.
+    let (log, counts, meta) = record_with_meta(QUICKSTART, Some(QUICKSTART_FAULTS), 1.6);
+    for size in CHUNK_SIZES {
+        let chunks = rechunk(&log, size);
+        assert_eq!(
+            audit_chunks(&chunks, &counts, 0),
+            TraceAuditor::new().audit(&log, &counts)
+        );
+        assert_eq!(
+            replay_chunks(&chunks, &meta),
+            CpcProfile::from_trace(&log, &meta)
+        );
+    }
+}
+
+/// Whether the log is truncated is only known when it ends. Violations
+/// that only a complete log can be held to are kept until then, and go
+/// only if it turns out truncated — the others stay, in log order.
+#[test]
+fn completeness_violations_wait_for_the_end_of_the_log() {
+    let (log, counts) = record(QUICKSTART, None, 1.0);
+    let mut broken = copy(&log);
+    // Lose the first emission (its request is launched, served and
+    // completed "but never emitted") and complete some request twice.
+    let i = find(&broken, |ev| {
+        matches!(ev, TraceEvent::RequestEmitted { .. })
+    })
+    .unwrap();
+    broken.chunk.events.remove(i);
+    duplicate(&mut broken, measured_completion).unwrap();
+    for size in CHUNK_SIZES {
+        let chunks = rechunk(&broken, size);
+        let complete = audit_chunks(&chunks, &counts, 0);
+        assert_eq!(complete, TraceAuditor::new().audit(&broken, &counts));
+        let never_emitted = |v: &&String| v.contains("never emitted");
+        assert!(complete.violations.iter().filter(never_emitted).count() >= 2);
+        assert!(complete
+            .violations
+            .iter()
+            .any(|v| v.contains("conservation")));
+
+        let truncated = audit_chunks(&chunks, &counts, 1);
+        assert_eq!(truncated.violations.iter().filter(never_emitted).count(), 0);
+        assert!(!truncated
+            .violations
+            .iter()
+            .any(|v| v.contains("conservation")));
+        // What is left is what the complete log's list has besides, in
+        // the same order.
+        let kept: Vec<&String> = complete
+            .violations
+            .iter()
+            .filter(|v| truncated.violations.contains(v))
+            .collect();
+        assert_eq!(kept, truncated.violations.iter().collect::<Vec<_>>());
+        assert!(kept.iter().any(|v| v.contains("completed twice")));
+        assert_eq!(truncated.notes.len(), 1);
     }
 }

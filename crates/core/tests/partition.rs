@@ -8,7 +8,7 @@ use uqsim_core::config::ScenarioConfig;
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
 use uqsim_core::partition::{
-    cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan,
+    cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan, SpanTracing,
 };
 use uqsim_core::rng::RngFactory;
 use uqsim_core::run::EXAMPLE_SCENARIO;
@@ -132,7 +132,7 @@ fn full_options(shards: usize) -> PartitionOptions {
             sample_interval: Some(SimDuration::from_millis(50)),
             ..TelemetryConfig::default()
         }),
-        span_tracing: Some(1 << 16),
+        span_tracing: SpanTracing::Retain(1 << 16),
     }
 }
 
@@ -540,4 +540,57 @@ proptest! {
         prop_assert_eq!(&one.result, &four.result);
         prop_assert_eq!(one.prometheus(), four.prometheus());
     }
+}
+
+// ---------------------------------------------------------------------
+// Streamed span logs: checked while the cell runs, in bounded memory
+// ---------------------------------------------------------------------
+
+/// A cell that checks its span log instead of keeping it owns a handful
+/// of chunks however long it runs, and the checks still see every event:
+/// the report is the one a retained log of the same run gets.
+#[test]
+fn checked_span_log_stays_within_a_few_chunks_for_any_run_length() {
+    use uqsim_core::trace::{CHUNK_EVENTS, STREAM_DEPTH};
+    let cfg = ScenarioConfig::from_json(include_str!("../../cli/configs/two_tier.json")).unwrap();
+    let run = |secs: u64, span_tracing| {
+        let opts = PartitionOptions {
+            span_tracing,
+            ..PartitionOptions::with_shards(1)
+        };
+        run_partitioned(&cfg, None, 3, SimDuration::from_secs(secs), &opts).unwrap()
+    };
+    let check = SpanTracing::Check {
+        events: usize::MAX,
+        replay: true,
+    };
+    let mut events = Vec::new();
+    for secs in [1, 3] {
+        let checked = run(secs, check);
+        let cell = &checked.cells[0];
+        let log = cell.sim.span_log().expect("span tracing is on");
+        assert!(
+            log.chunks_allocated() <= STREAM_DEPTH + 2,
+            "{secs} s: {} chunks",
+            log.chunks_allocated()
+        );
+        assert!(log.events().is_empty(), "nothing is retained");
+        assert!(
+            log.len() > 10 * CHUNK_EVENTS,
+            "{secs} s: chunks were reused"
+        );
+        events.push(log.len());
+
+        let checks = cell.checks.as_ref().expect("the log was checked");
+        assert_eq!(checks.audit.events_checked, log.len());
+        assert!(checks.audit.is_clean(), "{:?}", checks.audit.violations);
+        let replayed = checks.replay.as_ref().expect("replay was asked for");
+        assert_eq!(replayed.as_ref().ok(), cell.result.critpath.as_ref());
+        if secs == 1 {
+            let retained = run(secs, SpanTracing::Retain(usize::MAX));
+            assert_eq!(checked.audit(), retained.audit());
+            assert_eq!(checked.result, retained.result);
+        }
+    }
+    assert!(events[1] > 2 * events[0], "the longer run recorded more");
 }
