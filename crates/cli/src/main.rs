@@ -137,7 +137,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn usage() -> ExitCode {
+/// Prints `reason` (what was wrong with the command line, if known) and
+/// the usage table; exit 2.
+fn usage(reason: Option<&str>) -> ExitCode {
+    if let Some(reason) = reason {
+        eprintln!("error: {reason}");
+    }
     eprintln!(
         "usage:\n  uqsim run <scenario.json> [--duration <secs>] [--seed <n>] [--json] \
          [--metrics-out <dir>] [--sample-interval <secs>] [--faults <faults.json>] \
@@ -167,8 +172,8 @@ fn usage() -> ExitCode {
 /// Why a subcommand did not run to an outcome.
 enum Failure {
     /// Unknown flag, missing or unparsable value, missing required
-    /// argument: print the usage text, exit 2.
-    Usage,
+    /// argument: print the one-line reason and the usage text, exit 2.
+    Usage(String),
     /// A well-formed flag whose value cannot be used (a decreasing `--qps`
     /// range): print the message, exit 2.
     Invalid(String),
@@ -204,11 +209,10 @@ struct Args {
 }
 
 impl Args {
-    /// Splits `raw` into the flags a subcommand lists in `accepted`
-    /// (space-separated) and up to `max_positional` bare words. An unlisted
-    /// flag, a flag without its value, or a surplus bare word is a usage
-    /// error.
-    fn parse(raw: &[String], accepted: &str, max_positional: usize) -> Result<Args, Failure> {
+    /// Splits `raw` into the flags `cmd` accepts and up to
+    /// `cmd.positional` bare words. An unlisted flag, a flag without its
+    /// value, or a surplus bare word is a usage error.
+    fn parse(raw: &[String], cmd: &Command) -> Result<Args, Failure> {
         let mut args = Args {
             flags: Vec::new(),
             positional: Vec::new(),
@@ -216,19 +220,22 @@ impl Args {
         let mut words = raw.iter();
         while let Some(word) = words.next() {
             if word.starts_with("--") {
-                if !accepted.split(' ').any(|flag| flag == word) {
-                    return Err(Failure::Usage);
+                if !cmd.flags.split(' ').any(|flag| flag == word) {
+                    let reason = format!("`uqsim {}` does not take {word}", cmd.name);
+                    return Err(Failure::Usage(reason));
                 }
                 let value = if SWITCHES.contains(&word.as_str()) {
                     String::new()
                 } else {
-                    words.next().ok_or(Failure::Usage)?.clone()
+                    let missing = || Failure::Usage(format!("{word} needs a value"));
+                    words.next().ok_or_else(missing)?.clone()
                 };
                 args.flags.push((word.clone(), value));
-            } else if args.positional.len() < max_positional {
+            } else if args.positional.len() < cmd.positional {
                 args.positional.push(word.clone());
             } else {
-                return Err(Failure::Usage);
+                let reason = format!("`uqsim {}`: unexpected argument `{word}`", cmd.name);
+                return Err(Failure::Usage(reason));
             }
         }
         Ok(args)
@@ -250,8 +257,17 @@ impl Args {
 
     /// The parsed value of `flag`; an unparsable value is a usage error.
     fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Failure> {
-        let parsed = self.raw(flag).map(str::parse);
-        parsed.transpose().map_err(|_| Failure::Usage)
+        let Some(text) = self.raw(flag) else {
+            return Ok(None);
+        };
+        let unparsable = |_| Failure::Usage(format!("{flag}: cannot parse `{text}`"));
+        text.parse().map(Some).map_err(unparsable)
+    }
+
+    /// The value of a flag the subcommand cannot do without.
+    fn required(&self, flag: &str, value: &str) -> Result<&str, Failure> {
+        let missing = || Failure::Usage(format!("{flag} {value} is required"));
+        self.raw(flag).ok_or_else(missing)
     }
 
     fn get_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, Failure> {
@@ -262,7 +278,7 @@ impl Args {
     fn positive(&self, flag: &str, default: f64) -> Result<f64, Failure> {
         match self.get_or(flag, default)? {
             v if v > 0.0 => Ok(v),
-            _ => Err(Failure::Usage),
+            _ => Err(Failure::Usage(format!("{flag} must be positive"))),
         }
     }
 }
@@ -326,14 +342,18 @@ impl RunPlan {
         let seed: Option<u64> = args.get("--seed")?;
         let duration_s: f64 = args.get_or("--duration", default_duration_s)?;
         let shards = match args.get::<usize>("--shards")? {
-            Some(0) => return Err(Failure::Usage),
+            Some(0) => return Err(Failure::Usage("--shards must be at least 1".into())),
             given => given.unwrap_or(0),
         };
         let path = args.positional.first().map(String::as_str);
         let (scenario, mut cfg) = match (path.xor(args.raw("--config")), args.raw("--gen")) {
             (Some(path), None) => (path, load(Path::new(path))?),
             (None, Some(spec)) => (spec, generate(Path::new(spec), seed)?),
-            _ => return Err(Failure::Usage),
+            _ => {
+                let reason = "name exactly one scenario: a path, --config <scenario.json>, \
+                              or --gen <gen.json>";
+                return Err(Failure::Usage(reason.into()));
+            }
         };
         if let Some(seed) = seed {
             cfg.seed = seed;
@@ -419,18 +439,16 @@ struct Truncation {
 /// Says which cells' span logs overflowed (`what` names the consequence);
 /// `None` when every log is complete.
 fn report_truncation(run: &PartitionedRun, events: usize, what: &str) -> Option<Truncation> {
-    let produced =
-        |c: &CellOutput| c.sim.span_log().map_or(0, |log| log.len()) as u64 + c.span_dropped();
+    let produced = |c: &CellOutput| c.span_events as u64 + c.span_dropped;
     let needed = run.cells.iter().map(produced).max().unwrap_or(0);
-    for c in run.cells.iter().filter(|c| c.span_dropped() > 0) {
+    for c in run.cells.iter().filter(|c| c.span_dropped > 0) {
         eprintln!(
             "cell {} span log truncated ({} events dropped at capacity {events}); \
              {what} — raise --events to at least {needed}",
-            c.cell,
-            c.span_dropped()
+            c.cell, c.span_dropped
         );
     }
-    let dropped: u64 = run.cells.iter().map(|c| c.span_dropped()).sum();
+    let dropped: u64 = run.cells.iter().map(|c| c.span_dropped).sum();
     (dropped > 0).then_some(Truncation { dropped, needed })
 }
 
@@ -472,7 +490,8 @@ fn cmd_run(args: &Args) -> Outcome {
             dir.join("metrics.csv"),
             run.csv().expect("sampler is enabled"),
         )?;
-        std::fs::write(dir.join("metrics.json"), pretty(&run.json()))?;
+        let json = run.json().expect("sampler is enabled");
+        std::fs::write(dir.join("metrics.json"), pretty(&json))?;
         eprintln!(
             "wrote metrics.prom, metrics.csv, metrics.json to {}",
             dir.display()
@@ -542,9 +561,7 @@ fn print_run_summary(plan: &RunPlan, r: &RunResult) {
 /// scenario + plan + seed prints byte-identical text on every run, at any
 /// `--shards` value.
 fn cmd_chaos(args: &Args) -> Outcome {
-    if !args.has("--faults") {
-        return Err(Failure::Usage);
-    }
+    args.required("--faults", "<faults.json>")?;
     let events: usize = args.get_or("--events", 4_000_000)?;
     let plan = RunPlan::from_args(args, 5.0)?;
     let span_tracing = SpanTracing::Check {
@@ -780,22 +797,11 @@ fn cmd_why(args: &Args) -> Outcome {
     let mut replayed_events = 0;
     for c in &run.cells {
         let checks = c.checks.as_ref().expect("the span log was checked");
-        let replayed = match checks.replay.as_ref().expect("replay was asked for") {
-            Ok(profile) => profile,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return Ok(false);
-            }
-        };
-        if c.result.critpath.as_ref() != Some(replayed) {
-            eprintln!(
-                "error: cell {}: streaming and trace-replayed attribution disagree; \
-                 this is an engine bug — please report it",
-                c.cell
-            );
+        if let Err(msg) = checks.replay.as_ref().expect("replay was asked for") {
+            eprintln!("error: {msg}");
             return Ok(false);
         }
-        replayed_events += c.sim.span_log().map_or(0, |log| log.len());
+        replayed_events += c.span_events;
     }
     eprintln!(
         "why: {replayed_events} span events replayed, {} spans audited, streaming == replay",
@@ -984,7 +990,7 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
 /// the table goes to stdout (or `--out`), and its bytes do not depend on
 /// `--jobs` or `--shards`.
 fn cmd_sweep(args: &Args) -> Outcome {
-    let qps_spec = args.raw("--qps").ok_or(Failure::Usage)?;
+    let qps_spec = args.required("--qps", "<lo:hi:step|a,b,..>")?;
     let reps: usize = args.get_or("--reps", 3)?;
     let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
     let plan = RunPlan::from_args(args, 5.0)?;
@@ -1052,11 +1058,11 @@ fn cmd_trace(args: &Args) -> Outcome {
 fn print_sampled_traces(run: &PartitionedRun, events: usize, every: u64, max: usize) -> Outcome {
     let mut traces = Vec::new();
     for c in &run.cells {
-        let log = c.sim.span_log().expect("span tracing is enabled");
+        let trace = c.trace.as_ref().expect("the span log is retained");
         let room = max - traces.len();
         traces.extend(uqsim_core::trace::sampled_traces(
-            log,
-            &c.sim.trace_meta(),
+            &trace.log,
+            &trace.meta,
             every,
             room,
         ));
@@ -1092,11 +1098,7 @@ fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome
         }
         None => println!("{text}"),
     }
-    let recorded: usize = run
-        .cells
-        .iter()
-        .map(|c| c.sim.span_log().map_or(0, |log| log.len()))
-        .sum();
+    let recorded: usize = run.cells.iter().map(|c| c.span_events).sum();
     let audit = run.audit().expect("span tracing is enabled");
     let dropped =
         report_truncation(run, events, "the trace is incomplete").map_or(0, |t| t.dropped);
@@ -1120,7 +1122,7 @@ fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome
 /// neither, the spec is validated, generated, and built, and only the
 /// summary line is printed.
 fn cmd_gen(args: &Args) -> Outcome {
-    let spec_path = args.path("--spec").ok_or(Failure::Usage)?;
+    let spec_path = PathBuf::from(args.required("--spec", "<gen.json>")?);
     let seed: Option<u64> = args.get("--seed")?;
     let (out, json) = (args.path("--out"), args.has("--json"));
     let spec = uqsim_synth::GenSpec::from_file(&spec_path)?;
@@ -1146,7 +1148,8 @@ fn cmd_gen(args: &Args) -> Outcome {
 }
 
 fn cmd_validate(args: &Args) -> Outcome {
-    let path = args.positional.first().ok_or(Failure::Usage)?;
+    let missing = || Failure::Usage("validate needs a scenario path".into());
+    let path = args.positional.first().ok_or_else(missing)?;
     match load(Path::new(path)).and_then(|c| c.build()) {
         Ok(sim) => println!(
             "ok: {} instances, {} pending events at t=0",
@@ -1163,7 +1166,7 @@ fn cmd_validate(args: &Args) -> Outcome {
 
 fn cmd_split(args: &Args) -> Outcome {
     let [src, dst] = args.positional.as_slice() else {
-        return Err(Failure::Usage);
+        return Err(Failure::Usage("split needs <scenario.json> <dir>".into()));
     };
     load(Path::new(src))?.write_dir(Path::new(dst))?;
     println!("wrote Table I layout to {dst}");
@@ -1210,17 +1213,17 @@ const COMMANDS: &[Command] = &[
 fn main() -> ExitCode {
     uqsim_core::telemetry::set_alloc_probe(|| ALLOCATIONS.load(Ordering::Relaxed));
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw
-        .first()
-        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
-    else {
-        return usage();
+    let Some(name) = raw.first() else {
+        return usage(None);
     };
-    let outcome = Args::parse(&raw[1..], cmd.flags, cmd.positional).and_then(|a| (cmd.run)(&a));
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return usage(Some(&format!("unknown subcommand `{name}`")));
+    };
+    let outcome = Args::parse(&raw[1..], cmd).and_then(|a| (cmd.run)(&a));
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
-        Err(Failure::Usage) => usage(),
+        Err(Failure::Usage(reason)) => usage(Some(&reason)),
         Err(Failure::Invalid(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::from(2)

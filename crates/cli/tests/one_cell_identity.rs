@@ -71,7 +71,7 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
     let run = run_partitioned(cfg, faults, SEED, duration, &opts).expect("run succeeds");
     let what = format!("{name}, faulted={}", faults.is_some());
     assert_eq!(run.cells.len(), 1, "{what}: bundled configs are one cell");
-    assert_eq!(run.cells[0].span_dropped(), 0, "{what}: raise SPAN_EVENTS");
+    assert_eq!(run.cells[0].span_dropped, 0, "{what}: raise SPAN_EVENTS");
 
     let r = &run.result;
     assert_eq!(r, &run.cells[0].result, "{what}: merged summary");
@@ -92,7 +92,7 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
     assert_eq!(run.prometheus(), bare.metrics_prometheus(), "{what}");
     assert_eq!(run.csv(), bare.metrics_csv(), "{what}");
     assert_eq!(
-        pretty(&run.json()),
+        pretty(&run.json().expect("sampler on")),
         pretty(&bare.metrics_json()),
         "{what}: metrics JSON"
     );

@@ -3,7 +3,8 @@
 //! rejected once, before anything runs, by every subcommand — exit 1 and
 //! an error naming the scenario and both values, never a table of zeros —
 //! and the flag table turns a flag a subcommand does not take into a usage
-//! error (exit 2).
+//! error (exit 2) that says, on one line before the usage table, what was
+//! wrong.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -96,25 +97,78 @@ fn top_rejects_an_empty_measurement_window() {
 #[test]
 fn flags_a_subcommand_does_not_take_are_usage_errors() {
     let cfg = config("quickstart.json");
-    for args in [
+    let gen = config("gen_dsb.json");
+    for (args, reason) in [
         // `--seed` belongs to run/chaos/why/sweep/top, not to trace.
-        vec!["trace", "--config", &cfg, "--seed", "3"],
+        (
+            vec!["trace", "--config", &cfg, "--seed", "3"],
+            "`uqsim trace` does not take --seed",
+        ),
         // `--metrics-out` is run's alone.
-        vec!["why", "--config", &cfg, "--metrics-out", "/tmp/x"],
+        (
+            vec!["why", "--config", &cfg, "--metrics-out", "/tmp/x"],
+            "`uqsim why` does not take --metrics-out",
+        ),
         // `run` takes its scenario as a bare word.
-        vec!["run", "--config", &cfg],
+        (
+            vec!["run", "--config", &cfg],
+            "`uqsim run` does not take --config",
+        ),
         // The serial `sweep <path> --loads` form is gone.
-        vec!["sweep", &cfg, "--loads", "1000,2000"],
-        vec!["run", &cfg, "--shards", "0"],
-        vec!["run", &cfg, "--duration"],
-        vec!["run", &cfg, "--duration", "soon"],
-        vec!["frobnicate"],
+        (
+            vec!["sweep", &cfg, "--loads", "1000,2000"],
+            "`uqsim sweep`: unexpected argument",
+        ),
+        (
+            vec!["run", &cfg, "--shards", "0"],
+            "--shards must be at least 1",
+        ),
+        (vec!["run", &cfg, "--duration"], "--duration needs a value"),
+        (
+            vec!["run", &cfg, "--duration", "soon"],
+            "--duration: cannot parse `soon`",
+        ),
+        (
+            vec!["run", &cfg, "--sample-interval", "0"],
+            "--sample-interval must be positive",
+        ),
+        (vec!["frobnicate"], "unknown subcommand `frobnicate`"),
+        // A required flag is named, not left for the reader to spot in the
+        // usage table.
+        (
+            vec!["chaos", "--gen", &gen],
+            "--faults <faults.json> is required",
+        ),
+        (vec!["sweep", "--config", &cfg], "--qps"),
+        (vec!["gen"], "--spec <gen.json> is required"),
+        // No scenario, or two of them.
+        (vec!["run"], "name exactly one scenario"),
+        (
+            vec!["run", &cfg, "--gen", &gen],
+            "name exactly one scenario",
+        ),
+        (
+            vec!["why", "--config", &cfg, "--gen", &gen],
+            "name exactly one scenario",
+        ),
+        (vec!["validate"], "validate needs a scenario path"),
+        (vec!["split", &cfg], "split needs <scenario.json> <dir>"),
     ] {
         let out = uqsim(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("usage:"), "{args:?}:\n{stderr}");
+        let (first, rest) = stderr.split_once('\n').expect("reason, then usage");
+        assert!(
+            first.starts_with("error: ") && first.contains(reason),
+            "{args:?}: expected {reason:?} in {first:?}"
+        );
+        assert!(rest.starts_with("usage:"), "{args:?}:\n{stderr}");
     }
+    // No subcommand at all: there is nothing to say but the usage table.
+    let out = uqsim(&[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
     // A well-formed flag with an unusable value says which, still exit 2.
     let out = uqsim(&["sweep", "--config", &cfg, "--qps", "3000:1000:500"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -43,13 +43,16 @@ impl LatencySummary {
         }
     }
 
-    /// Computes a summary from unsorted samples (seconds). Sorts a copy.
+    /// Computes a summary from unsorted samples (seconds). Sorts a copy —
+    /// unstably, by the total order: latencies are finite and non-negative,
+    /// so equal samples are bit-equal and the sorted copy is the one a
+    /// stable sort by `partial_cmp` yields.
     pub fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return Self::empty();
         }
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        sorted.sort_unstable_by(f64::total_cmp);
         Self::from_sorted(&sorted)
     }
 
@@ -160,6 +163,11 @@ impl LatencyRecorder {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+
+    /// The retained samples, moved out.
+    pub fn into_samples(self) -> Vec<f64> {
+        self.samples
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +198,51 @@ mod tests {
         assert_eq!(s.mean, 2.5);
         assert_eq!(s.p50, 2.0);
         assert_eq!(s.max, 4.0);
+    }
+
+    /// The stable `partial_cmp` sort `from_samples` used to make.
+    fn summary_by_stable_sort(samples: &[f64]) -> LatencySummary {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        LatencySummary::from_sorted(&sorted)
+    }
+
+    fn assert_same_bits(a: LatencySummary, b: LatencySummary) {
+        assert_eq!(a.count, b.count);
+        for (x, y) in [
+            (a.mean, b.mean),
+            (a.p50, b.p50),
+            (a.p95, b.p95),
+            (a.p99, b.p99),
+            (a.max, b.max),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn unstable_sort_yields_the_stable_sorts_summary_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        // Latencies as the recorder stores them: nanosecond counts in
+        // seconds, spread over six decades.
+        let random: Vec<f64> = (0..100_000)
+            .map(|_| {
+                let ns = 10f64.powf(rng.gen_range(3.0..9.0)) as u64;
+                SimDuration::from_nanos(ns).as_secs_f64()
+            })
+            .collect();
+        // Heavily tied: 100,000 samples over 17 distinct values, zero
+        // included.
+        let tied: Vec<f64> = (0..100_000)
+            .map(|_| SimDuration::from_nanos(rng.gen_range(0..17u64) * 250_000).as_secs_f64())
+            .collect();
+        for samples in [&random, &tied] {
+            assert_same_bits(
+                LatencySummary::from_samples(samples),
+                summary_by_stable_sort(samples),
+            );
+        }
     }
 
     #[test]

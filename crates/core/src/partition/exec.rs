@@ -18,14 +18,17 @@ use minipool::Pool;
 use serde::Value;
 
 use crate::config::ScenarioConfig;
-use crate::critpath::{CpcProfile, ReplayFold};
+use crate::critpath::ReplayFold;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::run::RunResult;
 use crate::sim::Simulator;
-use crate::telemetry::TelemetryConfig;
+use crate::telemetry::{
+    LatencyComponent, MetricsRegistry, SeriesSet, StreamingHistogram, TelemetryConfig,
+    TelemetryWindow,
+};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{AuditFold, AuditReport, TraceAuditor};
+use crate::trace::{AuditCounts, AuditFold, AuditReport, TraceAuditor, TraceLog, TraceMeta};
 
 use super::graph::{split_fault_plan, CellSpec};
 use super::merge::{
@@ -51,7 +54,9 @@ pub enum SpanTracing {
     Check {
         /// Most events a cell records; the rest count as dropped.
         events: usize,
-        /// Also replay the events into a [`CpcProfile`].
+        /// Also replay the events into a
+        /// [`CpcProfile`](crate::critpath::CpcProfile) and compare it with
+        /// the cell's streaming one.
         replay: bool,
     },
 }
@@ -95,13 +100,21 @@ impl Default for PartitionOptions {
     }
 }
 
-/// One finished cell: its run summary and the simulator that produced it.
-/// The simulator is kept (moved, not copied) so that every export — the
-/// Prometheus registry, CSV, JSON, Chrome trace, audit, span log — is
-/// rendered from it only when a caller asks, exactly as for a bare
-/// [`Simulator`]. The exception is a span log the run was asked to check
-/// rather than keep: its events are gone when the cell ends, and what the
-/// checks found is in [`CellOutput::checks`].
+/// One finished cell: its run summary and its *remains* — what the merges
+/// read, moved out of the cell's [`Simulator`] on the worker thread the
+/// moment the cell's run ended. The simulator itself (event queue, arenas,
+/// per-instance runtime, connection pools) is dropped right there, in
+/// parallel with the cells still running, so a run holds one live simulator
+/// per shard plus these small remains per cell — not one simulator per cell
+/// until the last export (DESIGN.md §11.1 has the table: field, who reads
+/// it, when present).
+///
+/// The always-present remains are cheap: two sample vectors (moved, not
+/// copied), three scalars, and the metrics-registry snapshot with its two
+/// mergeable histogram sets. The heavy ones exist only when the caller's
+/// options asked for what needs them: [`trace`](Self::trace) under
+/// [`SpanTracing::Retain`], [`series`](Self::series) when the telemetry
+/// sampler ran.
 #[derive(Debug)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
@@ -111,11 +124,77 @@ pub struct CellOutput {
     pub shard: usize,
     /// The cell's run summary, under its [`cell_seed`].
     pub result: RunResult,
-    /// The cell's simulator, stopped at the deadline.
-    pub sim: Simulator,
     /// What the checks of a streamed span log found; `None` unless the run
     /// asked for [`SpanTracing::Check`].
     pub checks: Option<SpanChecks>,
+    /// Post-warmup end-to-end latency samples (seconds, completion order);
+    /// [`merge_results`] re-summarizes the cells' concatenation.
+    pub latency_samples: Vec<f64>,
+    /// Deadline-pinned latency samples of timed-out requests (seconds).
+    pub timeout_latency_samples: Vec<f64>,
+    /// Degraded (early-fire) completions inside the measurement window —
+    /// counted in the latency summary, excluded from merged goodput.
+    pub degraded_measured: u64,
+    /// Instances the cell simulated: the weight of its mean instance
+    /// utilization in the merged snapshot.
+    pub instances: usize,
+    /// Machines with irq cores: the weight of its mean network utilization.
+    pub irq_machines: usize,
+    /// The cell's metrics registry at the deadline
+    /// ([`Simulator::metrics_registry`]); [`merge_registries`] folds these.
+    pub registry: MetricsRegistry,
+    /// The histogram behind the registry's `uqsim_e2e_latency_seconds`
+    /// summary (quantiles merge through histograms, not through
+    /// quantiles); `None` when telemetry was off.
+    pub e2e_histogram: Option<StreamingHistogram>,
+    /// The histograms behind `uqsim_latency_component_seconds`, indexed by
+    /// [`LatencyComponent`] discriminant; `None` when telemetry was off.
+    pub component_histograms: Option<[StreamingHistogram; LatencyComponent::COUNT]>,
+    /// Span events the cell recorded (`0` when tracing was off).
+    pub span_events: usize,
+    /// Span events the cell dropped because its log filled up. A nonzero
+    /// value means the audit and Chrome trace are incomplete — raise the
+    /// per-cell capacity.
+    pub span_dropped: u64,
+    /// The retained span log and what rendering and auditing it need;
+    /// `None` unless the run asked for [`SpanTracing::Retain`].
+    pub trace: Option<RetainedTrace>,
+    /// What the telemetry sampler recorded; `None` unless
+    /// [`TelemetryConfig::sample_interval`] was set.
+    pub series: Option<CellSeries>,
+}
+
+/// A cell's retained span log ([`SpanTracing::Retain`]) with the entity
+/// names and final counters its views are rendered from —
+/// [`chrome_trace`](crate::trace::chrome_trace),
+/// [`sampled_traces`](crate::trace::sampled_traces), and the
+/// [`TraceAuditor`].
+#[derive(Debug)]
+pub struct RetainedTrace {
+    /// The span events, in record order.
+    pub log: TraceLog,
+    /// Machine, instance, stage, request-type, pool and client names.
+    pub meta: TraceMeta,
+    /// The simulator's final counters, which the audit reconciles against.
+    pub counts: AuditCounts,
+}
+
+/// A cell's sampler output, moved out of its simulator's telemetry state:
+/// what [`merge_csv`] and [`merge_json`] render the cell's
+/// [`Simulator::metrics_csv`] and [`Simulator::metrics_json`] from. The
+/// series carry their own entity names; the compact columns (one `f64` per
+/// gauge per tick) are kept rather than a rendering of them, which is
+/// several times their size.
+#[derive(Debug)]
+pub struct CellSeries {
+    /// The closed latency windows, one per sampler tick.
+    pub windows: Vec<TelemetryWindow>,
+    /// The gauge series, sampled at the same ticks.
+    pub series: SeriesSet,
+    /// The rest of the cell's JSON dump — run counters, latency summary,
+    /// snapshot, decomposition, per-entity utilization — which only the
+    /// live simulator could render.
+    pub(crate) json_head: Value,
 }
 
 /// The finished checks of one cell's streamed span log
@@ -124,18 +203,12 @@ pub struct CellOutput {
 pub struct SpanChecks {
     /// The trace audit against the cell's final counters.
     pub audit: AuditReport,
-    /// The critical-path profile replayed from the events (to compare with
-    /// the cell's streaming one), if the run asked for it.
-    pub replay: Option<Result<CpcProfile, String>>,
-}
-
-impl CellOutput {
-    /// Span events this cell dropped because its log filled up (`0` when
-    /// tracing is off). A nonzero value means the audit and Chrome trace
-    /// are incomplete — raise the per-cell capacity.
-    pub fn span_dropped(&self) -> u64 {
-        self.sim.span_log().map_or(0, |log| log.dropped())
-    }
+    /// Whether the critical-path profile replayed from the events equals
+    /// the cell's streaming one ([`RunResult::critpath`]), if the run asked
+    /// for the replay. Only the verdict is kept — the comparison is made on
+    /// the worker and the replayed profile dropped there. `Err` is the
+    /// replay's own error, or says that the two disagree.
+    pub replay: Option<Result<(), String>>,
 }
 
 /// A completed run: the merged cluster-level summary plus the per-cell
@@ -159,14 +232,18 @@ impl PartitionedRun {
         merge_registries(&self.cells).to_prometheus()
     }
 
-    /// The merged time-series CSV, or `None` when the sampler was off.
+    /// The merged time-series CSV, or `None` when the sampler was off
+    /// ([`TelemetryConfig::sample_interval`] unset).
     pub fn csv(&self) -> Option<String> {
         merge_csv(&self.cells)
     }
 
     /// The merged JSON metrics dump (one cell: that cell's own dump; more:
-    /// a cluster header over the per-cell dumps).
-    pub fn json(&self) -> Value {
+    /// a cluster header over the per-cell dumps), or `None` when the
+    /// sampler was off — like [`csv`](Self::csv), it is rendered from the
+    /// series each cell [kept](CellOutput::series), and a run that did
+    /// not ask for the sampler does not pay for keeping any.
+    pub fn json(&self) -> Option<Value> {
         merge_json(&self.result, &self.cells)
     }
 
@@ -220,7 +297,8 @@ fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> 
     Ok(())
 }
 
-/// Builds, runs, and summarizes one cell (see [`run_partitioned`]).
+/// Builds, runs, and summarizes one cell (see [`run_partitioned`]), then
+/// takes its remains and drops its simulator — here, on the worker.
 fn run_cell(
     spec: &CellSpec,
     shard: usize,
@@ -244,7 +322,7 @@ fn run_cell(
         });
     }
     let deadline = SimTime::ZERO + duration;
-    let (sim, checks) = match opts.span_tracing {
+    let (sim, folds) = match opts.span_tracing {
         SpanTracing::Off => {
             sim.run_until(deadline);
             (sim, None)
@@ -255,29 +333,113 @@ fn run_cell(
             (sim, None)
         }
         SpanTracing::Check { events, replay } => {
-            let (sim, checks) = run_checked(sim, deadline, events, replay);
-            (sim, Some(checks))
+            let (sim, folds) = run_checked(sim, deadline, events, replay);
+            (sim, Some(folds))
         }
     };
-    Ok(CellOutput {
-        cell: spec.id,
+    let result = crate::run::summarize(&sim, seed, duration, spec.config.warmup_s);
+    let checks = folds.map(|folds| finish_checks(folds, &sim, &result, spec.id));
+    Ok(take_remains(sim, spec.id, shard, result, checks, opts))
+}
+
+/// Finishes a checked cell's folds against its final state. The replayed
+/// profile is compared with the streaming one (`result.critpath`) and
+/// dropped: only the verdict outlives the cell.
+fn finish_checks(
+    (audit, replayed): (AuditFold, Option<ReplayFold>),
+    sim: &Simulator,
+    result: &RunResult,
+    cell: usize,
+) -> SpanChecks {
+    let log = sim.span_log().expect("the cell streamed its span log");
+    let (events, dropped) = (log.len(), log.dropped());
+    SpanChecks {
+        audit: audit.finish(&sim.audit_counts(), events, dropped),
+        replay: replayed.map(|fold| {
+            let replayed = fold.finish(&sim.trace_meta(), events, dropped)?;
+            if result.critpath.as_ref() == Some(&replayed) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "cell {cell}: streaming and trace-replayed attribution disagree; \
+                     this is an engine bug — please report it"
+                ))
+            }
+        }),
+    }
+}
+
+/// Moves out of a finished cell's simulator what the merges read — always
+/// the samples, counters and registry snapshot; the span log and the
+/// sampler's series only if `opts` asked for what needs them — and drops
+/// the rest of it.
+fn take_remains(
+    mut sim: Simulator,
+    cell: usize,
+    shard: usize,
+    result: RunResult,
+    checks: Option<SpanChecks>,
+    opts: &PartitionOptions,
+) -> CellOutput {
+    let (span_events, span_dropped) = sim
+        .span_log()
+        .map_or((0, 0), |log| (log.len(), log.dropped()));
+    let trace = match opts.span_tracing {
+        SpanTracing::Retain(_) => Some(RetainedTrace {
+            meta: sim.trace_meta(),
+            counts: sim.audit_counts(),
+            log: sim.take_span_log().expect("span tracing was enabled"),
+        }),
+        SpanTracing::Off | SpanTracing::Check { .. } => None,
+    };
+    // These two read the telemetry state: render them before taking it.
+    let registry = sim.metrics_registry();
+    let sampler_on = opts.telemetry.is_some_and(|t| t.sample_interval.is_some());
+    let json_head = sampler_on.then(|| sim.metrics_json_head());
+    let (e2e_histogram, component_histograms, series) = match sim.telemetry.take() {
+        Some(tel) => {
+            let tel = *tel;
+            let series = json_head.map(|json_head| CellSeries {
+                windows: tel.windows,
+                series: tel.series,
+                json_head,
+            });
+            (Some(tel.e2e_hist), Some(tel.comp_hist), series)
+        }
+        None => (None, None, None),
+    };
+    let irq_machines = sim.machines.iter().filter(|m| !m.irq_cores.is_empty());
+    CellOutput {
+        cell,
         shard,
-        result: crate::run::summarize(&sim, seed, duration, spec.config.warmup_s),
-        sim,
+        result,
         checks,
-    })
+        degraded_measured: sim.degraded_measured(),
+        instances: sim.instance_count(),
+        irq_machines: irq_machines.count(),
+        registry,
+        e2e_histogram,
+        component_histograms,
+        span_events,
+        span_dropped,
+        trace,
+        series,
+        latency_samples: sim.e2e.into_samples(),
+        timeout_latency_samples: sim.e2e_timeout.into_samples(),
+    }
 }
 
 /// Runs `sim` to `deadline` with a streamed span log of at most `events`
 /// events, folding the chunks into the audit (and with `replay` the
-/// critical-path replay) on a second thread as they fill.
+/// critical-path replay) on a second thread as they fill. Returns the
+/// folds unfinished: what they are finished against is the caller's.
 fn run_checked(
     sim: Simulator,
     deadline: SimTime,
     events: usize,
     replay: bool,
-) -> (Simulator, SpanChecks) {
-    let (sim, audit, replayed) = std::thread::scope(|scope| {
+) -> (Simulator, (AuditFold, Option<ReplayFold>)) {
+    std::thread::scope(|scope| {
         // Owned by this closure, so that a panic in the run drops the
         // simulator, and with it the sending end of the stream, before the
         // scope waits for the consumer — which otherwise never returns.
@@ -296,16 +458,9 @@ fn run_checked(
         });
         sim.run_until(deadline);
         sim.close_span_stream();
-        let (audit, replayed) = consumer.join().expect("the span-check thread panicked");
-        (sim, audit, replayed)
-    });
-    let log = sim.span_log().expect("span tracing was just enabled");
-    let (events, dropped) = (log.len(), log.dropped());
-    let checks = SpanChecks {
-        audit: audit.finish(&sim.audit_counts(), events, dropped),
-        replay: replayed.map(|fold| fold.finish(&sim.trace_meta(), events, dropped)),
-    };
-    (sim, checks)
+        let folds = consumer.join().expect("the span-check thread panicked");
+        (sim, folds)
+    })
 }
 
 /// Runs `cfg` for `duration` under `seed` and merges the per-cell outputs

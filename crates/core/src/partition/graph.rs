@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use crate::config::{ClientConfig, InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec, PolicySpec};
+use crate::service::ServiceModel;
 
 /// One request-closed cell of a partitioned scenario: which machines,
 /// clients, instances, pools, and request types it owns (as indices into
@@ -45,10 +46,16 @@ pub struct CellSpec {
     pub pools: Vec<usize>,
     /// Request-type indices owned by this cell, ascending.
     pub request_types: Vec<usize>,
-    /// The extracted sub-scenario: the owned entities plus every service
-    /// model (services are stateless templates, cheap to share). Building
-    /// this config re-validates the cell's closure: any dangling name
-    /// would fail `ScenarioConfig::build`.
+    /// The extracted sub-scenario: the owned entities plus, in their
+    /// original relative order, the service models they reference — those
+    /// named by the cell's instances and by its request types' path nodes.
+    /// A service that nothing in the whole scenario references stays with
+    /// cell 0, so every service model is still validated by some cell's
+    /// build (an invalid unused one fails the run) without every cell
+    /// cloning and re-validating the whole table. A scenario that is one
+    /// cell therefore keeps its full service table. Building this config
+    /// re-validates the cell's closure: any dangling name would fail
+    /// `ScenarioConfig::build`.
     pub config: ScenarioConfig,
 }
 
@@ -87,6 +94,43 @@ impl Dsu {
             self.parent[hi] = lo;
         }
     }
+}
+
+/// For each cell, the service models its instances and request-type path
+/// nodes name, in `cfg.services` order; a service nothing names goes to
+/// cell 0 (see [`CellSpec::config`]).
+fn split_services(
+    cfg: &ScenarioConfig,
+    cells_instances: &[Vec<usize>],
+    cells_rts: &[Vec<usize>],
+) -> Vec<Vec<ServiceModel>> {
+    // Cells are visited in order, so each service's user list is ascending
+    // and a repeated mention within one cell is the list's last entry.
+    let mut users: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (cell, (instances, rts)) in cells_instances.iter().zip(cells_rts).enumerate() {
+        let by_instances = instances.iter().map(|&i| &cfg.instances[i].service);
+        let nodes = rts.iter().flat_map(|&t| &cfg.request_types[t].nodes);
+        let by_nodes = nodes.filter_map(|node| match &node.target {
+            NodeTargetConfig::Service { service, .. } => Some(service),
+            NodeTargetConfig::ClientSink => None,
+        });
+        for service in by_instances.chain(by_nodes) {
+            let cells = users.entry(service).or_default();
+            if cells.last() != Some(&cell) {
+                cells.push(cell);
+            }
+        }
+    }
+    let mut services = vec![Vec::new(); cells_instances.len()];
+    for service in &cfg.services {
+        let cells = users
+            .get(service.name.as_str())
+            .map_or(&[0][..], Vec::as_slice);
+        for &cell in cells {
+            services[cell].push(service.clone());
+        }
+    }
+    services
 }
 
 /// Instance names a request type's path can select, in node order.
@@ -276,6 +320,7 @@ pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
     }
 
     // Extract one sub-scenario per cell.
+    let mut services = split_services(cfg, &cells_instances, &cells_rts);
     let mut cells = Vec::with_capacity(cells_machines.len());
     for id in 0..cells_machines.len() {
         let pick = |indices: &[usize], from: &mut dyn FnMut(usize)| {
@@ -287,7 +332,7 @@ pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
             seed: cfg.seed,
             warmup_s: cfg.warmup_s,
             machines: Vec::new(),
-            services: cfg.services.clone(),
+            services: std::mem::take(&mut services[id]),
             instances: Vec::new(),
             pools: Vec::new(),
             request_types: Vec::new(),

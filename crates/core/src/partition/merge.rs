@@ -6,10 +6,13 @@
 //! Prometheus exposition, CSV, JSON dump, Chrome trace, audit report, and
 //! chaos summary are byte-identical at any shard count (spec invariant
 //! **P5**, pinned by the `shards_*_byte_identical` tests in
-//! `tests/partition.rs` and the CLI differential tests). Each merge reads
-//! the cells' finished simulators when it is called and renders nothing it
-//! is not asked for; the merge of **one** cell is the identity — the
-//! cell's own artifact, with no cell labels, prefixes or wrappers — which
+//! `tests/partition.rs` and the CLI differential tests). **Merges read
+//! remains, not simulators**: a [`CellOutput`] owns what its cell's
+//! simulator left behind (samples, counters, registry snapshot, and — when
+//! the run's options asked for them — the retained span log and the
+//! sampler's series); the simulator is gone before any merge runs.
+//! The merge of **one** cell is the identity — the cell's own artifact,
+//! with no cell labels, prefixes or wrappers — which
 //! `crates/cli/tests/one_cell_identity.rs` pins against a bare simulator.
 
 use std::cmp::Ordering;
@@ -18,8 +21,11 @@ use crate::critpath::CpcProfile;
 use crate::fault::FaultSummary;
 use crate::metrics::LatencySummary;
 use crate::run::RunResult;
-use crate::telemetry::{Metric, MetricValue, MetricsRegistry, MetricsSnapshot, StreamingHistogram};
-use crate::trace::{AuditReport, TraceAuditor};
+use crate::telemetry::{
+    metrics_json_with, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SampledSeries,
+    StreamingHistogram, CSV_HEADER,
+};
+use crate::trace::{chrome_trace, AuditReport, TraceAuditor};
 use minipool::Pool;
 use serde::Value;
 use serde_json::json;
@@ -50,16 +56,16 @@ pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
     }
     let duration = cells[0].result.duration;
     let warmup = cells[0].result.warmup;
-    let mut samples = Vec::new();
-    let mut timeout_samples = Vec::new();
-    for c in cells {
-        samples.extend_from_slice(c.sim.latency_samples());
-        timeout_samples.extend_from_slice(c.sim.timeout_latency_samples());
-    }
-    let latency = LatencySummary::from_samples(&samples);
-    let timeout_latency = LatencySummary::from_samples(&timeout_samples);
+    let concatenated = |samples: fn(&CellOutput) -> &[f64]| -> LatencySummary {
+        // One copy, sorted in place (`from_samples` would sort a second).
+        let mut all = cells.iter().map(samples).collect::<Vec<_>>().concat();
+        all.sort_unstable_by(f64::total_cmp);
+        LatencySummary::from_sorted(&all)
+    };
+    let latency = concatenated(|c| &c.latency_samples);
+    let timeout_latency = concatenated(|c| &c.timeout_latency_samples);
     let measured = (duration.as_secs_f64() - warmup.as_secs_f64()).max(f64::EPSILON);
-    let degraded_measured: u64 = cells.iter().map(|c| c.sim.degraded_measured()).sum();
+    let degraded_measured: u64 = cells.iter().map(|c| c.degraded_measured).sum();
     let good = (latency.count as u64).saturating_sub(degraded_measured);
     let sum = |f: fn(&RunResult) -> u64| -> u64 { cells.iter().map(|c| f(&c.result)).sum() };
     let faults: Vec<&FaultSummary> = cells
@@ -109,11 +115,8 @@ pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
 fn merge_snapshots(cells: &[CellOutput]) -> MetricsSnapshot {
     let mut out = MetricsSnapshot::default();
     let wavg = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let inst_w = |c: &CellOutput| c.sim.instance_count() as f64;
-    let irq_w = |c: &CellOutput| {
-        let irq = c.sim.machines.iter().filter(|m| !m.irq_cores.is_empty());
-        irq.count() as f64
-    };
+    let inst_w = |c: &CellOutput| c.instances as f64;
+    let irq_w = |c: &CellOutput| c.irq_machines as f64;
     out.instance_utilization = wavg(
         cells
             .iter()
@@ -216,7 +219,7 @@ fn family<'a>(reg: &'a MetricsRegistry, name: &str) -> Vec<&'a Metric> {
 /// rebuilt from the merged underlying histograms). A family emitted by no
 /// cell is omitted, exactly as a single simulator's registry omits it.
 pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
-    let registries: Vec<MetricsRegistry> = cells.iter().map(|c| c.sim.metrics_registry()).collect();
+    let registries: Vec<&MetricsRegistry> = cells.iter().map(|c| &c.registry).collect();
     let mut out = MetricsRegistry::new();
     for &(name, strategy) in FAMILIES {
         let per_cell: Vec<Vec<&Metric>> = registries.iter().map(|r| family(r, name)).collect();
@@ -257,7 +260,7 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
             Merge::HistE2e => {
                 let mut merged = StreamingHistogram::new();
                 for c in cells {
-                    if let Some(h) = c.sim.e2e_latency_histogram() {
+                    if let Some(h) = &c.e2e_histogram {
                         merged.merge(h);
                     }
                 }
@@ -273,11 +276,7 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
                 for (j, m) in proto.iter().enumerate() {
                     let mut merged = StreamingHistogram::new();
                     for c in cells {
-                        if let Some(h) = c
-                            .sim
-                            .component_latency_histograms()
-                            .and_then(|hs| hs.get(j))
-                        {
+                        if let Some(h) = c.component_histograms.as_ref().and_then(|hs| hs.get(j)) {
                             merged.merge(h);
                         }
                     }
@@ -308,23 +307,6 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
     out
 }
 
-/// Splits a telemetry CSV body (header stripped) into per-tick blocks: a
-/// new block starts at each `windowed_count` row.
-fn tick_blocks(csv: &str) -> Vec<Vec<&str>> {
-    let mut blocks: Vec<Vec<&str>> = Vec::new();
-    for line in csv.lines().skip(1) {
-        if line.is_empty() {
-            continue;
-        }
-        let metric = line.split(',').nth(1);
-        if metric == Some("windowed_count") || blocks.is_empty() {
-            blocks.push(Vec::new());
-        }
-        blocks.last_mut().expect("just pushed").push(line);
-    }
-    blocks
-}
-
 /// Merges per-cell telemetry CSVs (`t_s,metric,label,value`) into one
 /// tick-major stream: for each sampler tick, cell 0's rows, then cell 1's,
 /// and so on. Because the windowed latency percentiles of different cells
@@ -348,49 +330,48 @@ fn tick_blocks(csv: &str) -> Vec<Vec<&str>> {
 /// All cells tick on the same schedule (same duration, same interval); if
 /// tick counts ever differ the merge stops at the shortest cell.
 pub fn merge_csv(cells: &[CellOutput]) -> Option<String> {
-    if let [only] = cells {
-        return only.sim.metrics_csv();
-    }
-    let csvs = cells
-        .iter()
-        .map(|c| c.sim.metrics_csv())
-        .collect::<Option<Vec<String>>>()?;
-    let per_cell: Vec<Vec<Vec<&str>>> = csvs.iter().map(|csv| tick_blocks(csv)).collect();
-    let n_ticks = per_cell.iter().map(Vec::len).min().unwrap_or(0);
-    let mut out = String::from("t_s,metric,label,value\n");
+    let sampled = cells.iter().map(sampled).collect::<Option<Vec<_>>>()?;
+    let n_ticks = sampled.iter().map(SampledSeries::ticks).min().unwrap_or(0);
+    // One cell's summary rows keep a lone simulator's empty label.
+    let windowed_labels: Vec<String> = match sampled.len() {
+        1 => vec![String::new()],
+        n => (0..n).map(|i| format!("cell{i}")).collect(),
+    };
+    let mut out = String::from(CSV_HEADER);
     for k in 0..n_ticks {
-        for (i, blocks) in per_cell.iter().enumerate() {
-            for line in &blocks[k] {
-                let mut parts = line.splitn(4, ',');
-                let (t, metric, label, value) = (
-                    parts.next().unwrap_or(""),
-                    parts.next().unwrap_or(""),
-                    parts.next().unwrap_or(""),
-                    parts.next().unwrap_or(""),
-                );
-                if metric.starts_with("windowed_") && label.is_empty() {
-                    out.push_str(&format!("{t},{metric},cell{i},{value}\n"));
-                } else {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
+        for (cell, windowed_label) in sampled.iter().zip(&windowed_labels) {
+            cell.push_csv_tick(&mut out, k, windowed_label);
         }
     }
     Some(out)
+}
+
+/// What `cell`'s sampler recorded, if it ran.
+fn sampled(cell: &CellOutput) -> Option<SampledSeries<'_>> {
+    cell.series.as_ref().map(|kept| SampledSeries {
+        windows: &kept.windows,
+        series: &kept.series,
+    })
 }
 
 /// Merges the per-cell `metrics_json` dumps. One cell: that cell's dump,
 /// untouched. More: a cluster-level header — the merged run counters /
 /// latency / snapshot / fault summary from `merged`, a `partition` block
 /// recording the cell count — over the per-cell dumps under `"cells"` (in
-/// cell order) for drill-down.
-pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
-    if let [only] = cells {
-        return only.sim.metrics_json();
+/// cell order) for drill-down. Returns `None` when any cell ran without
+/// the sampler (see [`merge_csv`]).
+pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Option<Value> {
+    let mut cell_dumps = cells
+        .iter()
+        .map(|c| {
+            let head = c.series.as_ref()?.json_head.clone();
+            Some(metrics_json_with(head, sampled(c), &[]))
+        })
+        .collect::<Option<Vec<Value>>>()?;
+    if cell_dumps.len() == 1 {
+        return cell_dumps.pop();
     }
-    let cell_dumps: Vec<Value> = cells.iter().map(|c| c.sim.metrics_json()).collect();
-    json!({
+    Some(json!({
         "partition": {
             "cells": cells.len() as u64,
         },
@@ -407,7 +388,7 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
         "snapshot": merged.metrics,
         "fault": merged.fault,
         "cells": Value::Array(cell_dumps),
-    })
+    }))
 }
 
 /// Merges per-cell Chrome traces into one canonical trace.
@@ -418,19 +399,21 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
 /// gain a `c<cell>:` prefix so span ids from different cells can never
 /// alias. Event order inside a cell is preserved; cells concatenate in
 /// cell order. One cell's trace is returned as rendered (nothing to keep
-/// apart). Returns `None` when any cell ran without span tracing, or
-/// streamed its log away to be checked ([`CellOutput::checks`]).
+/// apart). Returns `None` unless every cell retained its span log
+/// ([`CellOutput::trace`]) — not when tracing was off, nor when the log was
+/// streamed away to be checked ([`CellOutput::checks`]).
 pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
-    if cells.iter().any(|c| c.checks.is_some()) {
-        return None;
-    }
-    if let [only] = cells {
-        return only.sim.chrome_trace();
+    let traces = cells
+        .iter()
+        .map(|c| c.trace.as_ref())
+        .collect::<Option<Vec<_>>>()?;
+    if let [only] = traces[..] {
+        return Some(chrome_trace(&only.log, &only.meta));
     }
     let mut events: Vec<Value> = Vec::new();
     let mut base = 0u64;
-    for (i, c) in cells.iter().enumerate() {
-        let trace = c.sim.chrome_trace()?;
+    for (i, cell) in traces.iter().enumerate() {
+        let trace = chrome_trace(&cell.log, &cell.meta);
         let arr = trace.get("traceEvents").and_then(Value::as_array)?;
         for ev in arr {
             let mut ev = ev.clone();
@@ -445,7 +428,7 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
             }
             events.push(ev);
         }
-        base += c.sim.machines.len() as u64 + 1;
+        base += cell.meta.machines.len() as u64 + 1;
     }
     Some(json!({
         "traceEvents": Value::Array(events),
@@ -468,15 +451,12 @@ pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
     {
         Some(reports) => reports,
         None => {
-            // A `Simulator` is not `Sync`; the tasks share only its log
-            // and copied counters.
-            let inputs = cells
+            let traces = cells
                 .iter()
-                .map(|c| Some((c.sim.span_log()?, c.sim.audit_counts())))
+                .map(|c| c.trace.as_ref())
                 .collect::<Option<Vec<_>>>()?;
-            Pool::with_available_jobs().map_indexed(inputs.len(), |cell| {
-                let (log, counts) = &inputs[cell];
-                TraceAuditor::new().audit(log, counts)
+            Pool::with_available_jobs().map_indexed(traces.len(), |cell| {
+                TraceAuditor::new().audit(&traces[cell].log, &traces[cell].counts)
             })
         }
     };
@@ -522,20 +502,6 @@ pub fn merge_fault_summaries(summaries: &[&FaultSummary]) -> FaultSummary {
 mod tests {
     use super::*;
     use crate::fault::FaultTimelineEntry;
-
-    #[test]
-    fn tick_blocks_split_on_windowed_count() {
-        let csv = "t_s,metric,label,value\n\
-                   0.1,windowed_count,,5\n\
-                   0.1,windowed_p50_seconds,,0.001\n\
-                   0.1,uqsim_live_requests,,3\n\
-                   0.2,windowed_count,,7\n\
-                   0.2,windowed_p50_seconds,,0.002\n";
-        let blocks = tick_blocks(csv);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].len(), 3);
-        assert_eq!(blocks[1].len(), 2);
-    }
 
     #[test]
     fn fault_timelines_interleave_by_time_stably() {

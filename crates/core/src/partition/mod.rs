@@ -61,7 +61,8 @@ mod merge;
 mod plan;
 
 pub use exec::{
-    run_partitioned, CellOutput, PartitionOptions, PartitionedRun, SpanChecks, SpanTracing,
+    run_partitioned, CellOutput, CellSeries, PartitionOptions, PartitionedRun, RetainedTrace,
+    SpanChecks, SpanTracing,
 };
 pub use graph::{split_cells, split_fault_plan, CellSpec};
 pub use merge::{

@@ -911,6 +911,14 @@ pub(crate) struct TelemetryState {
 }
 
 impl TelemetryState {
+    /// What the sampler has recorded so far.
+    pub(crate) fn sampled(&self) -> SampledSeries<'_> {
+        SampledSeries {
+            windows: &self.windows,
+            series: &self.series,
+        }
+    }
+
     /// Records a completing request: retains its breakdown (up to
     /// capacity), buffers the windowed sample, and — for measured
     /// completions — feeds the decomposition aggregates.
@@ -1577,31 +1585,10 @@ impl Simulator {
     pub fn metrics_csv(&self) -> Option<String> {
         let tel = self.telemetry.as_deref()?;
         tel.cfg.sample_interval?;
-        let mut out = String::from("t_s,metric,label,value\n");
-        let n_ticks = tel.series.len().min(tel.windows.len());
-        for k in 0..n_ticks {
-            let w = &tel.windows[k];
-            let t = w.end.as_secs_f64();
-            out.push_str(&format!("{t:.9},windowed_count,,{}\n", w.count));
-            out.push_str(&format!(
-                "{t:.9},windowed_throughput_qps,,{}\n",
-                w.throughput
-            ));
-            out.push_str(&format!("{t:.9},windowed_p50_seconds,,{}\n", w.p50_s));
-            out.push_str(&format!("{t:.9},windowed_p95_seconds,,{}\n", w.p95_s));
-            out.push_str(&format!("{t:.9},windowed_p99_seconds,,{}\n", w.p99_s));
-            for (col, def) in tel.series.defs().iter().enumerate() {
-                let label = def
-                    .label
-                    .as_ref()
-                    .map(|(_, v)| csv_field(v))
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "{t:.9},{},{label},{}\n",
-                    def.metric,
-                    tel.series.column(col)[k]
-                ));
-            }
+        let mut out = String::from(CSV_HEADER);
+        let sampled = tel.sampled();
+        for k in 0..sampled.ticks() {
+            sampled.push_csv_tick(&mut out, k, "");
         }
         Some(out)
     }
@@ -1610,6 +1597,14 @@ impl Simulator {
     /// utilization, decomposition means, sampler windows, gauge series,
     /// and self-profiling samples.
     pub fn metrics_json(&self) -> serde_json::Value {
+        let sampled = self.telemetry.as_deref().map(TelemetryState::sampled);
+        metrics_json_with(self.metrics_json_head(), sampled, self.self_profile())
+    }
+
+    /// The part of [`Simulator::metrics_json`] that reads the simulator:
+    /// everything but the sampler's windows and series and the
+    /// self-profile, which [`metrics_json_with`] appends.
+    pub(crate) fn metrics_json_head(&self) -> serde_json::Value {
         let since = (SimTime::ZERO + self.cfg.warmup).min(self.now);
         let tel = self.telemetry.as_deref();
         let decomposition = match tel {
@@ -1668,11 +1663,73 @@ impl Simulator {
             "snapshot": self.metrics_snapshot(),
             "decomposition": decomposition,
             "utilization": { "instances": instances, "machines": machines },
-            "windows": tel.map(|t| &t.windows),
-            "series": tel.map(|t| &t.series),
-            "self_profile": self.self_profile(),
         })
     }
+}
+
+/// The header line of the time-series CSV.
+pub(crate) const CSV_HEADER: &str = "t_s,metric,label,value\n";
+
+/// What the sampler recorded, tick for tick: the closed latency windows
+/// and the gauge series. Borrowed from a live simulator's telemetry state,
+/// or from the series a partition cell kept when its simulator went
+/// ([`CellSeries`](crate::partition::CellSeries)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampledSeries<'a> {
+    pub(crate) windows: &'a [TelemetryWindow],
+    pub(crate) series: &'a SeriesSet,
+}
+
+impl SampledSeries<'_> {
+    /// Ticks both channels have closed.
+    pub(crate) fn ticks(&self) -> usize {
+        self.series.len().min(self.windows.len())
+    }
+
+    /// Appends the CSV rows of tick `k` (see [`Simulator::metrics_csv`] for
+    /// the ordering contract): the five `windowed_*` summary rows under
+    /// `windowed_label`, then every gauge series under its entity's name.
+    pub(crate) fn push_csv_tick(&self, out: &mut String, k: usize, windowed_label: &str) {
+        let w = &self.windows[k];
+        let t = w.end.as_secs_f64();
+        let l = windowed_label;
+        out.push_str(&format!("{t:.9},windowed_count,{l},{}\n", w.count));
+        out.push_str(&format!(
+            "{t:.9},windowed_throughput_qps,{l},{}\n",
+            w.throughput
+        ));
+        out.push_str(&format!("{t:.9},windowed_p50_seconds,{l},{}\n", w.p50_s));
+        out.push_str(&format!("{t:.9},windowed_p95_seconds,{l},{}\n", w.p95_s));
+        out.push_str(&format!("{t:.9},windowed_p99_seconds,{l},{}\n", w.p99_s));
+        for (col, def) in self.series.defs().iter().enumerate() {
+            let label = def
+                .label
+                .as_ref()
+                .map(|(_, v)| csv_field(v))
+                .unwrap_or_default();
+            out.push_str(&format!(
+                "{t:.9},{},{label},{}\n",
+                def.metric,
+                self.series.column(col)[k]
+            ));
+        }
+    }
+}
+
+/// Completes a [`Simulator::metrics_json_head`] document with the sampler's
+/// windows and series (`null` when telemetry was off) and the self-profile.
+pub(crate) fn metrics_json_with(
+    head: serde_json::Value,
+    sampled: Option<SampledSeries<'_>>,
+    self_profile: &[SelfProfileSample],
+) -> serde_json::Value {
+    let serde_json::Value::Object(mut doc) = head else {
+        unreachable!("the head is an object");
+    };
+    doc.insert("windows", sampled.map(|s| s.windows).to_value());
+    doc.insert("series", sampled.map(|s| s.series).to_value());
+    doc.insert("self_profile", self_profile.to_value());
+    serde_json::Value::Object(doc)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! guarantee: merged outputs are byte-identical at any shard count.
 
 use proptest::prelude::*;
-use uqsim_core::config::ScenarioConfig;
+use uqsim_core::config::{InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
 use uqsim_core::partition::{
@@ -250,6 +250,115 @@ fn zero_latency_intra_machine_hop_stays_in_one_cell() {
 }
 
 // ---------------------------------------------------------------------
+// A cell's config carries the services it references
+// ---------------------------------------------------------------------
+
+/// `cluster(3)` over a service table with some shape to it: pod `i`'s
+/// `api{i}` instance and its request type's node use `svc{i}`, pod 1's aux
+/// instance shares `svc0`, nothing uses `unused`, and the table's order is
+/// neither the pods' nor alphabetical.
+fn cluster_with_service_table() -> ScenarioConfig {
+    let mut cfg = cluster(3);
+    let named = |name: &str| {
+        let mut service = cfg.services[0].clone();
+        service.name = name.to_string();
+        service
+    };
+    cfg.services = vec![named("svc2"), named("unused"), named("svc0"), named("svc1")];
+    let service_of = |instance: &str| match instance {
+        "aux1" => "svc0".to_string(),
+        api => api.replace("api", "svc"),
+    };
+    for inst in &mut cfg.instances {
+        inst.service = service_of(&inst.name);
+    }
+    for node in cfg.request_types.iter_mut().flat_map(|t| &mut t.nodes) {
+        if let NodeTargetConfig::Service {
+            service,
+            instance: InstanceSelectConfig::Fixed { name },
+            ..
+        } = &mut node.target
+        {
+            *service = service_of(name);
+        }
+    }
+    cfg
+}
+
+fn service_names(cfg: &ScenarioConfig) -> Vec<&str> {
+    cfg.services.iter().map(|s| s.name.as_str()).collect()
+}
+
+/// Each cell's service table is exactly what its instances and path nodes
+/// name, in the scenario's order; a service nothing names rides with cell
+/// 0; and the cells still build and run to the result a bare simulator of
+/// the whole scenario's pods would — `ServiceId`s are cell-local and never
+/// printed.
+#[test]
+fn cell_configs_carry_the_services_they_reference() {
+    let cfg = cluster_with_service_table();
+    let cells = split_cells(&cfg).unwrap();
+    assert_eq!(cells.len(), 3);
+    assert_eq!(service_names(&cells[0].config), ["unused", "svc0"]);
+    assert_eq!(service_names(&cells[1].config), ["svc0", "svc1"]);
+    assert_eq!(service_names(&cells[2].config), ["svc2"]);
+    for cell in &cells {
+        cell.config.build().expect("cells build standalone");
+    }
+    // Same models under other names: nothing an output shows has moved.
+    let d = SimDuration::from_millis(200);
+    let renamed = run_partitioned(&cfg, None, 9, d, &full_options(2)).unwrap();
+    let plain = run_partitioned(&cluster(3), None, 9, d, &full_options(2)).unwrap();
+    assert_eq!(renamed.result, plain.result);
+    assert_eq!(renamed.prometheus(), plain.prometheus());
+}
+
+/// A scenario that is one cell keeps its whole service table, in order.
+#[test]
+fn one_cell_scenarios_keep_their_full_service_table() {
+    for text in [
+        include_str!("../../cli/configs/quickstart.json"),
+        include_str!("../../cli/configs/two_tier.json"),
+        include_str!("../../cli/configs/social_network.json"),
+        EXAMPLE_SCENARIO,
+    ] {
+        let mut cfg = ScenarioConfig::from_json(text).unwrap();
+        // With a service nothing references, too.
+        let mut spare = cfg.services[0].clone();
+        spare.name = "spare".to_string();
+        cfg.services.insert(1, spare);
+        let cells = split_cells(&cfg).unwrap();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].config, cfg);
+    }
+}
+
+/// A service nothing references is still validated — once, by cell 0 —
+/// and an invalid one fails the run with the error a build of the whole
+/// scenario reports (which is what every cell's build, carrying the whole
+/// table, used to report).
+#[test]
+fn an_unreferenced_invalid_service_still_fails_the_run() {
+    let mut cfg = cluster_with_service_table();
+    cfg.services[1].paths.clear();
+    let whole = cfg.build().expect_err("`unused` has no execution path");
+    assert_eq!(
+        whole.to_string(),
+        "invalid scenario: service unused: no execution paths"
+    );
+    let cells = split_cells(&cfg).unwrap();
+    assert_eq!(service_names(&cells[0].config), ["unused", "svc0"]);
+    let run = run_partitioned(
+        &cfg,
+        None,
+        9,
+        SimDuration::from_millis(200),
+        &full_options(2),
+    );
+    assert_eq!(run.unwrap_err().to_string(), whole.to_string());
+}
+
+// ---------------------------------------------------------------------
 // P2/P3: placement determinism and K-independent numbering/seeding
 // ---------------------------------------------------------------------
 
@@ -376,7 +485,7 @@ fn shards_never_change_results_unfaulted() {
     let base = run_partitioned(&cfg, None, 9, d, &full_options(1)).unwrap();
     let base_prom = base.prometheus();
     let base_csv = base.csv().expect("sampler on");
-    let base_json = serde_json::to_string_pretty(&base.json()).unwrap();
+    let base_json = serde_json::to_string_pretty(&base.json().expect("sampler on")).unwrap();
     let base_trace =
         serde_json::to_string_pretty(&base.chrome_trace().expect("tracing on")).unwrap();
     assert!(base.result.completed > 0);
@@ -386,7 +495,7 @@ fn shards_never_change_results_unfaulted() {
         assert_eq!(run.prometheus(), base_prom, "prometheus at shards={shards}");
         assert_eq!(run.csv().unwrap(), base_csv, "csv at shards={shards}");
         assert_eq!(
-            serde_json::to_string_pretty(&run.json()).unwrap(),
+            serde_json::to_string_pretty(&run.json().unwrap()).unwrap(),
             base_json,
             "json at shards={shards}"
         );
@@ -440,7 +549,65 @@ fn merge_of_one_cell_is_registry_identity() {
     )
     .unwrap();
     assert_eq!(run.cells.len(), 1);
-    assert_eq!(run.prometheus(), run.cells[0].sim.metrics_prometheus());
+    assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
+}
+
+/// **P5** — the merged CSV and JSON are the cells' own renders, put
+/// together by the documented rule: the CSV interleaves the cells' CSVs
+/// tick by tick (each tick's block starts at its `windowed_count` row) and
+/// labels the unlabeled `windowed_*` rows `cell<i>`; the JSON lists the
+/// cells' dumps under `"cells"`. The cells' renders come from bare
+/// simulators of the same cells, so this also pins that the series a
+/// finished cell keeps lose nothing the simulator would have rendered.
+#[test]
+fn merged_csv_and_json_are_the_cells_own_renders() {
+    let cfg = cluster(3);
+    let d = SimDuration::from_millis(300);
+    let opts = full_options(2);
+    let run = run_partitioned(&cfg, None, 9, d, &opts).unwrap();
+    let bare: Vec<_> = split_cells(&cfg)
+        .unwrap()
+        .iter()
+        .map(|cell| {
+            let seed = cell_seed(9, cell.id as u64);
+            let mut sim = cell.config.with_seed(seed).build().unwrap();
+            sim.enable_telemetry(opts.telemetry.expect("full options"));
+            sim.run_until(SimTime::ZERO + d);
+            sim
+        })
+        .collect();
+
+    let csvs: Vec<String> = bare.iter().map(|sim| sim.metrics_csv().unwrap()).collect();
+    let ticks = |csv: &str| csv.matches(",windowed_count,").count();
+    assert!(ticks(&csvs[0]) >= 5 && csvs.iter().all(|csv| ticks(csv) == ticks(&csvs[0])));
+    let mut rows: Vec<_> = csvs
+        .iter()
+        .map(|csv| csv.lines().skip(1).peekable())
+        .collect();
+    let mut expected = String::from("t_s,metric,label,value\n");
+    for _ in 0..ticks(&csvs[0]) {
+        for (i, rows) in rows.iter_mut().enumerate() {
+            let mut first = true;
+            while let Some(line) = rows.next_if(|l| first || !l.contains(",windowed_count,")) {
+                first = false;
+                let parts: Vec<&str> = line.splitn(4, ',').collect();
+                if parts[1].starts_with("windowed_") && parts[2].is_empty() {
+                    expected += &format!("{},{},cell{i},{}\n", parts[0], parts[1], parts[3]);
+                } else {
+                    expected += line;
+                    expected.push('\n');
+                }
+            }
+        }
+    }
+    assert_eq!(run.csv().expect("sampler on"), expected);
+
+    let json = run.json().expect("sampler on");
+    let dumps = json["cells"].as_array().expect("one dump per cell");
+    assert_eq!(dumps.len(), bare.len());
+    for (dump, sim) in dumps.iter().zip(&bare) {
+        assert!(dump == &sim.metrics_json(), "a cell's JSON dump moved");
+    }
 }
 
 /// **P5** — the merged audit is clean whenever every per-cell audit is
@@ -568,7 +735,27 @@ fn checked_span_log_stays_within_a_few_chunks_for_any_run_length() {
     for secs in [1, 3] {
         let checked = run(secs, check);
         let cell = &checked.cells[0];
-        let log = cell.sim.span_log().expect("span tracing is on");
+        // The cell's log went with its simulator; stream the same cell by
+        // hand to look at the log such a run leaves behind.
+        let mut sim = cfg.with_seed(3).build().unwrap();
+        let chunks = sim.stream_span_tracing(usize::MAX);
+        let (sim, streamed) = std::thread::scope(|scope| {
+            // Owned here, so a panicking run drops the sender before the
+            // scope joins the consumer.
+            let mut sim = sim;
+            let consumer = scope.spawn(move || {
+                let mut streamed = 0;
+                chunks.drain(|chunk| streamed += chunk.events().len());
+                streamed
+            });
+            sim.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
+            sim.close_span_stream();
+            let streamed = consumer.join().unwrap();
+            (sim, streamed)
+        });
+        let log = sim.span_log().expect("span tracing is on");
+        assert_eq!(log.len(), cell.span_events, "the pipeline's stream");
+        assert_eq!(streamed, log.len(), "every event was handed over");
         assert!(
             log.chunks_allocated() <= STREAM_DEPTH + 2,
             "{secs} s: {} chunks",
@@ -585,7 +772,8 @@ fn checked_span_log_stays_within_a_few_chunks_for_any_run_length() {
         assert_eq!(checks.audit.events_checked, log.len());
         assert!(checks.audit.is_clean(), "{:?}", checks.audit.violations);
         let replayed = checks.replay.as_ref().expect("replay was asked for");
-        assert_eq!(replayed.as_ref().ok(), cell.result.critpath.as_ref());
+        assert_eq!(replayed, &Ok(()), "streaming == replay");
+        assert!(cell.result.critpath.is_some());
         if secs == 1 {
             let retained = run(secs, SpanTracing::Retain(usize::MAX));
             assert_eq!(checked.audit(), retained.audit());
