@@ -244,6 +244,14 @@ const RUNG_BUCKETS: usize = 256;
 /// the memmove cost of insertion-sorting into it.
 const REFINE_LIMIT: usize = 64;
 
+/// Bottom may outgrow what a refill gives it: events scheduled below
+/// `bot_end` are insertion-sorted into it however many there are, and a
+/// queue whose first event is its latest puts `bot_end` past everything
+/// that follows. An insert that finds bottom at this size first moves
+/// all but its nearest [`REFINE_LIMIT`] events up into a rung
+/// ([`EventQueue::split_bottom`]).
+const BOTTOM_LIMIT: usize = 4 * REFINE_LIMIT;
+
 /// One rung of the ladder: a fixed span split into equal-width buckets.
 /// Buckets `[cur..]` are still pending; earlier ones have been drained.
 #[derive(Debug)]
@@ -252,7 +260,8 @@ struct Rung {
     start: u64,
     /// Bucket width in ns (>= 1).
     width: u64,
-    /// Exclusive end of the rung's span (saturating).
+    /// Exclusive end of the rung's span: never past the span the rung
+    /// was made for, though the buckets' widths may add up to more.
     end: u64,
     /// Next bucket to drain.
     cur: usize,
@@ -293,6 +302,9 @@ pub struct EventQueue {
     spare_buckets: Vec<Vec<ScheduledEvent>>,
     /// Recycled rung bucket arrays.
     spare_rungs: Vec<Vec<Vec<ScheduledEvent>>>,
+    /// The most events bottom has held at once.
+    #[cfg(test)]
+    bottom_peak: usize,
 }
 
 impl Default for EventQueue {
@@ -308,6 +320,8 @@ impl Default for EventQueue {
             seq: 0,
             spare_buckets: Vec::new(),
             spare_rungs: Vec::new(),
+            #[cfg(test)]
+            bottom_peak: 0,
         }
     }
 }
@@ -337,11 +351,18 @@ impl EventQueue {
             self.bottom.push(ev);
             return;
         }
+        if t < self.bot_end && self.bottom.len() >= BOTTOM_LIMIT {
+            self.split_bottom();
+        }
         if t < self.bot_end {
             // Descending order: equal-time events keep insertion order
             // because the new event (largest seq) goes in front of them.
             let pos = self.bottom.partition_point(|e| e.time > time);
             self.bottom.insert(pos, ev);
+            #[cfg(test)]
+            {
+                self.bottom_peak = self.bottom_peak.max(self.bottom.len());
+            }
             return;
         }
         for r in self.rungs.iter_mut().rev() {
@@ -358,6 +379,30 @@ impl EventQueue {
         self.top_min = self.top_min.min(t);
         self.top_max = self.top_max.max(t);
         self.top.push(ev);
+    }
+
+    /// Moves the far end of an oversized bottom — every event from the
+    /// time of its [`REFINE_LIMIT`]-th nearest on — into a fresh finest
+    /// rung over `[that time, bot_end)`, and lowers `bot_end` to it: what
+    /// stays in bottom still precedes everything above it. Bottom stays as
+    /// it is if that would empty it (so many events at one instant cannot
+    /// be told apart by time, and would only come back on the next refill).
+    #[cold]
+    fn split_bottom(&mut self) {
+        let split = self.bottom[self.bottom.len() - REFINE_LIMIT - 1].time;
+        let moved = self.bottom.partition_point(|e| e.time >= split);
+        if moved == self.bottom.len() {
+            return;
+        }
+        let start = split.as_nanos();
+        let width = (self.bot_end - start).div_ceil(RUNG_BUCKETS as u64);
+        let mut rung = self.new_rung(start, width, self.bot_end);
+        for ev in self.bottom.drain(..moved) {
+            let idx = ((ev.time.as_nanos() - start) / width) as usize;
+            rung.buckets[idx].push(ev);
+        }
+        self.bot_end = start;
+        self.rungs.push(rung);
     }
 
     /// Removes and returns the earliest event.
@@ -405,7 +450,7 @@ impl EventQueue {
                 debug_assert!(!self.top.is_empty(), "refill called on drained queue");
                 let start = self.top_min;
                 let width = (self.top_max - self.top_min) / RUNG_BUCKETS as u64 + 1;
-                let mut rung = self.new_rung(start, width);
+                let mut rung = self.new_rung(start, width, u64::MAX);
                 for ev in self.top.drain(..) {
                     let idx = ((ev.time.as_nanos() - start) / width) as usize;
                     rung.buckets[idx].push(ev);
@@ -425,6 +470,9 @@ impl EventQueue {
                 continue;
             }
             let bucket_start = r.start + r.cur as u64 * r.width;
+            // The last bucket may reach past the rung's span; its events
+            // do not, and neither may what is built from it.
+            let bucket_end = bucket_start.saturating_add(r.width).min(r.end);
             let spare = self.spare_buckets.pop().unwrap_or_default();
             let mut b = std::mem::replace(&mut r.buckets[r.cur], spare);
             r.cur += 1;
@@ -434,7 +482,7 @@ impl EventQueue {
                 // finer rung (its frontier equals `bot_end`, so routing
                 // stays consistent).
                 let fine = width.div_ceil(RUNG_BUCKETS as u64);
-                let mut rung = self.new_rung(bucket_start, fine);
+                let mut rung = self.new_rung(bucket_start, fine, bucket_end);
                 for ev in b.drain(..) {
                     let idx = (((ev.time.as_nanos() - bucket_start) / fine) as usize)
                         .min(RUNG_BUCKETS - 1);
@@ -444,15 +492,23 @@ impl EventQueue {
                 self.rungs.push(rung);
                 continue;
             }
-            b.sort_unstable_by(|a, z| z.time.cmp(&a.time).then_with(|| z.seq.cmp(&a.seq)));
-            self.spare_buckets
-                .push(std::mem::replace(&mut self.bottom, b));
-            self.bot_end = bucket_start.saturating_add(width);
+            // Bottom keeps its own storage, grown once to the most it has
+            // held: nearly every event a run schedules is inserted here,
+            // and taking over the bucket's few slots instead would have
+            // it regrow from them after every refill.
+            self.bottom.append(&mut b);
+            self.bottom
+                .sort_unstable_by(|a, z| z.time.cmp(&a.time).then_with(|| z.seq.cmp(&a.seq)));
+            self.spare_buckets.push(b);
+            self.bot_end = bucket_end;
             return;
         }
     }
 
-    fn new_rung(&mut self, start: u64, width: u64) -> Rung {
+    /// An empty rung of `width`-wide buckets from `start`, for events
+    /// before `end`: a rung made from part of another tier must not
+    /// accept what belongs to the rest of that tier.
+    fn new_rung(&mut self, start: u64, width: u64, end: u64) -> Rung {
         let buckets = self
             .spare_rungs
             .pop()
@@ -461,7 +517,7 @@ impl EventQueue {
         Rung {
             start,
             width,
-            end: start.saturating_add(width.saturating_mul(RUNG_BUCKETS as u64)),
+            end: end.min(start.saturating_add(width.saturating_mul(RUNG_BUCKETS as u64))),
             cur: 0,
             buckets,
         }
@@ -653,75 +709,154 @@ mod tests {
         assert_eq!(n, 1000);
     }
 
-    /// A min-ordered `BinaryHeap` of [`ScheduledEvent`] — the exact
-    /// structure the ladder queue replaced — used as the ordering oracle.
+    /// The ladder queue next to a min-ordered `BinaryHeap` of
+    /// [`ScheduledEvent`] — the exact structure it replaced — as the
+    /// ordering oracle: both are given the same events, and every pop must
+    /// agree.
     #[derive(Default)]
-    struct ReferenceQueue {
+    struct Differential {
+        ladder: EventQueue,
         heap: BinaryHeap<ScheduledEvent>,
-        seq: u64,
     }
 
-    impl ReferenceQueue {
-        fn schedule(&mut self, time: SimTime, kind: EventKind) {
-            let seq = self.seq;
-            self.seq += 1;
+    impl Differential {
+        /// Schedules the same event in both (its `seq` tells it from the
+        /// others at its time, so a swapped tie shows).
+        fn schedule(&mut self, ns: u64) {
+            let (time, kind) = (SimTime::from_nanos(ns), EventKind::Stop);
+            let seq = self.ladder.scheduled_total();
+            self.ladder.schedule(time, kind.clone());
             self.heap.push(ScheduledEvent { time, seq, kind });
+            assert_eq!(self.ladder.len(), self.heap.len());
+        }
+
+        /// Pops both; the time popped, or `None` once drained.
+        fn pop(&mut self, what: &str) -> Option<u64> {
+            let got = self.ladder.pop();
+            assert_eq!(got, self.heap.pop(), "{what}: diverged");
+            assert_eq!(self.ladder.len(), self.heap.len());
+            got.map(|e| e.time.as_nanos())
+        }
+
+        fn drain(&mut self, what: &str) {
+            while self.pop(what).is_some() {}
         }
     }
 
     // Differential property: the ladder queue and the reference heap see
-    // identical schedule/pop interleavings — near-monotonic bursts,
-    // equal-time ties, and far-future outliers (faults/timeouts/Stop) —
-    // and must produce identical pop sequences.
+    // identical schedule/pop interleavings and must produce identical pop
+    // sequences. Two regimes: *spread* — near-monotonic bursts on a coarse
+    // grid, equal-time ties, and far-future outliers (faults/timeouts/
+    // Stop), which exercises buckets, rungs and top; *bottom-heavy* —
+    // delays shorter than a bucket is wide and many exact ties, so nearly
+    // every insert is sorted into bottom, which is where a run's go
+    // (all but 0.2 % of them on `gen_dsb`, DESIGN.md §8).
     #[test]
     fn matches_reference_heap_on_random_interleavings() {
         use rand::Rng;
-        for trial in 0..40u64 {
+        for trial in 0..60u64 {
+            let bottom_heavy = trial >= 40;
+            let what = format!("trial {trial}");
             let mut rng = crate::rng::RngFactory::new(trial).stream("evq-diff", 0);
-            let mut ladder = EventQueue::new();
-            let mut reference = ReferenceQueue::default();
+            let mut q = Differential::default();
             let mut now: u64 = 0;
-            let mut next_client: u32 = 0;
             for _step in 0..2000 {
                 let roll: f64 = rng.gen();
                 if roll < 0.55 {
-                    // Near-future event, coarse grid to force time ties.
-                    let t = now + rng.gen_range(0u64..50) * 10;
-                    let kind = EventKind::ClientArrival {
-                        client: ClientId::from_raw(next_client),
+                    let delay = if bottom_heavy {
+                        // A few ns, often zero: inside bottom's window.
+                        rng.gen_range(0u64..6) * rng.gen_range(0u64..3)
+                    } else {
+                        // Near future, coarse grid to force time ties.
+                        rng.gen_range(0u64..50) * 10
                     };
-                    next_client += 1;
-                    ladder.schedule(SimTime::from_nanos(t), kind.clone());
-                    reference.schedule(SimTime::from_nanos(t), kind);
+                    q.schedule(now + delay);
                 } else if roll < 0.65 {
-                    // Far-future outlier (timeout / fault / Stop territory).
-                    let t = now + rng.gen_range(1_000_000u64..2_000_000_000);
-                    ladder.schedule(SimTime::from_nanos(t), EventKind::Stop);
-                    reference.schedule(SimTime::from_nanos(t), EventKind::Stop);
+                    // Far-future outlier (timeout / fault / Stop territory);
+                    // the bottom-heavy regime keeps it within a few buckets.
+                    let far: u64 = if bottom_heavy { 20_000 } else { 2_000_000_000 };
+                    q.schedule(now + rng.gen_range(far / 2..far));
                 } else {
                     // Pop a burst, advancing "now" like the run loop does.
                     for _ in 0..rng.gen_range(1..8) {
-                        let got = ladder.pop();
-                        let want = reference.heap.pop();
-                        assert_eq!(got, want, "trial {trial} diverged");
-                        if let Some(e) = &got {
-                            assert!(e.time.as_nanos() >= now, "time went backwards");
-                            now = e.time.as_nanos();
+                        if let Some(t) = q.pop(&what) {
+                            assert!(t >= now, "time went backwards");
+                            now = t;
                         }
                     }
                 }
-                assert_eq!(ladder.len(), reference.heap.len());
             }
-            // Drain both completely.
-            loop {
-                let got = ladder.pop();
-                let want = reference.heap.pop();
-                assert_eq!(got, want, "trial {trial} diverged in drain");
-                if got.is_none() {
-                    break;
-                }
-            }
+            q.drain(&what);
         }
+    }
+
+    // The late-first-event trap: the first event scheduled is the latest,
+    // so `bot_end` lies past everything that follows and all of it is
+    // headed for bottom. Bottom must shed its far end into rungs instead
+    // of insertion-sorting 10^5 events (a count, not a clock: its
+    // high-water mark stays at the limit), and the order must not notice.
+    #[test]
+    fn a_late_first_event_does_not_grow_bottom() {
+        use rand::Rng;
+        let mut rng = crate::rng::RngFactory::new(11).stream("evq-late", 0);
+        let mut q = Differential::default();
+        q.schedule(2_000_000_000);
+        for i in 0..100_000u64 {
+            // Mostly spread out; every tenth on a coarse grid, for ties.
+            let t = rng.gen_range(0u64..1_000_000_000);
+            q.schedule(if i % 10 == 0 {
+                t / 1_000_000 * 1_000_000
+            } else {
+                t
+            });
+        }
+        assert_eq!(q.ladder.bottom_peak, BOTTOM_LIMIT);
+        // Pops interleaved with near-future inserts, as a run would.
+        for _ in 0..20_000 {
+            let now = q.pop("late first").expect("events remain");
+            q.schedule(now + rng.gen_range(0u64..5_000));
+        }
+        q.drain("late first");
+        assert_eq!(q.ladder.bottom_peak, BOTTOM_LIMIT);
+    }
+
+    // More events at one instant than bottom's limit cannot be split by
+    // time: bottom keeps them (and keeps taking inserts) rather than
+    // bouncing them through a rung on every insert.
+    #[test]
+    fn an_oversized_bottom_at_one_instant_is_left_alone() {
+        let mut q = Differential::default();
+        q.schedule(500);
+        for _ in 0..2 * BOTTOM_LIMIT {
+            q.schedule(100);
+        }
+        assert!(q.ladder.rungs.is_empty());
+        assert_eq!(q.ladder.bottom.len(), 2 * BOTTOM_LIMIT + 1);
+        q.drain("one instant");
+    }
+
+    // A rung refined from one bucket ends where that bucket ends, even
+    // when 256 of its finer buckets add up to more (1000 ns → 256 × 4 ns):
+    // an event in the overhang belongs to the *next* coarse bucket, behind
+    // whatever that bucket already holds.
+    #[test]
+    fn a_refined_rung_ends_with_its_bucket() {
+        let mut q = Differential::default();
+        q.schedule(0);
+        q.schedule(1);
+        assert_eq!(q.pop("refine"), Some(0));
+        // Top spans [1, 256_000]: anchored as 256 buckets of 1000 ns.
+        q.schedule(256_000);
+        for i in 0..100u64 {
+            q.schedule(2 + i); // over REFINE_LIMIT events in bucket 0
+        }
+        q.schedule(1_006); // bucket 1
+        assert_eq!(q.pop("refine"), Some(1)); // bucket 0 → rung of 4 ns buckets
+        assert_eq!(q.ladder.rungs.len(), 2);
+        assert_eq!(q.ladder.rungs[1].end, 1_001);
+        q.schedule(1_010); // past bucket 0's end, within 256 × 4 ns of its start
+        q.schedule(1_001);
+        q.drain("refine");
     }
 
     // The refinement path: thousands of events packed under a span with a
@@ -730,26 +865,15 @@ mod tests {
     fn refines_dense_buckets_under_wide_spans() {
         use rand::Rng;
         let mut rng = crate::rng::RngFactory::new(7).stream("evq-dense", 0);
-        let mut ladder = EventQueue::new();
-        let mut reference = ReferenceQueue::default();
-        // Far outlier first, so the anchored rung spans ~2s.
-        ladder.schedule(SimTime::from_nanos(2_000_000_000), EventKind::Stop);
-        reference.schedule(SimTime::from_nanos(2_000_000_000), EventKind::Stop);
-        for i in 0..5000u32 {
-            let t = rng.gen_range(0..1_000_000);
-            let kind = EventKind::ClientArrival {
-                client: ClientId::from_raw(i),
-            };
-            ladder.schedule(SimTime::from_nanos(t), kind.clone());
-            reference.schedule(SimTime::from_nanos(t), kind);
+        let mut q = Differential::default();
+        // One early event, popped after the outlier is in, so that the
+        // outlier lands in top and the anchored rung spans ~2s.
+        q.schedule(0);
+        q.schedule(2_000_000_000);
+        assert_eq!(q.pop("dense"), Some(0));
+        for _ in 0..5000 {
+            q.schedule(rng.gen_range(1..1_000_000));
         }
-        loop {
-            let got = ladder.pop();
-            let want = reference.heap.pop();
-            assert_eq!(got, want);
-            if got.is_none() {
-                break;
-            }
-        }
+        q.drain("dense");
     }
 }

@@ -4,13 +4,13 @@
 //! build → run → summarize path every entry point shares
 //! ([`run_one`](crate::run::run_one), the sweep runner, and the CLI's
 //! `run`/`chaos`/`why`/`trace --config`/`sweep`): it splits the scenario
-//! into cells, assigns them to shards, runs every cell as a whole
-//! [`Simulator`] to the deadline, and merges the per-cell outputs
-//! deterministically. A scenario that cannot be split is one cell under the
-//! master seed, and the merge of one cell is the identity, so the classic
-//! single-simulator run is the one-cell case of this function. The shard
-//! count (and the worker scheduling under it) affects wall-clock time only
-//! — never a single output byte.
+//! into cells, lets the shard workers claim them costliest first, runs
+//! every cell as a whole [`Simulator`] to the deadline, and merges the
+//! per-cell outputs deterministically. A scenario that cannot be split is
+//! one cell under the master seed, and the merge of one cell is the
+//! identity, so the classic single-simulator run is the one-cell case of
+//! this function. The shard count (and the worker scheduling under it)
+//! affects wall-clock time only — never a single output byte.
 
 use std::collections::HashSet;
 
@@ -119,9 +119,6 @@ impl Default for PartitionOptions {
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
     pub cell: usize,
-    /// Shard that executed the cell (diagnostic only — results never
-    /// depend on it).
-    pub shard: usize,
     /// The cell's run summary, under its [`cell_seed`].
     pub result: RunResult,
     /// What the checks of a streamed span log found; `None` unless the run
@@ -221,8 +218,6 @@ pub struct PartitionedRun {
     pub cells: Vec<CellOutput>,
     /// Shard count the run used.
     pub shards: usize,
-    /// `assignment[cell] = shard` (diagnostic only).
-    pub assignment: Vec<usize>,
 }
 
 impl PartitionedRun {
@@ -301,7 +296,6 @@ fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> 
 /// takes its remains and drops its simulator — here, on the worker.
 fn run_cell(
     spec: &CellSpec,
-    shard: usize,
     faults: Option<&FaultPlan>,
     master_seed: u64,
     duration: SimDuration,
@@ -339,7 +333,7 @@ fn run_cell(
     };
     let result = crate::run::summarize(&sim, seed, duration, spec.config.warmup_s);
     let checks = folds.map(|folds| finish_checks(folds, &sim, &result, spec.id));
-    Ok(take_remains(sim, spec.id, shard, result, checks, opts))
+    Ok(take_remains(sim, spec.id, result, checks, opts))
 }
 
 /// Finishes a checked cell's folds against its final state. The replayed
@@ -376,7 +370,6 @@ fn finish_checks(
 fn take_remains(
     mut sim: Simulator,
     cell: usize,
-    shard: usize,
     result: RunResult,
     checks: Option<SpanChecks>,
     opts: &PartitionOptions,
@@ -411,7 +404,6 @@ fn take_remains(
     let irq_machines = sim.machines.iter().filter(|m| !m.irq_cores.is_empty());
     CellOutput {
         cell,
-        shard,
         result,
         checks,
         degraded_measured: sim.degraded_measured(),
@@ -469,7 +461,9 @@ fn run_checked(
 /// The scenario is split into request-closed cells
 /// ([`split_cells`](crate::partition::split_cells)), each cell runs as an
 /// independent simulator under its [`cell_seed`], `opts.shards` workers
-/// execute cells in parallel, and every output — run summary, Prometheus
+/// each claim the next unstarted cell of the plan's
+/// [`claim_order`](PartitionPlan::claim_order) whenever they are free (one
+/// live simulator per worker), and every output — run summary, Prometheus
 /// text, CSV, JSON, Chrome trace, audit, chaos summary — is merged in cell
 /// order. **The merged outputs are byte-identical at any `shards` value**,
 /// faulted or not; see the module docs and DESIGN.md §11 for the argument.
@@ -520,35 +514,18 @@ pub fn run_partitioned(
         validate_fault_plan(cfg, plan)?;
     }
     let plan = PartitionPlan::new(cfg, opts.shards)?;
-    let plan_ref = &plan;
-    let tasks: Vec<_> = (0..plan.shards)
-        .map(|s| {
-            move || -> Vec<(usize, SimResult<CellOutput>)> {
-                plan_ref
-                    .shard_cells(s)
-                    .into_iter()
-                    .map(|cell| {
-                        let out = run_cell(&plan_ref.cells[cell], s, faults, seed, duration, opts);
-                        (cell, out)
-                    })
-                    .collect()
-            }
-        })
-        .collect();
     let pool = Pool::new(plan.shards.min(plan.cells.len().max(1)));
-    let mut outputs: Vec<(usize, SimResult<CellOutput>)> =
-        pool.run(tasks).into_iter().flatten().collect();
-    outputs.sort_by_key(|&(cell, _)| cell);
-    let cells = outputs
+    let cells = pool
+        .map_claimed(&plan.claim_order(), |cell| {
+            run_cell(&plan.cells[cell], faults, seed, duration, opts)
+        })
         .into_iter()
-        .map(|(_, out)| out)
         .collect::<SimResult<Vec<CellOutput>>>()?;
     let result = merge_results(seed, &cells);
     Ok(PartitionedRun {
         result,
         cells,
         shards: plan.shards,
-        assignment: plan.assignment,
     })
 }
 

@@ -19,13 +19,13 @@
 //! fault effect ever crosses a cell boundary (**P1**), so each cell runs
 //! as a complete, independent [`Simulator`](crate::sim::Simulator) with
 //! its own ladder queue, arenas, RNG streams, and telemetry sampler — one
-//! `run_until(deadline)` per cell. Cells are deterministically assigned to
-//! `K` shards (LPT bin packing, **P2**) and executed by `vendor/minipool`
-//! workers; per-cell seeds derive from the master seed and the cell index
-//! alone, cell 0 running the master seed itself (**P3**). Because nothing
-//! a cell computes depends on `K` or worker scheduling (**P4**), and every
-//! merge (the `merge` layer) is a deterministic function of per-cell
-//! outputs in cell order (**P5**), the merged run/trace/metrics/chaos
+//! `run_until(deadline)` per cell. `K` `vendor/minipool` workers claim the
+//! cells one at a time, costliest first — an order fixed by the scenario
+//! alone (**P2**); per-cell seeds derive from the master seed and the cell
+//! index alone, cell 0 running the master seed itself (**P3**). Because
+//! nothing a cell computes depends on `K` or worker scheduling (**P4**),
+//! and every merge (the `merge` layer) is a deterministic function of
+//! per-cell outputs in cell order (**P5**), the merged run/trace/metrics/chaos
 //! outputs are **byte-identical at any shard count** — the same guarantee
 //! the sweep engine makes for `--jobs`. A scenario that does not split is
 //! one cell, and the merge of one cell is the identity, so the result is

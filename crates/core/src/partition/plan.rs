@@ -1,9 +1,9 @@
-//! Shard assignment and per-cell seeds.
+//! The cells of a run, their claim order, and per-cell seeds.
 //!
-//! Spec: DESIGN.md §11.3 ("Placement"). The plan is the *only* place the
-//! shard count `K` enters a run, and it affects scheduling alone: cells,
-//! per-cell seeds, and per-cell results are computed from the scenario and
-//! the master seed only (spec invariants **P2**/**P3**).
+//! Spec: DESIGN.md §11.3 ("Placement"). The shard count `K` is the number
+//! of workers and nothing else: cells, their claim order, per-cell seeds,
+//! and per-cell results are computed from the scenario and the master seed
+//! only (spec invariants **P2**/**P3**).
 
 use crate::config::ScenarioConfig;
 use crate::error::SimResult;
@@ -43,22 +43,19 @@ pub fn cell_seed(master_seed: u64, cell: u64) -> u64 {
     }
 }
 
-/// A complete execution plan: the cells and their deterministic shard
-/// assignment.
+/// A complete execution plan: the cells, and how many workers run them.
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
     /// The request-closed cells, in canonical (smallest-machine) order.
     pub cells: Vec<CellSpec>,
     /// Worker shards the plan targets (`>= 1`).
     pub shards: usize,
-    /// `assignment[cell] = shard` (LPT bin packing; see [`PartitionPlan::new`]).
-    pub assignment: Vec<usize>,
 }
 
-/// Deterministic cost proxy for LPT packing: how much simulated machinery
-/// a cell owns. Any fixed formula preserves correctness (assignment never
-/// changes results); this one tracks event volume well enough to balance
-/// replicated-pod clusters.
+/// Deterministic cost proxy for the claim order: how much simulated
+/// machinery a cell owns. Any fixed formula preserves correctness (the
+/// order never changes results); this one tracks event volume well enough
+/// to start the long cells of a replicated-pod cluster first.
 fn cell_weight(cell: &CellSpec) -> u64 {
     let cores: usize = cell.config.machines.iter().map(|m| m.cores).sum();
     let conns: usize = cell.config.clients.iter().map(|c| c.connections).sum();
@@ -66,13 +63,10 @@ fn cell_weight(cell: &CellSpec) -> u64 {
 }
 
 impl PartitionPlan {
-    /// Splits `cfg` into cells and assigns them to `shards` workers with
-    /// longest-processing-time-first bin packing: visit cells by
-    /// descending weight (ties: lower cell id first), placing each
-    /// on the least-loaded shard (ties: lowest shard id). The assignment
-    /// is a pure function of `(cfg, shards)`; results never depend on it
-    /// (spec invariant **P2**, `lpt_assignment_is_deterministic_and_balanced`
-    /// in `tests/partition.rs`).
+    /// Splits `cfg` into cells to be run by `shards` workers. No cell is
+    /// placed on a worker ahead of time: each worker claims the next
+    /// unstarted cell of [`claim_order`](Self::claim_order) when it is
+    /// free, so a worker that the host runs slower simply claims fewer.
     ///
     /// # Errors
     ///
@@ -87,42 +81,32 @@ impl PartitionPlan {
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)?;
     /// let plan = PartitionPlan::new(&cfg, 4)?;
-    /// assert_eq!(plan.cells.len(), 1);       // fully-connected scenario
-    /// assert_eq!(plan.assignment, vec![0]);  // one cell -> first shard
+    /// assert_eq!(plan.cells.len(), 1);        // fully-connected scenario
+    /// assert_eq!(plan.claim_order(), vec![0]);
     /// # Ok(())
     /// # }
     /// ```
     pub fn new(cfg: &ScenarioConfig, shards: usize) -> SimResult<Self> {
-        let shards = shards.max(1);
-        let cells = split_cells(cfg)?;
-        let mut order: Vec<usize> = (0..cells.len()).collect();
-        let weights: Vec<u64> = cells.iter().map(cell_weight).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(weights[c]), c));
-        let mut load = vec![0u64; shards];
-        let mut assignment = vec![0usize; cells.len()];
-        for c in order {
-            let shard = (0..shards).min_by_key(|&s| (load[s], s)).unwrap_or(0);
-            assignment[c] = shard;
-            load[shard] += weights[c];
-        }
         Ok(PartitionPlan {
-            cells,
-            shards,
-            assignment,
+            cells: split_cells(cfg)?,
+            shards: shards.max(1),
         })
     }
 
-    /// The cells assigned to `shard`, in cell order.
-    pub fn shard_cells(&self, shard: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(c, _)| c)
-            .collect()
+    /// The order in which workers claim cells: by descending weight (ties:
+    /// lower cell id first), so that the run does not end on its costliest
+    /// cell while the other workers idle. A pure function of the scenario —
+    /// the shard count does not enter — and results never depend on it
+    /// (spec invariant **P2**, `claim_order_is_pure_and_never_shows` in
+    /// `tests/partition.rs`).
+    pub fn claim_order(&self) -> Vec<usize> {
+        let weights = self.weights();
+        let mut order: Vec<usize> = (0..self.cells.len()).collect();
+        order.sort_by_key(|&c| (std::cmp::Reverse(weights[c]), c));
+        order
     }
 
-    /// The LPT weights used for the assignment, per cell (diagnostics).
+    /// The weights behind [`claim_order`](Self::claim_order), per cell.
     pub fn weights(&self) -> Vec<u64> {
         self.cells.iter().map(cell_weight).collect()
     }

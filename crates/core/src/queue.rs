@@ -17,74 +17,88 @@ use crate::stage::QueueDiscipline;
 use std::collections::VecDeque;
 
 /// A runtime queue for one stage instance.
+///
+/// A job that arrives at an empty queue — the common case: a stage that
+/// keeps up with its load holds at most one job at a time — is held
+/// inline (`lone`) and costs neither a hash probe nor a ring-buffer round
+/// trip, to park or to take out again. The discipline's own containers
+/// (the backlog) come into play when a second job arrives: the first is
+/// parked ahead of it, in arrival order, so from there on they hold
+/// exactly what they would have held had both gone through them — same
+/// rotation, same batches (`tests::inline_job_matches_map_only_reference`).
 #[derive(Debug, Clone)]
-pub enum StageQueue {
+pub struct StageQueue {
+    /// The queue's only job and the connection it came on; `Some` implies
+    /// `len == 1` and an empty backlog.
+    lone: Option<(ConnectionId, JobId)>,
+    /// Total queued jobs, `lone` included.
+    len: usize,
+    backlog: Backlog,
+}
+
+/// Where a stage's jobs wait once there is more than one of them.
+#[derive(Debug, Clone)]
+enum Backlog {
     /// Plain FIFO.
-    Single {
-        /// Waiting jobs.
-        q: VecDeque<JobId>,
-    },
+    Single(VecDeque<JobId>),
     /// Per-connection subqueues with a batching mode.
     PerConn {
-        /// Jobs per connection. `BTreeMap` keeps iteration deterministic.
+        /// Jobs per connection. Never iterated for output, so hash order
+        /// cannot show.
         subqueues: FastMap<ConnectionId, VecDeque<JobId>>,
         /// Ready (non-empty) connections in arrival/rotation order.
         active: VecDeque<ConnectionId>,
-        /// `Socket { batch }` or `Epoll { batch_per_conn }`.
-        mode: QueueDiscipline,
-        /// Cached total job count.
-        len: usize,
+        /// Jobs one invocation takes from a connection (`Socket::batch` /
+        /// `Epoll::batch_per_conn`).
+        cap: usize,
+        /// Whether one invocation visits every ready connection (epoll)
+        /// or the first (socket).
+        every_conn: bool,
     },
 }
 
 impl StageQueue {
     /// Creates the queue matching a discipline.
     pub fn new(discipline: QueueDiscipline) -> Self {
-        match discipline {
-            QueueDiscipline::Single => StageQueue::Single { q: VecDeque::new() },
-            mode @ (QueueDiscipline::Socket { .. } | QueueDiscipline::Epoll { .. }) => {
-                StageQueue::PerConn {
-                    subqueues: FastMap::default(),
-                    active: VecDeque::new(),
-                    mode,
-                    len: 0,
-                }
-            }
+        let per_conn = |cap, every_conn| Backlog::PerConn {
+            subqueues: FastMap::default(),
+            active: VecDeque::new(),
+            cap,
+            every_conn,
+        };
+        StageQueue {
+            lone: None,
+            len: 0,
+            backlog: match discipline {
+                QueueDiscipline::Single => Backlog::Single(VecDeque::new()),
+                QueueDiscipline::Socket { batch } => per_conn(batch, false),
+                QueueDiscipline::Epoll { batch_per_conn } => per_conn(batch_per_conn, true),
+            },
         }
     }
 
     /// Enqueues a job. `conn` selects the subqueue for per-connection
     /// disciplines and is ignored for `Single`.
     pub fn push(&mut self, job: JobId, conn: ConnectionId) {
-        match self {
-            StageQueue::Single { q } => q.push_back(job),
-            StageQueue::PerConn {
-                subqueues,
-                active,
-                len,
-                ..
-            } => {
-                let sub = subqueues.entry(conn).or_default();
-                if sub.is_empty() {
-                    active.push_back(conn);
-                }
-                sub.push_back(job);
-                *len += 1;
+        if self.len == 0 {
+            self.lone = Some((conn, job));
+        } else {
+            if let Some((first_conn, first_job)) = self.lone.take() {
+                self.backlog.push(first_job, first_conn);
             }
+            self.backlog.push(job, conn);
         }
+        self.len += 1;
     }
 
     /// Total queued jobs.
     pub fn len(&self) -> usize {
-        match self {
-            StageQueue::Single { q } => q.len(),
-            StageQueue::PerConn { len, .. } => *len,
-        }
+        self.len
     }
 
     /// True if no jobs are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Assembles the next batch according to the discipline, removing the
@@ -101,92 +115,117 @@ impl StageQueue {
     /// fresh one per batch.
     pub fn assemble_batch_into(&mut self, out: &mut Vec<JobId>) {
         out.clear();
-        match self {
-            StageQueue::Single { q } => {
-                if let Some(j) = q.pop_front() {
-                    out.push(j);
-                }
+        match self.lone {
+            // One job on one connection is the whole batch under every
+            // discipline (a cap of zero takes nothing, as the backlog's
+            // harvest would).
+            Some((_, job)) if self.backlog.cap() > 0 => {
+                out.push(job);
+                self.lone = None;
             }
-            StageQueue::PerConn {
-                subqueues,
-                active,
-                mode,
-                len,
-            } => {
-                match *mode {
-                    QueueDiscipline::Epoll { batch_per_conn } => {
-                        // Harvest up to N from every active connection,
-                        // rotating still-busy ones to the back in place.
-                        for _ in 0..active.len() {
-                            let conn = active.pop_front().expect("counted active conn");
-                            let sub = subqueues.get_mut(&conn).expect("active conn has subqueue");
-                            for _ in 0..batch_per_conn {
-                                match sub.pop_front() {
-                                    Some(j) => out.push(j),
-                                    None => break,
-                                }
-                            }
-                            if !sub.is_empty() {
-                                active.push_back(conn);
-                            }
-                        }
-                    }
-                    QueueDiscipline::Socket { batch } => {
-                        // Drain up to N from one ready connection, rotating.
-                        if let Some(conn) = active.pop_front() {
-                            let sub = subqueues.get_mut(&conn).expect("active conn has subqueue");
-                            for _ in 0..batch {
-                                match sub.pop_front() {
-                                    Some(j) => out.push(j),
-                                    None => break,
-                                }
-                            }
-                            if !sub.is_empty() {
-                                active.push_back(conn);
-                            }
-                        }
-                    }
-                    QueueDiscipline::Single => unreachable!("PerConn never holds Single"),
-                }
-                *len -= out.len();
-            }
+            Some(_) => {}
+            None => self.backlog.assemble_batch_into(out),
         }
+        self.len -= out.len();
     }
 
     /// Removes and returns every queued job, in deterministic (FIFO /
     /// connection-id) order. Used when a fault drains a crashed instance's
     /// queues.
     pub fn drain_all(&mut self) -> Vec<JobId> {
-        match self {
-            StageQueue::Single { q } => q.drain(..).collect(),
-            StageQueue::PerConn {
-                subqueues,
-                active,
-                len,
-                ..
-            } => {
-                // Hash-map iteration order is not deterministic; draining
-                // active connections in ascending id order reproduces the
-                // original BTreeMap key order byte for byte (a connection
-                // is active exactly when its subqueue is non-empty).
-                let mut out = Vec::with_capacity(*len);
-                let mut conns: Vec<ConnectionId> = active.drain(..).collect();
-                conns.sort_unstable();
-                for conn in conns {
-                    let sub = subqueues.get_mut(&conn).expect("active conn has subqueue");
-                    out.extend(sub.drain(..));
-                }
-                *len = 0;
-                out
-            }
+        self.len = 0;
+        match self.lone.take() {
+            Some((_, job)) => vec![job],
+            None => self.backlog.drain_all(),
         }
     }
 
     /// Drops any empty subqueues (housekeeping for long runs with ephemeral
     /// connections). No-op for `Single`.
     pub fn compact(&mut self) {
-        if let StageQueue::PerConn { subqueues, .. } = self {
+        if let Backlog::PerConn { subqueues, .. } = &mut self.backlog {
             subqueues.retain(|_, q| !q.is_empty());
+        }
+    }
+}
+
+impl Backlog {
+    /// Most jobs one invocation takes from one connection.
+    fn cap(&self) -> usize {
+        match self {
+            Backlog::Single(_) => 1,
+            Backlog::PerConn { cap, .. } => *cap,
+        }
+    }
+
+    fn push(&mut self, job: JobId, conn: ConnectionId) {
+        match self {
+            Backlog::Single(q) => q.push_back(job),
+            Backlog::PerConn {
+                subqueues, active, ..
+            } => {
+                let sub = subqueues.entry(conn).or_default();
+                if sub.is_empty() {
+                    active.push_back(conn);
+                }
+                sub.push_back(job);
+            }
+        }
+    }
+
+    /// Appends the next batch to `out`: one job (single), up to `cap` jobs
+    /// of the first ready connection (socket), or of every ready
+    /// connection (epoll). Connections with jobs left rotate to the back.
+    fn assemble_batch_into(&mut self, out: &mut Vec<JobId>) {
+        match self {
+            Backlog::Single(q) => out.extend(q.pop_front()),
+            Backlog::PerConn {
+                subqueues,
+                active,
+                cap,
+                every_conn,
+            } => {
+                let harvests = if *every_conn {
+                    active.len()
+                } else {
+                    active.len().min(1)
+                };
+                for _ in 0..harvests {
+                    let conn = active.pop_front().expect("counted active conn");
+                    let sub = subqueues.get_mut(&conn).expect("active conn has subqueue");
+                    for _ in 0..*cap {
+                        match sub.pop_front() {
+                            Some(j) => out.push(j),
+                            None => break,
+                        }
+                    }
+                    if !sub.is_empty() {
+                        active.push_back(conn);
+                    }
+                }
+            }
+        }
+    }
+
+    fn drain_all(&mut self) -> Vec<JobId> {
+        match self {
+            Backlog::Single(q) => q.drain(..).collect(),
+            Backlog::PerConn {
+                subqueues, active, ..
+            } => {
+                // Hash-map iteration order is not deterministic; draining
+                // active connections in ascending id order reproduces the
+                // original BTreeMap key order byte for byte (a connection
+                // is active exactly when its subqueue is non-empty).
+                let mut out = Vec::new();
+                let mut conns: Vec<ConnectionId> = active.drain(..).collect();
+                conns.sort_unstable();
+                for conn in conns {
+                    let sub = subqueues.get_mut(&conn).expect("active conn has subqueue");
+                    out.extend(sub.drain(..));
+                }
+                out
+            }
         }
     }
 }
@@ -360,7 +399,7 @@ mod tests {
             q.assemble_batch();
         }
         q.compact();
-        if let StageQueue::PerConn { subqueues, .. } = &q {
+        if let Backlog::PerConn { subqueues, .. } = &q.backlog {
             assert!(subqueues.is_empty());
         } else {
             panic!("expected PerConn");
@@ -373,6 +412,152 @@ mod tests {
         assert!(q.assemble_batch().is_empty());
         let mut q = StageQueue::new(QueueDiscipline::Socket { batch: 2 });
         assert!(q.assemble_batch().is_empty());
+    }
+
+    /// The queue before `lone` existed — every job goes through the
+    /// discipline's containers, the two per-connection harvests written
+    /// out one by one — kept as the oracle for what batches, in what
+    /// order, the inline job must give.
+    struct MapOnly {
+        mode: QueueDiscipline,
+        fifo: VecDeque<JobId>,
+        subqueues: FastMap<ConnectionId, VecDeque<JobId>>,
+        active: VecDeque<ConnectionId>,
+    }
+
+    impl MapOnly {
+        fn new(mode: QueueDiscipline) -> Self {
+            MapOnly {
+                mode,
+                fifo: VecDeque::new(),
+                subqueues: FastMap::default(),
+                active: VecDeque::new(),
+            }
+        }
+
+        fn push(&mut self, job: JobId, conn: ConnectionId) {
+            if self.mode == QueueDiscipline::Single {
+                self.fifo.push_back(job);
+            } else {
+                let sub = self.subqueues.entry(conn).or_default();
+                if sub.is_empty() {
+                    self.active.push_back(conn);
+                }
+                sub.push_back(job);
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.fifo.len() + self.subqueues.values().map(VecDeque::len).sum::<usize>()
+        }
+
+        fn assemble_batch(&mut self) -> Vec<JobId> {
+            let mut out = Vec::new();
+            match self.mode {
+                QueueDiscipline::Single => out.extend(self.fifo.pop_front()),
+                QueueDiscipline::Epoll { batch_per_conn } => {
+                    for _ in 0..self.active.len() {
+                        let conn = self.active.pop_front().unwrap();
+                        let sub = self.subqueues.get_mut(&conn).unwrap();
+                        for _ in 0..batch_per_conn {
+                            match sub.pop_front() {
+                                Some(j) => out.push(j),
+                                None => break,
+                            }
+                        }
+                        if !sub.is_empty() {
+                            self.active.push_back(conn);
+                        }
+                    }
+                }
+                QueueDiscipline::Socket { batch } => {
+                    if let Some(conn) = self.active.pop_front() {
+                        let sub = self.subqueues.get_mut(&conn).unwrap();
+                        for _ in 0..batch {
+                            match sub.pop_front() {
+                                Some(j) => out.push(j),
+                                None => break,
+                            }
+                        }
+                        if !sub.is_empty() {
+                            self.active.push_back(conn);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn drain_all(&mut self) -> Vec<JobId> {
+            let mut out: Vec<JobId> = self.fifo.drain(..).collect();
+            let mut conns: Vec<ConnectionId> = self.active.drain(..).collect();
+            conns.sort_unstable();
+            for conn in conns {
+                out.extend(self.subqueues.get_mut(&conn).unwrap().drain(..));
+            }
+            out
+        }
+    }
+
+    // Differential property: a set of queues with the inline job gives, at
+    // every step of a random interleaving of pushes, batches, drains and
+    // compactions, what the same set of map-only queues gives. Few
+    // connections and as many batches as pushes, so that each queue keeps
+    // going empty → one job → several → empty, on one connection and on
+    // more.
+    #[test]
+    fn inline_job_matches_map_only_reference() {
+        use rand::Rng;
+        let modes = [
+            QueueDiscipline::Single,
+            QueueDiscipline::Socket { batch: 1 },
+            QueueDiscipline::Socket { batch: 3 },
+            QueueDiscipline::Epoll { batch_per_conn: 1 },
+            QueueDiscipline::Epoll { batch_per_conn: 2 },
+            QueueDiscipline::Epoll { batch_per_conn: 8 },
+        ];
+        for trial in 0..20u64 {
+            let mut rng = crate::rng::RngFactory::new(trial).stream("queue-diff", 0);
+            let mut set = StageQueueSet::new(modes.iter().map(|&m| StageQueue::new(m)).collect());
+            let mut reference: Vec<MapOnly> = modes.iter().map(|&m| MapOnly::new(m)).collect();
+            let mut batch = Vec::new();
+            let mut lone_batches = 0;
+            for step in 0..4000u32 {
+                let stage = rng.gen_range(0..modes.len());
+                let what = format!("trial {trial} step {step} {:?}", modes[stage]);
+                match rng.gen_range(0..100) {
+                    0..=47 => {
+                        let conn = c(rng.gen_range(0..4));
+                        set.push(stage, j(step), conn);
+                        reference[stage].push(j(step), conn);
+                    }
+                    48..=95 => {
+                        let held_inline = set.stages[stage].lone.is_some();
+                        set.assemble_batch_into(stage, &mut batch);
+                        assert_eq!(batch, reference[stage].assemble_batch(), "{what}");
+                        lone_batches += u32::from(held_inline);
+                    }
+                    96..=97 => {
+                        let want: Vec<JobId> =
+                            reference.iter_mut().flat_map(MapOnly::drain_all).collect();
+                        assert_eq!(set.drain_all(), want, "{what}: drain");
+                    }
+                    _ => set.stages[stage].compact(),
+                }
+                let lens: Vec<usize> = reference.iter().map(MapOnly::len).collect();
+                for (q, &len) in set.stages.iter().zip(&lens) {
+                    assert_eq!((q.len(), q.is_empty()), (len, len == 0), "{what}");
+                }
+                assert_eq!(set.len(), lens.iter().sum::<usize>(), "{what}");
+                assert_eq!(set.is_empty(), lens.iter().all(|&l| l == 0), "{what}");
+                assert_eq!(
+                    set.highest_nonempty(),
+                    lens.iter().rposition(|&l| l > 0),
+                    "{what}"
+                );
+            }
+            assert!(lone_batches > 300, "the inline path was exercised");
+        }
     }
 
     // Property test: no job is lost or duplicated under random operations.

@@ -304,28 +304,65 @@ mod tests {
         assert_eq!(d.as_nanos(), 2);
     }
 
+    /// The doubles next to `x`.
+    fn neighbours(x: f64) -> [f64; 3] {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    }
+
     #[test]
     fn round_to_u64_is_round_at_the_edges() {
-        let two_53 = (1u64 << 53) as f64;
-        for x in [
+        let two = |n: u32| (1u64 << n) as f64;
+        let mut edges = vec![
             0.0,
             0.49999999999999994, // the largest double below 0.5
-            0.5,
-            1.5,
-            2.5,
-            4503599627370495.5, // 2^52 - 0.5, the last double with a fraction
-            two_53 - 1.0,
-            two_53,
-            two_53 + 2.0,
-            (1u64 << 63) as f64,
+            two(52) - 1.0,
+            two(52) - 0.5, // the last double with a fraction
+            two(52) + 1.0,
+            two(53) - 1.0,
+            two(53),
+            two(53) + 2.0,
             18446744073709549568.0, // the largest double below 2^64
             u64::MAX as f64,        // 2^64: the cast saturates
-        ] {
+        ];
+        // Every half, and the doubles either side of it.
+        edges.extend((0..64).flat_map(|k| neighbours(k as f64 + 0.5)));
+        // Where `x as u64` on x86-64 switches from one conversion to two.
+        edges.extend(neighbours(two(63)));
+        for x in edges {
             assert_eq!(round_to_u64(x), x.round() as u64, "{x}");
         }
         assert_eq!(round_to_u64(0.49999999999999994), 0);
         assert_eq!(round_to_u64(2.5), 3);
+        assert_eq!(round_to_u64(two(63)), 1 << 63);
         assert_eq!(round_to_u64(u64::MAX as f64), u64::MAX);
+    }
+
+    /// The definition `from_secs_f64` must keep: `round` itself.
+    #[test]
+    fn from_secs_f64_is_round_over_twelve_decades() {
+        use rand::Rng;
+        let mut rng = crate::rng::RngFactory::new(5).stream("time", 0);
+        for i in 0..1_000_000u32 {
+            // 1 ns .. 1000 s, uniform in the exponent.
+            let secs = 10f64.powf(-9.0 + 12.0 * rng.gen::<f64>());
+            // And every so often a whole number of nanoseconds and a half.
+            let secs = if i % 16 == 0 {
+                ((secs * 1e9).floor() + 0.5) / 1e9
+            } else {
+                secs
+            };
+            let want = (secs * 1e9).round() as u64;
+            assert_eq!(SimDuration::from_secs_f64(secs).as_nanos(), want, "{secs}");
+        }
+        assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
+        // The largest duration there is: 2^64 ns saturates to `MAX`.
+        let longest = u64::MAX as f64 / 1e9;
+        assert_eq!(longest * 1e9, u64::MAX as f64);
+        assert_eq!(SimDuration::from_secs_f64(longest), SimDuration::MAX);
     }
 
     proptest::proptest! {
@@ -366,6 +403,18 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_duration_panics() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn nan_duration_panics() {
+        let _ = SimDuration::from_secs_f64(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn oversized_duration_panics() {
+        let _ = SimDuration::from_secs_f64(1e11);
     }
 
     #[test]

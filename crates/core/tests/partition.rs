@@ -4,6 +4,7 @@
 //! guarantee: merged outputs are byte-identical at any shard count.
 
 use proptest::prelude::*;
+use uqsim_core::client::ArrivalProcess;
 use uqsim_core::config::{InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
@@ -359,33 +360,59 @@ fn an_unreferenced_invalid_service_still_fails_the_run() {
 }
 
 // ---------------------------------------------------------------------
-// P2/P3: placement determinism and K-independent numbering/seeding
+// P2/P3: claim-order determinism and K-independent numbering/seeding
 // ---------------------------------------------------------------------
 
-/// **P2** — LPT assignment is a pure function of `(cfg, shards)` and
-/// spreads equal-weight cells evenly.
-#[test]
-fn lpt_assignment_is_deterministic_and_balanced() {
-    let cfg = cluster(8);
-    let a = PartitionPlan::new(&cfg, 3).unwrap();
-    let b = PartitionPlan::new(&cfg, 3).unwrap();
-    assert_eq!(a.assignment, b.assignment, "assignment must be pure");
-    assert!(a.assignment.iter().all(|&s| s < 3));
-    let mut load = [0u64; 3];
-    let weights = a.weights();
-    for (cell, &shard) in a.assignment.iter().enumerate() {
-        load[shard] += weights[cell];
+/// `cluster(8)` with uneven pods: the clients offer 1×, 4×, 2×, 1×, … the
+/// base load, so the cells' run times differ by up to 4× and workers
+/// claim unequal numbers of them.
+fn uneven_cluster() -> ScenarioConfig {
+    let mut cfg = cluster(8);
+    for (i, client) in cfg.clients.iter_mut().enumerate() {
+        let ArrivalProcess::Poisson { schedule } = &mut client.arrivals else {
+            panic!("cluster clients are poisson");
+        };
+        for seg in &mut schedule.segments {
+            seg.1 *= [1.0, 4.0, 2.0, 1.0][i % 4];
+        }
     }
-    let spread = load.iter().max().unwrap() - load.iter().min().unwrap();
-    let max_w = *weights.iter().max().unwrap();
-    assert!(
-        spread <= max_w,
-        "LPT never leaves shards more than one cell-weight apart: {load:?}"
-    );
+    cfg
+}
+
+/// **P2** — the order in which workers claim cells is a pure function of
+/// the scenario (costliest first, ties by cell id; the shard count does
+/// not enter), and which worker ends up running which cell never shows:
+/// every merged output is the same at 1, 2, 3 and 8 shards though the
+/// cells differ 4× in cost.
+#[test]
+fn claim_order_is_pure_and_never_shows() {
+    let cfg = uneven_cluster();
+    let plan = PartitionPlan::new(&cfg, 3).unwrap();
+    let order = plan.claim_order();
+    assert_eq!(order, PartitionPlan::new(&cfg, 3).unwrap().claim_order());
+    assert_eq!(order, PartitionPlan::new(&cfg, 8).unwrap().claim_order());
+    // Pod 1 owns a third core and a second instance; the rest tie.
+    assert_eq!(order, [1, 0, 2, 3, 4, 5, 6, 7]);
+    let weights = plan.weights();
+    assert!(order.windows(2).all(|w| weights[w[0]] >= weights[w[1]]));
+
+    let d = SimDuration::from_millis(300);
+    let render = |shards: usize| {
+        let run = run_partitioned(&cfg, None, 9, d, &full_options(shards)).unwrap();
+        let json = serde_json::to_string_pretty(&run.json().expect("sampler on")).unwrap();
+        let (prom, csv) = (run.prometheus(), run.csv().expect("sampler on"));
+        let completed: Vec<u64> = run.cells.iter().map(|c| c.result.completed).collect();
+        (run.result, prom, csv, json, completed)
+    };
+    let base = render(1);
+    assert!(base.4[1] > 3 * base.4[0], "pod 1 serves 4x pod 0's load");
+    for shards in [2, 3, 8] {
+        assert_eq!(render(shards), base, "merged outputs at shards={shards}");
+    }
 }
 
 /// **P3** — the cell list (and hence numbering) is identical at any shard
-/// count; only the assignment changes.
+/// count.
 #[test]
 fn cell_numbering_is_shard_independent() {
     let cfg = cluster(5);

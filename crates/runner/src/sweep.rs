@@ -10,7 +10,7 @@
 //! worker count.
 
 use crate::stats::{mean_ci95, MeanCi};
-use crate::try_run_indexed;
+use crate::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uqsim_core::config::ScenarioConfig;
 use uqsim_core::run::RunResult;
@@ -388,20 +388,33 @@ pub fn run_scenario_sweep(
     let total = scaled.len() * reps;
     let finished = AtomicUsize::new(0);
     let opts = PartitionOptions::with_shards(spec.shards);
-    let results: Vec<RunResult> = try_run_indexed(spec.jobs, total, |i| {
-        let (qi, rep) = (i / reps, i % reps);
-        let seed = seed_for(spec.base_seed, rep);
-        let faults = spec.faults.as_ref();
-        let out =
-            run_partitioned(&scaled[qi], faults, seed, spec.duration, &opts).map(|run| run.result);
-        progress(Progress {
-            finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
-            total,
-            offered_qps: spec.qps[qi],
-            seed,
-        });
-        out
-    })?;
+    // Workers claim the cells by descending offered load (ties: grid
+    // order) — load is what a cell costs — so the sweep does not end on
+    // one worker running the heaviest cell alone. Results stay in grid
+    // order, so every aggregate is the one a serial loop computes.
+    let mut order: Vec<usize> = (0..total).collect();
+    order.sort_by(|&a, &b| {
+        spec.qps[b / reps]
+            .total_cmp(&spec.qps[a / reps])
+            .then(a.cmp(&b))
+    });
+    let results = Pool::new(spec.jobs)
+        .map_claimed(&order, |i| {
+            let (qi, rep) = (i / reps, i % reps);
+            let seed = seed_for(spec.base_seed, rep);
+            let faults = spec.faults.as_ref();
+            let out = run_partitioned(&scaled[qi], faults, seed, spec.duration, &opts)
+                .map(|run| run.result);
+            progress(Progress {
+                finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
+                total,
+                offered_qps: spec.qps[qi],
+                seed,
+            });
+            out
+        })
+        .into_iter()
+        .collect::<SimResult<Vec<RunResult>>>()?;
     let rows = spec
         .qps
         .iter()
