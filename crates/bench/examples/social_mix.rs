@@ -37,6 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    println!(
+        "\n(per-type and per-tier percentiles are streaming-histogram reads: exact, up to +3.1 %)"
+    );
     println!("\nper-tier p99 residency (us):");
     for name in ["frontend", "user", "post", "media", "mongod", "disk"] {
         let id = sim.instance_by_name(name).expect("tier deployed");

@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tier_p99.join(" ")
         );
     }
+    println!("\n(per-tier p99 is a streaming-histogram read: the exact value, up to +3.1 %)");
     println!(
         "\nThe frontend runs two sequential synchronous phases per request, so its\n\
          blocked worker threads cap throughput well before its cores saturate."

@@ -1,4 +1,6 @@
-//! Live-bytes ratchet for the run pipeline.
+//! Live-bytes ratchets for the run pipeline: memory must follow neither
+//! the cell count nor — beyond one exact sample per request — the run
+//! length.
 //!
 //! A partitioned run holds one live simulator per shard plus the small
 //! remains of each finished cell ([`uqsim_core::partition::CellOutput`]);
@@ -6,20 +8,38 @@
 //! and every cell's copy of the whole service table, so its peak grew with
 //! cells × cluster. This test pins the property: on one shard, four times
 //! the cells must cost well under four times the memory — the simulator
-//! that is running dominates, not the ones that are done. Bytes asked of
-//! the allocator, not RSS, so the test is noise-immune and runs
-//! unconditionally, like its neighbour `alloc_regression.rs`.
+//! that is running dominates, not the ones that are done.
+//!
+//! And a run keeps exactly one thing per measured request: its exact
+//! end-to-end latency, an 8-byte `f64` in a `Vec` (the percentiles every
+//! golden file pins are read off those). Per-instance residence times and
+//! per-type latencies are bounded histograms, and the end-of-run summary
+//! sorts the samples where they lie. The second test pins that as bytes
+//! per additional measured request.
+//!
+//! Bytes asked of the allocator, not RSS, so the tests are noise-immune and
+//! run unconditionally, like their neighbour `alloc_regression.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use uqsim_apps::scenarios::pod_cluster;
-use uqsim_core::partition::{run_partitioned, PartitionOptions, SpanTracing};
+use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::{run_partitioned, PartitionOptions, PartitionedRun, SpanTracing};
 use uqsim_core::time::SimDuration;
 
 /// Bytes currently allocated, and the most they have been since
-/// [`peak_above_baseline`] last reset it.
+/// [`peak_of`] last reset it.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// The two counters are the process's, and count what every thread
+/// allocates: one test at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    // A test that failed holding the lock has left nothing half-done in it.
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct LiveBytesAlloc;
 
@@ -54,9 +74,21 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
 #[global_allocator]
 static GLOBAL: LiveBytesAlloc = LiveBytesAlloc;
 
-/// The most bytes a `uqsim run`-style pipeline run over `pods` pods holds
-/// at once, above what was live when it was called (the scenario itself is
-/// the caller's), and the cells it ran.
+/// Runs `cfg` through the pipeline on this thread and returns the most
+/// bytes the run held at once, above what was live when it was called (the
+/// scenario itself is the caller's), with the run.
+fn peak_of(cfg: &ScenarioConfig, secs: f64, opts: &PartitionOptions) -> (usize, PartitionedRun) {
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let run = run_partitioned(cfg, None, 1, SimDuration::from_secs_f64(secs), opts)
+        .expect("scenario runs");
+    let peak = PEAK.load(Ordering::Relaxed) - baseline;
+    assert!(run.result.completed > 0);
+    (peak, run)
+}
+
+/// The peak of a `uqsim run`-style run over `pods` pods, and the cells it
+/// ran.
 fn peak_above_baseline(pods: usize) -> (usize, usize) {
     let cfg = pod_cluster(pods, 20_000.0).expect("pod cluster builds");
     let opts = PartitionOptions {
@@ -64,12 +96,7 @@ fn peak_above_baseline(pods: usize) -> (usize, usize) {
         telemetry: None,
         span_tracing: SpanTracing::Off,
     };
-    let baseline = LIVE.load(Ordering::Relaxed);
-    PEAK.store(baseline, Ordering::Relaxed);
-    let run = run_partitioned(&cfg, None, 1, SimDuration::from_millis(300), &opts)
-        .expect("pod cluster runs");
-    let peak = PEAK.load(Ordering::Relaxed) - baseline;
-    assert!(run.result.completed > 0);
+    let (peak, run) = peak_of(&cfg, 0.3, &opts);
     (peak, run.cells.len())
 }
 
@@ -81,6 +108,7 @@ const MAX_PEAK_GROWTH: f64 = 1.5;
 
 #[test]
 fn peak_live_bytes_follow_the_running_cell_not_the_cell_count() {
+    let _alone = one_at_a_time();
     let (small, small_cells) = peak_above_baseline(8);
     let (large, large_cells) = peak_above_baseline(32);
     assert_eq!((small_cells, large_cells), (8, 32), "one cell per pod");
@@ -91,4 +119,46 @@ fn peak_live_bytes_follow_the_running_cell_not_the_cell_count() {
          the ratchet is {MAX_PEAK_GROWTH} — finished cells are holding on to \
          something that grows with the cluster"
     );
+}
+
+/// The bound on peak live bytes per additional measured request. What a
+/// run measures is the sample vector's capacity: 8 bytes a sample under
+/// `Vec` doubling, so between 8 and 16 depending on where the two request
+/// counts fall between powers of two, plus the last few buckets the
+/// bounded histograms touch: 10.1 B on `two_tier` (30 k → 110 k requests)
+/// and 14.0 B on `social_network` (12 k → 44 k). The bound is 1.5 × the
+/// larger. At the parent of this ratchet — every instance visit and a
+/// second, per-type copy of every latency kept as samples, and the summary
+/// sorting a copy of them — the same runs read 57.4 B and 186.4 B (45 B
+/// and 114 B of RSS per request on the command line, where the allocator's
+/// peak under doubling does not show).
+const MAX_BYTES_PER_MEASURED_REQUEST: f64 = 21.0;
+
+#[test]
+fn a_measured_request_costs_one_exact_sample() {
+    let _alone = one_at_a_time();
+    for (name, json) in [
+        ("two_tier", include_str!("../../cli/configs/two_tier.json")),
+        (
+            "social_network",
+            include_str!("../../cli/configs/social_network.json"),
+        ),
+    ] {
+        let cfg = ScenarioConfig::from_json(json).expect("bundled scenario parses");
+        // What `uqsim run` installs: decomposition telemetry and the
+        // streaming critical-path profile, all of it bounded.
+        let opts = PartitionOptions::default();
+        let (short_peak, short) = peak_of(&cfg, 2.0, &opts);
+        let (long_peak, long) = peak_of(&cfg, 6.0, &opts);
+        let requests = (long.result.latency.count - short.result.latency.count) as f64;
+        assert!(requests > 30_000.0, "{name}: {requests} more requests");
+        let per_request = (long_peak as f64 - short_peak as f64) / requests;
+        assert!(
+            per_request < MAX_BYTES_PER_MEASURED_REQUEST,
+            "{name}: {per_request:.1} B of peak live memory per additional measured request \
+             ({short_peak} -> {long_peak} B over {requests} requests); the ratchet is \
+             {MAX_BYTES_PER_MEASURED_REQUEST} — something besides the exact end-to-end \
+             sample is being kept per request, or the summary copies the samples again"
+        );
+    }
 }

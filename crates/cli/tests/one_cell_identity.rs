@@ -82,6 +82,19 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
     assert_eq!(r.events_processed, bare.events_processed(), "{what}");
     assert_eq!(r.latency, bare.latency_summary(), "{what}");
     assert_eq!(r.timeout_latency, bare.timeout_latency_summary(), "{what}");
+    // The cell's samples are the bare simulator's, sorted where they lay.
+    let cell = &run.cells[0];
+    for (kept, in_completion_order) in [
+        (&cell.latency_samples, bare.latency_samples()),
+        (
+            &cell.timeout_latency_samples,
+            bare.timeout_latency_samples(),
+        ),
+    ] {
+        let mut sorted = in_completion_order.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        assert_eq!(kept, &sorted, "{what}: not the bare run's samples, sorted");
+    }
     assert_eq!(r.metrics, bare.metrics_snapshot(), "{what}");
     assert_eq!(r.fault, bare.fault_summary(), "{what}");
     assert_eq!(r.critpath, bare.critpath_profile(), "{what}");

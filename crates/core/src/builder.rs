@@ -23,6 +23,7 @@ use crate::queue::StageQueue;
 use crate::rng::RngFactory;
 use crate::service::ServiceModel;
 use crate::sim::{ClientRt, ExecModel, InstanceRt, MachineRt, SimConfig, Simulator, ThreadRt};
+use crate::telemetry::StreamingHistogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Execution-model choice for a deployed instance.
@@ -535,10 +536,10 @@ impl ScenarioBuilder {
             batch_pool: Vec::new(),
             controllers: Vec::new(),
             e2e: LatencyRecorder::new(warmup_at),
-            per_type: vec![LatencyRecorder::new(warmup_at); self.request_types.len()],
+            per_type: vec![StreamingHistogram::new(); self.request_types.len()],
             interval_e2e: Vec::new(),
             interval_instance: vec![Vec::new(); n_instances],
-            instance_residency: vec![LatencyRecorder::new(warmup_at); n_instances],
+            instance_residency: vec![StreamingHistogram::new(); n_instances],
             generated: 0,
             completed: 0,
             timeouts: 0,

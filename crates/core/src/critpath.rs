@@ -529,10 +529,13 @@ impl CpcProfile {
     /// # Errors
     ///
     /// Fails if the log was truncated (attribution from a partial stream
-    /// would silently misattribute), or if any measured request's segments
+    /// would silently misattribute), if an event is stamped before the
+    /// frontier its request had already reached (a corrupt log — the
+    /// simulator never records one), or if any measured request's segments
     /// do not telescope exactly to its end-to-end latency (which would
     /// indicate a recorder or replay bug, never a property of the
-    /// workload).
+    /// workload). The last two name the offending event by its index in
+    /// the log.
     pub fn from_trace(log: &TraceLog, meta: &TraceMeta) -> Result<CpcProfile, String> {
         let mut fold = ReplayFold::new();
         fold.feed(log.retained());
@@ -567,20 +570,33 @@ struct JobState {
 /// (site, kind). Zero-length intervals are skipped, mirroring the streaming
 /// mode. Charges against already-completed requests (quorum stragglers) or
 /// unknown ids are no-ops.
+///
+/// # Errors
+///
+/// `t` lies before the frontier: no log the simulator records moves a
+/// request back in time, so the log is corrupt.
 fn charge(
     reqs: &mut SlotTable<RequestId, ReqState>,
     rid: RequestId,
     t: SimTime,
     site: CritSite,
     kind: EdgeKind,
-) {
+) -> Result<(), String> {
     if let Some(r) = reqs.get_mut(&rid) {
-        let dt = (t - r.mark).as_nanos();
+        let Some(dt) = t.as_nanos().checked_sub(r.mark.as_nanos()) else {
+            return Err(format!(
+                "request {rid} goes back in time: stamped {} ns, behind its \
+                 frontier at {} ns",
+                t.as_nanos(),
+                r.mark.as_nanos()
+            ));
+        };
         r.mark = t;
         if dt > 0 {
             r.segs.push(CritSeg { site, kind, ns: dt });
         }
     }
+    Ok(())
 }
 
 fn recycle(spare: &mut Vec<Vec<CritSeg>>, mut segs: Vec<CritSeg>) {
@@ -599,7 +615,11 @@ pub struct ReplayFold {
     /// Segment buffers of finished requests, handed to the next ones.
     spare_segs: Vec<Vec<CritSeg>>,
     accum: CritAccum,
-    /// The first request found not to telescope; the replay stops there.
+    /// Events taken up so far, over every chunk fed.
+    events: usize,
+    /// The first event the replay could not take — one that moves its
+    /// request back in time, or completes a request whose segments do not
+    /// telescope — named by its index in the log; the replay stops there.
     error: Option<String>,
 }
 
@@ -614,14 +634,24 @@ impl ReplayFold {
         if self.error.is_some() {
             return;
         }
+        if let Err(what) = self.replay(chunk) {
+            self.error = Some(format!("span event {}: {what}", self.events - 1));
+        }
+    }
+
+    /// Replays `chunk` up to and including the first event that cannot be
+    /// taken, which `events` then counts last.
+    fn replay(&mut self, chunk: &SpanChunk) -> Result<(), String> {
         let ReplayFold {
             reqs,
             jobs,
             spare_segs,
             accum,
+            events,
             ..
         } = self;
         for ev in chunk.events() {
+            *events += 1;
             match *ev {
                 TraceEvent::RequestEmitted {
                     request, client, t, ..
@@ -652,7 +682,7 @@ impl ReplayFold {
                     } else {
                         EdgeKind::ClientWait
                     };
-                    charge(reqs, request, t, CritSite::Client(client), kind);
+                    charge(reqs, request, t, CritSite::Client(client), kind)?;
                 }
                 TraceEvent::FanIn {
                     request,
@@ -671,7 +701,7 @@ impl ReplayFold {
                     } else {
                         EdgeKind::Network
                     };
-                    charge(reqs, request, t, CritSite::Instance(i), kind);
+                    charge(reqs, request, t, CritSite::Instance(i), kind)?;
                 }
                 TraceEvent::Enqueue {
                     job,
@@ -689,7 +719,7 @@ impl ReplayFold {
                             j.instance = instance;
                             j.stage = stage.raw();
                             j.in_service = false;
-                            charge(reqs, request, t, site, EdgeKind::Service);
+                            charge(reqs, request, t, site, EdgeKind::Service)?;
                         }
                         Some(j) => {
                             j.instance = instance;
@@ -715,7 +745,7 @@ impl ReplayFold {
                                 t,
                                 CritSite::Instance(instance),
                                 EdgeKind::Network,
-                            );
+                            )?;
                         }
                     }
                 }
@@ -741,7 +771,7 @@ impl ReplayFold {
                             start,
                             CritSite::Stage(instance, stage.raw()),
                             EdgeKind::QueueWait,
-                        );
+                        )?;
                     }
                 }
                 TraceEvent::NodeDone {
@@ -759,14 +789,14 @@ impl ReplayFold {
                                 t,
                                 CritSite::Stage(instance, j.stage),
                                 EdgeKind::Service,
-                            );
+                            )?;
                         }
                     }
                 }
                 TraceEvent::PoolGrant {
                     pool, request, t, ..
                 } => {
-                    charge(reqs, request, t, CritSite::Pool(pool), EdgeKind::Blocking);
+                    charge(reqs, request, t, CritSite::Pool(pool), EdgeKind::Blocking)?;
                 }
                 TraceEvent::RequestCompleted {
                     request,
@@ -784,17 +814,16 @@ impl ReplayFold {
                         t,
                         CritSite::Client(client),
                         EdgeKind::Network,
-                    );
+                    )?;
                     let r = reqs.remove(&request).expect("request state present");
                     if measured {
                         let e2e_ns = (t - r.submitted).as_nanos();
                         let sum: u64 = r.segs.iter().map(|s| s.ns).sum();
                         if sum != e2e_ns {
-                            self.error = Some(format!(
+                            return Err(format!(
                                 "critical path of request {request} does not telescope: \
                                  segments sum to {sum} ns, end-to-end is {e2e_ns} ns"
                             ));
-                            return;
                         }
                         accum.fold(e2e_ns, &r.segs);
                     }
@@ -812,6 +841,7 @@ impl ReplayFold {
                 _ => {}
             }
         }
+        Ok(())
     }
 
     /// Ends the replay of a log that recorded `events` events and dropped
@@ -819,8 +849,9 @@ impl ReplayFold {
     ///
     /// # Errors
     ///
-    /// As [`CpcProfile::from_trace`]: a truncated log, or a request whose
-    /// segments did not telescope.
+    /// As [`CpcProfile::from_trace`]: a truncated log, an event that moved
+    /// its request back in time, or a request whose segments did not
+    /// telescope.
     pub fn finish(
         self,
         meta: &TraceMeta,
@@ -1343,6 +1374,25 @@ mod tests {
         // Truncation is reported first, as for a retained log.
         let err = replay(true, 3).expect_err("truncated");
         assert!(err.contains("raise the trace capacity (--events) to at least 9"));
+
+        // A corrupt log can move a request back in time. That is an error
+        // naming the event, the request and both timestamps — in whichever
+        // chunk the event arrives — not a `SimTime` subtraction panic.
+        let stale = chunk_of(&[TraceEvent::RequestLaunched {
+            request,
+            conn: ConnectionId::from_raw(0),
+            t: at(5),
+        }]);
+        let mut fold = ReplayFold::new();
+        for chunk in [&opening, &stale, &closing] {
+            fold.feed(chunk.retained());
+        }
+        assert_eq!(
+            fold.finish(&TraceMeta::default(), 4, 0),
+            Err("span event 2: request RequestId(1.0) goes back in time: \
+                 stamped 5 ns, behind its frontier at 10 ns"
+                .to_string())
+        );
     }
 
     #[test]

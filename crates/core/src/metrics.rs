@@ -43,17 +43,24 @@ impl LatencySummary {
         }
     }
 
-    /// Computes a summary from unsorted samples (seconds). Sorts a copy —
-    /// unstably, by the total order: latencies are finite and non-negative,
-    /// so equal samples are bit-equal and the sorted copy is the one a
-    /// stable sort by `partial_cmp` yields.
+    /// Computes a summary from unsorted samples (seconds), sorting a copy
+    /// of them; [`sort_and_summarize`](Self::sort_and_summarize) is the
+    /// same summary, bit for bit, for a caller that can give up the order.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::empty();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        Self::from_sorted(&sorted)
+        Self::sort_and_summarize(&mut samples.to_vec())
+    }
+
+    /// Sorts `samples` (seconds) in place and computes their summary,
+    /// copying nothing: at 8 bytes a sample, the copy [`from_samples`]
+    /// sorts is as large as everything a long run has kept. The sort is
+    /// unstable, by the total order: latencies are finite and
+    /// non-negative, so equal samples are bit-equal and the sorted slice
+    /// is the one a stable sort by `partial_cmp` yields.
+    ///
+    /// [`from_samples`]: Self::from_samples
+    pub fn sort_and_summarize(samples: &mut [f64]) -> Self {
+        samples.sort_unstable_by(f64::total_cmp);
+        Self::from_sorted(samples)
     }
 
     /// Computes a summary from already-sorted samples.
@@ -101,6 +108,15 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// Accumulates end-to-end latency samples, ignoring those completed before
 /// the warmup deadline.
+///
+/// Every retained sample is kept, exactly, as an `f64` — 8 bytes per
+/// measured request, the one part of a run's memory that grows with its
+/// length. That is the price of percentiles that are exact (and pinned
+/// bit for bit by the golden files), so the simulator keeps only two of
+/// these, for the end-to-end latencies of completed and of timed-out
+/// requests; anything recorded more often than once per request — per
+/// request type, per instance visit — goes into a bounded
+/// [`StreamingHistogram`](crate::telemetry::StreamingHistogram) instead.
 ///
 /// # Examples
 ///
@@ -154,12 +170,20 @@ impl LatencyRecorder {
         self.dropped_warmup
     }
 
-    /// Summary over all retained samples.
+    /// Summary over all retained samples (sorts a copy of them).
     pub fn summary(&self) -> LatencySummary {
         LatencySummary::from_samples(&self.samples)
     }
 
-    /// Raw retained samples (seconds), in completion order.
+    /// [`summary`](Self::summary) without the copy: sorts the retained
+    /// samples where they are, so from here on [`samples`](Self::samples)
+    /// and [`into_samples`](Self::into_samples) hand them out ascending.
+    pub fn sort_and_summarize(&mut self) -> LatencySummary {
+        LatencySummary::sort_and_summarize(&mut self.samples)
+    }
+
+    /// Raw retained samples (seconds), in completion order — ascending
+    /// once [`sort_and_summarize`](Self::sort_and_summarize) has run.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -220,28 +244,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unstable_sort_yields_the_stable_sorts_summary_bit_for_bit() {
+    /// 100,000 latencies as the recorder stores them — nanosecond counts in
+    /// seconds, spread over six decades — and 100,000 heavily tied ones:
+    /// 17 distinct values, zero included.
+    fn random_and_tied() -> [Vec<f64>; 2] {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        // Latencies as the recorder stores them: nanosecond counts in
-        // seconds, spread over six decades.
-        let random: Vec<f64> = (0..100_000)
+        let random = (0..100_000)
             .map(|_| {
                 let ns = 10f64.powf(rng.gen_range(3.0..9.0)) as u64;
                 SimDuration::from_nanos(ns).as_secs_f64()
             })
             .collect();
-        // Heavily tied: 100,000 samples over 17 distinct values, zero
-        // included.
-        let tied: Vec<f64> = (0..100_000)
+        let tied = (0..100_000)
             .map(|_| SimDuration::from_nanos(rng.gen_range(0..17u64) * 250_000).as_secs_f64())
             .collect();
-        for samples in [&random, &tied] {
+        [random, tied]
+    }
+
+    #[test]
+    fn unstable_sort_yields_the_stable_sorts_summary_bit_for_bit() {
+        for samples in &random_and_tied() {
             assert_same_bits(
                 LatencySummary::from_samples(samples),
                 summary_by_stable_sort(samples),
             );
+        }
+    }
+
+    /// What a finished cell does to its recorder: the summary of the
+    /// samples sorted where they lie is the one `summary` gets from a
+    /// sorted copy, and what is left is the same samples, ascending.
+    #[test]
+    fn sorting_in_place_yields_the_copying_summary_bit_for_bit() {
+        for samples in random_and_tied() {
+            let mut rec = LatencyRecorder::new(SimTime::ZERO);
+            rec.samples.clone_from(&samples);
+            let copying = rec.summary();
+            assert_eq!(rec.samples(), samples, "`summary` leaves the order alone");
+            let in_place = rec.sort_and_summarize();
+            assert_eq!(in_place, copying);
+            assert_same_bits(in_place, summary_by_stable_sort(&samples));
+            let mut sorted = samples;
+            sorted.sort_unstable_by(f64::total_cmp);
+            assert_eq!(rec.into_samples(), sorted);
         }
     }
 

@@ -124,10 +124,15 @@ pub struct CellOutput {
     /// What the checks of a streamed span log found; `None` unless the run
     /// asked for [`SpanTracing::Check`].
     pub checks: Option<SpanChecks>,
-    /// Post-warmup end-to-end latency samples (seconds, completion order);
-    /// [`merge_results`] re-summarizes the cells' concatenation.
+    /// Post-warmup end-to-end latency samples (seconds), **ascending**: the
+    /// cell's summary sorted them where they lay, and a permutation of what
+    /// a bare simulator's [`Simulator::latency_samples`] lists in
+    /// completion order. Exact, 8 bytes per measured request — the only
+    /// thing a cell keeps per request. [`merge_results`] re-summarizes the
+    /// cells' concatenation.
     pub latency_samples: Vec<f64>,
-    /// Deadline-pinned latency samples of timed-out requests (seconds).
+    /// Deadline-pinned latency samples of timed-out requests (seconds),
+    /// ascending likewise.
     pub timeout_latency_samples: Vec<f64>,
     /// Degraded (early-fire) completions inside the measurement window —
     /// counted in the latency summary, excluded from merged goodput.
@@ -316,7 +321,7 @@ fn run_cell(
         });
     }
     let deadline = SimTime::ZERO + duration;
-    let (sim, folds) = match opts.span_tracing {
+    let (mut sim, folds) = match opts.span_tracing {
         SpanTracing::Off => {
             sim.run_until(deadline);
             (sim, None)
@@ -331,7 +336,7 @@ fn run_cell(
             (sim, Some(folds))
         }
     };
-    let result = crate::run::summarize(&sim, seed, duration, spec.config.warmup_s);
+    let result = crate::run::summarize(&mut sim, seed, duration, spec.config.warmup_s);
     let checks = folds.map(|folds| finish_checks(folds, &sim, &result, spec.id));
     Ok(take_remains(sim, spec.id, result, checks, opts))
 }
@@ -388,7 +393,7 @@ fn take_remains(
     // These two read the telemetry state: render them before taking it.
     let registry = sim.metrics_registry();
     let sampler_on = opts.telemetry.is_some_and(|t| t.sample_interval.is_some());
-    let json_head = sampler_on.then(|| sim.metrics_json_head());
+    let json_head = sampler_on.then(|| sim.metrics_json_head(result.latency));
     let (e2e_histogram, component_histograms, series) = match sim.telemetry.take() {
         Some(tel) => {
             let tel = *tel;

@@ -59,8 +59,7 @@ pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
     let concatenated = |samples: fn(&CellOutput) -> &[f64]| -> LatencySummary {
         // One copy, sorted in place (`from_samples` would sort a second).
         let mut all = cells.iter().map(samples).collect::<Vec<_>>().concat();
-        all.sort_unstable_by(f64::total_cmp);
-        LatencySummary::from_sorted(&all)
+        LatencySummary::sort_and_summarize(&mut all)
     };
     let latency = concatenated(|c| &c.latency_samples);
     let timeout_latency = concatenated(|c| &c.timeout_latency_samples);

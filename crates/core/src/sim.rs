@@ -20,6 +20,7 @@ use crate::machine::{Core, MachineSpec};
 use crate::metrics::{LatencyRecorder, LatencySummary};
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType};
 use crate::service::ServiceModel;
+use crate::telemetry::StreamingHistogram;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
     AuditCounts, AuditReport, ChunkReceiver, ClientMeta, InstanceMeta, MachineMeta, PoolMeta,
@@ -261,11 +262,16 @@ pub struct Simulator {
     pub(crate) batch_pool: Vec<Vec<JobId>>,
     pub(crate) controllers: Vec<Option<Box<dyn Controller>>>,
     // Metrics.
+    /// The exact post-warmup end-to-end samples: with `e2e_timeout`, the
+    /// only per-request state a run keeps (8 bytes each; the golden-pinned
+    /// percentiles are read off them). The other recorders are bounded.
     pub(crate) e2e: LatencyRecorder,
-    pub(crate) per_type: Vec<LatencyRecorder>,
+    /// Post-warmup end-to-end latency per request type.
+    pub(crate) per_type: Vec<StreamingHistogram>,
     pub(crate) interval_e2e: Vec<f64>,
     pub(crate) interval_instance: Vec<Vec<f64>>,
-    pub(crate) instance_residency: Vec<LatencyRecorder>,
+    /// Post-warmup node residence time per instance.
+    pub(crate) instance_residency: Vec<StreamingHistogram>,
     pub(crate) generated: u64,
     pub(crate) completed: u64,
     pub(crate) timeouts: u64,
@@ -418,13 +424,29 @@ impl Simulator {
         self.e2e.samples()
     }
 
-    /// Post-warmup residence-latency summary for one instance.
+    /// Post-warmup residence-latency summary for one instance: the time
+    /// from a job's entry into one of the instance's path nodes to its
+    /// leaving the node's last stage, one value per node visit.
+    ///
+    /// Kept as a [`StreamingHistogram`], not as samples, so that a run's
+    /// memory does not grow with the node visits it makes: `count`, `mean`
+    /// and `max` are exact (the mean to `f64` rounding), and each of
+    /// `p50`/`p95`/`p99` reads `q̂` with `q ≤ q̂ ≤ q · (1 + 1/32)` of the
+    /// exact nearest-rank percentile `q` — see
+    /// [`StreamingHistogram::summary`].
     pub fn instance_residency(&self, instance: InstanceId) -> LatencySummary {
         self.instance_residency[instance.index()].summary()
     }
 
     /// Post-warmup end-to-end latency summary for one request type — e.g.
-    /// cache hits vs. misses of the 3-tier application.
+    /// cache hits vs. misses of the 3-tier application. The types' counts
+    /// sum to [`latency_summary`](Self::latency_summary)'s.
+    ///
+    /// Streaming like [`instance_residency`](Self::instance_residency),
+    /// with the same resolution: exact `count`, `mean` and `max`,
+    /// percentiles within `[q, q · (1 + 1/32)]`. Only the all-types
+    /// [`latency_summary`](Self::latency_summary) is computed from exact
+    /// samples.
     pub fn type_latency_summary(&self, ty: crate::ids::RequestTypeId) -> LatencySummary {
         self.per_type[ty.index()].summary()
     }
@@ -800,6 +822,12 @@ impl Simulator {
     // Event dispatch
     // ------------------------------------------------------------------
 
+    /// Whether the clock has reached the warm-up boundary: what completes
+    /// from here on is measured (the test [`LatencyRecorder::record`] makes).
+    fn past_warmup(&self) -> bool {
+        self.now >= SimTime::ZERO + self.cfg.warmup
+    }
+
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::ClientArrival { client } => self.on_client_arrival(client),
@@ -1022,7 +1050,9 @@ impl Simulator {
             // late copy closes the books but is not measured.
         } else {
             self.e2e.record(self.now, latency);
-            self.per_type[ty.index()].record(self.now, latency);
+            if self.past_warmup() {
+                self.per_type[ty.index()].record(latency.as_nanos());
+            }
             if !self.controllers.is_empty() {
                 self.interval_e2e.push(latency.as_secs_f64());
             }
@@ -1030,7 +1060,7 @@ impl Simulator {
                 // A quorum/best-effort fan-in answered without every
                 // branch: a degraded (but successful) response.
                 self.degraded += 1;
-                if self.now >= SimTime::ZERO + self.cfg.warmup {
+                if self.past_warmup() {
                     self.degraded_measured += 1;
                 }
             }
@@ -1043,7 +1073,7 @@ impl Simulator {
             self.fault_on_success(client);
         }
         self.completed += 1;
-        let measured = !timed_out && !superseded && self.now >= SimTime::ZERO + self.cfg.warmup;
+        let measured = !timed_out && !superseded && self.past_warmup();
         if let Some(log) = self.span_log.as_deref_mut() {
             log.record(TraceEvent::RequestCompleted {
                 request: rid,
@@ -1775,6 +1805,7 @@ impl Simulator {
         let rid = job.request;
         let node = job.node;
 
+        let measured = self.past_warmup();
         let (ty, entered) = {
             let req = self.requests.get_mut(rid).expect("job's request exists");
             let nr = &mut req.nodes[node.index()];
@@ -1787,7 +1818,9 @@ impl Simulator {
             if !self.controllers.is_empty() {
                 self.interval_instance[inst_id.index()].push(residency.as_secs_f64());
             }
-            self.instance_residency[inst_id.index()].record(self.now, residency);
+            if measured {
+                self.instance_residency[inst_id.index()].record(residency.as_nanos());
+            }
             req.live_jobs -= 1;
             (req.ty, entered)
         };

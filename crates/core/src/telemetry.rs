@@ -219,6 +219,23 @@ impl StreamingHistogram {
         self.quantile_ns(q) as f64 / 1e9
     }
 
+    /// The recorded values as a [`LatencySummary`], in seconds: what a
+    /// recorder that kept every sample would report, at this histogram's
+    /// resolution. `count` and `max` are exact and `mean` is the exact sum
+    /// over the count (a sample vector's differs in the last bits only,
+    /// from `f64` summation); each percentile is [`Self::quantile_secs`],
+    /// so `q ≤ q̂ ≤ q · (1 + 1/32)` of the exact nearest-rank `q`.
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            count: self.count as usize,
+            mean: self.mean_secs(),
+            p50: self.quantile_secs(0.50),
+            p95: self.quantile_secs(0.95),
+            p99: self.quantile_secs(0.99),
+            max: self.max_ns as f64 / 1e9,
+        }
+    }
+
     /// Merges another histogram into this one (element-wise bucket sums).
     /// Merging is commutative and associative, so per-shard histograms can
     /// be combined in any order with identical results.
@@ -1598,13 +1615,16 @@ impl Simulator {
     /// and self-profiling samples.
     pub fn metrics_json(&self) -> serde_json::Value {
         let sampled = self.telemetry.as_deref().map(TelemetryState::sampled);
-        metrics_json_with(self.metrics_json_head(), sampled, self.self_profile())
+        let head = self.metrics_json_head(self.latency_summary());
+        metrics_json_with(head, sampled, self.self_profile())
     }
 
     /// The part of [`Simulator::metrics_json`] that reads the simulator:
     /// everything but the sampler's windows and series and the
-    /// self-profile, which [`metrics_json_with`] appends.
-    pub(crate) fn metrics_json_head(&self) -> serde_json::Value {
+    /// self-profile, which [`metrics_json_with`] appends. `latency` is the
+    /// caller's [`Simulator::latency_summary`] — a finished cell already
+    /// has it, and computing it here would sort a copy of every sample.
+    pub(crate) fn metrics_json_head(&self, latency: LatencySummary) -> serde_json::Value {
         let since = (SimTime::ZERO + self.cfg.warmup).min(self.now);
         let tel = self.telemetry.as_deref();
         let decomposition = match tel {
@@ -1659,7 +1679,7 @@ impl Simulator {
                 "timeouts": self.timeouts,
                 "events_processed": self.events_processed,
             },
-            "latency": self.latency_summary(),
+            "latency": latency,
             "snapshot": self.metrics_snapshot(),
             "decomposition": decomposition,
             "utilization": { "instances": instances, "machines": machines },

@@ -8,6 +8,7 @@ use uqsim_core::client::ArrivalProcess;
 use uqsim_core::config::{InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
+use uqsim_core::metrics::LatencySummary;
 use uqsim_core::partition::{
     cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan, SpanTracing,
 };
@@ -577,6 +578,30 @@ fn merge_of_one_cell_is_registry_identity() {
     .unwrap();
     assert_eq!(run.cells.len(), 1);
     assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
+}
+
+/// **P5** — a cell hands over its exact latency samples sorted (its summary
+/// sorted them where they lay, rather than sort a copy): the samples a bare
+/// simulator of the same cell lists in completion order, ascending. The
+/// merged summary is the summary of all of them, whatever their order.
+#[test]
+fn cells_keep_their_samples_sorted_and_the_merge_summarizes_them_all() {
+    let cfg = cluster(3);
+    let d = SimDuration::from_millis(300);
+    let run = run_partitioned(&cfg, None, 9, d, &PartitionOptions::with_shards(2)).unwrap();
+    let mut all = Vec::new();
+    for (cell, out) in split_cells(&cfg).unwrap().iter().zip(&run.cells) {
+        let seed = cell_seed(9, cell.id as u64);
+        let mut bare = cell.config.with_seed(seed).build().unwrap();
+        bare.run_until(SimTime::ZERO + d);
+        assert!(out.latency_samples.len() > 100, "cell {}", cell.id);
+        let mut sorted = bare.latency_samples().to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        assert_eq!(out.latency_samples, sorted, "cell {}", cell.id);
+        assert_eq!(out.result.latency, bare.latency_summary());
+        all.extend_from_slice(bare.latency_samples());
+    }
+    assert_eq!(run.result.latency, LatencySummary::from_samples(&all));
 }
 
 /// **P5** — the merged CSV and JSON are the cells' own renders, put

@@ -1,13 +1,14 @@
 //! Property test: on an M/M/1 queue, the span log agrees with the
-//! independent residency `LatencyRecorder` (per-stage counts and mean
-//! residency) and the span-derived mean queue wait tracks the analytic
-//! M/M/1 value `Wq = rho / (mu - lambda)`.
+//! independent residency histogram behind `Simulator::instance_residency`
+//! (per-stage counts and mean residency, both of which it keeps exactly)
+//! and the span-derived mean queue wait tracks the analytic M/M/1 value
+//! `Wq = rho / (mu - lambda)`.
 //!
 //! The scenario is a single-core instance with one exponential stage fed by
 //! a Poisson open-loop client — exactly M/M/1 — so queue waits extracted
 //! from `Enqueue -> BatchStart` correlation are checkable against queueing
 //! theory, while residency (`Enqueue -> end of service`) is checkable
-//! sample-for-sample against the recorder the simulator already maintains.
+//! against the count and mean the simulator already maintains.
 
 use proptest::prelude::*;
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
