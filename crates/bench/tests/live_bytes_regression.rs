@@ -17,6 +17,14 @@
 //! sorts the samples where they lie. The second test pins that as bytes
 //! per additional measured request.
 //!
+//! Observing a run must not change that. `uqsim why` records every span
+//! event, audits the log and replays it into a second critical-path
+//! profile; the log is streamed through a few reused chunks, the auditor
+//! forgets a request where the log says its slot was released, and a
+//! profile keeps only the latency buckets it touched. The last two tests
+//! pin both: a checked run under the same per-request bound as a plain
+//! one, and a checked 30-cell cluster under a recorded peak.
+//!
 //! Bytes asked of the allocator, not RSS, so the tests are noise-immune and
 //! run unconditionally, like their neighbour `alloc_regression.rs`.
 
@@ -161,4 +169,75 @@ fn a_measured_request_costs_one_exact_sample() {
              sample is being kept per request, or the summary copies the samples again"
         );
     }
+}
+
+/// What `uqsim why` asks of the pipeline: the default telemetry with the
+/// streaming critical-path profile, and every span event audited and
+/// replayed as it streams past.
+fn why_options() -> PartitionOptions {
+    PartitionOptions {
+        span_tracing: SpanTracing::Check {
+            events: 50_000_000,
+            replay: true,
+        },
+        ..PartitionOptions::default()
+    }
+}
+
+/// `uqsim why` on `social_network` for 2 s and for 8 s: the 48 k more
+/// measured requests may cost what they cost a plain run — their exact
+/// samples — and the observers nothing: not the audit (a record per
+/// request *slot*, 15 of them here), not the replay, not the log. Measured:
+/// 9.9 B, or 15.1 B when the longer run's consumer once fell a chunk
+/// further behind (the log is two to four 240 KB chunks however long the
+/// run, so at worst 20.2 B). While the auditor kept a record and a fan-in
+/// entry per request for the whole run, and a chunk was 1.8 MB, this read
+/// 302 B.
+#[test]
+fn observation_memory_does_not_follow_run_length() {
+    let _alone = one_at_a_time();
+    let json = include_str!("../../cli/configs/social_network.json");
+    let cfg = ScenarioConfig::from_json(json).expect("bundled scenario parses");
+    let (short_peak, short) = peak_of(&cfg, 2.0, &why_options());
+    let (long_peak, long) = peak_of(&cfg, 8.0, &why_options());
+    for run in [&short, &long] {
+        let checks = run.cells[0].checks.as_ref().expect("the log was checked");
+        assert!(checks.audit.is_clean(), "{:?}", checks.audit.violations);
+        assert_eq!(checks.replay, Some(Ok(())));
+    }
+    let requests = (long.result.latency.count - short.result.latency.count) as f64;
+    assert!(requests > 40_000.0, "{requests} more requests");
+    let per_request = (long_peak as f64 - short_peak as f64) / requests;
+    assert!(
+        per_request < MAX_BYTES_PER_MEASURED_REQUEST,
+        "{per_request:.1} B of peak live memory per additional measured request under \
+         `why` ({short_peak} -> {long_peak} B over {requests} requests); the ratchet is \
+         {MAX_BYTES_PER_MEASURED_REQUEST} — a fold keeps something per request past its \
+         retirement, or the log is being stored"
+    );
+}
+
+/// The most a checked run of the bundled `gen_dsb` cluster (30 cells, one
+/// shard, 0.6 s) may hold at once: 1.3 × the 14.9 MB measured — the plan,
+/// one running cell with its chunk ring and two folds, and per finished
+/// cell its samples, registry and one critical-path profile of the buckets
+/// it touched. With profiles indexed from bucket 0 it was 110.7 MB (a
+/// ≈ 3.6 MB table per cell, and their merge).
+const MAX_CHECKED_CLUSTER_PEAK: usize = 20_000_000;
+
+#[test]
+fn a_checked_cluster_holds_touched_buckets_not_dense_profiles() {
+    let _alone = one_at_a_time();
+    let spec = uqsim_synth::GenSpec::from_json(include_str!("../../cli/configs/gen_dsb.json"))
+        .expect("bundled spec parses");
+    let cfg = spec.generate(1).expect("bundled spec generates");
+    let (peak, run) = peak_of(&cfg, 0.6, &why_options());
+    assert_eq!(run.cells.len(), 30);
+    assert!(run.audit().expect("the logs were checked").is_clean());
+    assert!(
+        peak < MAX_CHECKED_CLUSTER_PEAK,
+        "a checked 30-cell run peaked at {peak} B; the ratchet is \
+         {MAX_CHECKED_CLUSTER_PEAK} — finished cells are keeping more than the \
+         buckets their profiles touched"
+    );
 }

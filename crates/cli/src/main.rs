@@ -588,6 +588,10 @@ fn print_chaos_report(
     let (s, ts) = (&r.latency, &r.timeout_latency);
     let (scenario, faults) = (&plan.scenario, plan.faults_path().unwrap_or_default());
     let (seed, duration_s, warmup_s) = (plan.cfg.seed, plan.duration_s, plan.cfg.warmup_s);
+    // What conservation leaves: every generated request is completed,
+    // dropped, shed, or still in the system when the run ends. A number
+    // that grows with `--duration` is a backlog no other line shows.
+    let in_flight = r.generated - r.completed - f.dropped - f.shed;
     let critpath = r
         .critpath
         .as_ref()
@@ -605,6 +609,7 @@ fn print_chaos_report(
             "outcomes": {
                 "dropped": f.dropped,
                 "shed": f.shed,
+                "in_flight": in_flight,
                 "timed_out": f.timed_out,
                 "degraded": f.degraded,
             },
@@ -653,8 +658,8 @@ fn print_chaos_report(
     println!();
     println!("outcomes:");
     println!(
-        "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
-        r.generated, r.completed, f.dropped, f.shed, f.timed_out
+        "  generated {}  completed {}  dropped {}  shed {}  in flight {}  timed out {}",
+        r.generated, r.completed, f.dropped, f.shed, in_flight, f.timed_out
     );
     println!(
         "  degraded responses {} (breaker sheds + quorum early-fires)",

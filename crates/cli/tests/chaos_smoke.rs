@@ -55,6 +55,17 @@ fn chaos_reports_fault_activity_and_audits_clean() {
         !v["timeline"].as_array().unwrap().is_empty(),
         "no fault windows fired"
     );
+    // What is neither completed, dropped nor shed is in flight, and the
+    // report says how many: a backlog cannot pass for a clean recovery.
+    let count = |v: &serde_json::Value| v.as_u64().expect("a count");
+    let outcomes = &v["outcomes"];
+    assert_eq!(
+        count(&v["generated"]),
+        count(&v["completed"])
+            + count(&outcomes["dropped"])
+            + count(&outcomes["shed"])
+            + count(&outcomes["in_flight"])
+    );
     // Goodput can only lose requests relative to raw throughput.
     assert!(
         v["goodput_qps"].as_f64().unwrap() <= v["throughput_qps"].as_f64().unwrap() + 1e-9,
@@ -75,7 +86,7 @@ fn chaos_text_report_mentions_audit_verdict() {
     assert!(out.status.success(), "chaos run failed: {out:?}");
     let text = String::from_utf8(out.stdout).expect("report is UTF-8");
     assert!(
-        text.contains("timeline:"),
+        text.contains("timeline:") && text.contains("  in flight "),
         "report framing drifted:\n{text}"
     );
     assert!(text.contains("audit: clean"), "audit not clean:\n{text}");

@@ -170,33 +170,83 @@ fn site_label(site: CritSite, meta: &TraceMeta) -> String {
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// Per-(site, kind) accumulator: nanoseconds and segment counts, indexed by
-/// the e2e-latency bucket of the owning request (log-linear
-/// [`bucket_index`] buckets shared with [`StreamingHistogram`]).
+/// Per-(site, kind) accumulator: nanoseconds and segment counts per
+/// e2e-latency bucket of the owning request (log-linear [`bucket_index`]
+/// buckets shared with [`StreamingHistogram`]), kept as one run of
+/// consecutive buckets from the first touched one to the last — a few
+/// dozen, of ≈ 520 below 1 ms. Both ends of a run are touched buckets
+/// (count ≥ 1), so equal contents have one representation and the
+/// derived equality is exact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct BucketVecs {
-    ns: Vec<u64>,
-    count: Vec<u64>,
+struct BucketRun {
+    /// Bucket index of `cells[0]`.
+    first: usize,
+    /// `[ns, count]` of bucket `first + i`.
+    cells: Vec<[u64; 2]>,
 }
 
-impl BucketVecs {
-    fn add(&mut self, bucket: usize, ns: u64) {
-        if bucket >= self.ns.len() {
-            self.ns.resize(bucket + 1, 0);
-            self.count.resize(bucket + 1, 0);
+impl BucketRun {
+    /// One past the last touched bucket (0 for an empty run).
+    fn end(&self) -> usize {
+        self.first + self.cells.len()
+    }
+
+    /// Extends the run to include buckets `lo..hi` (not empty).
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.cells.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let gap = std::iter::repeat_n([0; 2], self.first - lo);
+            self.cells.splice(..0, gap);
+            self.first = lo;
         }
-        self.ns[bucket] += ns;
-        self.count[bucket] += 1;
+        if hi > self.end() {
+            self.cells.resize(hi - self.first, [0; 2]);
+        }
+    }
+
+    /// Adds one segment of `ns` nanoseconds to `bucket`.
+    fn add(&mut self, bucket: usize, ns: u64) {
+        if bucket < self.first || bucket >= self.end() {
+            self.cover(bucket, bucket + 1);
+        }
+        let cell = &mut self.cells[bucket - self.first];
+        cell[0] += ns;
+        cell[1] += 1;
+    }
+
+    /// Adds `other` bucket by bucket.
+    fn merge(&mut self, other: &BucketRun) {
+        if other.cells.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.end());
+        let at = other.first - self.first;
+        for (dst, src) in self.cells[at..].iter_mut().zip(&other.cells) {
+            dst[0] += src[0];
+            dst[1] += src[1];
+        }
+    }
+
+    /// Nanoseconds in buckets `lo..=hi_inclusive`.
+    fn range_ns(&self, lo: usize, hi_inclusive: usize) -> u64 {
+        let lo = lo.max(self.first);
+        let hi = (hi_inclusive + 1).min(self.end());
+        if lo >= hi {
+            return 0;
+        }
+        let cells = &self.cells[lo - self.first..hi - self.first];
+        cells.iter().map(|c| c[0]).sum()
     }
 }
 
-/// The streaming accumulator: an e2e histogram plus dense per-(site, kind)
-/// bucket vectors. Bounded memory — proportional to
-/// `sites × kinds × log(max latency)`, independent of request count.
+/// The streaming accumulator: an e2e histogram plus one bucket run per
+/// (site, kind). Bounded memory — proportional to the buckets the
+/// (site, kind) pairs touch, independent of request count.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CritAccum {
     e2e: StreamingHistogram,
-    cells: FastMap<(CritSite, EdgeKind), BucketVecs>,
+    cells: FastMap<(CritSite, EdgeKind), BucketRun>,
 }
 
 impl CritAccum {
@@ -219,11 +269,10 @@ impl CritAccum {
         let mut entries: Vec<CpcEntry> = self
             .cells
             .iter()
-            .map(|(&(site, kind), v)| CpcEntry {
+            .map(|(&(site, kind), run)| CpcEntry {
                 site: site_label(site, meta),
                 kind,
-                ns: v.ns.clone(),
-                count: v.count.clone(),
+                run: run.clone(),
             })
             .collect();
         entries.sort_by(|a, b| a.site.cmp(&b.site).then(a.kind.cmp(&b.kind)));
@@ -238,30 +287,21 @@ impl CritAccum {
 // The profile
 // ---------------------------------------------------------------------
 
-/// One `(site, kind)` row of a [`CpcProfile`], holding per-e2e-bucket
-/// nanosecond and segment-count vectors.
+/// One `(site, kind)` row of a [`CpcProfile`], holding its nanoseconds and
+/// segment counts per e2e-latency bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpcEntry {
     /// Display label of the site (globally unique across partition cells).
     pub site: String,
     /// Edge kind.
     pub kind: EdgeKind,
-    ns: Vec<u64>,
-    count: Vec<u64>,
+    run: BucketRun,
 }
 
 impl CpcEntry {
     /// Total critical-path nanoseconds this entry contributed.
     pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
-    }
-
-    fn range_ns(&self, lo: usize, hi_inclusive: usize) -> u64 {
-        let hi = (hi_inclusive + 1).min(self.ns.len());
-        if lo >= hi {
-            return 0;
-        }
-        self.ns[lo..hi].iter().sum()
+        self.run.cells.iter().map(|c| c[0]).sum()
     }
 }
 
@@ -311,20 +351,13 @@ impl CpcProfile {
                         CpcEntry {
                             site: site.to_string(),
                             kind,
-                            ns: Vec::new(),
-                            count: Vec::new(),
+                            run: BucketRun::default(),
                         },
                     );
                     i
                 }
             };
-            let e = &mut self.entries[idx];
-            if bucket >= e.ns.len() {
-                e.ns.resize(bucket + 1, 0);
-                e.count.resize(bucket + 1, 0);
-            }
-            e.ns[bucket] += ns;
-            e.count[bucket] += 1;
+            self.entries[idx].run.add(bucket, ns);
         }
     }
 
@@ -350,17 +383,7 @@ impl CpcProfile {
                     std::cmp::Ordering::Greater => false,
                     std::cmp::Ordering::Equal => {
                         let mut x = a.next().expect("peeked");
-                        let y = b.next().expect("peeked");
-                        if x.ns.len() < y.ns.len() {
-                            x.ns.resize(y.ns.len(), 0);
-                            x.count.resize(y.count.len(), 0);
-                        }
-                        for (dst, &src) in x.ns.iter_mut().zip(&y.ns) {
-                            *dst += src;
-                        }
-                        for (dst, &src) in x.count.iter_mut().zip(&y.count) {
-                            *dst += src;
-                        }
+                        x.run.merge(&b.next().expect("peeked").run);
                         merged.push(x);
                         continue;
                     }
@@ -408,11 +431,15 @@ impl CpcProfile {
         let p99_ns = self.e2e.quantile_ns(0.99);
         let p50_hi = bucket_index(p50_ns);
         let p99_lo = bucket_index(p99_ns);
-        let last = self.entries.iter().map(|e| e.ns.len()).max().unwrap_or(0);
+        let last = self.entries.iter().map(|e| e.run.end()).max().unwrap_or(0);
         let last = last.saturating_sub(1);
         let overall_total: u64 = self.entries.iter().map(CpcEntry::total_ns).sum();
-        let p50_total: u64 = self.entries.iter().map(|e| e.range_ns(0, p50_hi)).sum();
-        let p99_total: u64 = self.entries.iter().map(|e| e.range_ns(p99_lo, last)).sum();
+        let p50_total: u64 = self.entries.iter().map(|e| e.run.range_ns(0, p50_hi)).sum();
+        let p99_total: u64 = self
+            .entries
+            .iter()
+            .map(|e| e.run.range_ns(p99_lo, last))
+            .sum();
         let share = |ns: u64, total: u64| {
             if total == 0 {
                 0.0
@@ -425,8 +452,8 @@ impl CpcProfile {
             .iter()
             .map(|e| {
                 let overall = e.total_ns();
-                let p50 = e.range_ns(0, p50_hi);
-                let p99 = e.range_ns(p99_lo, last);
+                let p50 = e.run.range_ns(0, p50_hi);
+                let p99 = e.run.range_ns(p99_lo, last);
                 CpcRow {
                     site: e.site.clone(),
                     kind: e.kind,
@@ -1302,6 +1329,173 @@ mod tests {
         assert_eq!(xy, both);
     }
 
+    /// What [`BucketRun`] replaced, kept as its reference: two vectors
+    /// indexed from bucket 0, grown to the highest bucket touched.
+    #[derive(Debug, Clone, Default)]
+    struct Dense {
+        ns: Vec<u64>,
+        count: Vec<u64>,
+    }
+
+    impl Dense {
+        fn add(&mut self, bucket: usize, ns: u64) {
+            if bucket >= self.ns.len() {
+                self.ns.resize(bucket + 1, 0);
+                self.count.resize(bucket + 1, 0);
+            }
+            self.ns[bucket] += ns;
+            self.count[bucket] += 1;
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            if self.ns.len() < other.ns.len() {
+                self.ns.resize(other.ns.len(), 0);
+                self.count.resize(other.count.len(), 0);
+            }
+            for (dst, &src) in self.ns.iter_mut().zip(&other.ns) {
+                *dst += src;
+            }
+            for (dst, &src) in self.count.iter_mut().zip(&other.count) {
+                *dst += src;
+            }
+        }
+
+        fn range_ns(&self, lo: usize, hi_inclusive: usize) -> u64 {
+            let hi = (hi_inclusive + 1).min(self.ns.len());
+            if lo >= hi {
+                return 0;
+            }
+            self.ns[lo..hi].iter().sum()
+        }
+    }
+
+    /// The run says exactly what the dense vectors say, bucket by bucket.
+    fn assert_same(run: &BucketRun, dense: &Dense, context: &str) {
+        assert_eq!(run.end(), dense.ns.len(), "{context}");
+        for bucket in 0..dense.ns.len() {
+            let cell = match bucket.checked_sub(run.first) {
+                Some(i) => run.cells[i],
+                None => [0; 2],
+            };
+            assert_eq!(cell, [dense.ns[bucket], dense.count[bucket]], "{context}");
+        }
+        // Both ends are touched buckets: the representation is unique.
+        for end in [run.cells.first(), run.cells.last()].into_iter().flatten() {
+            assert!(end[1] > 0, "{context}: an end of the run is untouched");
+        }
+    }
+
+    /// A seeded xorshift: each call draws a number below its argument.
+    fn draws(mut x: u64) -> impl FnMut(u64) -> u64 {
+        move |below| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % below
+        }
+    }
+
+    #[test]
+    fn bucket_run_agrees_with_a_dense_reference() {
+        let mut next = draws(0x9e37_79b9_7f4a_7c15);
+        // Six (run, reference) pairs under one random sequence of adds
+        // (anywhere in 400..600, so below `first` as often as past the
+        // end), merges (of an empty operand, into one, of a pair into
+        // itself) and resets.
+        let mut pool: Vec<(BucketRun, Dense)> = vec![Default::default(); 6];
+        for step in 0..20_000 {
+            let (i, j) = (next(6) as usize, next(6) as usize);
+            match next(10) {
+                0 => pool[i] = Default::default(),
+                1 | 2 => {
+                    let (run, dense) = pool[j].clone();
+                    pool[i].0.merge(&run);
+                    pool[i].1.merge(&dense);
+                }
+                _ => {
+                    let (bucket, ns) = (400 + next(200) as usize, next(1_000));
+                    pool[i].0.add(bucket, ns);
+                    pool[i].1.add(bucket, ns);
+                }
+            }
+            let (run, dense) = &pool[i];
+            assert_same(run, dense, &format!("step {step}"));
+            let (lo, span) = (350 + next(300) as usize, next(120) as usize);
+            assert_eq!(
+                run.range_ns(lo, lo + span),
+                dense.range_ns(lo, lo + span),
+                "step {step}: buckets {lo}..={}",
+                lo + span
+            );
+            // Equal contents are equal runs, however each was reached.
+            let same = pool[i].1.ns == pool[j].1.ns && pool[i].1.count == pool[j].1.count;
+            assert_eq!(pool[i].0 == pool[j].0, same, "step {step}: {i} vs {j}");
+        }
+    }
+
+    #[test]
+    fn profiles_built_in_any_order_are_equal_and_report_what_a_dense_table_reports() {
+        let mut next = draws(0x2545_f491_4f6c_dd1d);
+        // 400 requests over four sites, latencies over three decades.
+        let sites = ["a/s0", "a/s1", "b/s0", "client:c"];
+        type Segs = Vec<(&'static str, EdgeKind, u64)>;
+        let requests: Vec<(u64, Segs)> = (0..400)
+            .map(|_| {
+                let scale = 10u64.pow(3 + next(3) as u32);
+                let segs: Segs = (0..1 + next(4))
+                    .map(|_| {
+                        let kind = EdgeKind::ALL[next(3) as usize + 1];
+                        (sites[next(4) as usize], kind, 1 + next(scale))
+                    })
+                    .collect();
+                (segs.iter().map(|s| s.2).sum(), segs)
+            })
+            .collect();
+
+        let observe_all = |order: &mut dyn Iterator<Item = usize>| {
+            let mut profile = CpcProfile::new();
+            order.for_each(|i| profile.observe(requests[i].0, &requests[i].1));
+            profile
+        };
+        let forward = observe_all(&mut (0..requests.len()));
+        let backward = observe_all(&mut (0..requests.len()).rev());
+        assert_eq!(forward, backward);
+        // Merged from parts, in either order, with an empty profile among
+        // them and into itself halved.
+        let (head, tail) = (observe_all(&mut (0..150)), observe_all(&mut (150..400)));
+        for (first, second) in [(&head, &tail), (&tail, &head)] {
+            let mut merged = CpcProfile::new();
+            merged.merge(first);
+            merged.merge(&CpcProfile::new());
+            merged.merge(second);
+            assert_eq!(merged, forward);
+            assert_eq!(merged.report(), forward.report());
+        }
+        let mut doubled = forward.clone();
+        doubled.merge(&forward);
+        let twice = observe_all(&mut (0..requests.len()).chain(0..requests.len()));
+        assert_eq!(doubled, twice);
+
+        // The report's numbers, against a dense table of the same requests.
+        let mut table: std::collections::BTreeMap<(&str, EdgeKind), Dense> = Default::default();
+        for (e2e_ns, segs) in &requests {
+            for &(site, kind, ns) in segs {
+                let dense = table.entry((site, kind)).or_default();
+                dense.add(bucket_index(*e2e_ns), ns);
+            }
+        }
+        let report = forward.report();
+        let (p50_hi, p99_lo) = (bucket_index(report.p50_ns), bucket_index(report.p99_ns));
+        let last = table.values().map(|d| d.ns.len()).max().unwrap() - 1;
+        assert_eq!(report.rows.len(), table.len());
+        for (row, ((site, kind), dense)) in report.rows.iter().zip(&table) {
+            assert_eq!((row.site.as_str(), row.kind), (*site, *kind));
+            assert_eq!(row.overall_ns, dense.ns.iter().sum::<u64>(), "{site}");
+            assert_eq!(row.p50_ns, dense.range_ns(0, p50_hi), "{site}");
+            assert_eq!(row.p99_ns, dense.range_ns(p99_lo, last), "{site}");
+        }
+    }
+
     #[test]
     fn empty_profile_renders() {
         let p = CpcProfile::new();
@@ -1346,6 +1540,7 @@ mod tests {
             request_type: RequestTypeId::from_raw(0),
             timed_out: false,
             measured: true,
+            retired: true,
             t: at(50),
         }]);
         let replay = |tamper: bool, dropped: u64| {

@@ -192,6 +192,18 @@ pub struct StageStats {
 }
 
 impl InstanceRt {
+    /// Takes one outstanding synchronous call off thread `t`, which goes
+    /// back to the idle set if that was its last and it runs nothing.
+    fn unblock(&mut self, t: usize) {
+        let th = &mut self.threads[t];
+        if th.block_depth > 0 {
+            th.block_depth -= 1;
+        }
+        if th.is_idle() {
+            self.idle_mask |= 1u64 << t;
+        }
+    }
+
     /// Total queued jobs across all queue sets and stages.
     fn queue_depth(&self) -> usize {
         self.queue_sets
@@ -666,6 +678,7 @@ impl Simulator {
             generated: self.generated,
             completed: self.completed,
             live_requests: self.requests.live() as u64 - self.resolved_pending,
+            unretired: self.requests.live() as u64,
             timeouts: self.timeouts,
             measured: self.e2e.len() as u64,
             dropped: self.dropped,
@@ -1080,6 +1093,7 @@ impl Simulator {
                 request_type: ty,
                 timed_out,
                 measured,
+                retired: live_jobs == 0,
                 t: self.now,
             });
         }
@@ -1106,10 +1120,10 @@ impl Simulator {
             }
         }
         if live_jobs == 0 {
-            self.requests.free(rid);
+            self.retire_request(rid, true);
         } else {
-            // Quorum stragglers are still in flight: defer the free until
-            // the last one drains (see `try_finalize`).
+            // Quorum stragglers are still in flight: defer the release
+            // until the last one drains (see `try_finalize`).
             self.requests
                 .get_mut(rid)
                 .expect("completing request exists")
@@ -1521,14 +1535,7 @@ impl Simulator {
 
         // Unblock the pinned thread waiting for this reply, if any.
         if self.unblocks_thread[ty.index()][node.index()] {
-            let inst = &mut self.instances[inst_id.index()];
-            let th = &mut inst.threads[thread_idx];
-            if th.block_depth > 0 {
-                th.block_depth -= 1;
-            }
-            if th.is_idle() {
-                inst.idle_mask |= 1u64 << thread_idx;
-            }
+            self.instances[inst_id.index()].unblock(thread_idx);
         }
 
         self.dispatch_instance(inst_id);
@@ -2404,9 +2411,10 @@ impl Simulator {
     }
 
     /// Checks a request for final disposal after a live-jobs decrement:
-    /// frees a resolved request whose stragglers drained, or resolves a
+    /// retires a resolved request whose stragglers drained, or resolves a
     /// failed request as dropped once nothing of it is left in flight.
-    /// No-op in fault-free runs (both flags stay false).
+    /// No-op in runs without faults or early-firing fan-ins (both flags
+    /// stay false).
     fn try_finalize(&mut self, rid: RequestId) {
         let Some(req) = self.requests.get(rid) else {
             return;
@@ -2415,10 +2423,64 @@ impl Simulator {
             return;
         }
         if req.resolved {
-            self.requests.free(rid);
+            self.retire_request(rid, false);
             self.resolved_pending -= 1;
         } else if req.failed && !req.sink_fired {
             self.resolve_dropped(rid);
+        }
+    }
+
+    /// Releases `rid`'s slot — the one place that does, so that the span
+    /// log always learns of it. `at_terminal` says the terminal event the
+    /// caller has just recorded carries the release (`RequestCompleted`
+    /// with `retired`, `RequestDropped`, `RequestShed`); otherwise
+    /// stragglers deferred it past that event and it is logged as a
+    /// `RequestRetired` of its own. Nothing names the request afterwards:
+    /// no job of it is left, and its timers miss on the stale id.
+    fn retire_request(&mut self, rid: RequestId, at_terminal: bool) {
+        if !at_terminal {
+            if let Some(log) = self.span_log.as_deref_mut() {
+                log.record(TraceEvent::RequestRetired {
+                    request: rid,
+                    t: self.now,
+                });
+            }
+        }
+        if self.requests.get(rid).is_some_and(|req| req.failed) {
+            self.release_threads_blocked_for(rid);
+        }
+        self.requests.free(rid);
+    }
+
+    /// A request that lost a job to a fault retires with nodes that never
+    /// ran, and a thread that blocked until one of them
+    /// (`block_thread_until`) would wait forever: only that node's delivery
+    /// unblocks it. Releases each such thread and lets its instance
+    /// dispatch. A thread whose own instance crashed since the blocking
+    /// node ran was reset by the crash and is left alone.
+    fn release_threads_blocked_for(&mut self, rid: RequestId) {
+        let req = self.requests.get(rid).expect("retiring request exists");
+        let specs = &self.request_types[req.ty.index()].nodes;
+        let schedule = self.fault.as_deref().map_or(&[][..], |f| &f.schedule);
+        let mut released = Vec::new();
+        for (nr, spec) in req.nodes.iter().zip(specs) {
+            let (Some(until), Some(inst), Some(thread), Some(entered)) =
+                (spec.block_thread_until, nr.instance, nr.thread, nr.enter)
+            else {
+                continue;
+            };
+            let crashed_since = schedule.iter().any(|w| {
+                w.fault == crate::fault::LoweredFault::Crash { instance: inst }
+                    && (entered..=self.now).contains(&w.at)
+            });
+            if req.nodes[until.index()].enter.is_some() || crashed_since {
+                continue;
+            }
+            self.instances[inst.index()].unblock(thread.index());
+            released.push(inst);
+        }
+        for inst in released {
+            self.dispatch_instance(inst);
         }
     }
 
@@ -2448,7 +2510,7 @@ impl Simulator {
                 t: self.now,
             });
         }
-        self.requests.free(rid);
+        self.retire_request(rid, true);
         if launched && !conn_released {
             let conn_id = conn.expect("launched request has a connection");
             let next = {
@@ -2506,7 +2568,7 @@ impl Simulator {
                 t: self.now,
             });
         }
-        self.requests.free(rid);
+        self.retire_request(rid, true);
         // Closed-loop users observe the instant rejection and think again.
         self.closed_loop_reissue(client);
     }

@@ -24,8 +24,11 @@
 //!   causality (enqueue ≤ start ≤ end, spans inside the request's
 //!   lifetime, fan-in fires only after all parents arrived), per-core and
 //!   per-thread non-overlap (a core services at most one batch at a time),
-//!   connection-pool discipline (no double acquire/release), and warmup
-//!   accounting (measured completions match the latency recorder).
+//!   connection-pool discipline (no double acquire/release), warmup
+//!   accounting (measured completions match the latency recorder), and
+//!   retirement (a request's slot is released once, at or after its
+//!   terminal outcome, and no event names the request afterwards — which
+//!   is what lets the audit forget it there, see [`AuditFold`]).
 //!
 //! Events are fixed-size `Copy` records with no heap payload: a
 //! [`TraceEvent::BatchStart`] names its jobs through a [`BatchJobs`] handle
@@ -95,7 +98,6 @@
 //! # }
 //! ```
 
-use crate::fasthash::FastMap;
 use crate::ids::{
     ClientId, ConnectionId, InstanceId, JobId, MachineId, PathNodeId, PoolId, RequestId,
     RequestTypeId, StageId, ThreadId,
@@ -274,6 +276,11 @@ pub enum TraceEvent {
         /// True if this completion was counted by the latency recorder
         /// (post-warmup and not timed out).
         measured: bool,
+        /// True if the request's slot was released with the completion —
+        /// always, unless a fan-in fired early (`quorum` / `best_effort`)
+        /// and straggler jobs are still in flight; then the release is a
+        /// [`TraceEvent::RequestRetired`] of its own, after the last one.
+        retired: bool,
         /// Completion time.
         t: SimTime,
     },
@@ -286,6 +293,7 @@ pub enum TraceEvent {
     },
     /// A fault killed the request's last in-flight branch; no response ever
     /// reached the client (a terminal outcome, like `RequestCompleted`).
+    /// Nothing of the request is left, so its slot is released with it.
     RequestDropped {
         /// The request.
         request: RequestId,
@@ -293,7 +301,8 @@ pub enum TraceEvent {
         t: SimTime,
     },
     /// An open circuit breaker shed the request at emission; the client got
-    /// an instant degraded response (a terminal outcome).
+    /// an instant degraded response (a terminal outcome). The request never
+    /// had a job, so its slot is released with it.
     RequestShed {
         /// The request.
         request: RequestId,
@@ -320,6 +329,21 @@ pub enum TraceEvent {
         /// Kill time.
         t: SimTime,
     },
+    /// The simulator released the request's slot some time *after* its
+    /// terminal event: the last straggler job of a request that completed
+    /// on an early-fired fan-in has drained. From here on no event names
+    /// the request, and its slot may be emitted again under the next
+    /// generation — which is what lets a log consumer forget the request.
+    /// A release that coincides with the terminal event is not logged
+    /// separately (`RequestCompleted::retired`, and every `RequestDropped`
+    /// and `RequestShed`), so a run without stragglers records no event of
+    /// this kind.
+    RequestRetired {
+        /// The request.
+        request: RequestId,
+        /// Release time.
+        t: SimTime,
+    },
 }
 
 impl TraceEvent {
@@ -340,7 +364,8 @@ impl TraceEvent {
             | TraceEvent::RequestDropped { t, .. }
             | TraceEvent::RequestShed { t, .. }
             | TraceEvent::RequestRetry { t, .. }
-            | TraceEvent::JobKilled { t, .. } => t,
+            | TraceEvent::JobKilled { t, .. }
+            | TraceEvent::RequestRetired { t, .. } => t,
             TraceEvent::NetRx { start, .. } | TraceEvent::BatchStart { start, .. } => start,
         }
     }
@@ -419,10 +444,14 @@ impl SpanChunk {
     }
 }
 
-/// Events per chunk of a streamed log (≈ 1.8 MB of events): large enough
-/// that a hand-off every ~32 Ki events costs nothing measurable, small
-/// enough that the few chunks in flight stay cache- and RSS-friendly.
-pub const CHUNK_EVENTS: usize = 32 * 1024;
+/// Events per chunk of a streamed log (224 KB of events). The producer
+/// writes a chunk and the consumer reads it back on another core, so the
+/// size that matters is the whole ring's — at most [`STREAM_DEPTH`]` + 2`
+/// chunks, ≈ 0.9 MB — which stays inside one core's L2 instead of
+/// streaming through it (32 Ki-event chunks: 7.3 MB). A hand-off every
+/// 4 Ki events — one channel send, one lock — is still too rare to measure
+/// (DESIGN.md §9.2 has the sizes tried).
+pub const CHUNK_EVENTS: usize = 4 * 1024;
 
 /// Full chunks that may wait for the consumer of a streamed log. With the
 /// chunk being filled and the one being consumed, a streamed log never
@@ -695,9 +724,20 @@ impl TraceLog {
 /// spans from here, so they see the same ones.
 #[derive(Debug, Default)]
 struct SpanCorrelator {
-    /// Per `(job, instance, stage)` queue stay not yet serviced: enqueue
-    /// time, owning request, path node.
-    pending: SlotTable<(JobId, u32, u32), (SimTime, RequestId, PathNodeId)>,
+    /// Per job, its queue stay not yet serviced (a job waits in one stage
+    /// queue at a time). Closed by the batch that services it, or dropped
+    /// when the job is killed in the queue.
+    pending: SlotTable<JobId, QueueStay>,
+}
+
+/// An open queue stay: where and since when a job waits, and for whom.
+#[derive(Debug, Clone, Copy)]
+struct QueueStay {
+    instance: InstanceId,
+    stage: StageId,
+    enqueue_t: SimTime,
+    request: RequestId,
+    node: PathNodeId,
 }
 
 impl SpanCorrelator {
@@ -713,8 +753,14 @@ impl SpanCorrelator {
                 stage,
                 t,
             } => {
-                self.pending
-                    .insert((job, instance.raw(), stage.raw()), (t, request, node));
+                let stay = QueueStay {
+                    instance,
+                    stage,
+                    enqueue_t: t,
+                    request,
+                    node,
+                };
+                self.pending.insert(job, stay);
             }
             TraceEvent::BatchStart {
                 instance,
@@ -728,27 +774,30 @@ impl SpanCorrelator {
                 jobs,
             } => {
                 for &job in chunk.batch_jobs(jobs) {
-                    let Some((enqueue_t, request, node)) =
-                        self.pending.remove(&(job, instance.raw(), stage.raw()))
-                    else {
+                    let here = |stay: &&QueueStay| (stay.instance, stay.stage) == (instance, stage);
+                    let Some(&stay) = self.pending.get(&job).filter(here) else {
                         continue;
                     };
+                    self.pending.remove(&job);
                     on_span(StageSpan {
-                        request,
+                        request: stay.request,
                         job,
-                        node,
+                        node: stay.node,
                         instance,
                         machine,
                         stage,
                         thread,
                         core,
-                        enqueue_t,
+                        enqueue_t: stay.enqueue_t,
                         start_t: start,
                         end_t: end,
                         batch_size: jobs.len,
                         freq_ghz,
                     });
                 }
+            }
+            TraceEvent::JobKilled { job, .. } => {
+                self.pending.remove(&job);
             }
             _ => {}
         }
@@ -1078,6 +1127,7 @@ pub fn chrome_trace(log: &TraceLog, meta: &TraceMeta) -> Value {
                 timed_out,
                 measured,
                 t,
+                ..
             } => {
                 let name = meta
                     .request_types
@@ -1125,8 +1175,13 @@ pub struct AuditCounts {
     pub generated: u64,
     /// Requests completed ([`Simulator::completed`](crate::Simulator::completed)).
     pub completed: u64,
-    /// Requests still in flight ([`Simulator::live_requests`](crate::Simulator::live_requests)).
+    /// Requests that have not reached a terminal outcome yet.
     pub live_requests: u64,
+    /// Requests still holding their slot
+    /// ([`Simulator::live_requests`](crate::Simulator::live_requests)):
+    /// `live_requests` plus those whose terminal event is behind them but
+    /// whose straggler jobs are still draining.
+    pub unretired: u64,
     /// Requests whose client-side timeout fired ([`Simulator::timeouts`](crate::Simulator::timeouts)).
     pub timeouts: u64,
     /// Completions retained by the end-to-end latency recorder (post-warmup
@@ -1165,11 +1220,11 @@ impl AuditReport {
 ///
 /// The audit is one forward scan, kept as an incremental fold
 /// ([`AuditFold`]) so that a streamed log is audited chunk by chunk while
-/// the run goes on. Everything it remembers about a request or a job sits
-/// in a slot-indexed table that still resolves a *displaced* generation of
-/// a reused slot to that generation's own state, so an event of an old
-/// request — a quorum straggler, a late reply after a timeout — is checked
-/// against its own request's emission and completion, never skipped.
+/// the run goes on. What it remembers about a request or a job sits in a
+/// slot-indexed table and goes where the log says the simulator let go of
+/// it — a request at its retirement, a job's queue stay at its batch or
+/// its kill — so the audit's memory follows the requests in flight, not
+/// the length of the run ([`AuditFold`] has the rule).
 /// Violations are listed in log order, then the end-of-log reconciliation
 /// of the counters: the list is a function of the event sequence alone,
 /// wherever the chunk boundaries fall.
@@ -1180,8 +1235,12 @@ pub struct TraceAuditor {
     pub max_violations: usize,
 }
 
-/// What the auditor remembers about one request.
-#[derive(Debug, Clone, Copy)]
+/// What the auditor remembers about one request, from the first event
+/// that names it to its retirement. The record then stays in its slot as a
+/// tombstone — `retired`, the fan-in state dropped — until the slot's next
+/// emission replaces it, which tells a late event of this request from an
+/// event of one that was never emitted.
+#[derive(Debug)]
 struct RequestAudit {
     emitted: Option<SimTime>,
     completed: Option<SimTime>,
@@ -1193,6 +1252,10 @@ struct RequestAudit {
     /// Earliest enqueue and latest service end over its stage spans so far.
     first_enqueue: SimTime,
     last_end: SimTime,
+    /// The log said the simulator released the request's slot.
+    retired: bool,
+    /// Per join node reached so far: arrivals, and whether it fired.
+    fans: Vec<(PathNodeId, u32, bool)>,
 }
 
 impl RequestAudit {
@@ -1204,8 +1267,67 @@ impl RequestAudit {
             early_fired: false,
             first_enqueue: SimTime::MAX,
             last_end: SimTime::ZERO,
+            retired: false,
+            fans: Vec::new(),
         }
     }
+
+    /// Marks the request retired and forgets its fan-in state; `false` if
+    /// it had retired before.
+    fn retire(&mut self) -> bool {
+        self.fans.clear();
+        !std::mem::replace(&mut self.retired, true)
+    }
+}
+
+/// The record an event naming `request` is checked against: the one in the
+/// request's slot, begun here if the slot is vacant or holds an earlier
+/// generation (a tombstone, in any log the simulator records). `None` if
+/// the slot has moved on to a later generation. That, or finding the
+/// request's own record retired, puts the event behind its request's
+/// retirement: `what` is reported as naming a retired request. So is an
+/// occupant that had to make way without having retired.
+fn record_of<'a>(
+    requests: &'a mut SlotTable<RequestId, RequestAudit>,
+    violations: &mut Violations,
+    request: RequestId,
+    what: &str,
+) -> Option<&'a mut RequestAudit> {
+    let later =
+        |a: RequestId, b: RequestId| (a.generation().wrapping_sub(b.generation()) as i32) > 0;
+    match requests
+        .occupant(&request)
+        .map(|(held, r)| (*held, r.retired))
+    {
+        Some((held, retired)) if held == request => {
+            if retired {
+                violations.push(false, || {
+                    format!("{what} names request {request} after its retirement")
+                });
+            }
+        }
+        Some((held, _)) if later(held, request) => {
+            violations.push(false, || {
+                format!(
+                    "{what} names request {request} after its retirement (its slot is {held}'s)"
+                )
+            });
+            return None;
+        }
+        _ => {
+            if let Some((held, mut old)) = requests.insert(request, RequestAudit::new()) {
+                if !old.retired {
+                    violations.push(false, || {
+                        format!("{what} of request {request} takes the slot of {held}, which never retired")
+                    });
+                }
+                // The next tenant inherits the (emptied) fan-in buffer.
+                old.fans.clear();
+                requests.get_mut(&request)?.fans = old.fans;
+            }
+        }
+    }
+    requests.get_mut(&request)
 }
 
 /// The latest service interval on each lane of a two-level index —
@@ -1275,18 +1397,34 @@ impl Violations {
 /// the log's chunks in order, then [`finish`](AuditFold::finish) with the
 /// simulator's counters. The report depends on the event sequence only,
 /// not on how it was cut into chunks.
+///
+/// **What it forgets, and when.** The log says when the simulator releases
+/// a request's slot — with the terminal event ([`TraceEvent::RequestCompleted`]
+/// with `retired` set, every [`TraceEvent::RequestDropped`] and
+/// [`TraceEvent::RequestShed`]) or, when stragglers of an early-fired
+/// fan-in outlive it, with a later [`TraceEvent::RequestRetired`] — and the
+/// simulator emits no event naming a request after that. So the fold keeps
+/// one record per request *slot*: at retirement the record drops its
+/// fan-in state and stays behind as a tombstone until the slot's next
+/// emission replaces it. A job's open queue stay goes with the batch that
+/// services it or the [`TraceEvent::JobKilled`] that ends it. What remains
+/// is per connection, per core and per thread: the fold's memory follows
+/// the requests in flight and the size of the cluster, not the run's
+/// length. The rule is itself audited: an event naming a request after its
+/// retirement, a slot emitted again before its occupant retired, a second
+/// retirement, and `emitted = retired + still holding a slot` at the end
+/// are violations.
 #[derive(Debug)]
 pub struct AuditFold {
     requests: SlotTable<RequestId, RequestAudit>,
     spans: SpanCorrelator,
     cores: Lanes,
     threads: Lanes,
-    /// Per join node of a request: arrivals so far, and whether it fired.
-    fan_state: FastMap<(RequestId, PathNodeId), (u32, bool)>,
     /// Per connection: `Some(busy)` once an event named it.
     conn_busy: Vec<Option<bool>>,
     emitted_requests: u64,
     completed_requests: u64,
+    retired_requests: u64,
     dropped_events: u64,
     shed_events: u64,
     measured_events: u64,
@@ -1303,10 +1441,10 @@ impl AuditFold {
             spans: SpanCorrelator::default(),
             cores: Lanes::default(),
             threads: Lanes::default(),
-            fan_state: FastMap::default(),
             conn_busy: Vec::new(),
             emitted_requests: 0,
             completed_requests: 0,
+            retired_requests: 0,
             dropped_events: 0,
             shed_events: 0,
             measured_events: 0,
@@ -1326,10 +1464,10 @@ impl AuditFold {
             spans,
             cores,
             threads,
-            fan_state,
             conn_busy,
             emitted_requests,
             completed_requests,
+            retired_requests,
             dropped_events,
             shed_events,
             measured_events,
@@ -1349,6 +1487,12 @@ impl AuditFold {
                 violations.push(true, || format!($($arg)*))
             };
         }
+        // The record of the request an event names (see `record_of`).
+        macro_rules! record {
+            ($request:expr, $what:expr) => {
+                record_of(requests, violations, $request, $what)
+            };
+        }
 
         for ev in chunk.events() {
             match *ev {
@@ -1356,9 +1500,12 @@ impl AuditFold {
                 // Every emitted request must reach exactly one terminal
                 // outcome: completed, dropped, or shed. Timeouts are an
                 // orthogonal flag (a timed-out request may still complete
-                // late or be dropped).
+                // late or be dropped). Its slot is released with that
+                // outcome or after it, once, and nothing names it later.
                 TraceEvent::RequestEmitted { request, t, .. } => {
-                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    let Some(r) = record!(request, "emission") else {
+                        continue;
+                    };
                     if r.emitted.replace(t).is_some() {
                         violation!("request {request} emitted twice");
                     } else {
@@ -1372,11 +1519,11 @@ impl AuditFold {
                     }
                 }
                 TraceEvent::RequestLaunched { request, t, .. } => {
-                    match requests.get(&request).and_then(|r| r.emitted) {
-                        Some(e) if t < e => {
+                    match record!(request, "launch").map(|r| r.emitted) {
+                        Some(Some(e)) if t < e => {
                             violation!("request {request} launched at {t} before emission at {e}");
                         }
-                        None => {
+                        Some(None) => {
                             incomplete!("request {request} launched but never emitted");
                         }
                         _ => {}
@@ -1386,9 +1533,15 @@ impl AuditFold {
                     request,
                     t,
                     measured,
+                    retired,
                     ..
                 } => {
-                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    if measured {
+                        *measured_events += 1;
+                    }
+                    let Some(r) = record!(request, "completion") else {
+                        continue;
+                    };
                     if r.completed.replace(t).is_some() {
                         violation!("request {request} completed twice");
                     } else {
@@ -1406,37 +1559,61 @@ impl AuditFold {
                             r.last_end
                         );
                     }
-                    if measured {
-                        *measured_events += 1;
+                    if retired {
+                        *retired_requests += u64::from(r.retire());
                     }
                 }
                 TraceEvent::RequestDropped { request, .. } => {
                     *dropped_events += 1;
-                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    let Some(r) = record!(request, "drop") else {
+                        continue;
+                    };
                     if let Some(prev) = r.terminal.replace("dropped") {
                         violation!("request {request} dropped after terminal {prev}");
                     }
                     if r.emitted.is_none() {
                         incomplete!("request {request} dropped but never emitted");
                     }
+                    *retired_requests += u64::from(r.retire());
                 }
                 TraceEvent::RequestShed { request, .. } => {
                     *shed_events += 1;
-                    let r = requests.get_or_insert_with(request, RequestAudit::new);
+                    let Some(r) = record!(request, "shed") else {
+                        continue;
+                    };
                     if let Some(prev) = r.terminal.replace("shed") {
                         violation!("request {request} shed after terminal {prev}");
                     }
                     if r.emitted.is_none() {
                         incomplete!("request {request} shed but never emitted");
                     }
+                    *retired_requests += u64::from(r.retire());
                 }
+                TraceEvent::RequestRetired { request, .. } => match requests.get_mut(&request) {
+                    Some(r) => {
+                        if r.terminal.is_none() {
+                            violation!("request {request} retired before any terminal outcome");
+                        }
+                        if r.retire() {
+                            *retired_requests += 1;
+                        } else {
+                            violation!("request {request} retired twice");
+                        }
+                    }
+                    None => violation!("request {request} retired without holding its slot"),
+                },
                 TraceEvent::RequestRetry { request, .. } => {
-                    let emitted = requests.get(&request).and_then(|r| r.emitted);
-                    if emitted.is_none() {
+                    if record!(request, "retry").is_some_and(|r| r.emitted.is_none()) {
                         incomplete!("retry request {request} has no emission");
                     }
                 }
-                TraceEvent::RequestTimeout { .. } => *timeout_events += 1,
+                TraceEvent::RequestTimeout { request, .. } => {
+                    *timeout_events += 1;
+                    record!(request, "timeout");
+                }
+                TraceEvent::NodeDone { request, .. } => {
+                    record!(request, "node completion");
+                }
 
                 // ---- Non-overlap per core and per thread, span causality -
                 TraceEvent::NetRx {
@@ -1451,7 +1628,14 @@ impl AuditFold {
                         violation!("{}", overlap("core", lane, before, (start, end)));
                     }
                 }
-                TraceEvent::Enqueue { .. } => spans.feed(chunk, ev, |_| {}),
+                TraceEvent::Enqueue { request, .. } => {
+                    record!(request, "enqueue");
+                    spans.feed(chunk, ev, |_| {});
+                }
+                TraceEvent::JobKilled { request, .. } => {
+                    record!(request, "job kill");
+                    spans.feed(chunk, ev, |_| {});
+                }
                 TraceEvent::BatchStart {
                     instance,
                     machine,
@@ -1482,7 +1666,9 @@ impl AuditFold {
                                 s.end_t
                             );
                         }
-                        let r = requests.get_or_insert_with(s.request, RequestAudit::new);
+                        let Some(r) = record!(s.request, "span") else {
+                            return;
+                        };
                         r.first_enqueue = r.first_enqueue.min(s.enqueue_t);
                         r.last_end = r.last_end.max(s.end_t);
                         if let Some(e) = r.emitted {
@@ -1532,28 +1718,39 @@ impl AuditFold {
                              {arrivals} (requires {required} of {fan_in})"
                         );
                     }
-                    let state = fan_state.entry((request, node)).or_insert((0, false));
-                    if arrivals != state.0 + 1 {
+                    // A retired request's arrival counts are forgotten.
+                    let Some(r) = record!(request, "fan-in").filter(|r| !r.retired) else {
+                        continue;
+                    };
+                    let state = match r.fans.iter().position(|&(n, ..)| n == node) {
+                        Some(i) => &mut r.fans[i],
+                        None => {
+                            r.fans.push((node, 0, false));
+                            r.fans.last_mut().expect("just pushed")
+                        }
+                    };
+                    if arrivals != state.1 + 1 {
                         violation!(
                             "fan-in: request {request} node {node} arrivals jumped {} -> {arrivals}",
-                            state.0
+                            state.1
                         );
                     }
                     // Arrivals after the firing are only legitimate absorbed
                     // stragglers under an early-firing (quorum) policy.
-                    if state.1 && required == fan_in {
+                    if state.2 && required == fan_in {
                         violation!("fan-in: request {request} node {node} arrival after firing");
                     }
-                    *state = (arrivals, state.1 || fired);
+                    *state = (node, arrivals, state.2 || fired);
                     if fired && required < fan_in {
-                        requests
-                            .get_or_insert_with(request, RequestAudit::new)
-                            .early_fired = true;
+                        r.early_fired = true;
                     }
                 }
 
                 // ---- Connection-pool discipline -------------------------
                 TraceEvent::PoolAcquire { conn, .. } | TraceEvent::PoolGrant { conn, .. } => {
+                    if let TraceEvent::PoolGrant { request, .. } = *ev {
+                        record!(request, "pool grant");
+                    }
                     if conn_state(conn_busy, conn).replace(true) == Some(true) {
                         violation!("pool: connection {conn} acquired while busy");
                     }
@@ -1563,9 +1760,7 @@ impl AuditFold {
                         violation!("pool: connection {conn} released while free");
                     }
                 }
-                TraceEvent::PoolBlock { .. }
-                | TraceEvent::NodeDone { .. }
-                | TraceEvent::JobKilled { .. } => {}
+                TraceEvent::PoolBlock { .. } => {}
             }
         }
     }
@@ -1598,6 +1793,13 @@ impl AuditFold {
                     "conservation: {e} emitted != {c} completed + {dropped_events} dropped + \
                      {shed_events} shed + {} in flight",
                     counts.live_requests
+                );
+            }
+            let retired = self.retired_requests;
+            if e != retired + counts.unretired {
+                violation!(
+                    "retirement: {e} emitted != {retired} retired + {} still holding a slot",
+                    counts.unretired
                 );
             }
             if e != counts.generated {
@@ -1724,12 +1926,19 @@ mod tests {
         }
     }
 
+    /// A completion that releases the request's slot, as every one does
+    /// unless stragglers are in flight.
     fn complete(n: u32, at: u64) -> TraceEvent {
+        complete_with(rid(n), true, at)
+    }
+
+    fn complete_with(request: RequestId, retired: bool, at: u64) -> TraceEvent {
         TraceEvent::RequestCompleted {
-            request: rid(n),
+            request,
             request_type: RequestTypeId::from_raw(0),
             timed_out: false,
             measured: true,
+            retired,
             t: t(at),
         }
     }
@@ -1766,6 +1975,7 @@ mod tests {
             generated,
             completed,
             live_requests: live,
+            unretired: live,
             timeouts: 0,
             measured,
             dropped: 0,
@@ -2052,50 +2262,146 @@ mod tests {
         assert_eq!(capped.violations, first.violations[..3]);
     }
 
-    /// Generation 0 of request slot 1 completes, generation 1 takes the
-    /// slot, and only then does a straggler branch of generation 0 run —
-    /// its span ends after generation 0's completion. `quorum` says
-    /// whether generation 0's join fired on 2 of 3 parents or waited for
-    /// all 3.
-    fn straggler_after_slot_reuse(quorum: bool) -> AuditReport {
-        let (old, new) = (RequestId::new(1, 0), RequestId::new(1, 1));
-        let required = if quorum { 2 } else { 3 };
-        let emit_gen = |request, at| TraceEvent::RequestEmitted {
+    fn emit_gen(request: RequestId, at: u64) -> TraceEvent {
+        TraceEvent::RequestEmitted {
             request,
             request_type: RequestTypeId::from_raw(0),
             client: ClientId::from_raw(0),
             t: t(at),
-        };
+        }
+    }
+
+    fn retire(request: RequestId, at: u64) -> TraceEvent {
+        TraceEvent::RequestRetired { request, t: t(at) }
+    }
+
+    /// Generation 0 of request slot 1 completes on 2 of 3 parents while
+    /// its third branch is still queued; the straggler's span ends after
+    /// the completion. `retire_at` says where in the sequence the log
+    /// releases the slot, after which generation 1 is emitted in it:
+    ///
+    /// 0 — with the completion (the straggler then runs behind it);
+    /// 1 — after the straggler's enqueue, before its batch;
+    /// 2 — after the straggler drained, where the simulator puts it;
+    /// 3 — never.
+    fn straggler_log(retire_at: usize) -> AuditReport {
+        let (old, new) = (RequestId::new(1, 0), RequestId::new(1, 1));
         let mut log = log_of(vec![
             emit_gen(old, 0),
-            fan_in(1, 1, 3, required, false, 10),
-            fan_in(1, 2, 3, required, quorum, 20),
+            fan_in(1, 1, 3, 2, false, 10),
+            fan_in(1, 2, 3, 2, true, 20),
+            complete_with(old, retire_at == 0, 30),
+            enqueue(jid(7), old, 35),
         ]);
-        if !quorum {
-            log.record(fan_in(1, 3, 3, 3, true, 25));
+        if retire_at == 1 {
+            log.record(retire(old, 40));
         }
-        log.record(complete(1, 30));
-        log.record(emit_gen(new, 40));
-        log.record(enqueue(jid(7), old, 45));
         batch(&mut log, 0, 0, 50, 60, &[jid(7)]);
-        TraceAuditor::new().audit(&log, &counts(2, 1, 1, 1))
+        log.record(fan_in(1, 3, 3, 2, false, 65));
+        if retire_at == 2 {
+            log.record(retire(old, 65));
+        }
+        log.record(emit_gen(new, 70));
+        let mut counts = counts(2, 1, 1, 1);
+        counts.unretired = if retire_at == 3 { 2 } else { 1 };
+        TraceAuditor::new().audit(&log, &counts)
     }
 
     #[test]
-    fn displaced_generation_is_checked_against_its_own_request() {
-        // Under quorum the straggler is legitimate, slot reuse or not.
-        let report = straggler_after_slot_reuse(true);
+    fn a_request_is_forgotten_at_its_retirement_and_not_before() {
+        // Where the simulator retires it: clean, and the straggler's span
+        // was checked against the request's early fire, not skipped.
+        let report = straggler_log(2);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.spans_checked, 1);
-        // Under `all` nothing may outlive the completion: the span is
-        // checked against generation 0's completion at 30, not skipped
-        // because generation 1 now holds the slot.
-        let report = straggler_after_slot_reuse(false);
-        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
-        assert!(
-            report.violations[0].starts_with("causality: request RequestId(1.0) span ends at"),
-            "{:?}",
-            report.violations
+
+        // Retired too early, every later event of the request is named.
+        let named = |report: &AuditReport, what: &str| {
+            let text = format!("{what} names request RequestId(1.0) after its retirement");
+            report.violations.iter().filter(|v| **v == text).count()
+        };
+        let report = straggler_log(0);
+        assert_eq!(named(&report, "enqueue"), 1, "{:?}", report.violations);
+        assert_eq!(named(&report, "span"), 1, "{:?}", report.violations);
+        assert_eq!(named(&report, "fan-in"), 1, "{:?}", report.violations);
+        assert_eq!(report.violations.len(), 3, "{:?}", report.violations);
+        let report = straggler_log(1);
+        assert_eq!(named(&report, "span") + named(&report, "fan-in"), 2);
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+
+        // Never retired, the slot's next emission finds it occupied.
+        let report = straggler_log(3);
+        assert_eq!(
+            report.violations,
+            [
+                "emission of request RequestId(1.1) takes the slot of RequestId(1.0), \
+              which never retired"
+            ]
+        );
+    }
+
+    #[test]
+    fn retirement_is_once_after_a_terminal_and_reconciled_at_the_end() {
+        let (old, new) = (RequestId::new(1, 0), RequestId::new(1, 1));
+        let audit = |events: Vec<TraceEvent>, counts: &AuditCounts| {
+            TraceAuditor::new()
+                .audit(&log_of(events), counts)
+                .violations
+        };
+        let done = counts(1, 1, 0, 1);
+        // Twice: riding on the completion, then again on its own.
+        assert_eq!(
+            audit(vec![emit(1, 0), complete(1, 10), retire(old, 11)], &done),
+            ["request RequestId(1.0) retired twice"]
+        );
+        // Before any terminal outcome.
+        let mut live = counts(1, 0, 1, 0);
+        live.unretired = 0;
+        assert_eq!(
+            audit(vec![emit(1, 0), retire(old, 5)], &live),
+            ["request RequestId(1.0) retired before any terminal outcome"]
+        );
+        // Of a request that does not hold the slot: never emitted, or an
+        // earlier generation.
+        assert_eq!(
+            audit(vec![retire(old, 5)], &counts(0, 0, 0, 0)),
+            ["request RequestId(1.0) retired without holding its slot"]
+        );
+        let mut two = counts(2, 1, 1, 1);
+        two.unretired = 1;
+        assert_eq!(
+            audit(
+                vec![
+                    emit(1, 0),
+                    complete(1, 10),
+                    emit_gen(new, 20),
+                    retire(old, 25)
+                ],
+                &two
+            ),
+            ["request RequestId(1.0) retired without holding its slot"]
+        );
+        // An event of a generation the slot has moved on from is named and
+        // otherwise left out: no record is made for it.
+        assert_eq!(
+            audit(
+                vec![
+                    emit(1, 0),
+                    complete(1, 10),
+                    emit_gen(new, 20),
+                    enqueue(jid(7), old, 25)
+                ],
+                &two
+            ),
+            ["enqueue names request RequestId(1.0) after its retirement \
+              (its slot is RequestId(1.1)'s)"]
+        );
+        // A retirement the log lost: the counters notice at the end, even
+        // if the slot is never emitted again.
+        let lost = vec![emit(1, 0), complete_with(old, false, 10)];
+        assert_eq!(
+            audit(lost, &done),
+            ["retirement: 1 emitted != 0 retired + 0 still holding a slot"]
         );
     }
 

@@ -7,16 +7,95 @@
 //! [`TraceLog::spans`] returns. The same logs, cut into chunks of any
 //! size, must give the folds the streamed logs feed ([`AuditFold`],
 //! [`ReplayFold`]) exactly what the whole log gives them.
+//!
+//! The retirement rule has its own cases ([`RETIREMENTS`]): a release
+//! that is lost, doubled or moved ahead of its request's last events, and
+//! an event behind it. Half of them need a release logged on its own,
+//! which only a request with stragglers has: [`QUORUM_FANOUT`].
 
 use super::*;
 use crate::config::ScenarioConfig;
 use crate::critpath::{CpcProfile, ReplayFold};
+use crate::fasthash::FastMap;
 use crate::fault::FaultPlan;
 use crate::time::SimDuration;
 
 const QUICKSTART: &str = include_str!("../../../cli/configs/quickstart.json");
 const QUICKSTART_FAULTS: &str = include_str!("../../../cli/configs/quickstart_faults.json");
 const SOCIAL_NETWORK: &str = include_str!("../../../cli/configs/social_network.json");
+
+/// A front end fanning out to three back ends whose replies join on a
+/// quorum of two: the third branch is a straggler, and wherever it outlives
+/// the response the request's slot is released late, by a `RequestRetired`
+/// of its own (about two requests in three).
+const QUORUM_FANOUT: &str = r#"{
+  "seed": 31, "warmup_s": 0.1,
+  "machines": [
+    { "name": "m", "cores": 8, "dvfs": { "levels_ghz": [2.6] },
+      "network": { "irq_cores": 0,
+        "rx_time": { "type": "constant", "value": 0.0 },
+        "wire_latency": { "type": "constant", "value": 0.000005 } } }
+  ],
+  "services": [
+    { "name": "front",
+      "stages": [ { "name": "proc", "queue": { "type": "single" },
+        "service": { "base": { "type": "constant", "value": 0.0 },
+          "per_job": { "type": "exponential", "mean": 0.00003 },
+          "ref_freq_ghz": 2.6, "freq_alpha": 1.0 } } ],
+      "paths": [{ "name": "p", "stages": [0] }] },
+    { "name": "back",
+      "stages": [ { "name": "proc", "queue": { "type": "single" },
+        "service": { "base": { "type": "constant", "value": 0.0 },
+          "per_job": { "type": "exponential", "mean": 0.00008 },
+          "ref_freq_ghz": 2.6, "freq_alpha": 1.0 } } ],
+      "paths": [{ "name": "p", "stages": [0] }] }
+  ],
+  "instances": [
+    { "name": "front0", "service": "front", "machine": "m", "cores": 2,
+      "exec": { "type": "simple" } },
+    { "name": "back0", "service": "back", "machine": "m", "cores": 2,
+      "exec": { "type": "simple" } },
+    { "name": "back1", "service": "back", "machine": "m", "cores": 2,
+      "exec": { "type": "simple" } },
+    { "name": "back2", "service": "back", "machine": "m", "cores": 2,
+      "exec": { "type": "simple" } }
+  ],
+  "pools": [],
+  "request_types": [
+    { "name": "fanout",
+      "nodes": [
+        { "name": "root",
+          "target": { "type": "service", "service": "front",
+            "instance": { "type": "fixed", "name": "front0" }, "exec_path": "p" },
+          "children": ["b0", "b1", "b2"] },
+        { "name": "b0",
+          "target": { "type": "service", "service": "back",
+            "instance": { "type": "fixed", "name": "back0" }, "exec_path": "p" },
+          "children": ["join"] },
+        { "name": "b1",
+          "target": { "type": "service", "service": "back",
+            "instance": { "type": "fixed", "name": "back1" }, "exec_path": "p" },
+          "children": ["join"] },
+        { "name": "b2",
+          "target": { "type": "service", "service": "back",
+            "instance": { "type": "fixed", "name": "back2" }, "exec_path": "p" },
+          "children": ["join"] },
+        { "name": "join",
+          "target": { "type": "service", "service": "front",
+            "instance": { "type": "same_as_node", "node": "root" }, "exec_path": "p" },
+          "children": ["sink"],
+          "link": { "reply_via": { "entries": [["b0", "b0"], ["b1", "b1"], ["b2", "b2"]] } },
+          "fan_in_policy": { "type": "quorum", "k": 2 } },
+        { "name": "sink", "target": { "type": "client_sink" },
+          "link": { "reply": { "of": "root" } } }
+      ] }
+  ],
+  "clients": [
+    { "name": "c", "connections": 64,
+      "arrivals": { "type": "poisson", "schedule": { "segments": [[0.0, 2000.0]] } },
+      "mix": [["fanout", 1.0]], "roots": ["front0"] }
+  ]
+}"#;
 
 /// Runs a bundled scenario with the span log on and returns the log with
 /// the counters it must reconcile with.
@@ -223,31 +302,145 @@ const CORRUPTIONS: &[Corruption] = &[
     },
 ];
 
+/// The request an event releases the slot of, if it does.
+fn retires(ev: &TraceEvent) -> Option<RequestId> {
+    match *ev {
+        TraceEvent::RequestCompleted {
+            request,
+            retired: true,
+            ..
+        }
+        | TraceEvent::RequestDropped { request, .. }
+        | TraceEvent::RequestShed { request, .. }
+        | TraceEvent::RequestRetired { request, .. } => Some(request),
+        _ => None,
+    }
+}
+
+/// Index of the first event `pick` accepts that releases a slot which a
+/// later emission takes again.
+fn find_reused(log: &TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Option<usize> {
+    let events = &log.chunk.events;
+    (0..events.len()).find(|&i| {
+        pick(&events[i])
+            && retires(&events[i]).is_some_and(|gone| {
+                events[i..].iter().any(|ev| {
+                    matches!(*ev, TraceEvent::RequestEmitted { request, .. }
+                        if request.slot() == gone.slot())
+                })
+            })
+    })
+}
+
+fn own_retirement(ev: &TraceEvent) -> bool {
+    matches!(ev, TraceEvent::RequestRetired { .. })
+}
+
+/// The ways to break the retirement rule, and what each must raise.
+const RETIREMENTS: &[Corruption] = &[
+    Corruption {
+        name: "lose the retirement a completion carries",
+        expect: &["which never retired", "retirement:"],
+        apply: |log| {
+            let i = find_reused(log, |ev| matches!(ev, TraceEvent::RequestCompleted { .. }))?;
+            let TraceEvent::RequestCompleted { retired, .. } = &mut log.chunk.events[i] else {
+                unreachable!("the index names a RequestCompleted");
+            };
+            *retired = false;
+            Some(())
+        },
+    },
+    Corruption {
+        name: "lose a retirement logged on its own",
+        expect: &["which never retired", "retirement:"],
+        apply: |log| {
+            let i = find_reused(log, own_retirement)?;
+            log.chunk.events.remove(i);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "retire twice",
+        expect: &["retired twice"],
+        apply: |log| {
+            let i = find(log, |ev| retires(ev).is_some())?;
+            let again = TraceEvent::RequestRetired {
+                request: retires(&log.chunk.events[i])?,
+                t: log.chunk.events[i].time(),
+            };
+            log.chunk.events.insert(i + 1, again);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "move a retirement ahead of the stragglers it waited for",
+        expect: &["after its retirement"],
+        apply: |log| {
+            let i = find(log, own_retirement)?;
+            let retirement = log.chunk.events.remove(i);
+            let completion = find(log, |ev| {
+                matches!(*ev, TraceEvent::RequestCompleted { request, .. }
+                    if Some(request) == retires(&retirement))
+            })?;
+            log.chunk.events.insert(completion + 1, retirement);
+            Some(())
+        },
+    },
+    Corruption {
+        name: "name a request after its retirement",
+        expect: &["launch names request", "after its retirement"],
+        apply: |log| {
+            let i = find(log, |ev| retires(ev).is_some())?;
+            let gone = retires(&log.chunk.events[i]);
+            let launch = find(
+                log,
+                |ev| matches!(*ev, TraceEvent::RequestLaunched { request, .. } if Some(request) == gone),
+            )?;
+            log.chunk.events.insert(i + 1, log.chunk.events[launch]);
+            Some(())
+        },
+    },
+];
+
 #[test]
 fn every_one_event_corruption_of_a_real_log_is_flagged() {
+    // Every log takes the retirement cases. The quorum log takes only
+    // those: a span may outlive a completion there.
+    let both: Vec<&Corruption> = CORRUPTIONS.iter().chain(RETIREMENTS).collect();
+    let retirements = &both[CORRUPTIONS.len()..];
     let logs = [
-        ("quickstart", record(QUICKSTART, None, 1.0)),
+        ("quickstart", record(QUICKSTART, None, 1.0), &both[..]),
         (
             "quickstart + faults",
             record(QUICKSTART, Some(QUICKSTART_FAULTS), 1.6),
+            &both[..],
         ),
         // The one bundled config with join nodes and connection pools.
-        ("social_network", record(SOCIAL_NETWORK, None, 0.6)),
+        (
+            "social_network",
+            record(SOCIAL_NETWORK, None, 0.6),
+            &both[..],
+        ),
+        (
+            "quorum fan-out",
+            record(QUORUM_FANOUT, None, 1.0),
+            retirements,
+        ),
     ];
-    let mut applied = vec![0; CORRUPTIONS.len()];
-    for (scenario, (log, counts)) in &logs {
+    let mut applied = std::collections::BTreeMap::new();
+    for (scenario, (log, counts), corruptions) in &logs {
         let clean = TraceAuditor::new().audit(log, counts);
         assert!(clean.is_clean(), "{scenario}: {:?}", clean.violations);
         assert_eq!(clean.events_checked, log.len(), "{scenario}");
         assert_eq!(clean.spans_checked, log.spans().len(), "{scenario}");
         assert!(clean.spans_checked > 1_000, "{scenario}: a trivial log");
 
-        for (case, corruption) in CORRUPTIONS.iter().enumerate() {
+        for corruption in *corruptions {
             let mut broken = copy(log);
             if (corruption.apply)(&mut broken).is_none() {
                 continue;
             }
-            applied[case] += 1;
+            *applied.entry(corruption.name).or_insert(0) += 1;
             let report = TraceAuditor::new().audit(&broken, counts);
             for class in corruption.expect {
                 assert!(
@@ -259,9 +452,20 @@ fn every_one_event_corruption_of_a_real_log_is_flagged() {
             }
         }
     }
-    for (corruption, n) in CORRUPTIONS.iter().zip(applied) {
+    for corruption in &both {
+        let n = applied.get(corruption.name).copied().unwrap_or(0);
         assert!(n > 0, "{}: no log had an event to corrupt", corruption.name);
     }
+    // The quorum log is what it is for: some releases ride on the
+    // completion, the others wait for a straggler.
+    let (quorum, _) = &logs[3].1;
+    let own = quorum
+        .events()
+        .iter()
+        .filter(|ev| own_retirement(ev))
+        .count();
+    let carried = quorum.events().iter().filter_map(retires).count() - own;
+    assert!(own > 100 && carried > 100, "{own} own, {carried} carried");
 }
 
 /// The events of `log` cut into chunks of `size`, each with the job lists
@@ -302,17 +506,20 @@ fn replay_chunks(chunks: &[SpanChunk], meta: &TraceMeta) -> Result<CpcProfile, S
 
 const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
 
-#[test]
-fn folds_do_not_see_chunk_boundaries() {
-    let (log, counts, meta) = record_with_meta(SOCIAL_NETWORK, None, 0.6);
+/// Audits and replays the log a scenario records, and each of
+/// `corruptions` applied to it, whole and in chunks of every size: the
+/// reports and the profiles must be equal, and only the untouched log
+/// clean. Returns how many corruptions the log took, and the names of
+/// those whose replay fails with "goes back in time".
+fn chunked_equals_whole(scenario: &str, corruptions: &[Corruption]) -> (usize, Vec<&'static str>) {
+    let (log, counts, meta) = record_with_meta(scenario, None, 0.6);
     let mut logs = vec![("untouched", copy(&log))];
-    for corruption in CORRUPTIONS {
+    for corruption in corruptions {
         let mut broken = copy(&log);
         if (corruption.apply)(&mut broken).is_some() {
             logs.push((corruption.name, broken));
         }
     }
-    assert!(logs.len() > 8, "social_network takes most corruptions");
     let mut back_in_time = Vec::new();
     for (name, log) in &logs {
         let whole = TraceAuditor::new().audit(log, &counts);
@@ -335,6 +542,13 @@ fn folds_do_not_see_chunk_boundaries() {
             );
         }
     }
+    (logs.len() - 1, back_in_time)
+}
+
+#[test]
+fn folds_do_not_see_chunk_boundaries() {
+    let (taken, back_in_time) = chunked_equals_whole(SOCIAL_NETWORK, CORRUPTIONS);
+    assert!(taken >= 8, "social_network takes most corruptions");
     // A timestamp behind its request's frontier is an error of the replay,
     // not a panic in it.
     assert_eq!(
@@ -344,6 +558,11 @@ fn folds_do_not_see_chunk_boundaries() {
             "enqueue after service started"
         ]
     );
+    // The retirement rule, on a log with releases of both kinds. The
+    // replay forgets a request at its terminal event, so it takes them all.
+    let (taken, back_in_time) = chunked_equals_whole(QUORUM_FANOUT, RETIREMENTS);
+    assert_eq!(taken, RETIREMENTS.len());
+    assert!(back_in_time.is_empty(), "{back_in_time:?}");
     // A faulted log too: retries, drops and sheds cross chunk boundaries.
     let (log, counts, meta) = record_with_meta(QUICKSTART, Some(QUICKSTART_FAULTS), 1.6);
     for size in CHUNK_SIZES {
