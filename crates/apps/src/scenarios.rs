@@ -1,28 +1,32 @@
-//! Ready-made scenario builders for every topology in the paper's
-//! evaluation: 2-/3-tier applications (Figs. 4–6), load balancing (Fig. 7),
-//! request fanout (Fig. 9), Thrift hello-world (Fig. 12a), the social
-//! network (Fig. 11), single-tier services for the BigHouse comparison
-//! (Fig. 13), and the tail-at-scale fanout cluster (Fig. 14).
+//! Every topology in the paper's evaluation, as data: 2-/3-tier
+//! applications (Figs. 4–6), load balancing (Fig. 7), request fanout
+//! (Fig. 9), Thrift hello-world (Fig. 12a), the social network (Fig. 11),
+//! single-tier services for the BigHouse comparison (Fig. 13), and the
+//! tail-at-scale fanout cluster (Fig. 14).
 //!
-//! Each builder returns a runnable [`Simulator`]; deployed instances carry
-//! stable names (e.g. `"nginx"`, `"memcached"`) resolvable with
-//! [`Simulator::instance_by_name`].
+//! Each function returns a [`ScenarioConfig`] — the simulator's own input
+//! (Table I), assembled in the order [`ScenarioConfig::build`] lowers it —
+//! so a figure's cell can be built (`cfg.build()`), run through the one
+//! pipeline ([`uqsim_core::run::run_one`], `uqsim_runner`), or printed
+//! (`cfg.to_json()`) and handed to `uqsim run|why|chaos`. Deployed
+//! instances carry stable names (e.g. `"nginx"`, `"memcached"`) resolvable
+//! with [`Simulator::instance_by_name`](uqsim_core::Simulator::instance_by_name).
 
 use crate::noise::NoiseProfile;
 use crate::{memcached, mongodb, nginx, thrift};
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::{ArrivalProcess, ClientSpec, RequestMix};
-use uqsim_core::config::ScenarioConfig;
-use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{InstanceId, PathNodeId, ServiceId, StageId};
-use uqsim_core::machine::MachineSpec;
-use uqsim_core::path::{
-    InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
+use uqsim_core::client::ArrivalProcess;
+use uqsim_core::config::LinkConfig::{ReplyToParent, Request};
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
+    PoolConfig, RequestTypeConfig, ScenarioConfig,
 };
+use uqsim_core::dist::Distribution;
+use uqsim_core::ids::StageId;
+use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::SimDuration;
-use uqsim_core::{SimResult, Simulator};
+use uqsim_core::SimResult;
 
 /// Options shared by every scenario.
 #[derive(Debug, Clone)]
@@ -46,53 +50,146 @@ impl Default for CommonOpts {
 }
 
 impl CommonOpts {
-    fn builder(&self) -> ScenarioBuilder {
-        let mut b = ScenarioBuilder::new(self.seed);
-        b.warmup(self.warmup);
-        b
-    }
-
-    fn model(&self, m: ServiceModel) -> ServiceModel {
-        match &self.noise {
+    /// Assembles a scenario under these options; the noise profile, if
+    /// any, is applied to every service model.
+    fn scenario(
+        &self,
+        machines: Vec<MachineSpec>,
+        services: Vec<ServiceModel>,
+        instances: Vec<InstanceConfig>,
+        pools: Vec<PoolConfig>,
+        request_types: Vec<RequestTypeConfig>,
+        clients: Vec<ClientConfig>,
+    ) -> ScenarioConfig {
+        let noisy = |m: ServiceModel| match &self.noise {
             Some(p) => p.noisy_service(&m),
             None => m,
+        };
+        ScenarioConfig {
+            seed: self.seed,
+            warmup_s: self.warmup.as_secs_f64(),
+            machines,
+            services: services.into_iter().map(noisy).collect(),
+            instances,
+            pools,
+            request_types,
+            clients,
         }
     }
 }
 
-fn nid(i: usize) -> PathNodeId {
-    PathNodeId::from_raw(i as u32)
-}
-
-fn service_node(
-    name: &str,
-    service: ServiceId,
-    instance: InstanceSelect,
-    exec_path: usize,
-    link: LinkKind,
-    children: Vec<PathNodeId>,
-) -> PathNodeSpec {
-    PathNodeSpec {
-        name: name.into(),
-        target: NodeTarget::Service {
-            service,
-            instance,
-            exec_path: PathSelect::Fixed { index: exec_path },
-        },
-        children,
-        link,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
+fn fixed(instance: impl Into<String>) -> InstanceSelectConfig {
+    InstanceSelectConfig::Fixed {
+        name: instance.into(),
     }
 }
 
-fn fixed(i: InstanceId) -> InstanceSelect {
-    InstanceSelect::Fixed { instance: i }
+fn same_as(node: &str) -> InstanceSelectConfig {
+    InstanceSelectConfig::SameAsNode { node: node.into() }
 }
 
-fn same_as(n: usize) -> InstanceSelect {
-    InstanceSelect::SameAsNode { node: nid(n) }
+/// A path node running execution path number `exec_path` of `svc` (a
+/// `paths::*` constant of the model's module).
+fn node<C: Into<String>>(
+    name: &str,
+    svc: &ServiceModel,
+    instance: InstanceSelectConfig,
+    exec_path: usize,
+    link: LinkConfig,
+    children: impl IntoIterator<Item = C>,
+) -> PathNodeConfig {
+    PathNodeConfig {
+        children: children.into_iter().map(Into::into).collect(),
+        link,
+        ..PathNodeConfig::service(name, &svc.name, instance, &svc.paths[exec_path].name)
+    }
+}
+
+/// `node` holds its worker thread until node `until` arrives back at the
+/// instance (a synchronous RPC).
+fn blocking(mut node: PathNodeConfig, until: &str) -> PathNodeConfig {
+    node.block_thread_until = Some(until.into());
+    node
+}
+
+/// `node` runs on the worker thread that ran node `of`.
+fn pinned(mut node: PathNodeConfig, of: &str) -> PathNodeConfig {
+    node.pin_thread_of = Some(of.into());
+    node
+}
+
+fn request_type(name: &str, nodes: Vec<PathNodeConfig>) -> RequestTypeConfig {
+    RequestTypeConfig {
+        name: name.into(),
+        nodes,
+    }
+}
+
+fn instance(
+    name: impl Into<String>,
+    svc: &ServiceModel,
+    machine: &str,
+    cores: usize,
+    exec: ExecConfig,
+) -> InstanceConfig {
+    InstanceConfig {
+        name: name.into(),
+        service: svc.name.clone(),
+        machine: machine.into(),
+        cores,
+        exec,
+    }
+}
+
+/// Explicit worker threads with the 2 µs context switch every scenario
+/// uses.
+fn threads(threads: usize) -> ExecConfig {
+    ExecConfig::MultiThreaded {
+        threads,
+        ctx_switch_s: 2e-6,
+    }
+}
+
+fn pool(up: &str, down: impl Into<String>, size: usize) -> PoolConfig {
+    PoolConfig {
+        up: up.into(),
+        down: down.into(),
+        size,
+    }
+}
+
+/// The scenario's one client: open loop, connected to `root`.
+fn client(
+    name: &str,
+    connections: usize,
+    arrivals: &ArrivalProcess,
+    mix: &[(&str, f64)],
+    root: &str,
+    request_size: Distribution,
+) -> ClientConfig {
+    ClientConfig {
+        name: name.into(),
+        connections,
+        arrivals: arrivals.clone(),
+        mix: mix.iter().map(|&(ty, w)| (ty.into(), w)).collect(),
+        roots: vec![root.into()],
+        request_size,
+        closed_loop: None,
+        timeout_s: None,
+    }
+}
+
+/// One single-stage service: `stage` under `time`, reached by `path`.
+fn single_stage(name: &str, stage: &str, path: &str, time: Distribution) -> ServiceModel {
+    ServiceModel::new(
+        name,
+        vec![StageSpec::new(
+            stage,
+            QueueDiscipline::Single,
+            ServiceTimeModel::per_job(time, 2.6),
+        )],
+        vec![ExecPath::new(path, vec![StageId::from_raw(0)])],
+    )
 }
 
 // ====================================================================
@@ -130,72 +227,82 @@ impl TwoTierConfig {
     }
 }
 
-/// Builds the 2-tier application. Instances: `"nginx"`, `"memcached"`.
+/// The cache-hit flow both tiered applications share: client → nginx →
+/// memcached → nginx → client.
+fn cache_hit_nodes(nginx: &ServiceModel, mc: &ServiceModel) -> Vec<PathNodeConfig> {
+    vec![
+        node(
+            "nginx_recv",
+            nginx,
+            fixed("nginx"),
+            nginx::paths::RECV_QUERY,
+            Request,
+            ["mc_get"],
+        ),
+        node(
+            "mc_get",
+            mc,
+            fixed("memcached"),
+            memcached::paths::READ,
+            Request,
+            ["nginx_respond"],
+        ),
+        node(
+            "nginx_respond",
+            nginx,
+            same_as("nginx_recv"),
+            nginx::paths::RESPOND,
+            ReplyToParent,
+            ["client_sink"],
+        ),
+        PathNodeConfig::client_sink("nginx_recv"),
+    ]
+}
+
+/// The 2-tier application. Instances: `"nginx"`, `"memcached"`.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn two_tier(cfg: &TwoTierConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m_front = b.add_machine(MachineSpec::xeon("frontend-host", cfg.nginx_procs + 4));
-    let m_cache = b.add_machine(MachineSpec::xeon("cache-host", cfg.memcached_threads + 4));
-    let s_nginx = b.add_service(cfg.common.model(nginx::service_model()));
-    let s_mc = b.add_service(cfg.common.model(memcached::service_model()));
-    let i_nginx = b.add_instance("nginx", s_nginx, m_front, cfg.nginx_procs, ExecSpec::Simple)?;
-    let i_mc = b.add_instance(
-        "memcached",
-        s_mc,
-        m_cache,
-        cfg.memcached_threads,
-        ExecSpec::MultiThreaded {
-            threads: cfg.memcached_threads,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    b.add_pool(i_nginx, i_mc, cfg.pool_size)?;
-
-    let nodes = vec![
-        service_node(
-            "nginx_recv",
-            s_nginx,
-            fixed(i_nginx),
-            nginx::paths::RECV_QUERY,
-            LinkKind::Request,
-            vec![nid(1)],
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn two_tier(cfg: &TwoTierConfig) -> SimResult<ScenarioConfig> {
+    let (nginx, mc) = (nginx::service_model(), memcached::service_model());
+    let get = request_type("get", cache_hit_nodes(&nginx, &mc));
+    let instances = vec![
+        instance(
+            "nginx",
+            &nginx,
+            "frontend-host",
+            cfg.nginx_procs,
+            ExecConfig::Simple,
         ),
-        service_node(
-            "mc_get",
-            s_mc,
-            fixed(i_mc),
-            memcached::paths::READ,
-            LinkKind::Request,
-            vec![nid(2)],
+        instance(
+            "memcached",
+            &mc,
+            "cache-host",
+            cfg.memcached_threads,
+            threads(cfg.memcached_threads),
         ),
-        service_node(
-            "nginx_respond",
-            s_nginx,
-            same_as(0),
-            nginx::paths::RESPOND,
-            LinkKind::ReplyToParent,
-            vec![nid(3)],
-        ),
-        PathNodeSpec::client_sink(nid(0)),
     ];
-    let ty = b.add_request_type(RequestType::new("get", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "wrk2".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
+    Ok(cfg.common.scenario(
+        vec![
+            MachineSpec::xeon("frontend-host", cfg.nginx_procs + 4),
+            MachineSpec::xeon("cache-host", cfg.memcached_threads + 4),
+        ],
+        vec![nginx, mc],
+        instances,
+        vec![pool("nginx", "memcached", cfg.pool_size)],
+        vec![get],
+        vec![client(
+            "wrk2",
+            cfg.connections,
+            &cfg.arrivals,
+            &[("get", 1.0)],
+            "nginx",
             // The validation uses exponentially distributed value sizes.
-            request_size: Distribution::exponential(512.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_nginx],
-    );
-    b.build()
+            Distribution::exponential(512.0),
+        )],
+    ))
 }
 
 // ====================================================================
@@ -246,165 +353,152 @@ impl ThreeTierConfig {
     }
 }
 
-/// Builds the 3-tier application. Instances: `"nginx"`, `"memcached"`,
+/// The 3-tier application. Instances: `"nginx"`, `"memcached"`,
 /// `"mongod"`, `"disk"`.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn three_tier(cfg: &ThreeTierConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m_front = b.add_machine(MachineSpec::xeon("frontend-host", cfg.nginx_procs + 4));
-    let m_cache = b.add_machine(MachineSpec::xeon("cache-host", cfg.memcached_threads + 4));
-    let m_db = b.add_machine(MachineSpec::xeon(
-        "db-host",
-        cfg.mongod_cores + cfg.disk_channels + 4,
-    ));
-    let s_nginx = b.add_service(cfg.common.model(nginx::service_model()));
-    let s_mc = b.add_service(cfg.common.model(memcached::service_model()));
-    let s_mongo = b.add_service(cfg.common.model(mongodb::service_model()));
-    let s_disk = b.add_service(cfg.common.model(mongodb::disk_model(cfg.disk_read_s)));
-    let i_nginx = b.add_instance("nginx", s_nginx, m_front, cfg.nginx_procs, ExecSpec::Simple)?;
-    let i_mc = b.add_instance(
-        "memcached",
-        s_mc,
-        m_cache,
-        cfg.memcached_threads,
-        ExecSpec::MultiThreaded {
-            threads: cfg.memcached_threads,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    let i_mongo = b.add_instance("mongod", s_mongo, m_db, cfg.mongod_cores, ExecSpec::Simple)?;
-    let i_disk = b.add_instance("disk", s_disk, m_db, cfg.disk_channels, ExecSpec::Simple)?;
-    b.add_pool(i_nginx, i_mc, cfg.pool_size)?;
-    b.add_pool(i_nginx, i_mongo, cfg.pool_size)?;
-
-    // Cache hit: client → nginx → memcached → nginx → client.
-    let hit_nodes = vec![
-        service_node(
-            "nginx_recv",
-            s_nginx,
-            fixed(i_nginx),
-            nginx::paths::RECV_QUERY,
-            LinkKind::Request,
-            vec![nid(1)],
-        ),
-        service_node(
-            "mc_get",
-            s_mc,
-            fixed(i_mc),
-            memcached::paths::READ,
-            LinkKind::Request,
-            vec![nid(2)],
-        ),
-        service_node(
-            "nginx_respond",
-            s_nginx,
-            same_as(0),
-            nginx::paths::RESPOND,
-            LinkKind::ReplyToParent,
-            vec![nid(3)],
-        ),
-        PathNodeSpec::client_sink(nid(0)),
-    ];
-    let ty_hit = b.add_request_type(RequestType::new("get_hit", hit_nodes, nid(0)))?;
-
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn three_tier(cfg: &ThreeTierConfig) -> SimResult<ScenarioConfig> {
+    let (nginx, mc) = (nginx::service_model(), memcached::service_model());
+    let (mongo, disk) = (
+        mongodb::service_model(),
+        mongodb::disk_model(cfg.disk_read_s),
+    );
+    let request = |name: &str, svc: &ServiceModel, inst: &str, path: usize, child: &str| {
+        node(name, svc, fixed(inst), path, Request, [child])
+    };
+    let on_nginx = |name: &str, path: usize, link: LinkConfig, child: &str| {
+        node(name, &nginx, same_as("nginx_recv"), path, link, [child])
+    };
     // Cache miss: nginx queries memcached (miss), then MongoDB (which does
     // a disk read), then write-allocates into memcached, then responds.
     let miss_nodes = vec![
-        service_node(
+        request(
             "nginx_recv",
-            s_nginx,
-            fixed(i_nginx),
+            &nginx,
+            "nginx",
             nginx::paths::RECV_QUERY,
-            LinkKind::Request,
-            vec![nid(1)],
-        ),
-        service_node(
             "mc_get_miss",
-            s_mc,
-            fixed(i_mc),
+        ),
+        request(
+            "mc_get_miss",
+            &mc,
+            "memcached",
             memcached::paths::READ,
-            LinkKind::Request,
-            vec![nid(2)],
-        ),
-        service_node(
             "nginx_miss",
-            s_nginx,
-            same_as(0),
-            nginx::paths::FORWARD,
-            LinkKind::ReplyToParent,
-            vec![nid(3)],
         ),
-        service_node(
+        on_nginx(
+            "nginx_miss",
+            nginx::paths::FORWARD,
+            ReplyToParent,
             "mongo_query",
-            s_mongo,
-            fixed(i_mongo),
+        ),
+        request(
+            "mongo_query",
+            &mongo,
+            "mongod",
             mongodb::paths::QUERY,
-            LinkKind::Request,
-            vec![nid(4)],
-        ),
-        service_node(
             "disk_read",
-            s_disk,
-            fixed(i_disk),
+        ),
+        request(
+            "disk_read",
+            &disk,
+            "disk",
             mongodb::disk_paths::READ,
-            LinkKind::Request,
-            vec![nid(5)],
-        ),
-        service_node(
             "mongo_respond",
-            s_mongo,
-            same_as(3),
+        ),
+        node(
+            "mongo_respond",
+            &mongo,
+            same_as("mongo_query"),
             mongodb::paths::RESPOND,
-            LinkKind::ReplyToParent,
-            vec![nid(6)],
+            ReplyToParent,
+            ["nginx_writeback"],
         ),
-        service_node(
+        on_nginx(
             "nginx_writeback",
-            s_nginx,
-            same_as(0),
             nginx::paths::FORWARD,
-            LinkKind::Reply { of: nid(3) },
-            vec![nid(7)],
-        ),
-        service_node(
+            LinkConfig::Reply {
+                of: "mongo_query".into(),
+            },
             "mc_set",
-            s_mc,
-            fixed(i_mc),
+        ),
+        request(
+            "mc_set",
+            &mc,
+            "memcached",
             memcached::paths::WRITE,
-            LinkKind::Request,
-            vec![nid(8)],
-        ),
-        service_node(
             "nginx_respond",
-            s_nginx,
-            same_as(0),
-            nginx::paths::RESPOND,
-            LinkKind::ReplyToParent,
-            vec![nid(9)],
         ),
-        PathNodeSpec::client_sink(nid(0)),
+        on_nginx(
+            "nginx_respond",
+            nginx::paths::RESPOND,
+            ReplyToParent,
+            "client_sink",
+        ),
+        PathNodeConfig::client_sink("nginx_recv"),
     ];
-    let ty_miss = b.add_request_type(RequestType::new("get_miss", miss_nodes, nid(0)))?;
-
-    b.add_client(
-        ClientSpec {
-            name: "wrk2".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::weighted(vec![
-                (ty_hit, 1.0 - cfg.miss_ratio),
-                (ty_miss, cfg.miss_ratio),
-            ]),
-            request_size: Distribution::exponential(512.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_nginx],
-    );
-    b.build()
+    let request_types = vec![
+        request_type("get_hit", cache_hit_nodes(&nginx, &mc)),
+        request_type("get_miss", miss_nodes),
+    ];
+    let instances = vec![
+        instance(
+            "nginx",
+            &nginx,
+            "frontend-host",
+            cfg.nginx_procs,
+            ExecConfig::Simple,
+        ),
+        instance(
+            "memcached",
+            &mc,
+            "cache-host",
+            cfg.memcached_threads,
+            threads(cfg.memcached_threads),
+        ),
+        instance(
+            "mongod",
+            &mongo,
+            "db-host",
+            cfg.mongod_cores,
+            ExecConfig::Simple,
+        ),
+        instance(
+            "disk",
+            &disk,
+            "db-host",
+            cfg.disk_channels,
+            ExecConfig::Simple,
+        ),
+    ];
+    Ok(cfg.common.scenario(
+        vec![
+            MachineSpec::xeon("frontend-host", cfg.nginx_procs + 4),
+            MachineSpec::xeon("cache-host", cfg.memcached_threads + 4),
+            MachineSpec::xeon("db-host", cfg.mongod_cores + cfg.disk_channels + 4),
+        ],
+        vec![nginx, mc, mongo, disk],
+        instances,
+        vec![
+            pool("nginx", "memcached", cfg.pool_size),
+            pool("nginx", "mongod", cfg.pool_size),
+        ],
+        request_types,
+        vec![client(
+            "wrk2",
+            cfg.connections,
+            &cfg.arrivals,
+            &[
+                ("get_hit", 1.0 - cfg.miss_ratio),
+                ("get_miss", cfg.miss_ratio),
+            ],
+            "nginx",
+            Distribution::exponential(512.0),
+        )],
+    ))
 }
 
 // ====================================================================
@@ -442,7 +536,42 @@ impl LoadBalancedConfig {
     }
 }
 
-/// Builds the load-balancing scenario. Instances: `"proxy"`, `"ws{i}"`.
+/// An NGINX proxy in front of `backends` single-core NGINX web servers on
+/// one shared machine, each behind its own pool: the deployment of the
+/// load-balancing and fanout scenarios.
+fn proxied_web_servers(
+    backends: &[String],
+    backend_host: &str,
+    proxy_procs: usize,
+    pool_size: usize,
+    nginx: &ServiceModel,
+) -> (Vec<MachineSpec>, Vec<InstanceConfig>, Vec<PoolConfig>) {
+    let mut instances = vec![instance(
+        "proxy",
+        nginx,
+        "proxy-host",
+        proxy_procs,
+        ExecConfig::Simple,
+    )];
+    instances.extend(
+        backends
+            .iter()
+            .map(|b| instance(b, nginx, backend_host, 1, ExecConfig::Simple)),
+    );
+    (
+        vec![
+            MachineSpec::xeon("proxy-host", proxy_procs + 4),
+            MachineSpec::xeon(backend_host, backends.len() + 4),
+        ],
+        instances,
+        backends
+            .iter()
+            .map(|b| pool("proxy", b, pool_size))
+            .collect(),
+    )
+}
+
+/// The load-balancing scenario. Instances: `"proxy"`, `"ws{i}"`.
 ///
 /// The web servers share one machine whose four irq cores handle all
 /// inbound interrupt processing — the soft-irq ceiling responsible for the
@@ -450,61 +579,56 @@ impl LoadBalancedConfig {
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn load_balanced(cfg: &LoadBalancedConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m_proxy = b.add_machine(MachineSpec::xeon("proxy-host", cfg.proxy_procs + 4));
-    let m_ws = b.add_machine(MachineSpec::xeon("ws-host", cfg.scale_out + 4));
-    let s_nginx = b.add_service(cfg.common.model(nginx::service_model()));
-    let i_proxy = b.add_instance("proxy", s_nginx, m_proxy, cfg.proxy_procs, ExecSpec::Simple)?;
-    let mut servers = Vec::new();
-    for k in 0..cfg.scale_out {
-        let i = b.add_instance(format!("ws{k}"), s_nginx, m_ws, 1, ExecSpec::Simple)?;
-        b.add_pool(i_proxy, i, cfg.pool_size)?;
-        servers.push(i);
-    }
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn load_balanced(cfg: &LoadBalancedConfig) -> SimResult<ScenarioConfig> {
+    let nginx = nginx::service_model();
+    let servers: Vec<String> = (0..cfg.scale_out).map(|k| format!("ws{k}")).collect();
+    let (machines, instances, pools) =
+        proxied_web_servers(&servers, "ws-host", cfg.proxy_procs, cfg.pool_size, &nginx);
     let nodes = vec![
-        service_node(
+        node(
             "proxy_fwd",
-            s_nginx,
-            fixed(i_proxy),
+            &nginx,
+            fixed("proxy"),
             nginx::paths::FORWARD,
-            LinkKind::Request,
-            vec![nid(1)],
+            Request,
+            ["serve"],
         ),
-        service_node(
+        node(
             "serve",
-            s_nginx,
-            InstanceSelect::RoundRobin { instances: servers },
+            &nginx,
+            InstanceSelectConfig::RoundRobin { names: servers },
             nginx::paths::SERVE,
-            LinkKind::Request,
-            vec![nid(2)],
+            Request,
+            ["proxy_respond"],
         ),
-        service_node(
+        node(
             "proxy_respond",
-            s_nginx,
-            same_as(0),
+            &nginx,
+            same_as("proxy_fwd"),
             nginx::paths::PROXY_RESPOND,
-            LinkKind::ReplyToParent,
-            vec![nid(3)],
+            ReplyToParent,
+            ["client_sink"],
         ),
-        PathNodeSpec::client_sink(nid(0)),
+        PathNodeConfig::client_sink("proxy_fwd"),
     ];
-    let ty = b.add_request_type(RequestType::new("get_page", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
+    Ok(cfg.common.scenario(
+        machines,
+        vec![nginx],
+        instances,
+        pools,
+        vec![request_type("get_page", nodes)],
+        vec![client(
+            "clients",
+            cfg.connections,
+            &cfg.arrivals,
+            &[("get_page", 1.0)],
+            "proxy",
             // "Each requested webpage is 612 bytes in size" (§IV-B).
-            request_size: Distribution::constant(612.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_proxy],
-    );
-    b.build()
+            Distribution::constant(612.0),
+        )],
+    ))
 }
 
 // ====================================================================
@@ -542,72 +666,88 @@ impl FanoutConfig {
     }
 }
 
-/// Builds the fanout scenario. Instances: `"proxy"`, `"leaf{i}"`. A request
+/// The fanout scenario. Instances: `"proxy"`, `"leaf{i}"`. A request
 /// completes only after *all* leaves respond (fan-in at the proxy).
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn fanout(cfg: &FanoutConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m_proxy = b.add_machine(MachineSpec::xeon("proxy-host", cfg.proxy_procs + 4));
-    let m_leaf = b.add_machine(MachineSpec::xeon("leaf-host", cfg.fanout + 4));
-    let s_nginx = b.add_service(cfg.common.model(nginx::service_model()));
-    let i_proxy = b.add_instance("proxy", s_nginx, m_proxy, cfg.proxy_procs, ExecSpec::Simple)?;
-    let mut leaves = Vec::new();
-    for k in 0..cfg.fanout {
-        let i = b.add_instance(format!("leaf{k}"), s_nginx, m_leaf, 1, ExecSpec::Simple)?;
-        b.add_pool(i_proxy, i, cfg.pool_size)?;
-        leaves.push(i);
-    }
-    let join = cfg.fanout + 1;
-    let sink = cfg.fanout + 2;
-    let mut nodes = vec![service_node(
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn fanout(cfg: &FanoutConfig) -> SimResult<ScenarioConfig> {
+    let nginx = nginx::service_model();
+    let leaves: Vec<String> = (0..cfg.fanout).map(|k| format!("leaf{k}")).collect();
+    let (machines, instances, pools) =
+        proxied_web_servers(&leaves, "leaf-host", cfg.proxy_procs, cfg.pool_size, &nginx);
+    let visits = || (0..cfg.fanout).map(|k| format!("serve{k}"));
+    let mut nodes = vec![node(
         "proxy_fanout",
-        s_nginx,
-        fixed(i_proxy),
+        &nginx,
+        fixed("proxy"),
         nginx::paths::FORWARD,
-        LinkKind::Request,
-        (1..=cfg.fanout).map(nid).collect(),
+        Request,
+        visits(),
     )];
-    for (k, &leaf) in leaves.iter().enumerate() {
-        nodes.push(service_node(
-            &format!("serve{k}"),
-            s_nginx,
+    nodes.extend(visits().zip(&leaves).map(|(name, leaf)| {
+        node(
+            &name,
+            &nginx,
             fixed(leaf),
             nginx::paths::SERVE,
-            LinkKind::Request,
-            vec![nid(join)],
-        ));
-    }
-    nodes.push(service_node(
+            Request,
+            ["proxy_join"],
+        )
+    }));
+    nodes.push(node(
         "proxy_join",
-        s_nginx,
-        same_as(0),
+        &nginx,
+        same_as("proxy_fanout"),
         nginx::paths::PROXY_RESPOND,
-        LinkKind::ReplyToParent,
-        vec![nid(sink)],
+        ReplyToParent,
+        ["client_sink"],
     ));
-    nodes.push(PathNodeSpec::client_sink(nid(0)));
-    let ty = b.add_request_type(RequestType::new("fanout_get", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
-            request_size: Distribution::constant(612.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_proxy],
-    );
-    b.build()
+    nodes.push(PathNodeConfig::client_sink("proxy_fanout"));
+    Ok(cfg.common.scenario(
+        machines,
+        vec![nginx],
+        instances,
+        pools,
+        vec![request_type("fanout_get", nodes)],
+        vec![client(
+            "clients",
+            cfg.connections,
+            &cfg.arrivals,
+            &[("fanout_get", 1.0)],
+            "proxy",
+            Distribution::constant(612.0),
+        )],
+    ))
 }
 
 // ====================================================================
-// Thrift hello-world (Fig. 12a)
+// Single-tier services: Thrift hello-world (Fig. 12a) and the BigHouse
+// comparison (Fig. 13)
 // ====================================================================
+
+/// One instance on a machine of its own (its cores plus the four irq
+/// cores), visited once per request.
+fn single_tier(
+    common: &CommonOpts,
+    svc: ServiceModel,
+    inst: InstanceConfig,
+    ty: &str,
+    visit: PathNodeConfig,
+    client: ClientConfig,
+) -> ScenarioConfig {
+    let sink = PathNodeConfig::client_sink(&visit.name);
+    common.scenario(
+        vec![MachineSpec::xeon(&inst.machine, inst.cores + 4)],
+        vec![svc],
+        vec![inst],
+        Vec::new(),
+        vec![request_type(ty, vec![visit, sink])],
+        vec![client],
+    )
+}
 
 /// Configuration of the Thrift hello-world validation.
 #[derive(Debug, Clone)]
@@ -634,144 +774,103 @@ impl ThriftHelloConfig {
     }
 }
 
-/// Builds the Thrift hello-world scenario. Instance: `"thrift"`.
+/// The Thrift hello-world scenario. Instance: `"thrift"`.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn thrift_hello(cfg: &ThriftHelloConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m = b.add_machine(MachineSpec::xeon("thrift-host", cfg.workers + 4));
-    let s = b.add_service(cfg.common.model(thrift::hello_world_model()));
-    let i = b.add_instance(
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn thrift_hello(cfg: &ThriftHelloConfig) -> SimResult<ScenarioConfig> {
+    let svc = thrift::hello_world_model();
+    let inst = instance(
         "thrift",
-        s,
-        m,
+        &svc,
+        "thrift-host",
         cfg.workers,
-        ExecSpec::MultiThreaded {
-            threads: cfg.workers,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    let nodes = vec![
-        service_node(
-            "hello",
-            s,
-            fixed(i),
-            thrift::paths::HANDLE,
-            LinkKind::Request,
-            vec![nid(1)],
-        ),
-        PathNodeSpec::client_sink(nid(0)),
-    ];
-    let ty = b.add_request_type(RequestType::new("hello", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "client".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
-            // A "Hello World" RPC payload is tiny.
-            request_size: Distribution::constant(64.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i],
+        threads(cfg.workers),
     );
-    b.build()
+    let visit = node(
+        "hello",
+        &svc,
+        fixed("thrift"),
+        thrift::paths::HANDLE,
+        Request,
+        ["client_sink"],
+    );
+    // A "Hello World" RPC payload is tiny.
+    let size = Distribution::constant(64.0);
+    let client = client(
+        "client",
+        cfg.connections,
+        &cfg.arrivals,
+        &[("hello", 1.0)],
+        "thrift",
+        size,
+    );
+    Ok(single_tier(&cfg.common, svc, inst, "hello", visit, client))
 }
 
-// ====================================================================
-// Single-tier services (BigHouse comparison, Fig. 13)
-// ====================================================================
-
-/// Builds a single-tier, single-process NGINX web server. Instance:
-/// `"nginx"`.
+/// A single-tier, single-process NGINX web server. Instance: `"nginx"`.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn single_nginx(qps: f64, common: &CommonOpts) -> SimResult<Simulator> {
-    let mut b = common.builder();
-    let m = b.add_machine(MachineSpec::xeon("host", 1 + 4));
-    let s = b.add_service(common.model(nginx::service_model()));
-    let i = b.add_instance("nginx", s, m, 1, ExecSpec::Simple)?;
-    let nodes = vec![
-        service_node(
-            "serve",
-            s,
-            fixed(i),
-            nginx::paths::SERVE,
-            LinkKind::Request,
-            vec![nid(1)],
-        ),
-        PathNodeSpec::client_sink(nid(0)),
-    ];
-    let ty = b.add_request_type(RequestType::new("get_page", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: 320,
-            arrivals: ArrivalProcess::poisson(qps),
-            mix: RequestMix::single(ty),
-            request_size: Distribution::constant(612.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i],
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn single_nginx(qps: f64, common: &CommonOpts) -> SimResult<ScenarioConfig> {
+    let svc = nginx::service_model();
+    let inst = instance("nginx", &svc, "host", 1, ExecConfig::Simple);
+    let visit = node(
+        "serve",
+        &svc,
+        fixed("nginx"),
+        nginx::paths::SERVE,
+        Request,
+        ["client_sink"],
     );
-    b.build()
+    let client = ClientConfig {
+        request_size: Distribution::constant(612.0),
+        ..ClientConfig::open_loop("clients", qps, 320, "get_page", "nginx")
+    };
+    Ok(single_tier(common, svc, inst, "get_page", visit, client))
 }
 
-/// Builds a single-tier memcached with the given thread count. Instance:
+/// A single-tier memcached with the given thread count. Instance:
 /// `"memcached"`.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn single_memcached(qps: f64, threads: usize, common: &CommonOpts) -> SimResult<Simulator> {
-    let mut b = common.builder();
-    let m = b.add_machine(MachineSpec::xeon("host", threads + 4));
-    let s = b.add_service(common.model(memcached::service_model()));
-    let i = b.add_instance(
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn single_memcached(
+    qps: f64,
+    worker_threads: usize,
+    common: &CommonOpts,
+) -> SimResult<ScenarioConfig> {
+    let svc = memcached::service_model();
+    let inst = instance(
         "memcached",
-        s,
-        m,
-        threads,
-        ExecSpec::MultiThreaded {
-            threads,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    let nodes = vec![
-        service_node(
-            "get",
-            s,
-            fixed(i),
-            memcached::paths::READ,
-            LinkKind::Request,
-            vec![nid(1)],
-        ),
-        PathNodeSpec::client_sink(nid(0)),
-    ];
-    let ty = b.add_request_type(RequestType::new("get", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: 320,
-            arrivals: ArrivalProcess::poisson(qps),
-            mix: RequestMix::single(ty),
-            request_size: Distribution::exponential(512.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i],
+        &svc,
+        "host",
+        worker_threads,
+        threads(worker_threads),
     );
-    b.build()
+    let visit = node(
+        "get",
+        &svc,
+        fixed("memcached"),
+        memcached::paths::READ,
+        Request,
+        ["client_sink"],
+    );
+    let client = ClientConfig {
+        request_size: Distribution::exponential(512.0),
+        ..ClientConfig::open_loop("clients", qps, 320, "get", "memcached")
+    };
+    Ok(single_tier(common, svc, inst, "get", visit, client))
 }
 
 // ====================================================================
-// Social network (Figs. 11, 12b)
+// Social network (Figs. 11, 12b) and its full action mix
 // ====================================================================
 
 /// Configuration of the social-network application.
@@ -804,217 +903,6 @@ impl SocialNetworkConfig {
         }
     }
 }
-
-/// Builds the social network's read-post flow (Fig. 11): a Thrift frontend
-/// queries the User and Post services in parallel, synchronizes their
-/// replies, extracts media via the Media service, and responds. Each
-/// backend service fronts its own memcached. Instances: `"frontend"`,
-/// `"user"`, `"post"`, `"media"`, `"user_mc"`, `"post_mc"`, `"media_mc"`.
-///
-/// # Errors
-///
-/// Propagates scenario-construction failures.
-pub fn social_network(cfg: &SocialNetworkConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
-    let m_front = b.add_machine(MachineSpec::xeon("frontend-host", cfg.frontend_cores + 4));
-    let m_back = b.add_machine(MachineSpec::xeon("backend-host", 9 + 4));
-    let s_front = b.add_service(
-        cfg.common
-            .model(thrift::service_model("frontend", 30e-6, 18e-6)),
-    );
-    let s_user = b.add_service(cfg.common.model(thrift::service_model(
-        "user_service",
-        20e-6,
-        12e-6,
-    )));
-    let s_post = b.add_service(cfg.common.model(thrift::service_model(
-        "post_service",
-        22e-6,
-        12e-6,
-    )));
-    let s_media = b.add_service(cfg.common.model(thrift::service_model(
-        "media_service",
-        24e-6,
-        12e-6,
-    )));
-    let s_mc = b.add_service(cfg.common.model(memcached::service_model()));
-
-    let mt = |threads: usize| ExecSpec::MultiThreaded {
-        threads,
-        ctx_switch: SimDuration::from_micros(2),
-    };
-    let i_front = b.add_instance(
-        "frontend",
-        s_front,
-        m_front,
-        cfg.frontend_cores,
-        mt(cfg.frontend_threads),
-    )?;
-    let i_user = b.add_instance("user", s_user, m_back, 2, mt(8))?;
-    let i_post = b.add_instance("post", s_post, m_back, 2, mt(8))?;
-    let i_media = b.add_instance("media", s_media, m_back, 2, mt(8))?;
-    let i_user_mc = b.add_instance("user_mc", s_mc, m_back, 1, mt(1))?;
-    let i_post_mc = b.add_instance("post_mc", s_mc, m_back, 1, mt(1))?;
-    let i_media_mc = b.add_instance("media_mc", s_mc, m_back, 1, mt(1))?;
-    b.add_pool(i_front, i_user, cfg.pool_size)?;
-    b.add_pool(i_front, i_post, cfg.pool_size)?;
-    b.add_pool(i_front, i_media, cfg.pool_size)?;
-    b.add_pool(i_user, i_user_mc, cfg.pool_size)?;
-    b.add_pool(i_post, i_post_mc, cfg.pool_size)?;
-    b.add_pool(i_media, i_media_mc, cfg.pool_size)?;
-
-    // Node ids (see module docs for the flow):
-    // 0 F1   frontend handle  (blocks thread until 7)
-    // 1 U1   user handle      (blocks thread until 3)
-    // 2 UM   user_mc read
-    // 3 U2   user compose     (pin 1)
-    // 4 P1   post handle      (blocks thread until 6)
-    // 5 PM   post_mc read
-    // 6 P2   post compose     (pin 4)
-    // 7 J1   frontend compose (pin 0; fan-in 2; blocks thread until 11)
-    // 8 M1   media handle     (blocks thread until 10)
-    // 9 MM   media_mc read
-    // 10 M2  media compose    (pin 8)
-    // 11 J2  frontend compose (pin 0)
-    // 12 sink
-    let mut f1 = service_node(
-        "F1",
-        s_front,
-        fixed(i_front),
-        thrift::paths::HANDLE,
-        LinkKind::Request,
-        vec![nid(1), nid(4)],
-    );
-    f1.block_thread_until = Some(nid(7));
-    let mut u1 = service_node(
-        "U1",
-        s_user,
-        fixed(i_user),
-        thrift::paths::HANDLE,
-        LinkKind::Request,
-        vec![nid(2)],
-    );
-    u1.block_thread_until = Some(nid(3));
-    let um = service_node(
-        "UM",
-        s_mc,
-        fixed(i_user_mc),
-        memcached::paths::READ,
-        LinkKind::Request,
-        vec![nid(3)],
-    );
-    let mut u2 = service_node(
-        "U2",
-        s_user,
-        same_as(1),
-        thrift::paths::COMPOSE,
-        LinkKind::ReplyToParent,
-        vec![nid(7)],
-    );
-    u2.pin_thread_of = Some(nid(1));
-    let mut p1 = service_node(
-        "P1",
-        s_post,
-        fixed(i_post),
-        thrift::paths::HANDLE,
-        LinkKind::Request,
-        vec![nid(5)],
-    );
-    p1.block_thread_until = Some(nid(6));
-    let pm = service_node(
-        "PM",
-        s_mc,
-        fixed(i_post_mc),
-        memcached::paths::READ,
-        LinkKind::Request,
-        vec![nid(6)],
-    );
-    let mut p2 = service_node(
-        "P2",
-        s_post,
-        same_as(4),
-        thrift::paths::COMPOSE,
-        LinkKind::ReplyToParent,
-        vec![nid(7)],
-    );
-    p2.pin_thread_of = Some(nid(4));
-    // J1 joins the replies of the user (via U2) and post (via P2)
-    // subtrees; each copy travels back on the connection that entered that
-    // subtree's first node (U1 / P1).
-    let mut j1 = service_node(
-        "J1",
-        s_front,
-        same_as(0),
-        thrift::paths::COMPOSE,
-        LinkKind::ReplyVia {
-            entries: vec![(nid(3), nid(1)), (nid(6), nid(4))],
-        },
-        vec![nid(8)],
-    );
-    j1.pin_thread_of = Some(nid(0));
-    j1.block_thread_until = Some(nid(11));
-    let mut m1 = service_node(
-        "M1",
-        s_media,
-        fixed(i_media),
-        thrift::paths::HANDLE,
-        LinkKind::Request,
-        vec![nid(9)],
-    );
-    m1.block_thread_until = Some(nid(10));
-    let mm = service_node(
-        "MM",
-        s_mc,
-        fixed(i_media_mc),
-        memcached::paths::READ,
-        LinkKind::Request,
-        vec![nid(10)],
-    );
-    let mut m2 = service_node(
-        "M2",
-        s_media,
-        same_as(8),
-        thrift::paths::COMPOSE,
-        LinkKind::ReplyToParent,
-        vec![nid(11)],
-    );
-    m2.pin_thread_of = Some(nid(8));
-    // J2 receives the media subtree's reply on the connection that entered
-    // M1 (the frontend → media pool connection).
-    let mut j2 = service_node(
-        "J2",
-        s_front,
-        same_as(0),
-        thrift::paths::COMPOSE,
-        LinkKind::Reply { of: nid(8) },
-        vec![nid(12)],
-    );
-    j2.pin_thread_of = Some(nid(0));
-    let sink = PathNodeSpec::client_sink(nid(0));
-
-    let ty = b.add_request_type(RequestType::new(
-        "read_post",
-        vec![f1, u1, um, u2, p1, pm, p2, j1, m1, mm, m2, j2, sink],
-        nid(0),
-    ))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
-            request_size: Distribution::exponential(256.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_front],
-    );
-    b.build()
-}
-
-// ====================================================================
-// Full social network: read / read-miss / compose / browse mix
-// ====================================================================
 
 /// Request-mix weights of the full social network (normalized at build).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1077,11 +965,25 @@ impl SocialNetworkFullConfig {
     }
 }
 
-/// Builds the social network with the paper's full action set (§IV-D:
-/// "users can follow each other, post messages, reply publicly or
-/// privately to another user, and browse information about a given
-/// user"): four request types share one deployment, with the post service
-/// backed by MongoDB + disk for cache misses and writes.
+/// The social network's read-post flow (Fig. 11): a Thrift frontend
+/// queries the User and Post services in parallel, synchronizes their
+/// replies, extracts media via the Media service, and responds. Each
+/// backend service fronts its own memcached. Instances: `"frontend"`,
+/// `"user"`, `"post"`, `"media"`, `"user_mc"`, `"post_mc"`, `"media_mc"`.
+///
+/// # Errors
+///
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn social_network(cfg: &SocialNetworkConfig) -> SimResult<ScenarioConfig> {
+    Ok(social(cfg, None))
+}
+
+/// The social network with the paper's full action set (§IV-D: "users can
+/// follow each other, post messages, reply publicly or privately to
+/// another user, and browse information about a given user"): four request
+/// types share one deployment, with the post service backed by MongoDB +
+/// disk for cache misses and writes.
 ///
 /// Instances: those of [`social_network`] plus `"mongod"` and `"disk"`.
 /// Request types (resolvable by name): `"read_post"`, `"read_post_miss"`,
@@ -1089,314 +991,197 @@ impl SocialNetworkFullConfig {
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn social_network_full(cfg: &SocialNetworkFullConfig) -> SimResult<Simulator> {
-    use uqsim_core::path::RequestTypeBuilder;
-
-    let mut b = cfg.common.builder();
-    let m_front = b.add_machine(MachineSpec::xeon("frontend-host", cfg.frontend_cores + 4));
-    let m_back = b.add_machine(MachineSpec::xeon("backend-host", 13 + 4));
-    let s_front = b.add_service(
-        cfg.common
-            .model(thrift::service_model("frontend", 30e-6, 18e-6)),
-    );
-    let s_user = b.add_service(cfg.common.model(thrift::service_model(
-        "user_service",
-        20e-6,
-        12e-6,
-    )));
-    let s_post = b.add_service(cfg.common.model(thrift::service_model(
-        "post_service",
-        22e-6,
-        12e-6,
-    )));
-    let s_media = b.add_service(cfg.common.model(thrift::service_model(
-        "media_service",
-        24e-6,
-        12e-6,
-    )));
-    let s_mc = b.add_service(cfg.common.model(memcached::service_model()));
-    let s_mongo = b.add_service(cfg.common.model(mongodb::service_model()));
-    let s_disk = b.add_service(cfg.common.model(mongodb::disk_model(cfg.disk_read_s)));
-
-    let mt = |threads: usize| ExecSpec::MultiThreaded {
-        threads,
-        ctx_switch: SimDuration::from_micros(2),
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn social_network_full(cfg: &SocialNetworkFullConfig) -> SimResult<ScenarioConfig> {
+    let base = SocialNetworkConfig {
+        arrivals: cfg.arrivals.clone(),
+        frontend_threads: cfg.frontend_threads,
+        frontend_cores: cfg.frontend_cores,
+        connections: cfg.connections,
+        pool_size: cfg.pool_size,
+        common: cfg.common.clone(),
     };
-    let i_front = b.add_instance(
-        "frontend",
-        s_front,
-        m_front,
-        cfg.frontend_cores,
-        mt(cfg.frontend_threads),
-    )?;
-    let i_user = b.add_instance("user", s_user, m_back, 2, mt(8))?;
-    let i_post = b.add_instance("post", s_post, m_back, 2, mt(8))?;
-    let i_media = b.add_instance("media", s_media, m_back, 2, mt(8))?;
-    let i_user_mc = b.add_instance("user_mc", s_mc, m_back, 1, mt(1))?;
-    let i_post_mc = b.add_instance("post_mc", s_mc, m_back, 1, mt(1))?;
-    let i_media_mc = b.add_instance("media_mc", s_mc, m_back, 1, mt(1))?;
-    let i_mongo = b.add_instance("mongod", s_mongo, m_back, 2, ExecSpec::Simple)?;
-    let i_disk = b.add_instance("disk", s_disk, m_back, 2, ExecSpec::Simple)?;
-    b.add_pool(i_front, i_user, cfg.pool_size)?;
-    b.add_pool(i_front, i_post, cfg.pool_size)?;
-    b.add_pool(i_front, i_media, cfg.pool_size)?;
-    b.add_pool(i_user, i_user_mc, cfg.pool_size)?;
-    b.add_pool(i_post, i_post_mc, cfg.pool_size)?;
-    b.add_pool(i_media, i_media_mc, cfg.pool_size)?;
-    b.add_pool(i_post, i_mongo, cfg.pool_size)?;
+    Ok(social(&base, Some((cfg.mix, cfg.disk_read_s))))
+}
 
-    let handle = thrift::paths::HANDLE;
-    let compose = thrift::paths::COMPOSE;
-    let svc_node = |name: &str, svc, inst, path| {
-        service_node(name, svc, fixed(inst), path, LinkKind::Request, Vec::new())
+/// Both social networks: the read-post deployment and, with `full` (the
+/// mix and the mean disk read, seconds), the database tier and the three
+/// further request types.
+///
+/// Every call is a synchronous Thrift RPC: the calling node holds its
+/// worker thread (`block_thread_until`) until its continuation node, pinned
+/// to that thread, has the reply.
+fn social(cfg: &SocialNetworkConfig, full: Option<(SocialMix, f64)>) -> ScenarioConfig {
+    let front = thrift::service_model("frontend", 30e-6, 18e-6);
+    let user = thrift::service_model("user_service", 20e-6, 12e-6);
+    let post = thrift::service_model("post_service", 22e-6, 12e-6);
+    let media = thrift::service_model("media_service", 24e-6, 12e-6);
+    let mc = memcached::service_model();
+    let (handle, compose) = (thrift::paths::HANDLE, thrift::paths::COMPOSE);
+    let (mc_read, mc_write) = (memcached::paths::READ, memcached::paths::WRITE);
+    let reply_of = |n: &str| LinkConfig::Reply { of: n.into() };
+
+    // `F1`: the frontend receives the request, issues `calls` in parallel
+    // and waits for node `until`.
+    let f1 = |calls: &[&str], until: &str| {
+        let (inst, calls) = (fixed("frontend"), calls.iter().copied());
+        blocking(node("F1", &front, inst, handle, Request, calls), until)
     };
-
-    // ---- read_post (all caches hit) -----------------------------------
-    let ty_read = {
-        let mut d = RequestTypeBuilder::new("read_post");
-        let f1 = d.add(svc_node("F1", s_front, i_front, handle));
-        let u1 = d.add(svc_node("U1", s_user, i_user, handle));
-        let um = d.add(svc_node("UM", s_mc, i_user_mc, memcached::paths::READ));
-        let u2 = d.add(
-            PathNodeSpec::reply_to_parent("U2", s_user, u1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let p1 = d.add(svc_node("P1", s_post, i_post, handle));
-        let pm = d.add(svc_node("PM", s_mc, i_post_mc, memcached::paths::READ));
-        let p2 = d.add(
-            PathNodeSpec::reply_to_parent("P2", s_post, p1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let j1 = d.add(service_node(
-            "J1",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::ReplyVia {
-                entries: vec![(u2, u1), (p2, p1)],
-            },
-            Vec::new(),
-        ));
-        let m1 = d.add(svc_node("M1", s_media, i_media, handle));
-        let mm = d.add(svc_node("MM", s_mc, i_media_mc, memcached::paths::READ));
-        let m2 = d.add(
-            PathNodeSpec::reply_to_parent("M2", s_media, m1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let j2 = d.add(service_node(
-            "J2",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::Reply { of: m1 },
-            Vec::new(),
-        ));
-        let sink = d.add(PathNodeSpec::client_sink(f1));
-        for (a, bb) in [
-            (f1, u1),
-            (f1, p1),
-            (u1, um),
-            (um, u2),
-            (u2, j1),
-            (p1, pm),
-            (pm, p2),
-            (p2, j1),
-            (j1, m1),
-            (m1, mm),
-            (mm, m2),
-            (m2, j2),
-            (j2, sink),
-        ] {
-            d.link(a, bb);
-        }
-        d.node_mut(f1).block_thread_until = Some(j1);
-        d.node_mut(u1).block_thread_until = Some(u2);
-        d.node_mut(u2).pin_thread_of = Some(u1);
-        d.node_mut(p1).block_thread_until = Some(p2);
-        d.node_mut(p2).pin_thread_of = Some(p1);
-        d.node_mut(j1).pin_thread_of = Some(f1);
-        d.node_mut(j1).block_thread_until = Some(j2);
-        d.node_mut(m1).block_thread_until = Some(m2);
-        d.node_mut(m2).pin_thread_of = Some(m1);
-        d.node_mut(j2).pin_thread_of = Some(f1);
-        b.add_request_type(d.finish().map_err(uqsim_core::SimError::InvalidScenario)?)?
+    // A frontend continuation on `F1`'s thread.
+    let resume = |name: &str, link: LinkConfig, next: &str| {
+        pinned(
+            node(name, &front, same_as("F1"), compose, link, [next]),
+            "F1",
+        )
     };
-
-    // ---- read_post_miss (post cache misses → MongoDB → disk) ----------
-    let ty_miss = {
-        let mut d = RequestTypeBuilder::new("read_post_miss");
-        let f1 = d.add(svc_node("F1", s_front, i_front, handle));
-        let u1 = d.add(svc_node("U1", s_user, i_user, handle));
-        let um = d.add(svc_node("UM", s_mc, i_user_mc, memcached::paths::READ));
-        let u2 = d.add(
-            PathNodeSpec::reply_to_parent("U2", s_user, u1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let p1 = d.add(svc_node("P1", s_post, i_post, handle));
-        let pm = d.add(svc_node("PM_miss", s_mc, i_post_mc, memcached::paths::READ));
-        // The post worker resumes on the miss reply and queries MongoDB.
-        let pm1 = d.add(
-            PathNodeSpec::reply_to_parent("Pq", s_post, p1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let g1 = d.add(svc_node("G1", s_mongo, i_mongo, mongodb::paths::QUERY));
-        let disk = d.add(svc_node("D", s_disk, i_disk, mongodb::disk_paths::READ));
-        let g2 = d.add(
-            PathNodeSpec::reply_to_parent("G2", s_mongo, g1).with_exec_path(
-                uqsim_core::path::PathSelect::Fixed {
-                    index: mongodb::paths::RESPOND,
-                },
+    // A call into backend tier `p`, which fronts its own memcached:
+    // handler `{p}1`, cache access `cache`, continuation `{p}2` replying
+    // to `join`.
+    let cached = |p: &str, svc: &ServiceModel, inst: &str, cache: &str, op: usize, join: &str| {
+        let (h, c) = (format!("{p}1"), format!("{p}2"));
+        [
+            blocking(node(&h, svc, fixed(inst), handle, Request, [cache]), &c),
+            node(cache, &mc, fixed(format!("{inst}_mc")), op, Request, [&c]),
+            pinned(
+                node(&c, svc, same_as(&h), compose, ReplyToParent, [join]),
+                &h,
             ),
-        );
-        let p2 = d.add(service_node(
-            "P2",
-            s_post,
-            same_as(4),
-            compose,
-            LinkKind::Reply { of: g1 },
-            Vec::new(),
-        ));
-        let j1 = d.add(service_node(
-            "J1",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::ReplyVia {
-                entries: vec![(u2, u1), (p2, p1)],
-            },
-            Vec::new(),
-        ));
-        let m1 = d.add(svc_node("M1", s_media, i_media, handle));
-        let mm = d.add(svc_node("MM", s_mc, i_media_mc, memcached::paths::READ));
-        let m2 = d.add(
-            PathNodeSpec::reply_to_parent("M2", s_media, m1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let j2 = d.add(service_node(
-            "J2",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::Reply { of: m1 },
-            Vec::new(),
-        ));
-        let sink = d.add(PathNodeSpec::client_sink(f1));
-        for (a, bb) in [
-            (f1, u1),
-            (f1, p1),
-            (u1, um),
-            (um, u2),
-            (u2, j1),
-            (p1, pm),
-            (pm, pm1),
-            (pm1, g1),
-            (g1, disk),
-            (disk, g2),
-            (g2, p2),
-            (p2, j1),
-            (j1, m1),
-            (m1, mm),
-            (mm, m2),
-            (m2, j2),
-            (j2, sink),
-        ] {
-            d.link(a, bb);
-        }
-        d.node_mut(f1).block_thread_until = Some(j1);
-        d.node_mut(u1).block_thread_until = Some(u2);
-        d.node_mut(u2).pin_thread_of = Some(u1);
-        // The post worker blocks twice: for the cache reply, then for the
-        // database reply (the thread is held across the disk read, which
-        // is exactly what a synchronous Thrift handler does).
-        d.node_mut(p1).block_thread_until = Some(pm1);
-        d.node_mut(pm1).pin_thread_of = Some(p1);
-        d.node_mut(pm1).block_thread_until = Some(p2);
-        d.node_mut(p2).pin_thread_of = Some(p1);
-        d.node_mut(j1).pin_thread_of = Some(f1);
-        d.node_mut(j1).block_thread_until = Some(j2);
-        d.node_mut(m1).block_thread_until = Some(m2);
-        d.node_mut(m2).pin_thread_of = Some(m1);
-        d.node_mut(j2).pin_thread_of = Some(f1);
-        b.add_request_type(d.finish().map_err(uqsim_core::SimError::InvalidScenario)?)?
+        ]
+    };
+    // How both read flows end. `J1` joins the replies of the user (via
+    // `U2`) and post (via `P2`) subtrees — each copy travels back on the
+    // connection that entered that subtree's first node — then calls the
+    // media tier; `J2` receives its reply on the connection that entered
+    // `M1` and responds.
+    let join_media_respond = || {
+        let via = |from: &str, entry: &str| (from.to_string(), entry.to_string());
+        let entries = vec![via("U2", "U1"), via("P2", "P1")];
+        let j1 = resume("J1", LinkConfig::ReplyVia { entries }, "M1");
+        let mut nodes = vec![blocking(j1, "J2")];
+        nodes.extend(cached("M", &media, "media", "MM", mc_read, "J2"));
+        nodes.push(resume("J2", reply_of("M1"), "client_sink"));
+        nodes.push(PathNodeConfig::client_sink("F1"));
+        nodes
+    };
+    // A flow of one backend call, after which `J` responds.
+    let one_call = |call: [PathNodeConfig; 3]| {
+        let callee = call[0].name.clone();
+        let mut nodes = vec![f1(&[&callee], "J")];
+        nodes.extend(call);
+        nodes.push(resume("J", reply_of(&callee), "client_sink"));
+        nodes.push(PathNodeConfig::client_sink("F1"));
+        nodes
     };
 
-    // ---- compose_post (write through the post service) ----------------
-    let ty_compose = {
-        let mut d = RequestTypeBuilder::new("compose_post");
-        let f1 = d.add(svc_node("F1", s_front, i_front, handle));
-        let p1 = d.add(svc_node("P1", s_post, i_post, handle));
-        let pw = d.add(svc_node("PW", s_mc, i_post_mc, memcached::paths::WRITE));
-        let p2 = d.add(
-            PathNodeSpec::reply_to_parent("P2", s_post, p1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let j = d.add(service_node(
-            "J",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::Reply { of: p1 },
-            Vec::new(),
-        ));
-        let sink = d.add(PathNodeSpec::client_sink(f1));
-        for (a, bb) in [(f1, p1), (p1, pw), (pw, p2), (p2, j), (j, sink)] {
-            d.link(a, bb);
-        }
-        d.node_mut(f1).block_thread_until = Some(j);
-        d.node_mut(p1).block_thread_until = Some(p2);
-        d.node_mut(p2).pin_thread_of = Some(p1);
-        d.node_mut(j).pin_thread_of = Some(f1);
-        b.add_request_type(d.finish().map_err(uqsim_core::SimError::InvalidScenario)?)?
-    };
+    let mut read = vec![f1(&["U1", "P1"], "J1")];
+    read.extend(cached("U", &user, "user", "UM", mc_read, "J1"));
+    read.extend(cached("P", &post, "post", "PM", mc_read, "J1"));
+    read.extend(join_media_respond());
+    let mut request_types = vec![request_type("read_post", read)];
+    let mut mix = vec![("read_post", 1.0)];
 
-    // ---- browse_user ----------------------------------------------------
-    let ty_browse = {
-        let mut d = RequestTypeBuilder::new("browse_user");
-        let f1 = d.add(svc_node("F1", s_front, i_front, handle));
-        let u1 = d.add(svc_node("U1", s_user, i_user, handle));
-        let um = d.add(svc_node("UM", s_mc, i_user_mc, memcached::paths::READ));
-        let u2 = d.add(
-            PathNodeSpec::reply_to_parent("U2", s_user, u1)
-                .with_exec_path(uqsim_core::path::PathSelect::Fixed { index: compose }),
-        );
-        let j = d.add(service_node(
-            "J",
-            s_front,
-            same_as(0),
-            compose,
-            LinkKind::Reply { of: u1 },
-            Vec::new(),
-        ));
-        let sink = d.add(PathNodeSpec::client_sink(f1));
-        for (a, bb) in [(f1, u1), (u1, um), (um, u2), (u2, j), (j, sink)] {
-            d.link(a, bb);
-        }
-        d.node_mut(f1).block_thread_until = Some(j);
-        d.node_mut(u1).block_thread_until = Some(u2);
-        d.node_mut(u2).pin_thread_of = Some(u1);
-        d.node_mut(j).pin_thread_of = Some(f1);
-        b.add_request_type(d.finish().map_err(uqsim_core::SimError::InvalidScenario)?)?
-    };
+    let mut instances = vec![instance(
+        "frontend",
+        &front,
+        "frontend-host",
+        cfg.frontend_cores,
+        threads(cfg.frontend_threads),
+    )];
+    let backends = [("user", &user), ("post", &post), ("media", &media)];
+    for (name, svc) in backends {
+        instances.push(instance(name, svc, "backend-host", 2, threads(8)));
+    }
+    for (name, _) in backends {
+        let cache = format!("{name}_mc");
+        instances.push(instance(cache, &mc, "backend-host", 1, threads(1)));
+    }
+    let mut pools: Vec<PoolConfig> = backends
+        .iter()
+        .map(|(name, _)| pool("frontend", *name, cfg.pool_size))
+        .collect();
+    for (name, _) in backends {
+        pools.push(pool(name, format!("{name}_mc"), cfg.pool_size));
+    }
+    let mut backend_cores = 9;
+    let mut db_tier = Vec::new();
 
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::weighted(vec![
-                (ty_read, cfg.mix.read),
-                (ty_miss, cfg.mix.read_miss),
-                (ty_compose, cfg.mix.compose),
-                (ty_browse, cfg.mix.browse),
-            ]),
-            request_size: Distribution::exponential(256.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_front],
-    );
-    b.build()
+    if let Some((weights, disk_read_s)) = full {
+        let (mongo, disk) = (mongodb::service_model(), mongodb::disk_model(disk_read_s));
+        let request = |name: &str, svc: &ServiceModel, inst: &str, path: usize, next: &str| {
+            node(name, svc, fixed(inst), path, Request, [next])
+        };
+        let on_p1 = |name: &str, link: LinkConfig, next: &str| {
+            pinned(
+                node(name, &post, same_as("P1"), compose, link, [next]),
+                "P1",
+            )
+        };
+        // Post cache miss: the post worker resumes on the miss reply
+        // (`Pq`) and queries MongoDB, which reads the disk. The worker
+        // blocks twice — for the cache reply, then for the database reply
+        // (the thread is held across the disk read, exactly what a
+        // synchronous Thrift handler does).
+        let mut miss = vec![f1(&["U1", "P1"], "J1")];
+        miss.extend(cached("U", &user, "user", "UM", mc_read, "J1"));
+        miss.extend([
+            blocking(request("P1", &post, "post", handle, "PM_miss"), "Pq"),
+            request("PM_miss", &mc, "post_mc", mc_read, "Pq"),
+            blocking(on_p1("Pq", ReplyToParent, "G1"), "P2"),
+            request("G1", &mongo, "mongod", mongodb::paths::QUERY, "D"),
+            request("D", &disk, "disk", mongodb::disk_paths::READ, "G2"),
+            node(
+                "G2",
+                &mongo,
+                same_as("G1"),
+                mongodb::paths::RESPOND,
+                ReplyToParent,
+                ["P2"],
+            ),
+            on_p1("P2", reply_of("G1"), "J1"),
+        ]);
+        miss.extend(join_media_respond());
+        let write = one_call(cached("P", &post, "post", "PW", mc_write, "J"));
+        let browse = one_call(cached("U", &user, "user", "UM", mc_read, "J"));
+        request_types.extend([
+            request_type("read_post_miss", miss),
+            request_type("compose_post", write),
+            request_type("browse_user", browse),
+        ]);
+        mix = vec![
+            ("read_post", weights.read),
+            ("read_post_miss", weights.read_miss),
+            ("compose_post", weights.compose),
+            ("browse_user", weights.browse),
+        ];
+        instances.extend([
+            instance("mongod", &mongo, "backend-host", 2, ExecConfig::Simple),
+            instance("disk", &disk, "backend-host", 2, ExecConfig::Simple),
+        ]);
+        pools.push(pool("post", "mongod", cfg.pool_size));
+        backend_cores = 13;
+        db_tier = vec![mongo, disk];
+    }
+    let mut services = vec![front, user, post, media, mc];
+    services.extend(db_tier);
+    cfg.common.scenario(
+        vec![
+            MachineSpec::xeon("frontend-host", cfg.frontend_cores + 4),
+            MachineSpec::xeon("backend-host", backend_cores + 4),
+        ],
+        services,
+        instances,
+        pools,
+        request_types,
+        vec![client(
+            "clients",
+            cfg.connections,
+            &cfg.arrivals,
+            &mix,
+            "frontend",
+            Distribution::exponential(256.0),
+        )],
+    )
 }
 
 // ====================================================================
@@ -1434,7 +1219,7 @@ impl TailAtScaleConfig {
     }
 }
 
-/// Builds the tail-at-scale cluster: a negligible-cost dispatcher fans each
+/// The tail-at-scale cluster: a negligible-cost dispatcher fans each
 /// request to every leaf (single-stage, exponential service) and the
 /// response returns when the last leaf answers. A `slow_fraction` of leaves
 /// runs `slowdown`× slower. Instances: `"dispatcher"`, `"leaf{i}"`.
@@ -1444,104 +1229,78 @@ impl TailAtScaleConfig {
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures.
-pub fn tail_at_scale(cfg: &TailAtScaleConfig) -> SimResult<Simulator> {
-    let mut b = cfg.common.builder();
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
+pub fn tail_at_scale(cfg: &TailAtScaleConfig) -> SimResult<ScenarioConfig> {
     let n = cfg.cluster_size;
-    let mut disp_machine = MachineSpec::xeon("dispatcher-host", 4);
-    disp_machine.network = uqsim_core::machine::NetworkSpec::passthrough(20e-6);
-    let m_disp = b.add_machine(disp_machine);
-    let mut leaf_machine = MachineSpec::xeon("leaf-host", n);
-    leaf_machine.network = uqsim_core::machine::NetworkSpec::passthrough(20e-6);
-    let m_leaf = b.add_machine(leaf_machine);
-
-    let leaf_model = |name: &str, mean: f64| {
-        ServiceModel::new(
-            name,
-            vec![StageSpec::new(
-                "serve",
-                QueueDiscipline::Single,
-                ServiceTimeModel::per_job(Distribution::exponential(mean), 2.6),
-            )],
-            vec![ExecPath::new("serve", vec![StageId::from_raw(0)])],
-        )
+    let machine = |name: &str, cores: usize| MachineSpec {
+        network: NetworkSpec::passthrough(20e-6),
+        ..MachineSpec::xeon(name, cores)
     };
-    let dispatcher_model = ServiceModel::new(
+    let dispatcher = single_stage(
         "dispatcher",
-        vec![StageSpec::new(
-            "dispatch",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::constant(1e-6), 2.6),
-        )],
-        vec![ExecPath::new("dispatch", vec![StageId::from_raw(0)])],
-    );
-    let s_disp = b.add_service(cfg.common.model(dispatcher_model));
-    let s_fast = b.add_service(cfg.common.model(leaf_model("leaf", cfg.mean_service_s)));
-    let s_slow = b.add_service(
-        cfg.common
-            .model(leaf_model("slow_leaf", cfg.mean_service_s * cfg.slowdown)),
-    );
-    let i_disp = b.add_instance("dispatcher", s_disp, m_disp, 4, ExecSpec::Simple)?;
-    let n_slow = (cfg.slow_fraction * n as f64).round() as usize;
-    let mut leaves = Vec::with_capacity(n);
-    for k in 0..n {
-        let svc = if k < n_slow { s_slow } else { s_fast };
-        leaves.push(b.add_instance(format!("leaf{k}"), svc, m_leaf, 1, ExecSpec::Simple)?);
-    }
-
-    let join = n + 1;
-    let sink = n + 2;
-    let mut nodes = vec![service_node(
         "dispatch",
-        s_disp,
-        fixed(i_disp),
-        0,
-        LinkKind::Request,
-        (1..=n).map(nid).collect(),
-    )];
-    for (k, &leaf) in leaves.iter().enumerate() {
-        let svc = if k < n_slow { s_slow } else { s_fast };
-        nodes.push(service_node(
-            &format!("leaf{k}"),
-            svc,
-            fixed(leaf),
-            0,
-            LinkKind::Request,
-            vec![nid(join)],
-        ));
-    }
-    nodes.push(service_node(
-        "join",
-        s_disp,
-        same_as(0),
-        0,
-        LinkKind::ReplyToParent,
-        vec![nid(sink)],
-    ));
-    nodes.push(PathNodeSpec::client_sink(nid(0)));
-    let ty = b.add_request_type(RequestType::new("fanout", nodes, nid(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "clients".into(),
-            connections: 4096,
-            arrivals: ArrivalProcess::poisson(cfg.qps),
-            mix: RequestMix::single(ty),
-            request_size: Distribution::constant(64.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_disp],
+        "dispatch",
+        Distribution::constant(1e-6),
     );
-    b.build()
+    let leaf_model = |name: &str, mean: f64| {
+        single_stage(name, "serve", "serve", Distribution::exponential(mean))
+    };
+    let fast = leaf_model("leaf", cfg.mean_service_s);
+    let slow = leaf_model("slow_leaf", cfg.mean_service_s * cfg.slowdown);
+    let n_slow = (cfg.slow_fraction * n as f64).round() as usize;
+    let leaves: Vec<(String, &ServiceModel)> = (0..n)
+        .map(|k| (format!("leaf{k}"), if k < n_slow { &slow } else { &fast }))
+        .collect();
+
+    let mut instances = vec![instance(
+        "dispatcher",
+        &dispatcher,
+        "dispatcher-host",
+        4,
+        ExecConfig::Simple,
+    )];
+    let mut nodes = vec![node(
+        "dispatch",
+        &dispatcher,
+        fixed("dispatcher"),
+        0,
+        Request,
+        leaves.iter().map(|(leaf, _)| leaf),
+    )];
+    for (leaf, svc) in &leaves {
+        instances.push(instance(leaf, svc, "leaf-host", 1, ExecConfig::Simple));
+        nodes.push(node(leaf, svc, fixed(leaf), 0, Request, ["join"]));
+    }
+    nodes.push(node(
+        "join",
+        &dispatcher,
+        same_as("dispatch"),
+        0,
+        ReplyToParent,
+        ["client_sink"],
+    ));
+    nodes.push(PathNodeConfig::client_sink("dispatch"));
+    drop(leaves);
+    Ok(cfg.common.scenario(
+        vec![machine("dispatcher-host", 4), machine("leaf-host", n)],
+        vec![dispatcher, fast, slow],
+        instances,
+        Vec::new(),
+        vec![request_type("fanout", nodes)],
+        vec![ClientConfig {
+            request_size: Distribution::constant(64.0),
+            ..ClientConfig::open_loop("clients", cfg.qps, 4096, "fanout", "dispatcher")
+        }],
+    ))
 }
 
 // ====================================================================
 // Pod cluster: N independent 2-tier pods (partitioned-execution fodder)
 // ====================================================================
 
-/// A cluster of `pods` independent two-machine pods, as a plain
-/// [`ScenarioConfig`] (not a built simulator) so it can feed the
-/// partitioned engine
+/// A cluster of `pods` independent two-machine pods, the scenario behind
+/// the partitioned engine's tests
 /// ([`uqsim_core::partition::run_partitioned`]) and the `uqsim` CLI's
 /// `--shards` flag.
 ///
@@ -1557,8 +1316,8 @@ pub fn tail_at_scale(cfg: &TailAtScaleConfig) -> SimResult<Simulator> {
 ///
 /// # Errors
 ///
-/// Propagates JSON-assembly errors from
-/// [`ScenarioConfig::from_json`] (none are expected for valid inputs).
+/// None at present: dangling names and invalid sizes are reported by
+/// [`ScenarioConfig::build`].
 ///
 /// # Examples
 ///
@@ -1574,110 +1333,91 @@ pub fn tail_at_scale(cfg: &TailAtScaleConfig) -> SimResult<Simulator> {
 /// # }
 /// ```
 pub fn pod_cluster(pods: usize, qps_per_pod: f64) -> SimResult<ScenarioConfig> {
-    let machine = |name: &str| {
-        format!(
-            r#"{{ "name": "{name}", "cores": 2,
-      "dvfs": {{ "levels_ghz": [2.6] }},
-      "network": {{ "irq_cores": 1,
-        "rx_time": {{ "type": "exponential", "mean": 0.0000166 }},
-        "wire_latency": {{ "type": "constant", "value": 0.00002 }} }} }}"#
-        )
+    let machine = |name: String| MachineSpec {
+        name,
+        cores: 2,
+        dvfs: DvfsSpec::fixed(2.6),
+        network: NetworkSpec {
+            irq_cores: 1,
+            rx_time: Distribution::exponential(16.6e-6),
+            ..NetworkSpec::passthrough(20e-6)
+        },
+        power: Default::default(),
     };
     let service = |name: &str, mean_s: f64| {
-        format!(
-            r#"{{ "name": "{name}",
-      "stages": [
-        {{ "name": "handler", "queue": {{ "type": "single" }},
-          "service": {{ "base": {{ "type": "constant", "value": 0.0 }},
-            "per_job": {{ "type": "exponential", "mean": {mean_s} }},
-            "ref_freq_ghz": 2.6, "freq_alpha": 1.0 }} }}
-      ],
-      "paths": [{{ "name": "default", "stages": [0] }}] }}"#
+        single_stage(
+            name,
+            "handler",
+            "default",
+            Distribution::exponential(mean_s),
         )
     };
-    let mut machines = Vec::new();
-    let mut instances = Vec::new();
-    let mut pools = Vec::new();
-    let mut request_types = Vec::new();
-    let mut clients = Vec::new();
+    let (front, store) = (service("front", 60e-6), service("store", 40e-6));
+    let (mut machines, mut instances, mut pools) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut request_types, mut clients) = (Vec::new(), Vec::new());
     for i in 0..pods.max(1) {
-        machines.push(machine(&format!("p{i}-fe")));
-        machines.push(machine(&format!("p{i}-be")));
-        instances.push(format!(
-            r#"{{ "name": "p{i}-front", "service": "front", "machine": "p{i}-fe",
-      "cores": 1, "exec": {{ "type": "simple" }} }}"#
+        let (fe, be) = (format!("p{i}-front"), format!("p{i}-store"));
+        machines.extend([machine(format!("p{i}-fe")), machine(format!("p{i}-be"))]);
+        instances.extend([
+            instance(&fe, &front, &format!("p{i}-fe"), 1, ExecConfig::Simple),
+            instance(&be, &store, &format!("p{i}-be"), 1, ExecConfig::Simple),
+        ]);
+        pools.push(pool(&fe, &be, 8));
+        let nodes = vec![
+            node("recv", &front, fixed(&fe), 0, Request, ["fetch"]),
+            node("fetch", &store, fixed(&be), 0, Request, ["respond"]),
+            node(
+                "respond",
+                &front,
+                same_as("recv"),
+                0,
+                ReplyToParent,
+                ["sink"],
+            ),
+            PathNodeConfig {
+                name: "sink".into(),
+                ..PathNodeConfig::client_sink("recv")
+            },
+        ];
+        let ty = format!("get{i}");
+        request_types.push(request_type(&ty, nodes));
+        clients.push(ClientConfig::open_loop(
+            format!("wrk{i}"),
+            qps_per_pod,
+            32,
+            ty,
+            fe,
         ));
-        instances.push(format!(
-            r#"{{ "name": "p{i}-store", "service": "store", "machine": "p{i}-be",
-      "cores": 1, "exec": {{ "type": "simple" }} }}"#
-        ));
-        pools.push(format!(
-            r#"{{ "up": "p{i}-front", "down": "p{i}-store", "size": 8 }}"#
-        ));
-        request_types.push(format!(
-            r#"{{ "name": "get{i}",
-      "nodes": [
-        {{ "name": "recv",
-          "target": {{ "type": "service", "service": "front",
-            "instance": {{ "type": "fixed", "name": "p{i}-front" }},
-            "exec_path": "default" }},
-          "children": ["fetch"] }},
-        {{ "name": "fetch",
-          "target": {{ "type": "service", "service": "store",
-            "instance": {{ "type": "fixed", "name": "p{i}-store" }},
-            "exec_path": "default" }},
-          "children": ["respond"] }},
-        {{ "name": "respond",
-          "target": {{ "type": "service", "service": "front",
-            "instance": {{ "type": "same_as_node", "node": "recv" }},
-            "exec_path": "default" }},
-          "children": ["sink"], "link": "reply_to_parent" }},
-        {{ "name": "sink", "target": {{ "type": "client_sink" }},
-          "link": {{ "reply": {{ "of": "recv" }} }} }}
-      ] }}"#
-        ));
-        clients.push(format!(
-            r#"{{ "name": "wrk{i}", "connections": 32,
-      "arrivals": {{ "type": "poisson",
-        "schedule": {{ "segments": [[0.0, {qps_per_pod}]] }} }},
-      "mix": [["get{i}", 1.0]], "roots": ["p{i}-front"] }}"#
-        ))
     }
-    let json = format!(
-        r#"{{
-  "seed": 42,
-  "warmup_s": 0.1,
-  "machines": [{}],
-  "services": [{}, {}],
-  "instances": [{}],
-  "pools": [{}],
-  "request_types": [{}],
-  "clients": [{}]
-}}"#,
-        machines.join(",\n"),
-        service("front", 0.00006),
-        service("store", 0.00004),
-        instances.join(",\n"),
-        pools.join(",\n"),
-        request_types.join(",\n"),
-        clients.join(",\n"),
-    );
-    ScenarioConfig::from_json(&json)
+    let common = CommonOpts {
+        seed: 42,
+        warmup: SimDuration::from_millis(100),
+        noise: None,
+    };
+    Ok(common.scenario(
+        machines,
+        vec![front, store],
+        instances,
+        pools,
+        request_types,
+        clients,
+    ))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uqsim_core::time::{SimDuration, SimTime};
+    use uqsim_core::Simulator;
 
-    fn quick(mut sim: Simulator, secs: u64) -> Simulator {
+    fn quick(cfg: SimResult<ScenarioConfig>, secs: u64) -> Simulator {
+        let mut sim = cfg.unwrap().build().unwrap();
         sim.run_for(SimDuration::from_secs(secs));
         sim
     }
 
     #[test]
     fn two_tier_runs_and_completes() {
-        let sim = quick(two_tier(&TwoTierConfig::at_qps(10_000.0)).unwrap(), 3);
+        let sim = quick(two_tier(&TwoTierConfig::at_qps(10_000.0)), 3);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 10_000.0).abs() / 10_000.0 < 0.05, "tput {tput}");
         let s = sim.latency_summary();
@@ -1690,10 +1430,10 @@ mod tests {
     fn two_tier_saturates_near_70k() {
         // 8 NGINX workers at ~114us/request → ~70 kQPS. At 60k the app
         // keeps up; at 90k it visibly cannot.
-        let ok = quick(two_tier(&TwoTierConfig::at_qps(60_000.0)).unwrap(), 4);
+        let ok = quick(two_tier(&TwoTierConfig::at_qps(60_000.0)), 4);
         let tput_ok = ok.completed() as f64 / ok.now().as_secs_f64();
         assert!(tput_ok > 0.95 * 60_000.0, "tput {tput_ok}");
-        let over = quick(two_tier(&TwoTierConfig::at_qps(90_000.0)).unwrap(), 4);
+        let over = quick(two_tier(&TwoTierConfig::at_qps(90_000.0)), 4);
         let tput_over = over.completed() as f64 / over.now().as_secs_f64();
         assert!(tput_over < 80_000.0, "overload tput {tput_over}");
         assert!(
@@ -1705,7 +1445,7 @@ mod tests {
     #[test]
     fn three_tier_is_disk_bound() {
         let cfg = ThreeTierConfig::at_qps(3_000.0);
-        let sim = quick(three_tier(&cfg).unwrap(), 4);
+        let sim = quick(three_tier(&cfg), 4);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 3_000.0).abs() / 3_000.0 < 0.06, "tput {tput}");
         // Disk utilization dwarfs nginx utilization at this load.
@@ -1717,23 +1457,17 @@ mod tests {
 
     #[test]
     fn load_balanced_scales() {
-        let s4 = quick(
-            load_balanced(&LoadBalancedConfig::new(4, 30_000.0)).unwrap(),
-            3,
-        );
+        let s4 = quick(load_balanced(&LoadBalancedConfig::new(4, 30_000.0)), 3);
         let t4 = s4.completed() as f64 / s4.now().as_secs_f64();
         assert!(t4 > 0.95 * 30_000.0, "4-way at 30k: {t4}");
-        let s8 = quick(
-            load_balanced(&LoadBalancedConfig::new(8, 60_000.0)).unwrap(),
-            3,
-        );
+        let s8 = quick(load_balanced(&LoadBalancedConfig::new(8, 60_000.0)), 3);
         let t8 = s8.completed() as f64 / s8.now().as_secs_f64();
         assert!(t8 > 0.95 * 60_000.0, "8-way at 60k: {t8}");
     }
 
     #[test]
     fn fanout_waits_for_all_leaves() {
-        let sim = quick(fanout(&FanoutConfig::new(8, 3_000.0)).unwrap(), 3);
+        let sim = quick(fanout(&FanoutConfig::new(8, 3_000.0)), 3);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 3_000.0).abs() / 3_000.0 < 0.06, "tput {tput}");
         // p99 of max-of-8 must exceed the single-leaf p50 substantially.
@@ -1743,10 +1477,7 @@ mod tests {
 
     #[test]
     fn thrift_hello_low_load_under_100us() {
-        let sim = quick(
-            thrift_hello(&ThriftHelloConfig::at_qps(5_000.0)).unwrap(),
-            3,
-        );
+        let sim = quick(thrift_hello(&ThriftHelloConfig::at_qps(5_000.0)), 3);
         let s = sim.latency_summary();
         assert!(s.mean < 150e-6, "mean {}us", s.mean * 1e6);
         assert!(s.p50 < 100e-6, "p50 {}us", s.p50 * 1e6);
@@ -1754,26 +1485,17 @@ mod tests {
 
     #[test]
     fn thrift_hello_saturates_past_50k() {
-        let ok = quick(
-            thrift_hello(&ThriftHelloConfig::at_qps(45_000.0)).unwrap(),
-            3,
-        );
+        let ok = quick(thrift_hello(&ThriftHelloConfig::at_qps(45_000.0)), 3);
         let t = ok.completed() as f64 / ok.now().as_secs_f64();
         assert!(t > 0.95 * 45_000.0, "tput {t}");
-        let over = quick(
-            thrift_hello(&ThriftHelloConfig::at_qps(70_000.0)).unwrap(),
-            3,
-        );
+        let over = quick(thrift_hello(&ThriftHelloConfig::at_qps(70_000.0)), 3);
         let t_over = over.completed() as f64 / over.now().as_secs_f64();
         assert!(t_over < 60_000.0, "overload tput {t_over}");
     }
 
     #[test]
     fn social_network_completes_and_blocks_threads() {
-        let sim = quick(
-            social_network(&SocialNetworkConfig::at_qps(5_000.0)).unwrap(),
-            3,
-        );
+        let sim = quick(social_network(&SocialNetworkConfig::at_qps(5_000.0)), 3);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 5_000.0).abs() / 5_000.0 < 0.06, "tput {tput}");
         // Two sequential synchronous phases: latency well above a single
@@ -1784,8 +1506,7 @@ mod tests {
     #[test]
     fn three_tier_hit_and_miss_types_diverge() {
         let cfg = ThreeTierConfig::at_qps(2_500.0);
-        let mut sim = three_tier(&cfg).unwrap();
-        sim.run_for(SimDuration::from_secs(4));
+        let sim = quick(three_tier(&cfg), 4);
         let hit = sim.request_type_by_name("get_hit").unwrap();
         let miss = sim.request_type_by_name("get_miss").unwrap();
         let hit_s = sim.type_latency_summary(hit);
@@ -1806,8 +1527,7 @@ mod tests {
     #[test]
     fn social_network_full_mix_runs() {
         let cfg = SocialNetworkFullConfig::at_qps(4_000.0);
-        let mut sim = social_network_full(&cfg).unwrap();
-        sim.run_for(SimDuration::from_secs(4));
+        let sim = quick(social_network_full(&cfg), 4);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 4_000.0).abs() / 4_000.0 < 0.06, "tput {tput}");
         // Cache misses pay the disk read: their tail dwarfs the hit path's.
@@ -1837,8 +1557,7 @@ mod tests {
         let run = |seed: u64| {
             let mut cfg = SocialNetworkFullConfig::at_qps(3_000.0);
             cfg.common.seed = seed;
-            let mut sim = social_network_full(&cfg).unwrap();
-            sim.run_for(SimDuration::from_secs(2));
+            let sim = quick(social_network_full(&cfg), 2);
             (sim.completed(), format!("{:?}", sim.latency_summary()))
         };
         assert_eq!(run(7), run(7));
@@ -1847,14 +1566,8 @@ mod tests {
 
     #[test]
     fn tail_at_scale_slow_leaves_dominate() {
-        let clean = quick(
-            tail_at_scale(&TailAtScaleConfig::new(50, 0.0, 60.0)).unwrap(),
-            8,
-        );
-        let slow = quick(
-            tail_at_scale(&TailAtScaleConfig::new(50, 0.02, 60.0)).unwrap(),
-            8,
-        );
+        let clean = quick(tail_at_scale(&TailAtScaleConfig::new(50, 0.0, 60.0)), 8);
+        let slow = quick(tail_at_scale(&TailAtScaleConfig::new(50, 0.02, 60.0)), 8);
         // One slow leaf out of 50 drags p99 toward the 10x regime.
         assert!(
             slow.latency_summary().p99 > 2.0 * clean.latency_summary().p99,
@@ -1866,12 +1579,9 @@ mod tests {
 
     #[test]
     fn single_tier_scenarios_run() {
-        let n = quick(single_nginx(5_000.0, &CommonOpts::default()).unwrap(), 2);
+        let n = quick(single_nginx(5_000.0, &CommonOpts::default()), 2);
         assert!(n.completed() > 4_000);
-        let m = quick(
-            single_memcached(20_000.0, 4, &CommonOpts::default()).unwrap(),
-            2,
-        );
+        let m = quick(single_memcached(20_000.0, 4, &CommonOpts::default()), 2);
         assert!(m.completed() > 15_000);
     }
 
@@ -1879,8 +1589,8 @@ mod tests {
     fn noise_makes_tail_worse() {
         let mut noisy_cfg = TwoTierConfig::at_qps(20_000.0);
         noisy_cfg.common.noise = Some(crate::noise::NoiseProfile::default());
-        let clean = quick(two_tier(&TwoTierConfig::at_qps(20_000.0)).unwrap(), 3);
-        let noisy = quick(two_tier(&noisy_cfg).unwrap(), 3);
+        let clean = quick(two_tier(&TwoTierConfig::at_qps(20_000.0)), 3);
+        let noisy = quick(two_tier(&noisy_cfg), 3);
         assert!(noisy.latency_summary().p99 > clean.latency_summary().p99);
     }
 }

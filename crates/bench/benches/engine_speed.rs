@@ -14,7 +14,9 @@ fn bench_two_tier(c: &mut Criterion) {
     g.sample_size(10);
     for qps in [10_000.0, 50_000.0] {
         // Count events for throughput reporting.
-        let mut probe = two_tier(&TwoTierConfig::at_qps(qps)).expect("scenario builds");
+        let mut probe = two_tier(&TwoTierConfig::at_qps(qps))
+            .and_then(|cfg| cfg.build())
+            .expect("scenario builds");
         probe.run_for(SimDuration::from_millis(500));
         g.throughput(Throughput::Elements(probe.events_processed()));
         g.bench_with_input(
@@ -22,7 +24,9 @@ fn bench_two_tier(c: &mut Criterion) {
             &qps,
             |b, &qps| {
                 b.iter(|| {
-                    let mut sim = two_tier(&TwoTierConfig::at_qps(qps)).expect("scenario builds");
+                    let mut sim = two_tier(&TwoTierConfig::at_qps(qps))
+                        .and_then(|cfg| cfg.build())
+                        .expect("scenario builds");
                     sim.run_for(SimDuration::from_millis(500));
                     sim.completed()
                 })
@@ -36,13 +40,16 @@ fn bench_social(c: &mut Criterion) {
     let mut g = c.benchmark_group("social_network");
     g.sample_size(10);
     let qps = 10_000.0;
-    let mut probe = social_network(&SocialNetworkConfig::at_qps(qps)).expect("scenario builds");
+    let mut probe = social_network(&SocialNetworkConfig::at_qps(qps))
+        .and_then(|cfg| cfg.build())
+        .expect("scenario builds");
     probe.run_for(SimDuration::from_millis(500));
     g.throughput(Throughput::Elements(probe.events_processed()));
     g.bench_function("sim_500ms_10kqps", |b| {
         b.iter(|| {
-            let mut sim =
-                social_network(&SocialNetworkConfig::at_qps(qps)).expect("scenario builds");
+            let mut sim = social_network(&SocialNetworkConfig::at_qps(qps))
+                .and_then(|cfg| cfg.build())
+                .expect("scenario builds");
             sim.run_for(SimDuration::from_millis(500));
             sim.completed()
         })
@@ -54,12 +61,16 @@ fn bench_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("fanout16");
     g.sample_size(10);
     let qps = 4_000.0;
-    let mut probe = fanout(&FanoutConfig::new(16, qps)).expect("scenario builds");
+    let mut probe = fanout(&FanoutConfig::new(16, qps))
+        .and_then(|cfg| cfg.build())
+        .expect("scenario builds");
     probe.run_for(SimDuration::from_millis(500));
     g.throughput(Throughput::Elements(probe.events_processed()));
     g.bench_function("sim_500ms_4kqps", |b| {
         b.iter(|| {
-            let mut sim = fanout(&FanoutConfig::new(16, qps)).expect("scenario builds");
+            let mut sim = fanout(&FanoutConfig::new(16, qps))
+                .and_then(|cfg| cfg.build())
+                .expect("scenario builds");
             sim.run_for(SimDuration::from_millis(500));
             sim.completed()
         })

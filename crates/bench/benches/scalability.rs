@@ -12,13 +12,17 @@ fn bench_cluster_sizes(c: &mut Criterion) {
     g.sample_size(10);
     for n in [10usize, 50, 100, 500] {
         let cfg = TailAtScaleConfig::new(n, 0.01, 60.0);
-        let mut probe = tail_at_scale(&cfg).expect("scenario builds");
+        let mut probe = tail_at_scale(&cfg)
+            .and_then(|cfg| cfg.build())
+            .expect("scenario builds");
         probe.run_for(SimDuration::from_millis(500));
         g.throughput(Throughput::Elements(probe.events_processed()));
         g.bench_with_input(BenchmarkId::new("sim_500ms", n), &n, |b, &n| {
             b.iter(|| {
                 let cfg = TailAtScaleConfig::new(n, 0.01, 60.0);
-                let mut sim = tail_at_scale(&cfg).expect("scenario builds");
+                let mut sim = tail_at_scale(&cfg)
+                    .and_then(|cfg| cfg.build())
+                    .expect("scenario builds");
                 sim.run_for(SimDuration::from_millis(500));
                 sim.completed()
             })

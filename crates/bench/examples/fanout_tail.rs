@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &n in &[10usize, 50, 200] {
         for &frac in &[0.0, 0.01, 0.05] {
             let cfg = TailAtScaleConfig::new(n, frac, 60.0);
-            let mut sim = tail_at_scale(&cfg)?;
+            let mut sim = tail_at_scale(&cfg)?.build()?;
             sim.run_for(SimDuration::from_secs(6));
             let s = sim.latency_summary();
             println!(

@@ -1,47 +1,20 @@
-//! Declarative configuration: run the same scenario the `uqsim` CLI runs,
-//! entirely from JSON (the paper's Table I inputs), from inside a program.
+//! A figure's cell, from the shell: prints Fig. 5's `{8p, 4t}` 20 kQPS cell
+//! — the scenario `fig05_two_tier --quick` measures at that load — as the
+//! JSON every `uqsim` subcommand takes (the paper's Table I inputs).
 //!
 //! ```text
-//! cargo run --release -p uqsim-bench --example json_scenario
+//! cargo run --release -p uqsim-bench --example json_scenario > cell.json
+//! uqsim validate cell.json
+//! uqsim why --config cell.json --duration 1
 //! ```
 
-use uqsim_core::config::ScenarioConfig;
-use uqsim_core::time::{SimDuration, SimTime};
-
-/// The 2-tier NGINX→memcached scenario shipped with the CLI.
-const TWO_TIER: &str = include_str!("../../cli/configs/two_tier.json");
+use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
+use uqsim_core::time::SimDuration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = ScenarioConfig::from_json(TWO_TIER)?;
-    println!(
-        "loaded scenario: {} machines, {} services, {} instances, {} request types",
-        cfg.machines.len(),
-        cfg.services.len(),
-        cfg.instances.len(),
-        cfg.request_types.len()
-    );
-
-    let mut sim = cfg.build()?;
-    sim.run_for(SimDuration::from_secs(5));
-
-    let s = sim.latency_summary();
-    println!("\nafter 5 simulated seconds at 20 kQPS:");
-    println!("  completed: {}", sim.completed());
-    println!(
-        "  latency: mean {:.3}ms p50 {:.3}ms p99 {:.3}ms",
-        s.mean * 1e3,
-        s.p50 * 1e3,
-        s.p99 * 1e3
-    );
-    let nginx = sim.instance_by_name("nginx").expect("deployed");
-    let mc = sim.instance_by_name("memcached").expect("deployed");
-    println!(
-        "  utilization: nginx {:.0}%, memcached {:.0}%",
-        sim.instance_utilization_since(nginx, SimTime::ZERO) * 100.0,
-        sim.instance_utilization_since(mc, SimTime::ZERO) * 100.0
-    );
-    println!(
-        "\nEdit crates/cli/configs/two_tier.json and re-run — no recompilation of models needed."
-    );
+    // 8 NGINX processes and 4 memcached threads are the defaults.
+    let mut cell = TwoTierConfig::at_qps(20_000.0);
+    cell.common.warmup = SimDuration::from_millis(500);
+    println!("{}", two_tier(&cell)?.to_json());
     Ok(())
 }

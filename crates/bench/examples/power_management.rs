@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.arrivals = ArrivalProcess::Poisson {
         schedule: RateSchedule::diurnal(8_000.0, 40_000.0, 30.0, 12),
     };
-    let mut sim = two_tier(&cfg)?;
+    let mut sim = two_tier(&cfg)?.build()?;
 
     let nginx = sim.instance_by_name("nginx").expect("deployed");
     let mc = sim.instance_by_name("memcached").expect("deployed");

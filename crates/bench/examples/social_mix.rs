@@ -13,7 +13,7 @@ use uqsim_core::trace::sampled_traces;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SocialNetworkFullConfig::at_qps(3_500.0);
-    let mut sim = social_network_full(&cfg)?;
+    let mut sim = social_network_full(&cfg)?.build()?;
     // Enough span-log room for the first 2,000 requests; the four traces
     // below are every 500th of them.
     sim.enable_span_tracing(400_000);

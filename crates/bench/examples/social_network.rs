@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for qps in [2_000.0, 8_000.0, 16_000.0, 24_000.0, 32_000.0] {
         let cfg = SocialNetworkConfig::at_qps(qps);
-        let mut sim = social_network(&cfg)?;
+        let mut sim = social_network(&cfg)?.build()?;
         sim.run_for(SimDuration::from_secs(4));
         let s = sim.latency_summary();
         let achieved = s.count as f64 / 3.0;

@@ -87,7 +87,9 @@ fn main() {
     let mut best_wall = f64::MAX;
     let mut best = (0u64, 0u64, 0u64, 0u64);
     for _ in 0..REPS {
-        let mut sim = two_tier(&TwoTierConfig::at_qps(QPS)).expect("scenario builds");
+        let mut sim = two_tier(&TwoTierConfig::at_qps(QPS))
+            .and_then(|cfg| cfg.build())
+            .expect("scenario builds");
         // Warm the arenas/queues so steady-state allocations are measured,
         // not first-touch growth.
         sim.run_for(SimDuration::from_secs_f64(0.5));

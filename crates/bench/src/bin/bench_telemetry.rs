@@ -38,7 +38,9 @@ struct Measurement {
 fn measure(telemetry: Option<TelemetryConfig>) -> Measurement {
     let mut best: Option<Measurement> = None;
     for _ in 0..REPS {
-        let mut sim = two_tier(&TwoTierConfig::at_qps(QPS)).expect("scenario builds");
+        let mut sim = two_tier(&TwoTierConfig::at_qps(QPS))
+            .and_then(|cfg| cfg.build())
+            .expect("scenario builds");
         if let Some(cfg) = telemetry {
             sim.enable_telemetry(cfg);
         }

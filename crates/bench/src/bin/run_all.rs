@@ -16,7 +16,7 @@ use uqsim_bench::RunOpts;
 fn main() {
     let opts = RunOpts::from_args();
     println!(
-        "run_all: {} worker thread(s) per experiment (override with --jobs N or UQSIM_JOBS)",
+        "run_all: {} worker thread(s) per experiment (override with --jobs N)",
         opts.jobs
     );
     type Step = Box<dyn Fn(&RunOpts) -> Result<(), uqsim_core::SimError>>;

@@ -12,20 +12,16 @@
 //! * **Execution model** — memcached as Simple vs MultiThreaded at equal
 //!   cores: the thread abstraction adds context-switch overhead.
 
-use crate::{linear_loads, measure, print_series, saturation_qps, RunOpts};
+use crate::{linear_loads, print_series, saturation_qps, LoadPoint, RunOpts};
+use uqsim_apps::memcached;
 use uqsim_apps::scenarios::{
-    load_balanced, two_tier, CommonOpts, LoadBalancedConfig, TwoTierConfig,
+    load_balanced, single_memcached, two_tier, CommonOpts, LoadBalancedConfig, TwoTierConfig,
 };
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::{ArrivalProcess, ClientSpec, RequestMix};
-use uqsim_core::ids::PathNodeId;
-use uqsim_core::machine::MachineSpec;
-use uqsim_core::path::{
-    InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
-};
+use uqsim_core::config::{ExecConfig, ScenarioConfig};
+use uqsim_core::dist::Distribution;
+use uqsim_core::machine::{MachineSpec, NetworkSpec};
 use uqsim_core::service::ServiceModel;
 use uqsim_core::stage::QueueDiscipline;
-use uqsim_core::time::SimDuration;
 use uqsim_core::SimResult;
 
 /// Summary numbers of all ablations, for tests.
@@ -56,30 +52,42 @@ fn no_batching(mut model: ServiceModel) -> ServiceModel {
     model
 }
 
-fn build_memcached_with(
+/// A machine with passthrough networking: no irq cores, 20 µs wire.
+fn passthrough(name: &str, cores: usize) -> MachineSpec {
+    MachineSpec {
+        network: NetworkSpec::passthrough(20e-6),
+        ..MachineSpec::xeon(name, cores)
+    }
+}
+
+/// The single-tier memcached of the batching and execution-model
+/// ablations: 4 cores, 1024 client connections so the client never binds,
+/// constant 512-byte requests — on the given machine (named `host`), model
+/// and execution model.
+fn memcached_4core(
+    opts: &RunOpts,
+    machine: MachineSpec,
     model: ServiceModel,
-    qps: f64,
-    common: &CommonOpts,
-) -> SimResult<uqsim_core::Simulator> {
-    let mut b = ScenarioBuilder::new(common.seed);
-    b.warmup(common.warmup);
-    // Passthrough networking isolates the batching effect: with irq cores
-    // enabled, their own ~240 kQPS ceiling confounds the comparison.
-    let mut machine = MachineSpec::xeon("host", 4);
-    machine.network = uqsim_core::machine::NetworkSpec::passthrough(20e-6);
-    let m = b.add_machine(machine);
-    let s = b.add_service(model);
-    let i = b.add_instance(
-        "memcached",
-        s,
-        m,
-        4,
-        ExecSpec::MultiThreaded {
-            threads: 4,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    finish_single_mc(b, s, i, qps)
+    exec: ExecConfig,
+) -> SimResult<ScenarioConfig> {
+    let common = CommonOpts {
+        warmup: opts.warmup,
+        ..Default::default()
+    };
+    let mut cfg = single_memcached(1.0, 4, &common)?;
+    cfg.machines = vec![machine];
+    cfg.services = vec![model];
+    cfg.instances[0].exec = exec;
+    cfg.clients[0].connections = 1024;
+    cfg.clients[0].request_size = Distribution::constant(512.0);
+    Ok(cfg)
+}
+
+fn threads(threads: usize) -> ExecConfig {
+    ExecConfig::MultiThreaded {
+        threads,
+        ctx_switch_s: 2e-6,
+    }
 }
 
 /// Runs all ablations.
@@ -103,45 +111,40 @@ pub fn run(opts: &RunOpts) -> SimResult<Summary> {
     // into one parallel batch; printing happens afterwards, in order.
     let mc_loads = linear_loads(140_000.0, 280_000.0, n);
     let lb_loads = linear_loads(40_000.0, 150_000.0, n);
-    let jobs = vec![
-        crate::SweepJob::new(mc_loads.clone(), |q| {
-            let common = CommonOpts {
-                warmup: opts.warmup,
-                ..Default::default()
-            };
-            build_memcached_with(uqsim_apps::memcached::service_model(), q, &common)
-        }),
-        crate::SweepJob::new(mc_loads, |q| {
-            let common = CommonOpts {
-                warmup: opts.warmup,
-                ..Default::default()
-            };
-            build_memcached_with(
-                no_batching(uqsim_apps::memcached::service_model()),
-                q,
-                &common,
-            )
-        }),
-        crate::SweepJob::new(lb_loads.clone(), |q| {
-            let mut cfg = LoadBalancedConfig::new(16, q);
-            cfg.common.warmup = opts.warmup;
-            load_balanced(&cfg)
-        }),
-        // Disable irq modeling by zeroing the irq cores on both machines.
-        crate::SweepJob::new(lb_loads.clone(), |q| {
-            let mut cfg = LoadBalancedConfig::new(16, q);
-            cfg.common.warmup = opts.warmup;
-            build_lb_without_network(&cfg)
-        }),
+    // Passthrough networking isolates the batching effect: with irq cores
+    // enabled, their own ~240 kQPS ceiling confounds the comparison.
+    let mc = |model| memcached_4core(opts, passthrough("host", 4), model, threads(4));
+    let mut lb = LoadBalancedConfig::new(16, lb_loads[0]);
+    lb.common.warmup = opts.warmup;
+    let lb_on = |proxy: MachineSpec, servers: MachineSpec| {
+        let mut cfg = load_balanced(&lb)?;
+        cfg.machines = vec![proxy, servers];
+        Ok::<_, uqsim_core::SimError>(cfg)
+    };
+    let (procs, scale) = (lb.proxy_procs, lb.scale_out);
+    let curves = [
+        (mc(memcached::service_model())?, mc_loads.clone()),
+        (mc(no_batching(memcached::service_model()))?, mc_loads),
+        (load_balanced(&lb)?, lb_loads.clone()),
+        // No irq modeling: passthrough networking on both machines.
+        (
+            lb_on(
+                passthrough("proxy-host", procs),
+                passthrough("ws-host", scale),
+            )?,
+            lb_loads.clone(),
+        ),
         // Kernel-bypass (DPDK-style) networking — the paper's future work:
         // no irq cores, a small poll-mode cost folded into the wire latency.
-        crate::SweepJob::new(lb_loads, |q| {
-            let mut cfg = LoadBalancedConfig::new(16, q);
-            cfg.common.warmup = opts.warmup;
-            build_lb_dpdk(&cfg)
-        }),
+        (
+            lb_on(
+                MachineSpec::xeon_dpdk("proxy-host", procs),
+                MachineSpec::xeon_dpdk("ws-host", scale),
+            )?,
+            lb_loads,
+        ),
     ];
-    let mut curves = crate::sweep_batch(opts, &jobs)?.into_iter();
+    let mut curves = super::run_curves(opts, &curves)?.into_iter();
     let on = curves.next().expect("one curve per submission");
     let off = curves.next().expect("one curve per submission");
     let net_on = curves.next().expect("one curve per submission");
@@ -168,12 +171,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Summary> {
 
     // --- 3. connection-pool size ------------------------------------------
     let pools = [4usize, 8, 16, 32, 64];
-    let pool_points = crate::par_try_map(opts, &pools, |&pool| {
+    let mut at_pool = Vec::new();
+    for pool in pools {
         let mut cfg = TwoTierConfig::at_qps(50_000.0);
         cfg.pool_size = pool;
         cfg.common.warmup = opts.warmup;
-        Ok(measure(two_tier(&cfg)?, 50_000.0, opts))
-    })?;
+        at_pool.push(two_tier(&cfg)?);
+    }
+    let pool_points = points(50_000.0, super::run_cells(opts, &at_pool)?);
     println!("## 2-tier at 50 kQPS vs pool size");
     println!("{:>10} {:>9} {:>9}", "pool", "mean_ms", "p99_ms");
     let mut pool4_p99 = 0.0;
@@ -196,21 +201,18 @@ pub fn run(opts: &RunOpts) -> SimResult<Summary> {
 
     // --- 4. execution model -------------------------------------------------
     let exec_variants = [
-        ("simple", None),
-        ("multithreaded 4t", Some(4)),
-        ("multithreaded 16t", Some(16)),
+        ("simple", ExecConfig::Simple),
+        ("multithreaded 4t", threads(4)),
+        ("multithreaded 16t", threads(16)),
     ];
-    let exec_points = crate::par_try_map(opts, &exec_variants, |&(_, threads)| {
-        let common = CommonOpts {
-            warmup: opts.warmup,
-            ..Default::default()
-        };
-        let sim = match threads {
-            None => build_simple_memcached(150_000.0, &common)?,
-            Some(t) => build_mt_memcached(150_000.0, 4, t, &common)?,
-        };
-        Ok(measure(sim, 150_000.0, opts))
-    })?;
+    let mut on_exec = Vec::new();
+    for (_, exec) in &exec_variants {
+        let host = MachineSpec::xeon("host", 8);
+        let model = memcached::service_model();
+        let cfg = memcached_4core(opts, host, model, exec.clone())?;
+        on_exec.push(cfg.with_offered_qps(150_000.0));
+    }
+    let exec_points = points(150_000.0, super::run_cells(opts, &on_exec)?);
     println!("## memcached 4 cores: Simple vs MultiThreaded (single-tier, 150 kQPS)");
     for ((label, _), p) in exec_variants.iter().zip(&exec_points) {
         println!(
@@ -231,177 +233,6 @@ pub fn run(opts: &RunOpts) -> SimResult<Summary> {
     })
 }
 
-fn build_lb_without_network(cfg: &LoadBalancedConfig) -> SimResult<uqsim_core::Simulator> {
-    // Rebuild the LB scenario with passthrough networking.
-    use uqsim_core::machine::NetworkSpec;
-    let mut pm = MachineSpec::xeon("proxy-host", cfg.proxy_procs);
-    pm.network = NetworkSpec::passthrough(20e-6);
-    let mut wm = MachineSpec::xeon("ws-host", cfg.scale_out);
-    wm.network = NetworkSpec::passthrough(20e-6);
-    build_lb_with_machines(cfg, pm, wm)
-}
-
-fn build_lb_dpdk(cfg: &LoadBalancedConfig) -> SimResult<uqsim_core::Simulator> {
-    build_lb_with_machines(
-        cfg,
-        MachineSpec::xeon_dpdk("proxy-host", cfg.proxy_procs),
-        MachineSpec::xeon_dpdk("ws-host", cfg.scale_out),
-    )
-}
-
-fn build_lb_with_machines(
-    cfg: &LoadBalancedConfig,
-    proxy_machine: MachineSpec,
-    ws_machine: MachineSpec,
-) -> SimResult<uqsim_core::Simulator> {
-    let mut b = ScenarioBuilder::new(cfg.common.seed);
-    b.warmup(cfg.common.warmup);
-    let m_proxy = b.add_machine(proxy_machine);
-    let m_ws = b.add_machine(ws_machine);
-    let s = b.add_service(uqsim_apps::nginx::service_model());
-    let i_proxy = b.add_instance("proxy", s, m_proxy, cfg.proxy_procs, ExecSpec::Simple)?;
-    let mut servers = Vec::new();
-    for k in 0..cfg.scale_out {
-        let i = b.add_instance(format!("ws{k}"), s, m_ws, 1, ExecSpec::Simple)?;
-        b.add_pool(i_proxy, i, cfg.pool_size)?;
-        servers.push(i);
-    }
-    let mk = |name: &str, target, link, children| PathNodeSpec {
-        name: name.into(),
-        target,
-        children,
-        link,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
-    };
-    let nodes = vec![
-        mk(
-            "fwd",
-            NodeTarget::Service {
-                service: s,
-                instance: InstanceSelect::Fixed { instance: i_proxy },
-                exec_path: PathSelect::Fixed {
-                    index: uqsim_apps::nginx::paths::FORWARD,
-                },
-            },
-            LinkKind::Request,
-            vec![PathNodeId::from_raw(1)],
-        ),
-        mk(
-            "serve",
-            NodeTarget::Service {
-                service: s,
-                instance: InstanceSelect::RoundRobin { instances: servers },
-                exec_path: PathSelect::Fixed {
-                    index: uqsim_apps::nginx::paths::SERVE,
-                },
-            },
-            LinkKind::Request,
-            vec![PathNodeId::from_raw(2)],
-        ),
-        mk(
-            "respond",
-            NodeTarget::Service {
-                service: s,
-                instance: InstanceSelect::SameAsNode {
-                    node: PathNodeId::from_raw(0),
-                },
-                exec_path: PathSelect::Fixed {
-                    index: uqsim_apps::nginx::paths::PROXY_RESPOND,
-                },
-            },
-            LinkKind::ReplyToParent,
-            vec![PathNodeId::from_raw(3)],
-        ),
-        PathNodeSpec::client_sink(PathNodeId::from_raw(0)),
-    ];
-    let ty = b.add_request_type(RequestType::new("get", nodes, PathNodeId::from_raw(0)))?;
-    b.add_client(
-        ClientSpec {
-            name: "c".into(),
-            connections: cfg.connections,
-            arrivals: cfg.arrivals.clone(),
-            mix: RequestMix::single(ty),
-            request_size: uqsim_core::dist::Distribution::constant(612.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i_proxy],
-    );
-    b.build()
-}
-
-fn build_simple_memcached(qps: f64, common: &CommonOpts) -> SimResult<uqsim_core::Simulator> {
-    let mut b = ScenarioBuilder::new(common.seed);
-    b.warmup(common.warmup);
-    let m = b.add_machine(MachineSpec::xeon("host", 8));
-    let s = b.add_service(uqsim_apps::memcached::service_model());
-    let i = b.add_instance("memcached", s, m, 4, ExecSpec::Simple)?;
-    finish_single_mc(b, s, i, qps)
-}
-
-fn build_mt_memcached(
-    qps: f64,
-    cores: usize,
-    threads: usize,
-    common: &CommonOpts,
-) -> SimResult<uqsim_core::Simulator> {
-    let mut b = ScenarioBuilder::new(common.seed);
-    b.warmup(common.warmup);
-    let m = b.add_machine(MachineSpec::xeon("host", cores + 4));
-    let s = b.add_service(uqsim_apps::memcached::service_model());
-    let i = b.add_instance(
-        "memcached",
-        s,
-        m,
-        cores,
-        ExecSpec::MultiThreaded {
-            threads,
-            ctx_switch: SimDuration::from_micros(2),
-        },
-    )?;
-    finish_single_mc(b, s, i, qps)
-}
-
-fn finish_single_mc(
-    mut b: ScenarioBuilder,
-    s: uqsim_core::ids::ServiceId,
-    i: uqsim_core::ids::InstanceId,
-    qps: f64,
-) -> SimResult<uqsim_core::Simulator> {
-    let node = PathNodeSpec {
-        name: "get".into(),
-        target: NodeTarget::Service {
-            service: s,
-            instance: InstanceSelect::Fixed { instance: i },
-            exec_path: PathSelect::Fixed {
-                index: uqsim_apps::memcached::paths::READ,
-            },
-        },
-        children: vec![PathNodeId::from_raw(1)],
-        link: LinkKind::Request,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
-    };
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b.add_request_type(RequestType::new(
-        "get",
-        vec![node, sink],
-        PathNodeId::from_raw(0),
-    ))?;
-    b.add_client(
-        ClientSpec {
-            name: "c".into(),
-            connections: 1024,
-            arrivals: ArrivalProcess::poisson(qps),
-            mix: RequestMix::single(ty),
-            request_size: uqsim_core::dist::Distribution::constant(512.0),
-            closed_loop: None,
-            timeout_s: None,
-        },
-        vec![i],
-    );
-    b.build()
+fn points(offered_qps: f64, runs: Vec<uqsim_core::RunResult>) -> Vec<LoadPoint> {
+    runs.iter().map(|r| LoadPoint::of(offered_qps, r)).collect()
 }

@@ -7,12 +7,12 @@
 //! within 0.17 ms and tails within 0.83 ms of real before saturation, and
 //! the front end (not memcached) is the bottleneck at every configuration.
 
+use crate::reference::{TWO_TIER_MEAN_DEV_MS, TWO_TIER_TAIL_DEV_MS};
 use crate::{
-    deviation_ms, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts, SweepJob,
+    deviation_ms, format_deviation, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts,
 };
 use uqsim_apps::noise::NoiseProfile;
 use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
-use uqsim_core::client::ArrivalProcess;
 use uqsim_core::SimResult;
 
 /// One configuration's measured curves.
@@ -39,7 +39,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<ConfigResult>> {
     // Submit all 8 curves (4 configurations × {simulated, noisy reference})
     // as one batch so every (curve, load) cell runs in parallel; print once
     // everything is back, in configuration order.
-    let mut jobs = Vec::new();
+    let mut curves = Vec::new();
     for &(np, mt) in &configs {
         let hi = if np == 8 { 85_000.0 } else { 45_000.0 };
         let loads = linear_loads(
@@ -51,24 +51,16 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<ConfigResult>> {
                 9
             },
         );
-        let build = move |noise: bool| {
-            let warmup = opts.warmup;
-            move |qps: f64| {
-                let mut cfg = TwoTierConfig::at_qps(qps);
-                cfg.arrivals = ArrivalProcess::poisson(qps);
-                cfg.nginx_procs = np;
-                cfg.memcached_threads = mt;
-                cfg.common.warmup = warmup;
-                if noise {
-                    cfg.common.noise = Some(NoiseProfile::default());
-                }
-                two_tier(&cfg)
-            }
-        };
-        jobs.push(SweepJob::new(loads.clone(), build(false)));
-        jobs.push(SweepJob::new(loads, build(true)));
+        for noise in [None, Some(NoiseProfile::default())] {
+            let mut cfg = TwoTierConfig::at_qps(loads[0]);
+            cfg.nginx_procs = np;
+            cfg.memcached_threads = mt;
+            cfg.common.warmup = opts.warmup;
+            cfg.common.noise = noise;
+            curves.push((two_tier(&cfg)?, loads.clone()));
+        }
     }
-    let mut curves = crate::sweep_batch(opts, &jobs)?.into_iter();
+    let mut curves = super::run_curves(opts, &curves)?.into_iter();
     let mut out = Vec::new();
     for (np, mt) in configs {
         let sim = curves.next().expect("one curve per submission");
@@ -78,13 +70,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<ConfigResult>> {
             &format!("nginx={np}p memcached={mt}t [real-proxy: noisy reference]"),
             &reference,
         );
-        let (mean_dev, tail_dev) = deviation_ms(&sim, &reference);
         println!(
-            "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: mean {:.2}ms (paper: 0.17ms), p99 {:.2}ms (paper: 0.83ms)\n",
+            "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: {}\n",
             saturation_qps(&sim, 50e-3),
             saturation_qps(&reference, 50e-3),
-            mean_dev,
-            tail_dev
+            format_deviation(
+                deviation_ms(&sim, &reference),
+                Some((TWO_TIER_MEAN_DEV_MS, TWO_TIER_TAIL_DEV_MS))
+            ),
         );
         out.push(ConfigResult {
             nginx_procs: np,

@@ -5,7 +5,10 @@
 //! in the milliseconds (misses pay a disk read). Paper anchors: simulated
 //! means within 1.55 ms and tails within 2.32 ms of the real system.
 
-use crate::{deviation_ms, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts};
+use crate::reference::{THREE_TIER_MEAN_DEV_MS, THREE_TIER_TAIL_DEV_MS};
+use crate::{
+    deviation_ms, format_deviation, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts,
+};
 use uqsim_apps::noise::NoiseProfile;
 use uqsim_apps::scenarios::{three_tier, ThreeTierConfig};
 use uqsim_core::SimResult;
@@ -35,22 +38,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
             9
         },
     );
-    let build = |noise: bool| {
-        let warmup = opts.warmup;
-        move |qps: f64| {
-            let mut cfg = ThreeTierConfig::at_qps(qps);
-            cfg.common.warmup = warmup;
-            if noise {
-                cfg.common.noise = Some(NoiseProfile::default());
-            }
-            three_tier(&cfg)
-        }
-    };
-    let jobs = vec![
-        crate::SweepJob::new(loads.clone(), build(false)),
-        crate::SweepJob::new(loads, build(true)),
-    ];
-    let mut curves = crate::sweep_batch(opts, &jobs)?.into_iter();
+    let mut curves = Vec::new();
+    for noise in [None, Some(NoiseProfile::default())] {
+        let mut cfg = ThreeTierConfig::at_qps(loads[0]);
+        cfg.common.warmup = opts.warmup;
+        cfg.common.noise = noise;
+        curves.push((three_tier(&cfg)?, loads.clone()));
+    }
+    let mut curves = super::run_curves(opts, &curves)?.into_iter();
     let sim = curves.next().expect("one curve per submission");
     let reference = curves.next().expect("one curve per submission");
     print_series("nginx=8p mc=2t mongod+disk [simulated]", &sim);
@@ -58,13 +53,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
         "nginx=8p mc=2t mongod+disk [real-proxy: noisy reference]",
         &reference,
     );
-    let (mean_dev, tail_dev) = deviation_ms(&sim, &reference);
     println!(
-        "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: mean {:.2}ms (paper: 1.55ms), p99 {:.2}ms (paper: 2.32ms)",
+        "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: {}",
         saturation_qps(&sim, 100e-3),
         saturation_qps(&reference, 100e-3),
-        mean_dev,
-        tail_dev
+        format_deviation(
+            deviation_ms(&sim, &reference),
+            Some((THREE_TIER_MEAN_DEV_MS, THREE_TIER_TAIL_DEV_MS))
+        ),
     );
     println!("paper shape check: disk-bound saturation far below the 2-tier app; millisecond latency floor.");
     Ok(Result { sim, reference })

@@ -32,18 +32,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<ScaleResult>> {
         9
     };
     // One batch over all three scale-out curves; print in scale order after.
-    let jobs: Vec<crate::SweepJob<'_>> = crate::reference::LB_SATURATION
-        .iter()
-        .map(|&(scale, reference)| {
-            let loads = linear_loads(0.2 * reference, 1.25 * reference, n_points);
-            crate::SweepJob::new(loads, move |qps| {
-                let mut cfg = LoadBalancedConfig::new(scale, qps);
-                cfg.common.warmup = opts.warmup;
-                load_balanced(&cfg)
-            })
-        })
-        .collect();
-    let curves = crate::sweep_batch(opts, &jobs)?;
+    let mut curves = Vec::new();
+    for &(scale, reference) in &crate::reference::LB_SATURATION {
+        let loads = linear_loads(0.2 * reference, 1.25 * reference, n_points);
+        let mut cfg = LoadBalancedConfig::new(scale, loads[0]);
+        cfg.common.warmup = opts.warmup;
+        curves.push((load_balanced(&cfg)?, loads));
+    }
+    let curves = super::run_curves(opts, &curves)?;
     let mut out = Vec::new();
     for ((scale, reference), points) in crate::reference::LB_SATURATION.iter().copied().zip(curves)
     {

@@ -37,17 +37,13 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<FanoutResult>> {
         l.extend(linear_loads(7_500.0, 10_000.0, 6));
         l
     };
-    let jobs: Vec<crate::SweepJob<'_>> = factors
-        .iter()
-        .map(|&factor| {
-            crate::SweepJob::new(loads.clone(), move |qps| {
-                let mut cfg = FanoutConfig::new(factor, qps);
-                cfg.common.warmup = opts.warmup;
-                fanout(&cfg)
-            })
-        })
-        .collect();
-    let curves = crate::sweep_batch(opts, &jobs)?;
+    let mut curves = Vec::new();
+    for factor in factors {
+        let mut cfg = FanoutConfig::new(factor, loads[0]);
+        cfg.common.warmup = opts.warmup;
+        curves.push((fanout(&cfg)?, loads.clone()));
+    }
+    let curves = super::run_curves(opts, &curves)?;
     let mut out = Vec::new();
     for (factor, points) in factors.iter().copied().zip(curves) {
         // Interactive saturation: the knee where p99 exceeds 10 ms.

@@ -36,22 +36,14 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
             10
         },
     );
-    let build = |noise: bool| {
-        let warmup = opts.warmup;
-        move |qps: f64| {
-            let mut cfg = ThriftHelloConfig::at_qps(qps);
-            cfg.common.warmup = warmup;
-            if noise {
-                cfg.common.noise = Some(NoiseProfile::default());
-            }
-            thrift_hello(&cfg)
-        }
-    };
-    let jobs = vec![
-        crate::SweepJob::new(loads.clone(), build(false)),
-        crate::SweepJob::new(loads, build(true)),
-    ];
-    let mut curves = crate::sweep_batch(opts, &jobs)?.into_iter();
+    let mut curves = Vec::new();
+    for noise in [None, Some(NoiseProfile::default())] {
+        let mut cfg = ThriftHelloConfig::at_qps(loads[0]);
+        cfg.common.warmup = opts.warmup;
+        cfg.common.noise = noise;
+        curves.push((thrift_hello(&cfg)?, loads.clone()));
+    }
+    let mut curves = super::run_curves(opts, &curves)?.into_iter();
     let sim = curves.next().expect("one curve per submission");
     let reference = curves.next().expect("one curve per submission");
     print_series("thrift 1 worker [simulated]", &sim);

@@ -5,7 +5,9 @@
 //! Paper anchor (§IV-D): the simulation closely matches low-load latency
 //! and saturates at a similar throughput as the real service.
 
-use crate::{deviation_ms, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts};
+use crate::{
+    deviation_ms, format_deviation, linear_loads, print_series, saturation_qps, LoadPoint, RunOpts,
+};
 use uqsim_apps::noise::NoiseProfile;
 use uqsim_apps::scenarios::{social_network, SocialNetworkConfig};
 use uqsim_core::SimResult;
@@ -35,33 +37,23 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
             9
         },
     );
-    let build = |noise: bool| {
-        let warmup = opts.warmup;
-        move |qps: f64| {
-            let mut cfg = SocialNetworkConfig::at_qps(qps);
-            cfg.common.warmup = warmup;
-            if noise {
-                cfg.common.noise = Some(NoiseProfile::default());
-            }
-            social_network(&cfg)
-        }
-    };
-    let jobs = vec![
-        crate::SweepJob::new(loads.clone(), build(false)),
-        crate::SweepJob::new(loads, build(true)),
-    ];
-    let mut curves = crate::sweep_batch(opts, &jobs)?.into_iter();
+    let mut curves = Vec::new();
+    for noise in [None, Some(NoiseProfile::default())] {
+        let mut cfg = SocialNetworkConfig::at_qps(loads[0]);
+        cfg.common.warmup = opts.warmup;
+        cfg.common.noise = noise;
+        curves.push((social_network(&cfg)?, loads.clone()));
+    }
+    let mut curves = super::run_curves(opts, &curves)?.into_iter();
     let sim = curves.next().expect("one curve per submission");
     let reference = curves.next().expect("one curve per submission");
     print_series("social network [simulated]", &sim);
     print_series("social network [real-proxy: noisy reference]", &reference);
-    let (mean_dev, tail_dev) = deviation_ms(&sim, &reference);
     println!(
-        "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: mean {:.2}ms, p99 {:.2}ms",
+        "saturation: sim {:.0} qps, ref {:.0} qps | pre-saturation deviation: {}",
         saturation_qps(&sim, 50e-3),
         saturation_qps(&reference, 50e-3),
-        mean_dev,
-        tail_dev
+        format_deviation(deviation_ms(&sim, &reference), None),
     );
     println!("paper shape check: low-load latency matches closely; similar saturation throughput.");
     Ok(Result { sim, reference })

@@ -84,23 +84,45 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<AppResult>> {
     } else {
         9
     };
+    let common = scenarios::CommonOpts {
+        warmup: opts.warmup,
+        ..Default::default()
+    };
+    // (app, label, loads, µqSim scenario, the path BigHouse profiles, servers)
+    let nginx_loads = linear_loads(1_000.0, 11_000.0, n);
+    let mc_loads = linear_loads(10_000.0, 240_000.0, n);
+    let apps = [
+        (
+            "nginx",
+            "nginx 1 process",
+            scenarios::single_nginx(nginx_loads[0], &common)?,
+            nginx_loads,
+            service_distribution_for(&nginx::service_model(), nginx::paths::SERVE, PROFILED_BATCH),
+            1,
+        ),
+        (
+            "memcached",
+            "memcached 4 threads",
+            scenarios::single_memcached(mc_loads[0], 4, &common)?,
+            mc_loads,
+            service_distribution_for(
+                &memcached::service_model(),
+                memcached::paths::READ,
+                PROFILED_BATCH,
+            ),
+            4,
+        ),
+    ];
+    let curves: Vec<_> = apps
+        .iter()
+        .map(|(_, _, cfg, loads, ..)| (cfg.clone(), loads.clone()))
+        .collect();
+    let uqsim_curves = super::run_curves(opts, &curves)?;
     let mut out = Vec::new();
-
-    // --- single-process NGINX web server ---------------------------------
-    {
-        let loads = linear_loads(1_000.0, 11_000.0, n);
-        let uqsim = crate::sweep(&loads, opts, |qps| {
-            let common = scenarios::CommonOpts {
-                warmup: opts.warmup,
-                ..Default::default()
-            };
-            scenarios::single_nginx(qps, &common)
-        })?;
-        let bh_service =
-            service_distribution_for(&nginx::service_model(), nginx::paths::SERVE, PROFILED_BATCH);
-        let bighouse = empty_if_missing(bighouse_sweep(&loads, &bh_service, 1, opts));
-        print_series("nginx 1 process [uqsim]", &uqsim);
-        print_series("nginx 1 process [bighouse]", &bighouse);
+    for ((app, label, _, loads, bh_service, servers), uqsim) in apps.iter().zip(uqsim_curves) {
+        let bighouse = empty_if_missing(bighouse_sweep(loads, bh_service, *servers, opts));
+        print_series(&format!("{label} [uqsim]"), &uqsim);
+        print_series(&format!("{label} [bighouse]"), &bighouse);
         let (su, sb) = (
             saturation_qps(&uqsim, 50e-3),
             saturation_qps(&bighouse, 50e-3),
@@ -110,42 +132,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<AppResult>> {
             su, sb
         );
         out.push(AppResult {
-            app: "nginx",
-            uqsim,
-            bighouse,
-            uqsim_saturation: su,
-            bighouse_saturation: sb,
-        });
-    }
-
-    // --- 4-thread memcached ----------------------------------------------
-    {
-        let loads = linear_loads(10_000.0, 240_000.0, n);
-        let uqsim = crate::sweep(&loads, opts, |qps| {
-            let common = scenarios::CommonOpts {
-                warmup: opts.warmup,
-                ..Default::default()
-            };
-            scenarios::single_memcached(qps, 4, &common)
-        })?;
-        let bh_service = service_distribution_for(
-            &memcached::service_model(),
-            memcached::paths::READ,
-            PROFILED_BATCH,
-        );
-        let bighouse = empty_if_missing(bighouse_sweep(&loads, &bh_service, 4, opts));
-        print_series("memcached 4 threads [uqsim]", &uqsim);
-        print_series("memcached 4 threads [bighouse]", &bighouse);
-        let (su, sb) = (
-            saturation_qps(&uqsim, 50e-3),
-            saturation_qps(&bighouse, 50e-3),
-        );
-        println!(
-            "saturation: uqsim {:.0} qps vs bighouse {:.0} qps\n",
-            su, sb
-        );
-        out.push(AppResult {
-            app: "memcached",
+            app,
             uqsim,
             bighouse,
             uqsim_saturation: su,

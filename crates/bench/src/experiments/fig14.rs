@@ -9,7 +9,7 @@
 //! Paper anchor: for clusters beyond ~100 servers, 1% slow servers is
 //! sufficient to pin the tail at the slow-server regime.
 
-use crate::{measure, RunOpts};
+use crate::RunOpts;
 use uqsim_apps::scenarios::{tail_at_scale, TailAtScaleConfig};
 use uqsim_core::SimResult;
 
@@ -49,18 +49,23 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<Cell>> {
         .iter()
         .flat_map(|&n| fractions.iter().map(move |&f| (n, f)))
         .collect();
-    let cells = crate::par_try_map(opts, &grid, |&(n, f)| {
+    let mut cfgs = Vec::new();
+    for &(n, f) in &grid {
         let mut cfg = TailAtScaleConfig::new(n, f, qps);
         cfg.common.warmup = opts.warmup;
-        let sim = tail_at_scale(&cfg)?;
-        let p = measure(sim, qps, opts);
-        Ok(Cell {
+        cfgs.push(tail_at_scale(&cfg)?);
+    }
+    let runs = super::run_cells(opts, &cfgs)?;
+    let cells: Vec<Cell> = grid
+        .iter()
+        .zip(runs)
+        .map(|(&(n, f), r)| Cell {
             cluster_size: n,
             slow_fraction: f,
-            p99: p.latency.p99,
-            mean: p.latency.mean,
+            p99: r.latency.p99,
+            mean: r.latency.mean,
         })
-    })?;
+        .collect();
     println!(
         "{:>9} {:>10} {:>10} {:>10}",
         "cluster", "slow_frac", "mean_ms", "p99_ms"

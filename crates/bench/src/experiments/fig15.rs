@@ -35,7 +35,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
     };
     cfg.common.warmup = SimDuration::from_millis(0);
     let window = SimDuration::from_secs_f64(period / 24.0);
-    let mut sim = two_tier(&cfg)?;
+    let mut sim = two_tier(&cfg)?.build()?;
     sim.enable_telemetry(TelemetryConfig {
         sample_interval: Some(window),
         ..TelemetryConfig::default()

@@ -86,9 +86,9 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
     // Each decision interval is an independent (sim, noisy, baseline)
     // triple; run the three intervals in parallel and print in order.
     let intervals = [0.1, 0.5, 1.0];
-    let runs = crate::par_try_map(opts, &intervals, |&interval_s| {
+    let runs = uqsim_runner::try_run_indexed(opts.jobs, intervals.len(), |i| {
         let base = PowerRunConfig {
-            interval: SimDuration::from_secs_f64(interval_s),
+            interval: SimDuration::from_secs_f64(intervals[i]),
             duration,
             period_s: period,
             ..PowerRunConfig::default()
@@ -99,7 +99,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
             ..base.clone()
         })?;
         let baseline_energy = crate::power_experiment::run_baseline(&base)?;
-        Ok((sim, noisy, baseline_energy))
+        Ok::<_, uqsim_core::SimError>((sim, noisy, baseline_energy))
     })?;
     let mut out = Vec::new();
     for (interval_s, (sim, noisy, baseline_energy)) in intervals.iter().copied().zip(runs) {

@@ -21,16 +21,17 @@
 //! `BENCH_faults.json` at the repository root (regenerate with
 //! `cargo run --release -p uqsim-bench --bin retry_storm`).
 
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::ClientSpec;
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, PathNodeConfig,
+    RequestTypeConfig, ScenarioConfig,
+};
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::{BreakerSpec, ClientPolicySpec, PolicySpec, RetryBudgetSpec};
-use uqsim_core::ids::{PathNodeId, StageId};
+use uqsim_core::ids::StageId;
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
-use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::time::SimTime;
 use uqsim_core::{FaultPlan, FaultSpec, SimResult};
 
 /// Offered load, requests/second (80% of the healthy 20k capacity).
@@ -101,40 +102,55 @@ fn guarded_policy() -> ClientPolicySpec {
     }
 }
 
+/// One 2-core service (20k qps healthy capacity) behind a client with a
+/// deadline.
+fn scenario() -> ScenarioConfig {
+    let fixed = InstanceSelectConfig::Fixed {
+        name: "svc0".into(),
+    };
+    let mut visit = PathNodeConfig::service("svc", "svc", fixed, "p");
+    visit.children = vec!["client_sink".into()];
+    ScenarioConfig {
+        seed: 1913,
+        warmup_s: PHASES_S[0],
+        machines: vec![MachineSpec {
+            name: "m".into(),
+            cores: 2,
+            dvfs: DvfsSpec::fixed(2.6),
+            network: NetworkSpec::passthrough(5e-6),
+            power: Default::default(),
+        }],
+        services: vec![ServiceModel::new(
+            "svc",
+            vec![StageSpec::new(
+                "proc",
+                QueueDiscipline::Single,
+                ServiceTimeModel::per_job(Distribution::exponential(100e-6), 2.6),
+            )],
+            vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+        )],
+        instances: vec![InstanceConfig {
+            name: "svc0".into(),
+            service: "svc".into(),
+            machine: "m".into(),
+            cores: 2,
+            exec: ExecConfig::Simple,
+        }],
+        pools: Vec::new(),
+        request_types: vec![RequestTypeConfig {
+            name: "get".into(),
+            nodes: vec![visit, PathNodeConfig::client_sink("svc")],
+        }],
+        clients: vec![ClientConfig {
+            timeout_s: Some(TIMEOUT_S),
+            ..ClientConfig::open_loop("storm", OFFERED_QPS, 256, "get", "svc0")
+        }],
+    }
+}
+
 /// Runs one policy through the slowdown and measures per-phase goodput.
 fn run_policy(name: &'static str, policy: Option<ClientPolicySpec>) -> SimResult<PolicyOutcome> {
-    let mut b = ScenarioBuilder::new(1913);
-    b.warmup(SimDuration::from_secs_f64(PHASES_S[0]));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::exponential(100e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
-    ));
-    let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple)?;
-    let mut node = PathNodeSpec::request("svc", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b.add_request_type(RequestType::new(
-        "get",
-        vec![node, sink],
-        PathNodeId::from_raw(0),
-    ))?;
-    b.add_client(
-        ClientSpec::open_loop("storm", OFFERED_QPS, 256, ty).with_timeout(TIMEOUT_S),
-        vec![i],
-    );
-    let mut sim = b.build()?;
+    let mut sim = scenario().build()?;
 
     let plan = FaultPlan {
         faults: vec![FaultSpec::MachineSlowdown {

@@ -41,7 +41,8 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<Row>> {
                 .flat_map(move |&seed| [(interval_s, seed, false), (interval_s, seed, true)])
         })
         .collect();
-    let rates = crate::par_try_map(opts, &grid, |&(interval_s, seed, noisy)| {
+    let rates = uqsim_runner::try_run_indexed(opts.jobs, grid.len(), |i| {
+        let (interval_s, seed, noisy) = grid[i];
         let cfg = PowerRunConfig {
             interval: SimDuration::from_secs_f64(interval_s),
             duration,
@@ -50,7 +51,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<Row>> {
             noisy,
             ..PowerRunConfig::default()
         };
-        Ok(power_run(&cfg)?.violation_rate)
+        power_run(&cfg).map(|r| r.violation_rate)
     })?;
     let mut rows = Vec::new();
     println!(

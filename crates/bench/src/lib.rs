@@ -6,20 +6,22 @@
 //! table or figure of the evaluation; see EXPERIMENTS.md at the repository
 //! root for the full index and recorded outputs.
 //!
-//! Sweeps execute through the `uqsim_runner` thread pool: every
-//! `(curve, load)` cell is an independent simulator run, so [`sweep`] and
-//! [`sweep_batch`] fan cells across [`RunOpts::jobs`] workers and reassemble
-//! results in submission order. Output is identical at any worker count;
-//! only wall-clock changes. Experiments therefore *compute first, print
-//! after* — nothing may print from inside a build/measure closure.
+//! Every load-sweep figure describes its curves as
+//! [`ScenarioConfig`](uqsim_core::config::ScenarioConfig)s (one per curve,
+//! from `uqsim_apps::scenarios`) and runs them through
+//! [`uqsim_runner::sweep::run_cells`] — the fan-out `uqsim sweep` uses, each
+//! cell one [`uqsim_core::run_partitioned`] call — so any cell can be
+//! printed (`cfg.to_json()`) and handed to `uqsim why`. Output is identical
+//! at any worker count; only wall-clock changes. Experiments therefore
+//! *compute first, print after*.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 use uqsim_core::metrics::LatencySummary;
+use uqsim_core::run::RunResult;
 use uqsim_core::time::SimDuration;
-use uqsim_core::{SimResult, Simulator};
 
 pub mod experiments;
 pub mod power_experiment;
@@ -37,6 +39,15 @@ pub struct LoadPoint {
 }
 
 impl LoadPoint {
+    /// The point a run at `offered_qps` measured.
+    pub fn of(offered_qps: f64, run: &RunResult) -> Self {
+        LoadPoint {
+            offered_qps,
+            achieved_qps: run.achieved_qps,
+            latency: run.latency,
+        }
+    }
+
     /// True if the system kept up with the offered load (within 5%).
     pub fn kept_up(&self) -> bool {
         self.achieved_qps >= 0.95 * self.offered_qps
@@ -66,27 +77,20 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Reads options from the process arguments and environment:
-    /// `--quick` / `UQSIM_QUICK=1` shortens runs, `--jobs N` /
-    /// `UQSIM_JOBS=N` sets the sweep worker count (default: all cores).
+    /// Reads options from the process arguments: `--quick` shortens runs,
+    /// `--jobs N` sets the worker count (default: all cores). A `--jobs`
+    /// without a usable value is a usage error: the message goes to stderr
+    /// and the process exits 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick")
-            || std::env::var("UQSIM_QUICK")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        let jobs = args
-            .iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .or_else(|| {
-                std::env::var("UQSIM_JOBS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or_else(uqsim_runner::available_jobs);
-        let mut opts = if quick {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--quick] [--jobs N]");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut opts = if args.iter().any(|a| a == "--quick") {
             RunOpts {
                 duration: SimDuration::from_millis(1500),
                 warmup: SimDuration::from_millis(500),
@@ -95,119 +99,20 @@ impl RunOpts {
         } else {
             RunOpts::default()
         };
-        opts.jobs = jobs.max(1);
-        opts
+        if let Some(i) = args.iter().position(|a| a == "--jobs") {
+            let value = args.get(i + 1).ok_or("--jobs needs a value")?;
+            let jobs: usize = value
+                .parse()
+                .map_err(|_| format!("invalid --jobs `{value}`: expected a worker count"))?;
+            opts.jobs = jobs.max(1);
+        }
+        Ok(opts)
     }
 
     /// Total simulated time per point.
     pub fn total(&self) -> SimDuration {
         self.warmup + self.duration
     }
-}
-
-/// Runs a built simulator for `opts.total()` and summarizes one point.
-///
-/// The simulator must have been built with `warmup` matching `opts.warmup`
-/// (the scenario builders take it via `CommonOpts`).
-pub fn measure(mut sim: Simulator, offered_qps: f64, opts: &RunOpts) -> LoadPoint {
-    sim.run_for(opts.total());
-    let latency = sim.latency_summary();
-    let achieved = latency.count as f64 / opts.duration.as_secs_f64();
-    LoadPoint {
-        offered_qps,
-        achieved_qps: achieved,
-        latency,
-    }
-}
-
-/// Sweeps a list of offered loads through a scenario constructor, fanning
-/// the points across [`RunOpts::jobs`] workers. Points come back in
-/// `loads` order whatever the worker count.
-///
-/// # Errors
-///
-/// Every point still runs, then the error of the lowest-indexed failing
-/// point is returned (what a serial loop would have reported first).
-pub fn sweep(
-    loads: &[f64],
-    opts: &RunOpts,
-    build: impl Fn(f64) -> SimResult<Simulator> + Sync,
-) -> SimResult<Vec<LoadPoint>> {
-    uqsim_runner::try_run_indexed(opts.jobs, loads.len(), |i| {
-        build(loads[i]).map(|sim| measure(sim, loads[i], opts))
-    })
-}
-
-/// One curve of a multi-curve experiment, submitted to [`sweep_batch`].
-pub struct SweepJob<'a> {
-    /// Offered loads for this curve.
-    pub loads: Vec<f64>,
-    /// Builds the simulator for one offered load.
-    pub build: Box<dyn Fn(f64) -> SimResult<Simulator> + Sync + 'a>,
-}
-
-impl std::fmt::Debug for SweepJob<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepJob")
-            .field("loads", &self.loads)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SweepJob<'a> {
-    /// Creates a curve submission.
-    pub fn new(loads: Vec<f64>, build: impl Fn(f64) -> SimResult<Simulator> + Sync + 'a) -> Self {
-        SweepJob {
-            loads,
-            build: Box::new(build),
-        }
-    }
-}
-
-/// Runs several curves' load points as one flat pool batch — a two-curve
-/// validation (simulated + noisy reference) or a whole figure's family of
-/// configurations saturates every worker from the first cell to the last,
-/// instead of parallelizing only within one curve at a time. Returns one
-/// `Vec<LoadPoint>` per job, in submission order.
-///
-/// # Errors
-///
-/// Every cell still runs, then the error of the lowest-indexed failing
-/// cell is returned.
-pub fn sweep_batch(opts: &RunOpts, jobs: &[SweepJob<'_>]) -> SimResult<Vec<Vec<LoadPoint>>> {
-    // Flatten (curve, load) cells, remembering each cell's curve.
-    let cells: Vec<(usize, f64)> = jobs
-        .iter()
-        .enumerate()
-        .flat_map(|(ji, job)| job.loads.iter().map(move |&q| (ji, q)))
-        .collect();
-    let points = uqsim_runner::try_run_indexed(opts.jobs, cells.len(), |i| {
-        let (ji, qps) = cells[i];
-        (jobs[ji].build)(qps).map(|sim| measure(sim, qps, opts))
-    })?;
-    let mut out: Vec<Vec<LoadPoint>> = jobs
-        .iter()
-        .map(|j| Vec::with_capacity(j.loads.len()))
-        .collect();
-    for ((ji, _), p) in cells.into_iter().zip(points) {
-        out[ji].push(p);
-    }
-    Ok(out)
-}
-
-/// Parallel fallible map over arbitrary experiment inputs (grid cells,
-/// decision intervals, pool sizes, …), preserving input order.
-///
-/// # Errors
-///
-/// Every item still runs, then the error of the lowest-indexed failing
-/// item is returned.
-pub fn par_try_map<I: Sync, T: Send>(
-    opts: &RunOpts,
-    items: &[I],
-    f: impl Fn(&I) -> SimResult<T> + Sync,
-) -> SimResult<Vec<T>> {
-    uqsim_runner::try_run_indexed(opts.jobs, items.len(), |i| f(&items[i]))
 }
 
 /// The offered load at which the system stops keeping up (or the tail
@@ -263,8 +168,9 @@ pub fn print_series(label: &str, points: &[LoadPoint]) {
 /// Mean absolute deviation between two series' means and p99s (the
 /// sim-vs-real deviation statistic of §IV-A), over points where both kept
 /// up *and* stayed out of the saturation knee (p99 under 20 ms) —
-/// pre-saturation, as the paper measures.
-pub fn deviation_ms(a: &[LoadPoint], b: &[LoadPoint]) -> (f64, f64) {
+/// pre-saturation, as the paper measures. `None` when no pair qualifies:
+/// nothing was compared, which is not agreement.
+pub fn deviation_ms(a: &[LoadPoint], b: &[LoadPoint]) -> Option<(f64, f64)> {
     let pairs: Vec<(&LoadPoint, &LoadPoint)> = a
         .iter()
         .zip(b)
@@ -273,7 +179,7 @@ pub fn deviation_ms(a: &[LoadPoint], b: &[LoadPoint]) -> (f64, f64) {
         })
         .collect();
     if pairs.is_empty() {
-        return (0.0, 0.0);
+        return None;
     }
     let n = pairs.len() as f64;
     let mean_dev = pairs
@@ -286,7 +192,19 @@ pub fn deviation_ms(a: &[LoadPoint], b: &[LoadPoint]) -> (f64, f64) {
         .map(|(x, y)| (x.latency.p99 - y.latency.p99).abs())
         .sum::<f64>()
         / n;
-    (mean_dev * 1e3, tail_dev * 1e3)
+    Some((mean_dev * 1e3, tail_dev * 1e3))
+}
+
+/// Renders [`deviation_ms`] for a figure's summary line, with the paper's
+/// own `(mean, p99)` deviation beside it where the text states one.
+pub fn format_deviation(dev: Option<(f64, f64)>, paper: Option<(f64, f64)>) -> String {
+    match (dev, paper) {
+        (None, _) => "n/a (no pre-saturation pair)".to_string(),
+        (Some((mean, p99)), None) => format!("mean {mean:.2}ms, p99 {p99:.2}ms"),
+        (Some((mean, p99)), Some((paper_mean, paper_p99))) => format!(
+            "mean {mean:.2}ms (paper: {paper_mean:.2}ms), p99 {p99:.2}ms (paper: {paper_p99:.2}ms)"
+        ),
+    }
 }
 
 /// Geometrically spaced loads from `lo` to `hi` (inclusive-ish).
@@ -349,11 +267,31 @@ mod tests {
     fn deviation_ignores_saturated_points() {
         let a = vec![point(10.0, 10.0, 2e-3), point(20.0, 12.0, 50e-3)];
         let b = vec![point(10.0, 10.0, 3e-3), point(20.0, 20.0, 1e-3)];
-        let (_, tail) = deviation_ms(&a, &b);
+        let (_, tail) = deviation_ms(&a, &b).expect("the first pair qualifies");
         assert!(
             (tail - 1.0).abs() < 1e-9,
             "only the first pair counts: {tail}"
         );
+        // No qualifying pair is "nothing compared", never "0.00 ms apart".
+        assert_eq!(deviation_ms(&a[1..], &b[1..]), None);
+        assert_eq!(deviation_ms(&[], &[]), None);
+        assert_eq!(
+            format_deviation(None, Some((0.17, 0.83))),
+            "n/a (no pre-saturation pair)"
+        );
+    }
+
+    #[test]
+    fn a_mistyped_jobs_value_is_an_error_not_all_cores() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            RunOpts::parse(&args)
+        };
+        assert_eq!(parse(&["--quick", "--jobs", "3"]).unwrap().jobs, 3);
+        assert_eq!(parse(&["--jobs", "0"]).unwrap().jobs, 1);
+        assert!(parse(&["--jobs", "abc"]).unwrap_err().contains("`abc`"));
+        assert!(parse(&["--quick", "--jobs"]).is_err());
+        assert!(parse(&["--quick"]).unwrap().duration < RunOpts::default().duration);
     }
 
     #[test]
@@ -362,57 +300,5 @@ mod tests {
         assert!((g[1] - 10.0).abs() < 1e-9);
         let l = linear_loads(0.0, 10.0, 3);
         assert_eq!(l, vec![0.0, 5.0, 10.0]);
-    }
-
-    fn tiny_opts(jobs: usize) -> RunOpts {
-        RunOpts {
-            duration: SimDuration::from_millis(200),
-            warmup: SimDuration::from_millis(100),
-            jobs,
-        }
-    }
-
-    fn build_example(qps: f64) -> SimResult<Simulator> {
-        let cfg = uqsim_core::config::ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)
-            .expect("example scenario parses");
-        cfg.with_offered_qps(qps).build()
-    }
-
-    #[test]
-    fn sweep_results_are_jobs_invariant() {
-        let loads = [400.0, 900.0, 1600.0];
-        let serial = sweep(&loads, &tiny_opts(1), build_example).unwrap();
-        for jobs in [2, 8] {
-            let parallel = sweep(&loads, &tiny_opts(jobs), build_example).unwrap();
-            assert_eq!(serial, parallel, "jobs={jobs} changed sweep results");
-        }
-    }
-
-    #[test]
-    fn sweep_batch_groups_by_submission_order() {
-        let jobs = vec![
-            SweepJob::new(vec![400.0, 900.0], build_example),
-            SweepJob::new(vec![1600.0], build_example),
-        ];
-        let grouped = sweep_batch(&tiny_opts(4), &jobs).unwrap();
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0].len(), 2);
-        assert_eq!(grouped[1].len(), 1);
-        // Curves must match the same loads swept individually.
-        let flat = sweep(&[400.0, 900.0], &tiny_opts(1), build_example).unwrap();
-        assert_eq!(grouped[0], flat);
-    }
-
-    #[test]
-    fn sweep_surfaces_the_first_build_error() {
-        let loads = [400.0, 900.0];
-        let err = sweep(&loads, &tiny_opts(2), |qps| {
-            if qps > 500.0 {
-                Err(uqsim_core::SimError::InvalidScenario("too fast".into()))
-            } else {
-                build_example(qps)
-            }
-        });
-        assert!(err.is_err());
     }
 }

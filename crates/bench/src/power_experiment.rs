@@ -7,7 +7,7 @@ use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
 use uqsim_core::client::{ArrivalProcess, RateSchedule};
 use uqsim_core::telemetry::{TelemetryConfig, TelemetryWindow};
 use uqsim_core::time::SimDuration;
-use uqsim_core::SimResult;
+use uqsim_core::{SimResult, Simulator};
 use uqsim_power::{PowerManager, PowerManagerConfig, PowerTraceEntry, TraceHandle};
 
 /// Configuration of one power-management run.
@@ -62,22 +62,27 @@ pub struct PowerRunResult {
     pub energy_j: f64,
 }
 
-/// Runs the 2-tier power-management experiment.
-///
-/// # Errors
-///
-/// Propagates scenario-construction failures.
-pub fn run(cfg: &PowerRunConfig) -> SimResult<PowerRunResult> {
+/// The 2-tier application under the run's diurnal load, built: the
+/// controller attaches to the live simulator, so these runs do not go
+/// through the runner's cells.
+fn diurnal_two_tier(cfg: &PowerRunConfig) -> SimResult<Simulator> {
     let mut tt = TwoTierConfig::at_qps(cfg.max_qps);
     tt.arrivals = ArrivalProcess::Poisson {
         schedule: RateSchedule::diurnal(cfg.min_qps, cfg.max_qps, cfg.period_s, 12),
     };
     tt.common.seed = cfg.seed;
     tt.common.warmup = SimDuration::from_millis(200);
-    if cfg.noisy {
-        tt.common.noise = Some(NoiseProfile::default());
-    }
-    let mut sim = two_tier(&tt)?;
+    tt.common.noise = cfg.noisy.then(NoiseProfile::default);
+    two_tier(&tt)?.build()
+}
+
+/// Runs the 2-tier power-management experiment.
+///
+/// # Errors
+///
+/// Propagates scenario-construction failures.
+pub fn run(cfg: &PowerRunConfig) -> SimResult<PowerRunResult> {
+    let mut sim = diurnal_two_tier(cfg)?;
     let nginx = sim
         .instance_by_name("nginx")
         .expect("two_tier deploys nginx");
@@ -113,16 +118,7 @@ pub fn run(cfg: &PowerRunConfig) -> SimResult<PowerRunResult> {
 ///
 /// Propagates scenario-construction failures.
 pub fn run_baseline(cfg: &PowerRunConfig) -> SimResult<f64> {
-    let mut tt = TwoTierConfig::at_qps(cfg.max_qps);
-    tt.arrivals = ArrivalProcess::Poisson {
-        schedule: RateSchedule::diurnal(cfg.min_qps, cfg.max_qps, cfg.period_s, 12),
-    };
-    tt.common.seed = cfg.seed;
-    tt.common.warmup = SimDuration::from_millis(200);
-    if cfg.noisy {
-        tt.common.noise = Some(NoiseProfile::default());
-    }
-    let mut sim = two_tier(&tt)?;
+    let mut sim = diurnal_two_tier(cfg)?;
     sim.run_for(cfg.duration);
     Ok(sim.cluster_energy_j())
 }

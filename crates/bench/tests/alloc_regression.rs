@@ -82,7 +82,9 @@ fn allocs_per_event(sim: &mut Simulator, warm: SimDuration, measure: SimDuration
 
 #[test]
 fn steady_state_dispatch_does_not_allocate_per_event() {
-    let mut sim = two_tier(&TwoTierConfig::at_qps(5_000.0)).expect("scenario builds");
+    let mut sim = two_tier(&TwoTierConfig::at_qps(5_000.0))
+        .and_then(|cfg| cfg.build())
+        .expect("scenario builds");
     let per_event = allocs_per_event(
         &mut sim,
         SimDuration::from_secs_f64(0.5),

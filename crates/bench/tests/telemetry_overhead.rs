@@ -19,7 +19,9 @@ const QPS: f64 = 20_000.0;
 const SIM_SECS: f64 = 1.0;
 
 fn build() -> Simulator {
-    two_tier(&TwoTierConfig::at_qps(QPS)).expect("scenario builds")
+    two_tier(&TwoTierConfig::at_qps(QPS))
+        .and_then(|cfg| cfg.build())
+        .expect("scenario builds")
 }
 
 /// Telemetry must be a pure observer: enabling the full stack (sampler,

@@ -93,6 +93,46 @@ pub struct PathNodeConfig {
     pub fan_in_policy: FanInPolicy,
 }
 
+impl PathNodeConfig {
+    /// A node running `exec_path` of `service` on the selected instance,
+    /// entered by a fresh request; wire its `children` (and a reply `link`,
+    /// blocking or pinning) through the public fields.
+    pub fn service(
+        name: impl Into<String>,
+        service: impl Into<String>,
+        instance: InstanceSelectConfig,
+        exec_path: impl Into<String>,
+    ) -> Self {
+        PathNodeConfig {
+            name: name.into(),
+            target: NodeTargetConfig::Service {
+                service: service.into(),
+                instance,
+                exec_path: Some(exec_path.into()),
+            },
+            children: Vec::new(),
+            link: LinkConfig::Request,
+            block_thread_until: None,
+            pin_thread_of: None,
+            fan_in_policy: FanInPolicy::All,
+        }
+    }
+
+    /// The terminal client sink (named `client_sink`), replying on the
+    /// connection that entered `root` — the client's own connection.
+    pub fn client_sink(root: impl Into<String>) -> Self {
+        PathNodeConfig {
+            name: "client_sink".into(),
+            target: NodeTargetConfig::ClientSink,
+            children: Vec::new(),
+            link: LinkConfig::Reply { of: root.into() },
+            block_thread_until: None,
+            pin_thread_of: None,
+            fan_in_policy: FanInPolicy::All,
+        }
+    }
+}
+
 /// Target configuration for a path node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "type", rename_all = "snake_case")]
@@ -190,6 +230,29 @@ pub struct ClientConfig {
 
 fn default_request_size() -> crate::dist::Distribution {
     crate::dist::Distribution::constant(512.0)
+}
+
+impl ClientConfig {
+    /// An open-loop Poisson client at `qps` issuing one request type to one
+    /// root instance: 512-byte requests, no timeout.
+    pub fn open_loop(
+        name: impl Into<String>,
+        qps: f64,
+        connections: usize,
+        request_type: impl Into<String>,
+        root: impl Into<String>,
+    ) -> Self {
+        ClientConfig {
+            name: name.into(),
+            connections,
+            arrivals: ArrivalProcess::poisson(qps),
+            mix: vec![(request_type.into(), 1.0)],
+            roots: vec![root.into()],
+            request_size: default_request_size(),
+            closed_loop: None,
+            timeout_s: None,
+        }
+    }
 }
 
 /// The complete scenario: the union of all of Table I's inputs.

@@ -12,12 +12,16 @@
 //!   thread pool with dynamic work claiming, ordered results, and panic
 //!   propagation.
 //! * [`run_indexed`] / [`try_run_indexed`] — parallel maps over an index
-//!   space, the building blocks the bench harness submits sweeps through.
-//! * [`sweep`] — the scenario-level engine: take a
-//!   [`ScenarioConfig`](uqsim_core::config::ScenarioConfig), a QPS grid,
-//!   and a replication count; run every `(qps, seed)` cell via
-//!   [`uqsim_core::run_partitioned`]; aggregate replications into a
-//!   [`SweepTable`](sweep::SweepTable) with 95% confidence intervals.
+//!   space, for work that is not a scenario cell (a live simulator with a
+//!   controller attached, another simulator altogether).
+//! * [`sweep`] — the scenario-level engine. [`sweep::run_cells`] runs a
+//!   list of `(`[`ScenarioConfig`](uqsim_core::config::ScenarioConfig)`,
+//!   seed)` cells, each one [`uqsim_core::run_partitioned`] call, claimed
+//!   costliest first, results by index; the paper figures submit their
+//!   `(curve, load)` cells to it directly, and
+//!   [`sweep::run_scenario_sweep`] builds a QPS grid × replications on it
+//!   and aggregates into a [`SweepTable`](sweep::SweepTable) with 95%
+//!   confidence intervals.
 //!
 //! ## Determinism
 //!

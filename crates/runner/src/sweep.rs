@@ -364,12 +364,73 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
     }
 }
 
+/// What a cell costs to run, for the claim order only: the path-node
+/// visits its clients offer per second (offered rate × mean nodes per
+/// request; a rate schedule counts at its peak, a trace as nothing).
+fn offered_visits_per_s(cfg: &ScenarioConfig) -> f64 {
+    let nodes_of = |ty: &str| {
+        let found = cfg.request_types.iter().find(|t| t.name == ty);
+        found.map_or(0, |t| t.nodes.len()) as f64
+    };
+    cfg.clients
+        .iter()
+        .map(|c| {
+            let a = &c.arrivals;
+            let rate = a.mean_rate_qps().or(a.schedule().map(|s| s.peak()));
+            let weight: f64 = c.mix.iter().map(|(_, w)| w).sum();
+            let nodes: f64 = c.mix.iter().map(|(ty, w)| w * nodes_of(ty)).sum();
+            rate.unwrap_or(0.0) * nodes / weight
+        })
+        .sum()
+}
+
+/// Runs every `(scenario, seed)` cell through [`run_partitioned`] for
+/// `duration` on up to `jobs` threads and returns the summaries in `cells`
+/// order — the one fan-out behind [`run_scenario_sweep`] and the paper
+/// figures (`uqsim-bench`).
+///
+/// Workers claim the cells costliest first (offered path-node visits per
+/// second; ties: `cells` order), so the batch does not end on one worker
+/// running the heaviest cell alone. The order decides only *when* a cell
+/// runs: each result is a pure function of its `(scenario, faults, seed,
+/// duration)`. `finished` is called with a cell's index once it is done,
+/// possibly from a worker thread.
+///
+/// # Errors
+///
+/// Every cell still runs, then the error of the lowest-indexed failing
+/// cell is returned.
+pub fn run_cells(
+    cells: &[(&ScenarioConfig, u64)],
+    faults: Option<&FaultPlan>,
+    duration: SimDuration,
+    opts: &PartitionOptions,
+    jobs: usize,
+    finished: &(dyn Fn(usize) + Sync),
+) -> SimResult<Vec<RunResult>> {
+    let cost: Vec<f64> = cells
+        .iter()
+        .map(|(cfg, _)| offered_visits_per_s(cfg))
+        .collect();
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
+    Pool::new(jobs)
+        .map_claimed(&order, |i| {
+            let (cfg, seed) = cells[i];
+            let out = run_partitioned(cfg, faults, seed, duration, opts).map(|run| run.result);
+            finished(i);
+            out
+        })
+        .into_iter()
+        .collect()
+}
+
 /// Runs the full `qps × reps` grid of `spec` over `cfg` and aggregates.
 ///
 /// Each cell re-scales the scenario to its offered load
 /// ([`ScenarioConfig::with_offered_qps`]) and re-seeds it ([`seed_for`]),
-/// then runs it through [`run_partitioned`] at `spec.shards` with the
-/// spec's fault plan (if any).
+/// then runs through [`run_cells`] at `spec.shards` with the spec's fault
+/// plan (if any), heaviest load first.
 /// `progress` is invoked once per finished cell, possibly from worker
 /// threads (hence `Sync`).
 ///
@@ -385,36 +446,22 @@ pub fn run_scenario_sweep(
     let reps = spec.reps.max(1);
     // One re-scaled scenario per QPS point, shared read-only by its cells.
     let scaled: Vec<ScenarioConfig> = spec.qps.iter().map(|&q| cfg.with_offered_qps(q)).collect();
-    let total = scaled.len() * reps;
+    let cells: Vec<(&ScenarioConfig, u64)> = scaled
+        .iter()
+        .flat_map(|c| (0..reps).map(move |rep| (c, seed_for(spec.base_seed, rep))))
+        .collect();
     let finished = AtomicUsize::new(0);
     let opts = PartitionOptions::with_shards(spec.shards);
-    // Workers claim the cells by descending offered load (ties: grid
-    // order) — load is what a cell costs — so the sweep does not end on
-    // one worker running the heaviest cell alone. Results stay in grid
-    // order, so every aggregate is the one a serial loop computes.
-    let mut order: Vec<usize> = (0..total).collect();
-    order.sort_by(|&a, &b| {
-        spec.qps[b / reps]
-            .total_cmp(&spec.qps[a / reps])
-            .then(a.cmp(&b))
-    });
-    let results = Pool::new(spec.jobs)
-        .map_claimed(&order, |i| {
-            let (qi, rep) = (i / reps, i % reps);
-            let seed = seed_for(spec.base_seed, rep);
-            let faults = spec.faults.as_ref();
-            let out = run_partitioned(&scaled[qi], faults, seed, spec.duration, &opts)
-                .map(|run| run.result);
-            progress(Progress {
-                finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
-                total,
-                offered_qps: spec.qps[qi],
-                seed,
-            });
-            out
+    let tick = |i: usize| {
+        progress(Progress {
+            finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
+            total: cells.len(),
+            offered_qps: spec.qps[i / reps],
+            seed: cells[i].1,
         })
-        .into_iter()
-        .collect::<SimResult<Vec<RunResult>>>()?;
+    };
+    let faults = spec.faults.as_ref();
+    let results = run_cells(&cells, faults, spec.duration, &opts, spec.jobs, &tick)?;
     let rows = spec
         .qps
         .iter()
@@ -574,6 +621,60 @@ mod tests {
             jobs,
             faults: None,
             shards: 0,
+        }
+    }
+
+    #[test]
+    fn cells_are_claimed_costliest_first_and_returned_by_index() {
+        let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO).unwrap();
+        let loads = [900.0, 2400.0, 400.0, 2400.0];
+        let scaled: Vec<ScenarioConfig> = loads.iter().map(|&q| cfg.with_offered_qps(q)).collect();
+        let cells: Vec<(&ScenarioConfig, u64)> = scaled.iter().map(|c| (c, 7)).collect();
+        let opts = PartitionOptions::default();
+        let d = SimDuration::from_millis(300);
+        // One worker claims serially, so the claim order is observable.
+        let claimed = std::sync::Mutex::new(Vec::new());
+        let seen = |i| claimed.lock().unwrap().push(i);
+        let serial = run_cells(&cells, None, d, &opts, 1, &seen).unwrap();
+        assert_eq!(claimed.into_inner().unwrap(), [1, 3, 0, 2]);
+        // Results sit at their cell's index: equal cells agree, and the
+        // achieved rate follows the offered one.
+        assert_eq!(serial[1], serial[3]);
+        assert!(serial[1].achieved_qps > serial[0].achieved_qps);
+        assert!(serial[0].achieved_qps > serial[2].achieved_qps);
+        assert_eq!(
+            run_cells(&cells, None, d, &opts, 4, &|_| {}).unwrap(),
+            serial
+        );
+    }
+
+    #[test]
+    fn cells_surface_the_lowest_indexed_error() {
+        let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO).unwrap();
+        let broken = |service: &str| {
+            let mut bad = cfg.clone();
+            bad.instances[0].service = service.into();
+            bad
+        };
+        let (first, second) = (broken("ghost-a"), broken("ghost-b"));
+        let cells = [(&cfg, 1), (&first, 1), (&second, 1)];
+        let opts = PartitionOptions::default();
+        for jobs in [1, 4] {
+            let finished = AtomicUsize::new(0);
+            let tick = |_| {
+                finished.fetch_add(1, Ordering::Relaxed);
+            };
+            let err = run_cells(
+                &cells,
+                None,
+                SimDuration::from_millis(200),
+                &opts,
+                jobs,
+                &tick,
+            );
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("ghost-a"), "jobs={jobs}: {err}");
+            assert_eq!(finished.into_inner(), 3, "every cell still runs");
         }
     }
 

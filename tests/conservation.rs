@@ -6,8 +6,13 @@ use uqsim_apps::scenarios::{
     fanout, social_network, three_tier, two_tier, FanoutConfig, SocialNetworkConfig,
     ThreeTierConfig, TwoTierConfig,
 };
+use uqsim_core::config::ScenarioConfig;
 use uqsim_core::time::{SimDuration, SimTime};
-use uqsim_core::Simulator;
+use uqsim_core::{SimResult, Simulator};
+
+fn built(cfg: SimResult<ScenarioConfig>) -> Simulator {
+    cfg.and_then(|cfg| cfg.build()).expect("scenario builds")
+}
 
 fn check_conservation(mut sim: Simulator, name: &str, max_inflight: usize) {
     sim.run_for(SimDuration::from_secs(3));
@@ -30,7 +35,7 @@ fn check_conservation(mut sim: Simulator, name: &str, max_inflight: usize) {
 #[test]
 fn two_tier_conserves_below_saturation() {
     check_conservation(
-        two_tier(&TwoTierConfig::at_qps(30_000.0)).unwrap(),
+        built(two_tier(&TwoTierConfig::at_qps(30_000.0))),
         "two_tier",
         320,
     );
@@ -40,7 +45,7 @@ fn two_tier_conserves_below_saturation() {
 fn two_tier_conserves_in_overload() {
     // Overload: the client conns bound the launched in-flight work; the
     // remainder queues on connections, still accounted as live.
-    let mut sim = two_tier(&TwoTierConfig::at_qps(120_000.0)).unwrap();
+    let mut sim = built(two_tier(&TwoTierConfig::at_qps(120_000.0)));
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(
         sim.generated(),
@@ -51,7 +56,7 @@ fn two_tier_conserves_in_overload() {
 #[test]
 fn three_tier_conserves_with_probabilistic_paths() {
     check_conservation(
-        three_tier(&ThreeTierConfig::at_qps(2_500.0)).unwrap(),
+        built(three_tier(&ThreeTierConfig::at_qps(2_500.0))),
         "three_tier",
         320,
     );
@@ -60,7 +65,7 @@ fn three_tier_conserves_with_probabilistic_paths() {
 #[test]
 fn fanout_conserves_with_fan_in_joins() {
     check_conservation(
-        fanout(&FanoutConfig::new(16, 3_000.0)).unwrap(),
+        built(fanout(&FanoutConfig::new(16, 3_000.0))),
         "fanout16",
         320,
     );
@@ -69,7 +74,7 @@ fn fanout_conserves_with_fan_in_joins() {
 #[test]
 fn social_network_conserves_with_blocking_threads() {
     check_conservation(
-        social_network(&SocialNetworkConfig::at_qps(8_000.0)).unwrap(),
+        built(social_network(&SocialNetworkConfig::at_qps(8_000.0))),
         "social",
         320,
     );
@@ -84,16 +89,16 @@ fn trace_auditor_is_clean_across_topologies() {
     let scenarios: Vec<(&str, Simulator)> = vec![
         (
             "two_tier",
-            two_tier(&TwoTierConfig::at_qps(30_000.0)).unwrap(),
+            built(two_tier(&TwoTierConfig::at_qps(30_000.0))),
         ),
         (
             "three_tier",
-            three_tier(&ThreeTierConfig::at_qps(2_500.0)).unwrap(),
+            built(three_tier(&ThreeTierConfig::at_qps(2_500.0))),
         ),
-        ("fanout16", fanout(&FanoutConfig::new(16, 3_000.0)).unwrap()),
+        ("fanout16", built(fanout(&FanoutConfig::new(16, 3_000.0)))),
         (
             "social",
-            social_network(&SocialNetworkConfig::at_qps(8_000.0)).unwrap(),
+            built(social_network(&SocialNetworkConfig::at_qps(8_000.0))),
         ),
     ];
     for (name, mut sim) in scenarios {
@@ -115,7 +120,7 @@ fn trace_auditor_is_clean_across_topologies() {
 #[test]
 fn jobs_do_not_leak_over_time() {
     // Live jobs should stay bounded over a long run (no slow leak).
-    let mut sim = two_tier(&TwoTierConfig::at_qps(30_000.0)).unwrap();
+    let mut sim = built(two_tier(&TwoTierConfig::at_qps(30_000.0)));
     sim.run_for(SimDuration::from_secs(1));
     let early = sim.live_jobs();
     sim.run_for(SimDuration::from_secs(5));
@@ -128,7 +133,7 @@ fn jobs_do_not_leak_over_time() {
 
 #[test]
 fn queue_depths_stable_below_saturation() {
-    let mut sim = two_tier(&TwoTierConfig::at_qps(40_000.0)).unwrap();
+    let mut sim = built(two_tier(&TwoTierConfig::at_qps(40_000.0)));
     sim.run_for(SimDuration::from_secs(4));
     let nginx = sim.instance_by_name("nginx").unwrap();
     let mc = sim.instance_by_name("memcached").unwrap();
@@ -138,7 +143,7 @@ fn queue_depths_stable_below_saturation() {
 
 #[test]
 fn utilizations_are_physical() {
-    let mut sim = two_tier(&TwoTierConfig::at_qps(40_000.0)).unwrap();
+    let mut sim = built(two_tier(&TwoTierConfig::at_qps(40_000.0)));
     sim.run_for(SimDuration::from_secs(3));
     for name in ["nginx", "memcached"] {
         let id = sim.instance_by_name(name).unwrap();

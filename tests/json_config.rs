@@ -1,7 +1,9 @@
 //! The declarative JSON front end end-to-end: the shipped configuration
-//! files build, run, and agree with the equivalent programmatic scenario.
+//! files build, run, and describe the equivalent programmatic scenario.
 
-use uqsim_core::config::ScenarioConfig;
+use uqsim_core::config::{NodeTargetConfig, ScenarioConfig};
+use uqsim_core::ids::StageId;
+use uqsim_core::service::ServiceModel;
 use uqsim_core::time::SimDuration;
 
 const QUICKSTART: &str = include_str!("../crates/cli/configs/quickstart.json");
@@ -19,27 +21,83 @@ fn quickstart_config_runs() {
 
 #[test]
 fn two_tier_config_matches_programmatic_scenario_shape() {
-    let cfg = ScenarioConfig::from_json(TWO_TIER).unwrap();
-    let mut from_json = cfg.build().unwrap();
-    from_json.run_for(SimDuration::from_secs(3));
-    let json_stats = from_json.latency_summary();
+    let bundled = ScenarioConfig::from_json(TWO_TIER).unwrap();
+    let mut opts = uqsim_apps::scenarios::TwoTierConfig::at_qps(20_000.0);
+    opts.common.warmup = SimDuration::from_millis(500);
+    let programmatic = uqsim_apps::scenarios::two_tier(&opts).unwrap();
 
-    let mut prog_cfg = uqsim_apps::scenarios::TwoTierConfig::at_qps(20_000.0);
-    prog_cfg.common.warmup = SimDuration::from_millis(500);
-    let mut programmatic = uqsim_apps::scenarios::two_tier(&prog_cfg).unwrap();
-    programmatic.run_for(SimDuration::from_secs(3));
-    let prog_stats = programmatic.latency_summary();
+    // The bundled file is a hand-authored description of the same
+    // application. Each block below states one known difference, checks it
+    // is still there, and takes the file's side; what is left must be equal
+    // field for field. The list is the to-do of the PR that regenerates the
+    // bundled files from `uqsim_apps::scenarios` (they are the perf
+    // ledger's workloads, so that PR re-measures the baseline).
+    let mut expected = programmatic.clone();
 
-    // Same topology and calibration: the two should land in the same
-    // latency regime (not identical — the JSON file is an independent
-    // hand-authored description).
-    assert!(
-        (json_stats.mean - prog_stats.mean).abs() / prog_stats.mean < 0.5,
-        "json mean {} vs programmatic mean {}",
-        json_stats.mean,
-        prog_stats.mean
-    );
-    assert!(json_stats.p99 < 5e-3 && prog_stats.p99 < 5e-3);
+    // 1. Machines: the file steps DVFS by 0.2 GHz (the model by 0.1) and
+    //    leaves the NIC unlimited (the model has Table II's 1 Gbps).
+    for (m, file) in expected.machines.iter_mut().zip(&bundled.machines) {
+        assert_ne!(m.dvfs, file.dvfs);
+        assert_ne!(m.network.bandwidth_gbps, file.network.bandwidth_gbps);
+        m.dvfs = file.dvfs.clone();
+        m.network.bandwidth_gbps = file.network.bandwidth_gbps;
+    }
+
+    // 2. Service models: the file keeps only the stages this request type
+    //    visits (its unvisited `memcached_write` path reuses the GET
+    //    stage), rounds the log-normal parameters to four digits, and
+    //    charges `socket_send` a constant with no per-byte term (so
+    //    memcached's `socket_read` carries no per-byte cost either). Same
+    //    services, and every path the request type visits is the model's
+    //    path of that name: the same stages under the same disciplines.
+    let stages_of = |models: &[ServiceModel], service: &str, path: &str| {
+        let model = models.iter().find(|m| m.name == service).unwrap();
+        let path = &model.paths[model.path_index(path).unwrap()];
+        let stage = |id: &StageId| {
+            let stage = &model.stages[id.index()];
+            (stage.name.clone(), stage.queue)
+        };
+        path.stages.iter().map(stage).collect::<Vec<_>>()
+    };
+    for node in &bundled.request_types[0].nodes {
+        if let NodeTargetConfig::Service {
+            service,
+            exec_path: Some(path),
+            ..
+        } = &node.target
+        {
+            assert_eq!(
+                stages_of(&expected.services, service, path),
+                stages_of(&bundled.services, service, path),
+                "{service}.{path}"
+            );
+        }
+    }
+    for (model, file) in expected.services.iter_mut().zip(&bundled.services) {
+        assert_eq!(model.name, file.name);
+        assert!(model.stages.len() > file.stages.len());
+        *model = file.clone();
+    }
+
+    // 3. The client sink is called `sink` in the file.
+    let nodes = &mut expected.request_types[0].nodes;
+    assert_eq!(nodes[3].name, "client_sink");
+    nodes[3].name = "sink".into();
+    nodes[2].children = vec!["sink".into()];
+
+    // 4. Request sizes: constant 512 B in the file, exponential with that
+    //    mean in the model (the validation's value-size distribution).
+    let size = &mut expected.clients[0].request_size;
+    assert_ne!(*size, bundled.clients[0].request_size);
+    assert_eq!(size.mean(), bundled.clients[0].request_size.mean());
+    *size = bundled.clients[0].request_size.clone();
+
+    assert_eq!(expected.machines, bundled.machines);
+    assert_eq!(expected.instances, bundled.instances);
+    assert_eq!(expected.pools, bundled.pools);
+    assert_eq!(expected.request_types, bundled.request_types);
+    assert_eq!(expected.clients, bundled.clients);
+    assert_eq!(expected, bundled);
 }
 
 #[test]

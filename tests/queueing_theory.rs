@@ -5,58 +5,90 @@
 //! correct.
 
 use uqsim_bighouse::erlang_c;
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::ClientSpec;
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
+    RequestTypeConfig, ScenarioConfig,
+};
 use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{PathNodeId, StageId};
+use uqsim_core::ids::StageId;
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::SimDuration;
 use uqsim_core::{SimResult, Simulator};
 
-const WARMUP: SimDuration = SimDuration::from_secs(2);
+/// One single-stage service per `(name, service time, servers)` station —
+/// each with an instance of the same name on one shared machine — visited
+/// in order, the last one replying to the client. Ideal (zero-cost)
+/// networking and effectively unlimited client concurrency: the setup
+/// queueing-theory closed forms apply to.
+fn stations(qps: f64, stations: &[(&str, Distribution, usize)], seed: u64) -> ScenarioConfig {
+    let names: Vec<&str> = stations.iter().map(|s| s.0).collect();
+    let mut nodes: Vec<PathNodeConfig> = names
+        .iter()
+        .zip(names.iter().skip(1).chain(&["client_sink"]))
+        .map(|(name, next)| PathNodeConfig {
+            children: vec![next.to_string()],
+            ..PathNodeConfig::service(
+                *name,
+                *name,
+                InstanceSelectConfig::Fixed {
+                    name: name.to_string(),
+                },
+                "serve",
+            )
+        })
+        .collect();
+    if let [_, .., last] = nodes.as_mut_slice() {
+        last.link = LinkConfig::ReplyToParent;
+    }
+    nodes.push(PathNodeConfig::client_sink(names[0]));
+    ScenarioConfig {
+        seed,
+        warmup_s: 2.0,
+        machines: vec![MachineSpec {
+            name: "m".into(),
+            cores: stations.iter().map(|s| s.2).sum(),
+            dvfs: DvfsSpec::fixed(2.6),
+            network: NetworkSpec::passthrough(0.0),
+            power: Default::default(),
+        }],
+        services: stations
+            .iter()
+            .map(|(name, service, _)| {
+                ServiceModel::new(
+                    *name,
+                    vec![StageSpec::new(
+                        "serve",
+                        QueueDiscipline::Single,
+                        ServiceTimeModel::per_job(service.clone(), 2.6),
+                    )],
+                    vec![ExecPath::new("serve", vec![StageId::from_raw(0)])],
+                )
+            })
+            .collect(),
+        instances: stations
+            .iter()
+            .map(|&(name, _, servers)| InstanceConfig {
+                name: name.into(),
+                service: name.into(),
+                machine: "m".into(),
+                cores: servers,
+                exec: ExecConfig::Simple,
+            })
+            .collect(),
+        pools: Vec::new(),
+        request_types: vec![RequestTypeConfig {
+            name: "r".into(),
+            nodes,
+        }],
+        clients: vec![ClientConfig::open_loop("c", qps, 1_000_000, "r", names[0])],
+    }
+}
 
-/// Builds a bare G/G/k station: one single-stage service on `servers`
-/// cores, ideal (zero-cost) networking, and effectively unlimited client
-/// concurrency — the setup queueing-theory closed forms apply to.
-fn station(
-    qps: f64,
-    service: Distribution,
-    servers: usize,
-    seed: u64,
-    warmup: SimDuration,
-) -> SimResult<Simulator> {
-    let mut b = ScenarioBuilder::new(seed);
-    b.warmup(warmup);
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: servers,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(0.0),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "station",
-        vec![StageSpec::new(
-            "serve",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(service, 2.6),
-        )],
-        vec![ExecPath::new("serve", vec![StageId::from_raw(0)])],
-    ));
-    let i = b.add_instance("station0", s, m, servers, ExecSpec::Simple)?;
-    let mut node = PathNodeSpec::request("serve", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b.add_request_type(RequestType::new(
-        "r",
-        vec![node, sink],
-        PathNodeId::from_raw(0),
-    ))?;
-    b.add_client(ClientSpec::open_loop("c", qps, 1_000_000, ty), vec![i]);
-    b.build()
+/// A bare G/G/k station.
+fn station(qps: f64, service: Distribution, servers: usize, seed: u64) -> SimResult<Simulator> {
+    stations(qps, &[("station", service, servers)], seed).build()
 }
 
 fn run_station(
@@ -66,7 +98,7 @@ fn run_station(
     secs: u64,
     seed: u64,
 ) -> (f64, f64) {
-    let mut sim = station(qps, service, servers, seed, WARMUP).expect("station builds");
+    let mut sim = station(qps, service, servers, seed).expect("station builds");
     sim.run_for(SimDuration::from_secs(secs));
     let s = sim.latency_summary();
     assert!(s.count > 1_000, "too few samples: {}", s.count);
@@ -179,8 +211,7 @@ fn latency_monotone_in_load() {
 fn throughput_tracks_offered_below_saturation() {
     let mu = 10_000.0;
     let lambda = 4_000.0;
-    let mut sim =
-        station(lambda, Distribution::exponential(1.0 / mu), 1, 21, WARMUP).expect("builds");
+    let mut sim = station(lambda, Distribution::exponential(1.0 / mu), 1, 21).expect("builds");
     sim.run_for(SimDuration::from_secs(20));
     let measured = sim.latency_summary().count as f64 / 18.0;
     assert!(
@@ -195,70 +226,20 @@ mod tandem {
     //! (Burke's theorem), so the mean end-to-end sojourn is the sum of
     //! the per-station sojourns.
 
-    use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-    use uqsim_core::client::ClientSpec;
-    use uqsim_core::dist::Distribution;
-    use uqsim_core::ids::{PathNodeId, StageId};
-    use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-    use uqsim_core::path::{LinkKind, PathNodeSpec, RequestType};
-    use uqsim_core::service::{ExecPath, ServiceModel};
-    use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
-    use uqsim_core::time::SimDuration;
-
-    fn station(name: &str, mu: f64) -> ServiceModel {
-        ServiceModel::new(
-            name,
-            vec![StageSpec::new(
-                "serve",
-                QueueDiscipline::Single,
-                ServiceTimeModel::per_job(Distribution::exponential(1.0 / mu), 2.6),
-            )],
-            vec![ExecPath::new("serve", vec![StageId::from_raw(0)])],
-        )
-    }
+    use super::*;
 
     #[test]
     fn tandem_mm1_queues_sum_like_jackson() {
-        let mu1 = 10_000.0;
-        let mu2 = 6_000.0;
-        let lambda = 4_000.0;
-
-        let mut b = ScenarioBuilder::new(33);
-        b.warmup(SimDuration::from_secs(2));
-        let m = b.add_machine(MachineSpec {
-            name: "m".into(),
-            cores: 3,
-            dvfs: DvfsSpec::fixed(2.6),
-            network: NetworkSpec::passthrough(0.0),
-            power: Default::default(),
-        });
-        let s1 = b.add_service(station("s1", mu1));
-        let s2 = b.add_service(station("s2", mu2));
-        // A free relay carries the response back to the client without
-        // adding measurable service time or revisiting the tandem.
-        let s3 = b.add_service(station("relay", 1e9));
-        let i1 = b.add_instance("st1", s1, m, 1, ExecSpec::Simple).unwrap();
-        let i2 = b.add_instance("st2", s2, m, 1, ExecSpec::Simple).unwrap();
-        let i3 = b.add_instance("relay", s3, m, 1, ExecSpec::Simple).unwrap();
-
-        let mut n0 = PathNodeSpec::request("st1", s1, i1);
-        n0.children = vec![PathNodeId::from_raw(1)];
-        let mut n1 = PathNodeSpec::request("st2", s2, i2);
-        n1.children = vec![PathNodeId::from_raw(2)];
-        let mut n2 = PathNodeSpec::request("relay", s3, i3);
-        n2.link = LinkKind::ReplyToParent;
-        n2.children = vec![PathNodeId::from_raw(3)];
-        let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-        let ty = b
-            .add_request_type(RequestType::new(
-                "tandem",
-                vec![n0, n1, n2, sink],
-                PathNodeId::from_raw(0),
-            ))
-            .unwrap();
-        b.add_client(ClientSpec::open_loop("c", lambda, 1_000_000, ty), vec![i1]);
-        let mut sim = b.build().unwrap();
-
+        let (mu1, mu2, lambda) = (10_000.0, 6_000.0, 4_000.0);
+        let exp = |mu: f64| Distribution::exponential(1.0 / mu);
+        // A free relay carries the response back to the client without adding
+        // measurable service time or revisiting the tandem.
+        let tandem = [
+            ("st1", exp(mu1), 1),
+            ("st2", exp(mu2), 1),
+            ("relay", exp(1e9), 1),
+        ];
+        let mut sim = stations(lambda, &tandem, 33).build().unwrap();
         sim.run_for(SimDuration::from_secs(30));
         let mean = sim.latency_summary().mean;
         let expect = 1.0 / (mu1 - lambda) + 1.0 / (mu2 - lambda);
