@@ -21,9 +21,14 @@
 //! event, audits the log and replays it into a second critical-path
 //! profile; the log is streamed through a few reused chunks, the auditor
 //! forgets a request where the log says its slot was released, and a
-//! profile keeps only the latency buckets it touched. The last two tests
-//! pin both: a checked run under the same per-request bound as a plain
+//! profile keeps only the latency buckets it touched. Two tests pin
+//! both: a checked run under the same per-request bound as a plain
 //! one, and a checked 30-cell cluster under a recorded peak.
+//!
+//! Exporting a retained log must not change it either: the Chrome trace is
+//! two and a half times the size of the log it is rendered from, and is
+//! written an event at a time, never held. The last test pins the bytes an
+//! export holds beyond the log.
 //!
 //! Bytes asked of the allocator, not RSS, so the tests are noise-immune and
 //! run unconditionally, like their neighbour `alloc_regression.rs`.
@@ -239,5 +244,51 @@ fn a_checked_cluster_holds_touched_buckets_not_dense_profiles() {
         "a checked 30-cell run peaked at {peak} B; the ratchet is \
          {MAX_CHECKED_CLUSTER_PEAK} — finished cells are keeping more than the \
          buckets their profiles touched"
+    );
+}
+
+/// The most a Chrome export may hold beyond the retained log it reads:
+/// the writer's 64 KB buffer and a few scratch strings (measured: 65,728 B
+/// for 27.8 MB of JSON). While the export built the `Value` tree, copied it
+/// and printed the copy into a `String`, the same 200 k-event log (11 MB)
+/// cost 182.7 MB more.
+const MAX_EXPORT_LIVE_BYTES: usize = 1_000_000;
+
+#[test]
+fn a_chrome_export_holds_no_more_than_the_log_it_reads() {
+    let _alone = one_at_a_time();
+    let json = include_str!("../../cli/configs/two_tier.json");
+    let cfg = ScenarioConfig::from_json(json).expect("bundled scenario parses");
+    let opts = PartitionOptions {
+        span_tracing: SpanTracing::Retain(200_000),
+        ..PartitionOptions::default()
+    };
+    let (_, run) = peak_of(&cfg, 1.0, &opts);
+    assert_eq!(run.cells[0].span_events, 200_000, "the log is full");
+
+    /// Counts the bytes it is given.
+    struct Count(usize);
+    impl std::io::Write for Count {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 += buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, Count(0));
+    let trace = run.chrome_trace().expect("the log is retained");
+    serde_json::to_writer_pretty(&mut out, &trace).expect("counting cannot fail");
+    std::io::Write::flush(&mut out).expect("counting cannot fail");
+    let written = out.get_ref().0;
+    let held = PEAK.load(Ordering::Relaxed) - baseline;
+    assert!(written > 20_000_000, "{written} B of JSON");
+    assert!(
+        held < MAX_EXPORT_LIVE_BYTES,
+        "exporting {written} B of Chrome trace held {held} B beyond the log; the ratchet \
+         is {MAX_EXPORT_LIVE_BYTES} — the export is building what it prints"
     );
 }

@@ -93,6 +93,7 @@
 //! ships at `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -1095,13 +1096,21 @@ fn print_sampled_traces(run: &PartitionedRun, events: usize, every: u64, max: us
 /// range and `c<i>:`-prefixed scope ids; the written JSON and the audit
 /// verdict are byte-identical at any `--shards` value.
 fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome {
-    let text = pretty(&run.chrome_trace().expect("span tracing is enabled"));
-    match &plan.out {
-        Some(file) => {
-            std::fs::write(file, text)?;
-            eprintln!("wrote {}", file.display());
-        }
-        None => println!("{text}"),
+    // Streamed an event at a time: the JSON is 2.5 times the size of the
+    // log it is written from and is never held.
+    let trace = run.chrome_trace().expect("span tracing is enabled");
+    let sink: Box<dyn Write> = match &plan.out {
+        Some(file) => Box::new(std::fs::File::create(file)?),
+        None => Box::new(std::io::stdout().lock()),
+    };
+    let mut out = BufWriter::with_capacity(1 << 16, sink);
+    serde_json::to_writer_pretty(&mut out, &trace)?;
+    if plan.out.is_none() {
+        writeln!(out)?;
+    }
+    out.flush()?;
+    if let Some(file) = &plan.out {
+        eprintln!("wrote {}", file.display());
     }
     let recorded: usize = run.cells.iter().map(|c| c.span_events).sum();
     let audit = run.audit().expect("span tracing is enabled");
@@ -1293,7 +1302,7 @@ mod tests {
         let report = sim.audit_trace().expect("tracing enabled");
         assert!(report.is_clean(), "violations: {:#?}", report.violations);
         assert!(report.spans_checked > 0, "no spans correlated");
-        let chrome = sim.chrome_trace().expect("tracing enabled");
+        let chrome = serde_json::to_value(sim.chrome_trace().expect("tracing enabled")).unwrap();
         let events = chrome["traceEvents"].as_array().expect("traceEvents array");
         assert!(events.len() > 100, "only {} chrome events", events.len());
         // Every event carries the mandatory Chrome trace_event keys.

@@ -1,0 +1,67 @@
+//! Hostile JSON reaches the binary as an error, not as an abort: a
+//! document nested past the parser's depth limit used to overflow the
+//! stack (SIGABRT, exit 134) through every door JSON comes in by —
+//! scenario, fault plan, gen spec — and a repeated key used to keep its
+//! last value without a word.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn uqsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_uqsim"))
+        .args(args)
+        .output()
+        .expect("uqsim binary runs")
+}
+
+fn scratch(name: &str, text: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uqsim-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join(name);
+    std::fs::write(&path, text).expect("write input");
+    path
+}
+
+fn quickstart() -> String {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("configs/quickstart.json")
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Exit 1 and one `invalid configuration` line carrying `detail`.
+fn assert_config_error(what: &str, out: &Output, detail: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{what}: {stdout}{stderr}");
+    assert!(
+        format!("{stdout}{stderr}").contains("invalid configuration in ")
+            && format!("{stdout}{stderr}").contains(detail),
+        "{what}: {stdout}{stderr}"
+    );
+}
+
+#[test]
+fn deep_nesting_is_a_config_error_through_every_door() {
+    let deep = scratch("deep.json", &"[".repeat(200_000));
+    let deep = deep.to_str().unwrap();
+    let detail = "nesting deeper than 128 at line 1 column 129";
+    assert_config_error("validate", &uqsim(&["validate", deep]), detail);
+    assert_config_error("run", &uqsim(&["run", deep]), detail);
+    let faulted = uqsim(&["run", &quickstart(), "--faults", deep]);
+    assert_config_error("--faults", &faulted, detail);
+    assert_config_error("--gen", &uqsim(&["run", "--gen", deep]), detail);
+    assert_config_error("gen --spec", &uqsim(&["gen", "--spec", deep]), detail);
+}
+
+#[test]
+fn a_repeated_key_is_a_config_error_naming_it() {
+    let text = std::fs::read_to_string(quickstart()).expect("bundled config");
+    // The bundled scenario with a second `seed` in front of its own, which
+    // used to win without a word.
+    assert!(text.starts_with("{\n  \"seed\": 42,"), "quickstart changed");
+    let twice = text.replacen('{', "{\n  \"seed\": 7,", 1);
+    let path = scratch("twice.json", &twice);
+    let out = uqsim(&["validate", path.to_str().unwrap()]);
+    assert_config_error("validate", &out, "duplicate key `seed` at line 3 column 3");
+}

@@ -109,9 +109,9 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
         pretty(&bare.metrics_json()),
         "{what}: metrics JSON"
     );
-    let chrome = run.chrome_trace().expect("span tracing on");
+    let chrome = serde_json::to_value(run.chrome_trace().expect("span tracing on")).unwrap();
     assert!(
-        Some(&chrome) == bare.chrome_trace().as_ref(),
+        Some(&chrome) == serde_json::to_value(bare.chrome_trace()).ok().as_ref(),
         "{what}: Chrome trace differs"
     );
     let ids = chrome["traceEvents"].as_array().expect("traceEvents");

@@ -8,6 +8,22 @@
 //! generated [`uqsim_apps::scenarios::pod_cluster`] scenario, so they pin
 //! the output framing (results on stdout, partition diagnostics on stderr)
 //! as well as the merged bytes.
+//!
+//! Comparing the shard arms with each other cannot see a merge that is
+//! wrong in every arm alike (a pid base or a `c<i>:` id prefix shifted for
+//! all of them), so the merged Chrome trace is also pinned against what
+//! the commit before the streaming exporter wrote: the whole 110-machine
+//! trace by length and FNV-1a hash, and the first events of a three-pod
+//! cluster as a readable golden file. To regenerate the latter, run
+//!
+//! ```text
+//! uqsim trace --config <three-pod cluster.json> --duration 0.3 --events 24 \
+//!     --out crates/cli/tests/golden/pod_cluster_trace.json
+//! ```
+//!
+//! on the `cluster.json` that `merged_trace_matches_golden` leaves under
+//! the temp dir (the command exits 1: a 24-event log is truncated on
+//! purpose).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -18,7 +34,11 @@ const PODS: usize = 55;
 /// Writes the generated pod-cluster scenario under a unique directory in
 /// the target tmpdir and returns its path.
 fn cluster_config(tag: &str) -> PathBuf {
-    let cfg = uqsim_apps::scenarios::pod_cluster(PODS, 600.0).expect("pod cluster builds");
+    pods_config(tag, PODS)
+}
+
+fn pods_config(tag: &str, pods: usize) -> PathBuf {
+    let cfg = uqsim_apps::scenarios::pod_cluster(pods, 600.0).expect("pod cluster builds");
     let dir = std::env::temp_dir().join(format!("uqsim-partition-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("cluster.json");
@@ -112,6 +132,12 @@ fn chrome_trace_is_byte_identical_across_shards() {
     }
     assert_eq!(traces[0], traces[1], "Chrome trace drifted across shards");
     assert_eq!(traces[0], traces[2], "Chrome trace drifted across shards");
+    // ... and all three are the bytes the tree-building exporter wrote.
+    assert_eq!(
+        (traces[0].len(), fnv1a(&traces[0])),
+        (20_233_870, PARENT_TRACE_FNV1A),
+        "the merged Chrome trace changed"
+    );
     // The merged trace really covers the whole cluster: every pod's pid
     // block appears.
     let text = String::from_utf8(traces[0].clone()).expect("trace is UTF-8");
@@ -120,6 +146,41 @@ fn chrome_trace_is_byte_identical_across_shards() {
             text.contains(&format!("p{pod}-fe")),
             "pod {pod} missing from merged trace"
         );
+    }
+}
+
+/// FNV-1a (64-bit) of the 55-pod merged trace, recorded at commit 921f759.
+const PARENT_TRACE_FNV1A: u64 = 0xb727_33b5_dea0_1cab;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Three cells, two shards, the first 24 events of each: metadata for every
+/// process, pids shifted by `machines + 1` per cell, span ids behind their
+/// `c<i>:` prefix — against the file the parent commit wrote.
+#[test]
+fn merged_trace_matches_golden() {
+    let cfg = pods_config("golden", 3);
+    let out_file = cfg.with_file_name("trace.json");
+    let mut args = vec!["trace", "--config", cfg.to_str().unwrap()];
+    args.extend(["--duration", "0.3", "--events", "24", "--shards", "2"]);
+    args.extend(["--out", out_file.to_str().unwrap()]);
+    let out = uqsim(&args);
+    // Exit 1: the log is cut short on purpose, and the command says so.
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let produced = std::fs::read_to_string(&out_file).expect("trace file");
+    let golden = include_str!("golden/pod_cluster_trace.json");
+    assert_eq!(
+        produced.trim(),
+        golden.trim(),
+        "merged Chrome trace drifted from the golden snapshot; if the change is \
+         intentional, regenerate it (see the module docs)"
+    );
+    for needle in ["\"pid\": 8", "\"id\": \"c2:"] {
+        assert!(golden.contains(needle), "golden lacks {needle}");
     }
 }
 

@@ -381,36 +381,32 @@ impl ScenarioConfig {
     ///
     /// Returns I/O errors.
     pub fn write_dir(&self, dir: &Path) -> SimResult<()> {
-        std::fs::create_dir_all(dir)?;
-        let write = |name: &str, value: serde_json::Value| -> SimResult<()> {
-            let text = serde_json::to_string_pretty(&value).expect("config serializes");
+        /// `graph.json`: the two deployment lists under their keys.
+        struct GraphFile<'a>(&'a ScenarioConfig);
+        impl Serialize for GraphFile<'_> {
+            fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+                sink.begin_object();
+                sink.key("instances");
+                self.0.instances.serialize(sink);
+                sink.key("pools");
+                self.0.pools.serialize(sink);
+                sink.end_object();
+            }
+        }
+        fn write<T: Serialize + ?Sized>(dir: &Path, name: &str, value: &T) -> SimResult<()> {
+            let text = serde_json::to_string_pretty(value).expect("config serializes");
             std::fs::write(dir.join(name), text)?;
             Ok(())
-        };
-        write(
-            "machines.json",
-            serde_json::to_value(&self.machines).expect("serializes"),
-        )?;
-        write(
-            "services.json",
-            serde_json::to_value(&self.services).expect("serializes"),
-        )?;
-        write(
-            "graph.json",
-            serde_json::json!({ "instances": self.instances, "pools": self.pools }),
-        )?;
-        write(
-            "path.json",
-            serde_json::to_value(&self.request_types).expect("serializes"),
-        )?;
-        write(
-            "client.json",
-            serde_json::to_value(&self.clients).expect("serializes"),
-        )?;
-        write(
-            "sim.json",
-            serde_json::json!({ "seed": self.seed, "warmup_s": self.warmup_s }),
-        )?;
+        }
+
+        std::fs::create_dir_all(dir)?;
+        write(dir, "machines.json", &self.machines)?;
+        write(dir, "services.json", &self.services)?;
+        write(dir, "graph.json", &GraphFile(self))?;
+        write(dir, "path.json", &self.request_types)?;
+        write(dir, "client.json", &self.clients)?;
+        let sim = serde_json::json!({ "seed": self.seed, "warmup_s": self.warmup_s });
+        write(dir, "sim.json", &sim)?;
         Ok(())
     }
 

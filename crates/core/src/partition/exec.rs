@@ -28,7 +28,9 @@ use crate::telemetry::{
     TelemetryWindow,
 };
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{AuditCounts, AuditFold, AuditReport, TraceAuditor, TraceLog, TraceMeta};
+use crate::trace::{
+    AuditCounts, AuditFold, AuditReport, ChromeTrace, TraceAuditor, TraceLog, TraceMeta,
+};
 
 use super::graph::{split_fault_plan, CellSpec};
 use super::merge::{
@@ -247,9 +249,9 @@ impl PartitionedRun {
         merge_json(&self.result, &self.cells)
     }
 
-    /// The merged Chrome trace, or `None` unless the span logs were
-    /// [retained](SpanTracing::Retain).
-    pub fn chrome_trace(&self) -> Option<Value> {
+    /// The merged Chrome trace (a view to serialize, see [`ChromeTrace`]),
+    /// or `None` unless the span logs were [retained](SpanTracing::Retain).
+    pub fn chrome_trace(&self) -> Option<ChromeTrace<'_>> {
         merge_chrome_traces(&self.cells)
     }
 

@@ -25,7 +25,7 @@ use crate::telemetry::{
     metrics_json_with, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SampledSeries,
     StreamingHistogram, CSV_HEADER,
 };
-use crate::trace::{chrome_trace, AuditReport, TraceAuditor};
+use crate::trace::{AuditReport, ChromeTrace, TraceAuditor};
 use minipool::Pool;
 use serde::Value;
 use serde_json::json;
@@ -390,49 +390,18 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Option<Value> {
     }))
 }
 
-/// Merges per-cell Chrome traces into one canonical trace.
-///
-/// Each cell's `pid` space (machines `0..M`, plus the request-lanes
-/// pseudo-process `M`) is shifted by a running base of `machines + 1` per
-/// cell, so processes stay distinct and ordered by cell; async-span `id`s
-/// gain a `c<cell>:` prefix so span ids from different cells can never
-/// alias. Event order inside a cell is preserved; cells concatenate in
-/// cell order. One cell's trace is returned as rendered (nothing to keep
-/// apart). Returns `None` unless every cell retained its span log
+/// The cells' span logs as one canonical Chrome trace: a [`ChromeTrace`]
+/// over the retained logs in cell order, which shifts pids and prefixes
+/// span ids as it is written (one cell's trace is that cell's, untouched).
+/// Returns `None` unless every cell retained its span log
 /// ([`CellOutput::trace`]) — not when tracing was off, nor when the log was
 /// streamed away to be checked ([`CellOutput::checks`]).
-pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
+pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<ChromeTrace<'_>> {
     let traces = cells
         .iter()
-        .map(|c| c.trace.as_ref())
+        .map(|c| c.trace.as_ref().map(|t| (&t.log, &t.meta)))
         .collect::<Option<Vec<_>>>()?;
-    if let [only] = traces[..] {
-        return Some(chrome_trace(&only.log, &only.meta));
-    }
-    let mut events: Vec<Value> = Vec::new();
-    let mut base = 0u64;
-    for (i, cell) in traces.iter().enumerate() {
-        let trace = chrome_trace(&cell.log, &cell.meta);
-        let arr = trace.get("traceEvents").and_then(Value::as_array)?;
-        for ev in arr {
-            let mut ev = ev.clone();
-            if let Value::Object(map) = &mut ev {
-                if let Some(pid) = map.get("pid").and_then(Value::as_u64) {
-                    map.insert("pid", Value::from(pid + base));
-                }
-                if let Some(id) = map.get("id").and_then(Value::as_str) {
-                    let prefixed = format!("c{i}:{id}");
-                    map.insert("id", Value::from(prefixed));
-                }
-            }
-            events.push(ev);
-        }
-        base += cell.meta.machines.len() as u64 + 1;
-    }
-    Some(json!({
-        "traceEvents": Value::Array(events),
-        "displayTimeUnit": "ms"
-    }))
+    Some(ChromeTrace::of_cells(traces))
 }
 
 /// Merges per-cell audit reports: counts sum, violations and notes

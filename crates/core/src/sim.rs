@@ -23,8 +23,8 @@ use crate::service::ServiceModel;
 use crate::telemetry::StreamingHistogram;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
-    AuditCounts, AuditReport, ChunkReceiver, ClientMeta, InstanceMeta, MachineMeta, PoolMeta,
-    RequestTypeMeta, TraceAuditor, TraceEvent, TraceLog, TraceMeta,
+    AuditCounts, AuditReport, ChromeTrace, ChunkReceiver, ClientMeta, InstanceMeta, MachineMeta,
+    PoolMeta, RequestTypeMeta, TraceAuditor, TraceEvent, TraceLog, TraceMeta,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -664,12 +664,13 @@ impl Simulator {
         }
     }
 
-    /// Renders the span log as Chrome `trace_event` JSON (viewable in
-    /// `about:tracing` or Perfetto), or `None` if span tracing is disabled.
-    pub fn chrome_trace(&self) -> Option<serde_json::Value> {
+    /// The span log as Chrome `trace_event` JSON (viewable in
+    /// `about:tracing` or Perfetto) — a view to serialize, see
+    /// [`ChromeTrace`] — or `None` if span tracing is disabled.
+    pub fn chrome_trace(&self) -> Option<ChromeTrace<'_>> {
         self.span_log
             .as_deref()
-            .map(|log| crate::trace::chrome_trace(log, &self.trace_meta()))
+            .map(|log| ChromeTrace::of_log(log, self.trace_meta()))
     }
 
     /// Ground-truth counters for trace auditing.

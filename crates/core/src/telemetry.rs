@@ -309,13 +309,13 @@ impl LatencyComponent {
 }
 
 impl Serialize for LatencyComponent {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.name().to_string())
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self.name());
     }
 }
 
 impl Deserialize for LatencyComponent {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
         let s = v
             .as_str()
             .ok_or_else(|| serde::Error::custom("expected component name string"))?;
@@ -329,7 +329,7 @@ impl Deserialize for LatencyComponent {
 /// The full latency decomposition of one completed request. The component
 /// nanoseconds sum to `completed - submitted` exactly (telescoping
 /// frontier charges; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RequestBreakdown {
     /// When the client generated the request.
     pub submitted: SimTime,
@@ -349,18 +349,6 @@ impl RequestBreakdown {
     /// End-to-end latency, nanoseconds.
     pub fn e2e_ns(&self) -> u64 {
         (self.completed - self.submitted).as_nanos()
-    }
-}
-
-// Manual impl: the vendored serde stand-in has no derive support for
-// fixed-size arrays.
-impl Serialize for RequestBreakdown {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("submitted", self.submitted.to_value());
-        m.insert("completed", self.completed.to_value());
-        m.insert("components_ns", self.components_ns[..].to_value());
-        serde::Value::Object(m)
     }
 }
 
@@ -824,7 +812,7 @@ fn csv_field(s: &str) -> String {
 /// utilizations (measured since the warmup boundary) and mean latency
 /// decomposition. Plain `Copy` data, cheap to aggregate across
 /// replications.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Mean per-instance core utilization since warmup, averaged over
     /// instances.
@@ -851,34 +839,23 @@ impl Default for MetricsSnapshot {
     }
 }
 
-// Manual impls: the vendored serde stand-in has no derive support for
-// fixed-size arrays.
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("instance_utilization", self.instance_utilization.to_value());
-        m.insert("network_utilization", self.network_utilization.to_value());
-        m.insert("decomposed_requests", self.decomposed_requests.to_value());
-        m.insert("component_mean_s", self.component_mean_s[..].to_value());
-        serde::Value::Object(m)
-    }
-}
-
+// Manual impl: the vendored serde stand-in deserializes no fixed-size
+// arrays.
 impl Deserialize for MetricsSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected MetricsSnapshot object"))?;
+    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
+        let serde::Value::Object(mut obj) = v else {
+            return Err(serde::Error::custom("expected MetricsSnapshot object"));
+        };
+        let means: Vec<f64> = obj
+            .take("component_mean_s")
+            .map(Deserialize::from_value)
+            .transpose()?
+            .unwrap_or_default();
         let f = |key: &str| -> Result<f64, serde::Error> {
             obj.get(key)
                 .and_then(serde::Value::as_f64)
                 .ok_or_else(|| serde::Error::custom(format!("missing field {key}")))
         };
-        let means: Vec<f64> = obj
-            .get("component_mean_s")
-            .map(Deserialize::from_value)
-            .transpose()?
-            .unwrap_or_default();
         let mut component_mean_s = [0.0; LatencyComponent::COUNT];
         for (slot, v) in component_mean_s.iter_mut().zip(means) {
             *slot = v;
@@ -1746,9 +1723,9 @@ pub(crate) fn metrics_json_with(
     let serde_json::Value::Object(mut doc) = head else {
         unreachable!("the head is an object");
     };
-    doc.insert("windows", sampled.map(|s| s.windows).to_value());
-    doc.insert("series", sampled.map(|s| s.series).to_value());
-    doc.insert("self_profile", self_profile.to_value());
+    doc.insert("windows", serde_json::json!(sampled.map(|s| s.windows)));
+    doc.insert("series", serde_json::json!(sampled.map(|s| s.series)));
+    doc.insert("self_profile", serde_json::json!(self_profile));
     serde_json::Value::Object(doc)
 }
 

@@ -91,9 +91,12 @@
 //! let report = sim.audit_trace().expect("tracing is enabled");
 //! assert!(report.is_clean(), "{:?}", report.violations);
 //!
-//! // Chrome trace_event JSON for about:tracing / Perfetto.
+//! // Chrome trace_event JSON for about:tracing / Perfetto, streamed out an
+//! // event at a time (any `io::Write` will do; a file wants a `BufWriter`).
 //! let chrome = sim.chrome_trace().expect("tracing is enabled");
-//! assert!(chrome["traceEvents"].as_array().unwrap().len() > 10);
+//! let mut json = Vec::new();
+//! serde_json::to_writer_pretty(&mut json, &chrome)?;
+//! assert!(json.len() > 1_000);
 //! # Ok(())
 //! # }
 //! ```
@@ -104,7 +107,9 @@ use crate::ids::{
 };
 use crate::slot_table::SlotTable;
 use crate::time::SimTime;
-use serde_json::{json, Value};
+use serde::{Serialize, Sink};
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -1027,144 +1032,274 @@ fn ts_us(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e3
 }
 
-fn req_id_str(r: RequestId) -> String {
-    format!("{}.{}", r.slot(), r.generation())
-}
-
-/// Renders a [`TraceLog`] as Chrome `trace_event` JSON (the "JSON Array
-/// Format" with metadata), directly loadable in `about:tracing` or
+/// Span logs as Chrome `trace_event` JSON (the "JSON Array Format" with
+/// metadata), directly loadable in `about:tracing` or
 /// [Perfetto](https://ui.perfetto.dev). Machines map to processes, cores to
 /// threads; batch services and irq processing are complete (`"X"`) spans;
 /// requests are async (`"b"`/`"e"`) spans on a synthetic `requests`
 /// process; pool blocking and timeouts appear as instant events.
-pub fn chrome_trace(log: &TraceLog, meta: &TraceMeta) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-    let req_pid = meta.machines.len() as u64;
-    for (m, mm) in meta.machines.iter().enumerate() {
-        events.push(json!({
-            "ph": "M", "name": "process_name", "pid": m as u64, "tid": 0u64,
-            "args": {"name": mm.name.clone()}
-        }));
-        for c in 0..mm.cores {
-            events.push(json!({
-                "ph": "M", "name": "thread_name", "pid": m as u64, "tid": c as u64,
-                "args": {"name": format!("core{c}")}
-            }));
+///
+/// This is a *view*: it borrows the logs and is the JSON only while it is
+/// being serialized, one event at a time —
+/// `serde_json::to_writer_pretty(file, &trace)` streams it and holds no more
+/// than the log itself; `serde_json::to_value(&trace)` builds the tree, for
+/// tests that look inside.
+///
+/// A trace of several cells keeps them apart: each cell's `pid` space
+/// (machines `0..M`, plus the request-lanes pseudo-process `M`) is shifted
+/// by a running base of `machines + 1` per cell, so processes stay distinct
+/// and ordered by cell, and async-span `id`s gain a `c<cell>:` prefix so
+/// span ids from different cells can never alias. Event order inside a cell
+/// is the log's; cells follow each other in cell order. One cell's trace
+/// has neither shift nor prefix.
+#[derive(Debug, Clone)]
+pub struct ChromeTrace<'a> {
+    cells: Vec<(&'a TraceLog, Cow<'a, TraceMeta>)>,
+}
+
+impl<'a> ChromeTrace<'a> {
+    /// The trace of one or more cells' retained logs, in cell order.
+    pub fn of_cells(cells: impl IntoIterator<Item = (&'a TraceLog, &'a TraceMeta)>) -> Self {
+        ChromeTrace {
+            cells: cells
+                .into_iter()
+                .map(|(log, meta)| (log, Cow::Borrowed(meta)))
+                .collect(),
         }
     }
-    events.push(json!({
-        "ph": "M", "name": "process_name", "pid": req_pid, "tid": 0u64,
-        "args": {"name": "requests"}
-    }));
-    for ev in log.events() {
-        match ev {
-            TraceEvent::BatchStart {
-                instance,
-                machine,
-                stage,
-                thread,
-                core,
-                freq_ghz,
-                start,
-                end,
-                jobs,
-            } => {
-                let inst = &meta.instances[instance.index()];
-                let stage_name = inst
-                    .stages
-                    .get(stage.index())
-                    .cloned()
-                    .unwrap_or_else(|| format!("stage{}", stage.raw()));
-                events.push(json!({
-                    "name": format!("{}/{}", inst.name, stage_name),
-                    "cat": "stage", "ph": "X",
-                    "ts": ts_us(*start), "dur": ts_us(*end) - ts_us(*start),
-                    "pid": machine.raw() as u64, "tid": *core as u64,
-                    "args": {
-                        "instance": inst.name.clone(),
-                        "stage": stage_name,
-                        "thread": thread.raw() as u64,
-                        "batch_size": jobs.len() as u64,
-                        "freq_ghz": *freq_ghz
-                    }
-                }));
-            }
-            TraceEvent::NetRx {
-                machine,
-                core,
-                job,
-                start,
-                end,
-            } => {
-                events.push(json!({
-                    "name": "net_rx", "cat": "net", "ph": "X",
-                    "ts": ts_us(*start), "dur": ts_us(*end) - ts_us(*start),
-                    "pid": machine.raw() as u64, "tid": *core as u64,
-                    "args": {"job": format!("{}.{}", job.slot(), job.generation())}
-                }));
-            }
-            TraceEvent::RequestEmitted {
-                request,
-                request_type,
-                client,
-                t,
-            } => {
-                let name = meta
-                    .request_types
-                    .get(request_type.index())
-                    .map(|ty| ty.name.clone())
-                    .unwrap_or_else(|| format!("type{}", request_type.raw()));
-                events.push(json!({
-                    "name": name, "cat": "request", "ph": "b",
-                    "id": req_id_str(*request),
-                    "ts": ts_us(*t), "pid": req_pid, "tid": 0u64,
-                    "args": {"client": client.raw() as u64}
-                }));
-            }
-            TraceEvent::RequestCompleted {
-                request,
-                request_type,
-                timed_out,
-                measured,
-                t,
-                ..
-            } => {
-                let name = meta
-                    .request_types
-                    .get(request_type.index())
-                    .map(|ty| ty.name.clone())
-                    .unwrap_or_else(|| format!("type{}", request_type.raw()));
-                events.push(json!({
-                    "name": name, "cat": "request", "ph": "e",
-                    "id": req_id_str(*request),
-                    "ts": ts_us(*t), "pid": req_pid, "tid": 0u64,
-                    "args": {"timed_out": *timed_out, "measured": *measured}
-                }));
-            }
-            TraceEvent::PoolBlock { pool, job, t } => {
-                events.push(json!({
-                    "name": "pool_block", "cat": "pool", "ph": "i", "s": "g",
-                    "ts": ts_us(*t), "pid": req_pid, "tid": 0u64,
-                    "args": {
-                        "pool": pool.raw() as u64,
-                        "job": format!("{}.{}", job.slot(), job.generation())
-                    }
-                }));
-            }
-            TraceEvent::RequestTimeout { request, t } => {
-                events.push(json!({
-                    "name": "timeout", "cat": "request", "ph": "i", "s": "g",
-                    "ts": ts_us(*t), "pid": req_pid, "tid": 0u64,
-                    "args": {"request": req_id_str(*request)}
-                }));
-            }
-            _ => {}
+
+    /// The trace of one log whose names were gathered for the occasion.
+    pub(crate) fn of_log(log: &'a TraceLog, meta: TraceMeta) -> Self {
+        ChromeTrace {
+            cells: vec![(log, Cow::Owned(meta))],
         }
     }
-    json!({
-        "traceEvents": Value::Array(events),
-        "displayTimeUnit": "ms"
-    })
+}
+
+/// Renders one [`TraceLog`] as Chrome `trace_event` JSON; see
+/// [`ChromeTrace`].
+pub fn chrome_trace<'a>(log: &'a TraceLog, meta: &'a TraceMeta) -> ChromeTrace<'a> {
+    ChromeTrace::of_cells([(log, meta)])
+}
+
+impl Serialize for ChromeTrace<'_> {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.key("traceEvents");
+        sink.begin_array();
+        let mut out = ChromeEvents {
+            sink: &mut *sink,
+            pid_base: 0,
+            id_prefix: String::new(),
+            text: String::new(),
+        };
+        for (i, (log, meta)) in self.cells.iter().enumerate() {
+            if self.cells.len() > 1 {
+                out.id_prefix = format!("c{i}:");
+            }
+            out.cell(log, meta);
+            out.pid_base += meta.machines.len() as u64 + 1;
+        }
+        sink.end_array();
+        sink.key("displayTimeUnit");
+        sink.str("ms");
+        sink.end_object();
+    }
+}
+
+/// Writes one cell after another into the `traceEvents` array. Key order
+/// inside an event is part of the byte-pinned format.
+struct ChromeEvents<'s, S: Sink + ?Sized> {
+    sink: &'s mut S,
+    /// Added to every `pid`: the processes of the cells written so far.
+    pid_base: u64,
+    /// In front of every async-span `id`; empty for a one-cell trace.
+    id_prefix: String,
+    /// Where composed strings are put together, so none is allocated per
+    /// event.
+    text: String,
+}
+
+impl<S: Sink + ?Sized> ChromeEvents<'_, S> {
+    fn kv<T: Serialize>(&mut self, key: &str, v: T) {
+        self.sink.key(key);
+        v.serialize(self.sink);
+    }
+
+    /// A string value composed from parts.
+    fn text(&mut self, key: &str, v: fmt::Arguments<'_>) {
+        self.text.clear();
+        fmt::Write::write_fmt(&mut self.text, v).expect("a String takes any text");
+        self.sink.key(key);
+        self.sink.str(&self.text);
+    }
+
+    /// A job or request handle, as `slot.generation`.
+    fn handle(&mut self, key: &str, slot: usize, generation: u32) {
+        self.text(key, format_args!("{slot}.{generation}"));
+    }
+
+    /// A request's async-span id: its handle behind the cell prefix.
+    fn span_id(&mut self, request: RequestId) {
+        let prefix = std::mem::take(&mut self.id_prefix);
+        self.text(
+            "id",
+            format_args!("{prefix}{}.{}", request.slot(), request.generation()),
+        );
+        self.id_prefix = prefix;
+    }
+
+    fn pid_tid(&mut self, pid: u64, tid: u64) {
+        self.kv("pid", pid + self.pid_base);
+        self.kv("tid", tid);
+    }
+
+    /// Opens an event with the three keys every payload event starts with.
+    fn begin(&mut self, name: &str, cat: &str, ph: &str) {
+        self.sink.begin_object();
+        self.kv("name", name);
+        self.kv("cat", cat);
+        self.kv("ph", ph);
+    }
+
+    fn begin_args(&mut self) {
+        self.sink.key("args");
+        self.sink.begin_object();
+    }
+
+    /// Closes the `args` object and the event.
+    fn end(&mut self) {
+        self.sink.end_object();
+        self.sink.end_object();
+    }
+
+    fn metadata(&mut self, what: &str, pid: u64, tid: u64, name: fmt::Arguments<'_>) {
+        self.sink.begin_object();
+        self.kv("ph", "M");
+        self.kv("name", what);
+        self.pid_tid(pid, tid);
+        self.begin_args();
+        self.text("name", name);
+        self.end();
+    }
+
+    fn cell(&mut self, log: &TraceLog, meta: &TraceMeta) {
+        let req_pid = meta.machines.len() as u64;
+        for (m, mm) in meta.machines.iter().enumerate() {
+            self.metadata("process_name", m as u64, 0, format_args!("{}", mm.name));
+            for c in 0..mm.cores {
+                self.metadata("thread_name", m as u64, c as u64, format_args!("core{c}"));
+            }
+        }
+        self.metadata("process_name", req_pid, 0, format_args!("requests"));
+        let type_name = |ty: RequestTypeId| -> Cow<'_, str> {
+            match meta.request_types.get(ty.index()) {
+                Some(ty) => Cow::Borrowed(ty.name.as_str()),
+                None => Cow::Owned(format!("type{}", ty.raw())),
+            }
+        };
+        for ev in log.events() {
+            match *ev {
+                TraceEvent::BatchStart {
+                    instance,
+                    machine,
+                    stage,
+                    thread,
+                    core,
+                    freq_ghz,
+                    start,
+                    end,
+                    jobs,
+                } => {
+                    let inst = &meta.instances[instance.index()];
+                    let stage_name: Cow<'_, str> = match inst.stages.get(stage.index()) {
+                        Some(name) => Cow::Borrowed(name),
+                        None => Cow::Owned(format!("stage{}", stage.raw())),
+                    };
+                    self.sink.begin_object();
+                    self.text("name", format_args!("{}/{}", inst.name, stage_name));
+                    self.kv("cat", "stage");
+                    self.kv("ph", "X");
+                    self.kv("ts", ts_us(start));
+                    self.kv("dur", ts_us(end) - ts_us(start));
+                    self.pid_tid(machine.raw() as u64, core as u64);
+                    self.begin_args();
+                    self.kv("instance", &inst.name);
+                    self.kv("stage", &*stage_name);
+                    self.kv("thread", thread.raw() as u64);
+                    self.kv("batch_size", jobs.len() as u64);
+                    self.kv("freq_ghz", freq_ghz);
+                    self.end();
+                }
+                TraceEvent::NetRx {
+                    machine,
+                    core,
+                    job,
+                    start,
+                    end,
+                } => {
+                    self.begin("net_rx", "net", "X");
+                    self.kv("ts", ts_us(start));
+                    self.kv("dur", ts_us(end) - ts_us(start));
+                    self.pid_tid(machine.raw() as u64, core as u64);
+                    self.begin_args();
+                    self.handle("job", job.slot(), job.generation());
+                    self.end();
+                }
+                TraceEvent::RequestEmitted {
+                    request,
+                    request_type,
+                    client,
+                    t,
+                } => {
+                    self.begin(&type_name(request_type), "request", "b");
+                    self.span_id(request);
+                    self.kv("ts", ts_us(t));
+                    self.pid_tid(req_pid, 0);
+                    self.begin_args();
+                    self.kv("client", client.raw() as u64);
+                    self.end();
+                }
+                TraceEvent::RequestCompleted {
+                    request,
+                    request_type,
+                    timed_out,
+                    measured,
+                    t,
+                    ..
+                } => {
+                    self.begin(&type_name(request_type), "request", "e");
+                    self.span_id(request);
+                    self.kv("ts", ts_us(t));
+                    self.pid_tid(req_pid, 0);
+                    self.begin_args();
+                    self.kv("timed_out", timed_out);
+                    self.kv("measured", measured);
+                    self.end();
+                }
+                TraceEvent::PoolBlock { pool, job, t } => {
+                    self.begin("pool_block", "pool", "i");
+                    self.kv("s", "g");
+                    self.kv("ts", ts_us(t));
+                    self.pid_tid(req_pid, 0);
+                    self.begin_args();
+                    self.kv("pool", pool.raw() as u64);
+                    self.handle("job", job.slot(), job.generation());
+                    self.end();
+                }
+                TraceEvent::RequestTimeout { request, t } => {
+                    self.begin("timeout", "request", "i");
+                    self.kv("s", "g");
+                    self.kv("ts", ts_us(t));
+                    self.pid_tid(req_pid, 0);
+                    self.begin_args();
+                    self.handle("request", request.slot(), request.generation());
+                    self.end();
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Ground-truth counters from the simulator, cross-checked against the
@@ -2507,7 +2642,7 @@ mod tests {
         let mut log = log_of(vec![emit(1, 1_000)]);
         batch(&mut log, 0, 0, 2_000, 3_500, &[jid(1)]);
         log.record(complete(1, 5_000));
-        let v = chrome_trace(&log, &meta);
+        let v = serde_json::to_value(chrome_trace(&log, &meta)).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
         // 1 process + 2 thread metadata + 1 requests process + 3 payload.
         assert_eq!(events.len(), 7);
