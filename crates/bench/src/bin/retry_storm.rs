@@ -1,56 +1,9 @@
-//! Retry-storm failure-mode benchmark: runs the metastable-cliff
-//! experiment and emits the JSON recorded as `BENCH_faults.json` at the
-//! repository root.
-//!
-//! ```text
-//! cargo run --release -p uqsim-bench --bin retry_storm > BENCH_faults.json
-//! ```
-//!
-//! The directional property — naive unbounded retries stay collapsed after
-//! the fault clears while a retry budget + circuit breaker recover — is
-//! asserted by `crates/bench/tests/retry_storm.rs`.
-
-use uqsim_bench::experiments::retry_storm::{self, PolicyOutcome};
-
-fn entry(o: &PolicyOutcome) -> String {
-    format!(
-        "    {{ \"policy\": \"{}\", \"pre_goodput_qps\": {:.0}, \"storm_goodput_qps\": {:.0}, \
-         \"recovery_goodput_qps\": {:.0}, \"generated\": {}, \"timeouts\": {}, \
-         \"retries\": {}, \"shed\": {}, \"breaker_trips\": {} }}",
-        o.name,
-        o.pre_goodput,
-        o.storm_goodput,
-        o.recovery_goodput,
-        o.generated,
-        o.timeouts,
-        o.retried,
-        o.shed,
-        o.breaker_trips
-    )
-}
+//! Regenerates the experiment implemented by
+//! [`uqsim_bench::experiments::retry_storm`].
 
 fn main() {
-    let s = retry_storm::run().expect("experiment runs");
-    eprintln!();
-    println!("{{");
-    println!(
-        "  \"benchmark\": \"retry storm, {:.0} qps vs 20k capacity, {:.0} ms deadline, 4x slowdown for 0.5s\",",
-        retry_storm::OFFERED_QPS,
-        retry_storm::TIMEOUT_S * 1e3
-    );
-    println!("  \"command\": \"cargo run --release -p uqsim-bench --bin retry_storm\",");
-    println!("  \"policies\": [");
-    println!("{},", entry(&s.no_retry));
-    println!("{},", entry(&s.naive));
-    println!("{}", entry(&s.guarded));
-    println!("  ],");
-    println!(
-        "  \"naive_recovery_fraction\": {:.4},",
-        s.naive.recovery_goodput / s.naive.pre_goodput.max(1.0)
-    );
-    println!(
-        "  \"guarded_recovery_fraction\": {:.4}",
-        s.guarded.recovery_goodput / s.guarded.pre_goodput.max(1.0)
-    );
-    println!("}}");
+    if let Err(e) = uqsim_bench::experiments::retry_storm::run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
 }

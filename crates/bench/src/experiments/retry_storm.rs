@@ -17,8 +17,9 @@
 //!
 //! The experiment reports per-phase goodput (within-deadline completions
 //! per second): before the fault, during the fault + its aftermath, and
-//! in the late recovery window. The recorded numbers live in
-//! `BENCH_faults.json` at the repository root (regenerate with
+//! in the late recovery window. The outcomes at the scenario's seed are
+//! tabulated in EXPERIMENTS.md and pinned, count for count, by
+//! `crates/bench/tests/retry_storm.rs` (print them with
 //! `cargo run --release -p uqsim-bench --bin retry_storm`).
 
 use uqsim_core::config::{
@@ -64,7 +65,7 @@ pub struct PolicyOutcome {
     pub breaker_trips: u64,
 }
 
-/// All three policies, for tests and the JSON recorder.
+/// All three policies' outcomes, as the test asserts them.
 #[derive(Debug, Clone)]
 pub struct Summary {
     /// Timeouts are final; no retry amplification.
@@ -197,8 +198,8 @@ fn run_policy(name: &'static str, policy: Option<ClientPolicySpec>) -> SimResult
 }
 
 fn print_row(o: &PolicyOutcome) {
-    eprintln!(
-        "{:<10} {:>12.0} {:>12.0} {:>12.0} {:>10} {:>9} {:>9} {:>8}",
+    println!(
+        "{:<10} {:>12.0} {:>12.0} {:>12.0} {:>10} {:>9} {:>9} {:>8} {:>6}",
         o.name,
         o.pre_goodput,
         o.storm_goodput,
@@ -206,7 +207,8 @@ fn print_row(o: &PolicyOutcome) {
         o.generated,
         o.timeouts,
         o.retried,
-        o.shed
+        o.shed,
+        o.breaker_trips
     );
 }
 
@@ -216,8 +218,8 @@ fn print_row(o: &PolicyOutcome) {
 ///
 /// Propagates scenario-construction failures.
 pub fn run() -> SimResult<Summary> {
-    eprintln!("# Retry storm — metastable collapse vs retry budget + breaker");
-    eprintln!(
+    println!("# Retry storm — metastable collapse vs retry budget + breaker");
+    println!(
         "# {OFFERED_QPS:.0} qps offered, {:.0} ms deadline, 4x slowdown t={}s..{}s",
         TIMEOUT_S * 1e3,
         PHASES_S[1],
@@ -226,8 +228,8 @@ pub fn run() -> SimResult<Summary> {
     let no_retry = run_policy("no-retry", None)?;
     let naive = run_policy("naive", Some(retrying_policy()))?;
     let guarded = run_policy("guarded", Some(guarded_policy()))?;
-    eprintln!(
-        "{:<10} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>8}",
+    println!(
+        "{:<10} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>8} {:>6}",
         "policy",
         "pre_qps",
         "storm_qps",
@@ -235,7 +237,8 @@ pub fn run() -> SimResult<Summary> {
         "generated",
         "timeouts",
         "retries",
-        "shed"
+        "shed",
+        "trips"
     );
     print_row(&no_retry);
     print_row(&naive);

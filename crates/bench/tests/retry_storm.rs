@@ -1,8 +1,9 @@
 //! Directional gate on the retry-storm experiment: naive unbounded
 //! retries must turn a transient slowdown into a persistent (metastable)
 //! goodput collapse, while the same retries behind a budget + breaker —
-//! and plain no-retry — must recover once the fault clears. The recorded
-//! numbers live in `BENCH_faults.json` at the repository root.
+//! and plain no-retry — must recover once the fault clears. The outcomes
+//! at the scenario's seed (1913) are pinned count for count; EXPERIMENTS.md
+//! tabulates them.
 
 use uqsim_bench::experiments::retry_storm;
 
@@ -63,4 +64,20 @@ fn naive_retries_collapse_where_budget_and_breaker_recover() {
         s.guarded.retried,
         s.naive.retried
     );
+
+    // The record itself: phase goodputs (pre, storm, recovery; whole qps)
+    // and generated / timeouts / retried / shed / breaker trips. The run is
+    // deterministic, so any move here is a change in what it simulates.
+    let outcome = |o: &retry_storm::PolicyOutcome| {
+        (
+            [o.pre_goodput, o.storm_goodput, o.recovery_goodput].map(|g| g.round() as u64),
+            [o.generated, o.timeouts, o.retried, o.shed, o.breaker_trips],
+        )
+    };
+    let no_retry = ([16210, 2722, 16096], [80416, 26540, 0, 0, 0]);
+    let naive = ([16210, 66, 0], [570319, 551003, 489903, 0, 0]);
+    let guarded = ([16210, 10620, 16095], [80539, 1081, 123, 9786, 3]);
+    assert_eq!(outcome(&s.no_retry), no_retry, "no-retry");
+    assert_eq!(outcome(&s.naive), naive, "naive");
+    assert_eq!(outcome(&s.guarded), guarded, "guarded");
 }

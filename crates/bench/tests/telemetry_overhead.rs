@@ -1,13 +1,11 @@
 //! Telemetry overhead regression tests.
 //!
-//! Two layers: an always-on check that telemetry *observes without
-//! perturbing* — the simulation trajectory (completions, latency
-//! percentiles) is bit-identical with telemetry on and off — plus a
-//! wall-clock engine-speed floor against the recorded
-//! `BENCH_telemetry.json` baseline, gated behind `UQSIM_ENFORCE_BENCH=1`
-//! because absolute events/second only means something on the machine
-//! class the baseline was recorded on (CI sets the variable; laptops
-//! should not).
+//! Telemetry must *observe without perturbing* — the simulation trajectory
+//! (completions, latency percentiles) is bit-identical with telemetry on
+//! and off — and the disabled path must not cost more than the enabled
+//! one. What observation costs in wall-clock is a ratio on the
+//! `benchmark/` ledger (`telemetry.sampler_overhead`,
+//! `telemetry.decomp_overhead`, `critpath.stream_overhead`).
 
 use std::time::Instant;
 use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
@@ -91,47 +89,5 @@ fn disabled_telemetry_is_not_slower_than_enabled() {
     assert!(
         off_wall < on_wall * 3.0,
         "telemetry-disabled run ({off_wall:.3}s) is much slower than enabled ({on_wall:.3}s)"
-    );
-}
-
-/// Engine-speed floor against the recorded baseline, enforced only where
-/// the baseline is comparable. The constant mirrors the `telemetry_off`
-/// mode of `BENCH_telemetry.json` (regenerate with
-/// `cargo run --release -p uqsim-bench --bin bench_telemetry`); the floor
-/// factor below discounts it for measured host noise.
-#[test]
-fn engine_speed_with_telemetry_disabled_meets_baseline() {
-    if std::env::var_os("UQSIM_ENFORCE_BENCH").is_none() {
-        eprintln!("UQSIM_ENFORCE_BENCH not set; skipping absolute engine-speed check");
-        return;
-    }
-    // Keep in sync with BENCH_telemetry.json "telemetry_off".events_per_sec.
-    // Pre-ladder-queue engine: 3_332_458. Event-core rewrite: 6_717_300.
-    const BASELINE_EVENTS_PER_SEC: f64 = 6_717_300.0;
-
-    // Best of nine, same protocol as the bench binary (shared-vCPU hosts
-    // need the extra reps for the minimum to reach the true cost floor).
-    let mut best = f64::MAX;
-    let mut events = 0;
-    for _ in 0..9 {
-        let mut sim = build();
-        let start = Instant::now();
-        sim.run_for(SimDuration::from_secs_f64(SIM_SECS));
-        let wall = start.elapsed().as_secs_f64();
-        if wall < best {
-            best = wall;
-            events = sim.events_processed();
-        }
-    }
-    // Shared-vCPU hosts show up to ±20% day-to-day drift on identical
-    // binaries, so the floor sits at 75% of the recorded best pass — still
-    // 51% above the pre-rewrite engine (3.33M ev/s), which cannot pass it.
-    const FLOOR_FACTOR: f64 = 0.75;
-    let events_per_sec = events as f64 / best;
-    assert!(
-        events_per_sec >= FLOOR_FACTOR * BASELINE_EVENTS_PER_SEC,
-        "engine speed {events_per_sec:.0} ev/s fell below {:.0}% of the \
-         recorded {BASELINE_EVENTS_PER_SEC:.0} ev/s baseline",
-        FLOOR_FACTOR * 100.0
     );
 }

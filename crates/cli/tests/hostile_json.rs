@@ -2,7 +2,8 @@
 //! document nested past the parser's depth limit used to overflow the
 //! stack (SIGABRT, exit 134) through every door JSON comes in by —
 //! scenario, fault plan, gen spec — and a repeated key used to keep its
-//! last value without a word.
+//! last value without a word. An input every subcommand rejects must be
+//! rejected by each of them with the same reason.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -64,4 +65,26 @@ fn a_repeated_key_is_a_config_error_naming_it() {
     let path = scratch("twice.json", &twice);
     let out = uqsim(&["validate", path.to_str().unwrap()]);
     assert_config_error("validate", &out, "duplicate key `seed` at line 3 column 3");
+}
+
+#[test]
+fn a_zero_rate_mmpp_is_the_same_error_through_every_door() {
+    let text = std::fs::read_to_string(quickstart()).expect("bundled config");
+    let poisson = r#"{ "type": "poisson", "schedule": { "segments": [[0.0, 5000.0]] } }"#;
+    assert!(text.contains(poisson), "quickstart changed");
+    let silent = r#"{"type":"mmpp","states":[{"rate_qps":0,"mean_dwell_s":0.05},{"rate_qps":0,"mean_dwell_s":0.1}]}"#;
+    let path = scratch("silent.json", &text.replace(poisson, silent));
+    let path = path.to_str().unwrap();
+    // `sweep` re-scales the chain to each `--qps` point first; with a mean
+    // of 0 that used to make every rate NaN and report that instead.
+    for args in [
+        vec!["validate", path],
+        vec!["run", path],
+        vec!["sweep", "--config", path, "--qps", "1000:2000:1000"],
+    ] {
+        let out = uqsim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("positive rate"), "{args:?}: {stderr}");
+    }
 }

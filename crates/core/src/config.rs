@@ -444,9 +444,13 @@ impl ScenarioConfig {
                     }
                 }
                 ArrivalProcess::Mmpp { states } => {
+                    // A chain with no positive rate has no mean to scale
+                    // from: leave it for `build` to reject by name.
                     let mean = mean.expect("mmpp has a stationary rate");
-                    for s in states {
-                        s.rate_qps *= qps / mean;
+                    if mean.is_finite() && mean > 0.0 {
+                        for s in states {
+                            s.rate_qps *= qps / mean;
+                        }
                     }
                 }
                 ArrivalProcess::Sessions {
@@ -758,6 +762,21 @@ mod tests {
         let json = cfg.to_json();
         let back = ScenarioConfig::from_json(&json).unwrap();
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn offered_qps_leaves_a_zero_rate_mmpp_for_build_to_reject() {
+        use crate::client::MmppState;
+        let mut cfg = ScenarioConfig::from_json(&example_json()).unwrap();
+        let silent = |mean_dwell_s| MmppState {
+            rate_qps: 0.0,
+            mean_dwell_s,
+        };
+        cfg.clients[0].arrivals = ArrivalProcess::mmpp(vec![silent(0.05), silent(0.1)]);
+        let scaled = cfg.with_offered_qps(1000.0);
+        assert_eq!(scaled, cfg, "nothing to scale, so nothing changes");
+        let err = scaled.build().unwrap_err().to_string();
+        assert!(err.contains("positive rate"), "{err}");
     }
 
     #[test]
