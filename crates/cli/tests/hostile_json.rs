@@ -1,9 +1,10 @@
 //! Hostile JSON reaches the binary as an error, not as an abort: a
 //! document nested past the parser's depth limit used to overflow the
 //! stack (SIGABRT, exit 134) through every door JSON comes in by —
-//! scenario, fault plan, gen spec — and a repeated key used to keep its
-//! last value without a word. An input every subcommand rejects must be
-//! rejected by each of them with the same reason.
+//! scenario, fault plan, gen spec — a repeated key used to keep its last
+//! value without a word, and a misspelt key was read as if it were not
+//! there. An input every subcommand rejects must be rejected by each of
+//! them with the same reason.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,6 +66,55 @@ fn a_repeated_key_is_a_config_error_naming_it() {
     let path = scratch("twice.json", &twice);
     let out = uqsim(&["validate", path.to_str().unwrap()]);
     assert_config_error("validate", &out, "duplicate key `seed` at line 3 column 3");
+}
+
+#[test]
+fn a_misspelt_key_is_a_config_error_naming_the_right_one_through_every_door() {
+    let bundled = |name: &str| {
+        std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("configs")
+                .join(name),
+        )
+        .expect("bundled config")
+    };
+    // Each used to be read as if the key were absent: a default, or a
+    // missing-field error about the key that was meant.
+    let misspell = |name: &str, from: &str, to: &str| {
+        let text = bundled(name);
+        assert!(text.contains(from), "{name} changed");
+        scratch(&format!("typo_{name}"), &text.replacen(from, to, 1))
+    };
+    let scenario = misspell(
+        "quickstart.json",
+        r#""exec": { "type": "simple" }"#,
+        r#""exec": { "type": "multi_threaded", "treads": 8 }"#,
+    );
+    let scenario = scenario.to_str().unwrap();
+    let detail = "unknown key `treads` in ExecConfig::MultiThreaded, did you mean `threads`? \
+                  at line 50 column 43";
+    assert_config_error("validate", &uqsim(&["validate", scenario]), detail);
+    assert_config_error("run", &uqsim(&["run", scenario]), detail);
+
+    let faults = misspell(
+        "quickstart_faults.json",
+        "\"max_retries\"",
+        "\"max_retires\"",
+    );
+    let faulted = uqsim(&["run", &quickstart(), "--faults", faults.to_str().unwrap()]);
+    let detail = "unknown key `max_retires` in ClientPolicySpec, did you mean `max_retries`? \
+                  at line 11 column 9";
+    assert_config_error("--faults", &faulted, detail);
+
+    let spec = misspell(
+        "gen_dsb.json",
+        "\"threads_per_instance\"",
+        "\"treads_per_instance\"",
+    );
+    let detail = "unknown key `treads_per_instance` in LayerSpec, did you mean \
+                  `threads_per_instance`? at line 14 column 7";
+    let generated = uqsim(&["run", "--gen", spec.to_str().unwrap()]);
+    assert_config_error("--gen", &generated, detail);
 }
 
 #[test]

@@ -256,7 +256,12 @@ impl ClientConfig {
 }
 
 /// The complete scenario: the union of all of Table I's inputs.
+///
+/// Reading one rejects a key it does not have, naming the nearest one it
+/// does — except `window_s`, which once switched on a windowed latency
+/// recorder and is accepted and ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(retired = "window_s")]
 pub struct ScenarioConfig {
     /// Master seed.
     #[serde(default = "default_seed")]
@@ -341,7 +346,8 @@ impl ScenarioConfig {
             #[serde(default)]
             pools: Vec<PoolConfig>,
         }
-        #[derive(Deserialize, Default)]
+        #[derive(Deserialize)]
+        #[serde(retired = "window_s")]
         struct SimFile {
             #[serde(default = "default_seed")]
             seed: u64,

@@ -315,14 +315,9 @@ impl Serialize for LatencyComponent {
 }
 
 impl Deserialize for LatencyComponent {
-    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected component name string"))?;
-        LatencyComponent::ALL
-            .into_iter()
-            .find(|c| c.name() == s)
-            .ok_or_else(|| serde::Error::custom(format!("unknown latency component {s:?}")))
+    fn deserialize(src: &mut serde::Source<'_>) -> Result<Self, serde::Error> {
+        let names = LatencyComponent::ALL.map(LatencyComponent::name);
+        Ok(LatencyComponent::ALL[src.variant(&names, "LatencyComponent")?])
     }
 }
 
@@ -812,7 +807,7 @@ fn csv_field(s: &str) -> String {
 /// utilizations (measured since the warmup boundary) and mean latency
 /// decomposition. Plain `Copy` data, cheap to aggregate across
 /// replications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Mean per-instance core utilization since warmup, averaged over
     /// instances.
@@ -836,39 +831,6 @@ impl Default for MetricsSnapshot {
             decomposed_requests: 0,
             component_mean_s: [0.0; LatencyComponent::COUNT],
         }
-    }
-}
-
-// Manual impl: the vendored serde stand-in deserializes no fixed-size
-// arrays.
-impl Deserialize for MetricsSnapshot {
-    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(mut obj) = v else {
-            return Err(serde::Error::custom("expected MetricsSnapshot object"));
-        };
-        let means: Vec<f64> = obj
-            .take("component_mean_s")
-            .map(Deserialize::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let f = |key: &str| -> Result<f64, serde::Error> {
-            obj.get(key)
-                .and_then(serde::Value::as_f64)
-                .ok_or_else(|| serde::Error::custom(format!("missing field {key}")))
-        };
-        let mut component_mean_s = [0.0; LatencyComponent::COUNT];
-        for (slot, v) in component_mean_s.iter_mut().zip(means) {
-            *slot = v;
-        }
-        Ok(MetricsSnapshot {
-            instance_utilization: f("instance_utilization")?,
-            network_utilization: f("network_utilization")?,
-            decomposed_requests: obj
-                .get("decomposed_requests")
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| serde::Error::custom("missing field decomposed_requests"))?,
-            component_mean_s,
-        })
     }
 }
 

@@ -139,8 +139,9 @@ fn listing1_shape_is_loadable_as_service() {
 
 #[test]
 fn retired_window_s_key_is_ignored_like_any_unknown_key() {
-    // `window_s` once switched on a windowed recorder. The loaders ignore
-    // keys they do not know, so files that still carry it load to the same
+    // `window_s` once switched on a windowed recorder. The loaders reject
+    // keys they do not know, except this one retired key, which they
+    // accept and ignore: files that still carry it load to the same
     // scenario — from a single file and from a Table I `sim.json`.
     let plain = ScenarioConfig::from_json(QUICKSTART).unwrap();
     let with_key = QUICKSTART.replacen('{', "{\"window_s\": 0.1,", 1);
