@@ -11,11 +11,12 @@
 //! that is running dominates, not the ones that are done.
 //!
 //! And a run keeps exactly one thing per measured request: its exact
-//! end-to-end latency, an 8-byte `f64` in a `Vec` (the percentiles every
-//! golden file pins are read off those). Per-instance residence times and
+//! end-to-end latency in nanoseconds, sorted into runs of 32 Ki and
+//! delta-coded as varints — about a byte each (the percentiles every golden
+//! file pins are read off those). Per-instance residence times and
 //! per-type latencies are bounded histograms, and the end-of-run summary
-//! sorts the samples where they lie. The second test pins that as bytes
-//! per additional measured request.
+//! merges the runs without decoding them into memory. The second test
+//! pins that as bytes per additional measured request.
 //!
 //! Observing a run must not change that. `uqsim why` records every span
 //! event, audits the log and replays it into a second critical-path
@@ -135,17 +136,16 @@ fn peak_live_bytes_follow_the_running_cell_not_the_cell_count() {
 }
 
 /// The bound on peak live bytes per additional measured request. What a
-/// run measures is the sample vector's capacity: 8 bytes a sample under
-/// `Vec` doubling, so between 8 and 16 depending on where the two request
-/// counts fall between powers of two, plus the last few buckets the
-/// bounded histograms touch: 10.1 B on `two_tier` (30 k → 110 k requests)
-/// and 14.0 B on `social_network` (12 k → 44 k). The bound is 1.5 × the
-/// larger. At the parent of this ratchet — every instance visit and a
-/// second, per-type copy of every latency kept as samples, and the summary
-/// sorting a copy of them — the same runs read 57.4 B and 186.4 B (45 B
-/// and 114 B of RSS per request on the command line, where the allocator's
-/// peak under doubling does not show).
-const MAX_BYTES_PER_MEASURED_REQUEST: f64 = 21.0;
+/// run measures is its sealed runs — about a byte a sample, the varint of
+/// its distance from its neighbour — plus the last few buckets the bounded
+/// histograms touch: 1.11 B on `two_tier` (50 k → 170 k requests) and
+/// 1.26 B on `social_network` (20 k → 68 k), with the open buffer at its
+/// full 256 KB in both runs of each pair. The bound is 1.5 × the larger.
+/// While every sample was an 8-byte `f64` in a `Vec` the same pairs over
+/// 2 s → 6 s read 10.1 B and 14.0 B (bound 21), and before that — every
+/// instance visit and a second, per-type copy of every latency kept as
+/// samples, and the summary sorting a copy of them — 57.4 B and 186.4 B.
+const MAX_BYTES_PER_MEASURED_REQUEST: f64 = 1.9;
 
 #[test]
 fn a_measured_request_costs_one_exact_sample() {
@@ -161,10 +161,10 @@ fn a_measured_request_costs_one_exact_sample() {
         // What `uqsim run` installs: decomposition telemetry and the
         // streaming critical-path profile, all of it bounded.
         let opts = PartitionOptions::default();
-        let (short_peak, short) = peak_of(&cfg, 2.0, &opts);
-        let (long_peak, long) = peak_of(&cfg, 6.0, &opts);
+        let (short_peak, short) = peak_of(&cfg, 3.0, &opts);
+        let (long_peak, long) = peak_of(&cfg, 9.0, &opts);
         let requests = (long.result.latency.count - short.result.latency.count) as f64;
-        assert!(requests > 30_000.0, "{name}: {requests} more requests");
+        assert!(requests > 40_000.0, "{name}: {requests} more requests");
         let per_request = (long_peak as f64 - short_peak as f64) / requests;
         assert!(
             per_request < MAX_BYTES_PER_MEASURED_REQUEST,
@@ -189,15 +189,22 @@ fn why_options() -> PartitionOptions {
     }
 }
 
+/// The bound on peak live bytes per additional measured request under
+/// `uqsim why`'s observers: the streamed log is two to four 240 KB chunks
+/// however long the run, and which of those a run's peak catches depends
+/// on how far the consumer thread lags — up to 10 B per request of the
+/// pair below on its own, above what the samples cost.
+const MAX_BYTES_PER_OBSERVED_REQUEST: f64 = 21.0;
+
 /// `uqsim why` on `social_network` for 2 s and for 8 s: the 48 k more
 /// measured requests may cost what they cost a plain run — their exact
 /// samples — and the observers nothing: not the audit (a record per
 /// request *slot*, 15 of them here), not the replay, not the log. Measured:
-/// 9.9 B, or 15.1 B when the longer run's consumer once fell a chunk
-/// further behind (the log is two to four 240 KB chunks however long the
-/// run, so at worst 20.2 B). While the auditor kept a record and a fan-in
-/// entry per request for the whole run, and a chunk was 1.8 MB, this read
-/// 302 B.
+/// 5.1 B (2.7 B of it the open sample buffer doubling to its full 256 KB
+/// between the two runs); 9.9 B, or 15.1 B when the consumer once fell a
+/// chunk further behind, while samples were 8-byte `f64`s. While the
+/// auditor kept a record and a fan-in entry per request for the whole run,
+/// and a chunk was 1.8 MB, this read 302 B.
 #[test]
 fn observation_memory_does_not_follow_run_length() {
     let _alone = one_at_a_time();
@@ -214,10 +221,10 @@ fn observation_memory_does_not_follow_run_length() {
     assert!(requests > 40_000.0, "{requests} more requests");
     let per_request = (long_peak as f64 - short_peak as f64) / requests;
     assert!(
-        per_request < MAX_BYTES_PER_MEASURED_REQUEST,
+        per_request < MAX_BYTES_PER_OBSERVED_REQUEST,
         "{per_request:.1} B of peak live memory per additional measured request under \
          `why` ({short_peak} -> {long_peak} B over {requests} requests); the ratchet is \
-         {MAX_BYTES_PER_MEASURED_REQUEST} — a fold keeps something per request past its \
+         {MAX_BYTES_PER_OBSERVED_REQUEST} — a fold keeps something per request past its \
          retirement, or the log is being stored"
     );
 }

@@ -275,12 +275,22 @@ impl Args {
         Ok(self.get(flag)?.unwrap_or(default))
     }
 
-    /// A strictly positive `flag`, or `default` when absent.
-    fn positive(&self, flag: &str, default: f64) -> Result<f64, Failure> {
-        match self.get_or(flag, default)? {
-            v if v > 0.0 => Ok(v),
-            _ => Err(Failure::Usage(format!("{flag} must be positive"))),
+    /// A span of simulated time in seconds, or `default` when absent. It
+    /// must be a number the engine's nanosecond clock can hold: finite,
+    /// positive, at least 1 ns once rounded, and at most `u64::MAX` ns
+    /// (about 584 years) — anything else is a usage error here, not a
+    /// panic in [`SimDuration::from_secs_f64`] or a warm-up message later.
+    fn seconds(&self, flag: &str, default: f64) -> Result<f64, Failure> {
+        let secs: f64 = self.get_or(flag, default)?;
+        let in_range = secs.is_finite() && secs > 0.0 && secs * 1e9 <= u64::MAX as f64;
+        if in_range && SimDuration::from_secs_f64(secs) >= SimDuration::from_nanos(1) {
+            return Ok(secs);
         }
+        Err(Failure::Usage(format!(
+            "{flag} must be positive, at least 1e-9 s and at most {} s, got `{}`",
+            u64::MAX / 1_000_000_000,
+            self.raw(flag).unwrap_or_default()
+        )))
     }
 }
 
@@ -341,7 +351,7 @@ impl RunPlan {
     /// every statistic would be taken over an empty window.
     fn from_args(args: &Args, default_duration_s: f64) -> Result<RunPlan, Failure> {
         let seed: Option<u64> = args.get("--seed")?;
-        let duration_s: f64 = args.get_or("--duration", default_duration_s)?;
+        let duration_s = args.seconds("--duration", default_duration_s)?;
         let shards = match args.get::<usize>("--shards")? {
             Some(0) => return Err(Failure::Usage("--shards must be at least 1".into())),
             given => given.unwrap_or(0),
@@ -359,7 +369,7 @@ impl RunPlan {
         if let Some(seed) = seed {
             cfg.seed = seed;
         }
-        if duration_s.is_nan() || duration_s <= cfg.warmup_s {
+        if duration_s <= cfg.warmup_s {
             return Err(SimError::InvalidScenario(format!(
                 "{scenario}: --duration {duration_s}s does not exceed warmup_s {}s, \
                  so the measurement window would be empty",
@@ -474,7 +484,7 @@ fn latency_json(s: &uqsim_core::metrics::LatencySummary) -> serde_json::Value {
 /// with `--metrics-out` the three metrics files.
 fn cmd_run(args: &Args) -> Outcome {
     let metrics_out = args.path("--metrics-out");
-    let sample_interval_s = args.positive("--sample-interval", 0.1)?;
+    let sample_interval_s = args.seconds("--sample-interval", 0.1)?;
     let plan = RunPlan::from_args(args, 5.0)?;
     // No telemetry unless it is asked for: a plain run pays for the event
     // loop and nothing else.
@@ -873,7 +883,7 @@ fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimE
 /// percentiles. With ANSI enabled each frame overdraws the previous one;
 /// `--no-ansi` appends frames instead (useful for piping to a file).
 fn cmd_top(args: &Args) -> Outcome {
-    let interval_s = args.positive("--interval", 1.0)?;
+    let interval_s = args.seconds("--interval", 1.0)?;
     let ansi = !args.has("--no-ansi");
     let plan = RunPlan::from_args(args, 10.0)?;
     let mut sim = plan.cfg.build()?;
@@ -990,6 +1000,10 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
     }
 }
 
+/// Most seed replications `uqsim sweep` takes per point (the grid itself is
+/// capped at [`uqsim_runner::sweep::MAX_QPS_POINTS`]).
+const MAX_REPS: usize = 10_000;
+
 /// `uqsim sweep`: `Q` QPS points × `K` seed replications fanned across the
 /// [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
 /// across-replication 95% confidence intervals. Progress goes to stderr;
@@ -997,10 +1011,13 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
 /// `--jobs` or `--shards`.
 fn cmd_sweep(args: &Args) -> Outcome {
     let qps_spec = args.required("--qps", "<lo:hi:step|a,b,..>")?;
+    let qps = uqsim_runner::sweep::parse_qps_spec(qps_spec).map_err(Failure::Invalid)?;
     let reps: usize = args.get_or("--reps", 3)?;
+    if reps > MAX_REPS {
+        return Err(Failure::Usage(format!("--reps must be at most {MAX_REPS}")));
+    }
     let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
     let plan = RunPlan::from_args(args, 5.0)?;
-    let qps = uqsim_runner::sweep::parse_qps_spec(qps_spec).map_err(Failure::Invalid)?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),

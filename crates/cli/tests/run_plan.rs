@@ -4,7 +4,10 @@
 //! an error naming the scenario and both values, never a table of zeros —
 //! and the flag table turns a flag a subcommand does not take into a usage
 //! error (exit 2) that says, on one line before the usage table, what was
-//! wrong.
+//! wrong. So does a numeric flag whose value the engine cannot run: a time
+//! span that is not finite, not positive, under a nanosecond or past the
+//! simulated clock's range, and a QPS grid with a point outside its range
+//! or more points than it may have.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -173,4 +176,73 @@ fn flags_a_subcommand_does_not_take_are_usage_errors() {
     let out = uqsim(&["sweep", "--config", &cfg, "--qps", "3000:1000:500"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --qps"));
+}
+
+/// Every numeric value that used to panic (exit 101), abort (134), or run
+/// before failing: exit 2, nothing on stdout, and a first stderr line that
+/// names the flag.
+#[test]
+fn numeric_flags_the_engine_cannot_run_are_usage_errors_naming_the_flag() {
+    let cfg = config("quickstart.json");
+    let out_dir = std::env::temp_dir().join("uqsim-run-plan-metrics");
+    let out_dir = out_dir.to_string_lossy();
+    let run = |flag: &'static str, value: &'static str| vec!["run", &cfg, flag, value];
+    let metrics = |value: &'static str| {
+        let head = ["run", &cfg, "--metrics-out", &out_dir];
+        [&head[..], &["--sample-interval", value]].concat()
+    };
+    let sweep = |qps: &'static str| vec!["sweep", "--config", &cfg, "--qps", qps];
+    let duration = "--duration must be positive, at least 1e-9 s and at most 18446744073 s";
+    let interval = "--sample-interval must be positive, at least 1e-9 s";
+    for (args, reason) in [
+        (run("--duration", "inf"), duration),
+        (run("--duration", "1e300"), duration),
+        (run("--duration", "18446744073.8"), duration),
+        (run("--duration", "nan"), duration),
+        (run("--duration", "-1"), duration),
+        (run("--duration", "1e-12"), duration),
+        (metrics("1e-12"), interval),
+        (metrics("inf"), interval),
+        (
+            vec!["top", "--config", &cfg, "--interval", "inf", "--no-ansi"],
+            "--interval must be positive",
+        ),
+        (sweep("100:inf:100"), "invalid --qps `100:inf:100`"),
+        (sweep("1:1e12:1"), "invalid --qps `1:1e12:1`"),
+        (
+            sweep("1:100000:1"),
+            "invalid --qps `1:100000:1`: 100000 points, more than 10000",
+        ),
+        (sweep("nan"), "invalid --qps `nan`: loads must be between"),
+        (sweep("1000,inf"), "invalid --qps `1000,inf`"),
+        (
+            [&sweep("1000")[..], &["--reps", "100000000000"]].concat(),
+            "--reps must be at most 10000",
+        ),
+    ] {
+        let out = uqsim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(reason),
+            "{args:?}: expected {reason:?} in {first:?}"
+        );
+    }
+    // The edges that are runnable still run.
+    let sampled = uqsim(&metrics("0.05"));
+    assert!(sampled.status.success(), "{sampled:?}");
+    let one_point = uqsim(&[
+        "sweep",
+        "--config",
+        &cfg,
+        "--qps",
+        "1000",
+        "--reps",
+        "1",
+        "--duration",
+        "0.6",
+    ]);
+    assert!(one_point.status.success(), "{one_point:?}");
 }

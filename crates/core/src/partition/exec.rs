@@ -21,6 +21,7 @@ use crate::config::ScenarioConfig;
 use crate::critpath::ReplayFold;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec};
+use crate::metrics::LatencyRecorder;
 use crate::run::RunResult;
 use crate::sim::Simulator;
 use crate::telemetry::{
@@ -111,12 +112,12 @@ impl Default for PartitionOptions {
 /// until the last export (DESIGN.md §11.1 has the table: field, who reads
 /// it, when present).
 ///
-/// The always-present remains are cheap: two sample vectors (moved, not
-/// copied), three scalars, and the metrics-registry snapshot with its two
-/// mergeable histogram sets. The heavy ones exist only when the caller's
-/// options asked for what needs them: [`trace`](Self::trace) under
-/// [`SpanTracing::Retain`], [`series`](Self::series) when the telemetry
-/// sampler ran.
+/// The always-present remains are cheap: two finished latency recorders
+/// (moved, not copied; about a byte per measured request), three scalars,
+/// and the metrics-registry snapshot with its two mergeable histogram
+/// sets. The heavy ones exist only when the caller's options asked for
+/// what needs them: [`trace`](Self::trace) under [`SpanTracing::Retain`],
+/// [`series`](Self::series) when the telemetry sampler ran.
 #[derive(Debug)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
@@ -126,16 +127,17 @@ pub struct CellOutput {
     /// What the checks of a streamed span log found; `None` unless the run
     /// asked for [`SpanTracing::Check`].
     pub checks: Option<SpanChecks>,
-    /// Post-warmup end-to-end latency samples (seconds), **ascending**: the
-    /// cell's summary sorted them where they lay, and a permutation of what
-    /// a bare simulator's [`Simulator::latency_samples`] lists in
-    /// completion order. Exact, 8 bytes per measured request — the only
-    /// thing a cell keeps per request. [`merge_results`] re-summarizes the
-    /// cells' concatenation.
-    pub latency_samples: Vec<f64>,
-    /// Deadline-pinned latency samples of timed-out requests (seconds),
-    /// ascending likewise.
-    pub timeout_latency_samples: Vec<f64>,
+    /// The cell's post-warmup end-to-end latency samples: its simulator's
+    /// recorder, finished (its open buffer sealed and freed) — sorted runs
+    /// of delta-coded nanoseconds, exact, about a byte per measured request
+    /// and the only thing a cell keeps per request.
+    /// [`LatencyRecorder::ascending`] lists what a bare simulator's
+    /// [`Simulator::latency_samples`] does; [`merge_results`] merges every
+    /// cell's runs into one summary.
+    pub latency_samples: LatencyRecorder,
+    /// Deadline-pinned latency samples of timed-out requests, recorded
+    /// likewise.
+    pub timeout_latency_samples: LatencyRecorder,
     /// Degraded (early-fire) completions inside the measurement window —
     /// counted in the latency summary, excluded from merged goodput.
     pub degraded_measured: u64,
@@ -423,8 +425,8 @@ fn take_remains(
         span_dropped,
         trace,
         series,
-        latency_samples: sim.e2e.into_samples(),
-        timeout_latency_samples: sim.e2e_timeout.into_samples(),
+        latency_samples: sim.e2e,
+        timeout_latency_samples: sim.e2e_timeout,
     }
 }
 

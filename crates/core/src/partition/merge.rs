@@ -34,13 +34,14 @@ use super::exec::CellOutput;
 
 /// Merges per-cell run summaries into the cluster-level [`RunResult`].
 ///
-/// Counters sum; the latency summaries are **re-summarized from the
-/// concatenated raw samples** (percentiles are not mergeable from
-/// percentiles); throughput and goodput are recomputed from the merged
-/// counts over the shared measurement window. The merged result carries
-/// the *master* seed — each cell ran under its own derived
-/// [`cell_seed`](super::cell_seed). One cell's summary is returned as it
-/// is (its seed *is* the master seed), with no sample copied.
+/// Counters sum; the latency summaries are **re-summarized from every
+/// cell's exact samples** (percentiles are not mergeable from
+/// percentiles) — one ascending merge over all the cells' sealed runs,
+/// `LatencySummary::merged`, which copies no sample; throughput and
+/// goodput are recomputed from the merged counts over the shared
+/// measurement window. The merged result carries the *master* seed — each
+/// cell ran under its own derived [`cell_seed`](super::cell_seed). One
+/// cell's summary is returned as it is (its seed *is* the master seed).
 ///
 /// # Panics
 ///
@@ -56,13 +57,8 @@ pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
     }
     let duration = cells[0].result.duration;
     let warmup = cells[0].result.warmup;
-    let concatenated = |samples: fn(&CellOutput) -> &[f64]| -> LatencySummary {
-        // One copy, sorted in place (`from_samples` would sort a second).
-        let mut all = cells.iter().map(samples).collect::<Vec<_>>().concat();
-        LatencySummary::sort_and_summarize(&mut all)
-    };
-    let latency = concatenated(|c| &c.latency_samples);
-    let timeout_latency = concatenated(|c| &c.timeout_latency_samples);
+    let latency = LatencySummary::merged(cells.iter().map(|c| &c.latency_samples));
+    let timeout_latency = LatencySummary::merged(cells.iter().map(|c| &c.timeout_latency_samples));
     let measured = (duration.as_secs_f64() - warmup.as_secs_f64()).max(f64::EPSILON);
     let degraded_measured: u64 = cells.iter().map(|c| c.degraded_measured).sum();
     let good = (latency.count as u64).saturating_sub(degraded_measured);

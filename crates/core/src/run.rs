@@ -206,17 +206,19 @@ pub fn run_one_faulted(
 /// Summarizes a finished simulator into a [`RunResult`] — one cell of
 /// [`crate::partition::run_partitioned`]. The two latency summaries are
 /// [`Simulator::latency_summary`](crate::sim::Simulator::latency_summary)
-/// and its timeout twin bit for bit, but computed by sorting the
-/// simulator's own sample vectors in place: the cell is finished, nothing
-/// reads their completion order again, and a sorted copy would double the
-/// one thing a run's memory grows with.
+/// and its timeout twin bit for bit, but the recorders are
+/// [finished](crate::metrics::LatencyRecorder::finish) first: the cell
+/// records nothing more, so each open buffer is sorted where it lies,
+/// sealed and freed instead of copied.
 pub(crate) fn summarize(
     sim: &mut crate::sim::Simulator,
     seed: u64,
     duration: SimDuration,
     warmup_s: f64,
 ) -> RunResult {
-    let latency = sim.e2e.sort_and_summarize();
+    sim.e2e.finish();
+    sim.e2e_timeout.finish();
+    let latency = sim.e2e.summary();
     let warmup = SimDuration::from_secs_f64(warmup_s);
     let measured = (duration.as_secs_f64() - warmup_s).max(f64::EPSILON);
     let good = (latency.count as u64).saturating_sub(sim.degraded_measured());
@@ -234,7 +236,7 @@ pub(crate) fn summarize(
         retried: sim.retried(),
         degraded: sim.degraded(),
         latency,
-        timeout_latency: sim.e2e_timeout.sort_and_summarize(),
+        timeout_latency: sim.e2e_timeout.summary(),
         events_processed: sim.events_processed(),
         metrics: sim.metrics_snapshot(),
         fault: sim.fault_summary(),

@@ -17,7 +17,7 @@ use crate::ids::{
 };
 use crate::job::{JobArena, Request, RequestArena};
 use crate::machine::{Core, MachineSpec};
-use crate::metrics::{LatencyRecorder, LatencySummary};
+use crate::metrics::{Ascending, LatencyRecorder, LatencySummary};
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType};
 use crate::service::ServiceModel;
 use crate::telemetry::StreamingHistogram;
@@ -275,8 +275,9 @@ pub struct Simulator {
     pub(crate) controllers: Vec<Option<Box<dyn Controller>>>,
     // Metrics.
     /// The exact post-warmup end-to-end samples: with `e2e_timeout`, the
-    /// only per-request state a run keeps (8 bytes each; the golden-pinned
-    /// percentiles are read off them). The other recorders are bounded.
+    /// only per-request state a run keeps (about a byte each, sorted and
+    /// delta-coded; the golden-pinned percentiles are read off them). The
+    /// other recorders are bounded.
     pub(crate) e2e: LatencyRecorder,
     /// Post-warmup end-to-end latency per request type.
     pub(crate) per_type: Vec<StreamingHistogram>,
@@ -431,9 +432,12 @@ impl Simulator {
         self.e2e.summary()
     }
 
-    /// Raw post-warmup end-to-end latency samples (seconds).
-    pub fn latency_samples(&self) -> &[f64] {
-        self.e2e.samples()
+    /// The exact post-warmup end-to-end latency samples (seconds),
+    /// ascending — the data behind
+    /// [`latency_summary`](Self::latency_summary). Completion order is not
+    /// kept; the span log has it (`RequestEmitted` → `RequestCompleted`).
+    pub fn latency_samples(&self) -> Ascending<'_> {
+        self.e2e.ascending()
     }
 
     /// Post-warmup residence-latency summary for one instance: the time
@@ -534,12 +538,12 @@ impl Simulator {
         self.e2e_timeout.summary()
     }
 
-    /// Raw deadline-pinned latency samples of timed-out requests (seconds),
-    /// the data behind [`Simulator::timeout_latency_summary`]. The
-    /// partitioned merge concatenates these across cells and re-summarizes,
-    /// which is exact because [`LatencySummary::from_samples`] sorts.
-    pub fn timeout_latency_samples(&self) -> &[f64] {
-        self.e2e_timeout.samples()
+    /// The deadline-pinned latency samples of timed-out requests (seconds),
+    /// ascending — the data behind [`Simulator::timeout_latency_summary`].
+    /// The partitioned merge re-summarizes these across cells with one
+    /// merge of every cell's runs.
+    pub fn timeout_latency_samples(&self) -> Ascending<'_> {
+        self.e2e_timeout.ascending()
     }
 
     /// Number of client-owned connections currently holding an outstanding

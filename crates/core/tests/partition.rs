@@ -580,10 +580,10 @@ fn merge_of_one_cell_is_registry_identity() {
     assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
 }
 
-/// **P5** — a cell hands over its exact latency samples sorted (its summary
-/// sorted them where they lay, rather than sort a copy): the samples a bare
-/// simulator of the same cell lists in completion order, ascending. The
-/// merged summary is the summary of all of them, whatever their order.
+/// **P5** — a cell hands over its exact latency samples as a finished
+/// recorder (sorted, sealed runs): ascending, they are the samples a bare
+/// simulator of the same cell holds. The merged summary is the summary of
+/// all of them, whatever their order.
 #[test]
 fn cells_keep_their_samples_sorted_and_the_merge_summarizes_them_all() {
     let cfg = cluster(3);
@@ -595,12 +595,14 @@ fn cells_keep_their_samples_sorted_and_the_merge_summarizes_them_all() {
         let mut bare = cell.config.with_seed(seed).build().unwrap();
         bare.run_until(SimTime::ZERO + d);
         assert!(out.latency_samples.len() > 100, "cell {}", cell.id);
-        let mut sorted = bare.latency_samples().to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        assert_eq!(out.latency_samples, sorted, "cell {}", cell.id);
+        let kept: Vec<f64> = out.latency_samples.ascending().collect();
+        let bare_samples: Vec<f64> = bare.latency_samples().collect();
+        assert_eq!(kept, bare_samples, "cell {}", cell.id);
         assert_eq!(out.result.latency, bare.latency_summary());
-        all.extend_from_slice(bare.latency_samples());
+        all.extend(bare_samples);
     }
+    // Reversed: the summary must not depend on the order it is given.
+    all.reverse();
     assert_eq!(run.result.latency, LatencySummary::from_samples(&all));
 }
 

@@ -5,12 +5,16 @@
 //! read bounded histograms, so that a run keeps nothing per node visit and
 //! only one sample per request. The span log still carries every value
 //! that went into them — a `NodeDone` event's `t − entered` is the residence
-//! time, and the measured `RequestCompleted` events name, in completion
-//! order, the type of each of [`Simulator::latency_samples`] — so the exact
-//! sample vectors can be rebuilt beside the run and summarized the old way.
+//! time, and a measured request's `RequestEmitted.t` → `RequestCompleted.t`
+//! is its end-to-end latency, of the type the completion names — so the
+//! exact sample vectors can be rebuilt beside the run and summarized the
+//! old way. Together the per-type vectors are exactly the samples the
+//! run's exact recorder holds ([`Simulator::latency_samples`], ascending).
 //! The contract: `count` and `max` equal, `mean` equal to `f64` rounding,
 //! and every percentile `q̂` within `q ≤ q̂ ≤ q · (1 + 1/32)` of the exact
 //! nearest-rank `q`.
+
+use std::collections::HashMap;
 
 use uqsim_core::config::ScenarioConfig;
 use uqsim_core::ids::{InstanceId, RequestTypeId};
@@ -65,9 +69,12 @@ fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
     let warmup_at = SimTime::ZERO + SimDuration::from_secs_f64(cfg.warmup_s);
     let mut residency = vec![Vec::new(); sim.instance_count()];
     let mut per_type = vec![Vec::new(); cfg.request_types.len()];
-    let mut e2e = sim.latency_samples().iter();
+    let mut emitted = HashMap::new();
     for ev in log.events() {
         match *ev {
+            TraceEvent::RequestEmitted { request, t, .. } => {
+                emitted.insert(request, t);
+            }
             TraceEvent::NodeDone {
                 instance,
                 entered,
@@ -77,21 +84,27 @@ fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
                 residency[instance.index()].push((t - entered).as_secs_f64());
             }
             TraceEvent::RequestCompleted {
+                request,
                 request_type,
                 measured: true,
+                t,
                 ..
             } => {
-                let latency = e2e.next().expect("a sample per measured completion");
-                per_type[request_type.index()].push(*latency);
+                let latency = t - emitted[&request];
+                per_type[request_type.index()].push(latency.as_secs_f64());
             }
             _ => {}
         }
     }
-    assert_eq!(e2e.next(), None, "{name}: a completion per sample");
+    // The span log's latencies are the recorder's samples, bit for bit.
+    let mut from_log = per_type.concat();
+    from_log.sort_unstable_by(f64::total_cmp);
+    let recorded: Vec<f64> = sim.latency_samples().collect();
     assert!(
-        sim.latency_samples().len() >= min_measured,
-        "{name}: a trivial run"
+        from_log == recorded,
+        "{name}: a sample per measured completion"
     );
+    assert!(recorded.len() >= min_measured, "{name}: a trivial run");
 
     for (i, exact) in residency.iter().enumerate() {
         assert!(!exact.is_empty(), "{name}: instance {i} was never visited");

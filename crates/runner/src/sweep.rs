@@ -38,12 +38,24 @@ pub fn seed_for(base_seed: u64, rep: usize) -> u64 {
     }
 }
 
+/// Most points a QPS grid may have ([`parse_qps_spec`]).
+pub const MAX_QPS_POINTS: usize = 10_000;
+
+/// The offered loads a QPS grid may name, per client: from one request per
+/// 1,000 s — an exponential gap drawn at a lower rate can overflow the
+/// simulated nanosecond clock — to one per simulated nanosecond, the
+/// clock's resolution.
+pub const QPS_RANGE: std::ops::RangeInclusive<f64> = 1e-3..=1e9;
+
 /// Parses a QPS grid argument: either a range `lo:hi:step` (inclusive of
-/// `hi` up to float tolerance) or an explicit comma list `a,b,c`.
+/// `hi` up to float tolerance) or an explicit comma list `a,b,c`. Every
+/// point must lie in [`QPS_RANGE`], and there may be at most
+/// [`MAX_QPS_POINTS`] of them.
 ///
 /// # Errors
 ///
-/// A human-readable message for malformed, non-positive, or empty specs.
+/// A human-readable message naming `--qps` for malformed, out-of-range
+/// (NaN and infinity included), empty or oversized specs.
 ///
 /// # Examples
 ///
@@ -53,10 +65,12 @@ pub fn seed_for(base_seed: u64, rep: usize) -> u64 {
 /// assert_eq!(parse_qps_spec("1000:3000:1000").unwrap(), vec![1000.0, 2000.0, 3000.0]);
 /// assert_eq!(parse_qps_spec("500,2500").unwrap(), vec![500.0, 2500.0]);
 /// assert!(parse_qps_spec("3000:1000:500").is_err());
+/// assert!(parse_qps_spec("1:1e12:1").is_err()); // 10^12 points
 /// ```
 pub fn parse_qps_spec(spec: &str) -> Result<Vec<f64>, String> {
     let bad = |what: &str| format!("invalid --qps `{spec}`: {what}");
-    if spec.contains(':') {
+    let (lo, hi) = QPS_RANGE.into_inner();
+    let loads: Vec<f64> = if spec.contains(':') {
         let parts: Vec<&str> = spec.split(':').collect();
         if parts.len() != 3 {
             return Err(bad("expected lo:hi:step"));
@@ -66,23 +80,33 @@ pub fn parse_qps_spec(spec: &str) -> Result<Vec<f64>, String> {
             .map(|p| p.trim().parse::<f64>())
             .collect::<Result<_, _>>()
             .map_err(|_| bad("non-numeric bound"))?;
-        let (lo, hi, step) = (nums[0], nums[1], nums[2]);
-        if !(lo > 0.0 && hi >= lo && step > 0.0) {
-            return Err(bad("need 0 < lo <= hi and step > 0"));
+        let (first, last, step) = (nums[0], nums[1], nums[2]);
+        if !(QPS_RANGE.contains(&first) && QPS_RANGE.contains(&last) && first <= last) {
+            return Err(bad(&format!("need {lo} <= lo <= hi <= {hi}")));
         }
-        let n = ((hi - lo) / step + 1.0 + 1e-9).floor() as usize;
-        Ok((0..n).map(|i| lo + step * i as f64).collect())
+        if !(step > 0.0 && step.is_finite()) {
+            return Err(bad("need a finite step > 0"));
+        }
+        let n = ((last - first) / step + 1.0 + 1e-9).floor();
+        if n > MAX_QPS_POINTS as f64 {
+            return Err(bad(&format!("{n} points, more than {MAX_QPS_POINTS}")));
+        }
+        (0..n as usize).map(|i| first + step * i as f64).collect()
     } else {
         let loads: Vec<f64> = spec
             .split(',')
             .map(|p| p.trim().parse::<f64>())
             .collect::<Result<_, _>>()
             .map_err(|_| bad("non-numeric entry"))?;
-        if loads.is_empty() || loads.iter().any(|&q| q <= 0.0) {
-            return Err(bad("loads must be positive"));
+        if loads.iter().any(|q| !QPS_RANGE.contains(q)) {
+            return Err(bad(&format!("loads must be between {lo} and {hi}")));
         }
-        Ok(loads)
+        loads
+    };
+    if loads.len() > MAX_QPS_POINTS {
+        return Err(bad(&format!("more than {MAX_QPS_POINTS} points")));
     }
+    Ok(loads)
 }
 
 /// What to sweep: the QPS grid, the replication count, and how to run.
@@ -592,11 +616,31 @@ mod tests {
         // single-point range and single-value list both work.
         assert_eq!(parse_qps_spec("500:500:1").unwrap(), vec![500.0]);
         assert_eq!(parse_qps_spec("500").unwrap(), vec![500.0]);
+        // The grid cap is inclusive.
+        assert_eq!(parse_qps_spec("1:10000:1").unwrap().len(), MAX_QPS_POINTS);
+        assert!(parse_qps_spec("1:10001:1").is_err());
     }
 
     #[test]
     fn qps_spec_rejects_nonsense() {
-        for bad in ["", "a:b:c", "10:5:1", "0:10:1", "10:20:0", "1,-2", "x,y"] {
+        for bad in [
+            "",
+            "a:b:c",
+            "10:5:1",
+            "0:10:1",
+            "10:20:0",
+            "1,-2",
+            "x,y",
+            "nan",
+            "1,inf",
+            "100:inf:100",
+            "100:200:nan",
+            "5:5:inf",
+            "nan:200:1",
+            "1:1e12:1",
+            "1e-300",
+            "2e9",
+        ] {
             assert!(parse_qps_spec(bad).is_err(), "accepted `{bad}`");
         }
     }
