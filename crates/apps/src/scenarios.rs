@@ -1406,13 +1406,59 @@ pub fn pod_cluster(pods: usize, qps_per_pod: f64) -> SimResult<ScenarioConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use uqsim_core::metrics::LatencySummary;
     use uqsim_core::time::{SimDuration, SimTime};
+    use uqsim_core::trace::TraceEvent;
     use uqsim_core::Simulator;
 
     fn quick(cfg: SimResult<ScenarioConfig>, secs: u64) -> Simulator {
         let mut sim = cfg.unwrap().build().unwrap();
         sim.run_for(SimDuration::from_secs(secs));
         sim
+    }
+
+    /// [`quick`] with the span log on, and the measured end-to-end latency
+    /// of each request type read off it, by type name.
+    fn quick_by_type(
+        cfg: SimResult<ScenarioConfig>,
+        secs: u64,
+    ) -> (Simulator, HashMap<String, LatencySummary>) {
+        let mut sim = cfg.unwrap().build().unwrap();
+        sim.enable_span_tracing(4_000_000);
+        sim.run_for(SimDuration::from_secs(secs));
+        let log = sim.span_log().unwrap();
+        assert_eq!(log.dropped(), 0, "the span log holds the whole run");
+        let meta = sim.trace_meta();
+        let mut emitted = HashMap::new();
+        let mut samples = vec![Vec::new(); meta.request_types.len()];
+        for ev in log.events() {
+            match *ev {
+                TraceEvent::RequestEmitted { request, t, .. } => {
+                    emitted.insert(request, t);
+                }
+                TraceEvent::RequestCompleted {
+                    request,
+                    request_type,
+                    measured,
+                    t,
+                    ..
+                } => {
+                    let submitted = emitted.remove(&request).expect("emitted first");
+                    if measured {
+                        samples[request_type.index()].push((t - submitted).as_secs_f64());
+                    }
+                }
+                _ => {}
+            }
+        }
+        let by_type = meta
+            .request_types
+            .iter()
+            .zip(&samples)
+            .map(|(ty, s)| (ty.name.clone(), LatencySummary::from_samples(s)))
+            .collect();
+        (sim, by_type)
     }
 
     #[test]
@@ -1506,11 +1552,8 @@ mod tests {
     #[test]
     fn three_tier_hit_and_miss_types_diverge() {
         let cfg = ThreeTierConfig::at_qps(2_500.0);
-        let sim = quick(three_tier(&cfg), 4);
-        let hit = sim.request_type_by_name("get_hit").unwrap();
-        let miss = sim.request_type_by_name("get_miss").unwrap();
-        let hit_s = sim.type_latency_summary(hit);
-        let miss_s = sim.type_latency_summary(miss);
+        let (_, by_type) = quick_by_type(three_tier(&cfg), 4);
+        let (hit_s, miss_s) = (&by_type["get_hit"], &by_type["get_miss"]);
         // The mix is 80/20.
         let frac = miss_s.count as f64 / (hit_s.count + miss_s.count) as f64;
         assert!((frac - 0.2).abs() < 0.03, "miss fraction {frac}");
@@ -1527,14 +1570,11 @@ mod tests {
     #[test]
     fn social_network_full_mix_runs() {
         let cfg = SocialNetworkFullConfig::at_qps(4_000.0);
-        let sim = quick(social_network_full(&cfg), 4);
+        let (sim, by_type) = quick_by_type(social_network_full(&cfg), 4);
         let tput = sim.completed() as f64 / sim.now().as_secs_f64();
         assert!((tput - 4_000.0).abs() / 4_000.0 < 0.06, "tput {tput}");
         // Cache misses pay the disk read: their tail dwarfs the hit path's.
-        let hit = sim.request_type_by_name("read_post").unwrap();
-        let miss = sim.request_type_by_name("read_post_miss").unwrap();
-        let hit_s = sim.type_latency_summary(hit);
-        let miss_s = sim.type_latency_summary(miss);
+        let (hit_s, miss_s) = (&by_type["read_post"], &by_type["read_post_miss"]);
         assert!(hit_s.count > 1_000 && miss_s.count > 200);
         assert!(
             miss_s.p50 > hit_s.p50 + 2e-3,
@@ -1543,8 +1583,7 @@ mod tests {
             hit_s.p50
         );
         // Browses are the cheapest flow (single backend).
-        let browse = sim.request_type_by_name("browse_user").unwrap();
-        assert!(sim.type_latency_summary(browse).p50 < hit_s.p50);
+        assert!(by_type["browse_user"].p50 < hit_s.p50);
         // Conservation still holds with four interleaved DAG shapes.
         assert_eq!(
             sim.generated(),

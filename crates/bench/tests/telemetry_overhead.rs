@@ -1,9 +1,10 @@
 //! Telemetry overhead regression tests.
 //!
-//! Telemetry must *observe without perturbing* — the simulation trajectory
-//! (completions, latency percentiles) is bit-identical with telemetry on
-//! and off — and the disabled path must not cost more than the enabled
-//! one. What observation costs in wall-clock is a ratio on the
+//! Telemetry and the span log must *observe without perturbing* — the
+//! simulation trajectory (completions, latency percentiles) is
+//! bit-identical with either on and off — and the disabled telemetry path
+//! must not cost more than the enabled one. What observation costs in
+//! wall-clock is a ratio on the
 //! `benchmark/` ledger (`telemetry.sampler_overhead`,
 //! `telemetry.decomp_overhead`, `critpath.stream_overhead`).
 
@@ -23,7 +24,7 @@ fn build() -> Simulator {
 }
 
 /// Telemetry must be a pure observer: enabling the full stack (sampler,
-/// self-profiling, breakdowns, critical-path attribution) must not change
+/// self-profiling, critical-path attribution) must not change
 /// a single completion or latency sample. Sampler ticks are extra
 /// *events*, but they only read state, so the trajectory every other event
 /// takes is unchanged.
@@ -35,7 +36,6 @@ fn telemetry_does_not_perturb_the_simulation() {
     let mut instrumented = build();
     instrumented.enable_telemetry(TelemetryConfig {
         sample_interval: Some(SimDuration::from_millis(10)),
-        breakdown_capacity: 100_000,
         self_profile: true,
         critpath: true,
     });
@@ -56,6 +56,32 @@ fn telemetry_does_not_perturb_the_simulation() {
         extra <= expected_ticks + 2,
         "telemetry added {extra} events, expected at most {} sampler ticks",
         expected_ticks + 2
+    );
+}
+
+/// The span log is where per-type and per-tier numbers come from, so
+/// recording it must not move the run it describes: not one request, event
+/// or latency sample. Unlike the sampler it schedules nothing, so even the
+/// event count is the plain run's.
+#[test]
+fn span_tracing_does_not_perturb_the_simulation() {
+    let mut plain = build();
+    plain.run_for(SimDuration::from_secs_f64(SIM_SECS));
+
+    let mut traced = build();
+    traced.enable_span_tracing(2_000_000);
+    traced.run_for(SimDuration::from_secs_f64(SIM_SECS));
+    let log = traced.span_log().expect("span tracing is on");
+    assert_eq!(log.dropped(), 0, "the log holds the whole run");
+    assert!(!log.is_empty());
+
+    assert_eq!(plain.generated(), traced.generated());
+    assert_eq!(plain.completed(), traced.completed());
+    assert_eq!(plain.events_processed(), traced.events_processed());
+    assert_eq!(
+        plain.latency_summary(),
+        traced.latency_summary(),
+        "latency distribution drifted under span tracing"
     );
 }
 

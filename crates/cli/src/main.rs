@@ -48,7 +48,8 @@
 //! <https://ui.perfetto.dev>), audited against the simulator's invariants,
 //! exiting non-zero on any violation. Both exit non-zero when `--events`
 //! was too small for the view to be complete.
-//! `validate` parses and builds without running. `example` prints a
+//! `validate` parses and builds without running, and prints the scenario's
+//! machine, instance and client counts. `example` prints a
 //! complete scenario file to start from; more elaborate ones ship under
 //! `crates/cli/configs/`.
 //!
@@ -1181,12 +1182,19 @@ fn cmd_gen(args: &Args) -> Outcome {
 fn cmd_validate(args: &Args) -> Outcome {
     let missing = || Failure::Usage("validate needs a scenario path".into());
     let path = args.positional.first().ok_or_else(missing)?;
-    match load(Path::new(path)).and_then(|c| c.build()) {
-        Ok(sim) => println!(
-            "ok: {} instances, {} pending events at t=0",
-            sim.instance_count(),
-            sim.live_requests()
-        ),
+    match load(Path::new(path)).and_then(|c| c.build().map(|_| c)) {
+        Ok(cfg) => {
+            let count = |n: usize, what: &str| match n {
+                1 => format!("1 {what}"),
+                _ => format!("{n} {what}s"),
+            };
+            println!(
+                "ok: {}, {}, {}",
+                count(cfg.machines.len(), "machine"),
+                count(cfg.instances.len(), "instance"),
+                count(cfg.clients.len(), "client")
+            );
+        }
         Err(e) => {
             eprintln!("invalid: {e}");
             return Ok(false);

@@ -23,7 +23,6 @@ use crate::queue::StageQueue;
 use crate::rng::RngFactory;
 use crate::service::ServiceModel;
 use crate::sim::{ClientRt, ExecModel, InstanceRt, MachineRt, SimConfig, Simulator, ThreadRt};
-use crate::telemetry::StreamingHistogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Execution-model choice for a deployed instance.
@@ -320,7 +319,6 @@ impl ScenarioBuilder {
                     irq_cores,
                     net_queue: std::collections::VecDeque::new(),
                     net_slots,
-                    net_packets: 0,
                 }
             })
             .collect();
@@ -384,8 +382,6 @@ impl ScenarioBuilder {
                     held_core: None,
                 })
                 .collect();
-            let stage_agg = vec![Default::default(); svc.stages.len()];
-            let stage_samples = vec![Vec::new(); svc.stages.len()];
             if thread_count > 64 {
                 return Err(SimError::InvalidScenario(format!(
                     "instance {}: {} worker threads exceed the engine's limit of \
@@ -409,11 +405,6 @@ impl ScenarioBuilder {
                 queue_sets,
                 shared_queues: shared,
                 rr_thread: 0,
-                batches_dispatched: 0,
-                jobs_processed: 0,
-                stage_agg,
-                profiling: false,
-                stage_samples,
             });
         }
 
@@ -536,10 +527,8 @@ impl ScenarioBuilder {
             batch_pool: Vec::new(),
             controllers: Vec::new(),
             e2e: LatencyRecorder::new(warmup_at),
-            per_type: vec![StreamingHistogram::new(); self.request_types.len()],
             interval_e2e: Vec::new(),
             interval_instance: vec![Vec::new(); n_instances],
-            instance_residency: vec![StreamingHistogram::new(); n_instances],
             generated: 0,
             completed: 0,
             timeouts: 0,

@@ -1,11 +1,16 @@
 //! The simulator: cluster state, event handlers, and the run loop.
 //!
-//! Construct a [`Simulator`] with
-//! [`ScenarioBuilder`](crate::builder::ScenarioBuilder), then drive it with
-//! [`Simulator::run_for`]. All behavior described in DESIGN.md §4 lives
-//! here: network processing on irq cores, per-thread stage queues with
-//! epoll/socket batching, connection-pool backpressure, fan-in
+//! A [`Simulator`] is built from a scenario with
+//! [`ScenarioConfig::build`](crate::config::ScenarioConfig::build), then
+//! driven with [`Simulator::run_for`]. All behavior described in DESIGN.md
+//! §4 lives here: network processing on irq cores, per-thread stage queues
+//! with epoll/socket batching, connection-pool backpressure, fan-in
 //! synchronization, thread blocking, and DVFS-aware service times.
+//!
+//! Residence per node visit, latency per request type, and the size and
+//! service time of each batch are not kept beside the run: they are views
+//! of the span log ([`Simulator::enable_span_tracing`]; `NodeDone`,
+//! `RequestCompleted` and `BatchStart` events).
 
 use crate::connection::{Connection, ConnectionPool, UpEndpoint};
 use crate::controller::{ControlAction, Controller, TickStats};
@@ -20,7 +25,6 @@ use crate::machine::{Core, MachineSpec};
 use crate::metrics::{Ascending, LatencyRecorder, LatencySummary};
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType};
 use crate::service::ServiceModel;
-use crate::telemetry::StreamingHistogram;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
     AuditCounts, AuditReport, ChromeTrace, ChunkReceiver, ClientMeta, InstanceMeta, MachineMeta,
@@ -158,37 +162,6 @@ pub(crate) struct InstanceRt {
     pub(crate) shared_queues: bool,
     /// Round-robin counter for binding new connections to threads.
     pub(crate) rr_thread: usize,
-    pub(crate) batches_dispatched: u64,
-    pub(crate) jobs_processed: u64,
-    /// Per-stage aggregates (indexed by stage).
-    pub(crate) stage_agg: Vec<StageAgg>,
-    /// When true, per-invocation service times are recorded per stage.
-    pub(crate) profiling: bool,
-    /// Profiled invocation durations (seconds) per stage.
-    pub(crate) stage_samples: Vec<Vec<f64>>,
-}
-
-/// Internal per-stage counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StageAgg {
-    pub(crate) invocations: u64,
-    pub(crate) jobs: u64,
-    pub(crate) busy_ns: u64,
-}
-
-/// Observability snapshot of one stage of one instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageStats {
-    /// Stage name.
-    pub name: String,
-    /// Batch invocations executed.
-    pub invocations: u64,
-    /// Jobs processed across all invocations.
-    pub jobs: u64,
-    /// Mean batch size (`jobs / invocations`).
-    pub mean_batch: f64,
-    /// Total busy time spent in this stage.
-    pub busy: SimDuration,
 }
 
 impl InstanceRt {
@@ -223,7 +196,6 @@ pub(crate) struct MachineRt {
     pub(crate) net_queue: VecDeque<Packet>,
     /// One in-service slot per irq core.
     pub(crate) net_slots: Vec<Option<Packet>>,
-    pub(crate) net_packets: u64,
     /// Cached `spec.dvfs.max_ghz()` (immutable after build): the energy
     /// update reads it once per batch and per packet.
     pub(crate) max_ghz: f64,
@@ -279,12 +251,8 @@ pub struct Simulator {
     /// delta-coded; the golden-pinned percentiles are read off them). The
     /// other recorders are bounded.
     pub(crate) e2e: LatencyRecorder,
-    /// Post-warmup end-to-end latency per request type.
-    pub(crate) per_type: Vec<StreamingHistogram>,
     pub(crate) interval_e2e: Vec<f64>,
     pub(crate) interval_instance: Vec<Vec<f64>>,
-    /// Post-warmup node residence time per instance.
-    pub(crate) instance_residency: Vec<StreamingHistogram>,
     pub(crate) generated: u64,
     pub(crate) completed: u64,
     pub(crate) timeouts: u64,
@@ -438,41 +406,6 @@ impl Simulator {
     /// kept; the span log has it (`RequestEmitted` → `RequestCompleted`).
     pub fn latency_samples(&self) -> Ascending<'_> {
         self.e2e.ascending()
-    }
-
-    /// Post-warmup residence-latency summary for one instance: the time
-    /// from a job's entry into one of the instance's path nodes to its
-    /// leaving the node's last stage, one value per node visit.
-    ///
-    /// Kept as a [`StreamingHistogram`], not as samples, so that a run's
-    /// memory does not grow with the node visits it makes: `count`, `mean`
-    /// and `max` are exact (the mean to `f64` rounding), and each of
-    /// `p50`/`p95`/`p99` reads `q̂` with `q ≤ q̂ ≤ q · (1 + 1/32)` of the
-    /// exact nearest-rank percentile `q` — see
-    /// [`StreamingHistogram::summary`].
-    pub fn instance_residency(&self, instance: InstanceId) -> LatencySummary {
-        self.instance_residency[instance.index()].summary()
-    }
-
-    /// Post-warmup end-to-end latency summary for one request type — e.g.
-    /// cache hits vs. misses of the 3-tier application. The types' counts
-    /// sum to [`latency_summary`](Self::latency_summary)'s.
-    ///
-    /// Streaming like [`instance_residency`](Self::instance_residency),
-    /// with the same resolution: exact `count`, `mean` and `max`,
-    /// percentiles within `[q, q · (1 + 1/32)]`. Only the all-types
-    /// [`latency_summary`](Self::latency_summary) is computed from exact
-    /// samples.
-    pub fn type_latency_summary(&self, ty: crate::ids::RequestTypeId) -> LatencySummary {
-        self.per_type[ty.index()].summary()
-    }
-
-    /// Resolves a request type by name.
-    pub fn request_type_by_name(&self, name: &str) -> Option<crate::ids::RequestTypeId> {
-        self.request_types
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| crate::ids::RequestTypeId::from_raw(i as u32))
     }
 
     /// Requests generated so far.
@@ -711,23 +644,6 @@ impl Simulator {
         Some(tel.crit.snapshot(&self.trace_meta()))
     }
 
-    /// Starts recording per-invocation service times for every stage of
-    /// `instance` — the paper's profiling step: the samples can be turned
-    /// into [`Histogram`](crate::histogram::Histogram)s and fed back as
-    /// empirical service-time distributions.
-    pub fn enable_stage_profiling(&mut self, instance: InstanceId) {
-        self.instances[instance.index()].profiling = true;
-    }
-
-    /// The profiled invocation durations (seconds) of one stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range for the instance's service.
-    pub fn stage_profile(&self, instance: InstanceId, stage: usize) -> &[f64] {
-        &self.instances[instance.index()].stage_samples[stage]
-    }
-
     /// Schedules a DVFS change at a future simulated time (a cluster
     /// administration operation, §III-A). `core` of `None` retunes the
     /// whole machine.
@@ -764,22 +680,6 @@ impl Simulator {
             .sum()
     }
 
-    /// Free connections and waiting jobs of every pool, in pool order —
-    /// direct visibility into connection-pool backpressure.
-    pub fn pool_stats(&self) -> Vec<(InstanceId, InstanceId, usize, usize)> {
-        self.pools
-            .iter()
-            .map(|p| {
-                (
-                    p.up_instance,
-                    p.down_instance,
-                    p.free_count(),
-                    p.waiter_count(),
-                )
-            })
-            .collect()
-    }
-
     /// Requests currently in flight.
     pub fn live_requests(&self) -> usize {
         self.requests.live()
@@ -811,29 +711,6 @@ impl Simulator {
     /// Total jobs currently queued at an instance.
     pub fn instance_queue_depth(&self, instance: InstanceId) -> usize {
         self.instances[instance.index()].queue_depth()
-    }
-
-    /// Per-stage observability: invocation counts, mean batch sizes, and
-    /// busy time for each stage of `instance`. Mean batch size above 1 on
-    /// an epoll stage is direct evidence of batching amortization.
-    pub fn instance_stage_stats(&self, instance: InstanceId) -> Vec<StageStats> {
-        let inst = &self.instances[instance.index()];
-        let svc = &self.services[inst.service.index()];
-        inst.stage_agg
-            .iter()
-            .zip(&svc.stages)
-            .map(|(agg, spec)| StageStats {
-                name: spec.name.clone(),
-                invocations: agg.invocations,
-                jobs: agg.jobs,
-                mean_batch: if agg.invocations == 0 {
-                    0.0
-                } else {
-                    agg.jobs as f64 / agg.invocations as f64
-                },
-                busy: SimDuration::from_nanos(agg.busy_ns),
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1028,7 +905,6 @@ impl Simulator {
             client,
             timed_out,
             ty,
-            submitted,
             components,
             conn_released,
             early_fire,
@@ -1043,7 +919,6 @@ impl Simulator {
                 req.client,
                 req.timed_out,
                 req.ty,
-                req.submitted,
                 req.components_ns,
                 req.conn_released,
                 req.early_fire,
@@ -1068,9 +943,6 @@ impl Simulator {
             // late copy closes the books but is not measured.
         } else {
             self.e2e.record(self.now, latency);
-            if self.past_warmup() {
-                self.per_type[ty.index()].record(latency.as_nanos());
-            }
             if !self.controllers.is_empty() {
                 self.interval_e2e.push(latency.as_secs_f64());
             }
@@ -1103,13 +975,7 @@ impl Simulator {
             });
         }
         if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.on_completion(
-                self.now,
-                submitted,
-                components,
-                latency,
-                timed_out || superseded,
-            );
+            tel.on_completion(self.now, components, latency, timed_out || superseded);
             if tel.cfg.critpath && measured {
                 // Fold the request's critical path into the CPC profile.
                 // `telemetry` and `requests` are disjoint fields, so both
@@ -1346,7 +1212,6 @@ impl Simulator {
             };
             let packet = machine.net_queue.pop_front().expect("checked non-empty");
             machine.net_slots[slot] = Some(packet);
-            machine.net_packets += 1;
             let core = machine.irq_cores[slot];
             machine.cores[core].busy = true;
             let rx = machine.spec.network.rx_time.sample(&mut self.rng_network);
@@ -1698,13 +1563,6 @@ impl Simulator {
             });
             inst.threads[t].held_core = Some(core_idx);
             inst.idle_mask &= !(1u64 << t);
-            inst.batches_dispatched += 1;
-            inst.stage_agg[stage_idx].invocations += 1;
-            inst.stage_agg[stage_idx].jobs += k as u64;
-            inst.stage_agg[stage_idx].busy_ns += dur.as_nanos();
-            if inst.profiling {
-                inst.stage_samples[stage_idx].push(secs);
-            }
             self.events.schedule(
                 self.now + dur,
                 EventKind::StageDone {
@@ -1742,7 +1600,6 @@ impl Simulator {
             self.recycle_batch(batch);
             return;
         }
-        self.instances[i].jobs_processed += batch.jobs.len() as u64;
 
         let sid = self.instances[i].service.index();
         let set = self.instances[i].threads[t].queue_set;
@@ -1810,28 +1667,24 @@ impl Simulator {
         self.batch_pool.push(jobs);
     }
 
-    /// A job finished the last stage of its node: record residency, handle
+    /// A job finished the last stage of its node: log its residency, handle
     /// thread blocking, and fan out to children.
     fn complete_node(&mut self, job_id: JobId, inst_id: InstanceId, thread: ThreadId) {
         let job = self.jobs.free(job_id);
         let rid = job.request;
         let node = job.node;
 
-        let measured = self.past_warmup();
         let (ty, entered) = {
             let req = self.requests.get_mut(rid).expect("job's request exists");
             let nr = &mut req.nodes[node.index()];
             nr.instance = Some(inst_id);
             nr.thread = Some(thread);
             let entered = nr.enter.expect("a completing node was entered");
-            let residency = self.now - entered;
             // Interval samples only feed controller ticks; skip the push
             // when no controller will ever drain them.
             if !self.controllers.is_empty() {
+                let residency = self.now - entered;
                 self.interval_instance[inst_id.index()].push(residency.as_secs_f64());
-            }
-            if measured {
-                self.instance_residency[inst_id.index()].record(residency.as_nanos());
             }
             req.live_jobs -= 1;
             (req.ty, entered)

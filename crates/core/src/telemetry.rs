@@ -321,45 +321,19 @@ impl Deserialize for LatencyComponent {
     }
 }
 
-/// The full latency decomposition of one completed request. The component
-/// nanoseconds sum to `completed - submitted` exactly (telescoping
-/// frontier charges; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct RequestBreakdown {
-    /// When the client generated the request.
-    pub submitted: SimTime,
-    /// When the response reached the client.
-    pub completed: SimTime,
-    /// Nanoseconds attributed to each component, indexed by
-    /// [`LatencyComponent`] discriminant.
-    pub components_ns: [u64; LatencyComponent::COUNT],
-}
-
-impl RequestBreakdown {
-    /// Sum of the component attributions, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.components_ns.iter().sum()
-    }
-
-    /// End-to-end latency, nanoseconds.
-    pub fn e2e_ns(&self) -> u64 {
-        (self.completed - self.submitted).as_nanos()
-    }
-}
-
 /// Aggregate latency-decomposition totals over measured (post-warmup,
 /// non-timed-out) completions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComponentTotals {
+pub(crate) struct ComponentTotals {
     /// Measured requests aggregated.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Total nanoseconds per component, indexed by [`LatencyComponent`].
-    pub totals_ns: [u64; LatencyComponent::COUNT],
+    pub(crate) totals_ns: [u64; LatencyComponent::COUNT],
 }
 
 impl ComponentTotals {
     /// Mean seconds per request spent in `c` (0 when no requests).
-    pub fn mean_s(&self, c: LatencyComponent) -> f64 {
+    pub(crate) fn mean_s(&self, c: LatencyComponent) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
@@ -374,17 +348,19 @@ impl ComponentTotals {
 
 /// What [`Simulator::enable_telemetry`] turns on.
 ///
-/// The default is decomposition-only: per-request latency attribution and
-/// streaming histograms, no periodic sampler, no retained per-request
-/// breakdowns, no wall-clock profiling — the cheapest useful setting, and
+/// The default is decomposition-only: per-request latency attribution
+/// folded into aggregate totals and streaming histograms, no periodic
+/// sampler, no wall-clock profiling — the cheapest useful setting, and
 /// what [`crate::run::run_one`] uses so sweeps carry decomposition columns.
+/// Nothing here is kept per request: the per-request record is the span
+/// log ([`Simulator::enable_span_tracing`]), and the decomposition's
+/// per-request invariant (the components sum to the end-to-end latency)
+/// is a `debug_assert!` at every completion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Simulated interval between sampler ticks; `None` disables the
     /// time-series channel entirely.
     pub sample_interval: Option<SimDuration>,
-    /// Retain up to this many per-request [`RequestBreakdown`]s.
-    pub breakdown_capacity: usize,
     /// Collect wall-clock self-profiling samples at each sampler tick.
     pub self_profile: bool,
     /// Accumulate a streaming critical-path contribution profile
@@ -847,7 +823,6 @@ pub(crate) struct TelemetryState {
     pub(crate) comp_totals: ComponentTotals,
     pub(crate) comp_hist: [StreamingHistogram; LatencyComponent::COUNT],
     pub(crate) e2e_hist: StreamingHistogram,
-    pub(crate) breakdowns: Vec<RequestBreakdown>,
     /// `[instance][stage]` queue-wait histograms (post-warmup).
     pub(crate) stage_queue_wait: Vec<Vec<StreamingHistogram>>,
     /// `[instance][stage]` per-job service-interval histograms (post-warmup).
@@ -875,24 +850,15 @@ impl TelemetryState {
         }
     }
 
-    /// Records a completing request: retains its breakdown (up to
-    /// capacity), buffers the windowed sample, and — for measured
-    /// completions — feeds the decomposition aggregates.
+    /// Records a completing request: buffers the windowed sample and — for
+    /// measured completions — feeds the decomposition aggregates.
     pub(crate) fn on_completion(
         &mut self,
         now: SimTime,
-        submitted: SimTime,
         components_ns: [u64; LatencyComponent::COUNT],
         latency: SimDuration,
         timed_out: bool,
     ) {
-        if self.breakdowns.len() < self.cfg.breakdown_capacity {
-            self.breakdowns.push(RequestBreakdown {
-                submitted,
-                completed: now,
-                components_ns,
-            });
-        }
         if timed_out {
             return;
         }
@@ -1000,7 +966,6 @@ impl Simulator {
             comp_totals: ComponentTotals::default(),
             comp_hist: std::array::from_fn(|_| StreamingHistogram::new()),
             e2e_hist: StreamingHistogram::new(),
-            breakdowns: Vec::new(),
             stage_queue_wait: stage_hists.clone(),
             stage_service: stage_hists,
             window_buf: Vec::new(),
@@ -1225,23 +1190,6 @@ impl Simulator {
         self.telemetry.as_deref().map(|t| &t.series)
     }
 
-    /// Retained per-request latency breakdowns (empty slice when telemetry
-    /// is disabled or `breakdown_capacity` is 0).
-    pub fn latency_breakdowns(&self) -> &[RequestBreakdown] {
-        self.telemetry
-            .as_deref()
-            .map(|t| t.breakdowns.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Aggregate latency-decomposition totals over measured completions.
-    pub fn latency_component_totals(&self) -> ComponentTotals {
-        self.telemetry
-            .as_deref()
-            .map(|t| t.comp_totals)
-            .unwrap_or_default()
-    }
-
     /// Wall-clock self-profiling samples (empty unless
     /// [`TelemetryConfig::self_profile`] was set).
     pub fn self_profile(&self) -> &[SelfProfileSample] {
@@ -1250,23 +1198,6 @@ impl Simulator {
             .and_then(|t| t.profile.as_ref())
             .map(|p| p.samples.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// The streaming histogram behind the `uqsim_e2e_latency_seconds`
-    /// summary, or `None` when telemetry is disabled. Exposed so the
-    /// partitioned merge can fold per-cell histograms with
-    /// [`StreamingHistogram::merge`] (commutative and associative) instead
-    /// of approximating quantiles from per-cell quantiles.
-    pub fn e2e_latency_histogram(&self) -> Option<&StreamingHistogram> {
-        self.telemetry.as_deref().map(|t| &t.e2e_hist)
-    }
-
-    /// The per-component latency histograms (indexed by
-    /// [`LatencyComponent`] discriminant), or `None` when telemetry is
-    /// disabled. Same merge rationale as
-    /// [`Simulator::e2e_latency_histogram`].
-    pub fn component_latency_histograms(&self) -> Option<&[StreamingHistogram]> {
-        self.telemetry.as_deref().map(|t| t.comp_hist.as_slice())
     }
 
     /// The compact per-run summary threaded into sweep tables.

@@ -1,6 +1,7 @@
 //! Integration tests of the extended client and observability features:
 //! closed-loop load generation, client-side timeouts, request tracing,
-//! per-stage statistics, payload-size-dependent costs, and NIC bandwidth.
+//! per-stage statistics and stage profiles (both read off the span log's
+//! `BatchStart` events), payload-size-dependent costs, and NIC bandwidth.
 
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
 use uqsim_core::client::{ClientSpec, RequestMix};
@@ -10,7 +11,9 @@ use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
+use uqsim_core::telemetry::MetricValue;
 use uqsim_core::time::SimDuration;
+use uqsim_core::trace::TraceEvent;
 use uqsim_core::Simulator;
 
 /// A single-instance scenario with one epoll-fronted two-stage service.
@@ -64,6 +67,47 @@ fn build(spec: ClientSpec, service_mean: f64, cores: usize) -> Simulator {
     spec.mix = RequestMix::single(ty);
     b.add_client(spec, vec![i]);
     b.build().unwrap()
+}
+
+/// What the span log's `BatchStart` events say about one stage of an
+/// instance: the batches it started, the jobs they carried, and their
+/// service times.
+#[derive(Default)]
+struct StageBatches {
+    invocations: u64,
+    jobs: u64,
+    busy: SimDuration,
+    /// Each batch's service time, seconds, in start order.
+    durations: Vec<f64>,
+}
+
+/// Per-stage batch statistics of `instance`, read off the span log, which
+/// must hold the whole run.
+fn stage_batches(sim: &Simulator, instance: InstanceId) -> Vec<StageBatches> {
+    let log = sim.span_log().expect("span tracing is on");
+    assert_eq!(log.dropped(), 0, "span log too small for this test");
+    let stages = sim.trace_meta().instances[instance.index()].stages.len();
+    let mut out: Vec<StageBatches> = (0..stages).map(|_| StageBatches::default()).collect();
+    for ev in log.events() {
+        if let TraceEvent::BatchStart {
+            instance: i,
+            stage,
+            start,
+            end,
+            jobs,
+            ..
+        } = *ev
+        {
+            if i == instance {
+                let s = &mut out[stage.index()];
+                s.invocations += 1;
+                s.jobs += jobs.len() as u64;
+                s.busy += end - start;
+                s.durations.push((end - start).as_secs_f64());
+            }
+        }
+    }
+    out
 }
 
 #[test]
@@ -224,20 +268,22 @@ fn stage_stats_show_batching_under_load() {
         uqsim_core::ids::RequestTypeId::from_raw(0),
     );
     let mut sim = build(spec, 100e-6, 2);
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
-    let stats = sim.instance_stage_stats(InstanceId::from_raw(0));
+    let stats = stage_batches(&sim, InstanceId::from_raw(0));
     assert_eq!(stats.len(), 2);
-    assert_eq!(stats[0].name, "epoll");
+    assert_eq!(sim.trace_meta().instances[0].stages[0], "epoll");
+    let mean_batch = |s: &StageBatches| s.jobs as f64 / s.invocations as f64;
     assert!(stats[0].invocations > 0);
     assert!(stats[0].jobs >= stats[0].invocations);
     // At 75% utilization the epoll stage visibly batches.
     assert!(
-        stats[0].mean_batch > 1.05,
+        mean_batch(&stats[0]) > 1.05,
         "epoll should batch under load: mean batch {}",
-        stats[0].mean_batch
+        mean_batch(&stats[0])
     );
     // Single-discipline stage never batches.
-    assert!((stats[1].mean_batch - 1.0).abs() < 1e-9);
+    assert!((mean_batch(&stats[1]) - 1.0).abs() < 1e-9);
     assert!(stats[1].busy > SimDuration::ZERO);
 }
 
@@ -354,9 +400,11 @@ fn stage_profiling_feeds_back_as_empirical_model() {
         uqsim_core::ids::RequestTypeId::from_raw(0),
     );
     let mut sim = build(spec, 80e-6, 2);
-    sim.enable_stage_profiling(InstanceId::from_raw(0));
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
-    let samples = sim.stage_profile(InstanceId::from_raw(0), 1);
+    // The `proc` stage never batches, so each batch is one invocation.
+    let stats = stage_batches(&sim, InstanceId::from_raw(0));
+    let samples = &stats[1].durations;
     assert!(
         samples.len() > 1_000,
         "profiled {} invocations",
@@ -527,15 +575,28 @@ fn pool_stats_report_backpressure() {
     b.add_client(ClientSpec::open_loop("c", 6_000.0, 512, ty), vec![front]);
     let mut sim = b.build().unwrap();
     sim.run_for(SimDuration::from_secs(1));
-    let stats = sim.pool_stats();
-    assert_eq!(stats.len(), 1);
-    let (up, down, free, waiters) = stats[0];
-    assert_eq!(up, front);
-    assert_eq!(down, back);
+    // The registry's pool gauges, one per pool, labelled `up->down`.
+    let reg = sim.metrics_registry();
+    let gauges = |name: &str| -> Vec<(String, f64)> {
+        reg.metrics()
+            .iter()
+            .filter(|m| m.name == name)
+            .map(|m| match (&m.labels[..], &m.value) {
+                ([("pool", label)], MetricValue::Gauge(v)) => (label.clone(), *v),
+                other => panic!("{name}: unexpected shape {other:?}"),
+            })
+            .collect()
+    };
+    let free = gauges("uqsim_pool_free");
+    let waiters = gauges("uqsim_pool_waiters");
+    assert_eq!(free.len(), 1);
+    assert_eq!(waiters.len(), 1);
+    assert_eq!(free[0].0, "front->back");
+    assert_eq!(waiters[0].0, "front->back");
     // The back tier (5k capacity at 200us) is overloaded at 6k: the pool
     // of 2 connections is exhausted and jobs wait.
-    assert_eq!(free, 0, "pool should be exhausted");
-    assert!(waiters > 0, "jobs should be waiting for connections");
+    assert_eq!(free[0].1, 0.0, "pool should be exhausted");
+    assert!(waiters[0].1 > 0.0, "jobs should be waiting for connections");
 }
 
 #[test]
@@ -697,12 +758,26 @@ fn typed_trace_dictates_request_types() {
     );
     spec.arrivals = ArrivalProcess::Trace { timestamps, types };
     let mut sim = build_two_types(spec);
+    sim.enable_span_tracing(100_000);
     sim.run_for(SimDuration::from_secs(1));
     assert_eq!(sim.generated(), n as u64);
-    let alpha = sim.type_latency_summary(uqsim_core::ids::RequestTypeId::from_raw(0));
-    let beta = sim.type_latency_summary(uqsim_core::ids::RequestTypeId::from_raw(1));
-    assert_eq!(alpha.count, 60, "alpha count {}", alpha.count);
-    assert_eq!(beta.count, 30, "beta count {}", beta.count);
+    // Measured completions per type, as the span log records them.
+    let log = sim.span_log().unwrap();
+    assert_eq!(log.dropped(), 0);
+    let mut counts = [0usize; 2];
+    for ev in log.events() {
+        if let TraceEvent::RequestCompleted {
+            request_type,
+            measured: true,
+            ..
+        } = *ev
+        {
+            counts[request_type.index()] += 1;
+        }
+    }
+    let [alpha, beta] = counts;
+    assert_eq!(alpha, 60, "alpha count {alpha}");
+    assert_eq!(beta, 30, "beta count {beta}");
 }
 
 #[test]

@@ -1,24 +1,19 @@
-//! Differential test: the streaming per-instance and per-type summaries
-//! against the exact samples they replaced.
+//! Differential test: the span log against the exact latency recorder.
 //!
-//! [`Simulator::instance_residency`] and [`Simulator::type_latency_summary`]
-//! read bounded histograms, so that a run keeps nothing per node visit and
-//! only one sample per request. The span log still carries every value
-//! that went into them — a `NodeDone` event's `t − entered` is the residence
-//! time, and a measured request's `RequestEmitted.t` → `RequestCompleted.t`
-//! is its end-to-end latency, of the type the completion names — so the
-//! exact sample vectors can be rebuilt beside the run and summarized the
-//! old way. Together the per-type vectors are exactly the samples the
-//! run's exact recorder holds ([`Simulator::latency_samples`], ascending).
-//! The contract: `count` and `max` equal, `mean` equal to `f64` rounding,
-//! and every percentile `q̂` within `q ≤ q̂ ≤ q · (1 + 1/32)` of the exact
-//! nearest-rank `q`.
+//! A run keeps one exact sample per measured request
+//! ([`Simulator::latency_samples`], ascending) and nothing per node visit
+//! or per request type; those are views of the span log. A measured
+//! request's `RequestEmitted.t` → `RequestCompleted.t` is its end-to-end
+//! latency, of the type the completion names, and a `NodeDone` event's
+//! `t − entered` is a residence time. The contract: the log's latencies
+//! are the recorder's samples bit for bit, the request types partition
+//! them, and every instance has measured node visits.
+//!
+//! [`Simulator::latency_samples`]: uqsim_core::Simulator::latency_samples
 
 use std::collections::HashMap;
 
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::ids::{InstanceId, RequestTypeId};
-use uqsim_core::metrics::LatencySummary;
 use uqsim_core::run::EXAMPLE_SCENARIO;
 use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::trace::TraceEvent;
@@ -36,29 +31,6 @@ fn two_type_scenario() -> ScenarioConfig {
     cfg
 }
 
-fn assert_streams(what: &str, streaming: LatencySummary, exact_samples: &[f64]) {
-    let exact = LatencySummary::from_samples(exact_samples);
-    assert_eq!(streaming.count, exact.count, "{what}: count");
-    assert_eq!(streaming.max, exact.max, "{what}: max");
-    assert!(
-        (streaming.mean - exact.mean).abs() <= 1e-9 * exact.mean,
-        "{what}: mean {} vs exact {}",
-        streaming.mean,
-        exact.mean
-    );
-    for (name, got, q) in [
-        ("p50", streaming.p50, exact.p50),
-        ("p95", streaming.p95, exact.p95),
-        ("p99", streaming.p99, exact.p99),
-    ] {
-        assert!(
-            q <= got && got <= q * (1.0 + 1.0 / 32.0),
-            "{what}: {name} {got} outside [{q}, {}]",
-            q * (1.0 + 1.0 / 32.0)
-        );
-    }
-}
-
 fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
     let mut sim = cfg.build().expect("scenario builds");
     sim.enable_span_tracing(8_000_000);
@@ -67,7 +39,7 @@ fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
     assert_eq!(log.dropped(), 0, "{name}: capacity too small for this test");
 
     let warmup_at = SimTime::ZERO + SimDuration::from_secs_f64(cfg.warmup_s);
-    let mut residency = vec![Vec::new(); sim.instance_count()];
+    let mut visits = vec![0usize; sim.instance_count()];
     let mut per_type = vec![Vec::new(); cfg.request_types.len()];
     let mut emitted = HashMap::new();
     for ev in log.events() {
@@ -75,13 +47,8 @@ fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
             TraceEvent::RequestEmitted { request, t, .. } => {
                 emitted.insert(request, t);
             }
-            TraceEvent::NodeDone {
-                instance,
-                entered,
-                t,
-                ..
-            } if t >= warmup_at => {
-                residency[instance.index()].push((t - entered).as_secs_f64());
+            TraceEvent::NodeDone { instance, t, .. } if t >= warmup_at => {
+                visits[instance.index()] += 1;
             }
             TraceEvent::RequestCompleted {
                 request,
@@ -106,17 +73,13 @@ fn check(name: &str, cfg: &ScenarioConfig, secs: f64, min_measured: usize) {
     );
     assert!(recorded.len() >= min_measured, "{name}: a trivial run");
 
-    for (i, exact) in residency.iter().enumerate() {
-        assert!(!exact.is_empty(), "{name}: instance {i} was never visited");
-        let streaming = sim.instance_residency(InstanceId::from_raw(i as u32));
-        assert_streams(&format!("{name}, instance {i}"), streaming, exact);
+    for (i, &n) in visits.iter().enumerate() {
+        assert!(n > 0, "{name}: instance {i} was never visited");
     }
     let mut typed = 0;
-    for (i, exact) in per_type.iter().enumerate() {
-        assert!(!exact.is_empty(), "{name}: type {i} never completed");
-        let streaming = sim.type_latency_summary(RequestTypeId::from_raw(i as u32));
-        assert_streams(&format!("{name}, type {i}"), streaming, exact);
-        typed += streaming.count;
+    for (i, samples) in per_type.iter().enumerate() {
+        assert!(!samples.is_empty(), "{name}: type {i} never completed");
+        typed += samples.len();
     }
     assert_eq!(
         typed,

@@ -1,25 +1,26 @@
-//! Property test: on an M/M/1 queue, the span log agrees with the
-//! independent residency histogram behind `Simulator::instance_residency`
-//! (per-stage counts and mean residency, both of which it keeps exactly)
-//! and the span-derived mean queue wait tracks the analytic M/M/1 value
-//! `Wq = rho / (mu - lambda)`.
+//! Property test: on an M/M/1 queue, the stage spans the correlator pairs
+//! up from `Enqueue` and `BatchStart` events agree with the node residencies
+//! the simulator logs directly (`NodeDone`: `t - entered`, per node visit;
+//! counts and mean residency), and the span-derived mean queue wait tracks
+//! the analytic M/M/1 value `Wq = rho / (mu - lambda)`.
 //!
 //! The scenario is a single-core instance with one exponential stage fed by
 //! a Poisson open-loop client — exactly M/M/1 — so queue waits extracted
 //! from `Enqueue -> BatchStart` correlation are checkable against queueing
 //! theory, while residency (`Enqueue -> end of service`) is checkable
-//! against the count and mean the simulator already maintains.
+//! against the residency each `NodeDone` records.
 
 use proptest::prelude::*;
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
 use uqsim_core::client::ClientSpec;
 use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{InstanceId, PathNodeId, StageId};
+use uqsim_core::ids::{PathNodeId, StageId};
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::trace::TraceEvent;
 use uqsim_core::Simulator;
 
 const SERVICE_MEAN_S: f64 = 300e-6;
@@ -77,40 +78,51 @@ proptest! {
         prop_assert!(report.is_clean(), "violations: {:#?}", report.violations);
 
         // Span-derived per-stage samples, filtered exactly like the
-        // recorder: completions in [warmup, deadline). A StageDone landing
+        // residencies: node exits in [warmup, deadline). A StageDone landing
         // exactly on the deadline is never processed (Stop wins the tie),
-        // so spans ending there have no recorder counterpart.
+        // so spans ending there have no `NodeDone`.
         let warmup_at = SimTime::ZERO + SimDuration::from_secs_f64(WARMUP_S);
         let deadline = sim.now();
-        let spans = sim.span_log().expect("tracing enabled").spans();
+        let log = sim.span_log().expect("tracing enabled");
+        let spans = log.spans();
         let retained: Vec<_> = spans
             .iter()
             .filter(|s| s.end_t >= warmup_at && s.end_t < deadline)
             .collect();
         prop_assert!(!retained.is_empty(), "no post-warmup spans at lambda {lambda}");
+        let residencies: Vec<f64> = log
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::NodeDone { entered, t, .. } if t >= warmup_at => {
+                    Some((t - entered).as_secs_f64())
+                }
+                _ => None,
+            })
+            .collect();
+        prop_assert!(!residencies.is_empty());
 
-        // 1. Counts match the independent residency recorder (small slack
-        //    for jobs whose service completed but whose StageDone event is
-        //    still queued at the deadline).
-        let rec = sim.instance_residency(InstanceId::from_raw(0));
-        let diff = (retained.len() as i64 - rec.count as i64).abs();
+        // 1. Counts match the logged node exits (small slack for jobs whose
+        //    service completed but whose StageDone event is still queued at
+        //    the deadline).
+        let diff = (retained.len() as i64 - residencies.len() as i64).abs();
         prop_assert!(
             diff <= 2,
-            "span count {} vs recorder count {} at lambda {lambda}",
+            "span count {} vs node-exit count {} at lambda {lambda}",
             retained.len(),
-            rec.count
+            residencies.len()
         );
 
-        // 2. Mean residency matches the recorder. For a single-stage
-        //    Simple-exec service, enqueue == node entry and service end ==
-        //    node exit, so the two measurements are the same quantity.
+        // 2. Mean residency matches. For a single-stage Simple-exec
+        //    service, enqueue == node entry and service end == node exit,
+        //    so the two measurements are the same quantity.
         let span_mean =
             retained.iter().map(|s| s.total_s()).sum::<f64>() / retained.len() as f64;
-        let rel = (span_mean - rec.mean).abs() / rec.mean;
+        let node_mean = residencies.iter().sum::<f64>() / residencies.len() as f64;
+        let rel = (span_mean - node_mean).abs() / node_mean;
         prop_assert!(
             rel < 0.02,
-            "span mean residency {span_mean} vs recorder {} at lambda {lambda}",
-            rec.mean
+            "span mean residency {span_mean} vs node exits {node_mean} at lambda {lambda}"
         );
 
         // 3. Mean queue wait tracks M/M/1 theory: Wq = rho / (mu - lambda).
