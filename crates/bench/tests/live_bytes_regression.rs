@@ -10,6 +10,11 @@
 //! the cells must cost well under four times the memory — the simulator
 //! that is running dominates, not the ones that are done.
 //!
+//! Nor does a run copy the scenario it is handed: the plan moves the
+//! cluster into its cells and each cell's configuration into its
+//! simulator, and without telemetry no cell keeps a metrics registry. A
+//! test pins what a run of a handed-over cluster holds beyond it.
+//!
 //! And a run keeps exactly one thing per measured request: its exact
 //! end-to-end latency in nanoseconds, sorted into runs of 32 Ki and
 //! delta-coded as varints — about a byte each (the percentiles every golden
@@ -89,9 +94,14 @@ unsafe impl GlobalAlloc for LiveBytesAlloc {
 static GLOBAL: LiveBytesAlloc = LiveBytesAlloc;
 
 /// Runs `cfg` through the pipeline on this thread and returns the most
-/// bytes the run held at once, above what was live when it was called (the
-/// scenario itself is the caller's), with the run.
-fn peak_of(cfg: &ScenarioConfig, secs: f64, opts: &PartitionOptions) -> (usize, PartitionedRun) {
+/// bytes the run held at once, above what was live when it was called (a
+/// borrowed scenario stays the caller's; one handed over counts in the
+/// baseline until the run carves it up), with the run.
+fn peak_of(
+    cfg: impl Into<ScenarioConfig>,
+    secs: f64,
+    opts: &PartitionOptions,
+) -> (usize, PartitionedRun) {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     let run = run_partitioned(cfg, None, 1, SimDuration::from_secs_f64(secs), opts)
@@ -115,10 +125,12 @@ fn peak_above_baseline(pods: usize) -> (usize, usize) {
 }
 
 /// The bound on `peak(32 pods) / peak(8 pods)`. With every finished
-/// simulator kept the ratio was 4.0 (14.0 → 55.8 MB); with remains it is
-/// 1.3 (1.9 → 2.5 MB) — what still grows is the plan's per-cell configs
-/// and the per-cell latency samples and registry snapshots.
-const MAX_PEAK_GROWTH: f64 = 1.5;
+/// simulator kept the ratio was 4.0 (14.0 → 55.8 MB); with remains it was
+/// 1.3 (1.9 → 2.5 MB), and with the cluster moved into the cells and no
+/// registry kept without telemetry it is 1.15 (1.69 → 1.94 MB) — what
+/// still grows is the one copy of the borrowed cluster and the per-cell
+/// latency samples.
+const MAX_PEAK_GROWTH: f64 = 1.3;
 
 #[test]
 fn peak_live_bytes_follow_the_running_cell_not_the_cell_count() {
@@ -226,6 +238,53 @@ fn observation_memory_does_not_follow_run_length() {
          `why` ({short_peak} -> {long_peak} B over {requests} requests); the ratchet is \
          {MAX_BYTES_PER_OBSERVED_REQUEST} — a fold keeps something per request past its \
          retirement, or the log is being stored"
+    );
+}
+
+/// The bundled `gen_dsb` cluster (1,107 instances, 5,025 pools, 30
+/// cells), and the bytes it holds as configuration.
+fn gen_dsb() -> (ScenarioConfig, usize) {
+    let spec = uqsim_synth::GenSpec::from_json(include_str!("../../cli/configs/gen_dsb.json"))
+        .expect("bundled spec parses");
+    let before = LIVE.load(Ordering::Relaxed);
+    let cfg = spec.generate(1).expect("bundled spec generates");
+    (cfg, LIVE.load(Ordering::Relaxed) - before)
+}
+
+/// The bound on what a `uqsim run`-style run of a cluster it was handed
+/// holds beyond the cluster itself, as a share of the cluster's bytes.
+/// Measured on `gen_dsb`: 0.70 MB over a 1.85 MB cluster (0.38) — one
+/// running cell's simulator and the finished cells' samples, while the
+/// cluster moves into the plan's cells and each cell's configuration into
+/// its simulator. A borrowed cluster costs its one copy more (2.44 MB).
+/// While the run copied the cluster into the plan, copied each cell again
+/// to re-seed it, copied its specs into the builder and again into the
+/// simulator, and kept a registry of labelled gauges per finished cell,
+/// the borrowed run read 4.86 MB.
+const MAX_PEAK_OVER_CLUSTER: f64 = 0.5;
+
+#[test]
+fn a_plain_run_holds_the_cluster_once() {
+    let _alone = one_at_a_time();
+    let opts = PartitionOptions {
+        shards: 1,
+        telemetry: None,
+        span_tracing: SpanTracing::Off,
+    };
+    let (cfg, cluster) = gen_dsb();
+    let (owned, run) = peak_of(cfg, 0.3, &opts);
+    assert_eq!(run.cells.len(), 30);
+    assert!(
+        run.cells.iter().all(|c| c.registry.is_none()),
+        "a run without telemetry keeps no registry"
+    );
+    let share = owned as f64 / cluster as f64;
+    assert!(
+        share < MAX_PEAK_OVER_CLUSTER,
+        "a run handed a {cluster} B cluster peaked at {owned} B above it ({share:.2} of \
+         it); the ratchet is {MAX_PEAK_OVER_CLUSTER} — the run is copying the scenario \
+         instead of carving it into cells and building them from their configurations, \
+         or finished cells keep a registry"
     );
 }
 

@@ -69,7 +69,8 @@
 //! (file, directory, or `--gen`), fault plan, seed, duration, shard count
 //! — and `run`, `chaos`, `why`, `trace`, and `sweep --config` execute it
 //! through the one run pipeline, [`uqsim_core::run_partitioned`]: the
-//! scenario is split into
+//! loaded scenario is handed over, not copied (a sweep re-scales one copy
+//! per load point), and split into
 //! request-closed *cells* (DESIGN.md §11), the cells run on `--shards <n>`
 //! worker threads (one when the flag is absent), and their outputs are
 //! merged in cell order. A scenario that does not split — each bundled
@@ -326,14 +327,17 @@ fn generate(spec_path: &Path, seed: Option<u64>) -> Result<ScenarioConfig, SimEr
 }
 
 /// What every simulating subcommand shares, parsed, loaded and validated
-/// in one place: the scenario (from a file, a Table I directory, or a
-/// `--gen` spec) under its master seed, the optional fault plan, the
-/// simulated duration, the shard count, and where the output goes.
+/// in one place: the scenario's name, master seed and warm-up, the
+/// optional fault plan, the simulated duration, the shard count, and where
+/// the output goes. The loaded scenario itself is handed out beside the
+/// plan ([`RunPlan::from_args`]), to be given to the run that uses it up.
 struct RunPlan {
     /// The scenario as named on the command line; reports echo it.
     scenario: String,
-    /// The loaded scenario; `cfg.seed` is the run's master seed.
-    cfg: ScenarioConfig,
+    /// The run's master seed: `--seed`, else the scenario's own.
+    seed: u64,
+    /// The scenario's warm-up, seconds.
+    warmup_s: f64,
     /// The fault plan as named on the command line, and loaded.
     faults: Option<(String, FaultPlan)>,
     duration_s: f64,
@@ -344,13 +348,16 @@ struct RunPlan {
 }
 
 impl RunPlan {
-    /// Builds the plan from the shared flags: the scenario is the bare
-    /// word, `--config`, or `--gen` (exactly one), `--seed` overrides its
-    /// seed, `--duration` defaults to `default_duration_s`.
+    /// Builds the plan from the shared flags and loads the scenario it
+    /// names: the bare word, `--config`, or `--gen` (exactly one), `--seed`
+    /// overrides its seed, `--duration` defaults to `default_duration_s`.
     ///
     /// Rejects a duration that does not exceed the scenario's warm-up:
     /// every statistic would be taken over an empty window.
-    fn from_args(args: &Args, default_duration_s: f64) -> Result<RunPlan, Failure> {
+    fn from_args(
+        args: &Args,
+        default_duration_s: f64,
+    ) -> Result<(RunPlan, ScenarioConfig), Failure> {
         let seed: Option<u64> = args.get("--seed")?;
         let duration_s = args.seconds("--duration", default_duration_s)?;
         let shards = match args.get::<usize>("--shards")? {
@@ -382,15 +389,17 @@ impl RunPlan {
             Some(path) => Some((path.to_string(), FaultPlan::from_file(Path::new(path))?)),
             None => None,
         };
-        Ok(RunPlan {
+        let plan = RunPlan {
             scenario: scenario.to_string(),
-            cfg,
+            seed: cfg.seed,
+            warmup_s: cfg.warmup_s,
             faults,
             duration_s,
             shards,
             json: args.has("--json"),
             out: args.path("--out"),
-        })
+        };
+        Ok((plan, cfg))
     }
 
     fn duration(&self) -> SimDuration {
@@ -406,11 +415,14 @@ impl RunPlan {
     }
 
     /// Executes the plan through the one run pipeline: cells on
-    /// `--shards` workers, merged in cell order. Each cell records what
-    /// `telemetry` and `span_tracing` ask for and nothing else. The cell
-    /// and shard counts go to stderr so stdout stays shard-invariant.
+    /// `--shards` workers, merged in cell order. The run takes `cfg`, so
+    /// the scenario is held once, carved into cells and built into their
+    /// simulators. Each cell records what `telemetry` and `span_tracing`
+    /// ask for and nothing else. The cell and shard counts go to stderr so
+    /// stdout stays shard-invariant.
     fn run(
         &self,
+        cfg: ScenarioConfig,
         telemetry: Option<TelemetryConfig>,
         span_tracing: SpanTracing,
     ) -> Result<PartitionedRun, SimError> {
@@ -419,13 +431,8 @@ impl RunPlan {
             telemetry,
             span_tracing,
         };
-        let run = uqsim_core::run_partitioned(
-            &self.cfg,
-            self.fault_plan(),
-            self.cfg.seed,
-            self.duration(),
-            &opts,
-        )?;
+        let run =
+            uqsim_core::run_partitioned(cfg, self.fault_plan(), self.seed, self.duration(), &opts)?;
         eprintln!(
             "partition: {} cell(s) on {} shard(s)",
             run.cells.len(),
@@ -486,18 +493,21 @@ fn latency_json(s: &uqsim_core::metrics::LatencySummary) -> serde_json::Value {
 fn cmd_run(args: &Args) -> Outcome {
     let metrics_out = args.path("--metrics-out");
     let sample_interval_s = args.seconds("--sample-interval", 0.1)?;
-    let plan = RunPlan::from_args(args, 5.0)?;
+    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
     // No telemetry unless it is asked for: a plain run pays for the event
     // loop and nothing else.
     let telemetry = metrics_out.as_ref().map(|_| TelemetryConfig {
         sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
         ..TelemetryConfig::default()
     });
-    let run = plan.run(telemetry, SpanTracing::Off)?;
+    let run = plan.run(cfg, telemetry, SpanTracing::Off)?;
     print_run_summary(&plan, &run.result);
     if let Some(dir) = metrics_out {
         std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join("metrics.prom"), run.prometheus())?;
+        std::fs::write(
+            dir.join("metrics.prom"),
+            run.prometheus().expect("telemetry is enabled"),
+        )?;
         std::fs::write(
             dir.join("metrics.csv"),
             run.csv().expect("sampler is enabled"),
@@ -513,7 +523,7 @@ fn cmd_run(args: &Args) -> Outcome {
 }
 
 fn print_run_summary(plan: &RunPlan, r: &RunResult) {
-    let (duration_s, warmup_s) = (plan.duration_s, plan.cfg.warmup_s);
+    let (duration_s, warmup_s) = (plan.duration_s, plan.warmup_s);
     if plan.json {
         let mut out = serde_json::json!({
             "duration_s": duration_s,
@@ -575,12 +585,12 @@ fn print_run_summary(plan: &RunPlan, r: &RunResult) {
 fn cmd_chaos(args: &Args) -> Outcome {
     args.required("--faults", "<faults.json>")?;
     let events: usize = args.get_or("--events", 4_000_000)?;
-    let plan = RunPlan::from_args(args, 5.0)?;
+    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
     let span_tracing = SpanTracing::Check {
         events,
         replay: false,
     };
-    let run = plan.run(critpath_telemetry(), span_tracing)?;
+    let run = plan.run(cfg, critpath_telemetry(), span_tracing)?;
     let audit = match report_truncation(&run, events, "audit skipped") {
         None => Ok(run.audit().expect("span tracing is enabled")),
         Some(truncation) => Err(truncation),
@@ -599,7 +609,7 @@ fn print_chaos_report(
     let f = r.fault.as_ref().expect("fault plan is installed");
     let (s, ts) = (&r.latency, &r.timeout_latency);
     let (scenario, faults) = (&plan.scenario, plan.faults_path().unwrap_or_default());
-    let (seed, duration_s, warmup_s) = (plan.cfg.seed, plan.duration_s, plan.cfg.warmup_s);
+    let (seed, duration_s, warmup_s) = (plan.seed, plan.duration_s, plan.warmup_s);
     // What conservation leaves: every generated request is completed,
     // dropped, shed, or still in the system when the run ends. A number
     // that grows with `--duration` is a backlog no other line shows.
@@ -793,12 +803,12 @@ const WHY_EVENTS: usize = 8_000_000;
 /// every rendered output is byte-identical at any `--shards` value.
 fn cmd_why(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", WHY_EVENTS)?;
-    let plan = RunPlan::from_args(args, 5.0)?;
+    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
     let span_tracing = SpanTracing::Check {
         events,
         replay: true,
     };
-    let run = plan.run(critpath_telemetry(), span_tracing)?;
+    let run = plan.run(cfg, critpath_telemetry(), span_tracing)?;
     if report_truncation(&run, events, "attribution would be incomplete").is_some() {
         return Ok(false);
     }
@@ -837,7 +847,7 @@ fn cmd_why(args: &Args) -> Outcome {
 /// deterministic functions of the profile.
 fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimError> {
     let report = profile.report();
-    let (seed, duration_s, warmup_s) = (plan.cfg.seed, plan.duration_s, plan.cfg.warmup_s);
+    let (seed, duration_s, warmup_s) = (plan.seed, plan.duration_s, plan.warmup_s);
     if plan.json {
         let mut doc = report.to_json();
         if let serde_json::Value::Object(obj) = &mut doc {
@@ -886,8 +896,8 @@ fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimE
 fn cmd_top(args: &Args) -> Outcome {
     let interval_s = args.seconds("--interval", 1.0)?;
     let ansi = !args.has("--no-ansi");
-    let plan = RunPlan::from_args(args, 10.0)?;
-    let mut sim = plan.cfg.build()?;
+    let (plan, cfg) = RunPlan::from_args(args, 10.0)?;
+    let mut sim = cfg.into_simulator()?;
     let interval = SimDuration::from_secs_f64(interval_s);
     sim.enable_telemetry(TelemetryConfig {
         sample_interval: Some(interval),
@@ -1018,11 +1028,11 @@ fn cmd_sweep(args: &Args) -> Outcome {
         return Err(Failure::Usage(format!("--reps must be at most {MAX_REPS}")));
     }
     let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
-    let plan = RunPlan::from_args(args, 5.0)?;
+    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),
-        base_seed: plan.cfg.seed,
+        base_seed: plan.seed,
         duration: plan.duration(),
         jobs: jobs.max(1),
         faults: plan.fault_plan().cloned(),
@@ -1036,7 +1046,7 @@ fn cmd_sweep(args: &Args) -> Outcome {
         spec.jobs,
         spec.shards.max(1)
     );
-    let table = uqsim_runner::sweep::run_scenario_sweep(&plan.cfg, &spec, &|p| {
+    let table = uqsim_runner::sweep::run_scenario_sweep(&cfg, &spec, &|p| {
         eprintln!(
             "  [{}/{}] qps={:.0} seed={}",
             p.finished, p.total, p.offered_qps, p.seed
@@ -1067,8 +1077,8 @@ fn cmd_trace(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", 1_000_000)?;
     let every: u64 = args.get_or("--every", 100)?;
     let max: usize = args.get_or("--max", 20)?;
-    let plan = RunPlan::from_args(args, 2.0)?;
-    let run = plan.run(None, SpanTracing::Retain(events))?;
+    let (plan, cfg) = RunPlan::from_args(args, 2.0)?;
+    let run = plan.run(cfg, None, SpanTracing::Retain(events))?;
     if args.has("--config") {
         chrome_export(&plan, &run, events)
     } else {
@@ -1167,32 +1177,33 @@ fn cmd_gen(args: &Args) -> Outcome {
     if json {
         println!("{}", cfg.to_json());
     }
+    let summary = uqsim_synth::summarize(&cfg);
     if out.is_none() && !json {
         // Dry run: prove the generated scenario actually builds.
-        cfg.build()?;
+        cfg.into_simulator()?;
     }
-    eprintln!(
-        "generated {} seed {seed}: {}",
-        spec.name,
-        uqsim_synth::summarize(&cfg)
-    );
+    eprintln!("generated {} seed {seed}: {summary}", spec.name);
     Ok(true)
 }
 
 fn cmd_validate(args: &Args) -> Outcome {
     let missing = || Failure::Usage("validate needs a scenario path".into());
     let path = args.positional.first().ok_or_else(missing)?;
-    match load(Path::new(path)).and_then(|c| c.build().map(|_| c)) {
-        Ok(cfg) => {
+    let built = load(Path::new(path)).and_then(|cfg| {
+        let counts = (cfg.machines.len(), cfg.instances.len(), cfg.clients.len());
+        cfg.into_simulator().map(|_| counts)
+    });
+    match built {
+        Ok((machines, instances, clients)) => {
             let count = |n: usize, what: &str| match n {
                 1 => format!("1 {what}"),
                 _ => format!("{n} {what}s"),
             };
             println!(
                 "ok: {}, {}, {}",
-                count(cfg.machines.len(), "machine"),
-                count(cfg.instances.len(), "instance"),
-                count(cfg.clients.len(), "client")
+                count(machines, "machine"),
+                count(instances, "instance"),
+                count(clients, "client")
             );
         }
         Err(e) => {

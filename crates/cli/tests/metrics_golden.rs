@@ -117,7 +117,7 @@ fn single_cell_partitioned_csv_is_passthrough() {
         "single-cell merge_csv is not a pass-through"
     );
     assert_eq!(
-        run.prometheus(),
+        run.prometheus().expect("telemetry on"),
         include_str!("golden/quickstart_metrics.prom"),
         "single-cell merge_registries is not a pass-through"
     );

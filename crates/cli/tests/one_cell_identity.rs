@@ -108,7 +108,7 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
         assert!(r.dropped + r.retried > 0, "{what}: the plan never bit");
     }
 
-    assert_eq!(run.prometheus(), bare.metrics_prometheus(), "{what}");
+    assert_eq!(run.prometheus(), Some(bare.metrics_prometheus()), "{what}");
     assert_eq!(run.csv(), bare.metrics_csv(), "{what}");
     assert_eq!(
         pretty(&run.json().expect("sampler on")),

@@ -148,6 +148,11 @@ impl ScenarioBuilder {
         id
     }
 
+    /// The service models registered so far, indexed by [`ServiceId`].
+    pub(crate) fn services(&self) -> &[ServiceModel] {
+        &self.services
+    }
+
     /// Registers a reusable service model.
     pub fn add_service(&mut self, model: ServiceModel) -> ServiceId {
         let id = ServiceId::from_raw(self.services.len() as u32);
@@ -252,13 +257,15 @@ impl ScenarioBuilder {
         id
     }
 
-    /// Validates everything and constructs the runnable simulator.
+    /// Validates everything and constructs the runnable simulator, which
+    /// takes over the registered machines, service models, request types
+    /// and clients.
     ///
     /// # Errors
     ///
     /// Returns an error on any inconsistency: invalid specs, core
     /// over-subscription, dangling references, or empty scenarios.
-    pub fn build(&self) -> SimResult<Simulator> {
+    pub fn build(self) -> SimResult<Simulator> {
         if self.instances.is_empty() {
             return Err(SimError::InvalidScenario("no instances deployed".into()));
         }
@@ -298,7 +305,7 @@ impl ScenarioBuilder {
         // --- machines & core allocation -------------------------------
         let mut machines: Vec<MachineRt> = self
             .machines
-            .iter()
+            .into_iter()
             .map(|spec| {
                 let cores = (0..spec.cores)
                     .map(|_| Core {
@@ -314,7 +321,7 @@ impl ScenarioBuilder {
                 let net_slots = vec![None; irq_cores.len()];
                 MachineRt {
                     max_ghz: spec.dvfs.max_ghz(),
-                    spec: spec.clone(),
+                    spec,
                     cores,
                     irq_cores,
                     net_queue: std::collections::VecDeque::new(),
@@ -331,7 +338,7 @@ impl ScenarioBuilder {
         // --- instances -------------------------------------------------
         let mut next_free_core: Vec<usize> = machines.iter().map(|m| m.irq_cores.len()).collect();
         let mut instances: Vec<InstanceRt> = Vec::with_capacity(self.instances.len());
-        for (idx, def) in self.instances.iter().enumerate() {
+        for (idx, def) in self.instances.into_iter().enumerate() {
             let mi = def.machine.index();
             let first = next_free_core[mi];
             let last = first + def.cores;
@@ -391,7 +398,7 @@ impl ScenarioBuilder {
                 )));
             }
             instances.push(InstanceRt {
-                name: def.name.clone(),
+                name: def.name,
                 service: def.service,
                 machine: def.machine,
                 cores,
@@ -439,7 +446,7 @@ impl ScenarioBuilder {
         // --- connections: clients --------------------------------------
         let factory = RngFactory::new(self.cfg.seed);
         let mut clients: Vec<ClientRt> = Vec::new();
-        for (ci, def) in self.clients.iter().enumerate() {
+        for (ci, def) in self.clients.into_iter().enumerate() {
             let mut ids = Vec::with_capacity(def.spec.connections);
             for k in 0..def.spec.connections {
                 let root = def.roots[k % def.roots.len()];
@@ -472,7 +479,7 @@ impl ScenarioBuilder {
                     .collect::<SimResult<Vec<_>>>()?;
             }
             clients.push(ClientRt {
-                spec: def.spec.clone(),
+                spec: def.spec,
                 conns: ids,
                 next_conn: 0,
                 issued: 0,
@@ -504,7 +511,7 @@ impl ScenarioBuilder {
         let warmup_at = SimTime::ZERO + self.cfg.warmup;
         let n_instances = instances.len();
         let mut sim = Simulator {
-            cfg: self.cfg.clone(),
+            cfg: self.cfg,
             now: SimTime::ZERO,
             events: crate::event::EventQueue::new(),
             rng_service: factory.stream("service", 0),
@@ -512,13 +519,13 @@ impl ScenarioBuilder {
             rng_path: factory.stream("path", 0),
             rng_network: factory.stream("network", 0),
             machines,
-            services: self.services.clone(),
+            services: self.services,
             instances,
             conns,
             pools,
             pool_lookup,
             eph_free: crate::fasthash::FastMap::default(),
-            request_types: self.request_types.clone(),
+            request_types: self.request_types,
             unblocks_thread,
             rr_instance,
             clients,

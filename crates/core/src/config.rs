@@ -478,24 +478,56 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Lowers the configuration onto a builder and constructs the simulator.
+    /// Lowers the configuration onto a builder and constructs the
+    /// simulator, copying the machines, service models and clients it
+    /// keeps; [`into_simulator`](Self::into_simulator) moves them instead,
+    /// for a caller that is done with the configuration.
     ///
     /// # Errors
     ///
     /// Returns an error for dangling names or structurally invalid inputs.
     pub fn build(&self) -> SimResult<Simulator> {
+        let (machines, services) = (self.machines.clone(), self.services.clone());
+        let builder = self.lower(machines, services, self.clients.clone())?;
+        builder.build()
+    }
+
+    /// [`build`](Self::build), moving every machine, service model and
+    /// client into the simulator: it is the only copy of the scenario
+    /// left, and the rest of the configuration is freed before the
+    /// simulator's runtime state is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for dangling names or structurally invalid inputs.
+    pub fn into_simulator(mut self) -> SimResult<Simulator> {
+        let machines = std::mem::take(&mut self.machines);
+        let services = std::mem::take(&mut self.services);
+        let clients = std::mem::take(&mut self.clients);
+        let builder = self.lower(machines, services, clients)?;
+        drop(self);
+        builder.build()
+    }
+
+    /// Resolves the configuration's names onto a builder that owns
+    /// `machines`, `services` and `clients` — the configuration's own,
+    /// which the simulator keeps — and reads the rest of `self`.
+    fn lower(
+        &self,
+        machines: Vec<MachineSpec>,
+        services: Vec<ServiceModel>,
+        clients: Vec<ClientConfig>,
+    ) -> SimResult<ScenarioBuilder> {
         let mut b = ScenarioBuilder::new(self.seed);
         b.warmup(SimDuration::from_secs_f64(self.warmup_s));
 
         let mut machine_ids = HashMap::new();
-        for m in &self.machines {
-            let id = b.add_machine(m.clone());
-            machine_ids.insert(m.name.clone(), id);
+        for m in machines {
+            machine_ids.insert(m.name.clone(), b.add_machine(m));
         }
         let mut service_ids: HashMap<String, ServiceId> = HashMap::new();
-        for s in &self.services {
-            let id = b.add_service(s.clone());
-            service_ids.insert(s.name.clone(), id);
+        for s in services {
+            service_ids.insert(s.name.clone(), b.add_service(s));
         }
         // Instances and pools live in `graph.json` under the Table I
         // layout, so their dangling references get errors naming that file
@@ -536,11 +568,10 @@ impl ScenarioConfig {
         }
         let mut type_ids: HashMap<String, RequestTypeId> = HashMap::new();
         for t in &self.request_types {
-            let ty = lower_request_type(t, &service_ids, &instance_ids, &self.services)?;
-            let id = b.add_request_type(ty)?;
-            type_ids.insert(t.name.clone(), id);
+            let ty = lower_request_type(t, &service_ids, &instance_ids, b.services())?;
+            type_ids.insert(t.name.clone(), b.add_request_type(ty)?);
         }
-        for c in &self.clients {
+        for c in clients {
             let mut entries = Vec::new();
             for (name, w) in &c.mix {
                 let id = *type_ids.get(name).ok_or_else(|| SimError::UnknownEntity {
@@ -557,17 +588,29 @@ impl ScenarioConfig {
                 })?);
             }
             let spec = ClientSpec {
-                name: c.name.clone(),
+                name: c.name,
                 connections: c.connections,
-                arrivals: c.arrivals.clone(),
+                arrivals: c.arrivals,
                 mix: RequestMix::weighted(entries),
-                request_size: c.request_size.clone(),
-                closed_loop: c.closed_loop.clone(),
+                request_size: c.request_size,
+                closed_loop: c.closed_loop,
                 timeout_s: c.timeout_s,
             };
             b.add_client(spec, roots);
         }
-        b.build()
+        Ok(b)
+    }
+}
+
+/// A copy, so that the functions taking a scenario as
+/// `impl Into<ScenarioConfig>` — [`run_partitioned`](crate::run_partitioned),
+/// [`PartitionPlan::new`](crate::PartitionPlan::new),
+/// [`split_cells`](crate::partition::split_cells) — take a borrowed one too:
+/// a scenario handed over by value is used up without a copy, a borrowed
+/// one is copied once.
+impl From<&ScenarioConfig> for ScenarioConfig {
+    fn from(cfg: &ScenarioConfig) -> Self {
+        cfg.clone()
     }
 }
 

@@ -113,11 +113,12 @@ impl Default for PartitionOptions {
 /// it, when present).
 ///
 /// The always-present remains are cheap: two finished latency recorders
-/// (moved, not copied; about a byte per measured request), three scalars,
-/// and the metrics-registry snapshot with its two mergeable histogram
-/// sets. The heavy ones exist only when the caller's options asked for
-/// what needs them: [`trace`](Self::trace) under [`SpanTracing::Retain`],
-/// [`series`](Self::series) when the telemetry sampler ran.
+/// (moved, not copied; about a byte per measured request) and three
+/// scalars. The rest exist only when the caller's options asked for what
+/// needs them: the metrics-registry snapshot with its two mergeable
+/// histogram sets when telemetry was on, [`trace`](Self::trace) under
+/// [`SpanTracing::Retain`], [`series`](Self::series) when the telemetry
+/// sampler ran.
 #[derive(Debug)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
@@ -148,7 +149,10 @@ pub struct CellOutput {
     pub irq_machines: usize,
     /// The cell's metrics registry at the deadline
     /// ([`Simulator::metrics_registry`]); [`merge_registries`] folds these.
-    pub registry: MetricsRegistry,
+    /// `None` when telemetry was off: nothing of a run without telemetry
+    /// reads a registry, and a cluster's is a labelled gauge or two per
+    /// instance, machine and pool.
+    pub registry: Option<MetricsRegistry>,
     /// The histogram behind the registry's `uqsim_e2e_latency_seconds`
     /// summary (quantiles merge through histograms, not through
     /// quantiles); `None` when telemetry was off.
@@ -231,9 +235,10 @@ pub struct PartitionedRun {
 
 impl PartitionedRun {
     /// The merged Prometheus exposition (byte-identical at any shard
-    /// count).
-    pub fn prometheus(&self) -> String {
-        merge_registries(&self.cells).to_prometheus()
+    /// count), or `None` when telemetry was off
+    /// ([`PartitionOptions::telemetry`] unset) and no cell kept a registry.
+    pub fn prometheus(&self) -> Option<String> {
+        merge_registries(&self.cells).map(|reg| reg.to_prometheus())
     }
 
     /// The merged time-series CSV, or `None` when the sampler was off
@@ -302,21 +307,30 @@ fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> 
 }
 
 /// Builds, runs, and summarizes one cell (see [`run_partitioned`]), then
-/// takes its remains and drops its simulator — here, on the worker.
+/// takes its remains and drops its simulator — here, on the worker. The
+/// cell's configuration goes into the simulator the build makes.
 fn run_cell(
-    spec: &CellSpec,
+    spec: CellSpec,
     faults: Option<&FaultPlan>,
     master_seed: u64,
     duration: SimDuration,
     opts: &PartitionOptions,
 ) -> SimResult<CellOutput> {
     let seed = cell_seed(master_seed, spec.id as u64);
-    let mut sim = spec.config.with_seed(seed).build()?;
-    if let Some(p) = faults {
+    // The slice reads the cell's entity names: take it before the build
+    // uses the configuration up.
+    let faults = faults.map(|p| split_fault_plan(p, &spec));
+    let (id, warmup_s) = (spec.id, spec.config.warmup_s);
+    let mut sim = ScenarioConfig {
+        seed,
+        ..spec.config
+    }
+    .into_simulator()?;
+    if let Some(plan) = &faults {
         // Install even when the filtered slice is empty: the presence of a
         // plan changes which metric families the registry emits, and every
         // cell must stay structurally congruent for the merge.
-        sim.install_faults(&split_fault_plan(p, spec))?;
+        sim.install_faults(plan)?;
     }
     if let Some(tcfg) = opts.telemetry {
         sim.enable_telemetry(TelemetryConfig {
@@ -340,9 +354,9 @@ fn run_cell(
             (sim, Some(folds))
         }
     };
-    let result = crate::run::summarize(&mut sim, seed, duration, spec.config.warmup_s);
-    let checks = folds.map(|folds| finish_checks(folds, &sim, &result, spec.id));
-    Ok(take_remains(sim, spec.id, result, checks, opts))
+    let result = crate::run::summarize(&mut sim, seed, duration, warmup_s);
+    let checks = folds.map(|folds| finish_checks(folds, &sim, &result, id));
+    Ok(take_remains(sim, id, result, checks, opts))
 }
 
 /// Finishes a checked cell's folds against its final state. The replayed
@@ -373,7 +387,7 @@ fn finish_checks(
 }
 
 /// Moves out of a finished cell's simulator what the merges read — always
-/// the samples, counters and registry snapshot; the span log and the
+/// the samples and counters; the registry snapshot, the span log and the
 /// sampler's series only if `opts` asked for what needs them — and drops
 /// the rest of it.
 fn take_remains(
@@ -395,7 +409,7 @@ fn take_remains(
         SpanTracing::Off | SpanTracing::Check { .. } => None,
     };
     // These two read the telemetry state: render them before taking it.
-    let registry = sim.metrics_registry();
+    let registry = opts.telemetry.is_some().then(|| sim.metrics_registry());
     let sampler_on = opts.telemetry.is_some_and(|t| t.sample_interval.is_some());
     let json_head = sampler_on.then(|| sim.metrics_json_head(result.latency));
     let (e2e_histogram, component_histograms, series) = match sim.telemetry.take() {
@@ -483,6 +497,13 @@ fn run_checked(
 /// [`Simulator`] built from `cfg.with_seed(seed)` with the same observers
 /// produces, byte for byte.
 ///
+/// The run holds the scenario once. Handed over by value, `cfg` is carved
+/// into the cells without a copy (a borrowed one is copied once, as
+/// [`PartitionPlan::new`] says), and each cell's configuration goes into
+/// its simulator when its worker claims and builds it. Without telemetry
+/// a finished cell keeps no metrics registry either
+/// ([`CellOutput::registry`]).
+///
 /// # Errors
 ///
 /// Propagates cell-construction failures and fault-plan references to
@@ -513,20 +534,23 @@ fn run_checked(
 /// # }
 /// ```
 pub fn run_partitioned(
-    cfg: &ScenarioConfig,
+    cfg: impl Into<ScenarioConfig>,
     faults: Option<&FaultPlan>,
     seed: u64,
     duration: SimDuration,
     opts: &PartitionOptions,
 ) -> SimResult<PartitionedRun> {
+    let cfg = cfg.into();
     if let Some(plan) = faults {
-        validate_fault_plan(cfg, plan)?;
+        validate_fault_plan(&cfg, plan)?;
     }
     let plan = PartitionPlan::new(cfg, opts.shards)?;
-    let pool = Pool::new(plan.shards.min(plan.cells.len().max(1)));
+    let order = plan.claim_order();
+    let PartitionPlan { cells, shards } = plan;
+    let pool = Pool::new(shards.min(cells.len().max(1)));
     let cells = pool
-        .map_claimed(&plan.claim_order(), |cell| {
-            run_cell(&plan.cells[cell], faults, seed, duration, opts)
+        .map_claimed_owned(cells, &order, |cell| {
+            run_cell(cell, faults, seed, duration, opts)
         })
         .into_iter()
         .collect::<SimResult<Vec<CellOutput>>>()?;
@@ -534,7 +558,7 @@ pub fn run_partitioned(
     Ok(PartitionedRun {
         result,
         cells,
-        shards: plan.shards,
+        shards,
     })
 }
 
@@ -576,5 +600,24 @@ mod tests {
         let four = run_partitioned(&cfg, None, 5, d, &PartitionOptions::with_shards(4)).unwrap();
         assert_eq!(one.result, four.result);
         assert_eq!(one.prometheus(), four.prometheus());
+        assert!(one.prometheus().is_some(), "with_shards turns telemetry on");
+    }
+
+    #[test]
+    fn a_scenario_handed_over_runs_as_a_borrowed_one_does() {
+        let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
+        let d = SimDuration::from_millis(300);
+        let opts = PartitionOptions {
+            telemetry: None,
+            ..PartitionOptions::with_shards(2)
+        };
+        let borrowed = run_partitioned(&cfg, None, 5, d, &opts).unwrap();
+        let owned = run_partitioned(cfg, None, 5, d, &opts).unwrap();
+        assert_eq!(borrowed.result, owned.result);
+        assert!(
+            owned.cells.iter().all(|c| c.registry.is_none()),
+            "no telemetry, no registry"
+        );
+        assert_eq!(owned.prometheus(), None);
     }
 }

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use crate::config::{ClientConfig, InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec, PolicySpec};
-use crate::service::ServiceModel;
 
 /// One request-closed cell of a partitioned scenario: which machines,
 /// clients, instances, pools, and request types it owns (as indices into
@@ -55,7 +54,11 @@ pub struct CellSpec {
     /// cloning and re-validating the whole table. A scenario that is one
     /// cell therefore keeps its full service table. Building this config
     /// re-validates the cell's closure: any dangling name would fail
-    /// `ScenarioConfig::build`.
+    /// `ScenarioConfig::build`. A run hands this configuration to the
+    /// cell's simulator when it builds it
+    /// ([`ScenarioConfig::into_simulator`]), so a cell's scenario exists
+    /// once: as configuration until its worker claims it, as simulator
+    /// after.
     pub config: ScenarioConfig,
 }
 
@@ -96,14 +99,14 @@ impl Dsu {
     }
 }
 
-/// For each cell, the service models its instances and request-type path
-/// nodes name, in `cfg.services` order; a service nothing names goes to
-/// cell 0 (see [`CellSpec::config`]).
-fn split_services(
+/// For each service of `cfg.services`, in order, the cells whose instances
+/// and request-type path nodes name it, ascending; a service nothing names
+/// goes to cell 0 (see [`CellSpec::config`]).
+fn service_users(
     cfg: &ScenarioConfig,
     cells_instances: &[Vec<usize>],
     cells_rts: &[Vec<usize>],
-) -> Vec<Vec<ServiceModel>> {
+) -> Vec<Vec<usize>> {
     // Cells are visited in order, so each service's user list is ascending
     // and a repeated mention within one cell is the list's last entry.
     let mut users: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -121,16 +124,34 @@ fn split_services(
             }
         }
     }
-    let mut services = vec![Vec::new(); cells_instances.len()];
-    for service in &cfg.services {
-        let cells = users
-            .get(service.name.as_str())
-            .map_or(&[0][..], Vec::as_slice);
-        for &cell in cells {
-            services[cell].push(service.clone());
+    cfg.services
+        .iter()
+        .map(|service| {
+            users
+                .get(service.name.as_str())
+                .cloned()
+                .unwrap_or_else(|| vec![0])
+        })
+        .collect()
+}
+
+/// Moves every entity to the cell whose index list names it. Lists are
+/// ascending, so each cell keeps the entities' relative order.
+fn deal<T>(
+    entities: Vec<T>,
+    cells: &[Vec<usize>],
+    configs: &mut [ScenarioConfig],
+    field: fn(&mut ScenarioConfig) -> &mut Vec<T>,
+) {
+    let mut cell_of = vec![0; entities.len()];
+    for (cell, indices) in cells.iter().enumerate() {
+        for &i in indices {
+            cell_of[i] = cell;
         }
     }
-    services
+    for (entity, cell) in entities.into_iter().zip(cell_of) {
+        field(&mut configs[cell]).push(entity);
+    }
 }
 
 /// Instance names a request type's path can select, in node order.
@@ -155,6 +176,11 @@ fn request_type_instances(nodes: &[crate::config::PathNodeConfig]) -> Vec<&str> 
 
 /// Splits a scenario into request-closed cells (see module docs).
 ///
+/// The cells are carved out of the scenario: each machine, instance, pool,
+/// request type and client moves into the one cell that owns it, and a
+/// service model is copied only for each cell past the first that uses
+/// it. A borrowed scenario is copied once first.
+///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownEntity`] when a request type, client, or
@@ -178,7 +204,8 @@ fn request_type_instances(nodes: &[crate::config::PathNodeConfig]) -> Vec<&str> 
 /// # Ok(())
 /// # }
 /// ```
-pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
+pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
+    let cfg: ScenarioConfig = cfg.into();
     let n_machines = cfg.machines.len();
     let n_clients = cfg.clients.len();
     let client_node = |c: usize| n_machines + c;
@@ -292,7 +319,6 @@ pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
     let mut cells_instances: Vec<Vec<usize>> = vec![Vec::new(); cells_machines.len()];
     for (i, inst) in cfg.instances.iter().enumerate() {
         cells_instances[machine_cell[instance_machine[inst.name.as_str()]]].push(i);
-        let _ = inst;
     }
     let mut cells_pools: Vec<Vec<usize>> = vec![Vec::new(); cells_machines.len()];
     for (p, pool) in cfg.pools.iter().enumerate() {
@@ -316,54 +342,56 @@ pub fn split_cells(cfg: &ScenarioConfig) -> SimResult<Vec<CellSpec>> {
                 .unwrap_or(0)
         };
         cells_rts[cell].push(t);
-        let _ = rt;
     }
 
-    // Extract one sub-scenario per cell.
-    let mut services = split_services(cfg, &cells_instances, &cells_rts);
-    let mut cells = Vec::with_capacity(cells_machines.len());
-    for id in 0..cells_machines.len() {
-        let pick = |indices: &[usize], from: &mut dyn FnMut(usize)| {
-            for &i in indices {
-                from(i);
-            }
-        };
-        let mut config = ScenarioConfig {
+    // Carve one sub-scenario per cell out of the scenario.
+    let users = service_users(&cfg, &cells_instances, &cells_rts);
+    let mut configs: Vec<ScenarioConfig> = (0..cells_machines.len())
+        .map(|_| ScenarioConfig {
             seed: cfg.seed,
             warmup_s: cfg.warmup_s,
             machines: Vec::new(),
-            services: std::mem::take(&mut services[id]),
+            services: Vec::new(),
             instances: Vec::new(),
             pools: Vec::new(),
             request_types: Vec::new(),
             clients: Vec::new(),
-        };
-        pick(&cells_machines[id], &mut |i| {
-            config.machines.push(cfg.machines[i].clone())
-        });
-        pick(&cells_instances[id], &mut |i| {
-            config.instances.push(cfg.instances[i].clone())
-        });
-        pick(&cells_pools[id], &mut |i| {
-            config.pools.push(cfg.pools[i].clone())
-        });
-        pick(&cells_rts[id], &mut |i| {
-            config.request_types.push(cfg.request_types[i].clone())
-        });
-        pick(&cells_clients[id], &mut |i| {
-            config.clients.push(cfg.clients[i].clone())
-        });
-        cells.push(CellSpec {
-            id,
-            machines: cells_machines[id].clone(),
-            clients: cells_clients[id].clone(),
-            instances: cells_instances[id].clone(),
-            pools: cells_pools[id].clone(),
-            request_types: cells_rts[id].clone(),
-            config,
-        });
+        })
+        .collect();
+    for (service, users) in cfg.services.into_iter().zip(users) {
+        let (&last, rest) = users.split_last().expect("every service has a cell");
+        for &cell in rest {
+            configs[cell].services.push(service.clone());
+        }
+        configs[last].services.push(service);
     }
-    Ok(cells)
+    deal(cfg.machines, &cells_machines, &mut configs, |c| {
+        &mut c.machines
+    });
+    deal(cfg.instances, &cells_instances, &mut configs, |c| {
+        &mut c.instances
+    });
+    deal(cfg.pools, &cells_pools, &mut configs, |c| &mut c.pools);
+    deal(cfg.request_types, &cells_rts, &mut configs, |c| {
+        &mut c.request_types
+    });
+    deal(cfg.clients, &cells_clients, &mut configs, |c| {
+        &mut c.clients
+    });
+    let take = std::mem::take;
+    Ok(configs
+        .into_iter()
+        .enumerate()
+        .map(|(id, config)| CellSpec {
+            id,
+            machines: take(&mut cells_machines[id]),
+            clients: take(&mut cells_clients[id]),
+            instances: take(&mut cells_instances[id]),
+            pools: take(&mut cells_pools[id]),
+            request_types: take(&mut cells_rts[id]),
+            config,
+        })
+        .collect())
 }
 
 /// Restricts a fault plan to one cell: scheduled faults stay with the cell

@@ -8,8 +8,8 @@
 //! **P5**, pinned by the `shards_*_byte_identical` tests in
 //! `tests/partition.rs` and the CLI differential tests). **Merges read
 //! remains, not simulators**: a [`CellOutput`] owns what its cell's
-//! simulator left behind (samples, counters, registry snapshot, and — when
-//! the run's options asked for them — the retained span log and the
+//! simulator left behind (samples, counters, and — when the run's options
+//! asked for them — the registry snapshot, the retained span log and the
 //! sampler's series); the simulator is gone before any merge runs.
 //! The merge of **one** cell is the identity — the cell's own artifact,
 //! with no cell labels, prefixes or wrappers — which
@@ -213,8 +213,13 @@ fn family<'a>(reg: &'a MetricsRegistry, name: &str) -> Vec<&'a Metric> {
 /// per-entity series concatenate in cell order, latency summaries are
 /// rebuilt from the merged underlying histograms). A family emitted by no
 /// cell is omitted, exactly as a single simulator's registry omits it.
-pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
-    let registries: Vec<&MetricsRegistry> = cells.iter().map(|c| &c.registry).collect();
+/// Returns `None` when any cell kept no registry — it ran without
+/// telemetry, and all cells share one telemetry config.
+pub fn merge_registries(cells: &[CellOutput]) -> Option<MetricsRegistry> {
+    let registries = cells
+        .iter()
+        .map(|c| c.registry.as_ref())
+        .collect::<Option<Vec<&MetricsRegistry>>>()?;
     let mut out = MetricsRegistry::new();
     for &(name, strategy) in FAMILIES {
         let per_cell: Vec<Vec<&Metric>> = registries.iter().map(|r| family(r, name)).collect();
@@ -299,7 +304,7 @@ pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
             }
         }
     }
-    out
+    Some(out)
 }
 
 /// Merges per-cell telemetry CSVs (`t_s,metric,label,value`) into one

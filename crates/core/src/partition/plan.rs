@@ -68,6 +68,10 @@ impl PartitionPlan {
     /// unstarted cell of [`claim_order`](Self::claim_order) when it is
     /// free, so a worker that the host runs slower simply claims fewer.
     ///
+    /// The plan takes the scenario: handed over by value, it is carved
+    /// into the cells without a copy ([`split_cells`]); borrowed, it is
+    /// copied once.
+    ///
     /// # Errors
     ///
     /// Propagates [`split_cells`] reference errors.
@@ -86,7 +90,7 @@ impl PartitionPlan {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn new(cfg: &ScenarioConfig, shards: usize) -> SimResult<Self> {
+    pub fn new(cfg: impl Into<ScenarioConfig>, shards: usize) -> SimResult<Self> {
         Ok(PartitionPlan {
             cells: split_cells(cfg)?,
             shards: shards.max(1),

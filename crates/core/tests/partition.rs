@@ -310,7 +310,7 @@ fn cell_configs_carry_the_services_they_reference() {
     // Same models under other names: nothing an output shows has moved.
     let d = SimDuration::from_millis(200);
     let renamed = run_partitioned(&cfg, None, 9, d, &full_options(2)).unwrap();
-    let plain = run_partitioned(&cluster(3), None, 9, d, &full_options(2)).unwrap();
+    let plain = run_partitioned(cluster(3), None, 9, d, &full_options(2)).unwrap();
     assert_eq!(renamed.result, plain.result);
     assert_eq!(renamed.prometheus(), plain.prometheus());
 }
@@ -577,7 +577,8 @@ fn merge_of_one_cell_is_registry_identity() {
     )
     .unwrap();
     assert_eq!(run.cells.len(), 1);
-    assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
+    let registry = run.cells[0].registry.as_ref().expect("telemetry is on");
+    assert_eq!(run.prometheus(), Some(registry.to_prometheus()));
 }
 
 /// **P5** — a cell hands over its exact latency samples as a finished
