@@ -313,73 +313,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Samples the gap until the next arrival after `now`.
-    ///
-    /// Equivalent to [`ArrivalProcess::gap_after`] with `issued = 0`; only
-    /// correct for the stochastic processes, not for traces.
-    pub fn next_gap<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimDuration {
-        self.gap_after(0, now, rng).unwrap_or(SimDuration::MAX)
-    }
-
-    /// The time of the first arrival (counted from simulation start), or
-    /// `None` for an empty trace.
-    pub fn first_arrival<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<SimDuration> {
-        match self {
-            ArrivalProcess::Trace { timestamps, .. } => {
-                timestamps.first().map(|&t| SimDuration::from_secs_f64(t))
-            }
-            _ => self.gap_after(0, SimTime::ZERO, rng),
-        }
-    }
-
-    /// The gap from arrival number `issued` (0-based, just generated at
-    /// `now`) to the next one; `None` when the workload is exhausted
-    /// (trace replay only).
-    ///
-    /// For the stateful processes (MMPP, flash crowd, sessions) this is a
-    /// *stateless approximation* — a Poisson draw at the process's current
-    /// or stationary mean rate. The engine drives those through
-    /// [`ArrivalProcess::gap_rt`] with per-client [`ArrivalRt`] state,
-    /// which is exact.
-    pub fn gap_after<R: Rng + ?Sized>(
-        &self,
-        issued: u64,
-        now: SimTime,
-        rng: &mut R,
-    ) -> Option<SimDuration> {
-        match self {
-            ArrivalProcess::Poisson { schedule } => {
-                let rate = schedule.rate_at(now);
-                Some(SimDuration::from_secs_f64(crate::rng::sample_exponential(
-                    rng,
-                    1.0 / rate,
-                )))
-            }
-            ArrivalProcess::Uniform { schedule } => {
-                Some(SimDuration::from_secs_f64(1.0 / schedule.rate_at(now)))
-            }
-            ArrivalProcess::Trace { timestamps, .. } => {
-                let cur = *timestamps.get(issued as usize)?;
-                let next = *timestamps.get(issued as usize + 1)?;
-                Some(SimDuration::from_secs_f64(next - cur))
-            }
-            ArrivalProcess::Mmpp { .. } | ArrivalProcess::Sessions { .. } => {
-                let rate = self.mean_rate_qps().expect("stationary rate");
-                Some(SimDuration::from_secs_f64(crate::rng::sample_exponential(
-                    rng,
-                    1.0 / rate,
-                )))
-            }
-            ArrivalProcess::FlashCrowd { base, spikes } => {
-                let rate = flash_rate(base, spikes, now.as_secs_f64());
-                Some(SimDuration::from_secs_f64(crate::rng::sample_exponential(
-                    rng,
-                    1.0 / rate,
-                )))
-            }
-        }
-    }
-
     /// The underlying schedule, for rate-based processes (a flash crowd
     /// reports its baseline).
     pub fn schedule(&self) -> Option<&RateSchedule> {
@@ -516,25 +449,27 @@ impl ArrivalProcess {
         }
     }
 
-    /// Stateful variant of [`ArrivalProcess::first_arrival`]: the time of
-    /// the first arrival, drawing bursty processes through `rt`.
+    /// The time of the first arrival (counted from simulation start), or
+    /// `None` for an empty trace; bursty processes draw through `rt`.
     pub fn first_arrival_rt<R: Rng + ?Sized>(
         &self,
         rt: &mut ArrivalRt,
         shared: &mut R,
     ) -> Option<SimDuration> {
         match self {
-            ArrivalProcess::Mmpp { .. }
-            | ArrivalProcess::FlashCrowd { .. }
-            | ArrivalProcess::Sessions { .. } => self.gap_rt(rt, 0, SimTime::ZERO, shared),
-            _ => self.first_arrival(shared),
+            ArrivalProcess::Trace { timestamps, .. } => {
+                timestamps.first().map(|&t| SimDuration::from_secs_f64(t))
+            }
+            _ => self.gap_rt(rt, 0, SimTime::ZERO, shared),
         }
     }
 
-    /// Stateful variant of [`ArrivalProcess::gap_after`]: exact for the
-    /// bursty processes (which mutate and draw from `rt`), and *bit-for-bit
-    /// identical* to `gap_after` on the shared stream for the stateless
-    /// ones — existing scenarios keep their golden artifacts.
+    /// The gap from arrival number `issued` (0-based, just generated at
+    /// `now`) to the next one. Exact for every process: the bursty ones
+    /// (MMPP, flash crowd, sessions) mutate and draw from `rt`, the
+    /// stateless ones draw from the engine's `shared` arrival stream.
+    /// `None` when a replayed trace is exhausted, or when `rt` was not
+    /// built by this process's [`runtime`](Self::runtime).
     pub fn gap_rt<R: Rng + ?Sized>(
         &self,
         rt: &mut ArrivalRt,
@@ -543,6 +478,21 @@ impl ArrivalProcess {
         shared: &mut R,
     ) -> Option<SimDuration> {
         match (self, &mut rt.kind) {
+            (ArrivalProcess::Poisson { schedule }, _) => {
+                let rate = schedule.rate_at(now);
+                Some(SimDuration::from_secs_f64(crate::rng::sample_exponential(
+                    shared,
+                    1.0 / rate,
+                )))
+            }
+            (ArrivalProcess::Uniform { schedule }, _) => {
+                Some(SimDuration::from_secs_f64(1.0 / schedule.rate_at(now)))
+            }
+            (ArrivalProcess::Trace { timestamps, .. }, _) => {
+                let cur = *timestamps.get(issued as usize)?;
+                let next = *timestamps.get(issued as usize + 1)?;
+                Some(SimDuration::from_secs_f64(next - cur))
+            }
             (
                 ArrivalProcess::Mmpp { states },
                 ArrivalRtKind::Mmpp {
@@ -584,7 +534,7 @@ impl ArrivalProcess {
                     Some(SimDuration::from_secs_f64(gap))
                 }
             }
-            _ => self.gap_after(issued, now, shared),
+            _ => None,
         }
     }
 }
@@ -629,14 +579,6 @@ enum ArrivalRtKind {
 }
 
 impl ArrivalRt {
-    /// State for a stateless process (Poisson / Uniform / untyped trace).
-    pub fn stateless() -> Self {
-        ArrivalRt {
-            kind: ArrivalRtKind::Stateless,
-            trace_types: Vec::new(),
-        }
-    }
-
     /// The resolved request type of trace arrival `issued`, for typed
     /// trace replay; `None` everywhere else (callers fall back to the
     /// client's request mix).
@@ -979,10 +921,16 @@ mod tests {
     #[test]
     fn poisson_gaps_average_to_rate() {
         let p = ArrivalProcess::poisson(10_000.0);
-        let mut rng = RngFactory::new(2).stream("client", 0);
+        let factory = RngFactory::new(2);
+        let mut rt = p.runtime(&factory, 0);
+        let mut rng = factory.stream("client", 0);
         let n = 100_000;
         let total: f64 = (0..n)
-            .map(|_| p.next_gap(SimTime::ZERO, &mut rng).as_secs_f64())
+            .map(|i| {
+                p.gap_rt(&mut rt, i, SimTime::ZERO, &mut rng)
+                    .unwrap()
+                    .as_secs_f64()
+            })
             .sum();
         let mean_gap = total / n as f64;
         assert!((mean_gap - 1e-4).abs() / 1e-4 < 0.02, "mean gap {mean_gap}");
@@ -993,10 +941,12 @@ mod tests {
         let p = ArrivalProcess::Uniform {
             schedule: RateSchedule::constant(1000.0),
         };
-        let mut rng = RngFactory::new(2).stream("client", 1);
+        let factory = RngFactory::new(2);
+        let mut rt = p.runtime(&factory, 1);
+        let mut rng = factory.stream("client", 1);
         assert_eq!(
-            p.next_gap(SimTime::ZERO, &mut rng),
-            SimDuration::from_millis(1)
+            p.gap_rt(&mut rt, 0, SimTime::ZERO, &mut rng),
+            Some(SimDuration::from_millis(1))
         );
     }
 
@@ -1213,18 +1163,19 @@ mod tests {
 
     #[test]
     fn stateless_processes_ignore_runtime_state() {
-        // gap_rt on a Poisson process must consume the shared stream
-        // exactly like gap_after — the byte-identity contract that keeps
-        // pre-burst goldens unchanged.
+        // A Poisson gap is one exponential draw from the shared stream and
+        // nothing else — the byte-identity contract that keeps pre-burst
+        // goldens unchanged.
         let p = ArrivalProcess::poisson(2_000.0);
         let factory = RngFactory::new(5);
         let mut rt = p.runtime(&factory, 0);
         let mut a = factory.stream("arrival", 0);
         let mut b = factory.stream("arrival", 0);
         for i in 0..1_000 {
+            let direct = crate::rng::sample_exponential(&mut b, 1.0 / 2_000.0);
             assert_eq!(
                 p.gap_rt(&mut rt, i, SimTime::ZERO, &mut a),
-                p.gap_after(i, SimTime::ZERO, &mut b)
+                Some(SimDuration::from_secs_f64(direct))
             );
         }
     }

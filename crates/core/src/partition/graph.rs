@@ -359,7 +359,9 @@ pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
         })
         .collect();
     for (service, users) in cfg.services.into_iter().zip(users) {
-        let (&last, rest) = users.split_last().expect("every service has a cell");
+        let Some((&last, rest)) = users.split_last() else {
+            continue;
+        };
         for &cell in rest {
             configs[cell].services.push(service.clone());
         }

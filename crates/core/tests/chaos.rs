@@ -4,7 +4,8 @@
 //! request as dropped, and in both cases the trace auditor must verify the
 //! terminal-outcome conservation law event-by-event. And a crash must not
 //! outlast its restart: threads that blocked for a reply the crash killed
-//! are released when the request is dropped.
+//! are released when the request is dropped. And hedging: a duplicate of
+//! a slow request races its original, and exactly one of the two counts.
 
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
 use uqsim_core::client::ClientSpec;
@@ -12,13 +13,14 @@ use uqsim_core::config::ScenarioConfig;
 use uqsim_core::dist::Distribution;
 use uqsim_core::ids::{InstanceId, PathNodeId, ServiceId, StageId};
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
+use uqsim_core::partition::{run_partitioned, PartitionOptions, SpanTracing};
 use uqsim_core::path::{
     FanInPolicy, InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
 };
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::{SimDuration, SimTime};
-use uqsim_core::{FaultPlan, FaultSpec, Simulator};
+use uqsim_core::{FaultPlan, FaultSpec, Simulator, TelemetryConfig};
 
 fn nid(i: usize) -> PathNodeId {
     PathNodeId::from_raw(i as u32)
@@ -243,4 +245,83 @@ fn a_crash_does_not_wedge_the_threads_blocked_on_its_replies() {
             sim.live_requests()
         );
     }
+}
+
+/// The example scenario with no fault, only a client policy that hedges:
+/// a request still unanswered 0.3 ms after its emission gets a twin, the
+/// first of the two to reach the client is measured and the other is
+/// superseded. Both copies count as generated and completed; only the
+/// winner is measured, from its own emission (DESIGN.md §10).
+#[test]
+fn hedged_requests_conserve_audit_and_replay() {
+    let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO).expect("parses");
+    let plan = FaultPlan::from_json(
+        r#"{ "faults": [],
+             "policy": { "clients": [ { "client": "wrk", "hedge_after_s": 0.0003 } ] } }"#,
+    )
+    .expect("plan parses");
+    let d = SimDuration::from_millis(600);
+    let run = || {
+        let mut sim = cfg.clone().build().expect("builds");
+        sim.install_faults(&plan).expect("plan matches scenario");
+        sim.enable_span_tracing(4_000_000);
+        sim.run_for(d);
+        sim
+    };
+    let sim = run();
+    let hedged = sim.fault_summary().expect("policy installed").hedged;
+    assert!(hedged > 0, "no request was hedged");
+    assert_eq!(
+        sim.generated(),
+        sim.completed() + sim.dropped() + sim.shed() + sim.live_requests() as u64
+    );
+    assert_audit_clean(&sim);
+    let latency = sim.latency_summary();
+    let pins = (
+        sim.generated(),
+        sim.completed(),
+        hedged,
+        latency.count,
+        latency.p99,
+    );
+    assert_eq!(pins, (1230, 1230, 88, 948, 0.000455033));
+
+    // Same seed, same run.
+    let again = run();
+    assert_eq!(
+        again.latency_samples().collect::<Vec<_>>(),
+        sim.latency_samples().collect::<Vec<_>>()
+    );
+    assert_eq!(again.generated(), sim.generated());
+
+    // The streaming critical path of the same run equals its replay from
+    // the span log, and the one cell runs what the bare simulator ran.
+    let opts = PartitionOptions {
+        shards: 1,
+        telemetry: Some(TelemetryConfig {
+            critpath: true,
+            ..TelemetryConfig::default()
+        }),
+        span_tracing: SpanTracing::Check {
+            events: 4_000_000,
+            replay: true,
+        },
+    };
+    let seed = cfg.seed;
+    let cell = run_partitioned(cfg, Some(&plan), seed, d, &opts).expect("runs");
+    let checks = cell.cells[0].checks.as_ref().expect("span log checked");
+    assert!(checks.audit.is_clean(), "{:#?}", checks.audit.violations);
+    assert_eq!(checks.replay, Some(Ok(())), "streaming == replay");
+    let r = &cell.result;
+    let f = r.fault.as_ref().expect("policy installed");
+    assert_eq!(
+        (
+            r.generated,
+            r.completed,
+            f.hedged,
+            r.latency.count,
+            r.latency.p99
+        ),
+        pins
+    );
 }
