@@ -138,3 +138,204 @@ fn a_zero_rate_mmpp_is_the_same_error_through_every_door() {
         assert!(stderr.contains("positive rate"), "{args:?}: {stderr}");
     }
 }
+
+/// The bundled quickstart with `from` (which must be there) replaced by
+/// `to`, once.
+fn quickstart_with(name: &str, from: &str, to: &str) -> PathBuf {
+    let text = std::fs::read_to_string(quickstart()).expect("bundled config");
+    assert!(text.contains(from), "quickstart changed: no {from}");
+    scratch(name, &text.replacen(from, to, 1))
+}
+
+/// A count that sizes an allocation is checked against the `u32` ids it
+/// is numbered with before anything is allocated (each of the first
+/// four aborted out of memory, exit 134), and a duration the build
+/// converts is checked before it is converted (each of the rest panicked,
+/// exit 101 — `timeout_s` only once `run` reached it).
+#[test]
+fn oversized_counts_and_bad_durations_are_config_errors_naming_the_key() {
+    let simple = r#""exec": { "type": "simple" }"#;
+    let threads = |ctx: &str| format!(r#""exec": {{"type":"multi_threaded","threads":2{ctx}}}"#);
+    let never = "is not a duration (finite, at least 0 and at most 18446744073 s)";
+    let cases = [
+        (
+            simple,
+            r#""exec": {"type":"multi_threaded","threads":1e12}"#.to_string(),
+            "graph.json: instances[0].exec.threads: 1000000000000 threads would number \
+             past the last id, 4294967295"
+                .to_string(),
+        ),
+        (
+            r#""cores": 6,"#,
+            r#""cores": 1e12,"#.to_string(),
+            "machines.json: machines[0].cores: 1000000000000 cores would number past the \
+             last id, 4294967295"
+                .to_string(),
+        ),
+        (
+            r#""connections": 128,"#,
+            r#""connections": 1e12,"#.to_string(),
+            "client.json: clients[0].connections: 1000000000000 connections would number \
+             past the last id, 4294967295"
+                .to_string(),
+        ),
+        (
+            r#""pools": []"#,
+            r#""pools": [{ "up": "api0", "down": "api0", "size": 1e12 }]"#.to_string(),
+            "graph.json: pools[0].size: 1000000000000 connections would number past the \
+             last id, 4294967295"
+                .to_string(),
+        ),
+        (
+            r#""warmup_s": 0.5,"#,
+            r#""warmup_s": -1,"#.to_string(),
+            format!("sim.json: warmup_s: -1.0 s {never}"),
+        ),
+        (
+            r#""warmup_s": 0.5,"#,
+            r#""warmup_s": 1e300,"#.to_string(),
+            format!("sim.json: warmup_s: 1e300 s {never}"),
+        ),
+        (
+            simple,
+            threads(r#","ctx_switch_s":-1"#),
+            format!("graph.json: instances[0].exec.ctx_switch_s: -1.0 s {never}"),
+        ),
+        (
+            simple,
+            threads(r#","ctx_switch_s":1e300"#),
+            format!("graph.json: instances[0].exec.ctx_switch_s: 1e300 s {never}"),
+        ),
+        (
+            r#""roots": ["api0"]"#,
+            r#""roots": ["api0"], "timeout_s": 1e300"#.to_string(),
+            format!("client.json: clients[0].timeout_s: 1e300 s {never}"),
+        ),
+    ];
+    for (k, (from, to, detail)) in cases.iter().enumerate() {
+        let path = quickstart_with(&format!("oversized{k}.json"), from, to);
+        let path = path.to_str().unwrap();
+        assert_config_error(to, &uqsim(&["validate", path]), detail);
+        // `run` rejects a warm-up past its `--duration` before building.
+        if !to.contains("\"warmup_s\": 1e300") {
+            assert_config_error(to, &uqsim(&["run", path, "--duration", "1"]), detail);
+        }
+    }
+}
+
+/// Every name is resolved in one place, which the partitioner that
+/// `run`, `why` and `sweep` go through shares with the build `validate`
+/// runs: a name that names nothing is one error line, naming the Table I
+/// file and the key, whichever subcommand reads it. (`run` used to print
+/// `unknown machine: ghost` where `validate` named file and key.)
+#[test]
+fn a_dangling_name_is_the_same_error_from_every_subcommand() {
+    use uqsim_core::config::{
+        InstanceSelectConfig, LinkConfig, NodeTargetConfig, PoolConfig, ScenarioConfig,
+    };
+    type Edit = fn(&mut ScenarioConfig);
+    fn target(cfg: &mut ScenarioConfig) -> &mut NodeTargetConfig {
+        &mut cfg.request_types[0].nodes[0].target
+    }
+    fn pool(up: &str, down: &str) -> PoolConfig {
+        PoolConfig {
+            up: up.into(),
+            down: down.into(),
+            size: 1,
+        }
+    }
+    let cases: [(Edit, &str); 11] = [
+        (
+            |c| c.instances[0].service = "ghost".into(),
+            "graph.json: instances[0].service: unknown service `ghost`",
+        ),
+        (
+            |c| c.instances[0].machine = "ghost".into(),
+            "graph.json: instances[0].machine: unknown machine `ghost`",
+        ),
+        (
+            |c| c.pools = vec![pool("ghost", "api0")],
+            "graph.json: pools[0].up: unknown instance `ghost`",
+        ),
+        (
+            |c| c.pools = vec![pool("api0", "ghost")],
+            "graph.json: pools[0].down: unknown instance `ghost`",
+        ),
+        (
+            |c| {
+                if let NodeTargetConfig::Service { service, .. } = target(c) {
+                    *service = "ghost".into();
+                }
+            },
+            "path.json: request_types[0].nodes[0].target.service: unknown service `ghost`",
+        ),
+        (
+            |c| {
+                if let NodeTargetConfig::Service { instance, .. } = target(c) {
+                    *instance = InstanceSelectConfig::Fixed {
+                        name: "ghost".into(),
+                    };
+                }
+            },
+            "path.json: request_types[0].nodes[0].target.instance.name: unknown instance \
+             `ghost`",
+        ),
+        (
+            |c| {
+                if let NodeTargetConfig::Service { exec_path, .. } = target(c) {
+                    *exec_path = Some("ghost".into());
+                }
+            },
+            "path.json: request_types[0].nodes[0].target.exec_path: unknown execution path \
+             `ghost` of service `api`",
+        ),
+        (
+            |c| {
+                c.request_types[0].nodes[1].link = LinkConfig::Reply { of: "ghost".into() };
+            },
+            "path.json: request_types[0].nodes[1].link.reply.of: unknown path node `ghost`",
+        ),
+        (
+            |c| c.request_types[0].nodes[0].children = vec!["ghost".into()],
+            "path.json: request_types[0].nodes[0].children[0]: unknown path node `ghost`",
+        ),
+        (
+            |c| c.clients[0].mix = vec![("ghost".into(), 1.0)],
+            "client.json: clients[0].mix[0]: unknown request type `ghost`",
+        ),
+        (
+            |c| c.clients[0].roots = vec!["ghost".into()],
+            "client.json: clients[0].roots[0]: unknown instance `ghost`",
+        ),
+    ];
+    let base = ScenarioConfig::from_file(Path::new(&quickstart())).expect("bundled config");
+    for (k, (edit, detail)) in cases.iter().enumerate() {
+        let mut cfg = base.clone();
+        edit(&mut cfg);
+        let path = scratch(&format!("dangling{k}.json"), &cfg.to_json());
+        let path = path.to_str().unwrap();
+        let expected = format!("invalid configuration in {detail}");
+        for args in [
+            vec!["validate", path],
+            vec!["run", path, "--duration", "1"],
+            vec!["why", "--config", path, "--duration", "1"],
+            vec![
+                "sweep",
+                "--config",
+                path,
+                "--qps",
+                "1000",
+                "--duration",
+                "1",
+            ],
+        ] {
+            let out = uqsim(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            let lines: Vec<&str> = (stderr.lines())
+                .filter_map(|line| line.find("invalid configuration in ").map(|at| &line[at..]))
+                .collect();
+            assert_eq!(lines, [expected.as_str()], "{args:?}: {stderr}");
+        }
+    }
+}

@@ -796,38 +796,6 @@ impl ClientSpec {
         }
     }
 
-    /// A closed-loop client: `users` concurrent users with the given think
-    /// time.
-    pub fn closed_loop(
-        name: impl Into<String>,
-        users: usize,
-        think_time: Distribution,
-        connections: usize,
-        ty: RequestTypeId,
-    ) -> Self {
-        ClientSpec {
-            name: name.into(),
-            connections,
-            arrivals: ArrivalProcess::poisson(1.0), // unused in closed loop
-            mix: RequestMix::single(ty),
-            request_size: default_request_size(),
-            closed_loop: Some(ClosedLoop { users, think_time }),
-            timeout_s: None,
-        }
-    }
-
-    /// Sets the request payload-size distribution (bytes).
-    pub fn with_request_size(mut self, size: Distribution) -> Self {
-        self.request_size = size;
-        self
-    }
-
-    /// Sets the client-side timeout.
-    pub fn with_timeout(mut self, timeout_s: f64) -> Self {
-        self.timeout_s = Some(timeout_s);
-        self
-    }
-
     /// Validates the spec.
     ///
     /// # Errors

@@ -3,17 +3,18 @@
 //! µqSim's user interface is a set of JSON files: `service.json` (one per
 //! microservice model), `machines.json`, `graph.json` (deployment),
 //! `path.json` (request DAGs), and `client.json` (load). This module defines
-//! serde mirrors of those inputs and a [`ScenarioConfig`] that lowers onto
-//! [`ScenarioBuilder`] — so a scenario can
-//! be authored either in code or entirely as data.
+//! serde mirrors of those inputs and the [`ScenarioConfig`] that holds them
+//! all — the one way to describe a scenario, whether it is written in code
+//! or read from files.
 //!
 //! Names (strings) are used for cross-references in the files and resolved
-//! to ids at build time.
+//! to ids at build time, in one place (`ScenarioConfig::resolve`) that the
+//! partitioner shares, so a dangling name is the same error — naming the
+//! file and key — from every caller.
 
-use crate::builder::{ExecSpec, ScenarioBuilder};
-use crate::client::{ArrivalProcess, ClientSpec, RequestMix};
+use crate::client::ArrivalProcess;
 use crate::error::{SimError, SimResult};
-use crate::ids::{InstanceId, PathNodeId, RequestTypeId, ServiceId};
+use crate::ids::{InstanceId, MachineId, PathNodeId, RequestTypeId, ServiceId};
 use crate::machine::MachineSpec;
 use crate::path::{
     FanInPolicy, InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
@@ -23,6 +24,7 @@ use crate::sim::Simulator;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::path::Path;
 
 /// `graph.json`: one deployed instance.
@@ -260,6 +262,66 @@ impl ClientConfig {
 /// Reading one rejects a key it does not have, naming the nearest one it
 /// does — except `window_s`, which once switched on a windowed latency
 /// recorder and is accepted and ignored.
+///
+/// # Examples
+///
+/// A scenario written in code is the same data, named the same way:
+///
+/// ```
+/// use uqsim_core::config::{
+///     ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, PathNodeConfig,
+///     RequestTypeConfig, ScenarioConfig,
+/// };
+/// use uqsim_core::dist::Distribution;
+/// use uqsim_core::ids::StageId;
+/// use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
+/// use uqsim_core::service::{ExecPath, ServiceModel};
+/// use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
+/// use uqsim_core::time::SimDuration;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let fixed = InstanceSelectConfig::Fixed { name: "echo0".into() };
+/// let mut echo = PathNodeConfig::service("echo", "echo", fixed, "only");
+/// echo.children = vec!["client_sink".into()];
+/// let cfg = ScenarioConfig {
+///     seed: 42,
+///     warmup_s: 1.0,
+///     machines: vec![MachineSpec {
+///         name: "m0".into(),
+///         cores: 4,
+///         dvfs: DvfsSpec::fixed(2.6),
+///         network: NetworkSpec::passthrough(10e-6),
+///         power: Default::default(),
+///     }],
+///     services: vec![ServiceModel::new(
+///         "echo",
+///         vec![StageSpec::new(
+///             "proc",
+///             QueueDiscipline::Single,
+///             ServiceTimeModel::per_job(Distribution::exponential(100e-6), 2.6),
+///         )],
+///         vec![ExecPath::new("only", vec![StageId::from_raw(0)])],
+///     )],
+///     instances: vec![InstanceConfig {
+///         name: "echo0".into(),
+///         service: "echo".into(),
+///         machine: "m0".into(),
+///         cores: 1,
+///         exec: ExecConfig::Simple,
+///     }],
+///     pools: Vec::new(),
+///     request_types: vec![RequestTypeConfig {
+///         name: "echo".into(),
+///         nodes: vec![echo, PathNodeConfig::client_sink("echo")],
+///     }],
+///     clients: vec![ClientConfig::open_loop("c", 1000.0, 64, "echo", "echo0")],
+/// };
+/// let mut sim = cfg.into_simulator()?;
+/// sim.run_for(SimDuration::from_secs(2));
+/// assert!(sim.completed() > 0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(retired = "window_s")]
 pub struct ScenarioConfig {
@@ -478,18 +540,28 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Lowers the configuration onto a builder and constructs the
-    /// simulator, copying the machines, service models and clients it
-    /// keeps; [`into_simulator`](Self::into_simulator) moves them instead,
-    /// for a caller that is done with the configuration.
+    /// Resolves the configuration's names and constructs the simulator,
+    /// copying the machines, service models, instances and clients it
+    /// keeps; [`into_simulator`](Self::into_simulator) moves them
+    /// instead, for a caller that is done with the configuration.
     ///
     /// # Errors
     ///
     /// Returns an error for dangling names or structurally invalid inputs.
     pub fn build(&self) -> SimResult<Simulator> {
-        let (machines, services) = (self.machines.clone(), self.services.clone());
-        let builder = self.lower(machines, services, self.clients.clone())?;
-        builder.build()
+        let names = self.resolve()?;
+        let cfg = ScenarioConfig {
+            seed: self.seed,
+            warmup_s: self.warmup_s,
+            machines: self.machines.clone(),
+            services: self.services.clone(),
+            instances: self.instances.clone(),
+            // `names` carries the pools and request types, over ids.
+            pools: Vec::new(),
+            request_types: Vec::new(),
+            clients: self.clients.clone(),
+        };
+        crate::builder::build(cfg, names)
     }
 
     /// [`build`](Self::build), moving every machine, service model and
@@ -500,105 +572,191 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns an error for dangling names or structurally invalid inputs.
-    pub fn into_simulator(mut self) -> SimResult<Simulator> {
-        let machines = std::mem::take(&mut self.machines);
-        let services = std::mem::take(&mut self.services);
-        let clients = std::mem::take(&mut self.clients);
-        let builder = self.lower(machines, services, clients)?;
-        drop(self);
-        builder.build()
+    pub fn into_simulator(self) -> SimResult<Simulator> {
+        let names = self.resolve()?;
+        crate::builder::build(self, names)
     }
 
-    /// Resolves the configuration's names onto a builder that owns
-    /// `machines`, `services` and `clients` — the configuration's own,
-    /// which the simulator keeps — and reads the rest of `self`.
-    fn lower(
-        &self,
-        machines: Vec<MachineSpec>,
-        services: Vec<ServiceModel>,
-        clients: Vec<ClientConfig>,
-    ) -> SimResult<ScenarioBuilder> {
-        let mut b = ScenarioBuilder::new(self.seed);
-        b.warmup(SimDuration::from_secs_f64(self.warmup_s));
+    /// Resolves every name the scenario uses to the index of the entity it
+    /// names, in file order: instances, pools, request types, clients.
+    /// This is the one place a name is looked up — the partitioner and the
+    /// build both start here — so a dangling name is the same
+    /// [`SimError::Config`] from every caller, naming the Table I file and
+    /// the key it appears under. Where one list holds two entities of the
+    /// same name, the last one is the one named.
+    pub(crate) fn resolve(&self) -> SimResult<Resolved> {
+        let machines = Names::new("machine", self.machines.iter().map(|m| m.name.as_str()));
+        let services = Names::new("service", self.services.iter().map(|s| s.name.as_str()));
+        let instance_names = self.instances.iter().map(|i| i.name.as_str());
+        let instances = Names::new("instance", instance_names);
+        let types = self.request_types.iter().map(|t| t.name.as_str());
+        let types = Names::new("request type", types);
 
-        let mut machine_ids = HashMap::new();
-        for m in machines {
-            machine_ids.insert(m.name.clone(), b.add_machine(m));
+        let mut placed = Vec::with_capacity(self.instances.len());
+        for (i, inst) in self.instances.iter().enumerate() {
+            let service =
+                services.find(&inst.service, GRAPH, || format!("instances[{i}].service"))?;
+            let machine =
+                machines.find(&inst.machine, GRAPH, || format!("instances[{i}].machine"))?;
+            placed.push((ServiceId::from_raw(service), MachineId::from_raw(machine)));
         }
-        let mut service_ids: HashMap<String, ServiceId> = HashMap::new();
-        for s in services {
-            service_ids.insert(s.name.clone(), b.add_service(s));
+        let mut pools = Vec::with_capacity(self.pools.len());
+        for (p, pool) in self.pools.iter().enumerate() {
+            let up = instances.find(&pool.up, GRAPH, || format!("pools[{p}].up"))?;
+            let down = instances.find(&pool.down, GRAPH, || format!("pools[{p}].down"))?;
+            pools.push((
+                InstanceId::from_raw(up),
+                InstanceId::from_raw(down),
+                pool.size,
+            ));
         }
-        // Instances and pools live in `graph.json` under the Table I
-        // layout, so their dangling references get errors naming that file
-        // and the offending key — mirroring faults.json diagnostics.
-        let graph_err = |key: String, kind: &str, name: &str| SimError::Config {
-            source_name: "graph.json".to_string(),
-            detail: format!("{key}: unknown {kind} `{name}`"),
-        };
-        let mut instance_ids: HashMap<String, InstanceId> = HashMap::new();
-        for (idx, i) in self.instances.iter().enumerate() {
-            let svc = *service_ids.get(&i.service).ok_or_else(|| {
-                graph_err(format!("instances[{idx}].service"), "service", &i.service)
-            })?;
-            let mach = *machine_ids.get(&i.machine).ok_or_else(|| {
-                graph_err(format!("instances[{idx}].machine"), "machine", &i.machine)
-            })?;
-            let exec = match i.exec {
-                ExecConfig::Simple => ExecSpec::Simple,
-                ExecConfig::MultiThreaded {
-                    threads,
-                    ctx_switch_s,
-                } => ExecSpec::MultiThreaded {
-                    threads,
-                    ctx_switch: SimDuration::from_secs_f64(ctx_switch_s),
+        let request_types = (0..self.request_types.len())
+            .map(|t| self.resolve_request_type(t, &services, &instances))
+            .collect::<SimResult<Vec<_>>>()?;
+        let mut clients = Vec::with_capacity(self.clients.len());
+        for (c, client) in self.clients.iter().enumerate() {
+            let type_at = |k: usize, name: &str, field: &str| {
+                let key = || format!("clients[{c}].{field}[{k}]");
+                types.find(name, CLIENT, key).map(RequestTypeId::from_raw)
+            };
+            let mix = (client.mix.iter().enumerate())
+                .map(|(k, (name, weight))| Ok((type_at(k, name, "mix")?, *weight)))
+                .collect::<SimResult<Vec<_>>>()?;
+            let roots = (client.roots.iter().enumerate())
+                .map(|(k, name)| {
+                    let key = || format!("clients[{c}].roots[{k}]");
+                    instances.find(name, CLIENT, key).map(InstanceId::from_raw)
+                })
+                .collect::<SimResult<Vec<_>>>()?;
+            let trace_types = match &client.arrivals {
+                ArrivalProcess::Trace { types, .. } => (types.iter().enumerate())
+                    .map(|(k, name)| type_at(k, name, "arrivals.types"))
+                    .collect::<SimResult<Vec<_>>>()?,
+                _ => Vec::new(),
+            };
+            clients.push(ClientRefs {
+                mix,
+                roots,
+                trace_types,
+            });
+        }
+        Ok(Resolved {
+            instances: placed,
+            pools,
+            request_types,
+            clients,
+        })
+    }
+
+    /// Request type `t` over ids, rooted at its first node and not yet
+    /// validated.
+    fn resolve_request_type(
+        &self,
+        t: usize,
+        services: &Names<'_>,
+        instances: &Names<'_>,
+    ) -> SimResult<RequestType> {
+        let rt = &self.request_types[t];
+        let node_names = Names::new("path node", rt.nodes.iter().map(|n| n.name.as_str()));
+        let mut nodes = Vec::with_capacity(rt.nodes.len());
+        for (n, node) in rt.nodes.iter().enumerate() {
+            // Keys are spelt out only for an error, so `field` is lazy too.
+            let key = |field: &dyn Display| format!("request_types[{t}].nodes[{n}].{field}");
+            let node_at = |name: &str, field: &dyn Display| {
+                node_names
+                    .find(name, PATH, || key(field))
+                    .map(PathNodeId::from_raw)
+            };
+            let instance_at = |name: &str, field: &dyn Display| {
+                let found = instances.find(name, PATH, || key(field));
+                found.map(InstanceId::from_raw)
+            };
+            let target = match &node.target {
+                NodeTargetConfig::ClientSink => NodeTarget::ClientSink,
+                NodeTargetConfig::Service {
+                    service,
+                    instance,
+                    exec_path,
+                } => {
+                    let svc = services.find(service, PATH, || key(&"target.service"))?;
+                    let instance = match instance {
+                        InstanceSelectConfig::Fixed { name } => InstanceSelect::Fixed {
+                            instance: instance_at(name, &"target.instance.name")?,
+                        },
+                        InstanceSelectConfig::RoundRobin { names } => {
+                            let instances = (names.iter().enumerate())
+                                .map(|(k, name)| {
+                                    instance_at(name, &format_args!("target.instance.names[{k}]"))
+                                })
+                                .collect::<SimResult<_>>()?;
+                            InstanceSelect::RoundRobin { instances }
+                        }
+                        InstanceSelectConfig::SameAsNode { node } => InstanceSelect::SameAsNode {
+                            node: node_at(node, &"target.instance.node")?,
+                        },
+                    };
+                    let exec_path = match exec_path {
+                        None => PathSelect::Probabilistic,
+                        Some(path) => match self.services[svc as usize].path_index(path) {
+                            Some(index) => PathSelect::Fixed { index },
+                            None => {
+                                let key = key(&"target.exec_path");
+                                return Err(SimError::Config {
+                                    source_name: PATH.into(),
+                                    detail: format!(
+                                        "{key}: unknown execution path `{path}` of service \
+                                         `{service}`"
+                                    ),
+                                });
+                            }
+                        },
+                    };
+                    NodeTarget::Service {
+                        service: ServiceId::from_raw(svc),
+                        instance,
+                        exec_path,
+                    }
+                }
+            };
+            let link = match &node.link {
+                LinkConfig::Request => LinkKind::Request,
+                LinkConfig::ReplyToParent => LinkKind::ReplyToParent,
+                LinkConfig::Reply { of } => LinkKind::Reply {
+                    of: node_at(of, &"link.reply.of")?,
                 },
+                LinkConfig::ReplyVia { entries } => {
+                    let entries = (entries.iter().enumerate())
+                        .map(|(k, (parent, of))| {
+                            let parent =
+                                node_at(parent, &format_args!("link.reply_via.entries[{k}][0]"))?;
+                            let of = node_at(of, &format_args!("link.reply_via.entries[{k}][1]"))?;
+                            Ok((parent, of))
+                        })
+                        .collect::<SimResult<_>>()?;
+                    LinkKind::ReplyVia { entries }
+                }
             };
-            let id = b.add_instance(i.name.clone(), svc, mach, i.cores, exec)?;
-            instance_ids.insert(i.name.clone(), id);
-        }
-        for (idx, p) in self.pools.iter().enumerate() {
-            let up = *instance_ids
-                .get(&p.up)
-                .ok_or_else(|| graph_err(format!("pools[{idx}].up"), "instance", &p.up))?;
-            let down = *instance_ids
-                .get(&p.down)
-                .ok_or_else(|| graph_err(format!("pools[{idx}].down"), "instance", &p.down))?;
-            b.add_pool(up, down, p.size)?;
-        }
-        let mut type_ids: HashMap<String, RequestTypeId> = HashMap::new();
-        for t in &self.request_types {
-            let ty = lower_request_type(t, &service_ids, &instance_ids, b.services())?;
-            type_ids.insert(t.name.clone(), b.add_request_type(ty)?);
-        }
-        for c in clients {
-            let mut entries = Vec::new();
-            for (name, w) in &c.mix {
-                let id = *type_ids.get(name).ok_or_else(|| SimError::UnknownEntity {
-                    kind: "request type",
-                    name: name.clone(),
-                })?;
-                entries.push((id, *w));
-            }
-            let mut roots = Vec::new();
-            for r in &c.roots {
-                roots.push(*instance_ids.get(r).ok_or_else(|| SimError::UnknownEntity {
-                    kind: "instance",
-                    name: r.clone(),
-                })?);
-            }
-            let spec = ClientSpec {
-                name: c.name,
-                connections: c.connections,
-                arrivals: c.arrivals,
-                mix: RequestMix::weighted(entries),
-                request_size: c.request_size,
-                closed_loop: c.closed_loop,
-                timeout_s: c.timeout_s,
+            let children = (node.children.iter().enumerate())
+                .map(|(k, child)| node_at(child, &format_args!("children[{k}]")))
+                .collect::<SimResult<_>>()?;
+            let optional_node = |name: &Option<String>, field: &'static str| {
+                name.as_deref().map(|n| node_at(n, &field)).transpose()
             };
-            b.add_client(spec, roots);
+            nodes.push(PathNodeSpec {
+                name: node.name.clone(),
+                target,
+                children,
+                link,
+                block_thread_until: optional_node(&node.block_thread_until, "block_thread_until")?,
+                pin_thread_of: optional_node(&node.pin_thread_of, "pin_thread_of")?,
+                fan_in_policy: node.fan_in_policy,
+            });
         }
-        Ok(b)
+        Ok(RequestType::new(
+            rt.name.clone(),
+            nodes,
+            PathNodeId::from_raw(0),
+        ))
     }
 }
 
@@ -614,124 +772,81 @@ impl From<&ScenarioConfig> for ScenarioConfig {
     }
 }
 
-fn lower_request_type(
-    t: &RequestTypeConfig,
-    service_ids: &HashMap<String, ServiceId>,
-    instance_ids: &HashMap<String, InstanceId>,
-    services: &[ServiceModel],
-) -> SimResult<RequestType> {
-    let node_ids: HashMap<&str, PathNodeId> = t
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.as_str(), PathNodeId::from_raw(i as u32)))
-        .collect();
-    let lookup_node = |name: &str| -> SimResult<PathNodeId> {
-        node_ids
+/// The Table I files a key can sit in, as [`SimError::Config`] names them.
+pub(crate) const MACHINES: &str = "machines.json";
+pub(crate) const GRAPH: &str = "graph.json";
+pub(crate) const PATH: &str = "path.json";
+pub(crate) const CLIENT: &str = "client.json";
+pub(crate) const SIM: &str = "sim.json";
+
+/// A scenario's names, resolved: each reference the configuration makes by
+/// name, as the index of what it names ([`ScenarioConfig::resolve`]).
+#[derive(Debug)]
+pub(crate) struct Resolved {
+    /// Per instance, the service it runs and the machine it runs on.
+    pub(crate) instances: Vec<(ServiceId, MachineId)>,
+    /// Per pool, its upstream and downstream instance, and its size.
+    pub(crate) pools: Vec<(InstanceId, InstanceId, usize)>,
+    /// The request types over ids, not yet validated.
+    pub(crate) request_types: Vec<RequestType>,
+    /// Per client, the request types and instances it names.
+    pub(crate) clients: Vec<ClientRefs>,
+}
+
+/// What one client names, resolved.
+#[derive(Debug)]
+pub(crate) struct ClientRefs {
+    /// The mix: request types and their (unnormalized) weights.
+    pub(crate) mix: Vec<(RequestTypeId, f64)>,
+    /// Root instances, connected to round-robin.
+    pub(crate) roots: Vec<InstanceId>,
+    /// A typed trace's request types, one per arrival (else empty).
+    pub(crate) trace_types: Vec<RequestTypeId>,
+}
+
+/// One list's names: the position of each, the last of equal names winning.
+struct Names<'a> {
+    kind: &'static str,
+    index: HashMap<&'a str, u32>,
+}
+
+impl<'a> Names<'a> {
+    fn new(kind: &'static str, names: impl Iterator<Item = &'a str>) -> Self {
+        let index = names.zip(0..).collect();
+        Names { kind, index }
+    }
+
+    /// The position of `name`, or the error for the key `key()` of `file`
+    /// naming something that is not there.
+    fn find(&self, name: &str, file: &str, key: impl FnOnce() -> String) -> SimResult<u32> {
+        self.index
             .get(name)
             .copied()
-            .ok_or_else(|| SimError::UnknownEntity {
-                kind: "path node",
-                name: name.to_string(),
+            .ok_or_else(|| SimError::Config {
+                source_name: file.to_string(),
+                detail: format!("{}: unknown {} `{name}`", key(), self.kind),
             })
-    };
-    let mut nodes = Vec::with_capacity(t.nodes.len());
-    for n in &t.nodes {
-        let target = match &n.target {
-            NodeTargetConfig::ClientSink => NodeTarget::ClientSink,
-            NodeTargetConfig::Service {
-                service,
-                instance,
-                exec_path,
-            } => {
-                let svc = *service_ids
-                    .get(service)
-                    .ok_or_else(|| SimError::UnknownEntity {
-                        kind: "service",
-                        name: service.clone(),
-                    })?;
-                let isel = match instance {
-                    InstanceSelectConfig::Fixed { name } => InstanceSelect::Fixed {
-                        instance: *instance_ids.get(name).ok_or_else(|| {
-                            SimError::UnknownEntity {
-                                kind: "instance",
-                                name: name.clone(),
-                            }
-                        })?,
-                    },
-                    InstanceSelectConfig::RoundRobin { names } => {
-                        let mut v = Vec::new();
-                        for name in names {
-                            v.push(*instance_ids.get(name).ok_or_else(|| {
-                                SimError::UnknownEntity {
-                                    kind: "instance",
-                                    name: name.clone(),
-                                }
-                            })?);
-                        }
-                        InstanceSelect::RoundRobin { instances: v }
-                    }
-                    InstanceSelectConfig::SameAsNode { node } => InstanceSelect::SameAsNode {
-                        node: lookup_node(node)?,
-                    },
-                };
-                let psel = match exec_path {
-                    None => PathSelect::Probabilistic,
-                    Some(p) => {
-                        let model = &services[svc.index()];
-                        let index = model.path_index(p).ok_or_else(|| SimError::UnknownEntity {
-                            kind: "execution path",
-                            name: format!("{}.{}", service, p),
-                        })?;
-                        PathSelect::Fixed { index }
-                    }
-                };
-                NodeTarget::Service {
-                    service: svc,
-                    instance: isel,
-                    exec_path: psel,
-                }
-            }
-        };
-        let link = match &n.link {
-            LinkConfig::Request => LinkKind::Request,
-            LinkConfig::ReplyToParent => LinkKind::ReplyToParent,
-            LinkConfig::Reply { of } => LinkKind::Reply {
-                of: lookup_node(of)?,
-            },
-            LinkConfig::ReplyVia { entries } => {
-                let mut mapped = Vec::with_capacity(entries.len());
-                for (parent, of) in entries {
-                    mapped.push((lookup_node(parent)?, lookup_node(of)?));
-                }
-                LinkKind::ReplyVia { entries: mapped }
-            }
-        };
-        let mut children = Vec::new();
-        for c in &n.children {
-            children.push(lookup_node(c)?);
-        }
-        let block_thread_until = n
-            .block_thread_until
-            .as_deref()
-            .map(lookup_node)
-            .transpose()?;
-        let pin_thread_of = n.pin_thread_of.as_deref().map(lookup_node).transpose()?;
-        nodes.push(PathNodeSpec {
-            name: n.name.clone(),
-            target,
-            children,
-            link,
-            block_thread_until,
-            pin_thread_of,
-            fan_in_policy: n.fan_in_policy,
-        });
     }
-    Ok(RequestType::new(
-        t.name.clone(),
-        nodes,
-        PathNodeId::from_raw(0),
-    ))
+}
+
+/// `secs` as a duration, or the error for the key `key()` of `file`: a
+/// duration is finite, not negative and at most `u64::MAX` nanoseconds.
+pub(crate) fn seconds(
+    file: &str,
+    key: impl FnOnce() -> String,
+    secs: f64,
+) -> SimResult<SimDuration> {
+    if secs.is_finite() && secs >= 0.0 && secs * 1e9 <= u64::MAX as f64 {
+        return Ok(SimDuration::from_secs_f64(secs));
+    }
+    Err(SimError::Config {
+        source_name: file.to_string(),
+        detail: format!(
+            "{}: {secs:?} s is not a duration (finite, at least 0 and at most {} s)",
+            key(),
+            u64::MAX / 1_000_000_000
+        ),
+    })
 }
 
 #[cfg(test)]

@@ -22,47 +22,20 @@
 //!
 //! ## Quick start
 //!
+//! A scenario is a [`config::ScenarioConfig`]: the paper's Table I inputs
+//! (machines, service models, deployment, request paths, clients), read
+//! from JSON or written as plain structs, cross-referencing each other by
+//! name. Building it resolves the names and yields a runnable
+//! [`Simulator`].
+//!
 //! ```
-//! use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-//! use uqsim_core::client::ClientSpec;
-//! use uqsim_core::dist::Distribution;
-//! use uqsim_core::ids::{PathNodeId, StageId};
-//! use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-//! use uqsim_core::path::{PathNodeSpec, RequestType};
-//! use uqsim_core::service::{ExecPath, ServiceModel};
-//! use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
+//! use uqsim_core::config::ScenarioConfig;
 //! use uqsim_core::time::SimDuration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut b = ScenarioBuilder::new(42);
-//! let m = b.add_machine(MachineSpec {
-//!     name: "server".into(),
-//!     cores: 4,
-//!     dvfs: DvfsSpec::fixed(2.6),
-//!     network: NetworkSpec::passthrough(10e-6),
-//!     power: Default::default(),
-//! });
-//! let svc = b.add_service(ServiceModel::new(
-//!     "api",
-//!     vec![StageSpec::new(
-//!         "handler",
-//!         QueueDiscipline::Single,
-//!         ServiceTimeModel::per_job(Distribution::exponential(50e-6), 2.6),
-//!     )],
-//!     vec![ExecPath::new("default", vec![StageId::from_raw(0)])],
-//! ));
-//! let inst = b.add_instance("api0", svc, m, 2, ExecSpec::Simple)?;
-//! let mut front = PathNodeSpec::request("api", svc, inst);
-//! front.children = vec![PathNodeId::from_raw(1)];
-//! let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-//! let ty = b.add_request_type(RequestType::new(
-//!     "get",
-//!     vec![front, sink],
-//!     PathNodeId::from_raw(0),
-//! ))?;
-//! b.add_client(ClientSpec::open_loop("wrk", 10_000.0, 320, ty), vec![inst]);
-//!
-//! let mut sim = b.build()?;
+//! // One machine, one single-stage service instance, one open-loop client.
+//! let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)?;
+//! let mut sim = cfg.into_simulator()?;
 //! sim.run_for(SimDuration::from_secs(5));
 //! let stats = sim.latency_summary();
 //! println!("p99 = {:.1}us over {} requests", stats.p99 * 1e6, stats.count);
@@ -74,7 +47,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
+mod builder;
 pub mod client;
 pub mod config;
 pub mod connection;
@@ -103,7 +76,6 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use builder::{ExecSpec, ScenarioBuilder};
 pub use critpath::{CpcProfile, CpcReport, EdgeKind, SpanDag};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultPlan, FaultSpec, FaultSummary};

@@ -7,8 +7,9 @@
 //! * a request type joins every machine any of its path nodes can select
 //!   (fixed targets, *all* round-robin candidates, and transitively the
 //!   nodes a `same_as_node` selector mirrors);
-//! * a client joins the machines of every request type in its mix and of
-//!   every root instance it opens connections to;
+//! * a client joins the machines of every request type it emits (its mix
+//!   and a typed trace's types) and of every root instance it opens
+//!   connections to;
 //! * a connection pool joins the machines of its up and down instances.
 //!
 //! Machines are atomic (a machine is never split across cells), so a
@@ -19,9 +20,11 @@
 
 use std::collections::HashMap;
 
-use crate::config::{ClientConfig, InstanceSelectConfig, NodeTargetConfig, ScenarioConfig};
-use crate::error::{SimError, SimResult};
+use crate::config::{ClientConfig, Resolved, ScenarioConfig};
+use crate::error::SimResult;
 use crate::fault::{FaultPlan, FaultSpec, PolicySpec};
+use crate::ids::InstanceId;
+use crate::path::{InstanceSelect, NodeTarget, RequestType};
 
 /// One request-closed cell of a partitioned scenario: which machines,
 /// clients, instances, pools, and request types it owns (as indices into
@@ -99,40 +102,38 @@ impl Dsu {
     }
 }
 
-/// For each service of `cfg.services`, in order, the cells whose instances
-/// and request-type path nodes name it, ascending; a service nothing names
+/// For each service of the scenario, in order, the cells whose instances
+/// and request-type path nodes run it, ascending; a service nothing runs
 /// goes to cell 0 (see [`CellSpec::config`]).
 fn service_users(
-    cfg: &ScenarioConfig,
+    names: &Resolved,
+    n_services: usize,
     cells_instances: &[Vec<usize>],
     cells_rts: &[Vec<usize>],
 ) -> Vec<Vec<usize>> {
     // Cells are visited in order, so each service's user list is ascending
     // and a repeated mention within one cell is the list's last entry.
-    let mut users: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); n_services];
     for (cell, (instances, rts)) in cells_instances.iter().zip(cells_rts).enumerate() {
-        let by_instances = instances.iter().map(|&i| &cfg.instances[i].service);
-        let nodes = rts.iter().flat_map(|&t| &cfg.request_types[t].nodes);
+        let by_instances = instances.iter().map(|&i| names.instances[i].0);
+        let nodes = rts.iter().flat_map(|&t| &names.request_types[t].nodes);
         let by_nodes = nodes.filter_map(|node| match &node.target {
-            NodeTargetConfig::Service { service, .. } => Some(service),
-            NodeTargetConfig::ClientSink => None,
+            NodeTarget::Service { service, .. } => Some(*service),
+            NodeTarget::ClientSink => None,
         });
         for service in by_instances.chain(by_nodes) {
-            let cells = users.entry(service).or_default();
+            let cells = &mut users[service.index()];
             if cells.last() != Some(&cell) {
                 cells.push(cell);
             }
         }
     }
-    cfg.services
-        .iter()
-        .map(|service| {
-            users
-                .get(service.name.as_str())
-                .cloned()
-                .unwrap_or_else(|| vec![0])
-        })
-        .collect()
+    for cells in &mut users {
+        if cells.is_empty() {
+            cells.push(0);
+        }
+    }
+    users
 }
 
 /// Moves every entity to the cell whose index list names it. Lists are
@@ -154,24 +155,22 @@ fn deal<T>(
     }
 }
 
-/// Instance names a request type's path can select, in node order.
-fn request_type_instances(nodes: &[crate::config::PathNodeConfig]) -> Vec<&str> {
-    let mut out = Vec::new();
-    for node in nodes {
-        if let NodeTargetConfig::Service { instance, .. } = &node.target {
-            match instance {
-                InstanceSelectConfig::Fixed { name } => out.push(name.as_str()),
-                InstanceSelectConfig::RoundRobin { names } => {
-                    out.extend(names.iter().map(String::as_str));
-                }
-                // `same_as_node` mirrors a selection made by another node
-                // of the same type, so it introduces no instance that the
-                // mirrored node's own selector has not already added.
-                InstanceSelectConfig::SameAsNode { .. } => {}
-            }
-        }
-    }
-    out
+/// The instances a request type's path can select, in node order.
+fn selectable_instances(ty: &RequestType) -> impl Iterator<Item = InstanceId> + '_ {
+    ty.nodes
+        .iter()
+        .flat_map(|node| match &node.target {
+            NodeTarget::Service { instance, .. } => match instance {
+                InstanceSelect::Fixed { instance } => std::slice::from_ref(instance),
+                InstanceSelect::RoundRobin { instances } => instances.as_slice(),
+                // `same_as_node` mirrors a selection made by another node of
+                // the same type, so it introduces no instance that the mirrored
+                // node's own selector has not already added.
+                InstanceSelect::SameAsNode { .. } => &[],
+            },
+            NodeTarget::ClientSink => &[],
+        })
+        .copied()
 }
 
 /// Splits a scenario into request-closed cells (see module docs).
@@ -183,10 +182,10 @@ fn request_type_instances(nodes: &[crate::config::PathNodeConfig]) -> Vec<&str> 
 ///
 /// # Errors
 ///
-/// Returns [`SimError::UnknownEntity`] when a request type, client, or
-/// pool names an instance or request type that does not exist — the same
-/// references `ScenarioConfig::build` would reject, surfaced before any
-/// cell is built.
+/// Returns the [`SimError::Config`](crate::SimError::Config) naming the
+/// file and key of the first name that names nothing — the error
+/// `ScenarioConfig::build` reports for it, from the one resolver both use
+/// — before any cell is built.
 ///
 /// # Examples
 ///
@@ -206,83 +205,46 @@ fn request_type_instances(nodes: &[crate::config::PathNodeConfig]) -> Vec<&str> 
 /// ```
 pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
     let cfg: ScenarioConfig = cfg.into();
+    let names = cfg.resolve()?;
     let n_machines = cfg.machines.len();
     let n_clients = cfg.clients.len();
     let client_node = |c: usize| n_machines + c;
     let mut dsu = Dsu::new(n_machines + n_clients);
-
-    let machine_idx: HashMap<&str, usize> = cfg
-        .machines
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (m.name.as_str(), i))
-        .collect();
-    let instance_machine: HashMap<&str, usize> = cfg
-        .instances
-        .iter()
-        .map(|inst| {
-            let m = machine_idx
-                .get(inst.machine.as_str())
-                .copied()
-                .ok_or_else(|| SimError::UnknownEntity {
-                    kind: "machine",
-                    name: inst.machine.clone(),
-                })?;
-            Ok((inst.name.as_str(), m))
-        })
-        .collect::<SimResult<_>>()?;
-    let lookup_instance = |name: &str| -> SimResult<usize> {
-        instance_machine
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownEntity {
-                kind: "instance",
-                name: name.to_string(),
-            })
-    };
+    let machine_of = |i: InstanceId| names.instances[i.index()].1.index();
 
     // Request-type edges: all selectable machines of one type colocate.
-    let mut rt_machines: Vec<Vec<usize>> = Vec::with_capacity(cfg.request_types.len());
-    for rt in &cfg.request_types {
-        let mut machines = Vec::new();
-        for inst in request_type_instances(&rt.nodes) {
-            machines.push(lookup_instance(inst)?);
-        }
+    let rt_machines: Vec<Vec<usize>> = (names.request_types.iter())
+        .map(|ty| selectable_instances(ty).map(machine_of).collect())
+        .collect();
+    for machines in &rt_machines {
         if let Some((&first, rest)) = machines.split_first() {
             for &m in rest {
                 dsu.union(first, m);
             }
         }
-        rt_machines.push(machines);
     }
-    let rt_idx: HashMap<&str, usize> = cfg
-        .request_types
-        .iter()
-        .enumerate()
-        .map(|(i, rt)| (rt.name.as_str(), i))
-        .collect();
 
-    // Client edges: a client colocates with its mix's types and its roots.
-    for (c, client) in cfg.clients.iter().enumerate() {
-        for (ty, _) in &client.mix {
-            let &t = rt_idx
-                .get(ty.as_str())
-                .ok_or_else(|| SimError::UnknownEntity {
-                    kind: "request type",
-                    name: ty.clone(),
-                })?;
-            for &m in &rt_machines[t] {
+    // Client edges: a client colocates with the types it emits (its mix
+    // and a typed trace's) and with its roots.
+    let emitted = |c: usize| {
+        let refs = &names.clients[c];
+        let mix = refs.mix.iter().map(|&(ty, _)| ty);
+        mix.chain(refs.trace_types.iter().copied())
+    };
+    for (c, refs) in names.clients.iter().enumerate() {
+        for ty in emitted(c) {
+            for &m in &rt_machines[ty.index()] {
                 dsu.union(client_node(c), m);
             }
         }
-        for root in &client.roots {
-            dsu.union(client_node(c), lookup_instance(root)?);
+        for &root in &refs.roots {
+            dsu.union(client_node(c), machine_of(root));
         }
     }
 
     // Pool edges: both endpoints of a connection pool colocate.
-    for pool in &cfg.pools {
-        dsu.union(lookup_instance(&pool.up)?, lookup_instance(&pool.down)?);
+    for &(up, down, _) in &names.pools {
+        dsu.union(machine_of(up), machine_of(down));
     }
 
     // Components → cells, numbered by smallest machine index.
@@ -317,23 +279,21 @@ pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
         .map(|m| cell_of_root[&dsu.find(m)])
         .collect();
     let mut cells_instances: Vec<Vec<usize>> = vec![Vec::new(); cells_machines.len()];
-    for (i, inst) in cfg.instances.iter().enumerate() {
-        cells_instances[machine_cell[instance_machine[inst.name.as_str()]]].push(i);
+    for (i, &(_, machine)) in names.instances.iter().enumerate() {
+        cells_instances[machine_cell[machine.index()]].push(i);
     }
     let mut cells_pools: Vec<Vec<usize>> = vec![Vec::new(); cells_machines.len()];
-    for (p, pool) in cfg.pools.iter().enumerate() {
-        cells_pools[machine_cell[instance_machine[pool.up.as_str()]]].push(p);
+    for (p, &(up, _, _)) in names.pools.iter().enumerate() {
+        cells_pools[machine_cell[machine_of(up)]].push(p);
     }
     let mut cells_rts: Vec<Vec<usize>> = vec![Vec::new(); cells_machines.len()];
-    for (t, rt) in cfg.request_types.iter().enumerate() {
-        let cell = if let Some(&m) = rt_machines[t].first() {
+    for (t, machines) in rt_machines.iter().enumerate() {
+        let cell = if let Some(&m) = machines.first() {
             machine_cell[m]
         } else {
-            cfg.clients
-                .iter()
-                .enumerate()
-                .find(|(_, c)| c.mix.iter().any(|(ty, _)| ty == &rt.name))
-                .map(|(c, _)| {
+            (0..n_clients)
+                .find(|&c| emitted(c).any(|ty| ty.index() == t))
+                .map(|c| {
                     cell_of_root
                         .get(&dsu.find(client_node(c)))
                         .copied()
@@ -345,7 +305,8 @@ pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
     }
 
     // Carve one sub-scenario per cell out of the scenario.
-    let users = service_users(&cfg, &cells_instances, &cells_rts);
+    let users = service_users(&names, cfg.services.len(), &cells_instances, &cells_rts);
+    drop(names);
     let mut configs: Vec<ScenarioConfig> = (0..cells_machines.len())
         .map(|_| ScenarioConfig {
             seed: cfg.seed,

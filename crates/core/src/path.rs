@@ -240,14 +240,6 @@ impl PathNodeSpec {
             fan_in_policy: FanInPolicy::All,
         }
     }
-
-    /// Sets the execution path selection.
-    pub fn with_exec_path(mut self, select: PathSelect) -> Self {
-        if let NodeTarget::Service { exec_path, .. } = &mut self.target {
-            *exec_path = select;
-        }
-        self
-    }
 }
 
 /// A request type: the DAG a request of this kind traverses.
@@ -266,6 +258,24 @@ pub struct RequestType {
 
 impl RequestType {
     /// Creates a request type; call [`RequestType::validate`] before use.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uqsim_core::ids::{InstanceId, PathNodeId, ServiceId};
+    /// use uqsim_core::path::{PathNodeSpec, RequestType};
+    ///
+    /// # fn main() -> Result<(), String> {
+    /// let (svc, inst) = (ServiceId::from_raw(0), InstanceId::from_raw(0));
+    /// let mut front = PathNodeSpec::request("front", svc, inst);
+    /// front.children = vec![PathNodeId::from_raw(1)];
+    /// let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
+    /// let mut ty = RequestType::new("get", vec![front, sink], PathNodeId::from_raw(0));
+    /// ty.validate()?;
+    /// assert_eq!(ty.len(), 2);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn new(name: impl Into<String>, nodes: Vec<PathNodeSpec>, root: PathNodeId) -> Self {
         RequestType {
             name: name.into(),
@@ -386,82 +396,6 @@ impl RequestType {
     /// True if there are no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-}
-
-/// Incremental construction of a [`RequestType`] DAG: add nodes (getting
-/// their ids back), wire edges, and finish with validation.
-///
-/// # Examples
-///
-/// ```
-/// use uqsim_core::ids::{InstanceId, ServiceId};
-/// use uqsim_core::path::{PathNodeSpec, RequestTypeBuilder};
-///
-/// # fn main() -> Result<(), String> {
-/// let svc = ServiceId::from_raw(0);
-/// let inst = InstanceId::from_raw(0);
-/// let mut b = RequestTypeBuilder::new("get");
-/// let front = b.add(PathNodeSpec::request("front", svc, inst));
-/// let sink = b.add(PathNodeSpec::client_sink(front));
-/// b.link(front, sink);
-/// let ty = b.finish()?;
-/// assert_eq!(ty.len(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct RequestTypeBuilder {
-    name: String,
-    nodes: Vec<PathNodeSpec>,
-}
-
-impl RequestTypeBuilder {
-    /// Starts a builder; the first added node becomes the root.
-    pub fn new(name: impl Into<String>) -> Self {
-        RequestTypeBuilder {
-            name: name.into(),
-            nodes: Vec::new(),
-        }
-    }
-
-    /// Adds a node (its `children` may be empty; wire edges with
-    /// [`RequestTypeBuilder::link`]) and returns its id.
-    pub fn add(&mut self, spec: PathNodeSpec) -> PathNodeId {
-        let id = PathNodeId::from_raw(self.nodes.len() as u32);
-        self.nodes.push(spec);
-        id
-    }
-
-    /// Adds an edge from `parent` to `child`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id was not returned by this builder's `add`.
-    pub fn link(&mut self, parent: PathNodeId, child: PathNodeId) {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        assert!(child.index() < self.nodes.len(), "unknown child {child}");
-        self.nodes[parent.index()].children.push(child);
-    }
-
-    /// Mutable access to a node added earlier (to set blocking/pinning).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not returned by this builder's `add`.
-    pub fn node_mut(&mut self, id: PathNodeId) -> &mut PathNodeSpec {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Validates and returns the request type (rooted at the first node).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RequestType::validate`] failures.
-    pub fn finish(self) -> Result<RequestType, String> {
-        let mut ty = RequestType::new(self.name, self.nodes, PathNodeId::from_raw(0));
-        ty.validate()?;
-        Ok(ty)
     }
 }
 
@@ -590,37 +524,40 @@ mod tests {
 
     #[test]
     fn builder_assembles_a_valid_dag() {
-        let mut b = RequestTypeBuilder::new("built");
-        let front = b.add(PathNodeSpec::request("front", sid(0), iid(0)));
-        let back = b.add(PathNodeSpec::request("back", sid(1), iid(1)));
-        let reply = b.add(PathNodeSpec::reply_to_parent("reply", sid(0), front));
-        let sink = b.add(PathNodeSpec::client_sink(front));
-        b.link(front, back);
-        b.link(back, reply);
-        b.link(reply, sink);
-        b.node_mut(front).block_thread_until = Some(reply);
-        let ty = b.finish().unwrap();
+        // front → back → reply (to front, holding front's thread) → sink
+        let mut front = PathNodeSpec::request("front", sid(0), iid(0));
+        front.children = vec![nid(1)];
+        front.block_thread_until = Some(nid(2));
+        let mut back = PathNodeSpec::request("back", sid(1), iid(1));
+        back.children = vec![nid(2)];
+        let mut reply = PathNodeSpec::reply_to_parent("reply", sid(0), nid(0));
+        reply.children = vec![nid(3)];
+        let sink = PathNodeSpec::client_sink(nid(0));
+        let mut ty = RequestType::new("built", vec![front, back, reply, sink], nid(0));
+        ty.validate().unwrap();
         assert_eq!(ty.len(), 4);
         assert_eq!(ty.fan_in, vec![0, 1, 1, 1]);
-        assert_eq!(ty.nodes[0].block_thread_until, Some(reply));
+        assert_eq!(ty.nodes[0].block_thread_until, Some(nid(2)));
     }
 
     #[test]
     fn builder_rejects_invalid_graphs() {
         // A dangling node never linked from the root is unreachable.
-        let mut b = RequestTypeBuilder::new("bad");
-        let front = b.add(PathNodeSpec::request("front", sid(0), iid(0)));
-        let sink = b.add(PathNodeSpec::client_sink(front));
-        b.link(front, sink);
-        b.add(PathNodeSpec::request("orphan", sid(0), iid(0)));
-        assert!(b.finish().is_err());
+        let mut front = PathNodeSpec::request("front", sid(0), iid(0));
+        front.children = vec![nid(1)];
+        let sink = PathNodeSpec::client_sink(nid(0));
+        let orphan = PathNodeSpec::request("orphan", sid(0), iid(0));
+        let mut ty = RequestType::new("bad", vec![front, sink, orphan], nid(0));
+        assert!(ty.validate().is_err());
     }
 
     #[test]
-    #[should_panic(expected = "unknown child")]
+    #[should_panic(expected = "dangling child")]
     fn builder_link_checks_ids() {
-        let mut b = RequestTypeBuilder::new("bad");
-        let front = b.add(PathNodeSpec::request("front", sid(0), iid(0)));
-        b.link(front, nid(9));
+        // Validation rejects an out-of-range child.
+        let mut front = PathNodeSpec::request("front", sid(0), iid(0));
+        front.children = vec![nid(9)];
+        let mut ty = RequestType::new("bad", vec![front], nid(0));
+        ty.validate().unwrap();
     }
 }

@@ -100,11 +100,14 @@ impl Simulator {
         if hedge_of.is_none() && self.fault.is_some() && self.fault_admission(rid, client) {
             return;
         }
+        // The build checked the timeout converts; a deadline past the end
+        // of simulated time never fires.
         if let Some(timeout_s) = self.clients[c].spec.timeout_s {
-            self.events.schedule(
-                self.now + SimDuration::from_secs_f64(timeout_s),
-                EventKind::RequestTimeout { request: rid },
-            );
+            let timeout = SimDuration::from_secs_f64(timeout_s);
+            if let Some(at) = self.now.checked_add(timeout) {
+                self.events
+                    .schedule(at, EventKind::RequestTimeout { request: rid });
+            }
         }
 
         // Assign a connection round-robin; queue behind it if busy.

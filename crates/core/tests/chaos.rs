@@ -7,44 +7,37 @@
 //! are released when the request is dropped. And hedging: a duplicate of
 //! a slow request races its original, and exactly one of the two counts.
 
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::ClientSpec;
-use uqsim_core::config::ScenarioConfig;
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
+    RequestTypeConfig, ScenarioConfig,
+};
 use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{InstanceId, PathNodeId, ServiceId, StageId};
+use uqsim_core::ids::StageId;
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::partition::{run_partitioned, PartitionOptions, SpanTracing};
-use uqsim_core::path::{
-    FanInPolicy, InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
-};
+use uqsim_core::path::FanInPolicy;
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::{FaultPlan, FaultSpec, Simulator, TelemetryConfig};
 
-fn nid(i: usize) -> PathNodeId {
-    PathNodeId::from_raw(i as u32)
-}
-
 fn service_node(
     name: &str,
-    service: ServiceId,
-    instance: InstanceId,
-    link: LinkKind,
-    children: Vec<PathNodeId>,
-) -> PathNodeSpec {
-    PathNodeSpec {
-        name: name.into(),
-        target: NodeTarget::Service {
-            service,
-            instance: InstanceSelect::Fixed { instance },
-            exec_path: PathSelect::Fixed { index: 0 },
-        },
+    service: &str,
+    instance: InstanceSelectConfig,
+    link: LinkConfig,
+    children: Vec<String>,
+) -> PathNodeConfig {
+    PathNodeConfig {
         children,
         link,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
+        ..PathNodeConfig::service(name, service, instance, "p")
+    }
+}
+
+fn fixed(instance: &str) -> InstanceSelectConfig {
+    InstanceSelectConfig::Fixed {
+        name: instance.into(),
     }
 }
 
@@ -60,72 +53,76 @@ fn single_stage_service(name: &str, mean_s: f64) -> ServiceModel {
     )
 }
 
+fn instance(name: &str, service: &str) -> InstanceConfig {
+    InstanceConfig {
+        name: name.into(),
+        service: service.into(),
+        machine: "m".into(),
+        cores: 2,
+        exec: ExecConfig::Simple,
+    }
+}
+
 /// A frontend fanning out to `backends` parallel instances whose replies
 /// synchronize at a join node with the given fan-in policy.
 fn build_fanout(seed: u64, backends: usize, policy: FanInPolicy) -> Simulator {
-    let mut b = ScenarioBuilder::new(seed);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 8,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s_front = b.add_service(single_stage_service("front", 30e-6));
-    let s_back = b.add_service(single_stage_service("back", 80e-6));
-    let i_front = b
-        .add_instance("front0", s_front, m, 2, ExecSpec::Simple)
-        .unwrap();
-    let backs: Vec<InstanceId> = (0..backends)
-        .map(|k| {
-            b.add_instance(format!("back{k}"), s_back, m, 2, ExecSpec::Simple)
-                .unwrap()
-        })
-        .collect();
+    let backs: Vec<String> = (0..backends).map(|k| format!("back{k}")).collect();
+    let mut instances = vec![instance("front0", "front")];
+    instances.extend(backs.iter().map(|b| instance(b, "back")));
 
-    // 0 root → {1..=backends} → join → sink.
-    let join_id = nid(backends + 1);
+    // root → {back0 … } → join → sink.
     let root = service_node(
         "root",
-        s_front,
-        i_front,
-        LinkKind::Request,
-        (1..=backends).map(nid).collect(),
+        "front",
+        fixed("front0"),
+        LinkConfig::Request,
+        backs.clone(),
     );
     let mut nodes = vec![root];
-    for (k, &i_back) in backs.iter().enumerate() {
-        nodes.push(service_node(
-            &format!("back{k}"),
-            s_back,
-            i_back,
-            LinkKind::Request,
-            vec![join_id],
-        ));
+    for b in &backs {
+        let join = vec!["join".to_string()];
+        nodes.push(service_node(b, "back", fixed(b), LinkConfig::Request, join));
     }
-    let mut join = PathNodeSpec {
-        name: "join".into(),
-        target: NodeTarget::Service {
-            service: s_front,
-            instance: InstanceSelect::SameAsNode { node: nid(0) },
-            exec_path: PathSelect::Fixed { index: 0 },
+    let mut join = service_node(
+        "join",
+        "front",
+        InstanceSelectConfig::SameAsNode {
+            node: "root".into(),
         },
-        children: vec![nid(backends + 2)],
-        link: LinkKind::ReplyVia {
-            entries: (1..=backends).map(|k| (nid(k), nid(k))).collect(),
+        LinkConfig::ReplyVia {
+            entries: backs.iter().map(|b| (b.clone(), b.clone())).collect(),
         },
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
-    };
+        vec!["client_sink".into()],
+    );
     join.fan_in_policy = policy;
     nodes.push(join);
-    nodes.push(PathNodeSpec::client_sink(nid(0)));
-    let ty = b
-        .add_request_type(RequestType::new("fanout", nodes, nid(0)))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 2_000.0, 64, ty), vec![i_front]);
-    b.build().unwrap()
+    nodes.push(PathNodeConfig::client_sink("root"));
+    ScenarioConfig {
+        seed,
+        warmup_s: 0.1,
+        machines: vec![MachineSpec {
+            name: "m".into(),
+            cores: 8,
+            dvfs: DvfsSpec::fixed(2.6),
+            network: NetworkSpec::passthrough(5e-6),
+            power: Default::default(),
+        }],
+        services: vec![
+            single_stage_service("front", 30e-6),
+            single_stage_service("back", 80e-6),
+        ],
+        instances,
+        pools: Vec::new(),
+        request_types: vec![RequestTypeConfig {
+            name: "fanout".into(),
+            nodes,
+        }],
+        clients: vec![ClientConfig::open_loop(
+            "c", 2_000.0, 64, "fanout", "front0",
+        )],
+    }
+    .build()
+    .unwrap()
 }
 
 fn crash_plan(instance: &str, at_s: f64, restart_after_s: Option<f64>) -> FaultPlan {

@@ -3,12 +3,14 @@
 //! per-stage statistics and stage profiles (both read off the span log's
 //! `BatchStart` events), payload-size-dependent costs, and NIC bandwidth.
 
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::{ClientSpec, RequestMix};
+use uqsim_core::client::{ArrivalProcess, ClosedLoop};
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, PathNodeConfig, PoolConfig,
+    RequestTypeConfig, ScenarioConfig,
+};
 use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{InstanceId, PathNodeId, StageId};
+use uqsim_core::ids::{InstanceId, StageId};
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::telemetry::MetricValue;
@@ -16,18 +18,93 @@ use uqsim_core::time::SimDuration;
 use uqsim_core::trace::TraceEvent;
 use uqsim_core::Simulator;
 
-/// A single-instance scenario with one epoll-fronted two-stage service.
-fn build(spec: ClientSpec, service_mean: f64, cores: usize) -> Simulator {
-    let mut b = ScenarioBuilder::new(9);
-    b.warmup(SimDuration::from_millis(200));
-    let m = b.add_machine(MachineSpec {
+/// Machine `m` with `cores` cores at 2.6 GHz and a pass-through network.
+fn machine(cores: usize, wire_s: f64) -> MachineSpec {
+    MachineSpec {
         name: "m".into(),
         cores,
         dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
+        network: NetworkSpec::passthrough(wire_s),
         power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
+    }
+}
+
+/// Service `svc` with the one stage `stage`, on execution path `p`.
+fn one_stage(stage: StageSpec) -> ServiceModel {
+    ServiceModel::new(
+        "svc",
+        vec![stage],
+        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+    )
+}
+
+/// Instance `name` of `svc` on `m`.
+fn instance(name: &str, cores: usize) -> InstanceConfig {
+    InstanceConfig {
+        name: name.into(),
+        service: "svc".into(),
+        machine: "m".into(),
+        cores,
+        exec: ExecConfig::Simple,
+    }
+}
+
+/// A node `node` running `svc` on the instance `on` selects, with
+/// `children`.
+fn svc_node(node: &str, on: InstanceSelectConfig, children: &[&str]) -> PathNodeConfig {
+    let mut n = PathNodeConfig::service(node, "svc", on, "p");
+    n.children = children.iter().map(|c| c.to_string()).collect();
+    n
+}
+
+fn fixed(instance: &str) -> InstanceSelectConfig {
+    InstanceSelectConfig::Fixed {
+        name: instance.into(),
+    }
+}
+
+/// Request type `name`: node `node` on `svc0`, then the client sink.
+fn one_hop(name: &str, node: &str) -> RequestTypeConfig {
+    RequestTypeConfig {
+        name: name.into(),
+        nodes: vec![
+            svc_node(node, fixed("svc0"), &["client_sink"]),
+            PathNodeConfig::client_sink(node),
+        ],
+    }
+}
+
+/// An open-loop Poisson client `c` issuing `get` to `svc0`.
+fn open_loop(qps: f64, connections: usize) -> ClientConfig {
+    ClientConfig::open_loop("c", qps, connections, "get", "svc0")
+}
+
+/// `service` as instance `svc0` (`cores` cores) on `machine`, request
+/// type `get` (node `svc`, then the client sink), and `client`.
+fn single_instance(
+    seed: u64,
+    warmup_s: f64,
+    machine: MachineSpec,
+    service: ServiceModel,
+    cores: usize,
+    client: ClientConfig,
+) -> ScenarioConfig {
+    ScenarioConfig {
+        seed,
+        warmup_s,
+        machines: vec![machine],
+        services: vec![service],
+        instances: vec![instance("svc0", cores)],
+        pools: Vec::new(),
+        request_types: vec![one_hop("get", "svc")],
+        clients: vec![client],
+    }
+}
+
+/// A single-instance scenario with one epoll-fronted two-stage service;
+/// `spec` is pointed at its one request type and instance.
+fn build(spec: ClientConfig, service_mean: f64, cores: usize) -> Simulator {
+    let service = ServiceModel::new(
         "svc",
         vec![
             StageSpec::new(
@@ -49,24 +126,26 @@ fn build(spec: ClientSpec, service_mean: f64, cores: usize) -> Simulator {
             "p",
             vec![StageId::from_raw(0), StageId::from_raw(1)],
         )],
-    ));
-    let i = b
-        .add_instance("svc0", s, m, cores, ExecSpec::Simple)
-        .unwrap();
-    let mut node = PathNodeSpec::request("svc", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    let mut spec = spec;
-    spec.mix = RequestMix::single(ty);
-    b.add_client(spec, vec![i]);
-    b.build().unwrap()
+    );
+    let spec = ClientConfig {
+        mix: vec![("get".into(), 1.0)],
+        roots: vec!["svc0".into()],
+        ..spec
+    };
+    single_instance(9, 0.2, machine(cores, 10e-6), service, cores, spec)
+        .build()
+        .unwrap()
+}
+
+/// A closed-loop client of `users` users with think time `think`.
+fn closed_loop(users: usize, think: Distribution, connections: usize) -> ClientConfig {
+    ClientConfig {
+        closed_loop: Some(ClosedLoop {
+            users,
+            think_time: think,
+        }),
+        ..ClientConfig::open_loop("users", 1.0, connections, "get", "svc0")
+    }
 }
 
 /// What the span log's `BatchStart` events say about one stage of an
@@ -116,13 +195,7 @@ fn closed_loop_throughput_follows_littles_law() {
     let users = 8;
     let think = 2e-3;
     let service = 100e-6;
-    let spec = ClientSpec::closed_loop(
-        "users",
-        users,
-        Distribution::constant(think),
-        64,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = closed_loop(users, Distribution::constant(think), 64);
     let mut sim = build(spec, service, 4);
     sim.run_for(SimDuration::from_secs(10));
     let x = sim.latency_summary().count as f64 / 9.8;
@@ -138,13 +211,7 @@ fn closed_loop_throughput_follows_littles_law() {
 fn closed_loop_bounds_in_flight_work() {
     // Even with an absurdly slow server, a closed loop never piles up more
     // than `users` requests.
-    let spec = ClientSpec::closed_loop(
-        "users",
-        5,
-        Distribution::constant(1e-4),
-        16,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = closed_loop(5, Distribution::constant(1e-4), 16);
     let mut sim = build(spec, 50e-3, 1);
     sim.run_for(SimDuration::from_secs(5));
     assert!(
@@ -160,9 +227,9 @@ fn closed_loop_bounds_in_flight_work() {
 
 #[test]
 fn timeouts_fire_only_in_overload() {
-    let make = |qps: f64| {
-        ClientSpec::open_loop("c", qps, 64, uqsim_core::ids::RequestTypeId::from_raw(0))
-            .with_timeout(20e-3)
+    let make = |qps: f64| ClientConfig {
+        timeout_s: Some(20e-3),
+        ..open_loop(qps, 64)
     };
     // Light load (mu = 10k on 2 cores): no timeouts.
     let mut calm = build(make(4_000.0), 100e-6, 2);
@@ -186,13 +253,12 @@ fn timeout_burst_frees_every_client_connection_slot() {
     // its connection slot at the deadline — not when the abandoned response
     // eventually drains — or the 4-connection client wedges after the first
     // four launches.
-    let spec = ClientSpec {
+    let spec = ClientConfig {
         name: "burst".into(),
         connections: 4,
-        arrivals: uqsim_core::client::ArrivalProcess::trace(
-            (0..300).map(|i| f64::from(i) * 1e-3).collect(),
-        ),
-        mix: RequestMix::single(uqsim_core::ids::RequestTypeId::from_raw(0)),
+        arrivals: ArrivalProcess::trace((0..300).map(|i| f64::from(i) * 1e-3).collect()),
+        mix: vec![("get".into(), 1.0)],
+        roots: vec!["svc0".into()],
         request_size: Distribution::constant(512.0),
         closed_loop: None,
         timeout_s: Some(5e-3),
@@ -233,12 +299,7 @@ fn timeout_burst_frees_every_client_connection_slot() {
 
 #[test]
 fn traces_record_spans_in_order() {
-    let spec = ClientSpec::open_loop(
-        "c",
-        2_000.0,
-        64,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = open_loop(2_000.0, 64);
     let mut sim = build(spec, 100e-6, 2);
     sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
@@ -261,12 +322,7 @@ fn traces_record_spans_in_order() {
 
 #[test]
 fn stage_stats_show_batching_under_load() {
-    let spec = ClientSpec::open_loop(
-        "c",
-        15_000.0,
-        256,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = open_loop(15_000.0, 256);
     let mut sim = build(spec, 100e-6, 2);
     sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
@@ -292,41 +348,17 @@ fn request_sizes_slow_byte_proportional_stages() {
     // Same scenario, but the proc stage charges 50ns/byte; big payloads
     // must raise the mean latency accordingly.
     let run = |bytes: f64| {
-        let mut b = ScenarioBuilder::new(4);
-        b.warmup(SimDuration::from_millis(200));
-        let m = b.add_machine(MachineSpec {
-            name: "m".into(),
-            cores: 2,
-            dvfs: DvfsSpec::fixed(2.6),
-            network: NetworkSpec::passthrough(0.0),
-            power: Default::default(),
-        });
-        let s = b.add_service(ServiceModel::new(
-            "svc",
-            vec![StageSpec::new(
-                "read",
-                QueueDiscipline::Single,
-                ServiceTimeModel::per_job(Distribution::constant(10e-6), 2.6).with_per_byte(50e-9),
-            )],
-            vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+        let service = one_stage(StageSpec::new(
+            "read",
+            QueueDiscipline::Single,
+            ServiceTimeModel::per_job(Distribution::constant(10e-6), 2.6).with_per_byte(50e-9),
         ));
-        let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-        let mut node = PathNodeSpec::request("svc", s, i);
-        node.children = vec![PathNodeId::from_raw(1)];
-        let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-        let ty = b
-            .add_request_type(RequestType::new(
-                "get",
-                vec![node, sink],
-                PathNodeId::from_raw(0),
-            ))
-            .unwrap();
-        b.add_client(
-            ClientSpec::open_loop("c", 1_000.0, 64, ty)
-                .with_request_size(Distribution::constant(bytes)),
-            vec![i],
-        );
-        let mut sim = b.build().unwrap();
+        let client = ClientConfig {
+            request_size: Distribution::constant(bytes),
+            ..open_loop(1_000.0, 64)
+        };
+        let cfg = single_instance(4, 0.2, machine(2, 0.0), service, 2, client);
+        let mut sim = cfg.build().unwrap();
         sim.run_for(SimDuration::from_secs(3));
         sim.latency_summary().mean
     };
@@ -341,43 +373,19 @@ fn request_sizes_slow_byte_proportional_stages() {
 #[test]
 fn nic_bandwidth_adds_transmission_time() {
     let run = |bandwidth: Option<f64>| {
-        let mut b = ScenarioBuilder::new(4);
-        b.warmup(SimDuration::from_millis(100));
-        let mut net = NetworkSpec::passthrough(10e-6);
-        net.bandwidth_gbps = bandwidth;
-        let m = b.add_machine(MachineSpec {
-            name: "m".into(),
-            cores: 2,
-            dvfs: DvfsSpec::fixed(2.6),
-            network: net,
-            power: Default::default(),
-        });
-        let s = b.add_service(ServiceModel::new(
-            "svc",
-            vec![StageSpec::new(
-                "proc",
-                QueueDiscipline::Single,
-                ServiceTimeModel::per_job(Distribution::constant(10e-6), 2.6),
-            )],
-            vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+        let mut m = machine(2, 10e-6);
+        m.network.bandwidth_gbps = bandwidth;
+        let service = one_stage(StageSpec::new(
+            "proc",
+            QueueDiscipline::Single,
+            ServiceTimeModel::per_job(Distribution::constant(10e-6), 2.6),
         ));
-        let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-        let mut node = PathNodeSpec::request("svc", s, i);
-        node.children = vec![PathNodeId::from_raw(1)];
-        let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-        let ty = b
-            .add_request_type(RequestType::new(
-                "get",
-                vec![node, sink],
-                PathNodeId::from_raw(0),
-            ))
-            .unwrap();
-        b.add_client(
-            ClientSpec::open_loop("c", 500.0, 64, ty)
-                .with_request_size(Distribution::constant(12_500.0)), // 100 kbit
-            vec![i],
-        );
-        let mut sim = b.build().unwrap();
+        let client = ClientConfig {
+            request_size: Distribution::constant(12_500.0), // 100 kbit
+            ..open_loop(500.0, 64)
+        };
+        let cfg = single_instance(4, 0.1, m, service, 2, client);
+        let mut sim = cfg.build().unwrap();
         sim.run_for(SimDuration::from_secs(2));
         sim.latency_summary().mean
     };
@@ -393,12 +401,7 @@ fn nic_bandwidth_adds_transmission_time() {
 fn stage_profiling_feeds_back_as_empirical_model() {
     // The paper's histogram pipeline: profile a running stage, build a
     // histogram, and use it as an empirical service-time distribution.
-    let spec = ClientSpec::open_loop(
-        "c",
-        5_000.0,
-        128,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = open_loop(5_000.0, 128);
     let mut sim = build(spec, 80e-6, 2);
     sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
@@ -424,45 +427,14 @@ fn stage_profiling_feeds_back_as_empirical_model() {
 
     // A simulator driven by the empirical distribution lands in the same
     // latency regime as the parametric original.
-    let spec2 = ClientSpec::open_loop(
-        "c",
-        5_000.0,
-        128,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
-    let mut b = ScenarioBuilder::new(10);
-    b.warmup(SimDuration::from_millis(200));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(d, 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+    let spec2 = open_loop(5_000.0, 128);
+    let service = one_stage(StageSpec::new(
+        "proc",
+        QueueDiscipline::Single,
+        ServiceTimeModel::per_job(d, 2.6),
     ));
-    let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-    let mut node = PathNodeSpec::request("svc", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    let mut spec2 = spec2;
-    spec2.mix = RequestMix::single(ty);
-    b.add_client(spec2, vec![i]);
-    let mut sim2 = b.build().unwrap();
+    let cfg = single_instance(10, 0.2, machine(2, 10e-6), service, 2, spec2);
+    let mut sim2 = cfg.build().unwrap();
     sim2.run_for(SimDuration::from_secs(2));
     let a = sim.latency_summary().mean;
     let b2 = sim2.latency_summary().mean;
@@ -474,47 +446,20 @@ fn stage_profiling_feeds_back_as_empirical_model() {
 
 #[test]
 fn scheduled_dvfs_slows_the_service() {
-    let spec = ClientSpec::open_loop(
-        "c",
-        2_000.0,
-        64,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
+    let spec = open_loop(2_000.0, 64);
     let mut sim = build(spec, 100e-6, 2);
     // The machine is fixed-frequency (2.6 only), so snapping keeps 2.6;
     // use instance freq setter semantics instead via schedule on a DVFS-
     // capable scenario.
-    let mut b = ScenarioBuilder::new(3);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::range(1.3, 2.6, 1.3),
-        network: NetworkSpec::passthrough(0.0),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::constant(100e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+    let mut m = machine(2, 0.0);
+    m.dvfs = DvfsSpec::range(1.3, 2.6, 1.3);
+    let service = one_stage(StageSpec::new(
+        "proc",
+        QueueDiscipline::Single,
+        ServiceTimeModel::per_job(Distribution::constant(100e-6), 2.6),
     ));
-    let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-    let mut node = PathNodeSpec::request("svc", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 1_000.0, 64, ty), vec![i]);
-    let mut slow = b.build().unwrap();
+    let cfg = single_instance(3, 0.1, m, service, 2, open_loop(1_000.0, 64));
+    let mut slow = cfg.build().unwrap();
     slow.schedule_dvfs(
         uqsim_core::time::SimTime::from_secs_f64(0.0),
         uqsim_core::ids::MachineId::from_raw(0),
@@ -537,43 +482,38 @@ fn scheduled_dvfs_slows_the_service() {
 #[test]
 fn pool_stats_report_backpressure() {
     // Build a two-instance chain with a tiny pool and overload it.
-    let mut b = ScenarioBuilder::new(6);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 4,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
+    let same_as_front = InstanceSelectConfig::SameAsNode {
+        node: "front".into(),
+    };
+    let mut front_reply = svc_node("front_reply", same_as_front, &["client_sink"]);
+    front_reply.link = uqsim_core::config::LinkConfig::ReplyToParent;
+    let cfg = ScenarioConfig {
+        seed: 6,
+        warmup_s: 0.1,
+        machines: vec![machine(4, 5e-6)],
+        services: vec![one_stage(StageSpec::new(
             "proc",
             QueueDiscipline::Single,
             ServiceTimeModel::per_job(Distribution::exponential(200e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
-    ));
-    let front = b.add_instance("front", s, m, 1, ExecSpec::Simple).unwrap();
-    let back = b.add_instance("back", s, m, 1, ExecSpec::Simple).unwrap();
-    b.add_pool(front, back, 2).unwrap();
-    let mut n0 = PathNodeSpec::request("front", s, front);
-    n0.children = vec![PathNodeId::from_raw(1)];
-    let mut n1 = PathNodeSpec::request("back", s, back);
-    n1.children = vec![PathNodeId::from_raw(2)];
-    let mut n2 = PathNodeSpec::reply_to_parent("front_reply", s, PathNodeId::from_raw(0));
-    n2.children = vec![PathNodeId::from_raw(3)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "r",
-            vec![n0, n1, n2, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 6_000.0, 512, ty), vec![front]);
-    let mut sim = b.build().unwrap();
+        ))],
+        instances: vec![instance("front", 1), instance("back", 1)],
+        pools: vec![PoolConfig {
+            up: "front".into(),
+            down: "back".into(),
+            size: 2,
+        }],
+        request_types: vec![RequestTypeConfig {
+            name: "r".into(),
+            nodes: vec![
+                svc_node("front", fixed("front"), &["back"]),
+                svc_node("back", fixed("back"), &["front_reply"]),
+                front_reply,
+                PathNodeConfig::client_sink("front"),
+            ],
+        }],
+        clients: vec![ClientConfig::open_loop("c", 6_000.0, 512, "r", "front")],
+    };
+    let mut sim = cfg.build().unwrap();
     sim.run_for(SimDuration::from_secs(1));
     // The registry's pool gauges, one per pool, labelled `up->down`.
     let reg = sim.metrics_registry();
@@ -606,40 +546,19 @@ fn energy_accounting_is_cubic_in_frequency() {
     // the dynamic energy at half frequency is 1/4 of the max-frequency
     // energy; total energy (with the static floor) must decrease.
     let run = |freq: f64| {
-        let mut b = ScenarioBuilder::new(12);
-        b.warmup(SimDuration::from_millis(100));
-        let m = b.add_machine(MachineSpec {
-            name: "m".into(),
-            cores: 2,
-            dvfs: DvfsSpec::range(1.3, 2.6, 1.3),
-            network: NetworkSpec::passthrough(0.0),
-            power: uqsim_core::machine::PowerModel {
-                idle_w: 2.0,
-                dyn_w: 8.0,
-            },
-        });
-        let s = b.add_service(ServiceModel::new(
-            "svc",
-            vec![StageSpec::new(
-                "proc",
-                QueueDiscipline::Single,
-                ServiceTimeModel::per_job(Distribution::constant(100e-6), 2.6),
-            )],
-            vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+        let mut m = machine(2, 0.0);
+        m.dvfs = DvfsSpec::range(1.3, 2.6, 1.3);
+        m.power = uqsim_core::machine::PowerModel {
+            idle_w: 2.0,
+            dyn_w: 8.0,
+        };
+        let service = one_stage(StageSpec::new(
+            "proc",
+            QueueDiscipline::Single,
+            ServiceTimeModel::per_job(Distribution::constant(100e-6), 2.6),
         ));
-        let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-        let mut node = PathNodeSpec::request("svc", s, i);
-        node.children = vec![PathNodeId::from_raw(1)];
-        let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-        let ty = b
-            .add_request_type(RequestType::new(
-                "get",
-                vec![node, sink],
-                PathNodeId::from_raw(0),
-            ))
-            .unwrap();
-        b.add_client(ClientSpec::open_loop("c", 1_000.0, 64, ty), vec![i]);
-        let mut sim = b.build().unwrap();
+        let cfg = single_instance(12, 0.1, m, service, 2, open_loop(1_000.0, 64));
+        let mut sim = cfg.build().unwrap();
         sim.set_instance_freq(InstanceId::from_raw(0), freq);
         sim.run_for(SimDuration::from_secs(2));
         (sim.cluster_energy_j(), sim.completed())
@@ -663,16 +582,12 @@ fn energy_accounting_is_cubic_in_frequency() {
 
 #[test]
 fn trace_replay_reproduces_exact_arrivals() {
-    use uqsim_core::client::ArrivalProcess;
     // Five arrivals at known instants; generation must stop afterwards.
     let timestamps = vec![0.010, 0.020, 0.025, 0.100, 0.500];
-    let mut spec = ClientSpec::open_loop(
-        "replay",
-        1.0,
-        8,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
-    spec.arrivals = ArrivalProcess::trace(timestamps.clone());
+    let spec = ClientConfig {
+        arrivals: ArrivalProcess::trace(timestamps.clone()),
+        ..ClientConfig::open_loop("replay", 1.0, 8, "get", "svc0")
+    };
     let mut sim = build(spec, 10e-6, 2);
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(
@@ -688,7 +603,6 @@ fn trace_replay_reproduces_exact_arrivals() {
 
 #[test]
 fn trace_validation_rejects_bad_traces() {
-    use uqsim_core::client::ArrivalProcess;
     assert!(ArrivalProcess::trace(vec![]).validate().is_err());
     assert!(ArrivalProcess::trace(vec![1.0, 0.5]).validate().is_err());
     assert!(ArrivalProcess::trace(vec![-1.0]).validate().is_err());
@@ -699,44 +613,19 @@ fn trace_validation_rejects_bad_traces() {
 
 /// A two-request-type scenario (both served by the same instance) for
 /// typed-trace replay tests.
-fn build_two_types(spec: ClientSpec) -> Simulator {
-    let mut b = ScenarioBuilder::new(9);
-    b.warmup(SimDuration::ZERO);
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 4,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+fn build_two_types(spec: ClientConfig) -> Simulator {
+    let service = one_stage(StageSpec::new(
+        "proc",
+        QueueDiscipline::Single,
+        ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
     ));
-    let i = b.add_instance("svc0", s, m, 4, ExecSpec::Simple).unwrap();
-    for name in ["alpha", "beta"] {
-        let mut node = PathNodeSpec::request(name, s, i);
-        node.children = vec![PathNodeId::from_raw(1)];
-        let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-        b.add_request_type(RequestType::new(
-            name,
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    }
-    b.add_client(spec, vec![i]);
-    b.build().unwrap()
+    let mut cfg = single_instance(9, 0.0, machine(4, 10e-6), service, 4, spec);
+    cfg.request_types = vec![one_hop("alpha", "alpha"), one_hop("beta", "beta")];
+    cfg.build().unwrap()
 }
 
 #[test]
 fn typed_trace_dictates_request_types() {
-    use uqsim_core::client::ArrivalProcess;
     // 90 arrivals: every third request is a "beta", the rest "alpha" —
     // exactly, not in distribution.
     let n = 90;
@@ -750,13 +639,10 @@ fn typed_trace_dictates_request_types() {
             }
         })
         .collect();
-    let mut spec = ClientSpec::open_loop(
-        "replay",
-        1.0,
-        8,
-        uqsim_core::ids::RequestTypeId::from_raw(0),
-    );
-    spec.arrivals = ArrivalProcess::Trace { timestamps, types };
+    let spec = ClientConfig {
+        arrivals: ArrivalProcess::Trace { timestamps, types },
+        ..ClientConfig::open_loop("replay", 1.0, 8, "alpha", "svc0")
+    };
     let mut sim = build_two_types(spec);
     sim.enable_span_tracing(100_000);
     sim.run_for(SimDuration::from_secs(1));
@@ -782,42 +668,21 @@ fn typed_trace_dictates_request_types() {
 
 #[test]
 fn typed_trace_with_unknown_type_fails_to_build() {
-    use uqsim_core::client::ArrivalProcess;
-    let mut b = ScenarioBuilder::new(1);
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+    let service = one_stage(StageSpec::new(
+        "proc",
+        QueueDiscipline::Single,
+        ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
     ));
-    let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
-    let mut node = PathNodeSpec::request("get", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    let mut spec = ClientSpec::open_loop("c", 1.0, 4, ty);
-    spec.arrivals = ArrivalProcess::Trace {
-        timestamps: vec![0.0, 1e-3],
-        types: vec!["get".into(), "nonexistent".into()],
+    let client = ClientConfig {
+        arrivals: ArrivalProcess::Trace {
+            timestamps: vec![0.0, 1e-3],
+            types: vec!["get".into(), "nonexistent".into()],
+        },
+        ..ClientConfig::open_loop("c", 1.0, 4, "get", "svc0")
     };
-    b.add_client(spec, vec![i]);
-    let err = b.build().unwrap_err().to_string();
+    let mut cfg = single_instance(1, 1.0, machine(2, 10e-6), service, 2, client);
+    cfg.request_types = vec![one_hop("get", "get")];
+    let err = cfg.build().unwrap_err().to_string();
     assert!(err.contains("nonexistent"), "error names the type: {err}");
 }
 
@@ -826,47 +691,33 @@ fn oversized_instance_is_a_config_error_not_a_panic() {
     // 65 threads exceed the 64-bit idle mask; the builder must refuse with
     // an error naming the instance instead of panicking (oversized
     // generated scenarios surface cleanly).
-    let mut b = ScenarioBuilder::new(1);
-    let m = b.add_machine(MachineSpec {
-        name: "big".into(),
-        cores: 80,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
-        )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
+    let mut big = machine(80, 10e-6);
+    big.name = "big".into();
+    let service = one_stage(StageSpec::new(
+        "proc",
+        QueueDiscipline::Single,
+        ServiceTimeModel::per_job(Distribution::constant(20e-6), 2.6),
     ));
-    let i = b
-        .add_instance(
-            "wide0",
-            s,
-            m,
-            4,
-            ExecSpec::MultiThreaded {
-                threads: 65,
-                ctx_switch: SimDuration::from_micros(2),
-            },
-        )
-        .unwrap();
-    let mut node = PathNodeSpec::request("get", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 100.0, 4, ty), vec![i]);
-    let err = b.build().unwrap_err().to_string();
+    let client = ClientConfig::open_loop("c", 100.0, 4, "get", "wide0");
+    let mut cfg = single_instance(1, 1.0, big, service, 4, client);
+    cfg.instances = vec![InstanceConfig {
+        name: "wide0".into(),
+        service: "svc".into(),
+        machine: "big".into(),
+        cores: 4,
+        exec: ExecConfig::MultiThreaded {
+            threads: 65,
+            ctx_switch_s: 2e-6,
+        },
+    }];
+    cfg.request_types = vec![RequestTypeConfig {
+        name: "get".into(),
+        nodes: vec![
+            svc_node("get", fixed("wide0"), &["client_sink"]),
+            PathNodeConfig::client_sink("get"),
+        ],
+    }];
+    let err = cfg.build().unwrap_err().to_string();
     assert!(
         err.contains("wide0") && err.contains("64"),
         "error names the instance and the limit: {err}"

@@ -4,14 +4,13 @@
 //! scenario runs with span tracing enabled and must audit with zero
 //! invariant violations.
 
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::ClientSpec;
-use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{PathNodeId, ServiceId, StageId};
-use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-use uqsim_core::path::{
-    InstanceSelect, LinkKind, NodeTarget, PathNodeSpec, PathSelect, RequestType,
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
+    PoolConfig, RequestTypeConfig, ScenarioConfig,
 };
+use uqsim_core::dist::Distribution;
+use uqsim_core::ids::{PathNodeId, StageId};
+use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::SimDuration;
@@ -24,24 +23,26 @@ fn nid(i: usize) -> PathNodeId {
 
 fn service_node(
     name: &str,
-    service: ServiceId,
-    instance: InstanceSelect,
-    link: LinkKind,
-    children: Vec<PathNodeId>,
-) -> PathNodeSpec {
-    PathNodeSpec {
-        name: name.into(),
-        target: NodeTarget::Service {
-            service,
-            instance,
-            exec_path: PathSelect::Fixed { index: 0 },
-        },
-        children,
+    service: &str,
+    instance: InstanceSelectConfig,
+    link: LinkConfig,
+    children: &[&str],
+) -> PathNodeConfig {
+    PathNodeConfig {
+        children: children.iter().map(|c| c.to_string()).collect(),
         link,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
+        ..PathNodeConfig::service(name, service, instance, "p")
     }
+}
+
+fn fixed(instance: &str) -> InstanceSelectConfig {
+    InstanceSelectConfig::Fixed {
+        name: instance.into(),
+    }
+}
+
+fn same_as(node: &str) -> InstanceSelectConfig {
+    InstanceSelectConfig::SameAsNode { node: node.into() }
 }
 
 fn single_stage_service(name: &str, mean_s: f64) -> ServiceModel {
@@ -54,6 +55,52 @@ fn single_stage_service(name: &str, mean_s: f64) -> ServiceModel {
         )],
         vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
     )
+}
+
+fn instance(name: &str, service: &str, cores: usize) -> InstanceConfig {
+    InstanceConfig {
+        name: name.into(),
+        service: service.into(),
+        machine: "m".into(),
+        cores,
+        exec: ExecConfig::Simple,
+    }
+}
+
+/// A scenario on machine `m` (`cores` cores, `wire_s` wire latency) with
+/// a 100 ms warm-up and one request type, `ty`, issued by client `c` at
+/// `qps` over `connections` connections to instance `root`.
+fn scenario(
+    seed: u64,
+    cores: usize,
+    wire_s: f64,
+    services: Vec<ServiceModel>,
+    instances: Vec<InstanceConfig>,
+    ty: RequestTypeConfig,
+    (qps, connections, root): (f64, usize, &str),
+) -> ScenarioConfig {
+    ScenarioConfig {
+        seed,
+        warmup_s: 0.1,
+        machines: vec![MachineSpec {
+            name: "m".into(),
+            cores,
+            dvfs: DvfsSpec::fixed(2.6),
+            network: NetworkSpec::passthrough(wire_s),
+            power: Default::default(),
+        }],
+        services,
+        instances,
+        pools: Vec::new(),
+        clients: vec![ClientConfig::open_loop(
+            "c",
+            qps,
+            connections,
+            &ty.name,
+            root,
+        )],
+        request_types: vec![ty],
+    }
 }
 
 /// Runs the audit and asserts zero violations plus a non-trivial trace.
@@ -70,69 +117,48 @@ fn assert_clean(sim: &Simulator) {
 /// client.
 #[test]
 fn fan_out_fan_in_dag_audits_clean() {
-    let mut b = ScenarioBuilder::new(21);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 6,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s_front = b.add_service(single_stage_service("front", 30e-6));
-    let s_back = b.add_service(single_stage_service("back", 80e-6));
-    let i_front = b
-        .add_instance("front0", s_front, m, 2, ExecSpec::Simple)
-        .unwrap();
-    let i_b = b
-        .add_instance("back_b", s_back, m, 2, ExecSpec::Simple)
-        .unwrap();
-    let i_c = b
-        .add_instance("back_c", s_back, m, 2, ExecSpec::Simple)
-        .unwrap();
-
     // 0 root (front) → {1 b, 2 c} → 3 join (front, fan-in 2) → 4 sink.
     let root = service_node(
         "root",
-        s_front,
-        InstanceSelect::Fixed { instance: i_front },
-        LinkKind::Request,
-        vec![nid(1), nid(2)],
+        "front",
+        fixed("front0"),
+        LinkConfig::Request,
+        &["b", "c"],
     );
-    let node_b = service_node(
-        "b",
-        s_back,
-        InstanceSelect::Fixed { instance: i_b },
-        LinkKind::Request,
-        vec![nid(3)],
-    );
-    let node_c = service_node(
-        "c",
-        s_back,
-        InstanceSelect::Fixed { instance: i_c },
-        LinkKind::Request,
-        vec![nid(3)],
-    );
+    let node_b = service_node("b", "back", fixed("back_b"), LinkConfig::Request, &["join"]);
+    let node_c = service_node("c", "back", fixed("back_c"), LinkConfig::Request, &["join"]);
     let join = service_node(
         "join",
-        s_front,
-        InstanceSelect::SameAsNode { node: nid(0) },
-        LinkKind::ReplyVia {
-            entries: vec![(nid(1), nid(1)), (nid(2), nid(2))],
+        "front",
+        same_as("root"),
+        LinkConfig::ReplyVia {
+            entries: vec![("b".into(), "b".into()), ("c".into(), "c".into())],
         },
-        vec![nid(4)],
+        &["client_sink"],
     );
-    let sink = PathNodeSpec::client_sink(nid(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "fanout",
-            vec![root, node_b, node_c, join, sink],
-            nid(0),
-        ))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 2_000.0, 64, ty), vec![i_front]);
+    let sink = PathNodeConfig::client_sink("root");
+    let ty = RequestTypeConfig {
+        name: "fanout".into(),
+        nodes: vec![root, node_b, node_c, join, sink],
+    };
+    let cfg = scenario(
+        21,
+        6,
+        5e-6,
+        vec![
+            single_stage_service("front", 30e-6),
+            single_stage_service("back", 80e-6),
+        ],
+        vec![
+            instance("front0", "front", 2),
+            instance("back_b", "back", 2),
+            instance("back_c", "back", 2),
+        ],
+        ty,
+        (2_000.0, 64, "front0"),
+    );
 
-    let mut sim = b.build().unwrap();
+    let mut sim = cfg.build().unwrap();
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert!(sim.completed() > 500, "completed {}", sim.completed());
@@ -169,48 +195,48 @@ fn fan_out_fan_in_dag_audits_clean() {
 /// pool discipline must still audit clean.
 #[test]
 fn pool_exhaustion_audits_clean() {
-    let mut b = ScenarioBuilder::new(6);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 4,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(single_stage_service("svc", 200e-6));
-    let front = b.add_instance("front", s, m, 1, ExecSpec::Simple).unwrap();
-    let back = b.add_instance("back", s, m, 1, ExecSpec::Simple).unwrap();
-    b.add_pool(front, back, 2).unwrap();
-    let mut n0 = service_node(
+    let n0 = service_node(
         "front",
-        s,
-        InstanceSelect::Fixed { instance: front },
-        LinkKind::Request,
-        vec![nid(1)],
+        "svc",
+        fixed("front"),
+        LinkConfig::Request,
+        &["back"],
     );
-    n0.children = vec![nid(1)];
     let n1 = service_node(
         "back",
-        s,
-        InstanceSelect::Fixed { instance: back },
-        LinkKind::Request,
-        vec![nid(2)],
+        "svc",
+        fixed("back"),
+        LinkConfig::Request,
+        &["front_reply"],
     );
     let n2 = service_node(
         "front_reply",
-        s,
-        InstanceSelect::SameAsNode { node: nid(0) },
-        LinkKind::ReplyToParent,
-        vec![nid(3)],
+        "svc",
+        same_as("front"),
+        LinkConfig::ReplyToParent,
+        &["client_sink"],
     );
-    let sink = PathNodeSpec::client_sink(nid(0));
-    let ty = b
-        .add_request_type(RequestType::new("r", vec![n0, n1, n2, sink], nid(0)))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 6_000.0, 512, ty), vec![front]);
+    let sink = PathNodeConfig::client_sink("front");
+    let ty = RequestTypeConfig {
+        name: "r".into(),
+        nodes: vec![n0, n1, n2, sink],
+    };
+    let mut cfg = scenario(
+        6,
+        4,
+        5e-6,
+        vec![single_stage_service("svc", 200e-6)],
+        vec![instance("front", "svc", 1), instance("back", "svc", 1)],
+        ty,
+        (6_000.0, 512, "front"),
+    );
+    cfg.pools = vec![PoolConfig {
+        up: "front".into(),
+        down: "back".into(),
+        size: 2,
+    }];
 
-    let mut sim = b.build().unwrap();
+    let mut sim = cfg.build().unwrap();
     sim.enable_span_tracing(4_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert_clean(&sim);
@@ -243,42 +269,34 @@ fn pool_exhaustion_audits_clean() {
 /// between cores.
 #[test]
 fn multithreaded_ctx_switch_audits_clean() {
-    let mut b = ScenarioBuilder::new(17);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(5e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(single_stage_service("svc", 100e-6));
-    let i = b
-        .add_instance(
-            "svc0",
-            s,
-            m,
-            2,
-            ExecSpec::MultiThreaded {
-                threads: 4,
-                ctx_switch: SimDuration::from_micros(2),
-            },
-        )
-        .unwrap();
     let node = service_node(
         "svc",
-        s,
-        InstanceSelect::Fixed { instance: i },
-        LinkKind::Request,
-        vec![nid(1)],
+        "svc",
+        fixed("svc0"),
+        LinkConfig::Request,
+        &["client_sink"],
     );
-    let sink = PathNodeSpec::client_sink(nid(0));
-    let ty = b
-        .add_request_type(RequestType::new("get", vec![node, sink], nid(0)))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 8_000.0, 64, ty), vec![i]);
+    let sink = PathNodeConfig::client_sink("svc");
+    let ty = RequestTypeConfig {
+        name: "get".into(),
+        nodes: vec![node, sink],
+    };
+    let mut svc0 = instance("svc0", "svc", 2);
+    svc0.exec = ExecConfig::MultiThreaded {
+        threads: 4,
+        ctx_switch_s: 2e-6,
+    };
+    let cfg = scenario(
+        17,
+        2,
+        5e-6,
+        vec![single_stage_service("svc", 100e-6)],
+        vec![svc0],
+        ty,
+        (8_000.0, 64, "svc0"),
+    );
 
-    let mut sim = b.build().unwrap();
+    let mut sim = cfg.build().unwrap();
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert!(sim.completed() > 1_000, "completed {}", sim.completed());
@@ -306,30 +324,28 @@ fn multithreaded_ctx_switch_audits_clean() {
 /// window (cross-validation of the two tracing subsystems).
 #[test]
 fn span_log_agrees_with_sampled_traces() {
-    let mut b = ScenarioBuilder::new(9);
-    b.warmup(SimDuration::from_millis(100));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 2,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(10e-6),
-        power: Default::default(),
-    });
-    let s = b.add_service(single_stage_service("svc", 100e-6));
-    let i = b.add_instance("svc0", s, m, 2, ExecSpec::Simple).unwrap();
     let node = service_node(
         "svc",
-        s,
-        InstanceSelect::Fixed { instance: i },
-        LinkKind::Request,
-        vec![nid(1)],
+        "svc",
+        fixed("svc0"),
+        LinkConfig::Request,
+        &["client_sink"],
     );
-    let sink = PathNodeSpec::client_sink(nid(0));
-    let ty = b
-        .add_request_type(RequestType::new("get", vec![node, sink], nid(0)))
-        .unwrap();
-    b.add_client(ClientSpec::open_loop("c", 2_000.0, 64, ty), vec![i]);
-    let mut sim = b.build().unwrap();
+    let sink = PathNodeConfig::client_sink("svc");
+    let ty = RequestTypeConfig {
+        name: "get".into(),
+        nodes: vec![node, sink],
+    };
+    let cfg = scenario(
+        9,
+        2,
+        10e-6,
+        vec![single_stage_service("svc", 100e-6)],
+        vec![instance("svc0", "svc", 2)],
+        ty,
+        (2_000.0, 64, "svc0"),
+    );
+    let mut sim = cfg.build().unwrap();
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert_clean(&sim);

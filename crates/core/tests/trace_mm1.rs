@@ -11,12 +11,13 @@
 //! against the residency each `NodeDone` records.
 
 use proptest::prelude::*;
-use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
-use uqsim_core::client::ClientSpec;
+use uqsim_core::config::{
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, PathNodeConfig,
+    RequestTypeConfig, ScenarioConfig,
+};
 use uqsim_core::dist::Distribution;
-use uqsim_core::ids::{PathNodeId, StageId};
+use uqsim_core::ids::StageId;
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
-use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::{SimDuration, SimTime};
@@ -28,39 +29,48 @@ const WARMUP_S: f64 = 0.3;
 const RUN_S: f64 = 1.3;
 
 fn build_mm1(lambda_qps: f64, seed: u64) -> Simulator {
-    let mut b = ScenarioBuilder::new(seed);
-    b.warmup(SimDuration::from_secs_f64(WARMUP_S));
-    let m = b.add_machine(MachineSpec {
-        name: "m".into(),
-        cores: 1,
-        dvfs: DvfsSpec::fixed(2.6),
-        network: NetworkSpec::passthrough(0.0),
-        power: Default::default(),
-    });
-    let s = b.add_service(ServiceModel::new(
-        "svc",
-        vec![StageSpec::new(
-            "proc",
-            QueueDiscipline::Single,
-            ServiceTimeModel::per_job(Distribution::exponential(SERVICE_MEAN_S), 2.6),
+    let fixed = InstanceSelectConfig::Fixed {
+        name: "svc0".into(),
+    };
+    let mut node = PathNodeConfig::service("svc", "svc", fixed, "p");
+    node.children = vec!["client_sink".into()];
+    ScenarioConfig {
+        seed,
+        warmup_s: WARMUP_S,
+        machines: vec![MachineSpec {
+            name: "m".into(),
+            cores: 1,
+            dvfs: DvfsSpec::fixed(2.6),
+            network: NetworkSpec::passthrough(0.0),
+            power: Default::default(),
+        }],
+        services: vec![ServiceModel::new(
+            "svc",
+            vec![StageSpec::new(
+                "proc",
+                QueueDiscipline::Single,
+                ServiceTimeModel::per_job(Distribution::exponential(SERVICE_MEAN_S), 2.6),
+            )],
+            vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
         )],
-        vec![ExecPath::new("p", vec![StageId::from_raw(0)])],
-    ));
-    let i = b.add_instance("svc0", s, m, 1, ExecSpec::Simple).unwrap();
-    let mut node = PathNodeSpec::request("svc", s, i);
-    node.children = vec![PathNodeId::from_raw(1)];
-    let sink = PathNodeSpec::client_sink(PathNodeId::from_raw(0));
-    let ty = b
-        .add_request_type(RequestType::new(
-            "get",
-            vec![node, sink],
-            PathNodeId::from_raw(0),
-        ))
-        .unwrap();
-    // Plenty of client connections so HTTP/1.1 connection blocking never
-    // distorts the Poisson arrivals.
-    b.add_client(ClientSpec::open_loop("c", lambda_qps, 256, ty), vec![i]);
-    b.build().unwrap()
+        instances: vec![InstanceConfig {
+            name: "svc0".into(),
+            service: "svc".into(),
+            machine: "m".into(),
+            cores: 1,
+            exec: ExecConfig::Simple,
+        }],
+        pools: Vec::new(),
+        request_types: vec![RequestTypeConfig {
+            name: "get".into(),
+            nodes: vec![node, PathNodeConfig::client_sink("svc")],
+        }],
+        // Plenty of client connections so HTTP/1.1 connection blocking
+        // never distorts the Poisson arrivals.
+        clients: vec![ClientConfig::open_loop("c", lambda_qps, 256, "get", "svc0")],
+    }
+    .build()
+    .unwrap()
 }
 
 proptest! {

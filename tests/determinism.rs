@@ -106,7 +106,7 @@ fn determinism_survives_run_segmentation() {
 }
 
 /// Every paper scenario at its default deployment, with the fingerprint the
-/// hand-written `ScenarioBuilder` version of it produced before the
+/// hand-written, id-typed builder version of it produced before the
 /// scenarios became data (recorded at commit e7a9e8d). A scenario function
 /// whose description drifts — a reordered instance, a renamed path, another
 /// request size — moves these.
