@@ -44,7 +44,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use uqsim_apps::scenarios::pod_cluster;
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::partition::{run_partitioned, PartitionOptions, PartitionedRun, SpanTracing};
+use uqsim_core::partition::{
+    run_groups, run_partitioned, PartitionOptions, PartitionedRun, SpanTracing,
+};
 use uqsim_core::time::SimDuration;
 
 /// Bytes currently allocated, and the most they have been since
@@ -253,10 +255,12 @@ fn gen_dsb() -> (ScenarioConfig, usize) {
 
 /// The bound on what a `uqsim run`-style run of a cluster it was handed
 /// holds beyond the cluster itself, as a share of the cluster's bytes.
-/// Measured on `gen_dsb`: 0.70 MB over a 1.85 MB cluster (0.38) — one
+/// Measured on `gen_dsb`: 0.54 MB over a 1.62 MB cluster (0.33) — one
 /// running cell's simulator and the finished cells' samples, while the
-/// cluster moves into the plan's cells and each cell's configuration into
-/// its simulator. A borrowed cluster costs its one copy more (2.44 MB).
+/// cluster moves into the plan's cells, each list sized exactly, and each
+/// cell's configuration into its simulator; 0.70 MB over 1.85 MB (0.38)
+/// while the generator grew one cluster's lists by doubling and so did
+/// the split. A borrowed cluster costs its one copy more.
 /// While the run copied the cluster into the plan, copied each cell again
 /// to re-seed it, copied its specs into the builder and again into the
 /// simulator, and kept a registry of labelled gauges per finished cell,
@@ -285,6 +289,56 @@ fn a_plain_run_holds_the_cluster_once() {
          it); the ratchet is {MAX_PEAK_OVER_CLUSTER} — the run is copying the scenario \
          instead of carving it into cells and building them from their configurations, \
          or finished cells keep a registry"
+    );
+}
+
+/// The bundled `gen_dsb` spec with `replicas` replicas.
+fn gen_dsb_spec(replicas: usize) -> uqsim_synth::GenSpec {
+    let mut spec = uqsim_synth::GenSpec::from_json(include_str!("../../cli/configs/gen_dsb.json"))
+        .expect("bundled spec parses");
+    spec.replicas = replicas;
+    spec
+}
+
+/// The most bytes a `uqsim run --gen --shards 2`-style run held at once,
+/// generation included: the replicas go to the run one at a time, each
+/// generated when a worker pulls it.
+fn streamed_peak(replicas: usize) -> usize {
+    let spec = gen_dsb_spec(replicas);
+    let opts = PartitionOptions {
+        shards: 2,
+        telemetry: None,
+        span_tracing: SpanTracing::Off,
+    };
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let groups = spec.replicas(1).expect("bundled spec generates");
+    let run = run_groups(groups, None, 1, SimDuration::from_secs_f64(0.3), &opts)
+        .expect("generated cluster runs");
+    assert_eq!(run.cells.len(), replicas, "one cell per replica");
+    assert!(run.result.completed > 0);
+    PEAK.load(Ordering::Relaxed) - baseline
+}
+
+/// The bound on `peak(120 replicas) / peak(30 replicas)` of a streamed
+/// generated run, generation included. Measured: 1.20 (1.12 → 1.35 MB) —
+/// what grows is the finished cells' remains, 1.6 KB of `CellOutput` each
+/// (held twice while the results are put in cell order) and their samples.
+/// While `--gen` generated the whole cluster before the run carved it up,
+/// the same pair read 3.33 (2.93 → 9.75 MB): the cluster's configuration,
+/// about 75 KB a replica, held through the split.
+const MAX_STREAMED_PEAK_GROWTH: f64 = 1.3;
+
+#[test]
+fn a_streamed_generated_run_follows_the_shards_not_the_replicas() {
+    let _alone = one_at_a_time();
+    let (small, large) = (streamed_peak(30), streamed_peak(120));
+    let growth = large as f64 / small as f64;
+    assert!(
+        growth < MAX_STREAMED_PEAK_GROWTH,
+        "4x the replicas cost {growth:.2}x the peak live bytes ({small} -> {large} B); the \
+         ratchet is {MAX_STREAMED_PEAK_GROWTH} — the run is holding replicas it is not \
+         running, or the whole cluster is generated before it starts"
     );
 }
 

@@ -68,9 +68,10 @@
 //! Every simulating subcommand is one [`RunPlan`] — scenario source
 //! (file, directory, or `--gen`), fault plan, seed, duration, shard count
 //! — and `run`, `chaos`, `why`, `trace`, and `sweep --config` execute it
-//! through the one run pipeline, [`uqsim_core::run_partitioned`]: the
-//! loaded scenario is handed over, not copied (a sweep re-scales one copy
-//! per load point), and split into
+//! through the one run pipeline, [`uqsim_core::partition::run_groups`]:
+//! the loaded scenario is handed over, not copied (a sweep re-scales one
+//! copy per load point), and a `--gen` cluster a replica at a time, each
+//! generated when a worker pulls it; either is split into
 //! request-closed *cells* (DESIGN.md §11), the cells run on `--shards <n>`
 //! worker threads (one when the flag is absent), and their outputs are
 //! merged in cell order. A scenario that does not split — each bundled
@@ -91,7 +92,9 @@
 //! `why`, and `sweep --config` accept `--gen <gen.json>` in place of a
 //! scenario path: the spec is generated on the fly (the command's `--seed`
 //! doubles as the generation seed) and then treated exactly like the
-//! scenario directory `gen --out` would write for it. An example spec
+//! scenario directory `gen --out` would write for it — the same cells,
+//! seeds and output bytes, though `run`, `chaos` and `why` never hold it
+//! whole. An example spec
 //! ships at `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -305,32 +308,47 @@ fn load(path: &Path) -> Result<ScenarioConfig, SimError> {
     }
 }
 
-/// `--gen <spec>` support: generates the spec's scenario in memory. That
-/// is the scenario `uqsim gen --out` writes and a later command loads —
-/// the Table I layout round-trips a generated scenario exactly (pinned by
-/// the `gen_smoke` test), so there is nothing to gain from going through
-/// the disk. The command's `--seed` doubles as the generation seed
-/// (falling back to the spec's own default), keeping `(spec, seed) →
-/// scenario` reproducible from any entry point. The summary goes to
-/// stderr; stdout stays reserved for the command's own (byte-stable)
-/// output.
-fn generate(spec_path: &Path, seed: Option<u64>) -> Result<ScenarioConfig, SimError> {
-    let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
-    let seed = seed.unwrap_or(spec.seed);
-    let generated = spec.generate(seed)?;
-    eprintln!(
-        "generated {} seed {seed}: {}",
-        spec.name,
-        uqsim_synth::summarize(&generated)
-    );
-    Ok(generated)
+/// A scenario as a command names it: loaded from a path, or `--gen <spec>`
+/// — generated in memory, never written: the Table I layout round-trips a
+/// generated scenario exactly (pinned by the `gen_smoke` test), so a
+/// generated run is the run of what `uqsim gen --out` writes. The
+/// command's `--seed` doubles as the generation seed (falling back to the
+/// spec's own default), keeping `(spec, seed) → scenario` reproducible
+/// from any entry point.
+enum Scenario {
+    Loaded(ScenarioConfig),
+    Generated {
+        spec: uqsim_synth::GenSpec,
+        seed: u64,
+    },
+}
+
+impl Scenario {
+    /// The whole scenario at once, for the commands that read all of it
+    /// (`sweep` scales a copy per load point).
+    fn into_config(self) -> Result<ScenarioConfig, SimError> {
+        match self {
+            Scenario::Loaded(cfg) => Ok(cfg),
+            Scenario::Generated { spec, seed } => {
+                let generated = spec.generate(seed)?;
+                announce(&spec, seed, uqsim_synth::summarize(&generated));
+                Ok(generated)
+            }
+        }
+    }
+}
+
+/// The summary of a generated scenario, on stderr: stdout stays reserved
+/// for the command's own (byte-stable) output.
+fn announce(spec: &uqsim_synth::GenSpec, seed: u64, summary: uqsim_synth::GenSummary) {
+    eprintln!("generated {} seed {seed}: {summary}", spec.name);
 }
 
 /// What every simulating subcommand shares, parsed, loaded and validated
 /// in one place: the scenario's name, master seed and warm-up, the
 /// optional fault plan, the simulated duration, the shard count, and where
-/// the output goes. The loaded scenario itself is handed out beside the
-/// plan ([`RunPlan::from_args`]), to be given to the run that uses it up.
+/// the output goes. The scenario itself is handed out beside the plan
+/// ([`RunPlan::from_args`]), to be given to the run that uses it up.
 struct RunPlan {
     /// The scenario as named on the command line; reports echo it.
     scenario: String,
@@ -354,10 +372,7 @@ impl RunPlan {
     ///
     /// Rejects a duration that does not exceed the scenario's warm-up:
     /// every statistic would be taken over an empty window.
-    fn from_args(
-        args: &Args,
-        default_duration_s: f64,
-    ) -> Result<(RunPlan, ScenarioConfig), Failure> {
+    fn from_args(args: &Args, default_duration_s: f64) -> Result<(RunPlan, Scenario), Failure> {
         let seed: Option<u64> = args.get("--seed")?;
         let duration_s = args.seconds("--duration", default_duration_s)?;
         let shards = match args.get::<usize>("--shards")? {
@@ -365,23 +380,31 @@ impl RunPlan {
             given => given.unwrap_or(0),
         };
         let path = args.positional.first().map(String::as_str);
-        let (scenario, mut cfg) = match (path.xor(args.raw("--config")), args.raw("--gen")) {
-            (Some(path), None) => (path, load(Path::new(path))?),
-            (None, Some(spec)) => (spec, generate(Path::new(spec), seed)?),
+        let (name, scenario) = match (path.xor(args.raw("--config")), args.raw("--gen")) {
+            (Some(path), None) => {
+                let mut cfg = load(Path::new(path))?;
+                cfg.seed = seed.unwrap_or(cfg.seed);
+                (path, Scenario::Loaded(cfg))
+            }
+            (None, Some(path)) => {
+                let spec = uqsim_synth::GenSpec::from_file(Path::new(path))?;
+                let seed = seed.unwrap_or(spec.seed);
+                (path, Scenario::Generated { spec, seed })
+            }
             _ => {
                 let reason = "name exactly one scenario: a path, --config <scenario.json>, \
                               or --gen <gen.json>";
                 return Err(Failure::Usage(reason.into()));
             }
         };
-        if let Some(seed) = seed {
-            cfg.seed = seed;
-        }
-        if duration_s <= cfg.warmup_s {
+        let (seed, warmup_s) = match &scenario {
+            Scenario::Loaded(cfg) => (cfg.seed, cfg.warmup_s),
+            Scenario::Generated { spec, seed } => (*seed, spec.warmup_s),
+        };
+        if duration_s <= warmup_s {
             return Err(SimError::InvalidScenario(format!(
-                "{scenario}: --duration {duration_s}s does not exceed warmup_s {}s, \
-                 so the measurement window would be empty",
-                cfg.warmup_s
+                "{name}: --duration {duration_s}s does not exceed warmup_s {warmup_s}s, \
+                 so the measurement window would be empty"
             ))
             .into());
         }
@@ -390,16 +413,16 @@ impl RunPlan {
             None => None,
         };
         let plan = RunPlan {
-            scenario: scenario.to_string(),
-            seed: cfg.seed,
-            warmup_s: cfg.warmup_s,
+            scenario: name.to_string(),
+            seed,
+            warmup_s,
             faults,
             duration_s,
             shards,
             json: args.has("--json"),
             out: args.path("--out"),
         };
-        Ok((plan, cfg))
+        Ok((plan, scenario))
     }
 
     fn duration(&self) -> SimDuration {
@@ -415,14 +438,17 @@ impl RunPlan {
     }
 
     /// Executes the plan through the one run pipeline: cells on
-    /// `--shards` workers, merged in cell order. The run takes `cfg`, so
-    /// the scenario is held once, carved into cells and built into their
-    /// simulators. Each cell records what `telemetry` and `span_tracing`
-    /// ask for and nothing else. The cell and shard counts go to stderr so
-    /// stdout stays shard-invariant.
+    /// `--shards` workers, merged in cell order. The run takes the
+    /// scenario, so it is held once, carved into cells and built into their
+    /// simulators; a generated one is handed over a replica at a time,
+    /// each generated when a worker pulls it, so the run holds the
+    /// replicas its workers are running, not the cluster. Each cell
+    /// records what `telemetry` and `span_tracing` ask for and nothing
+    /// else. The cell and shard counts go to stderr so stdout stays
+    /// shard-invariant.
     fn run(
         &self,
-        cfg: ScenarioConfig,
+        scenario: Scenario,
         telemetry: Option<TelemetryConfig>,
         span_tracing: SpanTracing,
     ) -> Result<PartitionedRun, SimError> {
@@ -431,8 +457,28 @@ impl RunPlan {
             telemetry,
             span_tracing,
         };
-        let run =
-            uqsim_core::run_partitioned(cfg, self.fault_plan(), self.seed, self.duration(), &opts)?;
+        let (faults, seed, duration) = (self.fault_plan(), self.seed, self.duration());
+        let run = match scenario {
+            Scenario::Loaded(cfg) => {
+                uqsim_core::run_partitioned(cfg, faults, seed, duration, &opts)
+            }
+            // The plan's seed is the generation seed.
+            Scenario::Generated { spec, .. } => {
+                // The summary is counted replica by replica and announced
+                // once the last one is generated.
+                let replicas = spec.replicas(seed)?;
+                let last = replicas.len();
+                let mut summary = uqsim_synth::GenSummary::default();
+                let replicas = replicas.enumerate().map(|(r, replica)| {
+                    summary += uqsim_synth::summarize(&replica);
+                    if r + 1 == last {
+                        announce(&spec, seed, summary);
+                    }
+                    replica
+                });
+                uqsim_core::partition::run_groups(replicas, faults, seed, duration, &opts)
+            }
+        }?;
         eprintln!(
             "partition: {} cell(s) on {} shard(s)",
             run.cells.len(),
@@ -493,14 +539,14 @@ fn latency_json(s: &uqsim_core::metrics::LatencySummary) -> serde_json::Value {
 fn cmd_run(args: &Args) -> Outcome {
     let metrics_out = args.path("--metrics-out");
     let sample_interval_s = args.seconds("--sample-interval", 0.1)?;
-    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
+    let (plan, scenario) = RunPlan::from_args(args, 5.0)?;
     // No telemetry unless it is asked for: a plain run pays for the event
     // loop and nothing else.
     let telemetry = metrics_out.as_ref().map(|_| TelemetryConfig {
         sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
         ..TelemetryConfig::default()
     });
-    let run = plan.run(cfg, telemetry, SpanTracing::Off)?;
+    let run = plan.run(scenario, telemetry, SpanTracing::Off)?;
     print_run_summary(&plan, &run.result);
     if let Some(dir) = metrics_out {
         std::fs::create_dir_all(&dir)?;
@@ -585,12 +631,12 @@ fn print_run_summary(plan: &RunPlan, r: &RunResult) {
 fn cmd_chaos(args: &Args) -> Outcome {
     args.required("--faults", "<faults.json>")?;
     let events: usize = args.get_or("--events", 4_000_000)?;
-    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
+    let (plan, scenario) = RunPlan::from_args(args, 5.0)?;
     let span_tracing = SpanTracing::Check {
         events,
         replay: false,
     };
-    let run = plan.run(cfg, critpath_telemetry(), span_tracing)?;
+    let run = plan.run(scenario, critpath_telemetry(), span_tracing)?;
     let audit = match report_truncation(&run, events, "audit skipped") {
         None => Ok(run.audit().expect("span tracing is enabled")),
         Some(truncation) => Err(truncation),
@@ -803,12 +849,12 @@ const WHY_EVENTS: usize = 8_000_000;
 /// every rendered output is byte-identical at any `--shards` value.
 fn cmd_why(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", WHY_EVENTS)?;
-    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
+    let (plan, scenario) = RunPlan::from_args(args, 5.0)?;
     let span_tracing = SpanTracing::Check {
         events,
         replay: true,
     };
-    let run = plan.run(cfg, critpath_telemetry(), span_tracing)?;
+    let run = plan.run(scenario, critpath_telemetry(), span_tracing)?;
     if report_truncation(&run, events, "attribution would be incomplete").is_some() {
         return Ok(false);
     }
@@ -896,8 +942,8 @@ fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimE
 fn cmd_top(args: &Args) -> Outcome {
     let interval_s = args.seconds("--interval", 1.0)?;
     let ansi = !args.has("--no-ansi");
-    let (plan, cfg) = RunPlan::from_args(args, 10.0)?;
-    let mut sim = cfg.into_simulator()?;
+    let (plan, scenario) = RunPlan::from_args(args, 10.0)?;
+    let mut sim = scenario.into_config()?.into_simulator()?;
     let interval = SimDuration::from_secs_f64(interval_s);
     sim.enable_telemetry(TelemetryConfig {
         sample_interval: Some(interval),
@@ -1028,7 +1074,8 @@ fn cmd_sweep(args: &Args) -> Outcome {
         return Err(Failure::Usage(format!("--reps must be at most {MAX_REPS}")));
     }
     let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
-    let (plan, cfg) = RunPlan::from_args(args, 5.0)?;
+    let (plan, scenario) = RunPlan::from_args(args, 5.0)?;
+    let cfg = scenario.into_config()?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),
@@ -1077,8 +1124,8 @@ fn cmd_trace(args: &Args) -> Outcome {
     let events: usize = args.get_or("--events", 1_000_000)?;
     let every: u64 = args.get_or("--every", 100)?;
     let max: usize = args.get_or("--max", 20)?;
-    let (plan, cfg) = RunPlan::from_args(args, 2.0)?;
-    let run = plan.run(cfg, None, SpanTracing::Retain(events))?;
+    let (plan, scenario) = RunPlan::from_args(args, 2.0)?;
+    let run = plan.run(scenario, None, SpanTracing::Retain(events))?;
     if args.has("--config") {
         chrome_export(&plan, &run, events)
     } else {

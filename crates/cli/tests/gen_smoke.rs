@@ -137,3 +137,61 @@ fn run_gen_is_shard_invariant_and_leaves_tmpdir_empty() {
     );
     std::fs::remove_dir_all(&tmp).expect("remove tmpdir");
 }
+
+/// A fault plan over entities of the bundled spec's generated cluster:
+/// a crash and a retry policy in replica 0, a slowdown in replica 3.
+const GEN_FAULTS: &str = r#"{
+  "faults": [
+    { "kind": "instance_crash", "instance": "r0-l1-s0-i0", "at_s": 0.25, "restart_after_s": 0.1 },
+    { "kind": "machine_slowdown", "machine": "r3-m0", "at_s": 0.3, "duration_s": 0.1, "factor": 4.0 }
+  ],
+  "policy": {
+    "clients": [ { "client": "r0-c0", "max_retries": 2, "backoff_base_s": 0.005,
+                   "backoff_cap_s": 0.05, "jitter": 0.5 } ]
+  }
+}"#;
+
+/// `run`, `why` and `chaos --gen` take the cluster a replica at a time,
+/// each generated by the worker that pulls it, and still print the same
+/// bytes — stdout and stderr — at `--shards 1, 2, 4`.
+#[test]
+fn streamed_gen_runs_are_byte_identical_at_any_shard_count() {
+    let dir = std::env::temp_dir().join(format!("uqsim-gen-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let faults = dir.join("faults.json");
+    std::fs::write(&faults, GEN_FAULTS).expect("write the plan");
+    let faults = faults.to_str().unwrap();
+    let spec = spec_path();
+    for cmd in [
+        vec!["run", "--gen", &spec, "--json"],
+        vec!["why", "--gen", &spec, "--json"],
+        vec!["chaos", "--gen", &spec, "--faults", faults],
+    ] {
+        let run = |shards: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_uqsim"))
+                .args(&cmd)
+                .args(["--seed", "5", "--duration", "0.4", "--shards", shards])
+                .output()
+                .expect("uqsim binary runs");
+            assert!(out.status.success(), "{cmd:?} --shards {shards}: {out:?}");
+            let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+            // The shard count itself is the one line allowed to differ.
+            let stderr = stderr.replace(&format!("on {shards} shard(s)"), "on K shard(s)");
+            (out.stdout, stderr)
+        };
+        let one = run("1");
+        assert!(
+            one.1
+                .starts_with("generated dsb_cluster seed 5: 344 services, 1122 instances"),
+            "{cmd:?}: {}",
+            one.1
+        );
+        for shards in ["2", "4"] {
+            assert!(
+                run(shards) == one,
+                "{cmd:?}: --shards {shards} differs from 1"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove tmpdir");
+}

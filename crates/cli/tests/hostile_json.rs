@@ -339,3 +339,119 @@ fn a_dangling_name_is_the_same_error_from_every_subcommand() {
         }
     }
 }
+
+/// A bundled file with `from` (which must be there) replaced by `to`,
+/// once.
+fn bundled_with(bundled: &str, name: &str, from: &str, to: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("configs")
+        .join(bundled);
+    let text = std::fs::read_to_string(path).expect("bundled file");
+    assert!(text.contains(from), "{bundled} changed: no {from}");
+    scratch(name, &text.replacen(from, to, 1))
+}
+
+/// `uqsim args…`, killed if it is still running after `secs` seconds.
+fn uqsim_within(secs: u64, args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_uqsim"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("uqsim binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while child.try_wait().expect("child status").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill a hung child");
+            panic!("{args:?} still running after {secs} s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
+}
+
+/// A rate finer than the nanosecond clock rounds every arrival gap to 0
+/// ns, and the client issued requests forever without the clock moving:
+/// `validate` passed such a scenario and `run` never returned. Every rate
+/// an arrival process can reach, and a gen spec's `qps_per_front`, is
+/// held to the range a `--qps` point is.
+#[test]
+fn a_rate_finer_than_the_clock_is_a_config_error_naming_the_key() {
+    let poisson = "[[0.0, 20000.0]]";
+    for (k, qps) in ["3e9", "1e300"].iter().enumerate() {
+        let path = bundled_with("two_tier.json", &format!("fast{k}.json"), poisson, &{
+            format!("[[0.0, {qps}]]")
+        });
+        let path = path.to_str().unwrap();
+        let detail = "client.json: clients[0].arrivals.schedule.segments[0]: ";
+        assert_config_error(qps, &uqsim_within(20, &["validate", path]), detail);
+        let run = uqsim_within(20, &["run", path, "--duration", "0.6"]);
+        assert_config_error(qps, &run, detail);
+    }
+    let burst = r#"{ "type": "mmpp", "states": [ { "rate_qps": 3e9, "mean_dwell_s": 0.05 } ] }"#;
+    let path = bundled_with(
+        "two_tier.json",
+        "fast_mmpp.json",
+        r#"{ "type": "poisson", "schedule": { "segments": [[0.0, 20000.0]] } }"#,
+        burst,
+    );
+    let out = uqsim_within(20, &["run", path.to_str().unwrap(), "--duration", "0.6"]);
+    assert_config_error(
+        "mmpp",
+        &out,
+        "clients[0].arrivals.states[0].rate_qps: 3000000000.0 qps",
+    );
+
+    let spec = bundled_with(
+        "gen_dsb.json",
+        "fast_gen.json",
+        r#""qps_per_front": 300.0"#,
+        r#""qps_per_front": 1e300"#,
+    );
+    let out = uqsim_within(
+        20,
+        &["run", "--gen", spec.to_str().unwrap(), "--duration", "0.6"],
+    );
+    assert_config_error("--gen", &out, "client.qps_per_front: 1e300 qps");
+}
+
+/// A gen spec whose largest cluster would number instances past the
+/// `u32` ids the builder gives them is a config error naming the key, from
+/// every command that reads a spec: `"replicas": 1e12` used to generate
+/// forever, and `"max": 1e12` services in a layer aborted on a 59 TB
+/// allocation (exit 134).
+#[test]
+fn an_oversized_gen_spec_is_a_config_error_naming_the_key() {
+    let replicas = bundled_with(
+        "gen_dsb.json",
+        "many_replicas.json",
+        r#""replicas": 30"#,
+        r#""replicas": 1e12"#,
+    );
+    let services = bundled_with(
+        "gen_dsb.json",
+        "many_services.json",
+        r#""services": { "type": "range", "min": 4, "max": 5 }"#,
+        r#""services": { "type": "range", "min": 4, "max": 1e12 }"#,
+    );
+    let last = "would number past the last id, 4294967295";
+    for (spec, detail) in [
+        (
+            replicas,
+            format!("replicas: up to 39000000000000 instances {last}"),
+        ),
+        (
+            services,
+            format!("layers[1].services: up to 3000000000024 instances per replica {last}"),
+        ),
+    ] {
+        let spec = spec.to_str().unwrap();
+        for args in [
+            vec!["gen", "--spec", spec],
+            vec!["run", "--gen", spec, "--duration", "0.6"],
+            vec!["why", "--gen", spec, "--duration", "0.6"],
+        ] {
+            assert_config_error(spec, &uqsim_within(20, &args), &detail);
+        }
+    }
+}

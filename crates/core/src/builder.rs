@@ -138,6 +138,12 @@ pub(crate) fn build(cfg: ScenarioConfig, names: Resolved) -> SimResult<Simulator
             timeout_s: client.timeout_s,
         };
         spec.validate().map_err(SimError::InvalidScenario)?;
+        spec.arrivals
+            .check_rates()
+            .map_err(|detail| SimError::Config {
+                source_name: CLIENT.into(),
+                detail: format!("clients[{c}].arrivals.{detail}"),
+            })?;
         if refs.roots.is_empty() {
             return Err(SimError::InvalidScenario(format!(
                 "client {}: no root instances",

@@ -21,6 +21,26 @@ use serde::{Deserialize, Serialize};
 /// therefore the byte-level artifacts — of existing scenarios.
 pub const BURST_STREAM: &str = "burst";
 
+/// The rates an arrival process may reach, in requests per second: from
+/// one per 1,000 s — an exponential gap drawn at a lower rate can overflow
+/// the simulated nanosecond clock — to one per simulated nanosecond, the
+/// clock's resolution (at a finer rate every gap rounds to zero and the
+/// clock never advances). [`ArrivalProcess::check_rates`] holds every
+/// process to it, and a sweep's `--qps` points are held to it as well.
+pub const QPS_RANGE: std::ops::RangeInclusive<f64> = 1e-3..=1e9;
+
+/// `Err` naming `key` unless `qps` lies in [`QPS_RANGE`].
+fn check_rate(key: impl FnOnce() -> String, qps: f64) -> Result<(), String> {
+    if QPS_RANGE.contains(&qps) {
+        return Ok(());
+    }
+    let (lo, hi) = QPS_RANGE.into_inner();
+    Err(format!(
+        "{}: {qps:?} qps is outside the rates the clock can run, {lo} to {hi}",
+        key()
+    ))
+}
+
 /// A piecewise-constant request-rate schedule (QPS over time).
 ///
 /// # Examples
@@ -416,6 +436,49 @@ impl ArrivalProcess {
         }
     }
 
+    /// Checks every rate the process can reach against [`QPS_RANGE`]: each
+    /// schedule segment, each MMPP state (a silent state, rate 0, is
+    /// allowed), a flash crowd's peak base rate times all its spikes' peak
+    /// multipliers — the rate it thins against — and a session rate.
+    /// Traces carry no rate.
+    ///
+    /// # Errors
+    ///
+    /// The first rate out of range, named by its key below the process
+    /// (`schedule.segments[1]`, `states[0].rate_qps`, …).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uqsim_core::client::ArrivalProcess;
+    ///
+    /// assert!(ArrivalProcess::poisson(5_000.0).check_rates().is_ok());
+    /// let err = ArrivalProcess::poisson(3e9).check_rates().unwrap_err();
+    /// assert!(err.starts_with("schedule.segments[0]: 3000000000.0 qps"), "{err}");
+    /// ```
+    pub fn check_rates(&self) -> Result<(), String> {
+        let segments = |field: &str, schedule: &RateSchedule| {
+            (schedule.segments.iter().enumerate())
+                .try_for_each(|(i, &(_, qps))| check_rate(|| format!("{field}.segments[{i}]"), qps))
+        };
+        match self {
+            ArrivalProcess::Poisson { schedule } | ArrivalProcess::Uniform { schedule } => {
+                segments("schedule", schedule)
+            }
+            ArrivalProcess::Trace { .. } => Ok(()),
+            ArrivalProcess::Mmpp { states } => (states.iter().enumerate())
+                .filter(|(_, s)| s.rate_qps != 0.0)
+                .try_for_each(|(i, s)| check_rate(|| format!("states[{i}].rate_qps"), s.rate_qps)),
+            ArrivalProcess::FlashCrowd { base, spikes } => {
+                segments("base", base)?;
+                check_rate(|| "spikes".into(), flash_peak(base, spikes))
+            }
+            ArrivalProcess::Sessions {
+                session_rate_qps, ..
+            } => check_rate(|| "session_rate_qps".into(), *session_rate_qps),
+        }
+    }
+
     /// Builds the per-client runtime state for this process. Stateful
     /// processes get their own [`SmallRng`] from the [`BURST_STREAM`]
     /// sub-stream `client_index`; stateless processes carry none and keep
@@ -644,15 +707,21 @@ fn flash_rate(base: &RateSchedule, spikes: &[FlashSpike], t_s: f64) -> f64 {
         * spikes.iter().map(|s| s.multiplier_at(t_s)).product::<f64>()
 }
 
+/// The rate a flash crowd thins against: baseline peak × product of spike
+/// peaks, a bound on every rate it reaches.
+fn flash_peak(base: &RateSchedule, spikes: &[FlashSpike]) -> f64 {
+    base.peak() * spikes.iter().map(|s| s.peak_multiplier).product::<f64>()
+}
+
 /// Exact non-homogeneous Poisson sampling by thinning against the peak
-/// rate (baseline peak × product of spike peaks).
+/// rate ([`flash_peak`]).
 fn flash_gap(
     base: &RateSchedule,
     spikes: &[FlashSpike],
     now: SimTime,
     rng: &mut SmallRng,
 ) -> SimDuration {
-    let lambda_max = base.peak() * spikes.iter().map(|s| s.peak_multiplier).product::<f64>();
+    let lambda_max = flash_peak(base, spikes);
     let start = now.as_secs_f64();
     let mut t = start;
     loop {
@@ -833,6 +902,71 @@ impl ClientSpec {
 mod tests {
     use super::*;
     use crate::rng::RngFactory;
+
+    /// Every rate a process can reach is held to `QPS_RANGE`, each named
+    /// by its key; a silent MMPP state and a trace carry no rate.
+    #[test]
+    fn check_rates_names_the_first_rate_out_of_range() {
+        let spike = |peak_multiplier| FlashSpike {
+            at_s: 1.0,
+            peak_multiplier,
+            ramp_s: 0.1,
+            hold_s: 0.1,
+            decay_s: 0.1,
+        };
+        let sessions = |rate| {
+            ArrivalProcess::sessions(
+                rate,
+                Distribution::constant(3.0),
+                Distribution::constant(0.01),
+            )
+        };
+        let ok = [
+            ArrivalProcess::poisson(1e9),
+            ArrivalProcess::Uniform {
+                schedule: RateSchedule::constant(1e-3),
+            },
+            ArrivalProcess::on_off(5e8, 0.1, 0.1),
+            ArrivalProcess::flash_crowd(1e6, vec![spike(10.0), spike(100.0)]),
+            sessions(1e9),
+            ArrivalProcess::trace(vec![0.0, 0.0, 0.0]),
+        ];
+        for process in ok {
+            assert_eq!(process.check_rates(), Ok(()), "{process:?}");
+        }
+        let bad = [
+            (
+                ArrivalProcess::Poisson {
+                    schedule: RateSchedule {
+                        segments: vec![(0.0, 100.0), (1.0, 3e9)],
+                    },
+                },
+                "schedule.segments[1]: 3000000000.0 qps",
+            ),
+            (
+                ArrivalProcess::Uniform {
+                    schedule: RateSchedule::constant(1e-4),
+                },
+                "schedule.segments[0]: 0.0001 qps",
+            ),
+            (
+                ArrivalProcess::on_off(1e300, 0.1, 0.1),
+                "states[0].rate_qps: 1e300 qps",
+            ),
+            (
+                ArrivalProcess::flash_crowd(1e6, vec![spike(100.0), spike(100.0)]),
+                "spikes: 10000000000.0 qps",
+            ),
+            (sessions(2e9), "session_rate_qps: 2000000000.0 qps"),
+        ];
+        for (process, key) in bad {
+            let err = process.check_rates().unwrap_err();
+            assert!(
+                err.starts_with(key) && err.ends_with("0.001 to 1000000000"),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn constant_schedule() {

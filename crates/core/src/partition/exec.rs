@@ -1,11 +1,12 @@
 //! The run pipeline: cells on shards, merged.
 //!
-//! Spec: DESIGN.md §11.1 ("Execution"). [`run_partitioned`] is the one
-//! build → run → summarize path every entry point shares
+//! Spec: DESIGN.md §11.1 ("Execution"). [`run_groups`] is the one build →
+//! run → summarize path every entry point shares
 //! ([`run_one`](crate::run::run_one), the sweep runner, and the CLI's
-//! `run`/`chaos`/`why`/`trace --config`/`sweep`): it splits the scenario
-//! into cells, lets the shard workers claim them costliest first, runs
-//! every cell as a whole [`Simulator`] to the deadline, and merges the
+//! `run`/`chaos`/`why`/`trace --config`/`sweep`), most of them through its
+//! one-group case [`run_partitioned`]: it splits the scenario — a group at
+//! a time — into cells, lets the shard workers claim them costliest first,
+//! runs every cell as a whole [`Simulator`] to the deadline, and merges the
 //! per-cell outputs deterministically. A scenario that cannot be split is
 //! one cell under the master seed, and the merge of one cell is the
 //! identity, so the classic single-simulator run is the one-cell case of
@@ -33,11 +34,11 @@ use crate::trace::{
     AuditCounts, AuditFold, AuditReport, ChromeTrace, TraceAuditor, TraceLog, TraceMeta,
 };
 
-use super::graph::{split_fault_plan, CellSpec};
+use super::graph::{split_fault_plan, split_groups, CellSpec};
 use super::merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_json, merge_registries, merge_results,
 };
-use super::plan::{cell_seed, PartitionPlan};
+use super::plan::{cell_seed, claim_order};
 
 /// What a run does with its per-request span events (see [`crate::trace`]).
 /// The capacities are per cell, in events.
@@ -121,7 +122,9 @@ impl Default for PartitionOptions {
 /// sampler ran.
 #[derive(Debug)]
 pub struct CellOutput {
-    /// Cell index (position in [`PartitionPlan::cells`]).
+    /// Cell index: its position in
+    /// [`PartitionPlan::cells`](super::PartitionPlan::cells), or across
+    /// the groups of a [`run_groups`] run.
     pub cell: usize,
     /// The cell's run summary, under its [`cell_seed`].
     pub result: RunResult,
@@ -273,11 +276,20 @@ impl PartitionedRun {
 /// [`Simulator::install_faults`](crate::sim::Simulator::install_faults)
 /// raises for a whole scenario — per-cell plans are *filtered*, so without
 /// this check a misspelled entity name would silently vanish instead of
-/// erroring.
-fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> {
-    let instances: HashSet<&str> = cfg.instances.iter().map(|i| i.name.as_str()).collect();
-    let machines: HashSet<&str> = cfg.machines.iter().map(|m| m.name.as_str()).collect();
-    let clients: HashSet<&str> = cfg.clients.iter().map(|c| c.name.as_str()).collect();
+/// erroring. `groups` together are the whole scenario.
+fn validate_fault_plan(groups: &[ScenarioConfig], plan: &FaultPlan) -> SimResult<()> {
+    let instances: HashSet<&str> = groups
+        .iter()
+        .flat_map(|g| g.instances.iter().map(|i| i.name.as_str()))
+        .collect();
+    let machines: HashSet<&str> = groups
+        .iter()
+        .flat_map(|g| g.machines.iter().map(|m| m.name.as_str()))
+        .collect();
+    let clients: HashSet<&str> = groups
+        .iter()
+        .flat_map(|g| g.clients.iter().map(|c| c.name.as_str()))
+        .collect();
     let unknown = |kind: &'static str, name: &str| SimError::UnknownEntity {
         kind,
         name: name.to_string(),
@@ -479,17 +491,18 @@ fn run_checked(
 }
 
 /// Runs `cfg` for `duration` under `seed` and merges the per-cell outputs
-/// into cluster-level results — the one run pipeline.
+/// into cluster-level results: [`run_groups`] with `cfg` as its one group.
 ///
 /// The scenario is split into request-closed cells
 /// ([`split_cells`](crate::partition::split_cells)), each cell runs as an
 /// independent simulator under its [`cell_seed`], `opts.shards` workers
 /// each claim the next unstarted cell of the plan's
-/// [`claim_order`](PartitionPlan::claim_order) whenever they are free (one
-/// live simulator per worker), and every output — run summary, Prometheus
-/// text, CSV, JSON, Chrome trace, audit, chaos summary — is merged in cell
-/// order. **The merged outputs are byte-identical at any `shards` value**,
-/// faulted or not; see the module docs and DESIGN.md §11 for the argument.
+/// [`claim_order`](super::PartitionPlan::claim_order) whenever they are
+/// free (one live simulator per worker), and every output — run summary,
+/// Prometheus text, CSV, JSON, Chrome trace, audit, chaos summary — is
+/// merged in cell order. **The merged outputs are byte-identical at any
+/// `shards` value**, faulted or not; see the module docs and DESIGN.md §11
+/// for the argument.
 ///
 /// A scenario whose entities are all connected is a single cell run under
 /// `seed` itself (`cell_seed(seed, 0) == seed`), and every merge of one
@@ -499,9 +512,9 @@ fn run_checked(
 ///
 /// The run holds the scenario once. Handed over by value, `cfg` is carved
 /// into the cells without a copy (a borrowed one is copied once, as
-/// [`PartitionPlan::new`] says), and each cell's configuration goes into
-/// its simulator when its worker claims and builds it. Without telemetry
-/// a finished cell keeps no metrics registry either
+/// [`PartitionPlan::new`](super::PartitionPlan::new) says), and each cell's
+/// configuration goes into its simulator when its worker claims and builds
+/// it. Without telemetry a finished cell keeps no metrics registry either
 /// ([`CellOutput::registry`]).
 ///
 /// # Errors
@@ -540,17 +553,96 @@ pub fn run_partitioned(
     duration: SimDuration,
     opts: &PartitionOptions,
 ) -> SimResult<PartitionedRun> {
-    let cfg = cfg.into();
-    if let Some(plan) = faults {
-        validate_fault_plan(&cfg, plan)?;
+    run_groups(std::iter::once(cfg.into()), faults, seed, duration, opts)
+}
+
+/// The one run pipeline: runs a scenario handed over as request-closed
+/// *groups* — scenarios that together are the whole one and that share
+/// nothing, no name and no request — pulling each group only when a
+/// worker needs it.
+///
+/// A worker that has no cell left to claim takes the next group, under the
+/// lock every claim goes through, and splits it into cells numbered after
+/// the previous groups' ([`split_groups`](crate::partition::split_groups));
+/// the group's cells are then claimed costliest first
+/// ([`PartitionPlan::claim_order`](super::PartitionPlan::claim_order)).
+/// Because a cell never spans two groups, the cells, their numbers, their
+/// [`cell_seed`]s and every merge are those of [`run_partitioned`] on the
+/// concatenated scenario — as long as every service, client and request
+/// type of a group touches a machine of it (see
+/// [`split_groups`](crate::partition::split_groups)). One group is exactly
+/// [`run_partitioned`]'s plan.
+///
+/// So a run holds the groups its workers are splitting or running, not
+/// the scenario: a generator can yield one group at a time
+/// (`uqsim_synth::GenSpec::replicas`) and the run's memory follows the
+/// shard count, not the group count. A run with a fault plan collects its
+/// groups first, so that a fault naming an entity of no group errors
+/// before any cell runs.
+///
+/// # Errors
+///
+/// As [`run_partitioned`]: the lowest-numbered cell's error wins. A group
+/// that fails to split stops the pulling, and its error counts as the
+/// group's first cell's.
+///
+/// # Examples
+///
+/// ```
+/// use uqsim_core::config::ScenarioConfig;
+/// use uqsim_core::partition::{run_groups, run_partitioned, PartitionOptions};
+/// use uqsim_core::time::SimDuration;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)?;
+/// let (d, opts) = (SimDuration::from_millis(200), PartitionOptions::with_shards(2));
+/// let streamed = run_groups(vec![cfg.clone()], None, 7, d, &opts)?;
+/// assert_eq!(streamed.result, run_partitioned(cfg, None, 7, d, &opts)?.result);
+/// # Ok(())
+/// # }
+/// ```
+pub fn run_groups<G>(
+    groups: G,
+    faults: Option<&FaultPlan>,
+    seed: u64,
+    duration: SimDuration,
+    opts: &PartitionOptions,
+) -> SimResult<PartitionedRun>
+where
+    G: IntoIterator<Item = ScenarioConfig>,
+    G::IntoIter: Send,
+{
+    match faults {
+        Some(plan) => {
+            let groups: Vec<ScenarioConfig> = groups.into_iter().collect();
+            validate_fault_plan(&groups, plan)?;
+            run_pulled(groups.into_iter(), faults, seed, duration, opts)
+        }
+        None => run_pulled(groups.into_iter(), None, seed, duration, opts),
     }
-    let plan = PartitionPlan::new(cfg, opts.shards)?;
-    let order = plan.claim_order();
-    let PartitionPlan { cells, shards } = plan;
-    let pool = Pool::new(shards.min(cells.len().max(1)));
-    let cells = pool
-        .map_claimed_owned(cells, &order, |cell| {
-            run_cell(cell, faults, seed, duration, opts)
+}
+
+/// [`run_groups`] once the fault plan is checked.
+fn run_pulled(
+    groups: impl Iterator<Item = ScenarioConfig> + Send,
+    faults: Option<&FaultPlan>,
+    seed: u64,
+    duration: SimDuration,
+    opts: &PartitionOptions,
+) -> SimResult<PartitionedRun> {
+    let shards = opts.shards.max(1);
+    // A group that fails to split is its first cell's error: numbered
+    // after every cell before it, it is the last thing pulled.
+    let batches = split_groups(groups).map(|cells| match cells {
+        Ok(cells) => {
+            let order = claim_order(&cells);
+            (cells.into_iter().map(Ok).collect(), order)
+        }
+        Err(e) => (vec![Err(e)], vec![0]),
+    });
+    let cells = Pool::new(shards)
+        .map_pulled(batches, |cell: SimResult<CellSpec>| {
+            run_cell(cell?, faults, seed, duration, opts)
         })
         .into_iter()
         .collect::<SimResult<Vec<CellOutput>>>()?;

@@ -136,8 +136,9 @@ fn service_users(
     users
 }
 
-/// Moves every entity to the cell whose index list names it. Lists are
-/// ascending, so each cell keeps the entities' relative order.
+/// Moves every entity to the cell whose index list names it, into a list
+/// of exactly the cell's size. Lists are ascending, so each cell keeps the
+/// entities' relative order.
 fn deal<T>(
     entities: Vec<T>,
     cells: &[Vec<usize>],
@@ -146,6 +147,7 @@ fn deal<T>(
 ) {
     let mut cell_of = vec![0; entities.len()];
     for (cell, indices) in cells.iter().enumerate() {
+        field(&mut configs[cell]).reserve_exact(indices.len());
         for &i in indices {
             cell_of[i] = cell;
         }
@@ -355,6 +357,79 @@ pub fn split_cells(cfg: impl Into<ScenarioConfig>) -> SimResult<Vec<CellSpec>> {
             config,
         })
         .collect())
+}
+
+/// Splits a scenario handed over as request-closed *groups* — scenarios
+/// that share nothing and together are the whole one, such as the
+/// replicas of a generated cluster — one group at a time: each group is
+/// split ([`split_cells`]) only when the iterator reaches it, its cells are
+/// numbered after the previous groups' cells and their index lists offset
+/// past the previous groups' entities. So when every service, client and
+/// request type of a group touches a machine of it, what this yields,
+/// concatenated, is [`split_cells`] of the concatenated scenario — ids,
+/// index lists and configurations — and one group is exactly
+/// [`split_cells`] of it. Stops after a group that fails to split, with
+/// its error.
+///
+/// # Examples
+///
+/// ```
+/// use uqsim_core::config::ScenarioConfig;
+/// use uqsim_core::partition::{split_cells, split_groups};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)?;
+/// let groups: Vec<_> = split_groups(vec![cfg.clone()]).collect::<Result<_, _>>()?;
+/// assert_eq!(groups.len(), 1);
+/// assert_eq!(groups[0][0].machines, split_cells(cfg)?[0].machines);
+/// # Ok(())
+/// # }
+/// ```
+pub fn split_groups<G>(groups: G) -> impl Iterator<Item = SimResult<Vec<CellSpec>>>
+where
+    G: IntoIterator<Item = ScenarioConfig>,
+{
+    fn lists(cell: &mut CellSpec) -> [&mut Vec<usize>; 5] {
+        let CellSpec {
+            machines,
+            clients,
+            instances,
+            pools,
+            request_types,
+            ..
+        } = cell;
+        [machines, clients, instances, pools, request_types]
+    }
+    // Cells, then entities per list, of the groups split so far.
+    let (mut cells_before, mut before) = (0, [0; 5]);
+    let mut failed = false;
+    groups.into_iter().map_while(move |group| {
+        if failed {
+            return None;
+        }
+        let sizes = [
+            group.machines.len(),
+            group.clients.len(),
+            group.instances.len(),
+            group.pools.len(),
+            group.request_types.len(),
+        ];
+        let split = split_cells(group).map(|mut cells| {
+            for cell in &mut cells {
+                cell.id += cells_before;
+                for (list, offset) in lists(cell).into_iter().zip(before) {
+                    list.iter_mut().for_each(|i| *i += offset);
+                }
+            }
+            cells_before += cells.len();
+            for (total, size) in before.iter_mut().zip(sizes) {
+                *total += size;
+            }
+            cells
+        });
+        failed = split.is_err();
+        Some(split)
+    })
 }
 
 /// Restricts a fault plan to one cell: scheduled faults stay with the cell

@@ -32,6 +32,13 @@
 //! also exactly what a bare `Simulator` under the master seed produces
 //! (**P7**: any shard count, *including none*).
 //!
+//! A scenario may also be handed over as request-closed *groups* that
+//! share nothing — a generated cluster's replicas — and [`run_groups`]
+//! pulls each group only when a worker runs out of cells to claim, splits
+//! it, and numbers its cells after the previous groups' cells
+//! ([`split_groups`]): the cells, seeds and merges of the whole scenario,
+//! held a group at a time. [`run_partitioned`] is the one-group case.
+//!
 //! Cross-*cell* traffic does not exist (cells are closed), so cells never
 //! synchronize; DESIGN.md §11's appendix records the conservative-sync
 //! design (clocks, lookahead, windows, **P6**) that a cross-cell RPC
@@ -61,10 +68,10 @@ mod merge;
 mod plan;
 
 pub use exec::{
-    run_partitioned, CellOutput, CellSeries, PartitionOptions, PartitionedRun, RetainedTrace,
-    SpanChecks, SpanTracing,
+    run_groups, run_partitioned, CellOutput, CellSeries, PartitionOptions, PartitionedRun,
+    RetainedTrace, SpanChecks, SpanTracing,
 };
-pub use graph::{split_cells, split_fault_plan, CellSpec};
+pub use graph::{split_cells, split_fault_plan, split_groups, CellSpec};
 pub use merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries, merge_json,
     merge_registries, merge_results,

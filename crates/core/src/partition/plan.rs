@@ -62,6 +62,16 @@ fn cell_weight(cell: &CellSpec) -> u64 {
     (cores + cell.config.instances.len() * 2 + conns / 8 + 1) as u64
 }
 
+/// The order in which workers claim `cells` — positions into the slice,
+/// by descending weight, ties to the lower position
+/// ([`PartitionPlan::claim_order`]).
+pub(super) fn claim_order(cells: &[CellSpec]) -> Vec<usize> {
+    let weights: Vec<u64> = cells.iter().map(cell_weight).collect();
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&c| (std::cmp::Reverse(weights[c]), c));
+    order
+}
+
 impl PartitionPlan {
     /// Splits `cfg` into cells to be run by `shards` workers. No cell is
     /// placed on a worker ahead of time: each worker claims the next
@@ -104,10 +114,7 @@ impl PartitionPlan {
     /// (spec invariant **P2**, `claim_order_is_pure_and_never_shows` in
     /// `tests/partition.rs`).
     pub fn claim_order(&self) -> Vec<usize> {
-        let weights = self.weights();
-        let mut order: Vec<usize> = (0..self.cells.len()).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(weights[c]), c));
-        order
+        claim_order(&self.cells)
     }
 
     /// The weights behind [`claim_order`](Self::claim_order), per cell.

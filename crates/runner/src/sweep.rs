@@ -41,11 +41,9 @@ pub fn seed_for(base_seed: u64, rep: usize) -> u64 {
 /// Most points a QPS grid may have ([`parse_qps_spec`]).
 pub const MAX_QPS_POINTS: usize = 10_000;
 
-/// The offered loads a QPS grid may name, per client: from one request per
-/// 1,000 s — an exponential gap drawn at a lower rate can overflow the
-/// simulated nanosecond clock — to one per simulated nanosecond, the
-/// clock's resolution.
-pub const QPS_RANGE: std::ops::RangeInclusive<f64> = 1e-3..=1e9;
+/// The offered loads a QPS grid may name, per client: the rates any
+/// arrival process may reach (defined with the arrival processes).
+pub use uqsim_core::client::QPS_RANGE;
 
 /// Parses a QPS grid argument: either a range `lo:hi:step` (inclusive of
 /// `hi` up to float tolerance) or an explicit comma list `a,b,c`. Every

@@ -32,8 +32,9 @@ struct SvcShape {
 }
 
 impl GenSpec {
-    /// Generates the scenario for `seed`. Deterministic: identical
-    /// `(spec, seed)` inputs produce identical output on any machine —
+    /// Generates the scenario for `seed`: the concatenation of its
+    /// [`replicas`](Self::replicas). Deterministic: identical `(spec,
+    /// seed)` inputs produce identical output on any machine —
     /// `generate(s).to_json()` is byte-stable.
     ///
     /// # Errors
@@ -41,9 +42,75 @@ impl GenSpec {
     /// Returns [`uqsim_core::error::SimError::Config`] if the spec is
     /// invalid.
     pub fn generate(&self, seed: u64) -> SimResult<ScenarioConfig> {
+        let mut cfg = self.empty(seed);
+        for replica in self.replicas(seed)? {
+            let ScenarioConfig {
+                seed: _,
+                warmup_s: _,
+                machines,
+                services,
+                instances,
+                pools,
+                request_types,
+                clients,
+            } = replica;
+            cfg.machines.extend(machines);
+            cfg.services.extend(services);
+            cfg.instances.extend(instances);
+            cfg.pools.extend(pools);
+            cfg.request_types.extend(request_types);
+            cfg.clients.extend(clients);
+        }
+        Ok(cfg)
+    }
+
+    /// The scenario for `seed` one replica at a time: replica `r` is
+    /// generated when the iterator reaches it, from its own `("gen", r)`
+    /// stream, as a scenario of its own — its machines, services,
+    /// instances, pools, request types and clients, under `seed` and the
+    /// spec's warm-up. Replicas share nothing, so each is request-closed:
+    /// a run can take them as the groups of
+    /// [`run_groups`](uqsim_core::partition::run_groups) and hold only the
+    /// ones it is running. [`generate`](Self::generate) is their
+    /// concatenation, and each is byte-stable per `(spec, seed)` on its
+    /// own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`uqsim_core::error::SimError::Config`] if the spec is
+    /// invalid — checked here, before any replica is generated.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uqsim_synth::GenSpec;
+    ///
+    /// let spec = GenSpec::example();
+    /// let replicas: Vec<_> = spec.replicas(7).unwrap().collect();
+    /// assert_eq!(replicas.len(), spec.replicas);
+    /// let machines: usize = replicas.iter().map(|r| r.machines.len()).sum();
+    /// assert_eq!(machines, spec.generate(7).unwrap().machines.len());
+    /// ```
+    pub fn replicas(
+        &self,
+        seed: u64,
+    ) -> SimResult<impl ExactSizeIterator<Item = ScenarioConfig> + Send + '_> {
         self.validate()?;
         let factory = RngFactory::new(seed);
-        let mut cfg = ScenarioConfig {
+        Ok((0..self.replicas).map(move |r| {
+            // Each replica draws from its own stream: inserting or removing
+            // a replica never reshapes its siblings.
+            let mut rng = factory.stream(GEN_STREAM, r as u64);
+            let mut cfg = self.empty(seed);
+            self.generate_replica(r, &mut rng, &mut cfg);
+            cfg
+        }))
+    }
+
+    /// A scenario with nothing in it yet, under `seed` and the spec's
+    /// warm-up.
+    fn empty(&self, seed: u64) -> ScenarioConfig {
+        ScenarioConfig {
             seed,
             warmup_s: self.warmup_s,
             machines: Vec::new(),
@@ -52,18 +119,11 @@ impl GenSpec {
             pools: Vec::new(),
             request_types: Vec::new(),
             clients: Vec::new(),
-        };
-        for r in 0..self.replicas {
-            // Each replica draws from its own stream: inserting or removing
-            // a replica never reshapes its siblings.
-            let mut rng = factory.stream(GEN_STREAM, r as u64);
-            self.generate_replica(r, &mut rng, &mut cfg);
         }
-        Ok(cfg)
     }
 
-    /// Samples one replica's shape and appends its machines, services,
-    /// instances, pools, request types, and clients to `cfg`.
+    /// Samples one replica's shape and fills the empty `cfg` with its
+    /// machines, services, instances, pools, request types, and clients.
     fn generate_replica(&self, r: usize, rng: &mut SmallRng, cfg: &mut ScenarioConfig) {
         // --- shape: services and instances per layer -------------------
         let mut layers: Vec<Vec<SvcShape>> = Vec::with_capacity(self.layers.len());
@@ -111,7 +171,6 @@ impl GenSpec {
         }
 
         // --- service models and instances ------------------------------
-        let first_new = cfg.instances.len();
         for (l, svcs) in layers.iter().enumerate() {
             let role = self.layers[l].role;
             for svc in svcs {
@@ -140,7 +199,7 @@ impl GenSpec {
         // serve network IRQs, the rest host instances.
         let usable = self.machine_cores - 4;
         let mut remaining: Vec<usize> = Vec::new();
-        for inst in cfg.instances[first_new..].iter_mut() {
+        for inst in cfg.instances.iter_mut() {
             let slot = match remaining.iter().position(|&free| free >= inst.cores) {
                 Some(m) => m,
                 None => {
@@ -334,8 +393,9 @@ fn choose_distinct(rng: &mut SmallRng, n: usize, k: usize) -> Vec<usize> {
     idx
 }
 
-/// Headline sizes of a generated (or any) scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Headline sizes of a generated (or any) scenario. They add up: the
+/// summary of [`GenSpec::generate`] is the sum of its replicas'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenSummary {
     /// Distinct service models.
     pub services: usize,
@@ -349,6 +409,17 @@ pub struct GenSummary {
     pub request_types: usize,
     /// Clients.
     pub clients: usize,
+}
+
+impl std::ops::AddAssign for GenSummary {
+    fn add_assign(&mut self, other: GenSummary) {
+        self.services += other.services;
+        self.instances += other.instances;
+        self.machines += other.machines;
+        self.pools += other.pools;
+        self.request_types += other.request_types;
+        self.clients += other.clients;
+    }
 }
 
 impl std::fmt::Display for GenSummary {

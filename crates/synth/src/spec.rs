@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use uqsim_apps::roles::Role;
-use uqsim_core::client::ArrivalProcess;
+use uqsim_core::client::{ArrivalProcess, QPS_RANGE};
 use uqsim_core::error::{SimError, SimResult};
 
 /// A small integer distribution for topology shape parameters.
@@ -205,8 +205,13 @@ impl GenSpec {
         if self.layers.is_empty() {
             return fail("at least one layer is required".into());
         }
-        if self.client.qps_per_front.is_nan() || self.client.qps_per_front <= 0.0 {
-            return fail("client.qps_per_front must be > 0".into());
+        if !QPS_RANGE.contains(&self.client.qps_per_front) {
+            let (lo, hi) = QPS_RANGE.into_inner();
+            return fail(format!(
+                "client.qps_per_front: {:?} qps is outside the rates the clock can run, \
+                 {lo} to {hi}",
+                self.client.qps_per_front
+            ));
         }
         if self.client.connections == 0 {
             return fail("client.connections must be >= 1".into());
@@ -214,6 +219,9 @@ impl GenSpec {
         if let Some(arr) = &self.client.arrivals {
             if let Err(e) = arr.validate() {
                 return fail(format!("client.arrivals: {e}"));
+            }
+            if let Err(e) = arr.check_rates() {
+                return fail(format!("client.arrivals.{e}"));
             }
         }
         if self.warmup_s.is_nan() || self.warmup_s < 0.0 {
@@ -265,6 +273,74 @@ impl GenSpec {
                 "maximum fan-outs compound to {total} service visits per request \
                  (limit 2048); lower the fanout or depth"
             ));
+        }
+        self.check_cluster_size().or_else(fail)
+    }
+
+    /// Checks that the largest cluster the spec can generate numbers its
+    /// instances, clients and pools (and so its machines, at most one per
+    /// instance) within the `u32` ids the builder gives them — before
+    /// anything is allocated. Blames `replicas` when one replica fits, else
+    /// the layer that contributes the most to it.
+    fn check_cluster_size(&self) -> Result<(), String> {
+        let last_id = u128::from(u32::MAX);
+        let too_many = |key: String, n: u128, what: &str| {
+            Err(format!(
+                "{key}: up to {n} {what} would number past the last id, {last_id}"
+            ))
+        };
+        let max = |d: &CountDist| d.max() as u128;
+        // Per replica, at most: services and instances per layer, pools
+        // per pair of adjacent layers — each caller instance to each
+        // callee instance along every edge, where orphan repair adds up to
+        // one edge per callee to the sampled fan-outs.
+        let services: Vec<u128> = self.layers.iter().map(|l| max(&l.services)).collect();
+        let instances: Vec<u128> = (self.layers.iter().zip(&services))
+            .map(|(l, &s)| s.saturating_mul(max(&l.instances_per_service)))
+            .collect();
+        let pools: Vec<u128> = (0..self.layers.len().saturating_sub(1))
+            .map(|l| {
+                let (up, down) = (services[l], services[l + 1]);
+                let fanout = max(&self.layers[l].fanout).min(down);
+                let edges =
+                    (up.saturating_mul(fanout).saturating_add(down)).min(up.saturating_mul(down));
+                let callers = max(&self.layers[l].instances_per_service);
+                let callees = max(&self.layers[l + 1].instances_per_service);
+                match self.pool_size {
+                    0 => 0,
+                    _ => edges.saturating_mul(callers).saturating_mul(callees),
+                }
+            })
+            .collect();
+        let sum = |counts: &[u128]| counts.iter().fold(0u128, |a, &b| a.saturating_add(b));
+        let replicas = self.replicas as u128;
+        for (what, per_layer) in [
+            ("instances", &instances[..]),
+            ("clients", &services[..1]),
+            ("pools", &pools[..]),
+        ] {
+            let per_replica = sum(per_layer);
+            let total = per_replica.saturating_mul(replicas);
+            if total <= last_id {
+                continue;
+            }
+            if per_replica <= last_id {
+                return too_many("replicas".into(), total, what);
+            }
+            // One replica alone does not fit: blame the layer that
+            // contributes the most.
+            let (l, _) = (per_layer.iter().enumerate())
+                .max_by_key(|&(l, &n)| (n, std::cmp::Reverse(l)))
+                .expect("a count past the last id has a layer");
+            let field = match what {
+                "pools" => "fanout",
+                "instances" if services[l] < max(&self.layers[l].instances_per_service) => {
+                    "instances_per_service"
+                }
+                _ => "services",
+            };
+            let key = format!("layers[{l}].{field}");
+            return too_many(key, per_replica, &format!("{what} per replica"));
         }
         Ok(())
     }

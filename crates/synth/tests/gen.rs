@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use uqsim_apps::roles::Role;
-use uqsim_core::partition::split_cells;
+use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::{
+    run_groups, run_partitioned, split_cells, split_groups, PartitionOptions,
+};
 use uqsim_core::time::SimDuration;
 use uqsim_synth::{summarize, ClientGen, CountDist, GenSpec, LayerSpec};
 
@@ -53,6 +56,95 @@ fn replicas_are_stream_independent() {
     };
     assert_eq!(prefix(&two, "r0-"), prefix(&three, "r0-"));
     assert_eq!(prefix(&two, "r1-"), prefix(&three, "r1-"));
+}
+
+// ---------------------------------------------------------------------
+// Streaming: replicas one at a time are the cluster
+// ---------------------------------------------------------------------
+
+fn gen_dsb() -> GenSpec {
+    GenSpec::from_json(include_str!("../../cli/configs/gen_dsb.json")).unwrap()
+}
+
+/// `generate` is the concatenation of `replicas`, each replica under the
+/// generation seed and the spec's warm-up.
+fn assert_generate_concatenates_replicas(spec: &GenSpec, seed: u64) {
+    let whole = spec.generate(seed).unwrap();
+    let mut joined = ScenarioConfig {
+        machines: Vec::new(),
+        services: Vec::new(),
+        instances: Vec::new(),
+        pools: Vec::new(),
+        request_types: Vec::new(),
+        clients: Vec::new(),
+        ..whole.clone()
+    };
+    let replicas = spec.replicas(seed).unwrap();
+    assert_eq!(replicas.len(), spec.replicas);
+    for r in replicas {
+        assert_eq!((r.seed, r.warmup_s), (whole.seed, whole.warmup_s));
+        joined.machines.extend(r.machines);
+        joined.services.extend(r.services);
+        joined.instances.extend(r.instances);
+        joined.pools.extend(r.pools);
+        joined.request_types.extend(r.request_types);
+        joined.clients.extend(r.clients);
+    }
+    assert_eq!(joined, whole, "seed {seed}");
+}
+
+/// The cells a streamed run pulls, replica by replica, are the cells of
+/// the whole cluster: the same ids, the same owned index lists into the
+/// whole cluster's entity lists, and equal configurations.
+fn assert_streamed_cells_are_the_clusters(spec: &GenSpec, seed: u64) {
+    let whole = split_cells(spec.generate(seed).unwrap()).unwrap();
+    let streamed: Vec<_> = split_groups(spec.replicas(seed).unwrap())
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .collect();
+    assert_eq!(streamed.len(), whole.len(), "seed {seed}");
+    for (s, w) in streamed.iter().zip(&whole) {
+        assert_eq!(s.id, w.id);
+        assert_eq!(s.machines, w.machines, "cell {}", w.id);
+        assert_eq!(s.clients, w.clients, "cell {}", w.id);
+        assert_eq!(s.instances, w.instances, "cell {}", w.id);
+        assert_eq!(s.pools, w.pools, "cell {}", w.id);
+        assert_eq!(s.request_types, w.request_types, "cell {}", w.id);
+        assert!(s.config == w.config, "cell {} config differs", w.id);
+    }
+}
+
+#[test]
+fn generate_is_the_concatenation_of_the_replicas() {
+    assert_generate_concatenates_replicas(&gen_dsb(), 1);
+    assert_generate_concatenates_replicas(&small_spec(), 7);
+}
+
+#[test]
+fn a_streamed_run_pulls_exactly_the_cells_of_the_whole_cluster() {
+    assert_streamed_cells_are_the_clusters(&gen_dsb(), 1);
+    assert_streamed_cells_are_the_clusters(&gen_dsb(), 12345);
+}
+
+/// Running the replicas as groups is running the generated cluster: the
+/// merged result (counts, latency summary, events processed) is the same
+/// at every shard count.
+#[test]
+fn a_streamed_run_is_the_materialized_run() {
+    let spec = gen_dsb();
+    let d = SimDuration::from_millis(300);
+    let whole = spec.generate(3).unwrap();
+    let opts = PartitionOptions::with_shards(2);
+    let materialized = run_partitioned(whole, None, 3, d, &opts).unwrap();
+    for shards in [1, 2, 4] {
+        let opts = PartitionOptions::with_shards(shards);
+        let streamed = run_groups(spec.replicas(3).unwrap(), None, 3, d, &opts).unwrap();
+        assert_eq!(streamed.result, materialized.result, "shards {shards}");
+        assert_eq!(streamed.prometheus(), materialized.prometheus());
+        assert_eq!(streamed.cells.len(), 30);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -177,6 +269,65 @@ fn spec_validation_catches_bad_inputs() {
     }
     let err = spec.validate().unwrap_err().to_string();
     assert!(err.contains("2048"), "{err}");
+
+    // Every rate a generated client runs at fits the nanosecond clock.
+    let mut spec = small_spec();
+    spec.client.qps_per_front = 3e9;
+    let err = spec.validate().unwrap_err().to_string();
+    assert!(
+        err.contains("client.qps_per_front: 3000000000.0 qps"),
+        "{err}"
+    );
+    let mut spec = small_spec();
+    spec.client.arrivals = Some(uqsim_core::client::ArrivalProcess::poisson(1e300));
+    let err = spec.validate().unwrap_err().to_string();
+    assert!(
+        err.contains("client.arrivals.schedule.segments[0]: 1e300 qps"),
+        "{err}"
+    );
+}
+
+/// The largest cluster a spec can generate must number its instances,
+/// clients and pools within `u32` ids — checked before anything is
+/// allocated, naming the key to lower.
+#[test]
+fn oversized_counts_are_rejected_naming_the_key() {
+    let last = "would number past the last id, 4294967295";
+    let mut spec = small_spec();
+    spec.replicas = 1_000_000_000_000;
+    let err = spec.validate().unwrap_err().to_string();
+    assert!(
+        err.contains(&format!("replicas: up to 14000000000000 instances {last}")),
+        "{err}"
+    );
+    let mut spec = small_spec();
+    spec.layers[1].services = CountDist::range(1, 1_000_000_000_000);
+    let err = spec.validate().unwrap_err().to_string();
+    let key = "layers[1].services: up to 2000000000008 instances per replica";
+    assert!(err.contains(&format!("{key} {last}")), "{err}");
+    let mut spec = small_spec();
+    spec.layers[0].services = CountDist::fixed(5_000_000_000);
+    spec.layers[0].instances_per_service = CountDist::fixed(1);
+    spec.pool_size = 0;
+    let err = spec.validate().unwrap_err().to_string();
+    assert!(
+        err.contains("layers[0].services: up to 5000000012 instances per replica"),
+        "{err}"
+    );
+    // Layers that fit one by one but not together: the largest is named.
+    let mut spec = small_spec();
+    spec.replicas = 1;
+    spec.layers[0].services = CountDist::fixed(3_000_000_000);
+    spec.layers[0].instances_per_service = CountDist::fixed(1);
+    spec.layers[1].services = CountDist::fixed(2_000_000_000);
+    let err = spec.validate().unwrap_err().to_string();
+    let key = "layers[1].services: up to 7000000006 instances per replica";
+    assert!(err.contains(key), "{err}");
+    // The bound is the worst case, not the sampled one: the bundled
+    // 30-replica spec has room for 100,000 replicas of it.
+    let mut spec = gen_dsb();
+    spec.replicas = 100_000;
+    spec.validate().unwrap();
 }
 
 #[test]
@@ -241,6 +392,8 @@ proptest! {
         let spec = arb_spec(replicas, depth, svc_max, inst_max, fan_max);
         let cfg = spec.generate(seed).unwrap();
         prop_assert_eq!(cfg.to_json(), spec.generate(seed).unwrap().to_json());
+        assert_generate_concatenates_replicas(&spec, seed);
+        assert_streamed_cells_are_the_clusters(&spec, seed);
         cfg.build().expect("generated scenario must build");
         // Replicas never merge into one cell (a replica whose sampled
         // graph happens to be disconnected may split further — that only
