@@ -42,7 +42,7 @@ fn bighouse_sweep(
 ) -> Vec<LoadPoint> {
     // BigHouse points are independent too, so they fan out across the same
     // worker budget as the µqSim sweeps (results come back in load order).
-    uqsim_runner::run_indexed(opts.jobs, loads.len(), |i| {
+    minipool::Pool::new(opts.jobs).map_indexed(loads.len(), |i| {
         let qps = loads[i];
         let result = BigHouse::new(BigHouseConfig {
             interarrival: Distribution::exponential(1.0 / qps),

@@ -86,7 +86,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
     // Each decision interval is an independent (sim, noisy, baseline)
     // triple; run the three intervals in parallel and print in order.
     let intervals = [0.1, 0.5, 1.0];
-    let runs = uqsim_runner::try_run_indexed(opts.jobs, intervals.len(), |i| {
+    let runs = minipool::Pool::new(opts.jobs).map_indexed(intervals.len(), |i| {
         let base = PowerRunConfig {
             interval: SimDuration::from_secs_f64(intervals[i]),
             duration,
@@ -100,7 +100,8 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
         })?;
         let baseline_energy = crate::power_experiment::run_baseline(&base)?;
         Ok::<_, uqsim_core::SimError>((sim, noisy, baseline_energy))
-    })?;
+    });
+    let runs = runs.into_iter().collect::<SimResult<Vec<_>>>()?;
     let mut out = Vec::new();
     for (interval_s, (sim, noisy, baseline_energy)) in intervals.iter().copied().zip(runs) {
         let stride = (4.0 / interval_s) as usize;

@@ -41,7 +41,7 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<Row>> {
                 .flat_map(move |&seed| [(interval_s, seed, false), (interval_s, seed, true)])
         })
         .collect();
-    let rates = uqsim_runner::try_run_indexed(opts.jobs, grid.len(), |i| {
+    let rates = minipool::Pool::new(opts.jobs).map_indexed(grid.len(), |i| {
         let (interval_s, seed, noisy) = grid[i];
         let cfg = PowerRunConfig {
             interval: SimDuration::from_secs_f64(interval_s),
@@ -52,7 +52,8 @@ pub fn run(opts: &RunOpts) -> SimResult<Vec<Row>> {
             ..PowerRunConfig::default()
         };
         power_run(&cfg).map(|r| r.violation_rate)
-    })?;
+    });
+    let rates = rates.into_iter().collect::<SimResult<Vec<f64>>>()?;
     let mut rows = Vec::new();
     println!(
         "{:>12} {:>12} {:>12} {:>14} {:>12}",

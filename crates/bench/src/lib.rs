@@ -10,7 +10,8 @@
 //! [`ScenarioConfig`](uqsim_core::config::ScenarioConfig)s (one per curve,
 //! from `uqsim_apps::scenarios`) and runs them through
 //! [`uqsim_runner::sweep::run_cells`] — the fan-out `uqsim sweep` uses, each
-//! cell one [`uqsim_core::run_partitioned`] call — so any cell can be
+//! cell one run of the run pipeline's one queue
+//! ([`uqsim_core::partition::run_batch`]) — so any cell can be
 //! printed (`cfg.to_json()`) and handed to `uqsim why`. Output is identical
 //! at any worker count; only wall-clock changes. Experiments therefore
 //! *compute first, print after*.

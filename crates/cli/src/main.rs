@@ -324,8 +324,8 @@ enum Scenario {
 }
 
 impl Scenario {
-    /// The whole scenario at once, for the commands that read all of it
-    /// (`sweep` scales a copy per load point).
+    /// The whole scenario at once, for `top`, which watches one live
+    /// simulator of all of it.
     fn into_config(self) -> Result<ScenarioConfig, SimError> {
         match self {
             Scenario::Loaded(cfg) => Ok(cfg),
@@ -1061,8 +1061,9 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
 /// capped at [`uqsim_runner::sweep::MAX_QPS_POINTS`]).
 const MAX_REPS: usize = 10_000;
 
-/// `uqsim sweep`: `Q` QPS points × `K` seed replications fanned across the
-/// [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
+/// `uqsim sweep`: `Q` QPS points × `K` seed replications, every cell of
+/// every run claimed from the run pipeline's one queue by `max(--jobs,
+/// --shards)` workers, aggregated into a CSV/JSON table with
 /// across-replication 95% confidence intervals. Progress goes to stderr;
 /// the table goes to stdout (or `--out`), and its bytes do not depend on
 /// `--jobs` or `--shards`.
@@ -1075,7 +1076,6 @@ fn cmd_sweep(args: &Args) -> Outcome {
     }
     let jobs: usize = args.get_or("--jobs", uqsim_runner::available_jobs())?;
     let (plan, scenario) = RunPlan::from_args(args, 5.0)?;
-    let cfg = scenario.into_config()?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),
@@ -1086,19 +1086,36 @@ fn cmd_sweep(args: &Args) -> Outcome {
         shards: plan.shards,
     };
     eprintln!(
-        "sweep: {} qps points x {} reps = {} cells on {} worker(s), {} shard(s) per cell",
+        "sweep: {} qps points x {} reps = {} runs on {} worker(s)",
         spec.qps.len(),
         spec.reps,
         spec.qps.len() * spec.reps,
-        spec.jobs,
-        spec.shards.max(1)
+        spec.jobs.max(spec.shards)
     );
-    let table = uqsim_runner::sweep::run_scenario_sweep(&cfg, &spec, &|p| {
+    let progress = |p: uqsim_runner::sweep::Progress| {
         eprintln!(
             "  [{}/{}] qps={:.0} seed={}",
             p.finished, p.total, p.offered_qps, p.seed
         );
-    })?;
+    };
+    let table = match scenario {
+        Scenario::Loaded(cfg) => uqsim_runner::sweep::run_scenario_sweep(&cfg, &spec, &progress),
+        // Each run pulls the replicas, generated under the plan's seed and
+        // re-scaled to its point one at a time: the cluster is never held.
+        Scenario::Generated { spec: gen, seed } => {
+            let mut summary = uqsim_synth::GenSummary::default();
+            for replica in gen.replicas(seed)? {
+                summary += uqsim_synth::summarize(&replica);
+            }
+            announce(&gen, seed, summary);
+            let replicas_at = |qps: f64| {
+                // The spec was checked by the count above: never an error.
+                let replicas = gen.replicas(seed).into_iter().flatten();
+                replicas.map(move |replica| replica.with_offered_qps(qps))
+            };
+            uqsim_runner::sweep::run_sweep(&replicas_at, &spec, &progress)
+        }
+    }?;
     let mut text = if plan.json {
         table.to_json()
     } else {

@@ -195,3 +195,53 @@ fn streamed_gen_runs_are_byte_identical_at_any_shard_count() {
     }
     std::fs::remove_dir_all(&dir).expect("remove tmpdir");
 }
+
+/// `sweep --gen` hands each run the replicas one at a time, each
+/// re-scaled to its point, and prints what `sweep --config` prints for
+/// the cluster `gen --json` writes — CSV and `--json`, at `--jobs 1, 2` ×
+/// `--shards 1, 2`.
+#[test]
+fn sweep_gen_is_sweep_config_of_the_generated_cluster() {
+    let dir = std::env::temp_dir().join(format!("uqsim-gen-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let generated = gen(&["--seed", "5", "--json"]);
+    assert!(generated.status.success(), "gen failed: {generated:?}");
+    let cfg = dir.join("cluster.json");
+    std::fs::write(&cfg, &generated.stdout).expect("write the cluster");
+    let spec = spec_path();
+    let sweep = |scenario: [&str; 2], extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_uqsim"))
+            .arg("sweep")
+            .args(scenario)
+            .args([
+                "--seed",
+                "5",
+                "--qps",
+                "150,300",
+                "--reps",
+                "2",
+                "--duration",
+                "0.4",
+            ])
+            .args(extra)
+            .output()
+            .expect("uqsim binary runs");
+        assert!(
+            out.status.success(),
+            "sweep {scenario:?} {extra:?}: {out:?}"
+        );
+        out.stdout
+    };
+    for format in [&[][..], &["--json"]] {
+        let config = sweep(["--config", cfg.to_str().unwrap()], format);
+        assert!(!config.is_empty());
+        for (jobs, shards) in [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")] {
+            let flags = [format, &["--jobs", jobs, "--shards", shards]].concat();
+            assert!(
+                sweep(["--gen", &spec], &flags) == config,
+                "sweep --gen {flags:?} differs from sweep --config"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove tmpdir");
+}

@@ -455,3 +455,46 @@ fn an_oversized_gen_spec_is_a_config_error_naming_the_key() {
         }
     }
 }
+
+/// A worker count far past the work starts no more workers than there is
+/// work: `--shards 2000000` on the bundled 30-cell cluster started two
+/// million threads (66.5 s on a 2-vCPU box, against 0.26 s at `--shards
+/// 2`), and `sweep --jobs` over lazily pulled runs would have done the
+/// same. Workers start with an item each, so these are a handful of
+/// threads, and print what two workers print.
+#[test]
+fn a_worker_count_past_the_work_starts_no_more_workers_than_items() {
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/gen_dsb.json");
+    let spec = spec.to_str().unwrap();
+    let run = |shards: &str| {
+        let args = [
+            "run",
+            "--gen",
+            spec,
+            "--duration",
+            "0.5",
+            "--shards",
+            shards,
+        ];
+        let out = uqsim_within(20, &args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        out.stdout
+    };
+    assert!(
+        run("2000000") == run("2"),
+        "--shards 2000000 differs from 2"
+    );
+    let sweep = |jobs: &str| {
+        let args = ["sweep", "--config", &quickstart(), "--qps", "1000,2000"];
+        let out = uqsim_within(
+            20,
+            &[&args[..], &["--duration", "1", "--jobs", jobs]].concat(),
+        );
+        assert!(out.status.success(), "sweep --jobs {jobs}: {out:?}");
+        out.stdout
+    };
+    assert!(
+        sweep("2000000") == sweep("2"),
+        "--jobs 2000000 differs from 2"
+    );
+}

@@ -1,19 +1,21 @@
 //! The run pipeline: cells on shards, merged.
 //!
-//! Spec: DESIGN.md §11.1 ("Execution"). [`run_groups`] is the one build →
+//! Spec: DESIGN.md §11.1 ("Execution"). [`run_batch`] is the one build →
 //! run → summarize path every entry point shares
 //! ([`run_one`](crate::run::run_one), the sweep runner, and the CLI's
 //! `run`/`chaos`/`why`/`trace --config`/`sweep`), most of them through its
-//! one-group case [`run_partitioned`]: it splits the scenario — a group at
-//! a time — into cells, lets the shard workers claim them costliest first,
-//! runs every cell as a whole [`Simulator`] to the deadline, and merges the
-//! per-cell outputs deterministically. A scenario that cannot be split is
-//! one cell under the master seed, and the merge of one cell is the
-//! identity, so the classic single-simulator run is the one-cell case of
-//! this function. The shard count (and the worker scheduling under it)
+//! one-run cases [`run_groups`] and [`run_partitioned`]: it splits each
+//! run's scenario — a group at a time — into cells, lets the workers claim
+//! the cells of every run from one queue, costliest first within a group,
+//! runs every cell as a whole [`Simulator`] to the deadline, and merges
+//! each run's per-cell outputs deterministically. A scenario that cannot
+//! be split is one cell under the master seed, and the merge of one cell
+//! is the identity, so the classic single-simulator run is the one-cell
+//! case of this function. The worker count (and the scheduling under it)
 //! affects wall-clock time only — never a single output byte.
 
 use std::collections::HashSet;
+use std::sync::{Mutex, PoisonError};
 
 use minipool::Pool;
 use serde::Value;
@@ -30,9 +32,7 @@ use crate::telemetry::{
     TelemetryWindow,
 };
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{
-    AuditCounts, AuditFold, AuditReport, ChromeTrace, TraceAuditor, TraceLog, TraceMeta,
-};
+use crate::trace::{AuditFold, AuditReport, ChromeTrace, TraceAuditor, TraceLog, TraceMeta};
 
 use super::graph::{split_fault_plan, split_groups, CellSpec};
 use super::merge::{
@@ -48,7 +48,7 @@ pub enum SpanTracing {
     Off,
     /// Keep each cell's log in memory, up to this many events, for the
     /// views that read a finished log (the merged Chrome trace, sampled
-    /// request traces) and the audit.
+    /// request traces); the cell's worker audits it once the run ends.
     Retain(usize),
     /// Check the events instead of keeping them: each cell streams its log,
     /// up to `events` events, to a second thread that audits it — and with
@@ -128,8 +128,10 @@ pub struct CellOutput {
     pub cell: usize,
     /// The cell's run summary, under its [`cell_seed`].
     pub result: RunResult,
-    /// What the checks of a streamed span log found; `None` unless the run
-    /// asked for [`SpanTracing::Check`].
+    /// What the checks of the cell's span log found, made on its worker
+    /// while the log streamed ([`SpanTracing::Check`]) or once the run
+    /// ended ([`SpanTracing::Retain`], an audit only); `None` when span
+    /// tracing was off.
     pub checks: Option<SpanChecks>,
     /// The cell's post-warmup end-to-end latency samples: its simulator's
     /// recorder, finished (its open buffer sealed and freed) — sorted runs
@@ -178,18 +180,16 @@ pub struct CellOutput {
 }
 
 /// A cell's retained span log ([`SpanTracing::Retain`]) with the entity
-/// names and final counters its views are rendered from —
-/// [`chrome_trace`](crate::trace::chrome_trace),
-/// [`sampled_traces`](crate::trace::sampled_traces), and the
-/// [`TraceAuditor`].
+/// names its views are rendered from —
+/// [`chrome_trace`](crate::trace::chrome_trace) and
+/// [`sampled_traces`](crate::trace::sampled_traces). Its audit was made on
+/// the cell's worker ([`CellOutput::checks`]).
 #[derive(Debug)]
 pub struct RetainedTrace {
     /// The span events, in record order.
     pub log: TraceLog,
     /// Machine, instance, stage, request-type, pool and client names.
     pub meta: TraceMeta,
-    /// The simulator's final counters, which the audit reconciles against.
-    pub counts: AuditCounts,
 }
 
 /// A cell's sampler output, moved out of its simulator's telemetry state:
@@ -210,17 +210,17 @@ pub struct CellSeries {
     pub(crate) json_head: Value,
 }
 
-/// The finished checks of one cell's streamed span log
-/// ([`SpanTracing::Check`]).
+/// The finished checks of one cell's span log.
 #[derive(Debug)]
 pub struct SpanChecks {
     /// The trace audit against the cell's final counters.
     pub audit: AuditReport,
     /// Whether the critical-path profile replayed from the events equals
     /// the cell's streaming one ([`RunResult::critpath`]), if the run asked
-    /// for the replay. Only the verdict is kept — the comparison is made on
-    /// the worker and the replayed profile dropped there. `Err` is the
-    /// replay's own error, or says that the two disagree.
+    /// for the replay ([`SpanTracing::Check`]). Only the verdict is kept —
+    /// the comparison is made on the worker and the replayed profile
+    /// dropped there. `Err` is the replay's own error, or says that the two
+    /// disagree.
     pub replay: Option<Result<(), String>>,
 }
 
@@ -367,7 +367,15 @@ fn run_cell(
         }
     };
     let result = crate::run::summarize(&mut sim, seed, duration, warmup_s);
-    let checks = folds.map(|folds| finish_checks(folds, &sim, &result, id));
+    let checks = match folds {
+        Some(folds) => Some(finish_checks(folds, &sim, &result, id)),
+        // A retained log is audited here, on the worker, as a checked one
+        // is while it streams.
+        None => sim.span_log().map(|log| SpanChecks {
+            audit: TraceAuditor::new().audit(log, &sim.audit_counts()),
+            replay: None,
+        }),
+    };
     Ok(take_remains(sim, id, result, checks, opts))
 }
 
@@ -415,7 +423,6 @@ fn take_remains(
     let trace = match opts.span_tracing {
         SpanTracing::Retain(_) => Some(RetainedTrace {
             meta: sim.trace_meta(),
-            counts: sim.audit_counts(),
             log: sim.take_span_log().expect("span tracing was enabled"),
         }),
         SpanTracing::Off | SpanTracing::Check { .. } => None,
@@ -556,10 +563,10 @@ pub fn run_partitioned(
     run_groups(std::iter::once(cfg.into()), faults, seed, duration, opts)
 }
 
-/// The one run pipeline: runs a scenario handed over as request-closed
-/// *groups* — scenarios that together are the whole one and that share
-/// nothing, no name and no request — pulling each group only when a
-/// worker needs it.
+/// Runs a scenario handed over as request-closed *groups* — scenarios
+/// that together are the whole one and that share nothing, no name and no
+/// request — pulling each group only when a worker needs it: the one-run
+/// case of [`run_batch`], the one run pipeline.
 ///
 /// A worker that has no cell left to claim takes the next group, under the
 /// lock every claim goes through, and splits it into cells numbered after
@@ -601,57 +608,205 @@ pub fn run_partitioned(
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_groups<G>(
+pub fn run_groups<'a, G>(
     groups: G,
-    faults: Option<&FaultPlan>,
+    faults: Option<&'a FaultPlan>,
     seed: u64,
     duration: SimDuration,
     opts: &PartitionOptions,
 ) -> SimResult<PartitionedRun>
 where
     G: IntoIterator<Item = ScenarioConfig>,
-    G::IntoIter: Send,
+    G::IntoIter: Send + 'a,
 {
-    match faults {
-        Some(plan) => {
-            let groups: Vec<ScenarioConfig> = groups.into_iter().collect();
-            validate_fault_plan(&groups, plan)?;
-            run_pulled(groups.into_iter(), faults, seed, duration, opts)
+    let once = std::iter::once((groups.into_iter(), seed));
+    // One run in, one result out.
+    run_batch(once, faults, duration, opts, |_, run| run).remove(0)
+}
+
+/// Runs a batch of independent runs — each a scenario handed over as
+/// request-closed groups, pulled lazily as [`run_groups`] pulls them, and
+/// its master seed — under one fault plan, duration and set of options,
+/// and returns `finish(k, run)` for run `k` as element `k`.
+///
+/// Every cell of every run is claimed from one queue by `opts.shards`
+/// workers: a worker with nothing left to claim pulls the next group of
+/// the current run, or the next run once the current one's groups are all
+/// pulled, and claims its cells costliest first
+/// ([`PartitionPlan::claim_order`](super::PartitionPlan::claim_order)).
+/// The worker that finishes a run's last cell merges the run in cell order
+/// and hands it to `finish` right there, so what `finish` does not keep of
+/// a run — a sweep keeps its [`RunResult`] — is freed as soon as the run
+/// is done, while the other workers go on with the rest of the batch.
+///
+/// **Each run is what [`run_groups`] makes of it alone**: a cell's
+/// trajectory, its seed and its place in its run's merge never depend on
+/// which worker claimed it, nor on the runs beside it (spec invariants
+/// **P4**, **P7**, and the batch relation of DESIGN.md §11).
+///
+/// `finish` gets a run's error — its lowest-numbered failing cell's, or
+/// the fault plan's — in place of the run; the other runs are unaffected.
+///
+/// # Examples
+///
+/// ```
+/// use uqsim_core::config::ScenarioConfig;
+/// use uqsim_core::partition::{run_batch, run_partitioned, PartitionOptions};
+/// use uqsim_core::time::SimDuration;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO)?;
+/// let (d, opts) = (SimDuration::from_millis(200), PartitionOptions::with_shards(2));
+/// let runs = [1000.0, 2000.0].map(|qps| (vec![cfg.with_offered_qps(qps)], 7));
+/// let results = run_batch(runs, None, d, &opts, |_, run| run.map(|run| run.result));
+/// let alone = run_partitioned(cfg.with_offered_qps(2000.0), None, 7, d, &opts)?;
+/// assert_eq!(results[1].as_ref().ok(), Some(&alone.result));
+/// # Ok(())
+/// # }
+/// ```
+pub fn run_batch<'a, R, G, T, F>(
+    runs: R,
+    faults: Option<&'a FaultPlan>,
+    duration: SimDuration,
+    opts: &PartitionOptions,
+    finish: F,
+) -> Vec<T>
+where
+    R: IntoIterator<Item = (G, u64)>,
+    R::IntoIter: Send,
+    G: IntoIterator<Item = ScenarioConfig>,
+    G::IntoIter: Send + 'a,
+    T: Send,
+    F: Fn(usize, SimResult<PartitionedRun>) -> T + Sync,
+{
+    let shards = opts.shards.max(1);
+    let work = (runs.into_iter().enumerate()).flat_map(move |(run, (groups, seed))| {
+        let groups = groups.into_iter();
+        // A run with a fault plan collects its groups first, so that a
+        // fault naming an entity of no group errors before any of its
+        // cells runs.
+        let split: Box<dyn Iterator<Item = _> + Send + 'a> = match faults {
+            None => Box::new(split_groups(groups)),
+            Some(plan) => {
+                let groups: Vec<ScenarioConfig> = groups.collect();
+                match validate_fault_plan(&groups, plan) {
+                    Ok(()) => Box::new(split_groups(groups)),
+                    Err(e) => Box::new(std::iter::once(Err(e))),
+                }
+            }
+        };
+        RunWork {
+            run,
+            seed,
+            split: Some(split),
+            cells: 0,
         }
-        None => run_pulled(groups.into_iter(), None, seed, duration, opts),
+    });
+    let gathering = Mutex::new(Vec::new());
+    let finished = Pool::new(shards).map_pulled(work, |(run, seed, piece)| {
+        let gathered = match piece {
+            Piece::Cell(cell, spec) => {
+                let output = spec.and_then(|spec| run_cell(spec, faults, seed, duration, opts));
+                gather(&gathering, run, |g| {
+                    if g.cells.len() <= cell {
+                        g.cells.resize_with(cell + 1, || None);
+                    }
+                    g.cells[cell] = Some(output);
+                    g.finished += 1;
+                })
+            }
+            Piece::Sealed(cells) => gather(&gathering, run, |g| g.cells_in_all = Some(cells)),
+        };
+        // Every cell is in, so the first error in cell order is the
+        // lowest-numbered cell's.
+        let cells = gathered?.cells.into_iter().flatten();
+        let merged = cells
+            .collect::<SimResult<Vec<_>>>()
+            .map(|cells| PartitionedRun {
+                result: merge_results(seed, &cells),
+                cells,
+                shards,
+            });
+        Some(finish(run, merged))
+    });
+    // Results come back by item, and every item of a run is pulled before
+    // any of the next run's: the piece that finished each run is in run
+    // order.
+    finished.into_iter().flatten().collect()
+}
+
+/// What an item of a [`run_batch`] queue — `(run, its seed, piece)` — is
+/// to its run. A seal is one item per run, so its unused bytes cost
+/// nothing worth a box per cell.
+#[allow(clippy::large_enum_variant)]
+enum Piece {
+    /// Cell `.0`, or the error that stopped the run's splitting, numbered
+    /// after every cell before it.
+    Cell(usize, SimResult<CellSpec>),
+    /// The run has no cells left to pull: `.0` in all.
+    Sealed(usize),
+}
+
+/// The queue batches of one run, in pull order: its cells a group at a
+/// time — each group split when it is pulled — then its seal.
+struct RunWork<'a> {
+    run: usize,
+    seed: u64,
+    /// The run's groups, split as they are pulled; `None` once it is sealed.
+    split: Option<Box<dyn Iterator<Item = SimResult<Vec<CellSpec>>> + Send + 'a>>,
+    /// Cells pulled so far.
+    cells: usize,
+}
+
+impl Iterator for RunWork<'_> {
+    type Item = (Vec<(usize, u64, Piece)>, Vec<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = |piece| (self.run, self.seed, piece);
+        Some(match self.split.as_mut()?.next() {
+            Some(Ok(cells)) => {
+                let order = claim_order(&cells);
+                self.cells += cells.len();
+                let work = cells.into_iter().map(|spec| Piece::Cell(spec.id, Ok(spec)));
+                (work.map(item).collect(), order)
+            }
+            // The splitting stops after a group that fails to split.
+            Some(Err(e)) => {
+                self.cells += 1;
+                (vec![item(Piece::Cell(self.cells - 1, Err(e)))], vec![0])
+            }
+            None => {
+                self.split = None;
+                (vec![item(Piece::Sealed(self.cells))], vec![0])
+            }
+        })
     }
 }
 
-/// [`run_groups`] once the fault plan is checked.
-fn run_pulled(
-    groups: impl Iterator<Item = ScenarioConfig> + Send,
-    faults: Option<&FaultPlan>,
-    seed: u64,
-    duration: SimDuration,
-    opts: &PartitionOptions,
-) -> SimResult<PartitionedRun> {
-    let shards = opts.shards.max(1);
-    // A group that fails to split is its first cell's error: numbered
-    // after every cell before it, it is the last thing pulled.
-    let batches = split_groups(groups).map(|cells| match cells {
-        Ok(cells) => {
-            let order = claim_order(&cells);
-            (cells.into_iter().map(Ok).collect(), order)
-        }
-        Err(e) => (vec![Err(e)], vec![0]),
-    });
-    let cells = Pool::new(shards)
-        .map_pulled(batches, |cell: SimResult<CellSpec>| {
-            run_cell(cell?, faults, seed, duration, opts)
-        })
-        .into_iter()
-        .collect::<SimResult<Vec<CellOutput>>>()?;
-    let result = merge_results(seed, &cells);
-    Ok(PartitionedRun {
-        result,
-        cells,
-        shards,
-    })
+/// What the finished cells of a run gather until its last one finishes.
+#[derive(Default)]
+struct Gathered {
+    /// Each finished cell's output, by cell number.
+    cells: Vec<Option<SimResult<CellOutput>>>,
+    finished: usize,
+    /// The run's cell count, once its seal is claimed.
+    cells_in_all: Option<usize>,
+}
+
+/// Records a finished cell or the seal of run `run` with `record`, and
+/// takes what the run gathered if that was its last piece.
+fn gather(
+    gathering: &Mutex<Vec<Gathered>>,
+    run: usize,
+    record: impl FnOnce(&mut Gathered),
+) -> Option<Gathered> {
+    let mut runs = gathering.lock().unwrap_or_else(PoisonError::into_inner);
+    if runs.len() <= run {
+        runs.resize_with(run + 1, Gathered::default);
+    }
+    let gathered = &mut runs[run];
+    record(gathered);
+    (gathered.cells_in_all == Some(gathered.finished)).then(|| std::mem::take(gathered))
 }
 
 #[cfg(test)]

@@ -25,8 +25,7 @@ use crate::telemetry::{
     metrics_json_with, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SampledSeries,
     StreamingHistogram, CSV_HEADER,
 };
-use crate::trace::{AuditReport, ChromeTrace, TraceAuditor};
-use minipool::Pool;
+use crate::trace::{AuditReport, ChromeTrace};
 use serde::Value;
 use serde_json::json;
 
@@ -408,27 +407,14 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<ChromeTrace<'_>> {
 /// Merges per-cell audit reports: counts sum, violations and notes
 /// concatenate in cell order with a `[cell <i>]` prefix (one cell's report
 /// is returned as it is). The merged report is clean iff every per-cell
-/// report is clean. A cell that checked its span log while it ran
-/// ([`CellOutput::checks`]) has its report already; retained logs are
-/// audited here, in parallel. Returns `None` when any cell ran without
-/// span tracing (no log to audit).
+/// report is clean. Every cell that recorded its span log audited it on its
+/// worker ([`CellOutput::checks`]); returns `None` when any cell ran
+/// without span tracing (no log to audit).
 pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
-    let mut reports = match cells
+    let mut reports = cells
         .iter()
         .map(|c| c.checks.as_ref().map(|checks| checks.audit.clone()))
-        .collect::<Option<Vec<_>>>()
-    {
-        Some(reports) => reports,
-        None => {
-            let traces = cells
-                .iter()
-                .map(|c| c.trace.as_ref())
-                .collect::<Option<Vec<_>>>()?;
-            Pool::with_available_jobs().map_indexed(traces.len(), |cell| {
-                TraceAuditor::new().audit(&traces[cell].log, &traces[cell].counts)
-            })
-        }
-    };
+        .collect::<Option<Vec<_>>>()?;
     if reports.len() == 1 {
         return reports.pop();
     }

@@ -39,6 +39,13 @@
 //! ([`split_groups`]): the cells, seeds and merges of the whole scenario,
 //! held a group at a time. [`run_partitioned`] is the one-group case.
 //!
+//! And a batch of independent runs — a sweep's QPS points × seeds — is one
+//! queue: [`run_batch`] pulls run after run, group after group, and the
+//! same workers claim every cell of every run; the worker that finishes a
+//! run's last cell merges that run. Each run is exactly what it is alone
+//! ([`run_groups`] is the one-run case), so neither the worker count nor
+//! the runs beside it ever show in its outputs.
+//!
 //! Cross-*cell* traffic does not exist (cells are closed), so cells never
 //! synchronize; DESIGN.md §11's appendix records the conservative-sync
 //! design (clocks, lookahead, windows, **P6**) that a cross-cell RPC
@@ -68,8 +75,8 @@ mod merge;
 mod plan;
 
 pub use exec::{
-    run_groups, run_partitioned, CellOutput, CellSeries, PartitionOptions, PartitionedRun,
-    RetainedTrace, SpanChecks, SpanTracing,
+    run_batch, run_groups, run_partitioned, CellOutput, CellSeries, PartitionOptions,
+    PartitionedRun, RetainedTrace, SpanChecks, SpanTracing,
 };
 pub use graph::{split_cells, split_fault_plan, split_groups, CellSpec};
 pub use merge::{

@@ -10,7 +10,8 @@ use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
 use uqsim_core::metrics::LatencySummary;
 use uqsim_core::partition::{
-    cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan, SpanTracing,
+    cell_seed, run_batch, run_partitioned, split_cells, PartitionOptions, PartitionPlan,
+    SpanTracing,
 };
 use uqsim_core::rng::RngFactory;
 use uqsim_core::run::EXAMPLE_SCENARIO;
@@ -836,4 +837,120 @@ fn checked_span_log_stays_within_a_few_chunks_for_any_run_length() {
         }
     }
     assert!(events[1] > 2 * events[0], "the longer run recorded more");
+}
+
+// ---------------------------------------------------------------------
+// A batch is its runs
+// ---------------------------------------------------------------------
+
+/// A run of a batch, its groups type-erased so that one batch can mix a
+/// scenario in hand with a generated cluster pulled a replica at a time.
+type Groups<'a> = Box<dyn Iterator<Item = ScenarioConfig> + Send + 'a>;
+
+/// Asserts that each run of `batch` — run by [`run_batch`] for `d` at 1, 2
+/// and 4 workers — is exactly what `alone(k)` makes of run `k` by itself: the
+/// same result, Prometheus text, JSON dump and audit, or the same error.
+fn assert_batch_is_its_runs<'a>(
+    batch: &dyn Fn() -> Vec<(Groups<'a>, u64)>,
+    faults: Option<&FaultPlan>,
+    d: SimDuration,
+    alone: &dyn Fn(usize) -> uqsim_core::SimResult<uqsim_core::PartitionedRun>,
+) {
+    let alone: Vec<_> = (0..batch().len()).map(alone).collect();
+    for workers in [1, 2, 4] {
+        let finished = std::sync::Mutex::new(Vec::new());
+        let runs = run_batch(batch(), faults, d, &full_options(workers), |k, run| {
+            finished.lock().unwrap().push(k);
+            run
+        });
+        let mut finished = finished.into_inner().unwrap();
+        finished.sort_unstable();
+        assert_eq!(finished, (0..alone.len()).collect::<Vec<_>>(), "once each");
+        for (k, (run, alone)) in runs.iter().zip(&alone).enumerate() {
+            let at = format!("run {k} at {workers} worker(s)");
+            match (run, alone) {
+                (Ok(run), Ok(alone)) => {
+                    assert_eq!(run.result, alone.result, "{at}: result");
+                    assert_eq!(run.prometheus(), alone.prometheus(), "{at}: prometheus");
+                    assert_eq!(run.json(), alone.json(), "{at}: json");
+                    assert_eq!(run.audit(), alone.audit(), "{at}: audit");
+                    assert!(run.prometheus().is_some() && run.json().is_some());
+                }
+                (Err(run), Err(alone)) => {
+                    assert_eq!(run.to_string(), alone.to_string(), "{at}: error")
+                }
+                _ => panic!(
+                    "{at}: {:?} alone, {:?} in the batch",
+                    alone.is_ok(),
+                    run.is_ok()
+                ),
+            }
+        }
+    }
+}
+
+/// **Batch relation** (DESIGN.md §11, beside **P7**) — every run of a
+/// batch gets exactly what [`run_partitioned`] gives it alone, at any
+/// worker count, whatever runs beside it: three loads × two seeds of the
+/// example scenario, a generated cluster streamed a replica at a time, and
+/// a run naming a ghost service, which gets its own config error while
+/// every other run is still `Ok`.
+#[test]
+fn a_batch_is_its_runs() {
+    let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
+    let spec = uqsim_synth::GenSpec::from_json(include_str!("../../cli/configs/gen_dsb.json"))
+        .expect("bundled gen spec");
+    let mut ghost = cfg.clone();
+    ghost.instances[0].service = "ghost".into();
+    let example: Vec<(ScenarioConfig, u64)> = [500.0, 1500.0, 3000.0]
+        .iter()
+        .flat_map(|&qps| [1, 2].map(|seed| (cfg.with_offered_qps(qps), seed)))
+        .collect();
+    let batch = || {
+        let mut runs: Vec<(Groups, u64)> = (example.iter())
+            .map(|(cfg, seed)| (Box::new(std::iter::once(cfg.clone())) as Groups, *seed))
+            .collect();
+        runs.insert(3, (Box::new(spec.replicas(4).unwrap()), 4));
+        runs.push((Box::new(std::iter::once(ghost.clone())), 9));
+        runs
+    };
+    let d = SimDuration::from_millis(300);
+    let alone = |k: usize| match k {
+        3 => run_partitioned(spec.generate(4).unwrap(), None, 4, d, &full_options(1)),
+        7 => run_partitioned(&ghost, None, 9, d, &full_options(1)),
+        _ => {
+            let (cfg, seed) = &example[if k < 3 { k } else { k - 1 }];
+            run_partitioned(cfg, None, *seed, d, &full_options(1))
+        }
+    };
+    assert_batch_is_its_runs(&batch, None, d, &alone);
+    let err = alone(7).unwrap_err().to_string();
+    assert!(err.contains("ghost"), "{err}");
+    assert!((0..7).all(|k| alone(k).is_ok()));
+}
+
+/// The batch relation under a fault plan: quickstart runs at two loads ×
+/// two seeds, each with the bundled plan (a crash at 1 s), are what each
+/// is alone.
+#[test]
+fn a_faulted_batch_is_its_runs() {
+    let cfg = ScenarioConfig::from_json(include_str!("../../cli/configs/quickstart.json")).unwrap();
+    let plan =
+        FaultPlan::from_json(include_str!("../../cli/configs/quickstart_faults.json")).unwrap();
+    let runs: Vec<(ScenarioConfig, u64)> = [1000.0, 2500.0]
+        .iter()
+        .flat_map(|&qps| [1, 2].map(|seed| (cfg.with_offered_qps(qps), seed)))
+        .collect();
+    let batch = || {
+        (runs.iter())
+            .map(|(cfg, seed)| (Box::new(std::iter::once(cfg.clone())) as Groups, *seed))
+            .collect()
+    };
+    let d = SimDuration::from_millis(1500);
+    let alone = |k: usize| run_partitioned(&runs[k].0, Some(&plan), runs[k].1, d, &full_options(1));
+    assert_batch_is_its_runs(&batch, Some(&plan), d, &alone);
+    assert!(
+        alone(0).unwrap().result.dropped > 0,
+        "the crash drops requests"
+    );
 }

@@ -6,26 +6,21 @@
 //! granularity of whole simulator runs: QPS points × seed replications ×
 //! experiments are independent, and this crate fans them across cores.
 //!
-//! Three layers:
-//!
-//! * [`Pool`] (re-exported from the vendored `minipool` crate) — a scoped
-//!   thread pool with dynamic work claiming, ordered results, and panic
-//!   propagation.
-//! * [`run_indexed`] / [`try_run_indexed`] — parallel maps over an index
-//!   space, for work that is not a scenario cell (a live simulator with a
-//!   controller attached, another simulator altogether).
-//! * [`sweep`] — the scenario-level engine. [`sweep::run_cells`] runs a
-//!   list of `(`[`ScenarioConfig`](uqsim_core::config::ScenarioConfig)`,
-//!   seed)` cells, each one [`uqsim_core::run_partitioned`] call, claimed
-//!   costliest first, results by index; the paper figures submit their
-//!   `(curve, load)` cells to it directly, and
-//!   [`sweep::run_scenario_sweep`] builds a QPS grid × replications on it
-//!   and aggregates into a [`SweepTable`](sweep::SweepTable) with 95%
-//!   confidence intervals.
+//! One fan-out: the cells of every run are claimed from the run
+//! pipeline's one queue ([`uqsim_core::partition::run_batch`]), and this
+//! crate opens no pool of its own. [`sweep::run_cells`] submits a list of
+//! `(`[`ScenarioConfig`](uqsim_core::config::ScenarioConfig)`, seed)` runs
+//! to it costliest first and returns their summaries by index — the paper
+//! figures submit their `(curve, load)` runs to it directly — and
+//! [`sweep::run_sweep`] builds a QPS grid × replications on the same queue,
+//! over a scenario in hand ([`sweep::run_scenario_sweep`]) or one handed
+//! over as lazily generated groups, and aggregates into a
+//! [`SweepTable`](sweep::SweepTable) with 95% confidence intervals. `--jobs`
+//! and `--shards` both name workers on that one queue.
 //!
 //! ## Determinism
 //!
-//! Every task's result lands in a slot keyed by its input index and the
+//! Every run's result lands in a slot keyed by its input index and the
 //! aggregation folds slots in index order, so the output — down to the
 //! serialized CSV/JSON bytes — is identical at any `--jobs` value. The
 //! worker count decides only *when* a cell runs, never what it computes or
@@ -63,71 +58,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub use minipool::{available_jobs, Pool};
+pub use minipool::available_jobs;
 
 pub mod stats;
 pub mod sweep;
-
-/// Runs `f(0..n)` across up to `jobs` threads and returns the results in
-/// index order (independent of `jobs` and scheduling).
-///
-/// # Examples
-///
-/// ```
-/// let doubled = uqsim_runner::run_indexed(4, 5, |i| i * 2);
-/// assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
-/// ```
-pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Pool::new(jobs).map_indexed(n, f)
-}
-
-/// Fallible [`run_indexed`]: every task runs to completion, then the error
-/// of the lowest-indexed failing task is returned (a deterministic choice,
-/// mirroring what a serial loop would have reported first).
-///
-/// # Errors
-///
-/// The first error by task index, if any task failed.
-///
-/// # Examples
-///
-/// ```
-/// let r: Result<Vec<u32>, String> =
-///     uqsim_runner::try_run_indexed(2, 4, |i| if i == 1 { Err("bad".into()) } else { Ok(i as u32) });
-/// assert_eq!(r, Err("bad".to_string()));
-/// ```
-pub fn try_run_indexed<T, E, F>(jobs: usize, n: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    Pool::new(jobs)
-        .map_indexed(n, f)
-        .into_iter()
-        .collect::<Result<Vec<T>, E>>()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn try_run_indexed_reports_first_error_by_index() {
-        for jobs in [1, 2, 8] {
-            let r: Result<Vec<usize>, usize> =
-                try_run_indexed(jobs, 10, |i| if i % 4 == 3 { Err(i) } else { Ok(i) });
-            assert_eq!(r, Err(3), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn try_run_indexed_collects_in_order() {
-        let r: Result<Vec<usize>, ()> = try_run_indexed(3, 6, Ok);
-        assert_eq!(r.unwrap(), vec![0, 1, 2, 3, 4, 5]);
-    }
-}

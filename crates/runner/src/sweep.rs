@@ -1,21 +1,22 @@
 //! Scenario-level sweep execution: QPS grid × seed replications, fanned
-//! across a thread pool, aggregated into a stable table.
+//! across the run pipeline's one queue, aggregated into a stable table.
 //!
-//! The unit of work is one [`uqsim_core::run_partitioned`] call — the run
-//! pipeline [`uqsim_core::run_one`] and the CLI share; a sweep of `Q` QPS
-//! points with `R` replications submits `Q·R` independent cells. Aggregation
+//! The unit of work is one run of [`run_batch`] — the run pipeline
+//! [`uqsim_core::run_one`] and the CLI share; a sweep of `Q` QPS points
+//! with `R` replications submits `Q·R` independent runs, and the workers
+//! claim the cells of all of them from one queue. Aggregation
 //! folds replications in seed order and points in grid order, so a
 //! [`SweepTable`] — and its CSV/JSON serializations — is byte-identical
 //! for a fixed `(scenario, qps grid, reps, base_seed, duration)` at *any*
 //! worker count.
 
 use crate::stats::{mean_ci95, MeanCi};
-use crate::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::run_batch;
 use uqsim_core::run::RunResult;
 use uqsim_core::time::SimDuration;
-use uqsim_core::{run_partitioned, FaultPlan, PartitionOptions, SimResult};
+use uqsim_core::{FaultPlan, PartitionOptions, SimResult};
 
 /// SplitMix64 finalizer (same mixing the core's RNG factory uses).
 fn splitmix64(mut z: u64) -> u64 {
@@ -116,36 +117,37 @@ pub struct SweepSpec {
     pub reps: usize,
     /// Base seed; replication seeds derive via [`seed_for`].
     pub base_seed: u64,
-    /// Simulated duration per cell (warmup included; the scenario's
+    /// Simulated duration per run (warmup included; the scenario's
     /// `warmup_s` is excluded from statistics as usual).
     pub duration: SimDuration,
-    /// Worker threads (0 or 1 = serial). Affects wall-clock only, never
-    /// results.
+    /// Workers on the sweep's one queue (0 or 1 = serial; the queue gets
+    /// `max(jobs, shards)`). Affects wall-clock only, never results.
     pub jobs: usize,
-    /// Fault plan installed into every cell before its clock starts;
+    /// Fault plan installed into every run before its clock starts;
     /// `None` sweeps the healthy system. The plan is part of the
     /// determinism key: a fixed `(scenario, plan, grid, reps, base_seed,
     /// duration)` is byte-identical at any `jobs`.
     pub faults: Option<FaultPlan>,
-    /// Worker shards *inside* each cell's run (`0` is treated as `1`):
-    /// a scenario made of several request-closed cells spreads them over
-    /// this many threads. Affects wall-clock only, never results (spec
+    /// Workers on the same queue, as `uqsim run --shards` names them: the
+    /// queue gets `max(jobs, shards)`, and every cell of every run — a
+    /// scenario made of several request-closed cells has more than one —
+    /// is claimed from it. Affects wall-clock only, never results (spec
     /// invariant **P7**).
     pub shards: usize,
 }
 
-/// A progress tick, emitted once per finished cell from whichever worker
-/// finished it. `finished` counts completions, so ticks arrive with
-/// `finished` strictly increasing but cells in arbitrary order.
+/// A progress tick, emitted once per finished run from whichever worker
+/// merged it. `finished` counts completions, so ticks arrive with
+/// `finished` strictly increasing but runs in arbitrary order.
 #[derive(Debug, Clone, Copy)]
 pub struct Progress {
-    /// Cells finished so far (including this one).
+    /// Runs finished so far (including this one).
     pub finished: usize,
-    /// Total cells in the sweep (`qps.len() × reps`).
+    /// Total runs in the sweep (`qps.len() × reps`).
     pub total: usize,
-    /// The finished cell's offered load.
+    /// The finished run's offered load.
     pub offered_qps: f64,
-    /// The finished cell's master seed.
+    /// The finished run's master seed.
     pub seed: u64,
 }
 
@@ -204,7 +206,7 @@ pub struct SweepRow {
 /// it (so the serialized table is self-describing).
 #[derive(Debug, Clone)]
 pub struct SweepTable {
-    /// Simulated duration per cell, seconds.
+    /// Simulated duration per run, seconds.
     pub duration_s: f64,
     /// Replications per point.
     pub reps: usize,
@@ -386,7 +388,7 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
     }
 }
 
-/// What a cell costs to run, for the claim order only: the path-node
+/// What a scenario costs to run, for the claim order only: the path-node
 /// visits its clients offer per second (offered rate × mean nodes per
 /// request; a rate schedule counts at its peak, a trace as nothing).
 fn offered_visits_per_s(cfg: &ScenarioConfig) -> f64 {
@@ -406,22 +408,22 @@ fn offered_visits_per_s(cfg: &ScenarioConfig) -> f64 {
         .sum()
 }
 
-/// Runs every `(scenario, seed)` cell through [`run_partitioned`] for
-/// `duration` on up to `jobs` threads and returns the summaries in `cells`
-/// order — the one fan-out behind [`run_scenario_sweep`] and the paper
-/// figures (`uqsim-bench`).
+/// Runs every `(scenario, seed)` run for `duration` and returns the
+/// summaries in `cells` order — the one fan-out behind the paper figures
+/// (`uqsim-bench`), and [`run_sweep`]'s for a scenario in hand.
 ///
-/// Workers claim the cells costliest first (offered path-node visits per
-/// second; ties: `cells` order), so the batch does not end on one worker
-/// running the heaviest cell alone. The order decides only *when* a cell
-/// runs: each result is a pure function of its `(scenario, faults, seed,
-/// duration)`. `finished` is called with a cell's index once it is done,
-/// possibly from a worker thread.
+/// The runs go to [`run_batch`] costliest first (offered path-node visits
+/// per second; ties: `cells` order), so the batch does not end on one
+/// worker running the heaviest run alone; its one queue gets
+/// `max(jobs, opts.shards)` workers. The order decides only *when* a run's
+/// cells run: each result is a pure function of its `(scenario, faults,
+/// seed, duration)`. `finished` is called with a run's index once it is
+/// merged, possibly from a worker thread.
 ///
 /// # Errors
 ///
-/// Every cell still runs, then the error of the lowest-indexed failing
-/// cell is returned.
+/// Every run still runs, then the error of the lowest-indexed failing run
+/// is returned.
 pub fn run_cells(
     cells: &[(&ScenarioConfig, u64)],
     faults: Option<&FaultPlan>,
@@ -434,56 +436,118 @@ pub fn run_cells(
         .iter()
         .map(|(cfg, _)| offered_visits_per_s(cfg))
         .collect();
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
-    Pool::new(jobs)
-        .map_claimed(&order, |i| {
-            let (cfg, seed) = cells[i];
-            let out = run_partitioned(cfg, faults, seed, duration, opts).map(|run| run.result);
-            finished(i);
-            out
-        })
-        .into_iter()
-        .collect()
+    let run = |i: usize| (std::iter::once(cells[i].0.clone()), cells[i].1);
+    run_costliest_first(&cost, run, faults, duration, opts, jobs, finished)
 }
 
-/// Runs the full `qps × reps` grid of `spec` over `cfg` and aggregates.
-///
-/// Each cell re-scales the scenario to its offered load
-/// ([`ScenarioConfig::with_offered_qps`]) and re-seeds it ([`seed_for`]),
-/// then runs through [`run_cells`] at `spec.shards` with the spec's fault
-/// plan (if any), heaviest load first.
-/// `progress` is invoked once per finished cell, possibly from worker
-/// threads (hence `Sync`).
+/// Submits run `i` — `run(i)`, its groups and seed — to [`run_batch`] by
+/// descending `cost[i]` (ties: index order) and returns the summaries by
+/// index; see [`run_cells`].
+fn run_costliest_first<G>(
+    cost: &[f64],
+    run: impl Fn(usize) -> (G, u64) + Sync,
+    faults: Option<&FaultPlan>,
+    duration: SimDuration,
+    opts: &PartitionOptions,
+    jobs: usize,
+    finished: &(dyn Fn(usize) + Sync),
+) -> SimResult<Vec<RunResult>>
+where
+    G: IntoIterator<Item = ScenarioConfig>,
+    G::IntoIter: Send,
+{
+    let mut order: Vec<usize> = (0..cost.len()).collect();
+    order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
+    let opts = PartitionOptions {
+        shards: jobs.max(opts.shards),
+        ..opts.clone()
+    };
+    let runs = order.iter().map(|&i| run(i));
+    let merged = run_batch(runs, faults, duration, &opts, |k, run| {
+        // The run's cells are dropped here, on the worker that merged it.
+        let result = run.map(|run| run.result);
+        finished(order[k]);
+        result
+    });
+    let mut by_index: Vec<_> = (0..cost.len()).map(|_| None).collect();
+    for (&i, result) in order.iter().zip(merged) {
+        by_index[i] = Some(result);
+    }
+    by_index.into_iter().flatten().collect()
+}
+
+/// Runs the full `qps × reps` grid of `spec` over `cfg` and aggregates:
+/// [`run_sweep`] with each point's run handed over as `cfg` re-scaled to
+/// its offered load ([`ScenarioConfig::with_offered_qps`]).
 ///
 /// # Errors
 ///
-/// If any cell's scenario fails to build, every cell still runs, then the
-/// error of the lowest-indexed failing cell is returned.
+/// If any run's scenario fails to build, every run still runs, then the
+/// error of the lowest-indexed failing run is returned.
 pub fn run_scenario_sweep(
     cfg: &ScenarioConfig,
     spec: &SweepSpec,
     progress: &(dyn Fn(Progress) + Sync),
 ) -> SimResult<SweepTable> {
+    run_sweep(
+        &|qps| std::iter::once(cfg.with_offered_qps(qps)),
+        spec,
+        progress,
+    )
+}
+
+/// Runs the full `qps × reps` grid of `spec` and aggregates. The scenario
+/// of QPS point `q` is handed over as the request-closed groups
+/// `groups_at(q)` yields ([`run_groups`](uqsim_core::partition::run_groups)
+/// has the rule), pulled only when a worker needs them — a generated
+/// cluster's replicas, each re-scaled to the point, are never held whole.
+///
+/// Replication `r` of a point runs under [`seed_for`]`(spec.base_seed, r)`,
+/// with the spec's fault plan (if any). Runs are submitted heaviest point
+/// first, a point priced by its first group's offered path-node visits per
+/// second (the whole scenario when it is one group), all on [`run_batch`]'s
+/// one queue with `max(spec.jobs, spec.shards)` workers (see
+/// [`run_cells`]). `progress` is invoked once per finished run, possibly
+/// from worker threads (hence `Sync`).
+///
+/// # Errors
+///
+/// If any run fails, every run still runs, then the error of the
+/// lowest-indexed failing run is returned.
+pub fn run_sweep<G>(
+    groups_at: &(dyn Fn(f64) -> G + Sync),
+    spec: &SweepSpec,
+    progress: &(dyn Fn(Progress) + Sync),
+) -> SimResult<SweepTable>
+where
+    G: IntoIterator<Item = ScenarioConfig>,
+    G::IntoIter: Send,
+{
     let reps = spec.reps.max(1);
-    // One re-scaled scenario per QPS point, shared read-only by its cells.
-    let scaled: Vec<ScenarioConfig> = spec.qps.iter().map(|&q| cfg.with_offered_qps(q)).collect();
-    let cells: Vec<(&ScenarioConfig, u64)> = scaled
-        .iter()
-        .flat_map(|c| (0..reps).map(move |rep| (c, seed_for(spec.base_seed, rep))))
-        .collect();
+    let total = spec.qps.len() * reps;
+    let (qps, seed) = (
+        |i: usize| spec.qps[i / reps],
+        |i: usize| seed_for(spec.base_seed, i % reps),
+    );
+    let price = |q| {
+        let first = groups_at(q).into_iter().next();
+        first.map_or(0.0, |g| offered_visits_per_s(&g))
+    };
+    let point_cost: Vec<f64> = spec.qps.iter().map(|&q| price(q)).collect();
+    let cost: Vec<f64> = (0..total).map(|i| point_cost[i / reps]).collect();
     let finished = AtomicUsize::new(0);
-    let opts = PartitionOptions::with_shards(spec.shards);
     let tick = |i: usize| {
         progress(Progress {
             finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
-            total: cells.len(),
-            offered_qps: spec.qps[i / reps],
-            seed: cells[i].1,
+            total,
+            offered_qps: qps(i),
+            seed: seed(i),
         })
     };
+    let run = |i: usize| (groups_at(qps(i)), seed(i));
+    let opts = PartitionOptions::with_shards(spec.shards);
     let faults = spec.faults.as_ref();
-    let results = run_cells(&cells, faults, spec.duration, &opts, spec.jobs, &tick)?;
+    let results = run_costliest_first(&cost, run, faults, spec.duration, &opts, spec.jobs, &tick)?;
     let rows = spec
         .qps
         .iter()
@@ -493,107 +557,6 @@ pub fn run_scenario_sweep(
     Ok(SweepTable {
         duration_s: spec.duration.as_secs_f64(),
         reps,
-        base_seed: spec.base_seed,
-        rows,
-    })
-}
-
-/// One generated topology's aggregated sweep within a family sweep.
-#[derive(Debug, Clone)]
-pub struct FamilyRow {
-    /// The seed the topology was generated from (see [`run_family_sweep`]
-    /// for the derivation).
-    pub topology_seed: u64,
-    /// The full QPS × reps sweep over that topology.
-    pub table: SweepTable,
-}
-
-/// The result of sweeping a whole *family* of generated topologies: one
-/// [`FamilyRow`] per topology, in generation order.
-#[derive(Debug, Clone)]
-pub struct FamilyTable {
-    /// Base seed the topology seeds derive from.
-    pub base_seed: u64,
-    /// One row per topology, in seed-derivation order.
-    pub rows: Vec<FamilyRow>,
-}
-
-impl FamilyTable {
-    /// Serializes the family as CSV: the [`SweepTable::to_csv`] schema
-    /// with a leading `topology_seed` column, one header line total.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            let csv = row.table.to_csv();
-            let mut lines = csv.lines();
-            let header = lines.next().unwrap_or_default();
-            if i == 0 {
-                out.push_str(&format!("topology_seed,{header}\n"));
-            }
-            for line in lines {
-                out.push_str(&format!("{},{line}\n", row.topology_seed));
-            }
-        }
-        out
-    }
-
-    /// Serializes the family as pretty JSON: `base_seed`, `topologies`,
-    /// and one entry per topology embedding its [`SweepTable::to_json`]
-    /// value under `"table"`.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<serde_json::Value> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let table: serde_json::Value =
-                    serde_json::from_str(&r.table.to_json()).expect("sweep table JSON re-parses");
-                serde_json::json!({
-                    "topology_seed": r.topology_seed,
-                    "table": table,
-                })
-            })
-            .collect();
-        let family = serde_json::json!({
-            "base_seed": self.base_seed,
-            "topologies": self.rows.len(),
-            "rows": serde_json::Value::Array(rows),
-        });
-        serde_json::to_string_pretty(&family).expect("family table serializes")
-    }
-}
-
-/// Sweeps a family of `topologies` generated scenarios: topology `k` is
-/// built by `generate(seed_for(spec.base_seed, k))` and swept with
-/// [`run_scenario_sweep`] under the same `spec`.
-///
-/// Topology 0 therefore uses `base_seed` itself, so its scenario
-/// cross-checks against `uqsim gen --seed <base_seed>`. Reusing the base
-/// seed for both generation and the run is harmless: generation draws
-/// exclusively from the `"gen"` RNG stream, which no run-time consumer
-/// touches. Topologies run sequentially (each inner sweep already fans
-/// its cells across `spec.jobs` workers), so the output is byte-identical
-/// at any worker count; `progress` ticks restart per topology.
-///
-/// # Errors
-///
-/// The first failing generation or sweep, by topology order.
-pub fn run_family_sweep(
-    generate: &(dyn Fn(u64) -> SimResult<ScenarioConfig> + Sync),
-    topologies: usize,
-    spec: &SweepSpec,
-    progress: &(dyn Fn(Progress) + Sync),
-) -> SimResult<FamilyTable> {
-    let mut rows = Vec::with_capacity(topologies);
-    for k in 0..topologies {
-        let topology_seed = seed_for(spec.base_seed, k);
-        let cfg = generate(topology_seed)?;
-        let table = run_scenario_sweep(&cfg, spec, progress)?;
-        rows.push(FamilyRow {
-            topology_seed,
-            table,
-        });
-    }
-    Ok(FamilyTable {
         base_seed: spec.base_seed,
         rows,
     })

@@ -177,7 +177,7 @@ fn pinned_scenarios() -> Vec<(&'static str, SimResult<ScenarioConfig>, &'static 
 fn scenarios_as_data_reproduce_the_builder_trajectories() {
     // Three 2-second runs per row: spread the rows over the cores.
     let rows = pinned_scenarios();
-    uqsim_runner::run_indexed(uqsim_runner::available_jobs(), rows.len(), |i| {
+    minipool::Pool::with_available_jobs().map_indexed(rows.len(), |i| {
         let (name, cfg, pinned) = &rows[i];
         let cfg = cfg.as_ref().expect("scenario assembles");
         assert_eq!(fingerprint(cfg), *pinned, "{name}: cfg.build()");

@@ -29,7 +29,7 @@ const RUNS: [(u64, bool, u64); 14] = [
 fn quick(interval_ms: u64, noisy: bool, seed: u64) -> &'static PowerRunResult {
     static RESULTS: OnceLock<Vec<PowerRunResult>> = OnceLock::new();
     let results = RESULTS.get_or_init(|| {
-        uqsim_runner::run_indexed(uqsim_runner::available_jobs(), RUNS.len(), |i| {
+        minipool::Pool::with_available_jobs().map_indexed(RUNS.len(), |i| {
             let (interval_ms, noisy, seed) = RUNS[i];
             run(&PowerRunConfig {
                 interval: SimDuration::from_millis(interval_ms),
