@@ -7,6 +7,7 @@
 //! path node should run when the service *forwards* to children, when it
 //! *joins* their replies, and when it is visited as a *leaf*.
 
+use uqsim_core::config::Name;
 use uqsim_core::service::ServiceModel;
 
 use crate::{memcached, mongodb, nginx, thrift};
@@ -28,14 +29,15 @@ pub enum Role {
 impl Role {
     /// A fresh copy of this role's calibrated model, renamed to `name`
     /// (each generated service is its own logical microservice).
-    pub fn service_model(&self, name: &str) -> ServiceModel {
+    pub fn service_model(&self, name: impl Into<Name>) -> ServiceModel {
+        let name = name.into();
         let mut model = match self {
             Role::Front => nginx::service_model(),
-            Role::Logic => thrift::service_model(name, 30e-6, 12e-6),
+            Role::Logic => thrift::service_model(name.clone(), 30e-6, 12e-6),
             Role::Cache => memcached::service_model(),
             Role::Db => mongodb::service_model(),
         };
-        model.name = name.to_string();
+        model.name = name;
         model
     }
 
@@ -80,11 +82,11 @@ mod tests {
     fn all_role_paths_exist_in_their_models() {
         for role in [Role::Front, Role::Logic, Role::Cache, Role::Db] {
             let m = role.service_model("svc");
-            assert_eq!(m.name, "svc");
+            assert_eq!(&*m.name, "svc");
             assert!(m.validate().is_ok(), "{role:?}");
             for p in [role.entry_path(), role.reply_path(), role.leaf_path()] {
                 assert!(
-                    m.paths.iter().any(|e| e.name == p),
+                    m.paths.iter().any(|e| *e.name == *p),
                     "{role:?} missing path {p}"
                 );
             }

@@ -17,8 +17,8 @@ use crate::{memcached, mongodb, nginx, thrift};
 use uqsim_core::client::ArrivalProcess;
 use uqsim_core::config::LinkConfig::{ReplyToParent, Request};
 use uqsim_core::config::{
-    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
-    PoolConfig, RequestTypeConfig, ScenarioConfig,
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, Name,
+    PathNodeConfig, PoolConfig, RequestTypeConfig, ScenarioConfig,
 };
 use uqsim_core::dist::Distribution;
 use uqsim_core::ids::StageId;
@@ -78,9 +78,9 @@ impl CommonOpts {
     }
 }
 
-fn fixed(instance: impl Into<String>) -> InstanceSelectConfig {
+fn fixed(instance: impl AsRef<str>) -> InstanceSelectConfig {
     InstanceSelectConfig::Fixed {
-        name: instance.into(),
+        name: instance.as_ref().into(),
     }
 }
 
@@ -90,7 +90,7 @@ fn same_as(node: &str) -> InstanceSelectConfig {
 
 /// A path node running execution path number `exec_path` of `svc` (a
 /// `paths::*` constant of the model's module).
-fn node<C: Into<String>>(
+fn node<C: AsRef<str>>(
     name: &str,
     svc: &ServiceModel,
     instance: InstanceSelectConfig,
@@ -99,9 +99,14 @@ fn node<C: Into<String>>(
     children: impl IntoIterator<Item = C>,
 ) -> PathNodeConfig {
     PathNodeConfig {
-        children: children.into_iter().map(Into::into).collect(),
+        children: children.into_iter().map(|c| c.as_ref().into()).collect(),
         link,
-        ..PathNodeConfig::service(name, &svc.name, instance, &svc.paths[exec_path].name)
+        ..PathNodeConfig::service(
+            name,
+            svc.name.clone(),
+            instance,
+            svc.paths[exec_path].name.clone(),
+        )
     }
 }
 
@@ -126,14 +131,14 @@ fn request_type(name: &str, nodes: Vec<PathNodeConfig>) -> RequestTypeConfig {
 }
 
 fn instance(
-    name: impl Into<String>,
+    name: impl AsRef<str>,
     svc: &ServiceModel,
     machine: &str,
     cores: usize,
     exec: ExecConfig,
 ) -> InstanceConfig {
     InstanceConfig {
-        name: name.into(),
+        name: name.as_ref().into(),
         service: svc.name.clone(),
         machine: machine.into(),
         cores,
@@ -150,10 +155,10 @@ fn threads(threads: usize) -> ExecConfig {
     }
 }
 
-fn pool(up: &str, down: impl Into<String>, size: usize) -> PoolConfig {
+fn pool(up: &str, down: impl AsRef<str>, size: usize) -> PoolConfig {
     PoolConfig {
         up: up.into(),
-        down: down.into(),
+        down: down.as_ref().into(),
         size,
     }
 }
@@ -540,7 +545,7 @@ impl LoadBalancedConfig {
 /// one shared machine, each behind its own pool: the deployment of the
 /// load-balancing and fanout scenarios.
 fn proxied_web_servers(
-    backends: &[String],
+    backends: &[impl AsRef<str>],
     backend_host: &str,
     proxy_procs: usize,
     pool_size: usize,
@@ -583,7 +588,9 @@ fn proxied_web_servers(
 /// [`ScenarioConfig::build`].
 pub fn load_balanced(cfg: &LoadBalancedConfig) -> SimResult<ScenarioConfig> {
     let nginx = nginx::service_model();
-    let servers: Vec<String> = (0..cfg.scale_out).map(|k| format!("ws{k}")).collect();
+    let servers: Vec<Name> = (0..cfg.scale_out)
+        .map(|k| format!("ws{k}").into())
+        .collect();
     let (machines, instances, pools) =
         proxied_web_servers(&servers, "ws-host", cfg.proxy_procs, cfg.pool_size, &nginx);
     let nodes = vec![
@@ -738,9 +745,9 @@ fn single_tier(
     visit: PathNodeConfig,
     client: ClientConfig,
 ) -> ScenarioConfig {
-    let sink = PathNodeConfig::client_sink(&visit.name);
+    let sink = PathNodeConfig::client_sink(visit.name.clone());
     common.scenario(
-        vec![MachineSpec::xeon(&inst.machine, inst.cores + 4)],
+        vec![MachineSpec::xeon(inst.machine.clone(), inst.cores + 4)],
         vec![svc],
         vec![inst],
         Vec::new(),
@@ -1042,7 +1049,14 @@ fn social(cfg: &SocialNetworkConfig, full: Option<(SocialMix, f64)>) -> Scenario
         let (h, c) = (format!("{p}1"), format!("{p}2"));
         [
             blocking(node(&h, svc, fixed(inst), handle, Request, [cache]), &c),
-            node(cache, &mc, fixed(format!("{inst}_mc")), op, Request, [&c]),
+            node(
+                cache,
+                &mc,
+                fixed(format!("{inst}_mc")),
+                op,
+                Request,
+                [c.as_str()],
+            ),
             pinned(
                 node(&c, svc, same_as(&h), compose, ReplyToParent, [join]),
                 &h,
@@ -1055,7 +1069,7 @@ fn social(cfg: &SocialNetworkConfig, full: Option<(SocialMix, f64)>) -> Scenario
     // media tier; `J2` receives its reply on the connection that entered
     // `M1` and responds.
     let join_media_respond = || {
-        let via = |from: &str, entry: &str| (from.to_string(), entry.to_string());
+        let via = |from: &str, entry: &str| (Name::from(from), Name::from(entry));
         let entries = vec![via("U2", "U1"), via("P2", "P1")];
         let j1 = resume("J1", LinkConfig::ReplyVia { entries }, "M1");
         let mut nodes = vec![blocking(j1, "J2")];
@@ -1334,7 +1348,7 @@ pub fn tail_at_scale(cfg: &TailAtScaleConfig) -> SimResult<ScenarioConfig> {
 /// ```
 pub fn pod_cluster(pods: usize, qps_per_pod: f64) -> SimResult<ScenarioConfig> {
     let machine = |name: String| MachineSpec {
-        name,
+        name: name.into(),
         cores: 2,
         dvfs: DvfsSpec::fixed(2.6),
         network: NetworkSpec {
@@ -1423,7 +1437,7 @@ mod tests {
     fn quick_by_type(
         cfg: SimResult<ScenarioConfig>,
         secs: u64,
-    ) -> (Simulator, HashMap<String, LatencySummary>) {
+    ) -> (Simulator, HashMap<Name, LatencySummary>) {
         let mut sim = cfg.unwrap().build().unwrap();
         sim.enable_span_tracing(4_000_000);
         sim.run_for(SimDuration::from_secs(secs));

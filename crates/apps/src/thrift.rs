@@ -10,6 +10,7 @@
 //! beyond 50 kQPS on one worker, with sub-100 µs latency at low load —
 //! ≈20 µs of per-request work.
 
+use uqsim_core::config::Name;
 use uqsim_core::dist::Distribution;
 use uqsim_core::ids::StageId;
 use uqsim_core::service::{ExecPath, ServiceModel};
@@ -34,10 +35,10 @@ pub const REF_FREQ_GHZ: f64 = 2.6;
 /// ```
 /// let m = uqsim_apps::thrift::service_model("user_service", 20e-6, 12e-6);
 /// assert!(m.validate().is_ok());
-/// assert_eq!(m.name, "user_service");
+/// assert_eq!(&*m.name, "user_service");
 /// ```
 pub fn service_model(
-    name: impl Into<String>,
+    name: impl Into<Name>,
     handle_mean_s: f64,
     compose_mean_s: f64,
 ) -> ServiceModel {

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ty = meta
             .request_types
             .iter()
-            .position(|t| t.name == name)
+            .position(|t| *t.name == *name)
             .expect("type registered");
         let s = LatencySummary::from_samples(&per_type[ty]);
         println!(

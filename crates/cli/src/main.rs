@@ -98,7 +98,7 @@
 //! ships at `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -1191,16 +1191,15 @@ fn chrome_export(plan: &RunPlan, run: &PartitionedRun, events: usize) -> Outcome
     // Streamed an event at a time: the JSON is 2.5 times the size of the
     // log it is written from and is never held.
     let trace = run.chrome_trace().expect("span tracing is enabled");
-    let sink: Box<dyn Write> = match &plan.out {
+    let mut out: Box<dyn Write> = match &plan.out {
         Some(file) => Box::new(std::fs::File::create(file)?),
         None => Box::new(std::io::stdout().lock()),
     };
-    let mut out = BufWriter::with_capacity(1 << 16, sink);
     serde_json::to_writer_pretty(&mut out, &trace)?;
     if plan.out.is_none() {
         writeln!(out)?;
+        out.flush()?;
     }
-    out.flush()?;
     if let Some(file) = &plan.out {
         eprintln!("wrote {}", file.display());
     }
@@ -1239,7 +1238,10 @@ fn cmd_gen(args: &Args) -> Outcome {
         eprintln!("wrote Table I layout to {}", dir.display());
     }
     if json {
-        println!("{}", cfg.to_json());
+        // Streamed: the scenario's bytes never sit in one string.
+        let mut out = std::io::stdout().lock();
+        serde_json::to_writer_pretty(&mut out, &cfg)?;
+        writeln!(out)?;
     }
     let summary = uqsim_synth::summarize(&cfg);
     if out.is_none() && !json {

@@ -498,3 +498,49 @@ fn a_worker_count_past_the_work_starts_no_more_workers_than_items() {
         "--jobs 2000000 differs from 2"
     );
 }
+
+/// Exit 1 and one `i/o error` line naming `path`.
+fn assert_io_error_names(what: &str, out: &Output, path: &Path) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let said = format!("{stdout}{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{what}: {said}");
+    let named = format!("i/o error: {}: ", path.display());
+    assert!(said.contains(&named), "{what}: `{named}` not in {said}");
+}
+
+#[test]
+fn an_io_error_names_its_file_through_every_door() {
+    let dir = std::env::temp_dir().join(format!("uqsim-io-{}", std::process::id()));
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).expect("tmpdir");
+    let missing = dir.join("missing.json");
+    let arg = |p: &Path| p.to_str().expect("utf-8 path").to_string();
+
+    let validate = uqsim(&["validate", &arg(&empty)]);
+    assert_io_error_names("validate", &validate, &empty.join("machines.json"));
+    let run = uqsim(&["run", &arg(&missing)]);
+    assert_io_error_names("run", &run, &missing);
+    let faulted = uqsim(&["run", &quickstart(), "--faults", &arg(&missing)]);
+    assert_io_error_names("--faults", &faulted, &missing);
+    let generated = uqsim(&["run", "--gen", &arg(&missing)]);
+    assert_io_error_names("--gen", &generated, &missing);
+
+    // An output directory inside a file cannot be made.
+    let file = scratch("not-a-dir", "");
+    let out = file.join("out");
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/gen_dsb.json");
+    let written = uqsim(&["gen", "--spec", &arg(&spec), "--out", &arg(&out)]);
+    assert_io_error_names("gen --out", &written, &out);
+
+    // A `sim.json` that exists and cannot be read is an error, not absent.
+    let layout = dir.join("layout");
+    let split = uqsim(&["split", &quickstart(), &arg(&layout)]);
+    assert_eq!(split.status.code(), Some(0), "split: {split:?}");
+    let sim = layout.join("sim.json");
+    std::fs::remove_file(&sim).expect("sim.json written");
+    assert_eq!(uqsim(&["validate", &arg(&layout)]).status.code(), Some(0));
+    std::fs::create_dir(&sim).expect("sim.json as a directory");
+    assert_io_error_names("sim.json", &uqsim(&["validate", &arg(&layout)]), &sim);
+    std::fs::remove_dir_all(&dir).ok();
+}

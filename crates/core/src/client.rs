@@ -6,6 +6,7 @@
 //! connections, and — for the power-management study — a diurnal load
 //! pattern (Fig. 15).
 
+use crate::config::Name;
 use crate::dist::Distribution;
 use crate::ids::RequestTypeId;
 use crate::rng::RngFactory;
@@ -157,7 +158,7 @@ pub enum ArrivalProcess {
         /// random draw from the client's mix; plain timestamp traces keep
         /// the mix draw and stay byte-identical to pre-typed goldens.
         #[serde(default, skip_serializing_if = "Vec::is_empty")]
-        types: Vec<String>,
+        types: Vec<Name>,
     },
     /// Markov-modulated Poisson process (MMPP): a continuous-time chain
     /// cycles through `states` (exponential dwell times), and while in
@@ -819,7 +820,7 @@ impl ClosedLoop {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientSpec {
     /// Client name.
-    pub name: String,
+    pub name: Name,
     /// Number of connections to the root service (each HTTP/1.1-blocking).
     pub connections: usize,
     /// The arrival process.
@@ -849,7 +850,7 @@ impl ClientSpec {
     /// An open-loop Poisson client, like the paper's modified `wrk2` with
     /// 320 connections.
     pub fn open_loop(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         qps: f64,
         connections: usize,
         ty: RequestTypeId,

@@ -149,7 +149,7 @@ fn site_label(site: CritSite, meta: &TraceMeta) -> String {
             None => format!("client:{}", c.raw()),
         },
         CritSite::Instance(i) => match meta.instances.get(i.index()) {
-            Some(inst) => inst.name.clone(),
+            Some(inst) => inst.name.to_string(),
             None => format!("instance{}", i.raw()),
         },
         CritSite::Stage(i, s) => match meta.instances.get(i.index()) {

@@ -54,6 +54,15 @@ impl std::error::Error for SimError {
     }
 }
 
+impl SimError {
+    /// The I/O failure `e` on the file or directory at `path`, its message
+    /// naming the path: `i/o error: <path>: <what failed>`.
+    pub fn io_at(path: &std::path::Path, e: std::io::Error) -> Self {
+        let detail = format!("{}: {e}", path.display());
+        SimError::Io(std::io::Error::new(e.kind(), detail))
+    }
+}
+
 impl From<std::io::Error> for SimError {
     fn from(e: std::io::Error) -> Self {
         SimError::Io(e)
@@ -83,6 +92,14 @@ mod tests {
         use std::error::Error;
         let e = SimError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "x"));
         assert!(e.source().is_some());
+    }
+
+    #[test]
+    fn an_io_error_at_a_path_names_it_and_keeps_its_kind() {
+        let e = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
+        let e = SimError::io_at(std::path::Path::new("/d/machines.json"), e);
+        assert_eq!(e.to_string(), "i/o error: /d/machines.json: gone");
+        assert!(matches!(&e, SimError::Io(io) if io.kind() == std::io::ErrorKind::NotFound));
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl FaultPlan {
 
     /// Reads and parses a plan from a file.
     pub fn from_file(path: &std::path::Path) -> SimResult<FaultPlan> {
-        let text = std::fs::read_to_string(path)?;
+        let text = std::fs::read_to_string(path).map_err(|e| SimError::io_at(path, e))?;
         Self::from_json(&text)
     }
 
@@ -672,9 +672,9 @@ impl FaultState {
 /// `pool_of` resolves an `(up, down)` instance-id pair to a pool id.
 pub(crate) fn lower_plan(
     plan: &FaultPlan,
-    instance_names: &[String],
-    machine_names: &[String],
-    client_names: &[String],
+    instance_names: &[&str],
+    machine_names: &[&str],
+    client_names: &[&str],
     mut pool_of: impl FnMut(InstanceId, InstanceId) -> Option<PoolId>,
 ) -> SimResult<(Vec<ScheduledFault>, Vec<Option<ClientPolicyRt>>)> {
     plan.validate()?;
@@ -682,10 +682,10 @@ pub(crate) fn lower_plan(
         source_name: "faults.json".to_string(),
         detail: format!("{key}: {detail}"),
     };
-    let find = |names: &[String], kind: &str, name: &str, key: String| -> SimResult<u32> {
+    let find = |names: &[&str], kind: &str, name: &str, key: String| -> SimResult<u32> {
         names
             .iter()
-            .position(|n| n == name)
+            .position(|&n| n == name)
             .map(|i| i as u32)
             .ok_or_else(|| cfg_err(key, format!("unknown {kind} {name:?}")))
     };
@@ -874,9 +874,9 @@ mod tests {
                 "policy": {"clients": [{"client": "wrk"}]}}"#,
         )
         .unwrap();
-        let instances = vec!["front0".to_string(), "api0".to_string()];
-        let machines = vec!["m0".to_string()];
-        let clients = vec!["wrk".to_string()];
+        let instances = ["front0", "api0"];
+        let machines = ["m0"];
+        let clients = ["wrk"];
         let (schedule, policies) =
             lower_plan(&plan, &instances, &machines, &clients, |_, _| None).unwrap();
         assert_eq!(schedule.len(), 1);
@@ -909,7 +909,7 @@ mod tests {
                 "at_s": 1.0, "leak": 1}]}"#,
         )
         .unwrap();
-        let instances = vec!["front0".to_string(), "api0".to_string()];
+        let instances = ["front0", "api0"];
         let msg = lower_plan(&plan, &instances, &[], &[], |_, _| None)
             .unwrap_err()
             .to_string();

@@ -3,6 +3,7 @@
 //! Mirrors `machines.json` (Table I) and the validation platform (Table II:
 //! 2×10-core Xeon E5-2660 v3, DVFS 1.2–2.6 GHz).
 
+use crate::config::Name;
 use crate::dist::Distribution;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -255,7 +256,7 @@ impl PowerModel {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
     /// Machine name.
-    pub name: String,
+    pub name: Name,
     /// Number of usable physical cores.
     pub cores: usize,
     /// DVFS capability.
@@ -274,7 +275,7 @@ impl MachineSpec {
     /// receive-side interrupt work per application message (calibrated so
     /// four irq cores saturate near 120 kQPS of combined inbound traffic,
     /// the soft-irq ceiling §IV-B reports for 16-way load balancing).
-    pub fn xeon(name: impl Into<String>, cores: usize) -> Self {
+    pub fn xeon(name: impl Into<Name>, cores: usize) -> Self {
         MachineSpec {
             name: name.into(),
             cores,
@@ -293,7 +294,7 @@ impl MachineSpec {
     /// A machine with kernel-bypass (DPDK-style) networking — the paper's
     /// stated future work: no irq cores, a small constant per-message
     /// software cost folded into the wire latency, full bandwidth.
-    pub fn xeon_dpdk(name: impl Into<String>, cores: usize) -> Self {
+    pub fn xeon_dpdk(name: impl Into<Name>, cores: usize) -> Self {
         let mut m = Self::xeon(name, cores);
         m.network = NetworkSpec {
             irq_cores: 0,

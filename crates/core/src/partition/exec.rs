@@ -280,15 +280,15 @@ impl PartitionedRun {
 fn validate_fault_plan(groups: &[ScenarioConfig], plan: &FaultPlan) -> SimResult<()> {
     let instances: HashSet<&str> = groups
         .iter()
-        .flat_map(|g| g.instances.iter().map(|i| i.name.as_str()))
+        .flat_map(|g| g.instances.iter().map(|i| &*i.name))
         .collect();
     let machines: HashSet<&str> = groups
         .iter()
-        .flat_map(|g| g.machines.iter().map(|m| m.name.as_str()))
+        .flat_map(|g| g.machines.iter().map(|m| &*m.name))
         .collect();
     let clients: HashSet<&str> = groups
         .iter()
-        .flat_map(|g| g.clients.iter().map(|c| c.name.as_str()))
+        .flat_map(|g| g.clients.iter().map(|c| &*c.name))
         .collect();
     let unknown = |kind: &'static str, name: &str| SimError::UnknownEntity {
         kind,

@@ -442,23 +442,15 @@ where
 /// plan is present, *every* cell installs its (possibly empty) slice so
 /// per-cell exports keep a uniform shape.
 pub fn split_fault_plan(plan: &FaultPlan, cell: &CellSpec) -> FaultPlan {
-    let instances: std::collections::HashSet<&str> = cell
-        .config
-        .instances
-        .iter()
-        .map(|i| i.name.as_str())
-        .collect();
-    let machines: std::collections::HashSet<&str> = cell
-        .config
-        .machines
-        .iter()
-        .map(|m| m.name.as_str())
-        .collect();
+    let instances: std::collections::HashSet<&str> =
+        cell.config.instances.iter().map(|i| &*i.name).collect();
+    let machines: std::collections::HashSet<&str> =
+        cell.config.machines.iter().map(|m| &*m.name).collect();
     let clients: std::collections::HashSet<&str> = cell
         .config
         .clients
         .iter()
-        .map(|c: &ClientConfig| c.name.as_str())
+        .map(|c: &ClientConfig| &*c.name)
         .collect();
     let faults = plan
         .faults

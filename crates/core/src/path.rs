@@ -13,6 +13,7 @@
 //!    worker thread until a downstream reply node arrives (RPC-style
 //!    synchronous calls).
 
+use crate::config::Name;
 use crate::ids::{InstanceId, PathNodeId, ServiceId};
 use serde::{Deserialize, Serialize};
 
@@ -141,7 +142,7 @@ pub enum NodeTarget {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PathNodeSpec {
     /// Human-readable name.
-    pub name: String,
+    pub name: Name,
     /// What to run.
     pub target: NodeTarget,
     /// Child nodes receiving a copy of the job after this node completes.
@@ -165,7 +166,7 @@ pub struct PathNodeSpec {
 
 impl PathNodeSpec {
     /// A plain request node on a fixed instance running exec path 0.
-    pub fn request(name: impl Into<String>, service: ServiceId, instance: InstanceId) -> Self {
+    pub fn request(name: impl Into<Name>, service: ServiceId, instance: InstanceId) -> Self {
         PathNodeSpec {
             name: name.into(),
             target: NodeTarget::Service {
@@ -184,7 +185,7 @@ impl PathNodeSpec {
     /// A reply node returning to the instance that executed `caller_node`,
     /// on the connection that entered `conn_node`.
     pub fn reply(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         service: ServiceId,
         caller_node: PathNodeId,
         conn_node: PathNodeId,
@@ -208,7 +209,7 @@ impl PathNodeSpec {
     /// on the connection of whichever parent fans out to it (the usual
     /// choice for joins collecting several replies).
     pub fn reply_to_parent(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         service: ServiceId,
         caller_node: PathNodeId,
     ) -> Self {
@@ -246,7 +247,7 @@ impl PathNodeSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestType {
     /// Name, e.g. `"get_post_cache_hit"`.
-    pub name: String,
+    pub name: Name,
     /// Nodes, indexed by [`PathNodeId`].
     pub nodes: Vec<PathNodeSpec>,
     /// The root node (entered from the client).
@@ -276,7 +277,7 @@ impl RequestType {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn new(name: impl Into<String>, nodes: Vec<PathNodeSpec>, root: PathNodeId) -> Self {
+    pub fn new(name: impl Into<Name>, nodes: Vec<PathNodeSpec>, root: PathNodeId) -> Self {
         RequestType {
             name: name.into(),
             nodes,

@@ -6,6 +6,7 @@
 //! and an optional probability distribution over paths (the "state machine"
 //! of §III-B, used e.g. for MongoDB cache-hit vs. cache-miss behavior).
 
+use crate::config::Name;
 use crate::ids::StageId;
 use crate::stage::StageSpec;
 use rand::Rng;
@@ -15,14 +16,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecPath {
     /// Human-readable name (e.g. `"memcached_read"`).
-    pub name: String,
+    pub name: Name,
     /// Stage indices to traverse, in order.
     pub stages: Vec<StageId>,
 }
 
 impl ExecPath {
     /// Creates a path from a name and stage indices.
-    pub fn new(name: impl Into<String>, stages: Vec<StageId>) -> Self {
+    pub fn new(name: impl Into<Name>, stages: Vec<StageId>) -> Self {
         ExecPath {
             name: name.into(),
             stages,
@@ -34,7 +35,7 @@ impl ExecPath {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceModel {
     /// Service name (e.g. `"memcached"`).
-    pub name: String,
+    pub name: Name,
     /// The stages.
     pub stages: Vec<StageSpec>,
     /// The execution paths.
@@ -48,7 +49,7 @@ pub struct ServiceModel {
 
 impl ServiceModel {
     /// Creates a model; validate with [`ServiceModel::validate`].
-    pub fn new(name: impl Into<String>, stages: Vec<StageSpec>, paths: Vec<ExecPath>) -> Self {
+    pub fn new(name: impl Into<Name>, stages: Vec<StageSpec>, paths: Vec<ExecPath>) -> Self {
         ServiceModel {
             name: name.into(),
             stages,
@@ -117,14 +118,14 @@ impl ServiceModel {
 
     /// Looks up a path index by name.
     pub fn path_index(&self, name: &str) -> Option<usize> {
-        self.paths.iter().position(|p| p.name == name)
+        self.paths.iter().position(|p| *p.name == *name)
     }
 
     /// Looks up a stage index by name.
     pub fn stage_index(&self, name: &str) -> Option<StageId> {
         self.stages
             .iter()
-            .position(|s| s.name == name)
+            .position(|s| *s.name == *name)
             .map(|i| StageId::from_raw(i as u32))
     }
 

@@ -17,6 +17,7 @@
 //! of the span log ([`Simulator::enable_span_tracing`]; `NodeDone`,
 //! `RequestCompleted` and `BatchStart` events).
 
+use crate::config::Name;
 use crate::connection::{Connection, ConnectionPool};
 use crate::controller::{ControlAction, Controller, TickStats};
 use crate::critpath::{CritSeg, CritSite, EdgeKind};
@@ -155,7 +156,7 @@ impl ThreadRt {
 /// Runtime state of one deployed instance.
 #[derive(Debug)]
 pub(crate) struct InstanceRt {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) service: ServiceId,
     pub(crate) machine: MachineId,
     /// Machine-local core indices owned by this instance.
@@ -726,7 +727,7 @@ impl Simulator {
     pub fn instance_by_name(&self, name: &str) -> Option<InstanceId> {
         self.instances
             .iter()
-            .position(|i| i.name == name)
+            .position(|i| *i.name == *name)
             .map(|i| InstanceId::from_raw(i as u32))
     }
 

@@ -30,10 +30,9 @@ impl Simulator {
             self.telemetry.is_none(),
             "install_faults must be called before enable_telemetry"
         );
-        let instance_names: Vec<String> = self.instances.iter().map(|i| i.name.clone()).collect();
-        let machine_names: Vec<String> =
-            self.machines.iter().map(|m| m.spec.name.clone()).collect();
-        let client_names: Vec<String> = self.clients.iter().map(|c| c.spec.name.clone()).collect();
+        let instance_names: Vec<&str> = self.instances.iter().map(|i| &*i.name).collect();
+        let machine_names: Vec<&str> = self.machines.iter().map(|m| &*m.spec.name).collect();
+        let client_names: Vec<&str> = self.clients.iter().map(|c| &*c.spec.name).collect();
         let pool_lookup = &self.pool_lookup;
         let (schedule, client_policy) = crate::fault::lower_plan(
             plan,

@@ -6,6 +6,7 @@
 //! long one invocation takes, possibly as a function of batch size and of
 //! the core's DVFS frequency.
 
+use crate::config::Name;
 use crate::dist::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -212,7 +213,7 @@ impl ServiceTimeModel {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSpec {
     /// Human-readable name (e.g. `"epoll"`, `"memcached_processing"`).
-    pub name: String,
+    pub name: Name,
     /// Queue discipline.
     pub queue: QueueDiscipline,
     /// Service-time model.
@@ -221,7 +222,7 @@ pub struct StageSpec {
 
 impl StageSpec {
     /// Creates a stage.
-    pub fn new(name: impl Into<String>, queue: QueueDiscipline, service: ServiceTimeModel) -> Self {
+    pub fn new(name: impl Into<Name>, queue: QueueDiscipline, service: ServiceTimeModel) -> Self {
         StageSpec {
             name: name.into(),
             queue,

@@ -914,7 +914,7 @@ impl Simulator {
             ] {
                 defs.push(SeriesDef {
                     metric,
-                    label: Some(("instance", inst.name.clone())),
+                    label: Some(("instance", inst.name.to_string())),
                 });
             }
         }
@@ -922,7 +922,7 @@ impl Simulator {
             for metric in ["network_utilization", "net_queue_depth"] {
                 defs.push(SeriesDef {
                     metric,
-                    label: Some(("machine", m.spec.name.clone())),
+                    label: Some(("machine", m.spec.name.to_string())),
                 });
             }
         }
@@ -951,7 +951,7 @@ impl Simulator {
             for inst in &self.instances {
                 defs.push(SeriesDef {
                     metric: "instance_fault_down",
-                    label: Some(("instance", inst.name.clone())),
+                    label: Some(("instance", inst.name.to_string())),
                 });
             }
         }
@@ -1291,7 +1291,7 @@ impl Simulator {
             reg.gauge(
                 "uqsim_instance_utilization",
                 "Mean core utilization of the instance since warmup.",
-                vec![("instance", inst.name.clone())],
+                vec![("instance", inst.name.to_string())],
                 self.instance_utilization_since(InstanceId::from_raw(i as u32), since),
             );
         }
@@ -1299,7 +1299,7 @@ impl Simulator {
             reg.gauge(
                 "uqsim_instance_queue_depth",
                 "Jobs currently queued at the instance.",
-                vec![("instance", inst.name.clone())],
+                vec![("instance", inst.name.to_string())],
                 self.instance_queue_depth(InstanceId::from_raw(i as u32)) as f64,
             );
         }
@@ -1307,7 +1307,7 @@ impl Simulator {
             reg.gauge(
                 "uqsim_network_utilization",
                 "Mean irq-core utilization of the machine since warmup.",
-                vec![("machine", m.spec.name.clone())],
+                vec![("machine", m.spec.name.to_string())],
                 self.network_utilization_since(MachineId::from_raw(mi as u32), since),
             );
         }
@@ -1399,7 +1399,7 @@ impl Simulator {
                 reg.gauge(
                     "uqsim_instance_fault_down",
                     "1 while the instance is crashed, else 0.",
-                    vec![("instance", inst.name.clone())],
+                    vec![("instance", inst.name.to_string())],
                     f64::from(u8::from(f.instance_down[i])),
                 );
             }
@@ -1428,7 +1428,7 @@ impl Simulator {
                     "uqsim_stage_queue_wait_seconds",
                     "Time jobs spent queued before each stage.",
                     vec![
-                        ("instance", inst.name.clone()),
+                        ("instance", inst.name.to_string()),
                         ("stage", spec.metric_label()),
                     ],
                     &tel.stage_queue_wait[i][s],
@@ -1442,7 +1442,7 @@ impl Simulator {
                     "uqsim_stage_service_seconds",
                     "Per-job service interval of each stage.",
                     vec![
-                        ("instance", inst.name.clone()),
+                        ("instance", inst.name.to_string()),
                         ("stage", spec.metric_label()),
                     ],
                     &tel.stage_service[i][s],

@@ -59,7 +59,7 @@
 //! assert!(report.is_clean(), "{:?}", report.violations);
 //!
 //! // Chrome trace_event JSON for about:tracing / Perfetto, streamed out an
-//! // event at a time (any `io::Write` will do; a file wants a `BufWriter`).
+//! // event at a time into any `io::Write`, through one 64 KiB buffer.
 //! let chrome = sim.chrome_trace().expect("tracing is enabled");
 //! let mut json = Vec::new();
 //! serde_json::to_writer_pretty(&mut json, &chrome)?;
@@ -68,6 +68,7 @@
 //! # }
 //! ```
 
+use crate::config::Name;
 use crate::ids::{
     ClientId, ConnectionId, InstanceId, JobId, MachineId, PathNodeId, PoolId, RequestId,
     RequestTypeId, StageId, ThreadId,
@@ -825,9 +826,9 @@ impl StageSpan {
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SpanRecord {
     /// Path-node name.
-    pub node: String,
+    pub node: Name,
     /// Name of the instance the node executed on.
-    pub instance: String,
+    pub instance: Name,
     /// When the job entered the instance (for a fan-in node: when the
     /// firing copy arrived).
     pub enter: SimTime,
@@ -841,7 +842,7 @@ pub struct SpanRecord {
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RequestTrace {
     /// Request-type name.
-    pub request_type: String,
+    pub request_type: Name,
     /// When the client generated the request.
     pub submitted: SimTime,
     /// When the response reached the client.
@@ -954,7 +955,7 @@ pub struct TraceMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineMeta {
     /// Machine name.
-    pub name: String,
+    pub name: Name,
     /// Total cores (instance-owned plus irq).
     pub cores: usize,
 }
@@ -963,36 +964,36 @@ pub struct MachineMeta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceMeta {
     /// Instance name.
-    pub name: String,
+    pub name: Name,
     /// Hosting machine index.
     pub machine: u32,
     /// Stage names of the instance's service, in stage order.
-    pub stages: Vec<String>,
+    pub stages: Vec<Name>,
 }
 
 /// Display metadata for one request type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTypeMeta {
     /// Request-type name.
-    pub name: String,
+    pub name: Name,
     /// Node names, in node-id order.
-    pub nodes: Vec<String>,
+    pub nodes: Vec<Name>,
 }
 
 /// Display metadata for one connection pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolMeta {
     /// Upstream (acquiring) instance name.
-    pub up: String,
+    pub up: Name,
     /// Downstream (target) instance name.
-    pub down: String,
+    pub down: Name,
 }
 
 /// Display metadata for one client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientMeta {
     /// Client name.
-    pub name: String,
+    pub name: Name,
 }
 
 fn ts_us(t: SimTime) -> f64 {
@@ -1161,7 +1162,7 @@ impl<S: Sink + ?Sized> ChromeEvents<'_, S> {
         self.metadata("process_name", req_pid, 0, format_args!("requests"));
         let type_name = |ty: RequestTypeId| -> Cow<'_, str> {
             match meta.request_types.get(ty.index()) {
-                Some(ty) => Cow::Borrowed(ty.name.as_str()),
+                Some(ty) => Cow::Borrowed(&*ty.name),
                 None => Cow::Owned(format!("type{}", ty.raw())),
             }
         };

@@ -8,8 +8,8 @@
 //! a slow request races its original, and exactly one of the two counts.
 
 use uqsim_core::config::{
-    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, PathNodeConfig,
-    RequestTypeConfig, ScenarioConfig,
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, Name,
+    PathNodeConfig, RequestTypeConfig, ScenarioConfig,
 };
 use uqsim_core::dist::Distribution;
 use uqsim_core::ids::StageId;
@@ -26,7 +26,7 @@ fn service_node(
     service: &str,
     instance: InstanceSelectConfig,
     link: LinkConfig,
-    children: Vec<String>,
+    children: Vec<Name>,
 ) -> PathNodeConfig {
     PathNodeConfig {
         children,
@@ -66,7 +66,7 @@ fn instance(name: &str, service: &str) -> InstanceConfig {
 /// A frontend fanning out to `backends` parallel instances whose replies
 /// synchronize at a join node with the given fan-in policy.
 fn build_fanout(seed: u64, backends: usize, policy: FanInPolicy) -> Simulator {
-    let backs: Vec<String> = (0..backends).map(|k| format!("back{k}")).collect();
+    let backs: Vec<Name> = (0..backends).map(|k| format!("back{k}").into()).collect();
     let mut instances = vec![instance("front0", "front")];
     instances.extend(backs.iter().map(|b| instance(b, "back")));
 
@@ -80,7 +80,7 @@ fn build_fanout(seed: u64, backends: usize, policy: FanInPolicy) -> Simulator {
     );
     let mut nodes = vec![root];
     for b in &backs {
-        let join = vec!["join".to_string()];
+        let join = vec!["join".into()];
         nodes.push(service_node(b, "back", fixed(b), LinkConfig::Request, join));
     }
     let mut join = service_node(

@@ -5,8 +5,8 @@
 
 use uqsim_core::client::{ArrivalProcess, ClosedLoop};
 use uqsim_core::config::{
-    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, PathNodeConfig, PoolConfig,
-    RequestTypeConfig, ScenarioConfig,
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, Name, PathNodeConfig,
+    PoolConfig, RequestTypeConfig, ScenarioConfig,
 };
 use uqsim_core::dist::Distribution;
 use uqsim_core::ids::{InstanceId, StageId};
@@ -53,7 +53,7 @@ fn instance(name: &str, cores: usize) -> InstanceConfig {
 /// `children`.
 fn svc_node(node: &str, on: InstanceSelectConfig, children: &[&str]) -> PathNodeConfig {
     let mut n = PathNodeConfig::service(node, "svc", on, "p");
-    n.children = children.iter().map(|c| c.to_string()).collect();
+    n.children = children.iter().map(|&c| c.into()).collect();
     n
 }
 
@@ -307,10 +307,10 @@ fn traces_record_spans_in_order() {
     let traces = uqsim_core::trace::sampled_traces(log, &sim.trace_meta(), 10, 100);
     assert!(!traces.is_empty() && traces.len() <= 100);
     for t in &traces {
-        assert_eq!(t.request_type, "get");
+        assert_eq!(&*t.request_type, "get");
         assert_eq!(t.spans.len(), 1, "one service node per request");
         let span = &t.spans[0];
-        assert_eq!(span.instance, "svc0");
+        assert_eq!(&*span.instance, "svc0");
         assert!(t.submitted <= span.enter);
         assert!(span.enter <= span.exit);
         assert!(span.exit <= t.completed);
@@ -328,7 +328,7 @@ fn stage_stats_show_batching_under_load() {
     sim.run_for(SimDuration::from_secs(2));
     let stats = stage_batches(&sim, InstanceId::from_raw(0));
     assert_eq!(stats.len(), 2);
-    assert_eq!(sim.trace_meta().instances[0].stages[0], "epoll");
+    assert_eq!(&*sim.trace_meta().instances[0].stages[0], "epoll");
     let mean_batch = |s: &StageBatches| s.jobs as f64 / s.invocations as f64;
     assert!(stats[0].invocations > 0);
     assert!(stats[0].jobs >= stats[0].invocations);
@@ -630,7 +630,7 @@ fn typed_trace_dictates_request_types() {
     // exactly, not in distribution.
     let n = 90;
     let timestamps: Vec<f64> = (0..n).map(|i| f64::from(i) * 1e-3).collect();
-    let types: Vec<String> = (0..n)
+    let types: Vec<Name> = (0..n)
         .map(|i| {
             if i % 3 == 2 {
                 "beta".into()

@@ -249,7 +249,7 @@ fn zero_latency_intra_machine_hop_stays_in_one_cell() {
     // contains it — belong to the single cell owning machine "solo".
     assert_eq!(solo.config.instances.len(), 2);
     assert_eq!(solo.config.request_types.len(), 1);
-    assert_eq!(solo.config.request_types[0].name, "chain");
+    assert_eq!(&*solo.config.request_types[0].name, "chain");
 }
 
 // ---------------------------------------------------------------------
@@ -264,13 +264,15 @@ fn cluster_with_service_table() -> ScenarioConfig {
     let mut cfg = cluster(3);
     let named = |name: &str| {
         let mut service = cfg.services[0].clone();
-        service.name = name.to_string();
+        service.name = name.into();
         service
     };
     cfg.services = vec![named("svc2"), named("unused"), named("svc0"), named("svc1")];
-    let service_of = |instance: &str| match instance {
-        "aux1" => "svc0".to_string(),
-        api => api.replace("api", "svc"),
+    let service_of = |instance: &str| -> uqsim_core::config::Name {
+        match instance {
+            "aux1" => "svc0".into(),
+            api => api.replace("api", "svc").into(),
+        }
     };
     for inst in &mut cfg.instances {
         inst.service = service_of(&inst.name);
@@ -289,7 +291,7 @@ fn cluster_with_service_table() -> ScenarioConfig {
 }
 
 fn service_names(cfg: &ScenarioConfig) -> Vec<&str> {
-    cfg.services.iter().map(|s| s.name.as_str()).collect()
+    cfg.services.iter().map(|s| &*s.name).collect()
 }
 
 /// Each cell's service table is exactly what its instances and path nodes
@@ -328,7 +330,7 @@ fn one_cell_scenarios_keep_their_full_service_table() {
         let mut cfg = ScenarioConfig::from_json(text).unwrap();
         // With a service nothing references, too.
         let mut spare = cfg.services[0].clone();
-        spare.name = "spare".to_string();
+        spare.name = "spare".into();
         cfg.services.insert(1, spare);
         let cells = split_cells(&cfg).unwrap();
         assert_eq!(cells.len(), 1);
@@ -730,7 +732,7 @@ proptest! {
         prop_assert!(cells.len() >= replicas);
         for cell in &cells {
             let names: std::collections::HashSet<&str> =
-                cell.config.instances.iter().map(|i| i.name.as_str()).collect();
+                cell.config.instances.iter().map(|i| &*i.name).collect();
             for t in &cell.config.request_types {
                 for node in &t.nodes {
                     if let uqsim_core::config::NodeTargetConfig::Service {
@@ -739,18 +741,18 @@ proptest! {
                     } = &node.target
                     {
                         for n in rr {
-                            prop_assert!(names.contains(n.as_str()),
+                            prop_assert!(names.contains(&**n),
                                 "cell {} references foreign instance {}", cell.id, n);
                         }
                     }
                 }
             }
             for p in &cell.config.pools {
-                prop_assert!(names.contains(p.up.as_str()) && names.contains(p.down.as_str()));
+                prop_assert!(names.contains(&*p.up) && names.contains(&*p.down));
             }
             for c in &cell.config.clients {
                 for r in &c.roots {
-                    prop_assert!(names.contains(r.as_str()));
+                    prop_assert!(names.contains(&**r));
                 }
             }
             cell.config.build().expect("cells build standalone");

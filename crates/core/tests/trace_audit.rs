@@ -29,7 +29,7 @@ fn service_node(
     children: &[&str],
 ) -> PathNodeConfig {
     PathNodeConfig {
-        children: children.iter().map(|c| c.to_string()).collect(),
+        children: children.iter().map(|&c| c.into()).collect(),
         link,
         ..PathNodeConfig::service(name, service, instance, "p")
     }
@@ -96,7 +96,7 @@ fn scenario(
             "c",
             qps,
             connections,
-            &ty.name,
+            ty.name.clone(),
             root,
         )],
         request_types: vec![ty],

@@ -393,7 +393,7 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
 /// request; a rate schedule counts at its peak, a trace as nothing).
 fn offered_visits_per_s(cfg: &ScenarioConfig) -> f64 {
     let nodes_of = |ty: &str| {
-        let found = cfg.request_types.iter().find(|t| t.name == ty);
+        let found = cfg.request_types.iter().find(|t| *t.name == *ty);
         found.map_or(0, |t| t.nodes.len()) as f64
     };
     cfg.clients

@@ -3,16 +3,17 @@
 use crate::spec::GenSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use uqsim_apps::roles::Role;
+use std::fmt;
 use uqsim_core::client::ArrivalProcess;
 use uqsim_core::config::{
-    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, NodeTargetConfig,
-    PathNodeConfig, PoolConfig, RequestTypeConfig, ScenarioConfig,
+    ClientConfig, ExecConfig, InstanceConfig, InstanceSelectConfig, LinkConfig, Name,
+    NodeTargetConfig, PathNodeConfig, PoolConfig, RequestTypeConfig, ScenarioConfig,
 };
 use uqsim_core::dist::Distribution;
 use uqsim_core::error::SimResult;
 use uqsim_core::machine::MachineSpec;
 use uqsim_core::rng::RngFactory;
+use uqsim_core::service::ServiceModel;
 
 /// The `RngFactory` stream label generation draws from, indexed by replica.
 /// A dedicated label guarantees adding the generator never perturbed the
@@ -22,13 +23,24 @@ pub(crate) const GEN_STREAM: &str = "gen";
 /// One sampled service, before lowering to config structs.
 struct SvcShape {
     /// Service (and model) name, e.g. `r0-l1-s2`.
-    name: String,
+    name: Name,
     /// Instance names, e.g. `r0-l1-s2-i0`.
-    instances: Vec<String>,
+    instances: Vec<Name>,
     /// Cores per instance (from the layer).
     cores: usize,
     /// Worker threads per instance (0 = simple execution).
     threads: usize,
+}
+
+/// What the services of one layer share, made once per spec: the role's
+/// model, which each service copies under its own name (so every copy
+/// shares the template's stage and path names), and the names of the
+/// execution paths its nodes run.
+struct LayerTemplate {
+    model: ServiceModel,
+    entry: Name,
+    reply: Name,
+    leaf: Name,
 }
 
 impl GenSpec {
@@ -97,12 +109,20 @@ impl GenSpec {
     ) -> SimResult<impl ExactSizeIterator<Item = ScenarioConfig> + Send + '_> {
         self.validate()?;
         let factory = RngFactory::new(seed);
+        let templates: Vec<LayerTemplate> = (self.layers.iter())
+            .map(|layer| LayerTemplate {
+                model: layer.role.service_model(""),
+                entry: layer.role.entry_path().into(),
+                reply: layer.role.reply_path().into(),
+                leaf: layer.role.leaf_path().into(),
+            })
+            .collect();
         Ok((0..self.replicas).map(move |r| {
             // Each replica draws from its own stream: inserting or removing
             // a replica never reshapes its siblings.
             let mut rng = factory.stream(GEN_STREAM, r as u64);
             let mut cfg = self.empty(seed);
-            self.generate_replica(r, &mut rng, &mut cfg);
+            self.generate_replica(r, &templates, &mut rng, &mut cfg);
             cfg
         }))
     }
@@ -124,18 +144,34 @@ impl GenSpec {
 
     /// Samples one replica's shape and fills the empty `cfg` with its
     /// machines, services, instances, pools, request types, and clients.
-    fn generate_replica(&self, r: usize, rng: &mut SmallRng, cfg: &mut ScenarioConfig) {
+    /// Each name is formatted once and shared by everything naming it.
+    fn generate_replica(
+        &self,
+        r: usize,
+        templates: &[LayerTemplate],
+        rng: &mut SmallRng,
+        cfg: &mut ScenarioConfig,
+    ) {
+        let mut text = String::new();
+        let mut name = |args: fmt::Arguments<'_>| -> Name {
+            text.clear();
+            fmt::Write::write_fmt(&mut text, args).expect("a String takes any text");
+            Name::from(text.as_str())
+        };
+
         // --- shape: services and instances per layer -------------------
         let mut layers: Vec<Vec<SvcShape>> = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
             let count = layer.services.sample(rng);
             let mut svcs = Vec::with_capacity(count);
             for s in 0..count {
-                let name = format!("r{r}-l{l}-s{s}");
+                let service = name(format_args!("r{r}-l{l}-s{s}"));
                 let n_inst = layer.instances_per_service.sample(rng);
-                let instances = (0..n_inst).map(|i| format!("{name}-i{i}")).collect();
+                let instances = (0..n_inst)
+                    .map(|i| name(format_args!("{service}-i{i}")))
+                    .collect();
                 svcs.push(SvcShape {
-                    name,
+                    name: service,
                     instances,
                     cores: layer.cores_per_instance,
                     threads: layer.threads_per_instance,
@@ -170,16 +206,33 @@ impl GenSpec {
             edges.push(per_svc);
         }
 
-        // --- service models and instances ------------------------------
-        for (l, svcs) in layers.iter().enumerate() {
-            let role = self.layers[l].role;
+        // --- service models, and instances placed as they are made -----
+        // Placement is deterministic first-fit onto replica machines, in
+        // instance order. Generated machines are testbed-style Xeons; 4 of
+        // `machine_cores` serve network IRQs, the rest host instances.
+        let usable = self.machine_cores - 4;
+        let mut remaining: Vec<usize> = Vec::new();
+        for (svcs, template) in layers.iter().zip(templates) {
             for svc in svcs {
-                cfg.services.push(role.service_model(&svc.name));
+                let mut model = template.model.clone();
+                model.name = svc.name.clone();
+                cfg.services.push(model);
                 for inst in &svc.instances {
+                    let slot = match remaining.iter().position(|&free| free >= svc.cores) {
+                        Some(m) => m,
+                        None => {
+                            let machine = name(format_args!("r{r}-m{}", remaining.len()));
+                            cfg.machines
+                                .push(MachineSpec::xeon(machine, self.machine_cores));
+                            remaining.push(usable);
+                            remaining.len() - 1
+                        }
+                    };
+                    remaining[slot] -= svc.cores;
                     cfg.instances.push(InstanceConfig {
                         name: inst.clone(),
                         service: svc.name.clone(),
-                        machine: String::new(), // placed below
+                        machine: cfg.machines[slot].name.clone(),
                         cores: svc.cores,
                         exec: if svc.threads == 0 {
                             ExecConfig::Simple
@@ -192,26 +245,6 @@ impl GenSpec {
                     });
                 }
             }
-        }
-
-        // --- placement: deterministic first-fit onto replica machines --
-        // Generated machines are testbed-style Xeons; 4 of `machine_cores`
-        // serve network IRQs, the rest host instances.
-        let usable = self.machine_cores - 4;
-        let mut remaining: Vec<usize> = Vec::new();
-        for inst in cfg.instances.iter_mut() {
-            let slot = match remaining.iter().position(|&free| free >= inst.cores) {
-                Some(m) => m,
-                None => {
-                    let name = format!("r{r}-m{}", remaining.len());
-                    cfg.machines
-                        .push(MachineSpec::xeon(name, self.machine_cores));
-                    remaining.push(usable);
-                    remaining.len() - 1
-                }
-            };
-            remaining[slot] -= inst.cores;
-            inst.machine = format!("r{r}-m{slot}");
         }
 
         // --- pools: one per (caller instance, callee instance) edge ----
@@ -234,15 +267,19 @@ impl GenSpec {
         }
 
         // --- request types: one tree per front-end service -------------
-        let roles: Vec<Role> = self.layers.iter().map(|l| l.role).collect();
+        let sink: Name = "sink".into();
+        let tree = Tree {
+            layers: &layers,
+            edges: &edges,
+            templates,
+        };
         for (s, front) in layers[0].iter().enumerate() {
             let mut nodes: Vec<PathNodeConfig> = Vec::new();
             let mut counter = 0usize;
-            let (root_entry, root_exit) =
-                emit_visit(&layers, &edges, &roles, 0, s, &mut nodes, &mut counter);
-            set_children(&mut nodes, &root_exit, vec!["sink".into()]);
+            let (root_entry, root_exit) = tree.visit(0, s, &mut nodes, &mut counter, &mut name);
+            set_children(&mut nodes, &root_exit, vec![sink.clone()]);
             nodes.push(PathNodeConfig {
-                name: "sink".into(),
+                name: sink.clone(),
                 target: NodeTargetConfig::ClientSink,
                 children: Vec::new(),
                 link: LinkConfig::Reply { of: root_entry },
@@ -250,7 +287,7 @@ impl GenSpec {
                 pin_thread_of: None,
                 fan_in_policy: Default::default(),
             });
-            let ty_name = format!("r{r}-t{s}");
+            let ty_name = name(format_args!("r{r}-t{s}"));
             cfg.request_types.push(RequestTypeConfig {
                 name: ty_name.clone(),
                 nodes,
@@ -259,7 +296,7 @@ impl GenSpec {
             // decides which root instance executes a request, so a client
             // must only mix request types rooted at its own service.
             cfg.clients.push(ClientConfig {
-                name: format!("r{r}-c{s}"),
+                name: name(format_args!("r{r}-c{s}")),
                 connections: self.client.connections,
                 arrivals: self
                     .client
@@ -276,97 +313,92 @@ impl GenSpec {
     }
 }
 
-/// Materializes the visit of service `(l, s)` as path nodes, in pre-order.
-///
-/// A leaf visit is a single node running the role's leaf path. A non-leaf
-/// visit is an entry node (forwarding to each child's entry) plus a join
-/// node on the same instance that merges the children's replies via their
-/// entry connections — the idiom of the hand-written scenarios. Returns
-/// `(entry, exit)` node names; the caller wires `exit` to its own join
-/// (or to the sink for the root).
-fn emit_visit(
-    layers: &[Vec<SvcShape>],
-    edges: &[Vec<Vec<usize>>],
-    roles: &[Role],
-    l: usize,
-    s: usize,
-    nodes: &mut Vec<PathNodeConfig>,
-    counter: &mut usize,
-) -> (String, String) {
-    let svc = &layers[l][s];
-    let role = roles[l];
-    let id = *counter;
-    *counter += 1;
-    let select = InstanceSelectConfig::RoundRobin {
-        names: svc.instances.clone(),
-    };
-    let children: &[usize] = edges.get(l).map(|e| e[s].as_slice()).unwrap_or(&[]);
-    if children.is_empty() {
-        let name = format!("n{id}");
-        nodes.push(PathNodeConfig {
-            name: name.clone(),
+/// A replica's sampled shape, read while its request trees are emitted.
+struct Tree<'a> {
+    layers: &'a [Vec<SvcShape>],
+    edges: &'a [Vec<Vec<usize>>],
+    templates: &'a [LayerTemplate],
+}
+
+impl Tree<'_> {
+    /// Materializes the visit of service `(l, s)` as path nodes, in
+    /// pre-order, naming nodes with `name`.
+    ///
+    /// A leaf visit is a single node running the role's leaf path. A
+    /// non-leaf visit is an entry node (forwarding to each child's entry)
+    /// plus a join node on the same instance that merges the children's
+    /// replies via their entry connections — the idiom of the hand-written
+    /// scenarios. Returns `(entry, exit)` node names; the caller wires
+    /// `exit` to its own join (or to the sink for the root).
+    fn visit(
+        &self,
+        l: usize,
+        s: usize,
+        nodes: &mut Vec<PathNodeConfig>,
+        counter: &mut usize,
+        name: &mut impl FnMut(fmt::Arguments<'_>) -> Name,
+    ) -> (Name, Name) {
+        let svc = &self.layers[l][s];
+        let paths = &self.templates[l];
+        let id = *counter;
+        *counter += 1;
+        let select = InstanceSelectConfig::RoundRobin {
+            names: svc.instances.clone(),
+        };
+        let children: &[usize] = self.edges.get(l).map(|e| e[s].as_slice()).unwrap_or(&[]);
+        let node = |name: Name, instance, exec_path: &Name, link| PathNodeConfig {
+            name,
             target: NodeTargetConfig::Service {
                 service: svc.name.clone(),
-                instance: select,
-                exec_path: Some(role.leaf_path().into()),
+                instance,
+                exec_path: Some(exec_path.clone()),
             },
+            // Child entries (or the parent's join, or the sink): filled
+            // below or by the caller.
             children: Vec::new(),
-            link: LinkConfig::Request,
+            link,
             block_thread_until: None,
             pin_thread_of: None,
             fan_in_policy: Default::default(),
-        });
-        return (name.clone(), name);
+        };
+        if children.is_empty() {
+            let leaf = name(format_args!("n{id}"));
+            nodes.push(node(leaf.clone(), select, &paths.leaf, LinkConfig::Request));
+            return (leaf.clone(), leaf);
+        }
+        let entry = name(format_args!("n{id}"));
+        let join = name(format_args!("n{id}j"));
+        nodes.push(node(
+            entry.clone(),
+            select,
+            &paths.entry,
+            LinkConfig::Request,
+        ));
+        let entry_pos = nodes.len() - 1;
+        let mut child_entries = Vec::with_capacity(children.len());
+        let mut via = Vec::with_capacity(children.len());
+        for &c in children {
+            let (ce, cx) = self.visit(l + 1, c, nodes, counter, name);
+            set_children(nodes, &cx, vec![join.clone()]);
+            via.push((cx, ce.clone()));
+            child_entries.push(ce);
+        }
+        nodes[entry_pos].children = child_entries;
+        let same = InstanceSelectConfig::SameAsNode {
+            node: entry.clone(),
+        };
+        let reply = LinkConfig::ReplyVia { entries: via };
+        nodes.push(node(join.clone(), same, &paths.reply, reply));
+        (entry, join)
     }
-    let entry = format!("n{id}");
-    let join = format!("n{id}j");
-    nodes.push(PathNodeConfig {
-        name: entry.clone(),
-        target: NodeTargetConfig::Service {
-            service: svc.name.clone(),
-            instance: select,
-            exec_path: Some(role.entry_path().into()),
-        },
-        children: Vec::new(), // child entries, filled below
-        link: LinkConfig::Request,
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
-    });
-    let entry_pos = nodes.len() - 1;
-    let mut child_entries = Vec::with_capacity(children.len());
-    let mut via = Vec::with_capacity(children.len());
-    for &c in children {
-        let (ce, cx) = emit_visit(layers, edges, roles, l + 1, c, nodes, counter);
-        set_children(nodes, &cx, vec![join.clone()]);
-        via.push((cx, ce.clone()));
-        child_entries.push(ce);
-    }
-    nodes[entry_pos].children = child_entries;
-    nodes.push(PathNodeConfig {
-        name: join.clone(),
-        target: NodeTargetConfig::Service {
-            service: svc.name.clone(),
-            instance: InstanceSelectConfig::SameAsNode {
-                node: entry.clone(),
-            },
-            exec_path: Some(role.reply_path().into()),
-        },
-        children: Vec::new(), // parent join or sink, filled by caller
-        link: LinkConfig::ReplyVia { entries: via },
-        block_thread_until: None,
-        pin_thread_of: None,
-        fan_in_policy: Default::default(),
-    });
-    (entry, join)
 }
 
 /// Points the named node at `children` (node names are unique per type).
-fn set_children(nodes: &mut [PathNodeConfig], name: &str, children: Vec<String>) {
+fn set_children(nodes: &mut [PathNodeConfig], name: &str, children: Vec<Name>) {
     let node = nodes
         .iter_mut()
-        .find(|n| n.name == name)
-        .expect("emit_visit returned an existing node");
+        .find(|n| *n.name == *name)
+        .expect("visit returned an existing node");
     node.children = children;
 }
 

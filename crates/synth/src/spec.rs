@@ -178,7 +178,7 @@ impl GenSpec {
     ///
     /// Returns I/O, parse, or validation errors.
     pub fn from_file(path: &Path) -> SimResult<Self> {
-        let text = std::fs::read_to_string(path)?;
+        let text = std::fs::read_to_string(path).map_err(|e| SimError::io_at(path, e))?;
         let spec: GenSpec = serde_json::from_str(&text).map_err(|e| SimError::Config {
             source_name: path.display().to_string(),
             detail: e.to_string(),

@@ -51,7 +51,7 @@ fn two_tier_config_matches_programmatic_scenario_shape() {
     //    services, and every path the request type visits is the model's
     //    path of that name: the same stages under the same disciplines.
     let stages_of = |models: &[ServiceModel], service: &str, path: &str| {
-        let model = models.iter().find(|m| m.name == service).unwrap();
+        let model = models.iter().find(|m| *m.name == *service).unwrap();
         let path = &model.paths[model.path_index(path).unwrap()];
         let stage = |id: &StageId| {
             let stage = &model.stages[id.index()];
@@ -81,7 +81,7 @@ fn two_tier_config_matches_programmatic_scenario_shape() {
 
     // 3. The client sink is called `sink` in the file.
     let nodes = &mut expected.request_types[0].nodes;
-    assert_eq!(nodes[3].name, "client_sink");
+    assert_eq!(&*nodes[3].name, "client_sink");
     nodes[3].name = "sink".into();
     nodes[2].children = vec!["sink".into()];
 

@@ -28,12 +28,12 @@ fn stations(qps: f64, stations: &[(&str, Distribution, usize)], seed: u64) -> Sc
         .iter()
         .zip(names.iter().skip(1).chain(&["client_sink"]))
         .map(|(name, next)| PathNodeConfig {
-            children: vec![next.to_string()],
+            children: vec![(*next).into()],
             ..PathNodeConfig::service(
                 *name,
                 *name,
                 InstanceSelectConfig::Fixed {
-                    name: name.to_string(),
+                    name: (*name).into(),
                 },
                 "serve",
             )
