@@ -104,9 +104,19 @@ fn peak_of(
     secs: f64,
     opts: &PartitionOptions,
 ) -> (usize, PartitionedRun) {
+    peak_of_seed(cfg, 1, secs, opts)
+}
+
+/// [`peak_of`] under run seed `seed`.
+fn peak_of_seed(
+    cfg: impl Into<ScenarioConfig>,
+    seed: u64,
+    secs: f64,
+    opts: &PartitionOptions,
+) -> (usize, PartitionedRun) {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
-    let run = run_partitioned(cfg, None, 1, SimDuration::from_secs_f64(secs), opts)
+    let run = run_partitioned(cfg, None, seed, SimDuration::from_secs_f64(secs), opts)
         .expect("scenario runs");
     let peak = PEAK.load(Ordering::Relaxed) - baseline;
     assert!(run.result.completed > 0);
@@ -149,16 +159,35 @@ fn peak_live_bytes_follow_the_running_cell_not_the_cell_count() {
     );
 }
 
-/// The bound on peak live bytes per additional measured request. What a
-/// run measures is its sealed runs — about a byte a sample, the varint of
-/// its distance from its neighbour — plus the last few buckets the bounded
-/// histograms touch: 1.11 B on `two_tier` (50 k → 170 k requests) and
-/// 1.26 B on `social_network` (20 k → 68 k), with the open buffer at its
-/// full 256 KB in both runs of each pair. The bound is 1.5 × the larger.
-/// While every sample was an 8-byte `f64` in a `Vec` the same pairs over
-/// 2 s → 6 s read 10.1 B and 14.0 B (bound 21), and before that — every
-/// instance visit and a second, per-type copy of every latency kept as
-/// samples, and the summary sorting a copy of them — 57.4 B and 186.4 B.
+/// The median of the ratchet readings `f(seed)` over run seeds 1–5.
+///
+/// A reading that holds a peak live-byte difference is not one number: the
+/// critical-path profile keeps, per row, one run of the latency buckets it
+/// touched, so a run whose tail reaches further keeps more of them. Over
+/// seeds 1–10 `social_network` reads 1.11–1.95 B per measured request with
+/// the default telemetry, but 0.93–1.17 with none and 1.02–1.11 with the
+/// critical-path profile off; the high readers (seed 4: 1.84, seed 9: 1.95)
+/// are the runs whose maximum latency grew most from 3 s to 9 s. A bucket
+/// is kept once however many requests land in it, so nothing grows per
+/// request: the ratchets read the median of five seeds, not seed 1 alone.
+fn median_over_seeds(f: impl Fn(u64) -> f64) -> f64 {
+    let mut readings: Vec<f64> = (1..=5).map(f).collect();
+    readings.sort_by(f64::total_cmp);
+    readings[2]
+}
+
+/// The bound on peak live bytes per additional measured request (the
+/// median of seeds 1–5). What a run measures is its sealed runs — about a
+/// byte a sample, the varint of its distance from its neighbour — plus the
+/// last few buckets the bounded histograms touch: 1.11 B on `two_tier`
+/// (50 k → 170 k requests) and 1.26 B on `social_network` (20 k → 68 k) at
+/// seed 1, with the open buffer at its full 256 KB in both runs of each
+/// pair; the medians of seeds 1–5 read 1.11 and 1.31. The bound is 1.5 ×
+/// the larger seed-1 reading. While every sample was an 8-byte `f64` in a
+/// `Vec` the same pairs over 2 s → 6 s read 10.1 B and 14.0 B (bound 21),
+/// and before that — every instance visit and a second, per-type copy of
+/// every latency kept as samples, and the summary sorting a copy of them
+/// — 57.4 B and 186.4 B.
 const MAX_BYTES_PER_MEASURED_REQUEST: f64 = 1.9;
 
 #[test]
@@ -175,17 +204,19 @@ fn a_measured_request_costs_one_exact_sample() {
         // What `uqsim run` installs: decomposition telemetry and the
         // streaming critical-path profile, all of it bounded.
         let opts = PartitionOptions::default();
-        let (short_peak, short) = peak_of(&cfg, 3.0, &opts);
-        let (long_peak, long) = peak_of(&cfg, 9.0, &opts);
-        let requests = (long.result.latency.count - short.result.latency.count) as f64;
-        assert!(requests > 40_000.0, "{name}: {requests} more requests");
-        let per_request = (long_peak as f64 - short_peak as f64) / requests;
+        let per_request = median_over_seeds(|seed| {
+            let (short_peak, short) = peak_of_seed(&cfg, seed, 3.0, &opts);
+            let (long_peak, long) = peak_of_seed(&cfg, seed, 9.0, &opts);
+            let requests = (long.result.latency.count - short.result.latency.count) as f64;
+            assert!(requests > 40_000.0, "{name}: {requests} more requests");
+            (long_peak as f64 - short_peak as f64) / requests
+        });
         assert!(
             per_request < MAX_BYTES_PER_MEASURED_REQUEST,
-            "{name}: {per_request:.1} B of peak live memory per additional measured request \
-             ({short_peak} -> {long_peak} B over {requests} requests); the ratchet is \
-             {MAX_BYTES_PER_MEASURED_REQUEST} — something besides the exact end-to-end \
-             sample is being kept per request, or the summary copies the samples again"
+            "{name}: {per_request:.2} B of peak live memory per additional measured request \
+             (median of seeds 1-5); the ratchet is {MAX_BYTES_PER_MEASURED_REQUEST} — \
+             something besides the exact end-to-end sample is being kept per request, or \
+             the summary copies the samples again"
         );
     }
 }
@@ -303,7 +334,7 @@ fn gen_dsb_spec(replicas: usize) -> uqsim_synth::GenSpec {
 /// The most bytes a `uqsim run --gen --shards 2`-style run held at once,
 /// generation included: the replicas go to the run one at a time, each
 /// generated when a worker pulls it.
-fn streamed_peak(replicas: usize) -> usize {
+fn streamed_peak(replicas: usize, seed: u64) -> usize {
     let spec = gen_dsb_spec(replicas);
     let opts = PartitionOptions {
         shards: 2,
@@ -313,7 +344,7 @@ fn streamed_peak(replicas: usize) -> usize {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     let groups = spec.replicas(1).expect("bundled spec generates");
-    let run = run_groups(groups, None, 1, SimDuration::from_secs_f64(0.3), &opts)
+    let run = run_groups(groups, None, seed, SimDuration::from_secs_f64(0.3), &opts)
         .expect("generated cluster runs");
     assert_eq!(run.cells.len(), replicas, "one cell per replica");
     assert!(run.result.completed > 0);
@@ -321,9 +352,10 @@ fn streamed_peak(replicas: usize) -> usize {
 }
 
 /// The bound on `peak(120 replicas) / peak(30 replicas)` of a streamed
-/// generated run, generation included. Measured: 1.20 (1.12 → 1.35 MB) —
-/// what grows is the finished cells' remains, 1.6 KB of `CellOutput` each
-/// (held twice while the results are put in cell order) and their samples.
+/// generated run, generation included (the median of run seeds 1–5, 1.20;
+/// seeds 1–10 read 1.15–1.25). Measured at seed 1: 1.20 (1.12 → 1.35 MB) — what
+/// grows is the finished cells' remains, 1.6 KB of `CellOutput` each (held
+/// twice while the results are put in cell order) and their samples.
 /// While `--gen` generated the whole cluster before the run carved it up,
 /// the same pair read 3.33 (2.93 → 9.75 MB): the cluster's configuration,
 /// about 75 KB a replica, held through the split.
@@ -332,13 +364,15 @@ const MAX_STREAMED_PEAK_GROWTH: f64 = 1.3;
 #[test]
 fn a_streamed_generated_run_follows_the_shards_not_the_replicas() {
     let _alone = one_at_a_time();
-    let (small, large) = (streamed_peak(30), streamed_peak(120));
-    let growth = large as f64 / small as f64;
+    let growth = median_over_seeds(|seed| {
+        let (small, large) = (streamed_peak(30, seed), streamed_peak(120, seed));
+        large as f64 / small as f64
+    });
     assert!(
         growth < MAX_STREAMED_PEAK_GROWTH,
-        "4x the replicas cost {growth:.2}x the peak live bytes ({small} -> {large} B); the \
-         ratchet is {MAX_STREAMED_PEAK_GROWTH} — the run is holding replicas it is not \
-         running, or the whole cluster is generated before it starts"
+        "4x the replicas cost {growth:.2}x the peak live bytes (median of seeds 1-5); \
+         the ratchet is {MAX_STREAMED_PEAK_GROWTH} — the run is holding replicas it is \
+         not running, or the whole cluster is generated before it starts"
     );
 }
 

@@ -488,7 +488,7 @@ impl ArrivalProcess {
         let kind = match self {
             ArrivalProcess::Mmpp { states } => {
                 let mut rng = factory.stream(BURST_STREAM, client_index);
-                let dwell = crate::rng::sample_exponential(&mut rng, states[0].mean_dwell_s);
+                let dwell = crate::dist::sample_exponential(&mut rng, states[0].mean_dwell_s);
                 ArrivalRtKind::Mmpp {
                     rng,
                     state: 0,
@@ -544,7 +544,7 @@ impl ArrivalProcess {
         match (self, &mut rt.kind) {
             (ArrivalProcess::Poisson { schedule }, _) => {
                 let rate = schedule.rate_at(now);
-                Some(SimDuration::from_secs_f64(crate::rng::sample_exponential(
+                Some(SimDuration::from_secs_f64(crate::dist::sample_exponential(
                     shared,
                     1.0 / rate,
                 )))
@@ -592,7 +592,7 @@ impl ArrivalProcess {
                     *remaining -= 1;
                     Some(SimDuration::from_secs_f64(think_time.sample(rng).max(0.0)))
                 } else {
-                    let gap = crate::rng::sample_exponential(rng, 1.0 / session_rate_qps);
+                    let gap = crate::dist::sample_exponential(rng, 1.0 / session_rate_qps);
                     let k = requests_per_session.sample(rng).round().max(1.0) as u64;
                     *remaining = k - 1;
                     Some(SimDuration::from_secs_f64(gap))
@@ -684,7 +684,7 @@ fn mmpp_gap(
         let s = *state;
         let rate = states[s].rate_qps;
         if rate > 0.0 {
-            let gap = crate::rng::sample_exponential(rng, 1.0 / rate);
+            let gap = crate::dist::sample_exponential(rng, 1.0 / rate);
             let cand = *mark + SimDuration::from_secs_f64(gap);
             if cand <= *next_transition {
                 time_in_state[s] += (cand - *mark).as_secs_f64();
@@ -697,7 +697,7 @@ fn mmpp_gap(
         time_in_state[s] += (tr - *mark).as_secs_f64();
         *mark = tr;
         *state = (s + 1) % states.len();
-        let dwell = crate::rng::sample_exponential(rng, states[*state].mean_dwell_s);
+        let dwell = crate::dist::sample_exponential(rng, states[*state].mean_dwell_s);
         *next_transition = tr + SimDuration::from_secs_f64(dwell);
     }
 }
@@ -726,7 +726,7 @@ fn flash_gap(
     let start = now.as_secs_f64();
     let mut t = start;
     loop {
-        t += crate::rng::sample_exponential(rng, 1.0 / lambda_max);
+        t += crate::dist::sample_exponential(rng, 1.0 / lambda_max);
         let u: f64 = rng.gen();
         if u * lambda_max <= flash_rate(base, spikes, t) {
             return SimDuration::from_secs_f64(t - start);
@@ -1275,7 +1275,7 @@ mod tests {
         let mut a = factory.stream("arrival", 0);
         let mut b = factory.stream("arrival", 0);
         for i in 0..1_000 {
-            let direct = crate::rng::sample_exponential(&mut b, 1.0 / 2_000.0);
+            let direct = crate::dist::sample_exponential(&mut b, 1.0 / 2_000.0);
             assert_eq!(
                 p.gap_rt(&mut rt, i, SimTime::ZERO, &mut a),
                 Some(SimDuration::from_secs_f64(direct))

@@ -281,7 +281,7 @@ mod tests {
     fn from_samples_roundtrips_mean() {
         let mut r = rng();
         let samples: Vec<f64> = (0..50_000)
-            .map(|_| crate::rng::sample_exponential(&mut r, 1e-3))
+            .map(|_| crate::dist::sample_exponential(&mut r, 1e-3))
             .collect();
         let emp_mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let h = Histogram::from_samples(&samples, 200).unwrap();

@@ -8,7 +8,7 @@
 //! reproducibility technique for discrete-event simulation.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// SplitMix64 finalizer; mixes a 64-bit value into a well-distributed one.
 fn splitmix64(mut z: u64) -> u64 {
@@ -65,17 +65,10 @@ impl RngFactory {
     }
 }
 
-/// Samples an exponentially distributed value with the given mean using
-/// inverse-CDF sampling. Exposed for the distribution module and tests.
-pub(crate) fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
-    // 1 - u in (0, 1] avoids ln(0).
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -mean * u.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn same_triple_same_stream() {
@@ -110,26 +103,5 @@ mod tests {
         let mut a = RngFactory::new(1).stream("x", 0);
         let mut b = RngFactory::new(2).stream("x", 0);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut rng = RngFactory::new(99).stream("exp", 0);
-        let n = 200_000;
-        let mean = 2.5;
-        let sum: f64 = (0..n).map(|_| sample_exponential(&mut rng, mean)).sum();
-        let sample_mean = sum / n as f64;
-        assert!(
-            (sample_mean - mean).abs() < 0.03,
-            "sample mean {sample_mean} too far from {mean}"
-        );
-    }
-
-    #[test]
-    fn exponential_is_nonnegative() {
-        let mut rng = RngFactory::new(5).stream("exp", 1);
-        for _ in 0..10_000 {
-            assert!(sample_exponential(&mut rng, 1.0) >= 0.0);
-        }
     }
 }
