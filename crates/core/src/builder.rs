@@ -350,6 +350,7 @@ pub(crate) fn build(cfg: ScenarioConfig, names: Resolved) -> SimResult<Simulator
         rng_network: factory.stream("network", 0),
         machines,
         services,
+        at_freq: Default::default(),
         instances,
         conns,
         pools: pools_rt,

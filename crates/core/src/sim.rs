@@ -247,6 +247,8 @@ pub struct Simulator {
     pub(crate) rng_network: SmallRng,
     pub(crate) machines: Vec<MachineRt>,
     pub(crate) services: Vec<ServiceModel>,
+    /// Each stage's frequency scaling per core frequency seen so far.
+    pub(crate) at_freq: crate::stage::AtFreqMemo,
     pub(crate) instances: Vec<InstanceRt>,
     pub(crate) conns: Vec<Connection>,
     pub(crate) pools: Vec<ConnectionPool>,

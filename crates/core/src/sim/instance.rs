@@ -263,11 +263,10 @@ impl Simulator {
                 }
                 _ => 0,
             };
-            let svc = &self.services[inst.service.index()];
-            let secs =
-                svc.stages[stage_idx]
-                    .service
-                    .sample(&mut self.rng_service, k, batch_bytes, freq);
+            let s = inst.service.index();
+            let model = &self.services[s].stages[stage_idx].service;
+            let at = self.at_freq.get(s, stage_idx, model, freq);
+            let secs = model.sample_at(&mut self.rng_service, k, batch_bytes, at);
             // Fault: a machine-slowdown window inflates service times.
             let secs = match self.fault.as_deref() {
                 Some(f) => secs * f.slow_factor[m],
