@@ -74,9 +74,9 @@ fn naive_retries_collapse_where_budget_and_breaker_recover() {
             [o.generated, o.timeouts, o.retried, o.shed, o.breaker_trips],
         )
     };
-    let no_retry = ([16210, 2722, 16096], [80416, 26540, 0, 0, 0]);
-    let naive = ([16210, 66, 0], [570319, 551003, 489903, 0, 0]);
-    let guarded = ([16210, 10620, 16095], [80539, 1081, 123, 9786, 3]);
+    let no_retry = ([15964, 2231, 15917], [79886, 27582, 0, 0, 0]);
+    let naive = ([15964, 74, 0], [568262, 549345, 488376, 0, 0]);
+    let guarded = ([15964, 10650, 15914], [80009, 1085, 123, 9787, 3]);
     assert_eq!(outcome(&s.no_retry), no_retry, "no-retry");
     assert_eq!(outcome(&s.naive), naive, "naive");
     assert_eq!(outcome(&s.guarded), guarded, "guarded");

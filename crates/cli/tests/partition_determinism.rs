@@ -132,10 +132,10 @@ fn chrome_trace_is_byte_identical_across_shards() {
     }
     assert_eq!(traces[0], traces[1], "Chrome trace drifted across shards");
     assert_eq!(traces[0], traces[2], "Chrome trace drifted across shards");
-    // ... and all three are the bytes the tree-building exporter wrote.
+    // ... and all three are the pinned bytes (see `PARENT_TRACE_FNV1A`).
     assert_eq!(
         (traces[0].len(), fnv1a(&traces[0])),
-        (20_233_870, PARENT_TRACE_FNV1A),
+        (20_355_001, PARENT_TRACE_FNV1A),
         "the merged Chrome trace changed"
     );
     // The merged trace really covers the whole cluster: every pod's pid
@@ -149,8 +149,10 @@ fn chrome_trace_is_byte_identical_across_shards() {
     }
 }
 
-/// FNV-1a (64-bit) of the 55-pod merged trace, recorded at commit 921f759.
-const PARENT_TRACE_FNV1A: u64 = 0xb727_33b5_dea0_1cab;
+/// FNV-1a (64-bit) of the 55-pod merged trace, recorded at commit 921f759
+/// and re-recorded when the exponential and normal samplers became
+/// ziggurats (the trajectory moved; the exporter did not).
+const PARENT_TRACE_FNV1A: u64 = 0x80a8_1f5b_1af5_25b2;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

@@ -1,9 +1,11 @@
 //! Gates on `uqsim trace <path>`, the sampled-request view of the span
-//! log. The fixtures under `golden/*_trace_sampled.jsonl` are the stdout
-//! of the seed-era in-simulator tracer (default `--every 100 --max 20`),
-//! captured before it was deleted; the span-log filter must reproduce
-//! them byte-for-byte, at any `--shards`, and must say so — and fail —
-//! when `--events` cut the log short of `--max` traces.
+//! log. The fixtures under `golden/*_trace_sampled.jsonl` were first the
+//! stdout of the seed-era in-simulator tracer (default `--every 100 --max
+//! 20`), captured before it was deleted; the span-log filter reproduced
+//! them byte-for-byte. Since the exponential and normal samplers became
+//! ziggurats they are `uqsim trace crates/cli/configs/<name>.json`'s
+//! stdout. The filter must reproduce them at any `--shards`, and must say
+//! so — and fail — when `--events` cut the log short of `--max` traces.
 
 use std::path::Path;
 use std::process::{Command, Output};

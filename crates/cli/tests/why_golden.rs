@@ -113,7 +113,7 @@ fn why_accepts_every_bundled_config_at_its_defaults() {
             // sees the same events and correlates the same spans.
             assert!(
                 stderr.contains(
-                    "why: 225219 span events replayed, 50124 spans audited, streaming == replay"
+                    "why: 225681 span events replayed, 50228 spans audited, streaming == replay"
                 ),
                 "{stderr}"
             );

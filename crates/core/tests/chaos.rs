@@ -281,7 +281,7 @@ fn hedged_requests_conserve_audit_and_replay() {
         latency.count,
         latency.p99,
     );
-    assert_eq!(pins, (1230, 1230, 88, 948, 0.000455033));
+    assert_eq!(pins, (1317, 1315, 102, 985, 0.00045954));
 
     // Same seed, same run.
     let again = run();

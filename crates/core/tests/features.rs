@@ -496,7 +496,10 @@ fn pool_stats_report_backpressure() {
             QueueDiscipline::Single,
             ServiceTimeModel::per_job(Distribution::exponential(200e-6), 2.6),
         ))],
-        instances: vec![instance("front", 1), instance("back", 1)],
+        // Three front cores carry the 12k front visits a second (two per
+        // request) at 0.8 of their capacity, so the one back core, not the
+        // front, is what 6k requests a second overload.
+        instances: vec![instance("front", 3), instance("back", 1)],
         pools: vec![PoolConfig {
             up: "front".into(),
             down: "back".into(),

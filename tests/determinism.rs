@@ -118,57 +118,57 @@ fn pinned_scenarios() -> Vec<(&'static str, SimResult<ScenarioConfig>, &'static 
         (
             "two_tier",
             two_tier(&TwoTierConfig::at_qps(20_000.0)),
-            "39932/39926/2.843467908596e-4/4.493010000000e-4/7.433380000000e-4/718360",
+            "40071/40066/2.849895208960e-4/4.488950000000e-4/7.720290000000e-4/720892",
         ),
         (
             "two_tier, noisy reference",
             two_tier(&noisy),
-            "39932/39926/3.081968252119e-4/1.229319000000e-3/1.507312000000e-3/717835",
+            "40071/40066/3.120175515859e-4/1.249728000000e-3/2.368656000000e-3/720402",
         ),
         (
             "three_tier",
             three_tier(&ThreeTierConfig::at_qps(2_000.0)),
-            "3966/3966/9.596119208270e-4/6.681060000000e-3/1.244145900000e-2/93338",
+            "4011/4011/1.048985782716e-3/7.594321000000e-3/1.452483800000e-2/94715",
         ),
         (
             "load_balanced",
             load_balanced(&LoadBalancedConfig::new(4, 20_000.0)),
-            "39932/39925/3.430292445902e-4/7.096240000000e-4/1.344234000000e-3/676963",
+            "40071/40065/3.458662723993e-4/7.316700000000e-4/1.346060000000e-3/679315",
         ),
         (
             "fanout",
             fanout(&FanoutConfig::new(8, 3_000.0)),
-            "6042/6041/5.174115771242e-4/1.048464000000e-3/1.345379000000e-3/395491",
+            "6064/6064/5.158318721854e-4/1.028544000000e-3/1.480273000000e-3/396930",
         ),
         (
             "thrift_hello",
             thrift_hello(&ThriftHelloConfig::at_qps(20_000.0)),
-            "39932/39931/8.435088449511e-5/1.572850000000e-4/2.378950000000e-4/279520",
+            "40071/40068/8.461747111000e-5/1.590320000000e-4/2.923750000000e-4/280488",
         ),
         (
             "single_nginx",
             single_nginx(5_000.0, &common),
-            "10082/10081/2.811308839076e-4/9.421110000000e-4/1.800274000000e-3/68491",
+            "10136/10136/2.808069175942e-4/9.482010000000e-4/1.631521000000e-3/68860",
         ),
         (
             "single_memcached",
             single_memcached(20_000.0, 4, &common),
-            "39932/39931/8.617500282457e-5/1.498250000000e-4/2.297930000000e-4/319450",
+            "40071/40067/8.622862250063e-5/1.468920000000e-4/2.514050000000e-4/320553",
         ),
         (
             "social_network",
             social_network(&SocialNetworkConfig::at_qps(5_000.0)),
-            "10082/10080/5.029136731259e-4/6.490610000000e-4/7.195530000000e-4/614829",
+            "10136/10135/5.027383950810e-4/6.363810000000e-4/7.489650000000e-4/618168",
         ),
         (
             "social_network_full",
             social_network_full(&SocialNetworkFullConfig::at_qps(3_000.0)),
-            "6042/6039/1.598147683660e-3/1.423154400000e-2/3.336558000000e-2/338572",
+            "6064/6064/1.386977899471e-3/1.152407600000e-2/2.354075200000e-2/338512",
         ),
         (
             "tail_at_scale",
             tail_at_scale(&TailAtScaleConfig::new(20, 0.05, 60.0)),
-            "113/113/2.120613612903e-2/5.177213800000e-2/5.177213800000e-2/7347",
+            "132/131/2.543655195946e-2/9.054889700000e-2/9.054889700000e-2/8518",
         ),
     ]
 }
