@@ -120,16 +120,14 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN, or too large to represent.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration must be finite and non-negative, got {secs}"
-        );
         let ns = secs * 1e9;
-        assert!(
-            ns <= u64::MAX as f64,
-            "duration overflows u64 nanoseconds: {secs}s"
-        );
+        // One test for every way to fail: NaN compares false, and a
+        // negative or infinite `secs` lands outside [0, 2^64].
+        if !(ns >= 0.0 && ns <= u64::MAX as f64) {
+            unrepresentable_duration(secs);
+        }
         SimDuration(round_to_u64(ns))
     }
 
@@ -187,6 +185,15 @@ impl SimDuration {
 /// Truncating is exact, and so is the fraction left over: below 2^53 both
 /// are multiples of `x`'s last bit, and from 2^52 up `x` is an integer and
 /// nothing is left. Halves round away from zero, as `round` does.
+#[cold]
+#[inline(never)]
+fn unrepresentable_duration(secs: f64) -> ! {
+    if secs.is_finite() && secs >= 0.0 {
+        panic!("duration overflows u64 nanoseconds: {secs}s")
+    }
+    panic!("duration must be finite and non-negative, got {secs}")
+}
+
 fn round_to_u64(x: f64) -> u64 {
     let whole = x as u64;
     whole + u64::from(x - whole as f64 >= 0.5)
