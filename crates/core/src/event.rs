@@ -6,39 +6,32 @@
 //! by a monotonically increasing sequence number, which makes runs with the
 //! same seed bit-for-bit reproducible.
 //!
-//! # The ladder queue
+//! # The queue
 //!
-//! [`EventQueue`] is a calendar/ladder queue (Tang et al.) rather than a
-//! binary heap: queueing simulations schedule near-monotonic timestamps, so
-//! almost every operation is an O(1) bucket push or a `Vec::pop`, versus the
-//! O(log n) sift (and its cache misses) a heap pays per event. The structure
-//! has three tiers, earliest first:
+//! [`EventQueue`] is a small sorted vector over a binary heap. Queueing
+//! simulations schedule near-monotonic timestamps: handlers schedule a
+//! few microseconds ahead of a live set of a few dozen events, so nearly
+//! every insert lands among the nearest events, and a short sorted vector
+//! takes it with a binary search and a short memmove where a heap of the
+//! whole pending set would sift through all of it. Two parts:
 //!
-//! 1. **bottom** — a small `Vec` sorted *descending* by `(time, seq)`;
-//!    `pop()` is `Vec::pop` from the back. New events that land inside
-//!    bottom's time window are insertion-sorted (binary search + short
-//!    memmove — bottom stays small by construction).
-//! 2. **rungs** — a stack of bucket arrays. Each rung splits a time span
-//!    into `RUNG_BUCKETS` fixed-width buckets; scheduling into a rung is
-//!    an O(1) push into `bucket[(t - start) / width]`. When bottom drains,
-//!    the next non-empty bucket of the finest rung is sorted and becomes
-//!    the new bottom. A bucket holding more than `REFINE_LIMIT` events is
-//!    not sorted wholesale: it is re-split into a finer rung (width divided
-//!    by the bucket count), which keeps bottom — and therefore the cost of
-//!    insertion-sorting into it — bounded regardless of how many events
-//!    share a window.
-//! 3. **top** — an unsorted overflow `Vec` for events beyond every rung
-//!    (far-future faults, timeouts, the `Stop` sentinel). When the rest of
-//!    the structure drains, top is re-bucketed into a fresh rung whose
-//!    width adapts to the observed `[min, max]` span.
+//! 1. **bottom** — a `Vec` sorted *descending* by `(time, seq)`; `pop()`
+//!    is `Vec::pop` from the back. It holds at most `BOTTOM_LIMIT` (256)
+//!    events: an insert that finds it full first moves all but the
+//!    nearest `REFILL` (64) of them onto the heap.
+//! 2. **later** — a `BinaryHeap` of everything else (far-future faults,
+//!    timeouts, the `Stop` sentinel, what bottom shed). When bottom
+//!    drains, the heap's nearest `REFILL` events refill it.
 //!
-//! The total order is exactly `(time, seq)` — identical to the old
-//! `BinaryHeap` ordering — so replacing the container cannot move goldens:
-//! routing between tiers looks only at `time`, every tier orders equal
-//! times by `seq`, and the tier boundaries (`bot_end`, rung frontiers) are
-//! maintained so that every event in an earlier tier precedes every event
-//! in a later one. Bucket storage is recycled through spare pools, so a
-//! steady-state schedule/pop cycle performs no heap allocation.
+//! One invariant makes it a priority queue: `bot_end` is the earliest time
+//! in `later` (`SimTime::MAX` when it is empty), and every event in bottom
+//! precedes every event in `later` in `(time, seq)` order. An event before
+//! `bot_end` is sorted into bottom; any other goes onto the heap, behind
+//! everything queued at its time since its `seq` is the largest. The heap
+//! pops in `(time, seq)` order too, so the total order is exactly
+//! `(time, seq)` — what a plain `BinaryHeap` of the events would give —
+//! and equal times at a boundary need no special case. Both parts keep
+//! their storage, so a steady-state schedule/pop cycle allocates nothing.
 
 use crate::ids::{
     ClientId, ControllerId, CoreId, InstanceId, JobId, MachineId, RequestId, RequestTypeId,
@@ -46,6 +39,7 @@ use crate::ids::{
 };
 use crate::time::SimTime;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Where a network packet is headed once processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +213,8 @@ impl Eq for ScheduledEvent {}
 
 impl Ord for ScheduledEvent {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap; the reference-queue tests
-        // (and any heap-based consumer) want earliest first.
+        // Reversed: `BinaryHeap` is a max-heap, and the queue's overflow
+        // heap (like the tests' reference heap) pops earliest first.
         other
             .time
             .cmp(&self.time)
@@ -234,42 +228,20 @@ impl PartialOrd for ScheduledEvent {
     }
 }
 
-/// Buckets per rung. A power of two keeps the index math cheap; 256 gives
-/// each refinement step a 256x width reduction, so even a nanosecond-dense
-/// cluster under a multi-second span is fully refined in a few steps.
-const RUNG_BUCKETS: usize = 256;
+/// Events a refill moves from the heap into bottom, and events a split
+/// leaves in bottom.
+const REFILL: usize = 64;
 
-/// A bucket moved into bottom with more events than this is re-split into
-/// a finer rung instead of sorted, bounding the size of bottom and hence
-/// the memmove cost of insertion-sorting into it.
-const REFINE_LIMIT: usize = 64;
+/// The most events bottom holds: events scheduled below `bot_end` are
+/// insertion-sorted into it however many there are, and a queue whose
+/// first event is its latest leaves the heap empty (`bot_end` at
+/// `SimTime::MAX`) while everything that follows is headed for bottom.
+/// An insert that finds bottom at this size first moves all but its
+/// nearest [`REFILL`] events onto the heap ([`EventQueue::split_bottom`]).
+const BOTTOM_LIMIT: usize = 4 * REFILL;
 
-/// Bottom may outgrow what a refill gives it: events scheduled below
-/// `bot_end` are insertion-sorted into it however many there are, and a
-/// queue whose first event is its latest puts `bot_end` past everything
-/// that follows. An insert that finds bottom at this size first moves
-/// all but its nearest [`REFINE_LIMIT`] events up into a rung
-/// ([`EventQueue::split_bottom`]).
-const BOTTOM_LIMIT: usize = 4 * REFINE_LIMIT;
-
-/// One rung of the ladder: a fixed span split into equal-width buckets.
-/// Buckets `[cur..]` are still pending; earlier ones have been drained.
-#[derive(Debug)]
-struct Rung {
-    /// Time (ns) of the start of bucket 0.
-    start: u64,
-    /// Bucket width in ns (>= 1).
-    width: u64,
-    /// Exclusive end of the rung's span: never past the span the rung
-    /// was made for, though the buckets' widths may add up to more.
-    end: u64,
-    /// Next bucket to drain.
-    cur: usize,
-    buckets: Vec<Vec<ScheduledEvent>>,
-}
-
-/// The pending-event priority queue (a ladder queue; see the module docs
-/// for the structure and the ordering argument).
+/// The pending-event priority queue (a sorted bottom over a heap; see the
+/// module docs for the structure and the ordering argument).
 ///
 /// # Examples
 ///
@@ -286,22 +258,13 @@ struct Rung {
 pub struct EventQueue {
     /// Sorted descending by `(time, seq)`; `pop` takes from the back.
     bottom: Vec<ScheduledEvent>,
-    /// Exclusive upper bound (ns) of bottom's time window: new events
-    /// strictly below it are insertion-sorted into bottom.
-    bot_end: u64,
-    /// Coarsest rung first; `rungs.last()` is the finest (earliest) span.
-    rungs: Vec<Rung>,
-    /// Unsorted far-future overflow (beyond every rung).
-    top: Vec<ScheduledEvent>,
-    top_min: u64,
-    top_max: u64,
-    len: usize,
+    /// The earliest time in `later`, or `SimTime::MAX` if it is empty:
+    /// new events strictly below it are insertion-sorted into bottom.
+    bot_end: SimTime,
+    /// Every pending event not in bottom, all of them after bottom's.
+    later: BinaryHeap<ScheduledEvent>,
     /// Next sequence number; doubles as the total-scheduled counter.
     seq: u64,
-    /// Recycled bucket storage, so steady state allocates nothing.
-    spare_buckets: Vec<Vec<ScheduledEvent>>,
-    /// Recycled rung bucket arrays.
-    spare_rungs: Vec<Vec<Vec<ScheduledEvent>>>,
     /// The most events bottom has held at once.
     #[cfg(test)]
     bottom_peak: usize,
@@ -311,15 +274,9 @@ impl Default for EventQueue {
     fn default() -> Self {
         Self {
             bottom: Vec::new(),
-            bot_end: 0,
-            rungs: Vec::new(),
-            top: Vec::new(),
-            top_min: u64::MAX,
-            top_max: 0,
-            len: 0,
+            bot_end: SimTime::MAX,
+            later: BinaryHeap::new(),
             seq: 0,
-            spare_buckets: Vec::new(),
-            spare_rungs: Vec::new(),
             #[cfg(test)]
             bottom_peak: 0,
         }
@@ -337,24 +294,11 @@ impl EventQueue {
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.len += 1;
         let ev = ScheduledEvent { time, seq, kind };
-        let t = time.as_nanos();
-        if self.len == 1 {
-            // Empty-queue fast path: the event can only go to bottom.
-            // `bot_end` may only grow — the (event-empty) rungs above it
-            // keep their frontiers, and routing below a frontier would
-            // strand events in already-drained buckets.
-            if t >= self.bot_end {
-                self.bot_end = t.saturating_add(1);
-            }
-            self.bottom.push(ev);
-            return;
-        }
-        if t < self.bot_end && self.bottom.len() >= BOTTOM_LIMIT {
+        if time < self.bot_end && self.bottom.len() >= BOTTOM_LIMIT {
             self.split_bottom();
         }
-        if t < self.bot_end {
+        if time < self.bot_end {
             // Descending order: equal-time events keep insertion order
             // because the new event (largest seq) goes in front of them.
             let pos = self.bottom.partition_point(|e| e.time > time);
@@ -363,195 +307,66 @@ impl EventQueue {
             {
                 self.bottom_peak = self.bottom_peak.max(self.bottom.len());
             }
-            return;
+        } else {
+            self.later.push(ev);
         }
-        for r in self.rungs.iter_mut().rev() {
-            if t < r.end {
-                let idx = ((t - r.start) / r.width) as usize;
-                debug_assert!(
-                    idx >= r.cur && idx < RUNG_BUCKETS,
-                    "bucket routing invariant"
-                );
-                r.buckets[idx].push(ev);
-                return;
-            }
-        }
-        self.top_min = self.top_min.min(t);
-        self.top_max = self.top_max.max(t);
-        self.top.push(ev);
     }
 
-    /// Moves the far end of an oversized bottom — every event from the
-    /// time of its [`REFINE_LIMIT`]-th nearest on — into a fresh finest
-    /// rung over `[that time, bot_end)`, and lowers `bot_end` to it: what
-    /// stays in bottom still precedes everything above it. Bottom stays as
-    /// it is if that would empty it (so many events at one instant cannot
-    /// be told apart by time, and would only come back on the next refill).
+    /// Moves all but the nearest [`REFILL`] events of a full bottom onto
+    /// the heap, and lowers `bot_end` to the earliest of them: what stays
+    /// in bottom still precedes everything on the heap.
     #[cold]
     fn split_bottom(&mut self) {
-        let split = self.bottom[self.bottom.len() - REFINE_LIMIT - 1].time;
-        let moved = self.bottom.partition_point(|e| e.time >= split);
-        if moved == self.bottom.len() {
-            return;
-        }
-        let start = split.as_nanos();
-        let width = (self.bot_end - start).div_ceil(RUNG_BUCKETS as u64);
-        let mut rung = self.new_rung(start, width, self.bot_end);
-        for ev in self.bottom.drain(..moved) {
-            let idx = ((ev.time.as_nanos() - start) / width) as usize;
-            rung.buckets[idx].push(ev);
-        }
-        self.bot_end = start;
-        self.rungs.push(rung);
+        let moved = self.bottom.len() - REFILL;
+        self.bot_end = self.bottom[moved - 1].time;
+        self.later.extend(self.bottom.drain(..moved));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        if self.bottom.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        let ev = self.bottom.pop()?;
-        self.len -= 1;
-        Some(ev)
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Removes and returns the earliest event if it fires at or before
-    /// `horizon`; later events stay queued. Goes through the same refill
-    /// path as [`EventQueue::pop`], so a bounded drain costs what an
-    /// unbounded one does.
+    /// `horizon`; later events stay queued.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent> {
         if self.bottom.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
             self.refill();
         }
         if self.bottom.last()?.time > horizon {
             return None;
         }
-        self.len -= 1;
         self.bottom.pop()
     }
 
-    /// Refills bottom from the finest rung (refining oversized buckets),
-    /// anchoring a fresh rung from top when the ladder is empty. On return
-    /// bottom is non-empty (callers check `len > 0` first).
+    /// Moves the heap's nearest [`REFILL`] events into the empty bottom
+    /// and sets `bot_end` to the earliest time left on the heap.
     #[cold]
     fn refill(&mut self) {
         debug_assert!(self.bottom.is_empty());
-        loop {
-            let Some(r) = self.rungs.last_mut() else {
-                // Ladder empty: re-bucket top into a rung sized to the
-                // observed span. `top_min >= bot_end` because everything
-                // routed to top was at/above every boundary below it.
-                debug_assert!(!self.top.is_empty(), "refill called on drained queue");
-                let start = self.top_min;
-                let width = (self.top_max - self.top_min) / RUNG_BUCKETS as u64 + 1;
-                let mut rung = self.new_rung(start, width, u64::MAX);
-                for ev in self.top.drain(..) {
-                    let idx = ((ev.time.as_nanos() - start) / width) as usize;
-                    rung.buckets[idx].push(ev);
-                }
-                self.top_min = u64::MAX;
-                self.top_max = 0;
-                self.bot_end = start;
-                self.rungs.push(rung);
-                continue;
-            };
-            while r.cur < RUNG_BUCKETS && r.buckets[r.cur].is_empty() {
-                r.cur += 1;
-            }
-            if r.cur == RUNG_BUCKETS {
-                let dead = self.rungs.pop().expect("rung exists");
-                self.spare_rungs.push(dead.buckets);
-                continue;
-            }
-            let bucket_start = r.start + r.cur as u64 * r.width;
-            // The last bucket may reach past the rung's span; its events
-            // do not, and neither may what is built from it.
-            let bucket_end = bucket_start.saturating_add(r.width).min(r.end);
-            let spare = self.spare_buckets.pop().unwrap_or_default();
-            let mut b = std::mem::replace(&mut r.buckets[r.cur], spare);
-            r.cur += 1;
-            let width = r.width;
-            if b.len() > REFINE_LIMIT && width > 1 {
-                // Too dense to sort into bottom: split this bucket into a
-                // finer rung (its frontier equals `bot_end`, so routing
-                // stays consistent).
-                let fine = width.div_ceil(RUNG_BUCKETS as u64);
-                let mut rung = self.new_rung(bucket_start, fine, bucket_end);
-                for ev in b.drain(..) {
-                    let idx = (((ev.time.as_nanos() - bucket_start) / fine) as usize)
-                        .min(RUNG_BUCKETS - 1);
-                    rung.buckets[idx].push(ev);
-                }
-                self.spare_buckets.push(b);
-                self.rungs.push(rung);
-                continue;
-            }
-            // Bottom keeps its own storage, grown once to the most it has
-            // held: nearly every event a run schedules is inserted here,
-            // and taking over the bucket's few slots instead would have
-            // it regrow from them after every refill.
-            self.bottom.append(&mut b);
-            self.bottom
-                .sort_unstable_by(|a, z| z.time.cmp(&a.time).then_with(|| z.seq.cmp(&a.seq)));
-            self.spare_buckets.push(b);
-            self.bot_end = bucket_end;
-            return;
-        }
+        let later = &mut self.later;
+        self.bottom
+            .extend(std::iter::from_fn(|| later.pop()).take(REFILL));
+        self.bottom.reverse();
+        self.bot_end = self.later.peek().map_or(SimTime::MAX, |e| e.time);
     }
 
-    /// An empty rung of `width`-wide buckets from `start`, for events
-    /// before `end`: a rung made from part of another tier must not
-    /// accept what belongs to the rest of that tier.
-    fn new_rung(&mut self, start: u64, width: u64, end: u64) -> Rung {
-        let buckets = self
-            .spare_rungs
-            .pop()
-            .unwrap_or_else(|| (0..RUNG_BUCKETS).map(|_| Vec::new()).collect());
-        debug_assert!(buckets.iter().all(Vec::is_empty));
-        Rung {
-            start,
-            width,
-            end: end.min(start.saturating_add(width.saturating_mul(RUNG_BUCKETS as u64))),
-            cur: 0,
-            buckets,
-        }
-    }
-
-    /// Time of the earliest pending event. Scans the whole structure when
-    /// bottom is empty — a cold diagnostic accessor, not a hot-path one.
+    /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.bottom.last() {
-            return Some(e.time);
-        }
-        let mut best: Option<SimTime> = None;
-        let events = self
-            .rungs
-            .iter()
-            .flat_map(|r| r.buckets[r.cur..].iter().flatten())
-            .chain(self.top.iter());
-        for e in events {
-            best = Some(match best {
-                Some(b) if b <= e.time => b,
-                _ => e.time,
-            });
-        }
-        best
+        self.bottom
+            .last()
+            .or_else(|| self.later.peek())
+            .map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.bottom.len() + self.later.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Total events ever scheduled (a simulator throughput statistic).
@@ -565,7 +380,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
     fn stop_at(q: &mut EventQueue, ns: u64) {
         q.schedule(SimTime::from_nanos(ns), EventKind::Stop);
@@ -624,34 +438,47 @@ mod tests {
         assert!(!q.is_empty());
     }
 
-    #[test]
-    fn peek_reaches_into_rungs_and_top() {
+    /// A queue whose bottom is empty and whose heap holds the events at
+    /// `REFILL..=BOTTOM_LIMIT` ns: a split left the nearest `REFILL` of
+    /// `0..=BOTTOM_LIMIT` in bottom, and they have been popped.
+    fn overflowed() -> EventQueue {
         let mut q = EventQueue::new();
-        // Drain once so later schedules route into rungs/top rather than
-        // the bottom fast path.
-        stop_at(&mut q, 5);
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 5);
-        stop_at(&mut q, 1_000_000);
-        stop_at(&mut q, 2_000_000_000);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_000_000)));
+        for ns in 0..=BOTTOM_LIMIT as u64 {
+            stop_at(&mut q, ns);
+        }
+        for _ in 0..REFILL {
+            q.pop();
+        }
+        assert!(q.bottom.is_empty());
+        q
     }
 
     #[test]
-    fn bounded_pop_stops_at_the_horizon_and_reaches_into_rungs() {
-        let mut q = EventQueue::new();
-        stop_at(&mut q, 5);
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 5);
-        // Bottom is empty now: both events route into top, so the bounded
-        // pop has to refill before it can compare.
-        stop_at(&mut q, 1_000_000);
-        stop_at(&mut q, 2_000_000_000);
-        assert!(q.pop_at_or_before(SimTime::from_nanos(999_999)).is_none());
-        assert_eq!(q.len(), 2, "a refused pop removes nothing");
-        let ev = q.pop_at_or_before(SimTime::from_nanos(1_000_000)).unwrap();
-        assert_eq!(ev.time.as_nanos(), 1_000_000);
-        assert!(q.pop_at_or_before(SimTime::from_nanos(1_000_000)).is_none());
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 2_000_000_000);
-        assert!(q.pop_at_or_before(SimTime::MAX).is_none());
+    fn peek_reaches_into_the_overflow() {
+        let mut q = overflowed();
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(REFILL as u64)));
+        assert_eq!(q.pop().unwrap().time.as_nanos(), REFILL as u64);
+    }
+
+    #[test]
+    fn bounded_pop_stops_at_the_horizon_and_reaches_into_the_overflow() {
+        let mut q = overflowed();
+        let (first, pending) = (REFILL as u64, BOTTOM_LIMIT + 1 - REFILL);
+        // Bottom is empty: the bounded pop has to refill from the heap
+        // before it can compare.
+        assert!(q.pop_at_or_before(SimTime::from_nanos(first - 1)).is_none());
+        assert_eq!(q.len(), pending, "a refused pop removes nothing");
+        let ev = q.pop_at_or_before(SimTime::from_nanos(first)).unwrap();
+        assert_eq!(ev.time.as_nanos(), first);
+        assert!(q.pop_at_or_before(SimTime::from_nanos(first)).is_none());
+        // An event at `SimTime::MAX` is never below `bot_end`, and pops last.
+        q.schedule(SimTime::MAX, EventKind::Stop);
+        let mut last = None;
+        while let Some(ev) = q.pop_at_or_before(SimTime::MAX) {
+            last = Some(ev.time);
+        }
+        assert_eq!(last, Some(SimTime::MAX));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -709,13 +536,12 @@ mod tests {
         assert_eq!(n, 1000);
     }
 
-    /// The ladder queue next to a min-ordered `BinaryHeap` of
-    /// [`ScheduledEvent`] — the exact structure it replaced — as the
-    /// ordering oracle: both are given the same events, and every pop must
-    /// agree.
+    /// The queue next to a min-ordered `BinaryHeap` of [`ScheduledEvent`]
+    /// alone as the ordering oracle: both are given the same events, and
+    /// every pop must agree.
     #[derive(Default)]
     struct Differential {
-        ladder: EventQueue,
+        queue: EventQueue,
         heap: BinaryHeap<ScheduledEvent>,
     }
 
@@ -724,17 +550,17 @@ mod tests {
         /// others at its time, so a swapped tie shows).
         fn schedule(&mut self, ns: u64) {
             let (time, kind) = (SimTime::from_nanos(ns), EventKind::Stop);
-            let seq = self.ladder.scheduled_total();
-            self.ladder.schedule(time, kind.clone());
+            let seq = self.queue.scheduled_total();
+            self.queue.schedule(time, kind.clone());
             self.heap.push(ScheduledEvent { time, seq, kind });
-            assert_eq!(self.ladder.len(), self.heap.len());
+            assert_eq!(self.queue.len(), self.heap.len());
         }
 
         /// Pops both; the time popped, or `None` once drained.
         fn pop(&mut self, what: &str) -> Option<u64> {
-            let got = self.ladder.pop();
+            let got = self.queue.pop();
             assert_eq!(got, self.heap.pop(), "{what}: diverged");
-            assert_eq!(self.ladder.len(), self.heap.len());
+            assert_eq!(self.queue.len(), self.heap.len());
             got.map(|e| e.time.as_nanos())
         }
 
@@ -743,14 +569,14 @@ mod tests {
         }
     }
 
-    // Differential property: the ladder queue and the reference heap see
+    // Differential property: the queue and the reference heap see
     // identical schedule/pop interleavings and must produce identical pop
     // sequences. Two regimes: *spread* — near-monotonic bursts on a coarse
     // grid, equal-time ties, and far-future outliers (faults/timeouts/
-    // Stop), which exercises buckets, rungs and top; *bottom-heavy* —
-    // delays shorter than a bucket is wide and many exact ties, so nearly
+    // Stop), which sends many events to the heap and refills from it;
+    // *bottom-heavy* — delays of a few ns and many exact ties, so nearly
     // every insert is sorted into bottom, which is where a run's go
-    // (all but 0.2 % of them on `gen_dsb`, DESIGN.md §8).
+    // (DESIGN.md §4.1).
     #[test]
     fn matches_reference_heap_on_random_interleavings() {
         use rand::Rng;
@@ -791,10 +617,10 @@ mod tests {
     }
 
     // The late-first-event trap: the first event scheduled is the latest,
-    // so `bot_end` lies past everything that follows and all of it is
-    // headed for bottom. Bottom must shed its far end into rungs instead
-    // of insertion-sorting 10^5 events (a count, not a clock: its
-    // high-water mark stays at the limit), and the order must not notice.
+    // so the heap is empty and everything that follows is headed for
+    // bottom. Bottom must shed its far end onto the heap instead of
+    // insertion-sorting 10^5 events (a count, not a clock: its high-water
+    // mark stays at the limit), and the order must not notice.
     #[test]
     fn a_late_first_event_does_not_grow_bottom() {
         use rand::Rng;
@@ -810,64 +636,80 @@ mod tests {
                 t
             });
         }
-        assert_eq!(q.ladder.bottom_peak, BOTTOM_LIMIT);
+        assert_eq!(q.queue.bottom_peak, BOTTOM_LIMIT);
         // Pops interleaved with near-future inserts, as a run would.
         for _ in 0..20_000 {
             let now = q.pop("late first").expect("events remain");
             q.schedule(now + rng.gen_range(0u64..5_000));
         }
         q.drain("late first");
-        assert_eq!(q.ladder.bottom_peak, BOTTOM_LIMIT);
+        assert_eq!(q.queue.bottom_peak, BOTTOM_LIMIT);
     }
 
-    // More events at one instant than bottom's limit cannot be split by
-    // time: bottom keeps them (and keeps taking inserts) rather than
-    // bouncing them through a rung on every insert.
+    // More events at one instant than bottom's limit split like any
+    // others: a split goes by `(time, seq)`, not by time, so the nearest
+    // stay in bottom and the rest wait on the heap in insertion order.
     #[test]
-    fn an_oversized_bottom_at_one_instant_is_left_alone() {
+    fn an_oversized_bottom_at_one_instant_splits_like_any_other() {
         let mut q = Differential::default();
         q.schedule(500);
         for _ in 0..2 * BOTTOM_LIMIT {
             q.schedule(100);
         }
-        assert!(q.ladder.rungs.is_empty());
-        assert_eq!(q.ladder.bottom.len(), 2 * BOTTOM_LIMIT + 1);
+        assert!(q.queue.bottom_peak <= BOTTOM_LIMIT);
         q.drain("one instant");
     }
 
-    // A rung refined from one bucket ends where that bucket ends, even
-    // when 256 of its finer buckets add up to more (1000 ns → 256 × 4 ns):
-    // an event in the overhang belongs to the *next* coarse bucket, behind
-    // whatever that bucket already holds.
+    // Ties across a boundary: 300 events at one instant (split once, then
+    // refilled several times) with more at that instant and
+    // before it scheduled between pops. A new event at exactly `bot_end`
+    // must go behind everything queued at its time, in bottom and on the
+    // heap alike; an event before it, ahead of all of them.
+    #[test]
+    fn ties_across_a_split_or_refill_keep_insertion_order() {
+        let mut q = Differential::default();
+        for _ in 0..300 {
+            q.schedule(1_000);
+        }
+        assert!(!q.queue.later.is_empty(), "the pile split");
+        for i in 0..600u64 {
+            assert_eq!(q.pop("ties"), Some(1_000));
+            q.schedule(1_000);
+            if i % 7 == 0 {
+                q.schedule(999);
+                assert_eq!(q.pop("ties"), Some(999));
+            }
+        }
+        assert!(q.queue.bottom_peak <= BOTTOM_LIMIT);
+        q.drain("ties");
+    }
+
+    // A hundred events in a narrow window under a far one, and events just
+    // past the window scheduled after a pop.
     #[test]
     fn a_refined_rung_ends_with_its_bucket() {
         let mut q = Differential::default();
         q.schedule(0);
         q.schedule(1);
         assert_eq!(q.pop("refine"), Some(0));
-        // Top spans [1, 256_000]: anchored as 256 buckets of 1000 ns.
         q.schedule(256_000);
         for i in 0..100u64 {
-            q.schedule(2 + i); // over REFINE_LIMIT events in bucket 0
+            q.schedule(2 + i);
         }
-        q.schedule(1_006); // bucket 1
-        assert_eq!(q.pop("refine"), Some(1)); // bucket 0 → rung of 4 ns buckets
-        assert_eq!(q.ladder.rungs.len(), 2);
-        assert_eq!(q.ladder.rungs[1].end, 1_001);
-        q.schedule(1_010); // past bucket 0's end, within 256 × 4 ns of its start
+        q.schedule(1_006);
+        assert_eq!(q.pop("refine"), Some(1));
+        q.schedule(1_010);
         q.schedule(1_001);
         q.drain("refine");
     }
 
-    // The refinement path: thousands of events packed under a span with a
-    // single far outlier forces wide buckets that must re-split.
+    // Thousands of events packed under a span with a single far outlier.
     #[test]
     fn refines_dense_buckets_under_wide_spans() {
         use rand::Rng;
         let mut rng = crate::rng::RngFactory::new(7).stream("evq-dense", 0);
         let mut q = Differential::default();
-        // One early event, popped after the outlier is in, so that the
-        // outlier lands in top and the anchored rung spans ~2s.
+        // One early event, popped after the outlier is in.
         q.schedule(0);
         q.schedule(2_000_000_000);
         assert_eq!(q.pop("dense"), Some(0));
@@ -875,5 +717,22 @@ mod tests {
             q.schedule(rng.gen_range(1..1_000_000));
         }
         q.drain("dense");
+    }
+
+    // A 70-event pile at one instant between a near and a far event, then
+    // an insert between the pile and the near one after a pop.
+    #[test]
+    fn refined_rung_overlap_ordering() {
+        let mut q = Differential::default();
+        q.schedule(5);
+        assert_eq!(q.pop("overlap"), Some(5));
+        for _ in 0..70 {
+            q.schedule(1_000);
+        }
+        q.schedule(1_150);
+        q.schedule(1_000 + 25_650);
+        assert_eq!(q.pop("overlap"), Some(1_000));
+        q.schedule(1_210);
+        q.drain("overlap");
     }
 }

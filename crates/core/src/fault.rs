@@ -65,6 +65,7 @@
 //! trace auditor checks this conservation law event-by-event
 //! (see [`crate::trace::TraceAuditor`]).
 
+use crate::config::Name;
 use crate::error::{SimError, SimResult};
 use crate::ids::{InstanceId, MachineId, PoolId};
 use crate::time::{SimDuration, SimTime};
@@ -85,7 +86,7 @@ pub enum FaultSpec {
     /// die at the door until it restarts.
     InstanceCrash {
         /// Instance name (from `graph.json`).
-        instance: String,
+        instance: Name,
         /// Crash time, seconds.
         at_s: f64,
         /// Restart delay; `None` means the instance stays down forever.
@@ -96,7 +97,7 @@ pub enum FaultSpec {
     /// (thermal throttling, a noisy neighbor, a failing disk).
     MachineSlowdown {
         /// Machine name (from `machines.json`).
-        machine: String,
+        machine: Name,
         /// Window start, seconds.
         at_s: f64,
         /// Window length, seconds.
@@ -107,7 +108,7 @@ pub enum FaultSpec {
     /// Packets destined for a machine gain latency and may be dropped.
     NetworkDegrade {
         /// Destination machine name.
-        machine: String,
+        machine: Name,
         /// Window start, seconds.
         at_s: f64,
         /// Window length, seconds.
@@ -123,9 +124,9 @@ pub enum FaultSpec {
     /// and optionally return later.
     PoolLeak {
         /// Upstream instance name of the pool.
-        up: String,
+        up: Name,
         /// Downstream instance name of the pool.
-        down: String,
+        down: Name,
         /// Leak time, seconds.
         at_s: f64,
         /// How many free connections to remove.
@@ -175,7 +176,7 @@ fn default_jitter() -> f64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientPolicySpec {
     /// Client name (from `client.json`).
-    pub client: String,
+    pub client: Name,
     /// Retries after the initial attempt (0 disables retries).
     #[serde(default)]
     pub max_retries: u32,

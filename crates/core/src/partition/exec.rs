@@ -298,20 +298,20 @@ fn validate_fault_plan(groups: &[ScenarioConfig], plan: &FaultPlan) -> SimResult
         match spec {
             FaultSpec::InstanceCrash { instance, .. }
             | FaultSpec::PoolLeak { up: instance, .. } => {
-                if !instances.contains(instance.as_str()) {
+                if !instances.contains(&**instance) {
                     return Err(unknown("instance", instance));
                 }
             }
             FaultSpec::MachineSlowdown { machine, .. }
             | FaultSpec::NetworkDegrade { machine, .. } => {
-                if !machines.contains(machine.as_str()) {
+                if !machines.contains(&**machine) {
                     return Err(unknown("machine", machine));
                 }
             }
         }
     }
     for p in &plan.policy.clients {
-        if !clients.contains(p.client.as_str()) {
+        if !clients.contains(&*p.client) {
             return Err(unknown("client", &p.client));
         }
     }

@@ -456,10 +456,10 @@ pub fn split_fault_plan(plan: &FaultPlan, cell: &CellSpec) -> FaultPlan {
         .faults
         .iter()
         .filter(|spec| match spec {
-            FaultSpec::InstanceCrash { instance, .. } => instances.contains(instance.as_str()),
+            FaultSpec::InstanceCrash { instance, .. } => instances.contains(&**instance),
             FaultSpec::MachineSlowdown { machine, .. }
-            | FaultSpec::NetworkDegrade { machine, .. } => machines.contains(machine.as_str()),
-            FaultSpec::PoolLeak { up, .. } => instances.contains(up.as_str()),
+            | FaultSpec::NetworkDegrade { machine, .. } => machines.contains(&**machine),
+            FaultSpec::PoolLeak { up, .. } => instances.contains(&**up),
         })
         .cloned()
         .collect();
@@ -470,7 +470,7 @@ pub fn split_fault_plan(plan: &FaultPlan, cell: &CellSpec) -> FaultPlan {
                 .policy
                 .clients
                 .iter()
-                .filter(|p| clients.contains(p.client.as_str()))
+                .filter(|p| clients.contains(&*p.client))
                 .cloned()
                 .collect(),
             network: plan.policy.network,

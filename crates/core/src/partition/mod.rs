@@ -18,7 +18,7 @@
 //! is request-closed by construction: no request, reply, pool grant, or
 //! fault effect ever crosses a cell boundary (**P1**), so each cell runs
 //! as a complete, independent [`Simulator`](crate::sim::Simulator) with
-//! its own ladder queue, arenas, RNG streams, and telemetry sampler — one
+//! its own event queue, arenas, RNG streams, and telemetry sampler — one
 //! `run_until(deadline)` per cell. `K` `vendor/minipool` workers claim the
 //! cells one at a time, costliest first — an order fixed by the scenario
 //! alone (**P2**); per-cell seeds derive from the master seed and the cell
