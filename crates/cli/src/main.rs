@@ -103,6 +103,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 use uqsim_core::config::ScenarioConfig;
 use uqsim_core::partition::{CellOutput, SpanTracing};
 use uqsim_core::run::RunResult;
@@ -112,10 +113,9 @@ use uqsim_core::{FaultPlan, PartitionOptions, PartitionedRun, SimError};
 
 const EXAMPLE: &str = include_str!("../configs/quickstart.json");
 
-/// Heap allocations made by this process. `uqsim-core` forbids `unsafe`
-/// and so cannot count allocations itself; the binary installs this
-/// counting wrapper around the system allocator and hands the counter to
-/// the self-profiler via [`uqsim_core::telemetry::set_alloc_probe`].
+/// Heap allocations made by this process, for `uqsim top`'s engine line.
+/// `uqsim-core` forbids `unsafe` and so cannot count allocations itself;
+/// the binary installs this counting wrapper around the system allocator.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
@@ -939,6 +939,10 @@ fn emit_why(plan: &RunPlan, profile: &uqsim_core::CpcProfile) -> Result<(), SimE
 /// queue depth, and thread occupancy plus the latest windowed latency
 /// percentiles. With ANSI enabled each frame overdraws the previous one;
 /// `--no-ansi` appends frames instead (useful for piping to a file).
+///
+/// The engine line is the simulator's own speed over the frame's step:
+/// timed here, around [`Simulator::run_for`](uqsim_core::sim::Simulator::run_for),
+/// since the simulator itself reads no wall clock.
 fn cmd_top(args: &Args) -> Outcome {
     let interval_s = args.seconds("--interval", 1.0)?;
     let ansi = !args.has("--no-ansi");
@@ -947,38 +951,44 @@ fn cmd_top(args: &Args) -> Outcome {
     let interval = SimDuration::from_secs_f64(interval_s);
     sim.enable_telemetry(TelemetryConfig {
         sample_interval: Some(interval),
-        self_profile: true,
         ..TelemetryConfig::default()
     });
     let deadline = sim.now() + plan.duration();
     while sim.now() < deadline {
         let step = interval.min(deadline - sim.now());
+        let (wall, events, allocs) = (
+            Instant::now(),
+            sim.events_processed(),
+            ALLOCATIONS.load(Ordering::Relaxed),
+        );
         sim.run_for(step);
+        let heap = sim
+            .telemetry_series()
+            .and_then(|s| s.latest("event_heap", None))
+            .unwrap_or(0.0);
+        let engine = format!(
+            "engine: {} events total, {:.0} events/wall-s, heap {heap}, {:.0} allocs/sim-s",
+            sim.events_processed(),
+            (sim.events_processed() - events) as f64 / wall.elapsed().as_secs_f64().max(1e-12),
+            (ALLOCATIONS.load(Ordering::Relaxed) - allocs) as f64 / step.as_secs_f64(),
+        );
         if ansi {
             // Clear the screen and home the cursor before each frame.
             print!("\x1b[2J\x1b[H");
         }
-        print_top_frame(&sim, interval_s);
+        print_top_frame(&sim, interval_s, &engine);
     }
     Ok(true)
 }
 
-/// Renders one `uqsim top` frame from the latest sampler tick.
-fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
+/// Renders one `uqsim top` frame from the latest sampler tick, under the
+/// `engine` line [`cmd_top`] measured for it.
+fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64, engine: &str) {
     println!(
         "uqsim top — t={:.3}s  (sampler interval {interval_s}s)",
         sim.now().as_secs_f64()
     );
-    if let Some(p) = sim.self_profile().last() {
-        let allocs = p
-            .allocs_per_sim_s
-            .map(|a| format!(", {a:.0} allocs/sim-s"))
-            .unwrap_or_default();
-        println!(
-            "engine: {} events total, {:.0} events/wall-s, heap {}{allocs}",
-            p.events_processed, p.events_per_wall_s, p.event_heap
-        );
-    }
+    println!("{engine}");
     println!(
         "in flight: {} requests, {} jobs;  completed {} / generated {} ({} timeouts)",
         sim.live_requests(),
@@ -1327,7 +1337,6 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn main() -> ExitCode {
-    uqsim_core::telemetry::set_alloc_probe(|| ALLOCATIONS.load(Ordering::Relaxed));
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(name) = raw.first() else {
         return usage(None);

@@ -52,7 +52,6 @@ fn assert_identity(name: &str, cfg: &ScenarioConfig, faults: Option<&FaultPlan>)
     let telemetry = TelemetryConfig {
         sample_interval: Some(SimDuration::from_millis(50)),
         critpath: true,
-        ..TelemetryConfig::default()
     };
 
     let mut bare = cfg.with_seed(SEED).build().expect("bundled config builds");

@@ -375,7 +375,7 @@ pub(crate) fn build(cfg: ScenarioConfig, names: Resolved) -> SimResult<Simulator
         stopped: false,
         span_log: None,
         telemetry: None,
-        util_checkpoints: Vec::new(),
+        warmup_busy: None,
         fault: None,
         dropped: 0,
         shed: 0,
@@ -385,7 +385,7 @@ pub(crate) fn build(cfg: ScenarioConfig, names: Resolved) -> SimResult<Simulator
         resolved_pending: 0,
         e2e_timeout: LatencyRecorder::new(warmup_at),
     };
-    // A one-shot utilization checkpoint at the warmup boundary, so
+    // A one-shot busy-counter baseline at the warmup boundary, so
     // `*_utilization_since(warmup_at)` works whether or not the
     // periodic sampler is enabled. Scheduled unconditionally to keep
     // event counts identical across telemetry on/off runs.

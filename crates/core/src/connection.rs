@@ -200,11 +200,6 @@ impl ConnectionPool {
         }
         grants
     }
-
-    /// Number of connections currently leaked out of service.
-    pub fn leaked_count(&self) -> usize {
-        self.leaked.len()
-    }
 }
 
 #[cfg(test)]

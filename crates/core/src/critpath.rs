@@ -1143,100 +1143,6 @@ impl CpcReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Span-DAG model (the invariant the attribution rests on)
-// ---------------------------------------------------------------------
-
-/// A pure causal span DAG: spans are `[start, end]` nanosecond intervals,
-/// edges assert happens-before (`a.end <= b.start`). The critical path is
-/// the causally-ordered chain with the largest total span duration; since
-/// chain spans are pairwise disjoint and contained in the DAG's envelope,
-/// its length can never exceed the end-to-end time, with equality exactly
-/// when a chain tiles the envelope gap-free — the property the telescoping
-/// frontier decomposition realizes on every simulated request.
-#[derive(Debug, Clone, Default)]
-pub struct SpanDag {
-    spans: Vec<(u64, u64)>,
-    preds: Vec<Vec<usize>>,
-}
-
-impl SpanDag {
-    /// Creates an empty DAG.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a span `[start_ns, end_ns]`, returning its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end_ns < start_ns`.
-    pub fn add_span(&mut self, start_ns: u64, end_ns: u64) -> usize {
-        assert!(end_ns >= start_ns, "span ends before it starts");
-        self.spans.push((start_ns, end_ns));
-        self.preds.push(Vec::new());
-        self.spans.len() - 1
-    }
-
-    /// Adds a causal edge `from → to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range, `from >= to` (edges must
-    /// point forward so the insertion order is a topological order), or the
-    /// spans overlap (`from` must end before `to` starts).
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        assert!(
-            from < to && to < self.spans.len(),
-            "edge must point forward"
-        );
-        assert!(
-            self.spans[from].1 <= self.spans[to].0,
-            "causal edge between overlapping spans"
-        );
-        self.preds[to].push(from);
-    }
-
-    /// End-to-end time: latest end minus earliest start (0 when empty).
-    pub fn e2e_ns(&self) -> u64 {
-        let start = self.spans.iter().map(|s| s.0).min().unwrap_or(0);
-        let end = self.spans.iter().map(|s| s.1).max().unwrap_or(0);
-        end - start
-    }
-
-    /// Length of the critical path: the maximum, over causally-ordered
-    /// chains, of the sum of span durations. Always `<= e2e_ns()`.
-    pub fn critical_path_ns(&self) -> u64 {
-        let mut best = vec![0u64; self.spans.len()];
-        let mut answer = 0;
-        for i in 0..self.spans.len() {
-            let dur = self.spans[i].1 - self.spans[i].0;
-            let via = self.preds[i].iter().map(|&p| best[p]).max().unwrap_or(0);
-            best[i] = dur + via;
-            answer = answer.max(best[i]);
-        }
-        answer
-    }
-
-    /// Builds a gap-free serial chain from consecutive durations (each span
-    /// starts exactly where the previous ended) — the equality case of the
-    /// critical-path bound.
-    pub fn serial_chain(durations: &[u64]) -> SpanDag {
-        let mut dag = SpanDag::new();
-        let mut t = 0u64;
-        let mut prev: Option<usize> = None;
-        for &d in durations {
-            let i = dag.add_span(t, t + d);
-            if let Some(p) = prev {
-                dag.add_edge(p, i);
-            }
-            prev = Some(i);
-            t += d;
-        }
-        dag
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1588,28 +1494,5 @@ mod tests {
                  stamped 5 ns, behind its frontier at 10 ns"
                 .to_string())
         );
-    }
-
-    #[test]
-    fn span_dag_bound_and_equality() {
-        // Serial chain: equality.
-        let chain = SpanDag::serial_chain(&[10, 20, 30]);
-        assert_eq!(chain.e2e_ns(), 60);
-        assert_eq!(chain.critical_path_ns(), 60);
-
-        // Fan-out/fan-in: the long branch is the critical path, strictly
-        // below the envelope when gaps (network) separate the spans.
-        let mut dag = SpanDag::new();
-        let root = dag.add_span(0, 10);
-        let fast = dag.add_span(15, 20);
-        let slow = dag.add_span(15, 90);
-        let join = dag.add_span(95, 100);
-        dag.add_edge(root, fast);
-        dag.add_edge(root, slow);
-        dag.add_edge(fast, join);
-        dag.add_edge(slow, join);
-        assert_eq!(dag.e2e_ns(), 100);
-        assert_eq!(dag.critical_path_ns(), 10 + 75 + 5);
-        assert!(dag.critical_path_ns() <= dag.e2e_ns());
     }
 }

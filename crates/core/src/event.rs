@@ -34,8 +34,7 @@
 //! their storage, so a steady-state schedule/pop cycle allocates nothing.
 
 use crate::ids::{
-    ClientId, ControllerId, CoreId, InstanceId, JobId, MachineId, RequestId, RequestTypeId,
-    ThreadId,
+    ClientId, ControllerId, InstanceId, JobId, MachineId, RequestId, RequestTypeId, ThreadId,
 };
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -60,18 +59,6 @@ pub struct Packet {
     /// True for same-machine (loopback) traffic, which bypasses the
     /// interrupt-processing cores.
     pub local: bool,
-}
-
-/// Payload of [`EventKind::DvfsSet`], boxed to keep the hot event variants
-/// cache-dense (frequency changes are rare control-plane events).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DvfsChange {
-    /// Target machine.
-    pub machine: MachineId,
-    /// Target core; `None` applies to every core of the machine.
-    pub core: Option<CoreId>,
-    /// New frequency in GHz (snapped to the machine's allowed levels).
-    pub freq_ghz: f64,
 }
 
 /// Payload of [`EventKind::RetryEmit`], boxed to keep the hot event
@@ -154,18 +141,17 @@ pub enum EventKind {
         /// The possibly-still-running request.
         request: RequestId,
     },
-    /// Set the DVFS frequency of one core or a whole machine.
-    DvfsSet(Box<DvfsChange>),
     /// A registered controller (e.g. the power manager) takes a decision.
     ControllerTick {
         /// Which controller.
         controller: ControllerId,
     },
     /// A telemetry sampling point. The one-shot form (`recurring: false`)
-    /// only records a utilization checkpoint (the builder schedules one at
-    /// the warmup boundary); the recurring form is the periodic sampler
-    /// tick that closes a latency window, snapshots the gauge series, and
-    /// reschedules itself (see [`crate::telemetry`]).
+    /// only records the busy-counter baseline of the `*_utilization_since`
+    /// queries (the builder schedules one at the warmup boundary); the
+    /// recurring form is the periodic sampler tick that closes a latency
+    /// window, snapshots the gauge series, and reschedules itself (see
+    /// [`crate::telemetry`]).
     TelemetrySample {
         /// Whether this tick reschedules itself.
         recurring: bool,

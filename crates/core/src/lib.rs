@@ -76,7 +76,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use critpath::{CpcProfile, CpcReport, EdgeKind, SpanDag};
+pub use critpath::{CpcProfile, CpcReport, EdgeKind};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultPlan, FaultSpec, FaultSummary};
 pub use partition::{run_partitioned, PartitionOptions, PartitionPlan, PartitionedRun};

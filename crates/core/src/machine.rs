@@ -5,7 +5,6 @@
 
 use crate::config::Name;
 use crate::dist::Distribution;
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Who a core is dedicated to. The paper pins every thread/process to a
@@ -35,27 +34,12 @@ pub struct Core {
     /// Identity of the last (instance, thread) that ran here, for context
     /// switch accounting. Thread index is instance-local.
     pub last_thread: Option<(u32, u32)>,
-    /// Accumulated busy nanoseconds (utilization accounting).
+    /// Accumulated busy nanoseconds (utilization accounting). It only ever
+    /// grows, so utilization over `[t0, now]` is the growth since `t0` over
+    /// `cores · (now - t0)`.
     pub busy_ns: u64,
     /// Accumulated dynamic energy, joules (cubic-in-frequency model).
     pub dyn_energy_j: f64,
-}
-
-/// A snapshot of the cluster's accumulated busy-nanosecond counters at one
-/// instant. The `busy_ns` accumulators only ever grow, so utilization over
-/// an interval `[checkpoint, now]` is `(busy_now - busy_checkpoint) /
-/// (cores · (now - checkpoint))`. The builder records one checkpoint at
-/// the warmup boundary and the telemetry sampler records one per tick,
-/// which is what lets `instance_utilization_since` exclude warmup without
-/// retro-computing anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UtilCheckpoint {
-    /// When the checkpoint was taken.
-    pub t: SimTime,
-    /// Per-instance busy nanoseconds, summed over each instance's cores.
-    pub inst_busy_ns: Vec<u64>,
-    /// Per-machine busy nanoseconds, summed over each machine's irq cores.
-    pub irq_busy_ns: Vec<u64>,
 }
 
 /// DVFS capability of a machine.

@@ -74,9 +74,7 @@ pub struct PartitionOptions {
     pub shards: usize,
     /// Telemetry configuration installed on every cell; `None` leaves the
     /// telemetry layer off altogether (every hot-path hook stays a single
-    /// branch). [`TelemetryConfig::self_profile`] is forcibly disabled —
-    /// wall-clock samples are inherently nondeterministic and would break
-    /// the byte-identical-output guarantee.
+    /// branch).
     pub telemetry: Option<TelemetryConfig>,
     /// Whether each cell records span events, and whether it keeps them
     /// (for the merged Chrome trace) or only checks them.
@@ -345,10 +343,7 @@ fn run_cell(
         sim.install_faults(plan)?;
     }
     if let Some(tcfg) = opts.telemetry {
-        sim.enable_telemetry(TelemetryConfig {
-            self_profile: false,
-            ..tcfg
-        });
+        sim.enable_telemetry(tcfg);
     }
     let deadline = SimTime::ZERO + duration;
     let (mut sim, folds) = match opts.span_tracing {
@@ -480,7 +475,7 @@ fn run_checked(
         let mut sim = sim;
         let chunks = sim.stream_span_tracing(events);
         let consumer = scope.spawn(move || {
-            let mut audit = AuditFold::new(TraceAuditor::new());
+            let mut audit = AuditFold::new();
             let mut replayed = replay.then(ReplayFold::new);
             chunks.drain(|chunk| {
                 audit.feed(chunk);

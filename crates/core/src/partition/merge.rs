@@ -364,7 +364,7 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Option<Value> {
         .iter()
         .map(|c| {
             let head = c.series.as_ref()?.json_head.clone();
-            Some(metrics_json_with(head, sampled(c), &[]))
+            Some(metrics_json_with(head, sampled(c)))
         })
         .collect::<Option<Vec<Value>>>()?;
     if cell_dumps.len() == 1 {

@@ -290,9 +290,11 @@ pub struct Simulator {
     /// Live-telemetry state (see [`crate::telemetry`]); `None` keeps every
     /// hot-path hook to a single branch, same discipline as `span_log`.
     pub(crate) telemetry: Option<Box<crate::telemetry::TelemetryState>>,
-    /// Busy-counter checkpoints backing the `*_utilization_since` queries.
-    /// One is recorded at the warmup boundary and one per sampler tick.
-    pub(crate) util_checkpoints: Vec<crate::machine::UtilCheckpoint>,
+    /// Busy nanoseconds at the warm-up boundary — per instance (summed
+    /// over its cores) and per machine (summed over its irq cores) — the
+    /// origin of the since-warm-up `*_utilization_since` queries. `None`
+    /// until the builder's one-shot [`EventKind::TelemetrySample`] fires.
+    pub(crate) warmup_busy: Option<(Vec<u64>, Vec<u64>)>,
     /// Fault-injection state (see [`crate::fault`]); `None` keeps every
     /// hot-path hook to a single branch, same discipline as `span_log`.
     pub(crate) fault: Option<Box<crate::fault::FaultState>>,
@@ -515,11 +517,6 @@ impl Simulator {
             .count()
     }
 
-    /// True if [`Simulator::install_faults`] has been called.
-    pub fn faults_installed(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// The fault/resilience counters and fault-window timeline, or `None`
     /// when no fault plan is installed.
     pub fn fault_summary(&self) -> Option<crate::fault::FaultSummary> {
@@ -669,26 +666,6 @@ impl Simulator {
         Some(tel.crit.snapshot(&self.trace_meta()))
     }
 
-    /// Schedules a DVFS change at a future simulated time (a cluster
-    /// administration operation, §III-A). `core` of `None` retunes the
-    /// whole machine.
-    pub fn schedule_dvfs(
-        &mut self,
-        at: SimTime,
-        machine: MachineId,
-        core: Option<crate::ids::CoreId>,
-        freq_ghz: f64,
-    ) {
-        self.events.schedule(
-            at,
-            EventKind::DvfsSet(Box::new(crate::event::DvfsChange {
-                machine,
-                core,
-                freq_ghz,
-            })),
-        );
-    }
-
     /// Energy consumed by `machine` so far, joules: accumulated dynamic
     /// (cubic-in-frequency) energy plus static power over elapsed time.
     pub fn machine_energy_j(&self, machine: MachineId) -> f64 {
@@ -756,18 +733,6 @@ impl Simulator {
             EventKind::NetDone { machine, slot } => self.on_net_done(machine, slot as usize),
             EventKind::StageDone { instance, thread } => self.on_stage_done(instance, thread),
             EventKind::DeliverToClient { request } => self.on_deliver_to_client(request),
-            EventKind::DvfsSet(change) => {
-                let m = &mut self.machines[change.machine.index()];
-                let snapped = m.spec.dvfs.snap(change.freq_ghz);
-                match change.core {
-                    Some(c) => m.cores[c.index()].freq_ghz = snapped,
-                    None => {
-                        for c in &mut m.cores {
-                            c.freq_ghz = snapped;
-                        }
-                    }
-                }
-            }
             EventKind::RequestTimeout { request } => self.on_request_timeout(request),
             EventKind::ControllerTick { controller } => self.on_controller_tick(controller),
             EventKind::TelemetrySample { recurring } => self.on_telemetry_sample(recurring),

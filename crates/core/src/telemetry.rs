@@ -1,8 +1,8 @@
 //! Live telemetry: streaming histograms, latency decomposition, periodic
-//! sampling, self-profiling, and Prometheus/CSV/JSON export.
+//! sampling, and Prometheus/CSV/JSON export.
 //!
 //! This is the observability layer on top of the raw recorders in
-//! [`crate::metrics`]. It is organized as three channels:
+//! [`crate::metrics`]. It is organized as two channels:
 //!
 //! 1. **Aggregates** — a [`MetricsRegistry`] snapshot of counters, gauges,
 //!    and summaries assembled on demand from the simulator's accumulators
@@ -14,10 +14,11 @@
 //!    ([`TelemetryWindow`]) and snapshots per-instance queue depth,
 //!    utilization, thread occupancy, connection-pool saturation, and
 //!    network-irq utilization into a [`SeriesSet`].
-//! 3. **Self-profiling** — wall-clock engine statistics (events per
-//!    wall-clock second, event-heap size, allocations per sim-second) kept
-//!    strictly separate from the deterministic channels so exports stay
-//!    byte-reproducible across machines.
+//!
+//! Both are functions of the simulated run alone: the layer reads no wall
+//! clock, so every export is byte-reproducible across machines. How fast
+//! the simulator itself runs is the caller's to time (`uqsim top` times
+//! its own frames).
 //!
 //! The whole layer follows the span-log discipline: the simulator holds an
 //! `Option<Box<TelemetryState>>`, every hot-path hook is a single
@@ -41,12 +42,10 @@
 
 use crate::event::EventKind;
 use crate::ids::{InstanceId, MachineId};
-use crate::machine::UtilCheckpoint;
 use crate::metrics::LatencySummary;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
 // Streaming histogram
@@ -350,7 +349,7 @@ impl ComponentTotals {
 ///
 /// The default is decomposition-only: per-request latency attribution
 /// folded into aggregate totals and streaming histograms, no periodic
-/// sampler, no wall-clock profiling — the cheapest useful setting, and
+/// sampler — the cheapest useful setting, and
 /// what [`crate::run::run_one`] uses so sweeps carry decomposition columns.
 /// Nothing here is kept per request: the per-request record is the span
 /// log ([`Simulator::enable_span_tracing`]), and the decomposition's
@@ -361,8 +360,6 @@ pub struct TelemetryConfig {
     /// Simulated interval between sampler ticks; `None` disables the
     /// time-series channel entirely.
     pub sample_interval: Option<SimDuration>,
-    /// Collect wall-clock self-profiling samples at each sampler tick.
-    pub self_profile: bool,
     /// Accumulate a streaming critical-path contribution profile
     /// ([`crate::critpath::CpcProfile`]): every telescoping latency charge
     /// additionally records a per-site segment, folded per e2e-latency
@@ -459,114 +456,6 @@ impl SeriesSet {
         })?;
         self.values[idx].last().copied()
     }
-}
-
-// ---------------------------------------------------------------------
-// Self-profiling
-// ---------------------------------------------------------------------
-
-/// One wall-clock self-profiling sample, taken at a sampler tick. These
-/// describe the *simulator's* performance (not the simulated system's) and
-/// are intentionally excluded from the deterministic exports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SelfProfileSample {
-    /// Simulated time of the tick.
-    pub sim_time: SimTime,
-    /// Wall-clock seconds since telemetry was enabled.
-    pub wall_s: f64,
-    /// Total events processed so far.
-    pub events_processed: u64,
-    /// Events processed per wall-clock second since the previous tick.
-    pub events_per_wall_s: f64,
-    /// Pending events in the heap at the tick.
-    pub event_heap: usize,
-    /// Requests in flight at the tick.
-    pub live_requests: usize,
-    /// Jobs in flight at the tick.
-    pub live_jobs: usize,
-    /// Heap allocations since the previous tick, if an allocation probe is
-    /// registered (see [`set_alloc_probe`]).
-    pub allocations: Option<u64>,
-    /// Allocations per simulated second since the previous tick.
-    pub allocs_per_sim_s: Option<f64>,
-}
-
-#[derive(Debug)]
-pub(crate) struct ProfileState {
-    start: std::time::Instant,
-    last_wall: std::time::Instant,
-    last_events: u64,
-    last_allocs: Option<u64>,
-    last_sim: SimTime,
-    pub(crate) samples: Vec<SelfProfileSample>,
-}
-
-impl ProfileState {
-    fn new(now: SimTime, events_processed: u64) -> Self {
-        let t = std::time::Instant::now();
-        ProfileState {
-            start: t,
-            last_wall: t,
-            last_events: events_processed,
-            last_allocs: read_alloc_probe(),
-            last_sim: now,
-            samples: Vec::new(),
-        }
-    }
-
-    fn sample(
-        &mut self,
-        now: SimTime,
-        events_processed: u64,
-        event_heap: usize,
-        live_requests: usize,
-        live_jobs: usize,
-    ) {
-        let t = std::time::Instant::now();
-        let wall = t.duration_since(self.last_wall).as_secs_f64().max(1e-12);
-        let d_events = events_processed.saturating_sub(self.last_events);
-        let allocs = read_alloc_probe();
-        let d_sim = (now - self.last_sim).as_secs_f64();
-        let (d_allocs, allocs_per_sim_s) = match (allocs, self.last_allocs) {
-            (Some(a), Some(b)) => {
-                let d = a.saturating_sub(b);
-                let rate = (d_sim > 0.0).then(|| d as f64 / d_sim);
-                (Some(d), rate)
-            }
-            _ => (None, None),
-        };
-        self.samples.push(SelfProfileSample {
-            sim_time: now,
-            wall_s: t.duration_since(self.start).as_secs_f64(),
-            events_processed,
-            events_per_wall_s: d_events as f64 / wall,
-            event_heap,
-            live_requests,
-            live_jobs,
-            allocations: d_allocs,
-            allocs_per_sim_s,
-        });
-        self.last_wall = t;
-        self.last_events = events_processed;
-        self.last_allocs = allocs;
-        self.last_sim = now;
-    }
-}
-
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Registers a process-wide allocation counter for self-profiling.
-///
-/// `uqsim-core` forbids `unsafe` code, so it cannot install a counting
-/// global allocator itself; a binary that does (the CLI) calls this once
-/// with a function returning its cumulative allocation count. The first
-/// registration wins; later calls are ignored.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-pub(crate) fn read_alloc_probe() -> Option<u64> {
-    ALLOC_PROBE.get().map(|f| f())
 }
 
 // ---------------------------------------------------------------------
@@ -836,7 +725,6 @@ pub(crate) struct TelemetryState {
     pub(crate) prev_tick: SimTime,
     /// Retry-emission counter at the previous tick (fault series only).
     pub(crate) prev_retried: u64,
-    pub(crate) profile: Option<ProfileState>,
     /// Streaming critical-path accumulator (only fed when `cfg.critpath`).
     pub(crate) crit: crate::critpath::CritAccum,
 }
@@ -975,13 +863,9 @@ impl Simulator {
             prev_irq_busy: self.irq_busy_sums(),
             prev_tick: self.now,
             prev_retried: self.retried,
-            profile: cfg
-                .self_profile
-                .then(|| ProfileState::new(self.now, self.events_processed)),
             crit: crate::critpath::CritAccum::default(),
         };
         self.telemetry = Some(Box::new(state));
-        self.push_util_checkpoint();
         if let Some(interval) = cfg.sample_interval {
             assert!(
                 interval > SimDuration::ZERO,
@@ -992,11 +876,6 @@ impl Simulator {
                 EventKind::TelemetrySample { recurring: true },
             );
         }
-    }
-
-    /// True if [`Simulator::enable_telemetry`] has been called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
     }
 
     /// Accumulated busy nanoseconds per instance (sum over its cores).
@@ -1018,28 +897,14 @@ impl Simulator {
             .collect()
     }
 
-    /// Pushes a utilization checkpoint at the current time (deduplicated:
-    /// at most one per instant).
-    pub(crate) fn push_util_checkpoint(&mut self) {
-        if self.util_checkpoints.last().map(|cp| cp.t) == Some(self.now) {
-            return;
-        }
-        let cp = UtilCheckpoint {
-            t: self.now,
-            inst_busy_ns: self.inst_busy_sums(),
-            irq_busy_ns: self.irq_busy_sums(),
-        };
-        self.util_checkpoints.push(cp);
-    }
-
     /// Handles a [`EventKind::TelemetrySample`] event. The one-shot
-    /// (`recurring == false`) variant only records a utilization
-    /// checkpoint (scheduled at the warmup boundary by the builder, so the
-    /// since-warmup utilization getters have an exact baseline); the
+    /// (`recurring == false`) variant only records the warm-up baseline of
+    /// the busy counters (the builder schedules it at the warm-up boundary,
+    /// so the since-warm-up utilization getters have an exact origin); the
     /// recurring variant is the sampler tick.
     pub(crate) fn on_telemetry_sample(&mut self, recurring: bool) {
-        self.push_util_checkpoint();
         if !recurring {
+            self.warmup_busy = Some((self.inst_busy_sums(), self.irq_busy_sums()));
             return;
         }
         let now = self.now;
@@ -1048,7 +913,6 @@ impl Simulator {
         let event_heap = self.events.len();
         let live_requests = self.requests.live();
         let live_jobs = self.jobs.live();
-        let events_processed = self.events_processed;
         let retried = self.retried;
 
         let Some(tel) = self.telemetry.as_deref_mut() else {
@@ -1117,23 +981,21 @@ impl Simulator {
         tel.prev_irq_busy = irq_busy;
         tel.prev_tick = now;
 
-        if let Some(p) = &mut tel.profile {
-            p.sample(now, events_processed, event_heap, live_requests, live_jobs);
-        }
-
         self.events.schedule(
             now + interval,
             EventKind::TelemetrySample { recurring: true },
         );
     }
 
-    /// Mean core utilization of an instance over `[since, now]`.
+    /// Mean core utilization of an instance, measured from one of two
+    /// origins up to `now`.
     ///
-    /// Busy time is read against the utilization checkpoint nearest below
-    /// `since` (the warmup boundary and every sampler tick record one), so
-    /// pass the warmup deadline to exclude warm-up skew. Note that busy
-    /// nanoseconds accrue up front when a batch starts service, so a
-    /// short interval ending mid-batch can read slightly above 1.0.
+    /// When `since` is at or after the warm-up boundary, busy time is read
+    /// against the baseline recorded there (so pass the warm-up deadline to
+    /// exclude warm-up skew); when it is before, from time zero. Any later
+    /// `since` still measures from the warm-up boundary. Note that busy
+    /// nanoseconds accrue up front when a batch starts service, so a short
+    /// interval ending mid-batch can read slightly above 1.0.
     pub fn instance_utilization_since(&self, instance: InstanceId, since: SimTime) -> f64 {
         let inst = &self.instances[instance.index()];
         if inst.cores.is_empty() || since >= self.now {
@@ -1141,13 +1003,11 @@ impl Simulator {
         }
         let m = &self.machines[inst.machine.index()];
         let busy_now: u64 = inst.cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        let (t0, busy0) = self
-            .util_checkpoints
-            .iter()
-            .rev()
-            .find(|cp| cp.t <= since)
-            .map(|cp| (cp.t, cp.inst_busy_ns[instance.index()]))
-            .unwrap_or((SimTime::ZERO, 0));
+        let warmup_at = SimTime::ZERO + self.cfg.warmup;
+        let (t0, busy0) = match &self.warmup_busy {
+            Some((inst_busy, _)) if since >= warmup_at => (warmup_at, inst_busy[instance.index()]),
+            _ => (SimTime::ZERO, 0),
+        };
         let span = (self.now - t0).as_nanos();
         if span == 0 {
             return 0.0;
@@ -1155,21 +1015,20 @@ impl Simulator {
         busy_now.saturating_sub(busy0) as f64 / (span as f64 * inst.cores.len() as f64)
     }
 
-    /// Mean irq-core utilization of a machine over `[since, now]`; see
-    /// [`Simulator::instance_utilization_since`] for checkpoint semantics.
+    /// Mean irq-core utilization of a machine; see
+    /// [`Simulator::instance_utilization_since`] for which origin `since`
+    /// selects.
     pub fn network_utilization_since(&self, machine: MachineId, since: SimTime) -> f64 {
         let m = &self.machines[machine.index()];
         if m.irq_cores.is_empty() || since >= self.now {
             return 0.0;
         }
         let busy_now: u64 = m.irq_cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        let (t0, busy0) = self
-            .util_checkpoints
-            .iter()
-            .rev()
-            .find(|cp| cp.t <= since)
-            .map(|cp| (cp.t, cp.irq_busy_ns[machine.index()]))
-            .unwrap_or((SimTime::ZERO, 0));
+        let warmup_at = SimTime::ZERO + self.cfg.warmup;
+        let (t0, busy0) = match &self.warmup_busy {
+            Some((_, irq_busy)) if since >= warmup_at => (warmup_at, irq_busy[machine.index()]),
+            _ => (SimTime::ZERO, 0),
+        };
         let span = (self.now - t0).as_nanos();
         if span == 0 {
             return 0.0;
@@ -1188,16 +1047,6 @@ impl Simulator {
     /// The sampled gauge series, if the sampler is enabled.
     pub fn telemetry_series(&self) -> Option<&SeriesSet> {
         self.telemetry.as_deref().map(|t| &t.series)
-    }
-
-    /// Wall-clock self-profiling samples (empty unless
-    /// [`TelemetryConfig::self_profile`] was set).
-    pub fn self_profile(&self) -> &[SelfProfileSample] {
-        self.telemetry
-            .as_deref()
-            .and_then(|t| t.profile.as_ref())
-            .map(|p| p.samples.as_slice())
-            .unwrap_or(&[])
     }
 
     /// The compact per-run summary threaded into sweep tables.
@@ -1481,17 +1330,16 @@ impl Simulator {
     }
 
     /// The full telemetry state as JSON: run counters, latency summary,
-    /// utilization, decomposition means, sampler windows, gauge series,
-    /// and self-profiling samples.
+    /// utilization, decomposition means, sampler windows and gauge series.
     pub fn metrics_json(&self) -> serde_json::Value {
         let sampled = self.telemetry.as_deref().map(TelemetryState::sampled);
         let head = self.metrics_json_head(self.latency_summary());
-        metrics_json_with(head, sampled, self.self_profile())
+        metrics_json_with(head, sampled)
     }
 
     /// The part of [`Simulator::metrics_json`] that reads the simulator:
-    /// everything but the sampler's windows and series and the
-    /// self-profile, which [`metrics_json_with`] appends. `latency` is the
+    /// everything but the sampler's windows and series, which
+    /// [`metrics_json_with`] appends. `latency` is the
     /// caller's [`Simulator::latency_summary`] — a finished cell already
     /// has it, and computing it here would sort a copy of every sample.
     pub(crate) fn metrics_json_head(&self, latency: LatencySummary) -> serde_json::Value {
@@ -1607,18 +1455,16 @@ impl SampledSeries<'_> {
 }
 
 /// Completes a [`Simulator::metrics_json_head`] document with the sampler's
-/// windows and series (`null` when telemetry was off) and the self-profile.
+/// windows and series (`null` when telemetry was off).
 pub(crate) fn metrics_json_with(
     head: serde_json::Value,
     sampled: Option<SampledSeries<'_>>,
-    self_profile: &[SelfProfileSample],
 ) -> serde_json::Value {
     let serde_json::Value::Object(mut doc) = head else {
         unreachable!("the head is an object");
     };
     doc.insert("windows", serde_json::json!(sampled.map(|s| s.windows)));
     doc.insert("series", serde_json::json!(sampled.map(|s| s.series)));
-    doc.insert("self_profile", serde_json::json!(self_profile));
     serde_json::Value::Object(doc)
 }
 

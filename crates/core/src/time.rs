@@ -131,15 +131,6 @@ impl SimDuration {
         SimDuration(round_to_u64(ns))
     }
 
-    /// Creates a duration from a floating-point number of microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative, NaN, or too large to represent.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -1332,11 +1332,7 @@ impl AuditReport {
 /// of the counters: the list is a function of the event sequence alone,
 /// wherever the chunk boundaries fall.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TraceAuditor {
-    /// Cap on reported violations (the log can contain millions of events;
-    /// a broken invariant usually breaks everywhere at once).
-    pub max_violations: usize,
-}
+pub struct TraceAuditor;
 
 /// What the auditor remembers about one request, from the first event
 /// that names it to its retirement. The record then stays in its slot as a
@@ -1470,17 +1466,18 @@ impl Lanes {
 /// from the start would have made, cap included.
 #[derive(Debug, Default)]
 struct Violations {
-    cap: usize,
-    /// `(needs a complete log, message)`: the first `cap` of all
-    /// violations and the first `cap` of the unmarked ones.
+    /// `(needs a complete log, message)`: the first
+    /// [`TraceAuditor::MAX_VIOLATIONS`] of all violations and the first as
+    /// many of the unmarked ones.
     kept: Vec<(bool, String)>,
     unmarked: usize,
 }
 
 impl Violations {
     fn push(&mut self, needs_complete_log: bool, message: impl FnOnce() -> String) {
+        const CAP: usize = TraceAuditor::MAX_VIOLATIONS;
         let unmarked = !needs_complete_log;
-        if self.kept.len() < self.cap || (unmarked && self.unmarked < self.cap) {
+        if self.kept.len() < CAP || (unmarked && self.unmarked < CAP) {
             self.kept.push((needs_complete_log, message()));
         }
         self.unmarked += usize::from(unmarked);
@@ -1491,7 +1488,7 @@ impl Violations {
             self.kept
                 .retain(|&(needs_complete_log, _)| !needs_complete_log);
         }
-        self.kept.truncate(self.cap);
+        self.kept.truncate(TraceAuditor::MAX_VIOLATIONS);
         self.kept.into_iter().map(|(_, message)| message).collect()
     }
 }
@@ -1517,7 +1514,7 @@ impl Violations {
 /// retirement, a slot emitted again before its occupant retired, a second
 /// retirement, and `emitted = retired + still holding a slot` at the end
 /// are violations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AuditFold {
     requests: SlotTable<RequestId, RequestAudit>,
     spans: SpanCorrelator,
@@ -1538,26 +1535,8 @@ pub struct AuditFold {
 
 impl AuditFold {
     /// An audit that has seen no event yet.
-    pub fn new(auditor: TraceAuditor) -> Self {
-        AuditFold {
-            requests: SlotTable::default(),
-            spans: SpanCorrelator::default(),
-            cores: Lanes::default(),
-            threads: Lanes::default(),
-            conn_busy: Vec::new(),
-            emitted_requests: 0,
-            completed_requests: 0,
-            retired_requests: 0,
-            dropped_events: 0,
-            shed_events: 0,
-            measured_events: 0,
-            timeout_events: 0,
-            spans_checked: 0,
-            violations: Violations {
-                cap: auditor.max_violations.max(1),
-                ..Violations::default()
-            },
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Checks the next chunk of the log.
@@ -1954,18 +1933,20 @@ impl AuditFold {
 }
 
 impl TraceAuditor {
-    /// Creates an auditor with the default violation cap (100).
+    /// Cap on reported violations (the log can contain millions of events;
+    /// a broken invariant usually breaks everywhere at once).
+    pub const MAX_VIOLATIONS: usize = 100;
+
+    /// Creates an auditor.
     pub fn new() -> Self {
-        TraceAuditor {
-            max_violations: 100,
-        }
+        TraceAuditor
     }
 
     /// Audits the retained log against `counts`. The returned report lists
     /// every violation found (up to the cap) — an empty list means the run
     /// upheld all checked invariants.
     pub fn audit(&self, log: &TraceLog, counts: &AuditCounts) -> AuditReport {
-        let mut fold = AuditFold::new(*self);
+        let mut fold = AuditFold::new();
         fold.feed(log.retained());
         fold.finish(counts, log.len(), log.dropped())
     }
@@ -2360,9 +2341,32 @@ mod tests {
                 "non-overlap: thread (0, 1)",
             ]
         );
-        // Capped, it is still the same prefix.
-        let capped = TraceAuditor { max_violations: 3 }.audit(&log, &counts(0, 0, 0, 0));
-        assert_eq!(capped.violations, first.violations[..3]);
+        // Capped, it is still the same prefix: the same four batches, then
+        // 60 more overlapping pairs, one core and one thread each, give 124
+        // overlaps in log order, of which the first 100 are reported.
+        let mut long = TraceLog::new(256);
+        batch(&mut long, 1, 1, 0, 100, &[jid(1)]);
+        batch(&mut long, 0, 0, 10, 110, &[jid(2)]);
+        batch(&mut long, 0, 0, 60, 160, &[jid(3)]);
+        batch(&mut long, 1, 1, 50, 150, &[jid(4)]);
+        let mut expected: Vec<String> = lanes.iter().map(|l| l.to_string()).collect();
+        for lane in 2..62u32 {
+            let (at, job) = (200 * u64::from(lane), 2 * lane);
+            batch(&mut long, lane, lane, at, at + 100, &[jid(job)]);
+            batch(&mut long, lane, lane, at + 50, at + 150, &[jid(job + 1)]);
+            expected.push(format!("non-overlap: core (0, {lane})"));
+            expected.push(format!("non-overlap: thread (0, {lane})"));
+        }
+        assert!(expected.len() > TraceAuditor::MAX_VIOLATIONS);
+        let capped = TraceAuditor::new().audit(&long, &counts(0, 0, 0, 0));
+        assert_eq!(capped.violations.len(), TraceAuditor::MAX_VIOLATIONS);
+        assert_eq!(capped.violations[..4], first.violations);
+        let capped_lanes: Vec<&str> = capped
+            .violations
+            .iter()
+            .map(|v| v.split(" services").next().unwrap())
+            .collect();
+        assert_eq!(capped_lanes, expected[..TraceAuditor::MAX_VIOLATIONS]);
     }
 
     fn emit_gen(request: RequestId, at: u64) -> TraceEvent {
@@ -2521,28 +2525,34 @@ mod tests {
 
     #[test]
     fn held_back_violations_leave_the_list_a_knowing_auditor_makes() {
-        // `m*` need a complete log, `u*` do not; the cap is 3.
+        // `m*` need a complete log, `u*` do not: u0 m0 u1 m1 u2 u3 … past
+        // the cap.
+        const CAP: usize = TraceAuditor::MAX_VIOLATIONS;
+        let pushed: Vec<(bool, String)> = (0..=CAP)
+            .flat_map(|i| {
+                let marked = (i < 2).then(|| (true, format!("m{i}")));
+                std::iter::once((false, format!("u{i}"))).chain(marked)
+            })
+            .collect();
         let list = |truncated: bool| {
-            let mut v = Violations {
-                cap: 3,
-                ..Violations::default()
-            };
-            for (marked, name) in [
-                (false, "u1"),
-                (true, "m1"),
-                (false, "u2"),
-                (true, "m2"),
-                (false, "u3"),
-                (false, "u4"),
-            ] {
-                v.push(marked, || name.to_string());
+            let mut v = Violations::default();
+            for (marked, name) in &pushed {
+                v.push(*marked, || name.clone());
             }
             v.finish(truncated)
         };
-        // Complete log: the first three of all. Truncated: the marked ones
-        // never counted, so the first three unmarked.
-        assert_eq!(list(false), ["u1", "m1", "u2"]);
-        assert_eq!(list(true), ["u1", "u2", "u3"]);
+        // Complete log: the first CAP of all. Truncated: the marked ones
+        // never counted, so the first CAP unmarked.
+        let names = |marked: Option<bool>| -> Vec<String> {
+            let kept = pushed
+                .iter()
+                .filter(|(m, _)| marked.is_none_or(|k| *m == k));
+            kept.take(CAP).map(|(_, name)| name.clone()).collect()
+        };
+        assert_eq!(list(false), names(None));
+        assert_eq!(list(false)[..4], ["u0", "m0", "u1", "m1"]);
+        assert_eq!(list(true), names(Some(false)));
+        assert_eq!(list(true)[..3], ["u0", "u1", "u2"]);
     }
 
     #[test]

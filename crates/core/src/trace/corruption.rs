@@ -491,7 +491,7 @@ fn rechunk(log: &TraceLog, size: usize) -> Vec<SpanChunk> {
 }
 
 fn audit_chunks(chunks: &[SpanChunk], counts: &AuditCounts, dropped: u64) -> AuditReport {
-    let mut fold = AuditFold::new(TraceAuditor::new());
+    let mut fold = AuditFold::new();
     chunks.iter().for_each(|chunk| fold.feed(chunk));
     let events = chunks.iter().map(|chunk| chunk.events.len()).sum();
     fold.finish(counts, events, dropped)

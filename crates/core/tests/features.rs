@@ -448,9 +448,8 @@ fn stage_profiling_feeds_back_as_empirical_model() {
 fn scheduled_dvfs_slows_the_service() {
     let spec = open_loop(2_000.0, 64);
     let mut sim = build(spec, 100e-6, 2);
-    // The machine is fixed-frequency (2.6 only), so snapping keeps 2.6;
-    // use instance freq setter semantics instead via schedule on a DVFS-
-    // capable scenario.
+    // That machine is fixed-frequency (2.6 only), so snapping keeps 2.6:
+    // halve the frequency on a DVFS-capable one instead.
     let mut m = machine(2, 0.0);
     m.dvfs = DvfsSpec::range(1.3, 2.6, 1.3);
     let service = one_stage(StageSpec::new(
@@ -460,12 +459,8 @@ fn scheduled_dvfs_slows_the_service() {
     ));
     let cfg = single_instance(3, 0.1, m, service, 2, open_loop(1_000.0, 64));
     let mut slow = cfg.build().unwrap();
-    slow.schedule_dvfs(
-        uqsim_core::time::SimTime::from_secs_f64(0.0),
-        uqsim_core::ids::MachineId::from_raw(0),
-        None,
-        1.3,
-    );
+    let inst = slow.instance_by_name("svc0").expect("the one instance");
+    assert_eq!(slow.set_instance_freq(inst, 1.3), 1.3);
     slow.run_for(SimDuration::from_secs(2));
     // At 1.3 GHz the 100us (at 2.6) service takes 200us.
     let p50 = slow.latency_summary().p50;

@@ -4,7 +4,7 @@
 //! time arithmetic.
 
 use proptest::prelude::*;
-use uqsim_core::critpath::{CpcProfile, EdgeKind, SpanDag};
+use uqsim_core::critpath::{CpcProfile, EdgeKind};
 use uqsim_core::dist::Distribution;
 use uqsim_core::event::{EventKind, EventQueue};
 use uqsim_core::histogram::Histogram;
@@ -201,63 +201,6 @@ proptest! {
         let diff = back.as_nanos().abs_diff(d.as_nanos());
         // f64 has 52 bits of mantissa; allow tiny rounding.
         prop_assert!(diff <= 1 + (ns >> 50));
-    }
-
-    /// The critical path of any fan-out/fan-in span DAG is bounded by the
-    /// end-to-end latency: no causally-ordered chain of spans can run
-    /// longer than the window that contains all of them.
-    ///
-    /// The generator builds layered DAGs — each layer's spans start after
-    /// every span of the previous layer has ended (a fan-in barrier), with
-    /// random per-span start jitter and durations, and each span gets a
-    /// random subset of previous-layer predecessors.
-    #[test]
-    fn critical_path_bounded_by_e2e(
-        layers in proptest::collection::vec(
-            proptest::collection::vec((0u64..50_000, 1u64..1_000_000), 1..5),
-            1..8,
-        ),
-        edge_seed in any::<u64>(),
-    ) {
-        let mut dag = SpanDag::new();
-        let mut barrier = 0u64; // latest end of the previous layer
-        let mut prev: Vec<usize> = Vec::new();
-        let mut pick = edge_seed;
-        for spans in &layers {
-            let mut layer_end = barrier;
-            let mut cur = Vec::new();
-            for &(jitter, dur) in spans {
-                let start = barrier + jitter;
-                let idx = dag.add_span(start, start + dur);
-                // Random non-empty predecessor subset (cheap LCG; proptest
-                // drives the seed, so shrinking still works on it).
-                for &p in &prev {
-                    pick = pick.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    if pick >> 63 == 1 {
-                        dag.add_edge(p, idx);
-                    }
-                }
-                if let (Some(&p), true) = (prev.first(), !prev.is_empty()) {
-                    dag.add_edge(p, idx);
-                }
-                layer_end = layer_end.max(start + dur);
-                cur.push(idx);
-            }
-            prev = cur;
-            barrier = layer_end;
-        }
-        prop_assert!(dag.critical_path_ns() <= dag.e2e_ns());
-    }
-
-    /// On a gap-free serial chain the bound is tight: the critical path
-    /// telescopes exactly to the end-to-end latency.
-    #[test]
-    fn critical_path_exact_on_serial_chains(
-        durs in proptest::collection::vec(0u64..1_000_000, 1..50),
-    ) {
-        let dag = SpanDag::serial_chain(&durs);
-        prop_assert_eq!(dag.critical_path_ns(), dag.e2e_ns());
-        prop_assert_eq!(dag.e2e_ns(), durs.iter().sum::<u64>());
     }
 
     /// CPC profile merge is commutative and associative, the property the
