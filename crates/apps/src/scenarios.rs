@@ -1422,7 +1422,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use uqsim_core::metrics::LatencySummary;
-    use uqsim_core::time::{SimDuration, SimTime};
+    use uqsim_core::time::SimDuration;
     use uqsim_core::trace::TraceEvent;
     use uqsim_core::Simulator;
 
@@ -1511,7 +1511,7 @@ mod tests {
         // Disk utilization dwarfs nginx utilization at this load.
         let disk = sim.instance_by_name("disk").unwrap();
         let ng = sim.instance_by_name("nginx").unwrap();
-        let util = |i| sim.instance_utilization_since(i, SimTime::ZERO);
+        let util = |i| sim.instance_utilization(i);
         assert!(util(disk) > 3.0 * util(ng));
     }
 

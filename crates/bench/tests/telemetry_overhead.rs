@@ -154,15 +154,15 @@ fn sampler_does_not_move_utilization_since_warmup() {
         assert!(off.metrics_snapshot().instance_utilization > 0.0, "{name}");
         for id in (0..off.instance_count()).map(|i| InstanceId::from_raw(i as u32)) {
             assert_eq!(
-                off.instance_utilization_since(id, warmup_at).to_bits(),
-                on.instance_utilization_since(id, warmup_at).to_bits(),
+                off.instance_utilization(id).to_bits(),
+                on.instance_utilization(id).to_bits(),
                 "{name}: instance {id:?}"
             );
         }
         for m in (0..cfg.machines.len()).map(|m| MachineId::from_raw(m as u32)) {
             assert_eq!(
-                off.network_utilization_since(m, warmup_at).to_bits(),
-                on.network_utilization_since(m, warmup_at).to_bits(),
+                off.network_utilization(m).to_bits(),
+                on.network_utilization(m).to_bits(),
                 "{name}: machine {m:?}"
             );
         }

@@ -53,15 +53,19 @@
 //! complete scenario file to start from; more elaborate ones ship under
 //! `crates/cli/configs/`.
 //!
-//! `run` and `sweep --config` accept `--faults <faults.json>`: a fault
-//! plan ([`uqsim_core::FaultPlan`]) of scheduled fault windows (instance
-//! crashes, machine slowdowns, network degradation, pool leaks) plus
-//! per-client resilience policies (retries with backoff and jitter,
-//! hedging, retry budgets, circuit breakers). `chaos` runs one faulted
-//! scenario with full span tracing, audits request-outcome conservation,
-//! and prints a failure-mode report (timeline, terminal-outcome counters,
-//! resilience activity, goodput vs. achieved throughput); it exits
-//! non-zero if the audit finds violations. Faulted runs stay
+//! `run`, `chaos`, `why` and `sweep` accept `--faults <faults.json>`
+//! (`chaos` requires it): a fault plan ([`uqsim_core::FaultPlan`]) of
+//! scheduled fault windows (instance crashes, machine slowdowns, network
+//! degradation, pool leaks) plus per-client resilience policies (retries
+//! with backoff and jitter, hedging, retry budgets, circuit breakers). The
+//! plan is checked against the whole scenario before any cell runs: a name
+//! that names nothing or a time the clock cannot hold is one error naming
+//! `faults.json` and the key (`invalid configuration in faults.json:
+//! faults[0].instance: unknown instance …`), exit 1, from each of them.
+//! `chaos` runs one faulted scenario with full span tracing, audits
+//! request-outcome conservation, and prints a failure-mode report
+//! (timeline, terminal-outcome counters, resilience activity, goodput vs.
+//! achieved throughput); it exits non-zero if the audit finds violations. Faulted runs stay
 //! deterministic: the same scenario + plan + seed reproduces the same
 //! report byte-for-byte at any `--jobs` value.
 //!

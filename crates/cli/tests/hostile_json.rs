@@ -340,6 +340,135 @@ fn a_dangling_name_is_the_same_error_from_every_subcommand() {
     }
 }
 
+/// A fault plan is lowered against the scenario before any cell runs, its
+/// names looked up as the scenario's own are and its times checked as
+/// durations and as windows on the clock: each mistake is one error
+/// naming `faults.json` and the key, from every subcommand that takes
+/// `--faults`. A misspelt name used to print `unknown instance: nosuch`
+/// with no file and no key, a time past the clock panicked (exit 101), and
+/// a negative `at_s` on a slowdown was blamed on `duration_s`.
+#[test]
+fn a_bad_fault_plan_is_the_same_error_naming_the_key_through_every_door() {
+    let never = "s is not a duration (finite, at least 0 and at most 18446744073 s)";
+    let crash = r#""at_s": 1.0, "restart_after_s": 0.4"#;
+    let slow = r#""machine": "server0", "at_s": 2.0"#;
+    let cases = [
+        (
+            r#""instance": "api0""#,
+            r#""instance": "nosuch""#,
+            "faults[0].instance: unknown instance `nosuch`".to_string(),
+        ),
+        (
+            slow,
+            r#""machine": "nosuch", "at_s": 2.0"#,
+            "faults[1].machine: unknown machine `nosuch`".to_string(),
+        ),
+        (
+            r#""client": "wrk2""#,
+            r#""client": "nosuch""#,
+            "policy.clients[0].client: unknown client `nosuch`".to_string(),
+        ),
+        (
+            crash,
+            r#""at_s": 1e300, "restart_after_s": 0.4"#,
+            format!("faults[0].at_s: 1e300 {never}"),
+        ),
+        (
+            r#""duration_s": 0.5, "factor": 6.0"#,
+            r#""duration_s": 1e300, "factor": 6.0"#,
+            format!("faults[1].duration_s: 1e300 {never}"),
+        ),
+        (
+            crash,
+            r#""at_s": 1.8e10, "restart_after_s": 1e9"#,
+            "faults[0].restart_after_s: 1000000000.0 s after at_s 18000000000.0 s ends past \
+             18446744073 s, the last instant the clock holds"
+                .to_string(),
+        ),
+        (
+            r#""backoff_base_s": 0.005"#,
+            r#""backoff_base_s": 1e300"#,
+            format!("policy.clients[0].backoff_base_s: 1e300 {never}"),
+        ),
+        (
+            slow,
+            r#""machine": "server0", "at_s": -1.0"#,
+            format!("faults[1].at_s: -1.0 {never}"),
+        ),
+    ];
+    let scenario = quickstart();
+    for (k, (from, to, detail)) in cases.iter().enumerate() {
+        let plan = bundled_with(
+            "quickstart_faults.json",
+            &format!("faults{k}.json"),
+            from,
+            to,
+        );
+        let plan = plan.to_str().unwrap();
+        let expected = format!("invalid configuration in faults.json: {detail}");
+        for args in [
+            vec!["run", &scenario, "--faults", plan, "--duration", "1"],
+            vec!["chaos", &scenario, "--faults", plan, "--duration", "1"],
+            vec![
+                "why",
+                "--config",
+                &scenario,
+                "--faults",
+                plan,
+                "--duration",
+                "1",
+            ],
+            vec![
+                "sweep",
+                "--config",
+                &scenario,
+                "--faults",
+                plan,
+                "--qps",
+                "1000",
+                "--duration",
+                "1",
+            ],
+        ] {
+            let out = uqsim_within(20, &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            let lines: Vec<&str> = (stderr.lines())
+                .filter_map(|line| line.find("invalid configuration in ").map(|at| &line[at..]))
+                .collect();
+            assert_eq!(lines, [expected.as_str()], "{args:?}: {stderr}");
+        }
+    }
+}
+
+/// A partitioned run installs in each cell the faults that cell owns; the
+/// plan is lowered against the whole scenario first, so a key names its
+/// place in the plan, not in a cell's share of it. A pool leak from one
+/// generated replica to another used to be reported by the cell holding
+/// its `up`, with its index in that cell's share: `faults[1].down:
+/// unknown instance "r29-l3-s2-i2"`.
+#[test]
+fn a_fault_across_cells_is_an_error_naming_its_place_in_the_plan() {
+    let plan = scratch(
+        "across.json",
+        r#"{ "faults": [
+            { "kind": "instance_crash", "instance": "r29-l3-s2-i2", "at_s": 0.3 },
+            { "kind": "instance_crash", "instance": "r0-l1-s0-i2", "at_s": 0.3 },
+            { "kind": "pool_leak", "up": "r0-l0-s0-i0", "down": "r29-l3-s2-i2",
+              "at_s": 0.3, "leak": 1 } ] }"#,
+    );
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/gen_dsb.json");
+    let (spec, plan) = (spec.to_str().unwrap(), plan.to_str().unwrap());
+    let detail =
+        r#"faults.json: faults[2].up: no connection pool from "r0-l0-s0-i0" to "r29-l3-s2-i2""#;
+    for args in [
+        vec!["run", "--gen", spec, "--faults", plan, "--shards", "2"],
+        vec!["chaos", "--gen", spec, "--faults", plan, "--shards", "2"],
+    ] {
+        assert_config_error(&args.join(" "), &uqsim_within(20, &args), detail);
+    }
+}
+
 /// A bundled file with `from` (which must be there) replaced by `to`,
 /// once.
 fn bundled_with(bundled: &str, name: &str, from: &str, to: &str) -> PathBuf {

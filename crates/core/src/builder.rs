@@ -386,7 +386,7 @@ pub(crate) fn build(cfg: ScenarioConfig, names: Resolved) -> SimResult<Simulator
         e2e_timeout: LatencyRecorder::new(warmup_at),
     };
     // A one-shot busy-counter baseline at the warmup boundary, so
-    // `*_utilization_since(warmup_at)` works whether or not the
+    // the since-warm-up `*_utilization` views work whether or not the
     // periodic sampler is enabled. Scheduled unconditionally to keep
     // event counts identical across telemetry on/off runs.
     sim.events
@@ -499,7 +499,7 @@ mod tests {
     use crate::service::{ExecPath, ServiceModel};
     use crate::sim::Simulator;
     use crate::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
-    use crate::time::{SimDuration, SimTime};
+    use crate::time::SimDuration;
 
     fn simple_machine(cores: usize) -> MachineSpec {
         MachineSpec {
@@ -633,7 +633,7 @@ mod tests {
     fn utilization_matches_rho() {
         let mut sim = echo_scenario(5_000.0, 100e-6, 17);
         sim.run_for(SimDuration::from_secs(10));
-        let u = sim.instance_utilization_since(InstanceId::from_raw(0), SimTime::ZERO);
+        let u = sim.instance_utilization(InstanceId::from_raw(0));
         assert!((u - 0.5).abs() < 0.05, "utilization {u}");
     }
 

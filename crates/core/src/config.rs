@@ -847,27 +847,34 @@ pub(crate) struct ClientRefs {
 }
 
 /// One list's names: the position of each, the last of equal names winning.
-struct Names<'a> {
+pub(crate) struct Names<'a> {
     kind: &'static str,
     index: FastMap<&'a str, u32>,
 }
 
 impl<'a> Names<'a> {
-    fn new(kind: &'static str, names: impl Iterator<Item = &'a str>) -> Self {
+    pub(crate) fn new(kind: &'static str, names: impl Iterator<Item = &'a str>) -> Self {
         let index = names.zip(0..).collect();
         Names { kind, index }
     }
 
+    /// The position of `name`, if the list has it.
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
+        self.index.get(name).copied()
+    }
+
     /// The position of `name`, or the error for the key `key()` of `file`
     /// naming something that is not there.
-    fn find(&self, name: &str, file: &str, key: impl FnOnce() -> String) -> SimResult<u32> {
-        self.index
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::Config {
-                source_name: file.to_string(),
-                detail: format!("{}: unknown {} `{name}`", key(), self.kind),
-            })
+    pub(crate) fn find(
+        &self,
+        name: &str,
+        file: &str,
+        key: impl FnOnce() -> String,
+    ) -> SimResult<u32> {
+        self.get(name).ok_or_else(|| SimError::Config {
+            source_name: file.to_string(),
+            detail: format!("{}: unknown {} `{name}`", key(), self.kind),
+        })
     }
 }
 

@@ -13,13 +13,6 @@ pub enum SimError {
         /// Human-readable parse failure.
         detail: String,
     },
-    /// A scenario references an entity that does not exist.
-    UnknownEntity {
-        /// Entity kind, e.g. `"service"` or `"machine"`.
-        kind: &'static str,
-        /// The name or id that failed to resolve.
-        name: String,
-    },
     /// A scenario is structurally invalid (bad DAG, empty path, overlapping
     /// core assignment, probability not summing to one, …).
     InvalidScenario(String),
@@ -35,9 +28,6 @@ impl fmt::Display for SimError {
                 detail,
             } => {
                 write!(f, "invalid configuration in {source_name}: {detail}")
-            }
-            SimError::UnknownEntity { kind, name } => {
-                write!(f, "unknown {kind}: {name}")
             }
             SimError::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
             SimError::Io(e) => write!(f, "i/o error: {e}"),
@@ -78,11 +68,14 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_concise() {
-        let e = SimError::UnknownEntity {
-            kind: "service",
-            name: "nginx".into(),
+        let e = SimError::Config {
+            source_name: "graph.json".into(),
+            detail: "instances[0].service: unknown service `nginx`".into(),
         };
-        assert_eq!(e.to_string(), "unknown service: nginx");
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration in graph.json: instances[0].service: unknown service `nginx`"
+        );
         let e = SimError::InvalidScenario("path probabilities sum to 0.9".into());
         assert!(e.to_string().starts_with("invalid scenario"));
     }

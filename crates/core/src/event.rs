@@ -147,7 +147,7 @@ pub enum EventKind {
         controller: ControllerId,
     },
     /// A telemetry sampling point. The one-shot form (`recurring: false`)
-    /// only records the busy-counter baseline of the `*_utilization_since`
+    /// only records the busy-counter baseline of the since-warm-up `*_utilization`
     /// queries (the builder schedules one at the warmup boundary); the
     /// recurring form is the periodic sampler tick that closes a latency
     /// window, snapshots the gauge series, and reschedules itself (see

@@ -36,9 +36,15 @@
 //! }
 //! ```
 //!
+//! This module is the one that knows what a fault is made of: one reading
+//! of each variant says which entity owns the fault and what its window
+//! is, and the check of the plan against a whole scenario before any cell
+//! runs, the routing of each fault to the cell that owns it, and the
+//! lowering all go through it (DESIGN.md §10).
 //! [`Simulator::install_faults`](crate::sim::Simulator::install_faults)
-//! lowers the plan (resolving names against the scenario, with errors that
-//! name the file and offending key) and schedules
+//! lowers the plan (names looked up as the scenario's own references are,
+//! every time a checked duration and every window end a checked instant,
+//! each error naming `faults.json` and the key) and schedules
 //! [`EventKind::FaultStart`](crate::event::EventKind::FaultStart) /
 //! [`EventKind::FaultEnd`](crate::event::EventKind::FaultEnd) transitions.
 //!
@@ -65,8 +71,9 @@
 //! trace auditor checks this conservation law event-by-event
 //! (see [`crate::trace::TraceAuditor`]).
 
-use crate::config::Name;
+use crate::config::{seconds, Name, Names, ScenarioConfig};
 use crate::error::{SimError, SimResult};
+use crate::fasthash::FastMap;
 use crate::ids::{InstanceId, MachineId, PoolId};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -235,11 +242,168 @@ pub struct FaultPlan {
     pub policy: PolicySpec,
 }
 
+/// The file a fault plan's keys sit in, as [`SimError::Config`] names it.
+const FAULTS: &str = "faults.json";
+
+/// The error for the key `key` of the fault plan.
+fn invalid(key: String, detail: impl std::fmt::Display) -> SimError {
+    SimError::Config {
+        source_name: FAULTS.to_string(),
+        detail: format!("{key}: {detail}"),
+    }
+}
+
+/// Checks that `secs` at `key` is a duration longer than zero.
+fn positive(key: impl Fn() -> String, secs: f64) -> SimResult<()> {
+    seconds(FAULTS, &key, secs)?;
+    if secs > 0.0 {
+        Ok(())
+    } else {
+        Err(invalid(key(), "must be positive"))
+    }
+}
+
+/// The list of a scenario a fault's owner is named in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// `graph.json`'s instances.
+    Instance,
+    /// `machines.json`'s machines.
+    Machine,
+}
+
+/// What a fault acts on and when, read off its variant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Owner<'a> {
+    /// The list the owner is named in.
+    kind: Kind,
+    /// The owner's name.
+    name: &'a str,
+    /// The key naming the owner, under `faults[i]`.
+    field: &'static str,
+    /// Window start, seconds.
+    at_s: f64,
+    /// Window length, seconds, and its key; `None` if the fault never ends.
+    length: Option<(&'static str, f64)>,
+}
+
+impl FaultSpec {
+    /// The entity that owns the fault — the one a cell must hold to
+    /// install it — and the fault's window. This is the one reading of a
+    /// variant's owner and times: the whole-scenario check, the routing to
+    /// cells and the lowering all go through it.
+    fn owner(&self) -> Owner<'_> {
+        let (kind, name, field, at_s, length) = match self {
+            FaultSpec::InstanceCrash {
+                instance,
+                at_s,
+                restart_after_s,
+            } => (
+                Kind::Instance,
+                instance,
+                "instance",
+                at_s,
+                restart_after_s.map(|s| ("restart_after_s", s)),
+            ),
+            FaultSpec::MachineSlowdown {
+                machine,
+                at_s,
+                duration_s,
+                ..
+            }
+            | FaultSpec::NetworkDegrade {
+                machine,
+                at_s,
+                duration_s,
+                ..
+            } => (
+                Kind::Machine,
+                machine,
+                "machine",
+                at_s,
+                Some(("duration_s", *duration_s)),
+            ),
+            FaultSpec::PoolLeak {
+                up,
+                at_s,
+                restore_after_s,
+                ..
+            } => (
+                Kind::Instance,
+                up,
+                "up",
+                at_s,
+                restore_after_s.map(|s| ("restore_after_s", s)),
+            ),
+        };
+        Owner {
+            kind,
+            name,
+            field,
+            at_s: *at_s,
+            length,
+        }
+    }
+}
+
+impl Owner<'_> {
+    /// The window of fault `i` on the clock: its start and, unless it never
+    /// ends, its end — each a checked conversion, its error naming the key.
+    fn window(&self, i: usize) -> SimResult<(SimTime, Option<SimTime>)> {
+        let key = |field: &str| format!("faults[{i}].{field}");
+        let at = SimTime::ZERO + seconds(FAULTS, || key("at_s"), self.at_s)?;
+        let until = match self.length {
+            None => None,
+            Some((field, secs)) => {
+                let length = seconds(FAULTS, || key(field), secs)?;
+                let end = at.checked_add(length).ok_or_else(|| {
+                    let (at_s, last) = (self.at_s, u64::MAX / 1_000_000_000);
+                    let detail = format!(
+                        "{secs:?} s after at_s {at_s:?} s ends past {last} s, \
+                         the last instant the clock holds"
+                    );
+                    invalid(key(field), detail)
+                })?;
+                Some(end)
+            }
+        };
+        Ok((at, until))
+    }
+}
+
+/// The instances, machines and clients a fault plan is resolved against,
+/// each looked up as the scenario's own references are
+/// ([`ScenarioConfig::resolve`](crate::config::ScenarioConfig)).
+pub(crate) struct Entities<'a> {
+    instances: Names<'a>,
+    machines: Names<'a>,
+    clients: Names<'a>,
+}
+
+impl<'a> Entities<'a> {
+    /// The names of a scenario's instances, machines and clients, in order.
+    pub(crate) fn new(
+        instances: impl Iterator<Item = &'a str>,
+        machines: impl Iterator<Item = &'a str>,
+        clients: impl Iterator<Item = &'a str>,
+    ) -> Self {
+        Entities {
+            instances: Names::new("instance", instances),
+            machines: Names::new("machine", machines),
+            clients: Names::new("client", clients),
+        }
+    }
+}
+
+/// A plan lowered against a scenario: its fault windows in plan order, and
+/// each client policy with the client it belongs to.
+pub(crate) type Lowered = (Vec<ScheduledFault>, Vec<(usize, ClientPolicyRt)>);
+
 impl FaultPlan {
     /// Parses a plan from JSON text, with errors naming `faults.json`.
     pub fn from_json(text: &str) -> SimResult<FaultPlan> {
         let plan: FaultPlan = serde_json::from_str(text).map_err(|e| SimError::Config {
-            source_name: "faults.json".to_string(),
+            source_name: FAULTS.to_string(),
             detail: e.to_string(),
         })?;
         plan.validate()?;
@@ -252,124 +416,170 @@ impl FaultPlan {
         Self::from_json(&text)
     }
 
-    /// Structural validation that needs no scenario: ranges and shapes.
-    /// Name resolution happens at install time, where the scenario's
-    /// entity tables are available.
+    /// Validation that needs no scenario: every window fits the clock and
+    /// every value its range, each error naming its key. Names are
+    /// resolved when the plan is lowered against a scenario.
     pub fn validate(&self) -> SimResult<()> {
-        let err = |key: String, detail: String| SimError::Config {
-            source_name: "faults.json".to_string(),
-            detail: format!("{key}: {detail}"),
-        };
         for (i, f) in self.faults.iter().enumerate() {
-            match f {
-                FaultSpec::InstanceCrash { at_s, .. } => {
-                    if *at_s < 0.0 {
-                        return Err(err(
-                            format!("faults[{i}].at_s"),
-                            "must be non-negative".into(),
-                        ));
-                    }
-                }
+            f.owner().window(i)?;
+            let key = |field: &str| format!("faults[{i}].{field}");
+            match *f {
+                FaultSpec::InstanceCrash { .. } => {}
                 FaultSpec::MachineSlowdown {
-                    at_s,
-                    duration_s,
-                    factor,
-                    ..
+                    duration_s, factor, ..
                 } => {
-                    if *at_s < 0.0 || *duration_s <= 0.0 {
-                        return Err(err(
-                            format!("faults[{i}].duration_s"),
-                            "window must have positive length".into(),
-                        ));
-                    }
-                    if *factor < 1.0 {
-                        return Err(err(
-                            format!("faults[{i}].factor"),
-                            format!("slowdown factor must be >= 1, got {factor}"),
-                        ));
+                    positive(|| key("duration_s"), duration_s)?;
+                    if factor < 1.0 {
+                        let detail = format!("slowdown factor must be >= 1, got {factor}");
+                        return Err(invalid(key("factor"), detail));
                     }
                 }
                 FaultSpec::NetworkDegrade {
-                    at_s,
                     duration_s,
                     added_latency_s,
                     drop_prob,
                     ..
                 } => {
-                    if *at_s < 0.0 || *duration_s <= 0.0 {
-                        return Err(err(
-                            format!("faults[{i}].duration_s"),
-                            "window must have positive length".into(),
-                        ));
-                    }
-                    if *added_latency_s < 0.0 {
-                        return Err(err(
-                            format!("faults[{i}].added_latency_s"),
-                            "must be non-negative".into(),
-                        ));
-                    }
-                    if !(0.0..=1.0).contains(drop_prob) {
-                        return Err(err(
-                            format!("faults[{i}].drop_prob"),
-                            format!("must be in [0, 1], got {drop_prob}"),
-                        ));
+                    positive(|| key("duration_s"), duration_s)?;
+                    seconds(FAULTS, || key("added_latency_s"), added_latency_s)?;
+                    if !(0.0..=1.0).contains(&drop_prob) {
+                        let detail = format!("must be in [0, 1], got {drop_prob}");
+                        return Err(invalid(key("drop_prob"), detail));
                     }
                 }
-                FaultSpec::PoolLeak { at_s, leak, .. } => {
-                    if *at_s < 0.0 {
-                        return Err(err(
-                            format!("faults[{i}].at_s"),
-                            "must be non-negative".into(),
-                        ));
-                    }
-                    if *leak == 0 {
-                        return Err(err(
-                            format!("faults[{i}].leak"),
-                            "must leak at least one connection".into(),
-                        ));
+                FaultSpec::PoolLeak { leak, .. } => {
+                    if leak == 0 {
+                        let detail = "must leak at least one connection";
+                        return Err(invalid(key("leak"), detail));
                     }
                 }
             }
         }
         for (i, p) in self.policy.clients.iter().enumerate() {
             let key = |field: &str| format!("policy.clients[{i}].{field}");
-            if p.backoff_base_s < 0.0 || p.backoff_cap_s < 0.0 {
-                return Err(err(key("backoff_base_s"), "must be non-negative".into()));
-            }
+            seconds(FAULTS, || key("backoff_base_s"), p.backoff_base_s)?;
+            seconds(FAULTS, || key("backoff_cap_s"), p.backoff_cap_s)?;
             if p.jitter < 0.0 {
-                return Err(err(key("jitter"), "must be non-negative".into()));
+                return Err(invalid(key("jitter"), "must be non-negative"));
             }
             if let Some(h) = p.hedge_after_s {
-                if h <= 0.0 {
-                    return Err(err(key("hedge_after_s"), "must be positive".into()));
-                }
+                positive(|| key("hedge_after_s"), h)?;
             }
             if let Some(b) = &p.retry_budget {
                 if b.capacity <= 0.0 || b.fill_per_s < 0.0 {
-                    return Err(err(
+                    return Err(invalid(
                         key("retry_budget.capacity"),
-                        "capacity must be positive and fill_per_s non-negative".into(),
+                        "capacity must be positive and fill_per_s non-negative",
                     ));
                 }
             }
             if let Some(b) = &p.breaker {
-                if b.failure_threshold == 0 || b.cooldown_s <= 0.0 {
-                    return Err(err(
-                        key("breaker.failure_threshold"),
-                        "threshold must be >= 1 and cooldown_s positive".into(),
-                    ));
+                if b.failure_threshold == 0 {
+                    return Err(invalid(key("breaker.failure_threshold"), "must be >= 1"));
                 }
+                positive(|| key("breaker.cooldown_s"), b.cooldown_s)?;
             }
         }
         if let Some(n) = &self.policy.network {
-            if n.retransmit_backoff_s < 0.0 {
-                return Err(err(
-                    "policy.network.retransmit_backoff_s".into(),
-                    "must be non-negative".into(),
-                ));
-            }
+            let key = || "policy.network.retransmit_backoff_s".to_string();
+            seconds(FAULTS, key, n.retransmit_backoff_s)?;
         }
         Ok(())
+    }
+
+    /// Lowers the plan against a scenario's names: each fault's owner and
+    /// each policy's client to an id, `(up, down)` pairs to their pool
+    /// with `pool_of`, windows to the clock. Errors name `faults.json` and
+    /// the key. With `only_owned`, a fault or policy whose owner `names`
+    /// does not hold is left out instead — another cell of the scenario
+    /// owns it.
+    pub(crate) fn lower(
+        &self,
+        names: &Entities<'_>,
+        mut pool_of: impl FnMut(InstanceId, InstanceId) -> Option<PoolId>,
+        only_owned: bool,
+    ) -> SimResult<Lowered> {
+        self.validate()?;
+        let mut schedule = Vec::with_capacity(self.faults.len());
+        for (i, f) in self.faults.iter().enumerate() {
+            let owner = f.owner();
+            let list = match owner.kind {
+                Kind::Instance => &names.instances,
+                Kind::Machine => &names.machines,
+            };
+            if only_owned && list.get(owner.name).is_none() {
+                continue;
+            }
+            let key = |field: &str| format!("faults[{i}].{field}");
+            let id = list.find(owner.name, FAULTS, || key(owner.field))?;
+            let (at, until) = owner.window(i)?;
+            let fault = match *f {
+                FaultSpec::InstanceCrash { .. } => LoweredFault::Crash {
+                    instance: InstanceId::from_raw(id),
+                },
+                FaultSpec::MachineSlowdown { factor, .. } => LoweredFault::Slowdown {
+                    machine: MachineId::from_raw(id),
+                    factor,
+                },
+                FaultSpec::NetworkDegrade {
+                    added_latency_s,
+                    drop_prob,
+                    ..
+                } => LoweredFault::NetDegrade {
+                    machine: MachineId::from_raw(id),
+                    added_s: added_latency_s,
+                    drop_prob,
+                },
+                FaultSpec::PoolLeak {
+                    ref up,
+                    ref down,
+                    leak,
+                    ..
+                } => {
+                    let down_id = names.instances.find(down, FAULTS, || key("down"))?;
+                    let pool = pool_of(InstanceId::from_raw(id), InstanceId::from_raw(down_id))
+                        .ok_or_else(|| {
+                            let detail = format!("no connection pool from {up:?} to {down:?}");
+                            invalid(key("up"), detail)
+                        })?;
+                    LoweredFault::PoolLeak { pool, leak }
+                }
+            };
+            schedule.push(ScheduledFault { fault, at, until });
+        }
+        let mut policies = Vec::with_capacity(self.policy.clients.len());
+        for (i, p) in self.policy.clients.iter().enumerate() {
+            if only_owned && names.clients.get(&p.client).is_none() {
+                continue;
+            }
+            let key = || format!("policy.clients[{i}].client");
+            let client = names.clients.find(&p.client, FAULTS, key)?;
+            policies.push((client as usize, ClientPolicyRt::new(p)));
+        }
+        Ok((schedule, policies))
+    }
+
+    /// Lowers the plan against a whole scenario — `groups` together — and
+    /// keeps nothing: the cells of a partitioned run each install only
+    /// what they own, so this is where a name no cell holds, a pool no
+    /// cell has or a window the clock cannot hold is an error, before any
+    /// cell runs.
+    pub(crate) fn check_against(&self, groups: &[ScenarioConfig]) -> SimResult<()> {
+        let names = Entities::new(
+            groups.iter().flat_map(|g| &g.instances).map(|i| &*i.name),
+            groups.iter().flat_map(|g| &g.machines).map(|m| &*m.name),
+            groups.iter().flat_map(|g| &g.clients).map(|c| &*c.name),
+        );
+        // A pool naming an unknown instance is the scenario's error, which
+        // the split reports.
+        let pools: FastMap<(u32, u32), PoolId> = (groups.iter().flat_map(|g| &g.pools))
+            .filter_map(|p| Some((names.instances.get(&p.up)?, names.instances.get(&p.down)?)))
+            .zip(0..)
+            .map(|(pair, k)| (pair, PoolId::from_raw(k)))
+            .collect();
+        let pool_of =
+            |up: InstanceId, down: InstanceId| pools.get(&(up.raw(), down.raw())).copied();
+        self.lower(&names, pool_of, false).map(drop)
     }
 }
 
@@ -668,141 +878,6 @@ impl FaultState {
     }
 }
 
-/// Lowers a plan against name tables, producing the schedule and per-client
-/// policies. `instances`, `machines`, `clients` map names to index order;
-/// `pool_of` resolves an `(up, down)` instance-id pair to a pool id.
-pub(crate) fn lower_plan(
-    plan: &FaultPlan,
-    instance_names: &[&str],
-    machine_names: &[&str],
-    client_names: &[&str],
-    mut pool_of: impl FnMut(InstanceId, InstanceId) -> Option<PoolId>,
-) -> SimResult<(Vec<ScheduledFault>, Vec<Option<ClientPolicyRt>>)> {
-    plan.validate()?;
-    let cfg_err = |key: String, detail: String| SimError::Config {
-        source_name: "faults.json".to_string(),
-        detail: format!("{key}: {detail}"),
-    };
-    let find = |names: &[&str], kind: &str, name: &str, key: String| -> SimResult<u32> {
-        names
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| i as u32)
-            .ok_or_else(|| cfg_err(key, format!("unknown {kind} {name:?}")))
-    };
-    let mut schedule = Vec::with_capacity(plan.faults.len());
-    for (i, f) in plan.faults.iter().enumerate() {
-        let entry = match f {
-            FaultSpec::InstanceCrash {
-                instance,
-                at_s,
-                restart_after_s,
-            } => {
-                let id = find(
-                    instance_names,
-                    "instance",
-                    instance,
-                    format!("faults[{i}].instance"),
-                )?;
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(*at_s);
-                ScheduledFault {
-                    fault: LoweredFault::Crash {
-                        instance: InstanceId::from_raw(id),
-                    },
-                    at,
-                    until: restart_after_s.map(|d| at + SimDuration::from_secs_f64(d)),
-                }
-            }
-            FaultSpec::MachineSlowdown {
-                machine,
-                at_s,
-                duration_s,
-                factor,
-            } => {
-                let id = find(
-                    machine_names,
-                    "machine",
-                    machine,
-                    format!("faults[{i}].machine"),
-                )?;
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(*at_s);
-                ScheduledFault {
-                    fault: LoweredFault::Slowdown {
-                        machine: MachineId::from_raw(id),
-                        factor: *factor,
-                    },
-                    at,
-                    until: Some(at + SimDuration::from_secs_f64(*duration_s)),
-                }
-            }
-            FaultSpec::NetworkDegrade {
-                machine,
-                at_s,
-                duration_s,
-                added_latency_s,
-                drop_prob,
-            } => {
-                let id = find(
-                    machine_names,
-                    "machine",
-                    machine,
-                    format!("faults[{i}].machine"),
-                )?;
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(*at_s);
-                ScheduledFault {
-                    fault: LoweredFault::NetDegrade {
-                        machine: MachineId::from_raw(id),
-                        added_s: *added_latency_s,
-                        drop_prob: *drop_prob,
-                    },
-                    at,
-                    until: Some(at + SimDuration::from_secs_f64(*duration_s)),
-                }
-            }
-            FaultSpec::PoolLeak {
-                up,
-                down,
-                at_s,
-                leak,
-                restore_after_s,
-            } => {
-                let up_id = find(instance_names, "instance", up, format!("faults[{i}].up"))?;
-                let down_id = find(
-                    instance_names,
-                    "instance",
-                    down,
-                    format!("faults[{i}].down"),
-                )?;
-                let pool = pool_of(InstanceId::from_raw(up_id), InstanceId::from_raw(down_id))
-                    .ok_or_else(|| {
-                        cfg_err(
-                            format!("faults[{i}].up"),
-                            format!("no connection pool from {up:?} to {down:?}"),
-                        )
-                    })?;
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(*at_s);
-                ScheduledFault {
-                    fault: LoweredFault::PoolLeak { pool, leak: *leak },
-                    at,
-                    until: restore_after_s.map(|d| at + SimDuration::from_secs_f64(d)),
-                }
-            }
-        };
-        schedule.push(entry);
-    }
-    let mut client_policy: Vec<Option<ClientPolicyRt>> = vec![None; client_names.len()];
-    for (i, p) in plan.policy.clients.iter().enumerate() {
-        let id = find(
-            client_names,
-            "client",
-            &p.client,
-            format!("policy.clients[{i}].client"),
-        )?;
-        client_policy[id as usize] = Some(ClientPolicyRt::new(p));
-    }
-    Ok((schedule, client_policy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,6 +943,13 @@ mod tests {
         assert!(msg.contains("faults[0].factor"), "{msg}");
     }
 
+    /// The names of a scenario with instances `front0`, `api0`, machine
+    /// `m0` and client `wrk`.
+    fn entities() -> Entities<'static> {
+        let list = |names: &'static [&'static str]| names.iter().copied();
+        Entities::new(list(&["front0", "api0"]), list(&["m0"]), list(&["wrk"]))
+    }
+
     #[test]
     fn lowering_resolves_names_and_rejects_unknowns() {
         let plan = FaultPlan::from_json(
@@ -875,11 +957,7 @@ mod tests {
                 "policy": {"clients": [{"client": "wrk"}]}}"#,
         )
         .unwrap();
-        let instances = ["front0", "api0"];
-        let machines = ["m0"];
-        let clients = ["wrk"];
-        let (schedule, policies) =
-            lower_plan(&plan, &instances, &machines, &clients, |_, _| None).unwrap();
+        let (schedule, policies) = plan.lower(&entities(), |_, _| None, false).unwrap();
         assert_eq!(schedule.len(), 1);
         assert_eq!(
             schedule[0].fault,
@@ -889,18 +967,26 @@ mod tests {
         );
         assert_eq!(schedule[0].at, t(1.0));
         assert!(schedule[0].until.is_none(), "no restart scheduled");
-        assert!(policies[0].is_some());
+        assert_eq!(policies.len(), 1);
+        assert_eq!(policies[0].0, 0, "the policy is wrk's");
 
         let bad = FaultPlan::from_json(
-            r#"{"faults": [{"kind": "instance_crash", "instance": "nope", "at_s": 1.0}]}"#,
+            r#"{"faults": [{"kind": "instance_crash", "instance": "api0", "at_s": 1.0},
+                           {"kind": "machine_slowdown", "machine": "nope", "at_s": 1.0,
+                            "duration_s": 1.0, "factor": 2.0}]}"#,
         )
         .unwrap();
-        let msg = lower_plan(&bad, &instances, &machines, &clients, |_, _| None)
+        let msg = (bad.lower(&entities(), |_, _| None, false))
             .unwrap_err()
             .to_string();
-        assert!(msg.contains("faults.json"), "{msg}");
-        assert!(msg.contains("faults[0].instance"), "{msg}");
-        assert!(msg.contains("nope"), "{msg}");
+        assert_eq!(
+            msg,
+            "invalid configuration in faults.json: faults[1].machine: unknown machine `nope`"
+        );
+        // A cell leaves out what another cell owns, and keeps the rest in
+        // plan order.
+        let (schedule, _) = bad.lower(&entities(), |_, _| None, true).unwrap();
+        assert_eq!(schedule.len(), 1);
     }
 
     #[test]
@@ -910,11 +996,53 @@ mod tests {
                 "at_s": 1.0, "leak": 1}]}"#,
         )
         .unwrap();
-        let instances = ["front0", "api0"];
-        let msg = lower_plan(&plan, &instances, &[], &[], |_, _| None)
+        let msg = (plan.lower(&entities(), |_, _| None, false))
             .unwrap_err()
             .to_string();
-        assert!(msg.contains("no connection pool"), "{msg}");
+        assert!(msg.contains("faults[0].up: no connection pool"), "{msg}");
+    }
+
+    /// Each window value is a duration the clock can hold, and the window
+    /// ends on the clock: each error names the key that broke it.
+    #[test]
+    fn a_window_the_clock_cannot_hold_names_its_key() {
+        let fault = |fields: &str| {
+            let text = format!(r#"{{"faults": [{{{fields}}}]}}"#);
+            FaultPlan::from_json(&text).unwrap_err().to_string()
+        };
+        let crash = r#""kind": "instance_crash", "instance": "api0""#;
+        let slow = r#""kind": "machine_slowdown", "machine": "m0", "factor": 2.0"#;
+        for (fields, key) in [
+            (
+                format!(r#"{crash}, "at_s": 1e300"#),
+                "faults[0].at_s: 1e300 s",
+            ),
+            (
+                format!(r#"{slow}, "at_s": -1.0, "duration_s": 1.0"#),
+                "faults[0].at_s: -1.0 s",
+            ),
+            (
+                format!(r#"{slow}, "at_s": 1.0, "duration_s": 1e300"#),
+                "faults[0].duration_s: 1e300 s",
+            ),
+            (
+                format!(r#"{slow}, "at_s": 1.0, "duration_s": 0.0"#),
+                "faults[0].duration_s: must be positive",
+            ),
+            (
+                format!(r#"{crash}, "at_s": 1.8e10, "restart_after_s": 1e9"#),
+                "faults[0].restart_after_s: 1000000000.0 s after at_s 18000000000.0 s ends past",
+            ),
+        ] {
+            let msg = fault(&fields);
+            assert!(msg.contains(key), "{fields}: {msg}");
+        }
+        let policy = r#"{"policy": {"clients": [{"client": "wrk", "backoff_cap_s": -1}]}}"#;
+        let msg = FaultPlan::from_json(policy).unwrap_err().to_string();
+        assert!(
+            msg.contains("policy.clients[0].backoff_cap_s: -1.0 s"),
+            "{msg}"
+        );
     }
 
     #[test]

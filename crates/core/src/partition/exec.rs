@@ -14,7 +14,6 @@
 //! case of this function. The worker count (and the scheduling under it)
 //! affects wall-clock time only — never a single output byte.
 
-use std::collections::HashSet;
 use std::sync::{Mutex, PoisonError};
 
 use minipool::Pool;
@@ -22,8 +21,8 @@ use serde::Value;
 
 use crate::config::ScenarioConfig;
 use crate::critpath::ReplayFold;
-use crate::error::{SimError, SimResult};
-use crate::fault::{FaultPlan, FaultSpec};
+use crate::error::SimResult;
+use crate::fault::FaultPlan;
 use crate::metrics::LatencyRecorder;
 use crate::run::RunResult;
 use crate::sim::Simulator;
@@ -34,7 +33,7 @@ use crate::telemetry::{
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{AuditFold, AuditReport, ChromeTrace, TraceAuditor, TraceLog, TraceMeta};
 
-use super::graph::{split_fault_plan, split_groups, CellSpec};
+use super::graph::{split_groups, CellSpec};
 use super::merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_json, merge_registries, merge_results,
 };
@@ -269,53 +268,6 @@ impl PartitionedRun {
     }
 }
 
-/// Rejects fault-plan references that no cell will claim, with the same
-/// [`SimError::UnknownEntity`] that
-/// [`Simulator::install_faults`](crate::sim::Simulator::install_faults)
-/// raises for a whole scenario — per-cell plans are *filtered*, so without
-/// this check a misspelled entity name would silently vanish instead of
-/// erroring. `groups` together are the whole scenario.
-fn validate_fault_plan(groups: &[ScenarioConfig], plan: &FaultPlan) -> SimResult<()> {
-    let instances: HashSet<&str> = groups
-        .iter()
-        .flat_map(|g| g.instances.iter().map(|i| &*i.name))
-        .collect();
-    let machines: HashSet<&str> = groups
-        .iter()
-        .flat_map(|g| g.machines.iter().map(|m| &*m.name))
-        .collect();
-    let clients: HashSet<&str> = groups
-        .iter()
-        .flat_map(|g| g.clients.iter().map(|c| &*c.name))
-        .collect();
-    let unknown = |kind: &'static str, name: &str| SimError::UnknownEntity {
-        kind,
-        name: name.to_string(),
-    };
-    for spec in &plan.faults {
-        match spec {
-            FaultSpec::InstanceCrash { instance, .. }
-            | FaultSpec::PoolLeak { up: instance, .. } => {
-                if !instances.contains(&**instance) {
-                    return Err(unknown("instance", instance));
-                }
-            }
-            FaultSpec::MachineSlowdown { machine, .. }
-            | FaultSpec::NetworkDegrade { machine, .. } => {
-                if !machines.contains(&**machine) {
-                    return Err(unknown("machine", machine));
-                }
-            }
-        }
-    }
-    for p in &plan.policy.clients {
-        if !clients.contains(&*p.client) {
-            return Err(unknown("client", &p.client));
-        }
-    }
-    Ok(())
-}
-
 /// Builds, runs, and summarizes one cell (see [`run_partitioned`]), then
 /// takes its remains and drops its simulator — here, on the worker. The
 /// cell's configuration goes into the simulator the build makes.
@@ -327,20 +279,18 @@ fn run_cell(
     opts: &PartitionOptions,
 ) -> SimResult<CellOutput> {
     let seed = cell_seed(master_seed, spec.id as u64);
-    // The slice reads the cell's entity names: take it before the build
-    // uses the configuration up.
-    let faults = faults.map(|p| split_fault_plan(p, &spec));
     let (id, warmup_s) = (spec.id, spec.config.warmup_s);
     let mut sim = ScenarioConfig {
         seed,
         ..spec.config
     }
     .into_simulator()?;
-    if let Some(plan) = &faults {
-        // Install even when the filtered slice is empty: the presence of a
-        // plan changes which metric families the registry emits, and every
-        // cell must stay structurally congruent for the merge.
-        sim.install_faults(plan)?;
+    if let Some(plan) = faults {
+        // The cell installs the faults and policies it owns, even none:
+        // the presence of a plan changes which metric families the
+        // registry emits, and every cell must stay structurally congruent
+        // for the merge.
+        sim.install_plan(plan, true)?;
     }
     if let Some(tcfg) = opts.telemetry {
         sim.enable_telemetry(tcfg);
@@ -677,14 +627,14 @@ where
     let shards = opts.shards.max(1);
     let work = (runs.into_iter().enumerate()).flat_map(move |(run, (groups, seed))| {
         let groups = groups.into_iter();
-        // A run with a fault plan collects its groups first, so that a
-        // fault naming an entity of no group errors before any of its
-        // cells runs.
+        // A run with a fault plan collects its groups first and lowers
+        // the plan against all of them, so that a fault no cell could
+        // install errors before any of its cells runs.
         let split: Box<dyn Iterator<Item = _> + Send + 'a> = match faults {
             None => Box::new(split_groups(groups)),
             Some(plan) => {
                 let groups: Vec<ScenarioConfig> = groups.collect();
-                match validate_fault_plan(&groups, plan) {
+                match plan.check_against(&groups) {
                     Ok(()) => Box::new(split_groups(groups)),
                     Err(e) => Box::new(std::iter::once(Err(e))),
                 }
@@ -825,13 +775,10 @@ mod tests {
             &PartitionOptions::with_shards(2),
         )
         .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::UnknownEntity {
-                kind: "instance",
-                ..
-            }
-        ));
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration in faults.json: faults[0].instance: unknown instance `nope`"
+        );
     }
 
     #[test]

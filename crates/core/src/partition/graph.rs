@@ -20,9 +20,8 @@
 
 use std::collections::HashMap;
 
-use crate::config::{ClientConfig, Resolved, ScenarioConfig};
+use crate::config::{Resolved, ScenarioConfig};
 use crate::error::SimResult;
-use crate::fault::{FaultPlan, FaultSpec, PolicySpec};
 use crate::ids::InstanceId;
 use crate::path::{InstanceSelect, NodeTarget, RequestType};
 
@@ -430,50 +429,4 @@ where
         failed = split.is_err();
         Some(split)
     })
-}
-
-/// Restricts a fault plan to one cell: scheduled faults stay with the cell
-/// that owns the named entity, per-client policies stay with the cell that
-/// owns the client, and the network retransmission policy (global, not
-/// entity-scoped) replicates into every cell.
-///
-/// Spec: DESIGN.md §11.5 — every [`FaultSpec`] variant names exactly one
-/// owning entity, so this routing is total and unambiguous; when a global
-/// plan is present, *every* cell installs its (possibly empty) slice so
-/// per-cell exports keep a uniform shape.
-pub fn split_fault_plan(plan: &FaultPlan, cell: &CellSpec) -> FaultPlan {
-    let instances: std::collections::HashSet<&str> =
-        cell.config.instances.iter().map(|i| &*i.name).collect();
-    let machines: std::collections::HashSet<&str> =
-        cell.config.machines.iter().map(|m| &*m.name).collect();
-    let clients: std::collections::HashSet<&str> = cell
-        .config
-        .clients
-        .iter()
-        .map(|c: &ClientConfig| &*c.name)
-        .collect();
-    let faults = plan
-        .faults
-        .iter()
-        .filter(|spec| match spec {
-            FaultSpec::InstanceCrash { instance, .. } => instances.contains(&**instance),
-            FaultSpec::MachineSlowdown { machine, .. }
-            | FaultSpec::NetworkDegrade { machine, .. } => machines.contains(&**machine),
-            FaultSpec::PoolLeak { up, .. } => instances.contains(&**up),
-        })
-        .cloned()
-        .collect();
-    FaultPlan {
-        faults,
-        policy: PolicySpec {
-            clients: plan
-                .policy
-                .clients
-                .iter()
-                .filter(|p| clients.contains(&*p.client))
-                .cloned()
-                .collect(),
-            network: plan.policy.network,
-        },
-    }
 }

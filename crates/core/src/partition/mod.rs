@@ -78,7 +78,7 @@ pub use exec::{
     run_batch, run_groups, run_partitioned, CellOutput, CellSeries, PartitionOptions,
     PartitionedRun, RetainedTrace, SpanChecks, SpanTracing,
 };
-pub use graph::{split_cells, split_fault_plan, split_groups, CellSpec};
+pub use graph::{split_cells, split_groups, CellSpec};
 pub use merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries, merge_json,
     merge_registries, merge_results,

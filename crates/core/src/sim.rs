@@ -292,7 +292,7 @@ pub struct Simulator {
     pub(crate) telemetry: Option<Box<crate::telemetry::TelemetryState>>,
     /// Busy nanoseconds at the warm-up boundary — per instance (summed
     /// over its cores) and per machine (summed over its irq cores) — the
-    /// origin of the since-warm-up `*_utilization_since` queries. `None`
+    /// origin of the since-warm-up `*_utilization` views. `None`
     /// until the builder's one-shot [`EventKind::TelemetrySample`] fires.
     pub(crate) warmup_busy: Option<(Vec<u64>, Vec<u64>)>,
     /// Fault-injection state (see [`crate::fault`]); `None` keeps every

@@ -4,7 +4,9 @@
 
 use super::Simulator;
 use crate::connection::UpEndpoint;
+use crate::error::SimResult;
 use crate::event::EventKind;
+use crate::fault::{Entities, FaultPlan};
 use crate::ids::{ClientId, InstanceId, JobId, RequestId, RequestTypeId};
 use crate::path::LinkKind;
 use crate::trace::TraceEvent;
@@ -22,25 +24,27 @@ impl Simulator {
     /// Panics if [`Simulator::enable_telemetry`] was already called: the
     /// telemetry layer fixes its series columns (including the fault-gated
     /// ones) at enable time, so faults must be installed first.
-    pub fn install_faults(
-        &mut self,
-        plan: &crate::fault::FaultPlan,
-    ) -> crate::error::SimResult<()> {
+    pub fn install_faults(&mut self, plan: &FaultPlan) -> SimResult<()> {
+        self.install_plan(plan, false)
+    }
+
+    /// [`install_faults`](Self::install_faults); with `only_owned`, the
+    /// faults and client policies whose owner this simulator does not hold
+    /// are left out — a cell of a partitioned run installs what it owns.
+    pub(crate) fn install_plan(&mut self, plan: &FaultPlan, only_owned: bool) -> SimResult<()> {
         assert!(
             self.telemetry.is_none(),
             "install_faults must be called before enable_telemetry"
         );
-        let instance_names: Vec<&str> = self.instances.iter().map(|i| &*i.name).collect();
-        let machine_names: Vec<&str> = self.machines.iter().map(|m| &*m.spec.name).collect();
-        let client_names: Vec<&str> = self.clients.iter().map(|c| &*c.spec.name).collect();
+        let names = Entities::new(
+            self.instances.iter().map(|i| &*i.name),
+            self.machines.iter().map(|m| &*m.spec.name),
+            self.clients.iter().map(|c| &*c.spec.name),
+        );
         let pool_lookup = &self.pool_lookup;
-        let (schedule, client_policy) = crate::fault::lower_plan(
-            plan,
-            &instance_names,
-            &machine_names,
-            &client_names,
-            |up, down| pool_lookup.get(&(up.raw(), down.raw())).copied(),
-        )?;
+        let pool_of =
+            |up: InstanceId, down: InstanceId| pool_lookup.get(&(up.raw(), down.raw())).copied();
+        let (schedule, policies) = plan.lower(&names, pool_of, only_owned)?;
         for (idx, f) in schedule.iter().enumerate() {
             self.events
                 .schedule(f.at, EventKind::FaultStart { fault: idx as u32 });
@@ -48,6 +52,10 @@ impl Simulator {
                 self.events
                     .schedule(until, EventKind::FaultEnd { fault: idx as u32 });
             }
+        }
+        let mut client_policy = vec![None; self.clients.len()];
+        for (client, policy) in policies {
+            client_policy[client] = Some(policy);
         }
         let rng = crate::rng::RngFactory::new(self.cfg.seed).stream("fault", 0);
         self.fault = Some(Box::new(crate::fault::FaultState::new(

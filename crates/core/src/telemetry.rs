@@ -987,53 +987,47 @@ impl Simulator {
         );
     }
 
-    /// Mean core utilization of an instance, measured from one of two
-    /// origins up to `now`.
-    ///
-    /// When `since` is at or after the warm-up boundary, busy time is read
-    /// against the baseline recorded there (so pass the warm-up deadline to
-    /// exclude warm-up skew); when it is before, from time zero. Any later
-    /// `since` still measures from the warm-up boundary. Note that busy
-    /// nanoseconds accrue up front when a batch starts service, so a short
-    /// interval ending mid-batch can read slightly above 1.0.
-    pub fn instance_utilization_since(&self, instance: InstanceId, since: SimTime) -> f64 {
+    /// Mean core utilization of an instance since the warm-up boundary, up
+    /// to now (0 until the clock passes the boundary). Busy nanoseconds
+    /// accrue up front when a batch starts service, so a short interval
+    /// ending mid-batch can read slightly above 1.0.
+    pub fn instance_utilization(&self, instance: InstanceId) -> f64 {
         let inst = &self.instances[instance.index()];
-        if inst.cores.is_empty() || since >= self.now {
-            return 0.0;
-        }
         let m = &self.machines[inst.machine.index()];
-        let busy_now: u64 = inst.cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        let warmup_at = SimTime::ZERO + self.cfg.warmup;
-        let (t0, busy0) = match &self.warmup_busy {
-            Some((inst_busy, _)) if since >= warmup_at => (warmup_at, inst_busy[instance.index()]),
-            _ => (SimTime::ZERO, 0),
-        };
-        let span = (self.now - t0).as_nanos();
-        if span == 0 {
-            return 0.0;
-        }
-        busy_now.saturating_sub(busy0) as f64 / (span as f64 * inst.cores.len() as f64)
+        let busy: u64 = inst.cores.iter().map(|&c| m.cores[c].busy_ns).sum();
+        let at_warmup = self
+            .warmup_busy
+            .as_ref()
+            .map(|(inst_busy, _)| inst_busy[instance.index()]);
+        self.busy_share_since_warmup(busy, at_warmup, inst.cores.len())
     }
 
-    /// Mean irq-core utilization of a machine; see
-    /// [`Simulator::instance_utilization_since`] for which origin `since`
-    /// selects.
-    pub fn network_utilization_since(&self, machine: MachineId, since: SimTime) -> f64 {
+    /// Mean irq-core utilization of a machine since the warm-up boundary;
+    /// see [`Simulator::instance_utilization`].
+    pub fn network_utilization(&self, machine: MachineId) -> f64 {
         let m = &self.machines[machine.index()];
-        if m.irq_cores.is_empty() || since >= self.now {
+        let busy: u64 = m.irq_cores.iter().map(|&c| m.cores[c].busy_ns).sum();
+        let at_warmup = self
+            .warmup_busy
+            .as_ref()
+            .map(|(_, irq_busy)| irq_busy[machine.index()]);
+        self.busy_share_since_warmup(busy, at_warmup, m.irq_cores.len())
+    }
+
+    /// The share of `cores` cores' time since the warm-up boundary spent
+    /// busy, given their busy nanoseconds now and at the boundary (`None`
+    /// before its baseline is recorded: then from time zero).
+    fn busy_share_since_warmup(&self, busy: u64, at_warmup: Option<u64>, cores: usize) -> f64 {
+        let warmup_at = SimTime::ZERO + self.cfg.warmup;
+        if cores == 0 || warmup_at >= self.now {
             return 0.0;
         }
-        let busy_now: u64 = m.irq_cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        let warmup_at = SimTime::ZERO + self.cfg.warmup;
-        let (t0, busy0) = match &self.warmup_busy {
-            Some((_, irq_busy)) if since >= warmup_at => (warmup_at, irq_busy[machine.index()]),
-            _ => (SimTime::ZERO, 0),
+        let (t0, busy0) = match at_warmup {
+            Some(busy0) => (warmup_at, busy0),
+            None => (SimTime::ZERO, 0),
         };
         let span = (self.now - t0).as_nanos();
-        if span == 0 {
-            return 0.0;
-        }
-        busy_now.saturating_sub(busy0) as f64 / (span as f64 * m.irq_cores.len() as f64)
+        busy.saturating_sub(busy0) as f64 / (span as f64 * cores as f64)
     }
 
     /// The closed sampler windows (empty slice when the sampler is off).
@@ -1051,13 +1045,12 @@ impl Simulator {
 
     /// The compact per-run summary threaded into sweep tables.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let since = (SimTime::ZERO + self.cfg.warmup).min(self.now);
         let n_inst = self.instances.len();
         let instance_utilization = if n_inst == 0 {
             0.0
         } else {
             (0..n_inst)
-                .map(|i| self.instance_utilization_since(InstanceId::from_raw(i as u32), since))
+                .map(|i| self.instance_utilization(InstanceId::from_raw(i as u32)))
                 .sum::<f64>()
                 / n_inst as f64
         };
@@ -1069,7 +1062,7 @@ impl Simulator {
         } else {
             irq_machines
                 .iter()
-                .map(|&m| self.network_utilization_since(MachineId::from_raw(m as u32), since))
+                .map(|&m| self.network_utilization(MachineId::from_raw(m as u32)))
                 .sum::<f64>()
                 / irq_machines.len() as f64
         };
@@ -1093,7 +1086,6 @@ impl Simulator {
     /// by the streaming histograms.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let since = (SimTime::ZERO + self.cfg.warmup).min(self.now);
         reg.counter(
             "uqsim_requests_generated_total",
             "Requests generated by all clients.",
@@ -1141,7 +1133,7 @@ impl Simulator {
                 "uqsim_instance_utilization",
                 "Mean core utilization of the instance since warmup.",
                 vec![("instance", inst.name.to_string())],
-                self.instance_utilization_since(InstanceId::from_raw(i as u32), since),
+                self.instance_utilization(InstanceId::from_raw(i as u32)),
             );
         }
         for (i, inst) in self.instances.iter().enumerate() {
@@ -1157,7 +1149,7 @@ impl Simulator {
                 "uqsim_network_utilization",
                 "Mean irq-core utilization of the machine since warmup.",
                 vec![("machine", m.spec.name.to_string())],
-                self.network_utilization_since(MachineId::from_raw(mi as u32), since),
+                self.network_utilization(MachineId::from_raw(mi as u32)),
             );
         }
         for p in &self.pools {
@@ -1343,7 +1335,6 @@ impl Simulator {
     /// caller's [`Simulator::latency_summary`] — a finished cell already
     /// has it, and computing it here would sort a copy of every sample.
     pub(crate) fn metrics_json_head(&self, latency: LatencySummary) -> serde_json::Value {
-        let since = (SimTime::ZERO + self.cfg.warmup).min(self.now);
         let tel = self.telemetry.as_deref();
         let decomposition = match tel {
             Some(t) => {
@@ -1370,7 +1361,7 @@ impl Simulator {
                 let id = InstanceId::from_raw(i as u32);
                 serde_json::json!({
                     "name": inst.name,
-                    "utilization": self.instance_utilization_since(id, since),
+                    "utilization": self.instance_utilization(id),
                     "queue_depth": self.instance_queue_depth(id),
                 })
             })
@@ -1383,7 +1374,7 @@ impl Simulator {
                 serde_json::json!({
                     "name": m.spec.name,
                     "network_utilization":
-                        self.network_utilization_since(MachineId::from_raw(mi as u32), since),
+                        self.network_utilization(MachineId::from_raw(mi as u32)),
                 })
             })
             .collect();

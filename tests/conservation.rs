@@ -7,7 +7,7 @@ use uqsim_apps::scenarios::{
     ThreeTierConfig, TwoTierConfig,
 };
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::time::SimDuration;
 use uqsim_core::{SimResult, Simulator};
 
 fn built(cfg: SimResult<ScenarioConfig>) -> Simulator {
@@ -147,7 +147,7 @@ fn utilizations_are_physical() {
     sim.run_for(SimDuration::from_secs(3));
     for name in ["nginx", "memcached"] {
         let id = sim.instance_by_name(name).unwrap();
-        let u = sim.instance_utilization_since(id, SimTime::ZERO);
+        let u = sim.instance_utilization(id);
         assert!(
             (0.0..=1.0).contains(&u),
             "{name} utilization {u} out of [0,1]"
@@ -156,7 +156,7 @@ fn utilizations_are_physical() {
     }
     for m in 0..2u32 {
         let m = uqsim_core::ids::MachineId::from_raw(m);
-        let u = sim.network_utilization_since(m, SimTime::ZERO);
+        let u = sim.network_utilization(m);
         assert!(
             (0.0..=1.0).contains(&u),
             "network utilization {u} out of [0,1]"
