@@ -1,7 +1,8 @@
-//! Golden-file test for the Prometheus metrics export.
+//! Golden-file tests for the metrics exports.
 //!
-//! The snapshot pins the exact text `metrics_prometheus()` produces for
-//! the quickstart scenario at a fixed seed and duration. The export is
+//! The snapshots pin the exact text `metrics_prometheus()` produces for
+//! the quickstart scenario at a fixed seed and duration, and the merged
+//! `metrics.prom` and `metrics.json` of a three-cell faulted run. The export is
 //! built entirely from simulated state (no wall-clock channels), so the
 //! bytes must be stable across machines and runs; any drift means either
 //! the exporter's format or the simulation itself changed. Regenerate
@@ -121,4 +122,43 @@ fn single_cell_partitioned_csv_is_passthrough() {
         include_str!("golden/quickstart_metrics.prom"),
         "single-cell merge_registries is not a pass-through"
     );
+}
+
+/// A three-cell faulted run, exported through `uqsim run --metrics-out`:
+/// cell 0 has no connection pool and cell 1 has one, so a merge that
+/// ordered families by where it first met them would move the pool
+/// families; the fault plan adds the fault families, summed across cells.
+/// Pins the merged `metrics.prom` and `metrics.json` byte for byte.
+/// Regenerate with `UQSIM_BLESS=1`.
+#[test]
+fn multi_cell_faulted_metrics_match_golden() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pods_metrics");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_uqsim"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["run", "tests/golden/pods.json"])
+        .args(["--faults", "tests/golden/pods_faults.json"])
+        .args(["--duration", "0.4", "--shards", "2"])
+        .args(["--sample-interval", "0.05"])
+        .arg("--metrics-out")
+        .arg(&dir)
+        .output()
+        .expect("uqsim binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "run failed: {stderr}");
+    assert!(stderr.contains("partition: 3 cell(s)"), "{stderr}");
+    for file in ["metrics.prom", "metrics.json"] {
+        let golden = format!("{}/tests/golden/pods_{file}", env!("CARGO_MANIFEST_DIR"));
+        let produced = std::fs::read_to_string(dir.join(file)).expect("metrics file written");
+        if std::env::var_os("UQSIM_BLESS").is_some() {
+            std::fs::write(&golden, &produced).expect("write golden");
+            continue;
+        }
+        let expected = std::fs::read_to_string(&golden).expect("golden exists");
+        assert!(
+            produced == expected,
+            "merged {file} drifted from tests/golden/pods_{file}; if the change \
+             is intentional, regenerate with UQSIM_BLESS=1 (see the module docs)"
+        );
+    }
 }

@@ -322,3 +322,29 @@ fn hedged_requests_conserve_audit_and_replay() {
         pins
     );
 }
+
+/// The retransmit budget is a limit, not a count of extra chances: a link
+/// that drops every packet for the whole run gives each job one send and
+/// `retransmit_limit` re-sends before it dies — so `3 × killed` retransmits
+/// and `4 × killed` dropped packets at a limit of 3, exactly. The zero
+/// backoff settles each job's drops at the instant of its send, so no job
+/// is still between attempts at the deadline.
+#[test]
+fn a_job_is_retransmitted_exactly_retransmit_limit_times() {
+    let cfg = ScenarioConfig::from_json(uqsim_core::run::EXAMPLE_SCENARIO).expect("parses");
+    let plan = FaultPlan::from_json(
+        r#"{ "faults": [ { "kind": "network_degrade", "machine": "server0",
+                            "at_s": 0.0, "duration_s": 1.0, "drop_prob": 1.0 } ],
+             "policy": { "network": { "retransmit_limit": 3,
+                                      "retransmit_backoff_s": 0.0 } } }"#,
+    )
+    .expect("plan parses");
+    let mut sim = cfg.build().expect("builds");
+    sim.install_faults(&plan).expect("plan matches scenario");
+    sim.run_for(SimDuration::from_millis(300));
+    let s = sim.fault_summary().expect("plan installed");
+    assert!(s.jobs_killed > 100, "too few jobs died: {}", s.jobs_killed);
+    assert_eq!(s.retransmits, 3 * s.jobs_killed);
+    assert_eq!(s.packets_dropped, 4 * s.jobs_killed);
+    assert_eq!(sim.completed(), 0, "no packet got through");
+}
