@@ -21,10 +21,7 @@ use crate::critpath::CpcProfile;
 use crate::fault::FaultSummary;
 use crate::metrics::LatencySummary;
 use crate::run::RunResult;
-use crate::telemetry::{
-    metrics_json_with, Metric, MetricValue, MetricsRegistry, MetricsSnapshot, SampledSeries,
-    StreamingHistogram, CSV_HEADER,
-};
+use crate::telemetry::{MetricsRegistry, MetricsSnapshot, SampledSeries, CSV_HEADER};
 use crate::trace::{AuditReport, ChromeTrace};
 use serde::Value;
 use serde_json::json;
@@ -145,163 +142,17 @@ fn merge_snapshots(cells: &[CellOutput]) -> MetricsSnapshot {
     out
 }
 
-/// How one canonical metric family merges across cells.
-#[derive(Clone, Copy, PartialEq)]
-enum Merge {
-    /// One unlabeled counter per cell; values sum.
-    SumCounter,
-    /// One unlabeled gauge per cell; values sum (live counts).
-    SumGauge,
-    /// Identical in every cell (sim time); take the first occurrence.
-    First,
-    /// Per-entity series with cell-disjoint label sets; concatenate in
-    /// cell order.
-    Concat,
-    /// The e2e latency summary; rebuild from the merged
-    /// [`StreamingHistogram`]s.
-    HistE2e,
-    /// Per-component latency summaries; merge histograms component-wise.
-    HistComponents,
-}
-
-/// The canonical family walk: every family `Simulator::metrics_registry`
-/// can emit, in its emission order, with its merge strategy. Walking this
-/// list (instead of any one cell's registry positionally) keeps the merge
-/// correct when a family is absent from some cells — e.g. a pool-less
-/// cell emits no `uqsim_pool_free` at all.
-const FAMILIES: &[(&str, Merge)] = &[
-    ("uqsim_requests_generated_total", Merge::SumCounter),
-    ("uqsim_requests_completed_total", Merge::SumCounter),
-    ("uqsim_request_timeouts_total", Merge::SumCounter),
-    ("uqsim_events_processed_total", Merge::SumCounter),
-    ("uqsim_sim_time_seconds", Merge::First),
-    ("uqsim_live_requests", Merge::SumGauge),
-    ("uqsim_live_jobs", Merge::SumGauge),
-    ("uqsim_instance_utilization", Merge::Concat),
-    ("uqsim_instance_queue_depth", Merge::Concat),
-    ("uqsim_network_utilization", Merge::Concat),
-    ("uqsim_pool_free", Merge::Concat),
-    ("uqsim_pool_waiters", Merge::Concat),
-    ("uqsim_requests_dropped_total", Merge::SumCounter),
-    ("uqsim_requests_shed_total", Merge::SumCounter),
-    ("uqsim_retries_total", Merge::SumCounter),
-    ("uqsim_responses_degraded_total", Merge::SumCounter),
-    ("uqsim_hedges_total", Merge::SumCounter),
-    ("uqsim_jobs_killed_total", Merge::SumCounter),
-    ("uqsim_packets_dropped_total", Merge::SumCounter),
-    ("uqsim_retransmits_total", Merge::SumCounter),
-    ("uqsim_breaker_trips_total", Merge::SumCounter),
-    ("uqsim_instance_fault_down", Merge::Concat),
-    ("uqsim_e2e_latency_seconds", Merge::HistE2e),
-    ("uqsim_latency_component_seconds", Merge::HistComponents),
-    ("uqsim_stage_queue_wait_seconds", Merge::Concat),
-    ("uqsim_stage_service_seconds", Merge::Concat),
-];
-
-/// The metrics of `reg` named `name`, in emission order.
-fn family<'a>(reg: &'a MetricsRegistry, name: &str) -> Vec<&'a Metric> {
-    reg.metrics().iter().filter(|m| m.name == name).collect()
-}
-
 /// Merges per-cell metrics registries into one cluster-level registry
-/// whose Prometheus exposition is byte-identical at any shard count.
-///
-/// The merge walks the canonical family list in registry emission order;
-/// each family takes its name/help strings from the first cell that emits
-/// it and merges values per its strategy (counters sum, live gauges sum,
-/// per-entity series concatenate in cell order, latency summaries are
-/// rebuilt from the merged underlying histograms). A family emitted by no
-/// cell is omitted, exactly as a single simulator's registry omits it.
-/// Returns `None` when any cell kept no registry — it ran without
-/// telemetry, and all cells share one telemetry config.
+/// whose Prometheus exposition is byte-identical at any shard count: the
+/// cells' registries folded in cell order, each family by the merge rule
+/// its emitter declared. One cell's registry is returned as it is. Returns
+/// `None` when any cell kept no registry — it ran without telemetry, and
+/// all cells share one telemetry config.
 pub fn merge_registries(cells: &[CellOutput]) -> Option<MetricsRegistry> {
-    let registries = cells
-        .iter()
-        .map(|c| c.registry.as_ref())
-        .collect::<Option<Vec<&MetricsRegistry>>>()?;
-    let mut out = MetricsRegistry::new();
-    for &(name, strategy) in FAMILIES {
-        let per_cell: Vec<Vec<&Metric>> = registries.iter().map(|r| family(r, name)).collect();
-        let Some(first) = per_cell.iter().flatten().next().copied() else {
-            continue;
-        };
-        match strategy {
-            Merge::SumCounter => {
-                let mut total = 0u64;
-                for ms in per_cell.iter().flatten() {
-                    if let MetricValue::Counter(v) = ms.value {
-                        total += v;
-                    }
-                }
-                out.push(Metric {
-                    value: MetricValue::Counter(total),
-                    ..first.clone()
-                });
-            }
-            Merge::SumGauge => {
-                let mut total = 0.0f64;
-                for ms in per_cell.iter().flatten() {
-                    if let MetricValue::Gauge(v) = ms.value {
-                        total += v;
-                    }
-                }
-                out.push(Metric {
-                    value: MetricValue::Gauge(total),
-                    ..first.clone()
-                });
-            }
-            Merge::First => out.push(first.clone()),
-            Merge::Concat => {
-                for ms in per_cell.iter().flatten() {
-                    out.push((*ms).clone());
-                }
-            }
-            Merge::HistE2e => {
-                let mut merged = StreamingHistogram::new();
-                for c in cells {
-                    if let Some(h) = &c.e2e_histogram {
-                        merged.merge(h);
-                    }
-                }
-                out.summary(first.name, first.help, first.labels.clone(), &merged);
-            }
-            Merge::HistComponents => {
-                // Every telemetry-enabled cell emits one summary per
-                // latency component, in the same component order.
-                let proto = per_cell
-                    .iter()
-                    .find(|ms| !ms.is_empty())
-                    .expect("first metric exists, so some cell has the family");
-                for (j, m) in proto.iter().enumerate() {
-                    let mut merged = StreamingHistogram::new();
-                    for c in cells {
-                        if let Some(h) = c.component_histograms.as_ref().and_then(|hs| hs.get(j)) {
-                            merged.merge(h);
-                        }
-                    }
-                    out.summary(m.name, m.help, m.labels.clone(), &merged);
-                }
-            }
-        }
-    }
-    // Forward-compatibility: any family a future registry emits that this
-    // walk does not know yet is concatenated in cell order (first-seen
-    // name order) rather than silently dropped.
-    let known: Vec<&str> = FAMILIES.iter().map(|&(n, _)| n).collect();
-    let mut extra: Vec<&'static str> = Vec::new();
-    for r in &registries {
-        for m in r.metrics() {
-            if !known.contains(&m.name) && !extra.contains(&m.name) {
-                extra.push(m.name);
-            }
-        }
-    }
-    for name in extra {
-        for r in &registries {
-            for m in family(r, name) {
-                out.push(m.clone());
-            }
-        }
+    let (first, rest) = cells.split_first()?;
+    let mut out = first.registry.clone()?;
+    for c in rest {
+        out.merge(c.registry.as_ref()?);
     }
     Some(out)
 }
@@ -353,7 +204,8 @@ fn sampled(cell: &CellOutput) -> Option<SampledSeries<'_>> {
     })
 }
 
-/// Merges the per-cell `metrics_json` dumps. One cell: that cell's dump,
+/// Merges the per-cell `metrics_json` dumps, each rendered from the cell's
+/// registry, run summary and sampled series. One cell: that cell's dump,
 /// untouched. More: a cluster-level header — the merged run counters /
 /// latency / snapshot / fault summary from `merged`, a `partition` block
 /// recording the cell count — over the per-cell dumps under `"cells"` (in
@@ -362,10 +214,7 @@ fn sampled(cell: &CellOutput) -> Option<SampledSeries<'_>> {
 pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Option<Value> {
     let mut cell_dumps = cells
         .iter()
-        .map(|c| {
-            let head = c.series.as_ref()?.json_head.clone();
-            Some(metrics_json_with(head, sampled(c)))
-        })
+        .map(|c| Some(c.registry.as_ref()?.to_json(&c.result, Some(sampled(c)?))))
         .collect::<Option<Vec<Value>>>()?;
     if cell_dumps.len() == 1 {
         return cell_dumps.pop();

@@ -218,6 +218,17 @@ pub(crate) fn summarize(
 ) -> RunResult {
     sim.e2e.finish();
     sim.e2e_timeout.finish();
+    result_of(sim, seed, duration, warmup_s)
+}
+
+/// The [`RunResult`] of `sim` as it stands: what [`summarize`] returns,
+/// without finishing the recorders first.
+pub(crate) fn result_of(
+    sim: &crate::sim::Simulator,
+    seed: u64,
+    duration: SimDuration,
+    warmup_s: f64,
+) -> RunResult {
     let latency = sim.e2e.summary();
     let warmup = SimDuration::from_secs_f64(warmup_s);
     let measured = (duration.as_secs_f64() - warmup_s).max(f64::EPSILON);

@@ -516,9 +516,8 @@ fn pool_stats_report_backpressure() {
     // The registry's pool gauges, one per pool, labelled `up->down`.
     let reg = sim.metrics_registry();
     let gauges = |name: &str| -> Vec<(String, f64)> {
-        reg.metrics()
+        reg.metrics_of(name)
             .iter()
-            .filter(|m| m.name == name)
             .map(|m| match (&m.labels[..], &m.value) {
                 ([("pool", label)], MetricValue::Gauge(v)) => (label.clone(), *v),
                 other => panic!("{name}: unexpected shape {other:?}"),

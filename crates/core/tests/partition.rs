@@ -20,9 +20,9 @@ use uqsim_core::time::{SimDuration, SimTime};
 
 /// A cluster of `pods` independent single-machine pods. Pod 1 (when
 /// present) additionally hosts a second instance and a connection pool on
-/// its machine, so one middle cell emits the `uqsim_pool_*` metric
-/// families that every other cell lacks — the case that forces the
-/// registry merge to walk families canonically instead of positionally.
+/// its machine, so one middle cell has the `uqsim_pool_*` metrics that
+/// every other cell lacks — the case where a registry merge that met the
+/// families in any other order than their emission order would move them.
 fn cluster_json(pods: usize) -> String {
     let mut machines = Vec::new();
     let mut instances = Vec::new();
@@ -565,9 +565,8 @@ fn shards_never_change_results_faulted() {
     }
 }
 
-/// **P5** — merging a single cell is the identity for the registry (the
-/// canonical family walk and histogram rebuilds reproduce the cell's own
-/// exposition byte-for-byte).
+/// **P5** — merging a single cell is the identity for the registry: the
+/// merged exposition is the cell's own, byte for byte.
 #[test]
 fn merge_of_one_cell_is_registry_identity() {
     let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
