@@ -216,8 +216,7 @@ pub(crate) fn summarize(
     duration: SimDuration,
     warmup_s: f64,
 ) -> RunResult {
-    sim.e2e.finish();
-    sim.e2e_timeout.finish();
+    sim.finish_recorders();
     result_of(sim, seed, duration, warmup_s)
 }
 
@@ -229,7 +228,7 @@ pub(crate) fn result_of(
     duration: SimDuration,
     warmup_s: f64,
 ) -> RunResult {
-    let latency = sim.e2e.summary();
+    let latency = sim.latency_summary();
     let warmup = SimDuration::from_secs_f64(warmup_s);
     let measured = (duration.as_secs_f64() - warmup_s).max(f64::EPSILON);
     let good = (latency.count as u64).saturating_sub(sim.degraded_measured());
@@ -247,7 +246,7 @@ pub(crate) fn result_of(
         retried: sim.retried(),
         degraded: sim.degraded(),
         latency,
-        timeout_latency: sim.e2e_timeout.summary(),
+        timeout_latency: sim.timeout_latency_summary(),
         events_processed: sim.events_processed(),
         metrics: sim.metrics_snapshot(),
         fault: sim.fault_summary(),
