@@ -74,11 +74,6 @@ impl DvfsSpec {
         *self.levels_ghz.last().expect("dvfs has levels")
     }
 
-    /// Lowest level.
-    pub fn min_ghz(&self) -> f64 {
-        *self.levels_ghz.first().expect("dvfs has levels")
-    }
-
     /// Snaps an arbitrary frequency to the nearest allowed level.
     pub fn snap(&self, freq_ghz: f64) -> f64 {
         self.levels_ghz
@@ -326,7 +321,6 @@ mod tests {
     fn dvfs_range_builds_levels() {
         let d = DvfsSpec::range(1.2, 2.6, 0.1);
         assert_eq!(d.levels_ghz.len(), 15);
-        assert_eq!(d.min_ghz(), 1.2);
         assert_eq!(d.max_ghz(), 2.6);
         assert!(d.validate().is_ok());
     }

@@ -121,14 +121,6 @@ impl ServiceModel {
         self.paths.iter().position(|p| *p.name == *name)
     }
 
-    /// Looks up a stage index by name.
-    pub fn stage_index(&self, name: &str) -> Option<StageId> {
-        self.stages
-            .iter()
-            .position(|s| *s.name == *name)
-            .map(|i| StageId::from_raw(i as u32))
-    }
-
     /// Chooses a path probabilistically (requires `path_probabilities`),
     /// or path 0 if no probabilities are configured.
     pub fn choose_path<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
@@ -213,8 +205,6 @@ mod tests {
         let m = model();
         assert_eq!(m.path_index("write"), Some(1));
         assert_eq!(m.path_index("nope"), None);
-        assert_eq!(m.stage_index("b"), Some(StageId::from_raw(1)));
-        assert_eq!(m.stage_index("nope"), None);
     }
 
     #[test]

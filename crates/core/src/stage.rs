@@ -31,13 +31,6 @@ pub enum QueueDiscipline {
     },
 }
 
-impl QueueDiscipline {
-    /// True if one invocation may return more than one job.
-    pub fn is_batching(self) -> bool {
-        !matches!(self, QueueDiscipline::Single)
-    }
-}
-
 /// Service-time model of one stage invocation.
 ///
 /// The invocation cost is `base + Σ per_job` over the jobs in the batch —
@@ -492,13 +485,6 @@ mod tests {
     fn per_byte_validation() {
         let m = ServiceTimeModel::per_job(Distribution::constant(1e-6), 2.6).with_per_byte(-1.0);
         assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn discipline_batching_flag() {
-        assert!(!QueueDiscipline::Single.is_batching());
-        assert!(QueueDiscipline::Socket { batch: 4 }.is_batching());
-        assert!(QueueDiscipline::Epoll { batch_per_conn: 4 }.is_batching());
     }
 
     #[test]

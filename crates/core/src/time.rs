@@ -151,20 +151,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Multiplies the duration by a non-negative float, rounding to the
-    /// nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or NaN.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "factor must be non-negative"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -388,13 +374,6 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!(b.saturating_since(a).as_nanos(), 10);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_nanos(100);
-        assert_eq!(d.mul_f64(1.5).as_nanos(), 150);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use uqsim_core::ids::{InstanceId, StageId};
 use uqsim_core::machine::{DvfsSpec, MachineSpec, NetworkSpec};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
-use uqsim_core::telemetry::MetricValue;
-use uqsim_core::time::SimDuration;
+use uqsim_core::telemetry::{MetricValue, TelemetryConfig};
+use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::trace::TraceEvent;
 use uqsim_core::Simulator;
 
@@ -719,4 +719,64 @@ fn oversized_instance_is_a_config_error_not_a_panic() {
         err.contains("wide0") && err.contains("64"),
         "error names the instance and the limit: {err}"
     );
+}
+
+/// One request whose every step takes no time, emitted exactly at the
+/// warm-up instant: its stage queue wait and its stage service are
+/// recorded, and its response completes, on that instant — and each is
+/// measured, as everything from the warm-up instant on is.
+#[test]
+fn records_on_the_warmup_instant_are_measured() {
+    let cfg = ScenarioConfig::from_json(
+        r#"{ "seed": 1, "warmup_s": 0.1,
+  "machines": [ { "name": "m", "cores": 1, "dvfs": { "levels_ghz": [2.6] },
+    "network": { "irq_cores": 0, "rx_time": { "type": "constant", "value": 0.0 },
+      "wire_latency": { "type": "constant", "value": 0.0 },
+      "loopback_latency": { "type": "constant", "value": 0.0 } } } ],
+  "services": [ { "name": "s",
+    "stages": [ { "name": "work", "queue": { "type": "single" },
+      "service": { "base": { "type": "constant", "value": 0.0 },
+        "per_job": { "type": "constant", "value": 0.0 },
+        "ref_freq_ghz": 2.6, "freq_alpha": 1.0 } } ],
+    "paths": [ { "name": "p", "stages": [0] } ] } ],
+  "instances": [ { "name": "s0", "service": "s", "machine": "m",
+    "cores": 1, "exec": { "type": "simple" } } ],
+  "pools": [],
+  "request_types": [ { "name": "get", "nodes": [
+    { "name": "front", "target": { "type": "service", "service": "s",
+        "instance": { "type": "fixed", "name": "s0" }, "exec_path": "p" },
+      "children": ["sink"] },
+    { "name": "sink", "target": { "type": "client_sink" },
+      "link": { "reply": { "of": "front" } } } ] } ],
+  "clients": [ { "name": "c", "connections": 1,
+    "arrivals": { "type": "trace", "timestamps": [0.1] },
+    "mix": [["get", 1.0]], "roots": ["s0"] } ] }"#,
+    )
+    .expect("parses");
+    let mut sim = cfg.build().expect("builds");
+    sim.enable_telemetry(TelemetryConfig::default());
+    sim.enable_span_tracing(1_000);
+    sim.run_for(SimDuration::from_millis(200));
+    let warmup_at = SimTime::ZERO + sim.config().warmup;
+    let completed = (sim.span_log().expect("tracing is on").events().iter())
+        .filter_map(|ev| match ev {
+            TraceEvent::RequestCompleted { t, measured, .. } => Some((*t, *measured)),
+            _ => None,
+        })
+        .collect::<Vec<_>>();
+    assert_eq!(completed, [(warmup_at, true)]);
+    assert_eq!(sim.latency_summary().count, 1);
+    let registry = sim.metrics_registry();
+    for family in [
+        "uqsim_stage_queue_wait_seconds",
+        "uqsim_stage_service_seconds",
+    ] {
+        let counts = (registry.metrics_of(family).iter())
+            .map(|m| match &m.value {
+                MetricValue::Summary(s) => s.count,
+                v => panic!("{family} holds {v:?}"),
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(counts, [1], "{family}");
+    }
 }
