@@ -1,12 +1,15 @@
 //! Critical-path extraction and tail-latency attribution.
 //!
-//! µqSim's telescoping latency decomposition (see [`crate::telemetry`])
+//! µqSim's telescoping latency attribution (see [`crate::telemetry`])
 //! charges every not-yet-attributed interval `[mark, now]` of a request's
-//! life to exactly one component, advancing a shared per-request frontier.
-//! Because concurrent fan-out branches share that frontier, whichever
-//! branch's event fires next is the one that advances it — the sequence of
-//! charges **is** the request's critical path through its span DAG, and the
-//! segment durations telescope to the end-to-end latency with 0 ns error.
+//! life to exactly one [`EdgeKind`] at one site, advancing a shared
+//! per-request frontier. Because concurrent fan-out branches share that
+//! frontier, whichever branch's event fires next is the one that advances
+//! it — the sequence of charges **is** the request's critical path through
+//! its span DAG, and the segment durations telescope to the end-to-end
+//! latency with 0 ns error. That segment list is the request's one
+//! attribution record: the latency decomposition is its sum by kind, and
+//! this module's profile its fold by site.
 //!
 //! This module aggregates those per-request critical paths into a
 //! **critical-path contribution (CPC) profile**: for every *site* (client,
@@ -20,10 +23,12 @@
 //! Two acquisition modes produce byte-identical profiles:
 //!
 //! * **Streaming** ([`TelemetryConfig::critpath`](crate::telemetry::TelemetryConfig)):
-//!   each charge pushes a `(site, kind, ns)` segment onto the live request;
-//!   measured completions fold their segments into dense per-latency-bucket
-//!   accumulators. Bounded memory, non-perturbing (no extra events, no RNG
-//!   draws — completions are bit-identical with the mode on or off).
+//!   with telemetry on, each non-zero charge pushes a `(site, kind, ns)`
+//!   segment onto the live request; with `critpath` set too, measured
+//!   completions fold their segments by site into per-latency-bucket runs,
+//!   and the profile's e2e histogram is the telemetry layer's. Bounded
+//!   memory, non-perturbing (no extra events, no RNG draws — completions
+//!   are bit-identical with the mode on or off).
 //! * **Post-hoc** ([`ReplayFold`]; [`CpcProfile::from_trace`] for a
 //!   retained [`TraceLog`]): replay the recorded span events through the
 //!   same frontier state machine, chunk by chunk. Every charge the
@@ -39,9 +44,7 @@
 use crate::fasthash::FastMap;
 use crate::ids::{ClientId, InstanceId, JobId, PoolId, RequestId};
 use crate::slot_table::SlotTable;
-use crate::telemetry::{
-    bucket_index, LatencyComponent, MergeRule, MetricKind, MetricsRegistry, StreamingHistogram,
-};
+use crate::telemetry::{bucket_index, MergeRule, MetricKind, MetricsRegistry, StreamingHistogram};
 use crate::time::SimTime;
 use crate::trace::{SpanChunk, TraceEvent, TraceLog, TraceMeta};
 use serde_json::{json, Value};
@@ -50,9 +53,11 @@ use serde_json::{json, Value};
 // Edge kinds and sites
 // ---------------------------------------------------------------------
 
-/// What kind of critical-path edge a segment is: the six telescoping
-/// [`LatencyComponent`]s plus `RetryBackoff` (a retry request's client-side
-/// launch delay, split out so retry storms are attributable).
+/// What kind of time a segment of a request's critical path is. The
+/// first six are the latency decomposition's components (see
+/// [`crate::telemetry`]); `RetryBackoff` is a retry request's client-side
+/// launch delay, split out so retry storms are attributable, and the
+/// decomposition counts it as `ClientWait`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeKind {
     /// Waiting for a free client connection before launch.
@@ -75,6 +80,10 @@ pub enum EdgeKind {
 impl EdgeKind {
     /// Number of edge kinds.
     pub const COUNT: usize = 7;
+
+    /// Number of latency-decomposition components: the first
+    /// `COMPONENTS` kinds of [`EdgeKind::ALL`].
+    pub const COMPONENTS: usize = 6;
 
     /// All kinds in discriminant order.
     pub const ALL: [EdgeKind; Self::COUNT] = [
@@ -100,15 +109,12 @@ impl EdgeKind {
         }
     }
 
-    /// The edge kind a plain latency-component charge maps to.
-    pub fn from_component(c: LatencyComponent) -> Self {
-        match c {
-            LatencyComponent::ClientWait => EdgeKind::ClientWait,
-            LatencyComponent::Network => EdgeKind::Network,
-            LatencyComponent::QueueWait => EdgeKind::QueueWait,
-            LatencyComponent::Service => EdgeKind::Service,
-            LatencyComponent::Blocking => EdgeKind::Blocking,
-            LatencyComponent::FanInSync => EdgeKind::FanInSync,
+    /// The decomposition component this kind's time counts under, as an
+    /// index into the first [`EdgeKind::COMPONENTS`] kinds.
+    pub fn component(self) -> usize {
+        match self {
+            EdgeKind::RetryBackoff => EdgeKind::ClientWait as usize,
+            kind => kind as usize,
         }
     }
 }
@@ -242,21 +248,20 @@ impl BucketRun {
     }
 }
 
-/// The streaming accumulator: an e2e histogram plus one bucket run per
-/// (site, kind). Bounded memory — proportional to the buckets the
-/// (site, kind) pairs touch, independent of request count.
+/// The fold by site: one bucket run per (site, kind). Bounded memory —
+/// proportional to the buckets the (site, kind) pairs touch, independent
+/// of request count. The e2e histogram of the folded requests is kept by
+/// whoever feeds it (the telemetry layer, or [`ReplayFold`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CritAccum {
-    e2e: StreamingHistogram,
     cells: FastMap<(CritSite, EdgeKind), BucketRun>,
 }
 
 impl CritAccum {
     /// Folds one measured completion: the request's e2e latency picks the
-    /// cohort bucket, and every buffered segment lands in it.
+    /// cohort bucket, and every segment of its critical path lands in it.
     pub(crate) fn fold(&mut self, e2e_ns: u64, segs: &[CritSeg]) {
         let bucket = bucket_index(e2e_ns);
-        self.e2e.record(e2e_ns);
         for s in segs {
             self.cells
                 .entry((s.site, s.kind))
@@ -265,9 +270,10 @@ impl CritAccum {
         }
     }
 
-    /// Snapshots the accumulator into a mergeable, label-resolved
+    /// Snapshots the accumulator, with `e2e` the histogram of the folded
+    /// requests' latencies, into a mergeable, label-resolved
     /// [`CpcProfile`] (entries sorted by `(site label, kind)`).
-    pub(crate) fn snapshot(&self, meta: &TraceMeta) -> CpcProfile {
+    pub(crate) fn snapshot(&self, meta: &TraceMeta, e2e: &StreamingHistogram) -> CpcProfile {
         let mut entries: Vec<CpcEntry> = self
             .cells
             .iter()
@@ -279,7 +285,7 @@ impl CritAccum {
             .collect();
         entries.sort_by(|a, b| a.site.cmp(&b.site).then(a.kind.cmp(&b.kind)));
         CpcProfile {
-            e2e: self.e2e.clone(),
+            e2e: e2e.clone(),
             entries,
         }
     }
@@ -651,6 +657,8 @@ pub struct ReplayFold {
     /// Segment buffers of finished requests, handed to the next ones.
     spare_segs: Vec<Vec<CritSeg>>,
     accum: CritAccum,
+    /// End-to-end latencies of the measured requests folded in.
+    e2e: StreamingHistogram,
     /// Events taken up so far, over every chunk fed.
     events: usize,
     /// The first event the replay could not take — one that moves its
@@ -683,6 +691,7 @@ impl ReplayFold {
             jobs,
             spare_segs,
             accum,
+            e2e,
             events,
             ..
         } = self;
@@ -862,6 +871,7 @@ impl ReplayFold {
                             ));
                         }
                         accum.fold(e2e_ns, &r.segs);
+                        e2e.record(e2e_ns);
                     }
                     recycle(spare_segs, r.segs);
                 }
@@ -904,7 +914,7 @@ impl ReplayFold {
         }
         match self.error {
             Some(msg) => Err(msg),
-            None => Ok(self.accum.snapshot(meta)),
+            None => Ok(self.accum.snapshot(meta, &self.e2e)),
         }
     }
 }
@@ -1171,8 +1181,8 @@ mod tests {
                 "retry_backoff"
             ]
         );
-        for c in LatencyComponent::ALL {
-            assert_eq!(EdgeKind::from_component(c).name(), c.name());
+        for (i, k) in EdgeKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "discriminants index the arrays");
         }
     }
 

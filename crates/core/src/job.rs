@@ -74,18 +74,15 @@ pub struct Request {
     /// Set when the hedge twin completed first; this completion is counted
     /// but not measured.
     pub superseded: bool,
-    /// Latency-decomposition frontier: everything before `mark` has already
-    /// been attributed to a component. Advanced by
-    /// `charge_latency` in `sim.rs`; starts at `submitted`.
+    /// Attribution frontier: everything before `mark` has already been
+    /// charged to a segment of `crit`. Advanced by `charge_latency` in
+    /// `sim/observe.rs`; starts at `submitted`.
     pub mark: SimTime,
-    /// Nanoseconds attributed to each [`crate::telemetry::LatencyComponent`]
-    /// so far. Because every charge advances `mark` to "now", the entries
-    /// telescope: on completion they sum exactly to `completed - submitted`.
-    pub components_ns: [u64; crate::telemetry::LatencyComponent::COUNT],
-    /// Critical-path segments, one per non-zero telescoping charge, in
-    /// charge order. Only populated while the streaming critical-path mode
-    /// ([`crate::telemetry::TelemetryConfig::critpath`]) is on; empty
-    /// otherwise.
+    /// The request's critical path so far: one segment per non-zero
+    /// telescoping charge, in charge order. Because every charge advances
+    /// `mark` to "now", the segments sum exactly to `completed - submitted`
+    /// on completion; summed by kind they are the latency decomposition.
+    /// Only pushed while telemetry is on; empty otherwise.
     pub crit: Vec<crate::critpath::CritSeg>,
 }
 
@@ -265,7 +262,6 @@ impl RequestArena {
             hedge_twin: None,
             superseded: false,
             mark: submitted,
-            components_ns: [0; crate::telemetry::LatencyComponent::COUNT],
             crit,
         });
         RequestId::new(slot, generation)

@@ -82,8 +82,6 @@ pub use fault::{FaultPlan, FaultSpec, FaultSummary};
 pub use partition::{run_partitioned, PartitionOptions, PartitionPlan, PartitionedRun};
 pub use run::{run_one, RunResult};
 pub use sim::Simulator;
-pub use telemetry::{
-    LatencyComponent, MetricsRegistry, MetricsSnapshot, StreamingHistogram, TelemetryConfig,
-};
+pub use telemetry::{MetricsRegistry, MetricsSnapshot, StreamingHistogram, TelemetryConfig};
 pub use time::{SimDuration, SimTime};
 pub use trace::{AuditReport, TraceAuditor, TraceLog};

@@ -5,10 +5,10 @@
 use super::observe::CritSiteRef;
 use super::{Cx, Simulator};
 use crate::client::{ArrivalRt, ClientSpec};
+use crate::critpath::EdgeKind;
 use crate::event::EventKind;
 use crate::ids::{ClientId, ConnectionId, RequestId, RequestTypeId};
 use crate::metrics::{Ascending, LatencyRecorder, LatencySummary};
-use crate::telemetry::LatencyComponent;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{AuditCounts, ClientMeta, TraceEvent};
 
@@ -281,12 +281,8 @@ impl Simulator {
     fn launch_request(&mut self, rid: RequestId, conn_id: ConnectionId) {
         // Time between generation and hitting the wire is client-side
         // connection wait (coordinated-omission territory).
-        self.obs.charge(
-            &mut self.cx,
-            rid,
-            LatencyComponent::ClientWait,
-            CritSiteRef::Client,
-        );
+        self.obs
+            .charge(&mut self.cx, rid, EdgeKind::ClientWait, CritSiteRef::Client);
         self.paths.occupy(conn_id);
         let ty = {
             let req = self.cx.requests.get_mut(rid).expect("request exists");
@@ -312,12 +308,8 @@ impl Simulator {
 
     pub(super) fn on_deliver_to_client(&mut self, rid: RequestId) {
         // The final leg (last node exit → client) is network time.
-        self.obs.charge(
-            &mut self.cx,
-            rid,
-            LatencyComponent::Network,
-            CritSiteRef::Client,
-        );
+        self.obs
+            .charge(&mut self.cx, rid, EdgeKind::Network, CritSiteRef::Client);
         let (
             latency,
             conn_id,
@@ -325,7 +317,6 @@ impl Simulator {
             client,
             timed_out,
             ty,
-            components,
             conn_released,
             early_fire,
             superseded,
@@ -343,7 +334,6 @@ impl Simulator {
                 req.client,
                 req.timed_out,
                 req.ty,
-                req.components_ns,
                 req.conn_released,
                 req.early_fire,
                 req.superseded,
@@ -390,7 +380,7 @@ impl Simulator {
             t: self.cx.now,
         });
         let excluded = timed_out || superseded;
-        (self.obs).on_completion(&self.cx, rid, components, latency, excluded, measured);
+        (self.obs).on_completion(&self.cx, rid, latency, excluded, measured);
         if live_jobs == 0 {
             self.retire_request(rid, true);
         } else {

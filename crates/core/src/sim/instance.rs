@@ -7,13 +7,13 @@ use super::network::Machines;
 use super::observe::{CritSiteRef, Observers};
 use super::{Cx, ExecModel, Simulator};
 use crate::config::Name;
+use crate::critpath::EdgeKind;
 use crate::event::EventKind;
 use crate::ids::{InstanceId, JobId, MachineId, ServiceId, StageId, ThreadId};
 use crate::path::{LinkKind, NodeTarget, PathSelect};
 use crate::queue::{StageQueue, StageQueueSet};
 use crate::service::ServiceModel;
 use crate::stage::StageSpec;
-use crate::telemetry::LatencyComponent;
 use crate::time::SimDuration;
 use crate::trace::{InstanceMeta, TraceEvent};
 
@@ -337,14 +337,7 @@ impl Instances {
                     job.state_since = cx.now;
                     (job.request, enqueued)
                 };
-                obs.on_stage_interval(
-                    cx,
-                    rid,
-                    LatencyComponent::QueueWait,
-                    inst_id,
-                    stage_idx,
-                    enqueued,
-                );
+                obs.on_stage_interval(cx, rid, EdgeKind::QueueWait, inst_id, stage_idx, enqueued);
                 if let Some(req) = cx.requests.get(rid) {
                     batch_bytes += req.size_bytes;
                 }
@@ -467,9 +460,9 @@ impl Simulator {
         // The hop that arrives is network time; when the firing fan-in copy
         // lands, the wait since the previous arrival was synchronization.
         let comp = if fired && fan_in > 1 {
-            LatencyComponent::FanInSync
+            EdgeKind::FanInSync
         } else {
-            LatencyComponent::Network
+            EdgeKind::Network
         };
         self.obs
             .charge(&mut self.cx, rid, comp, CritSiteRef::Instance(inst_id));
@@ -594,7 +587,7 @@ impl Simulator {
             self.obs.on_stage_interval(
                 &mut self.cx,
                 rid,
-                LatencyComponent::Service,
+                EdgeKind::Service,
                 inst_id,
                 batch.stage.index(),
                 svc_start,

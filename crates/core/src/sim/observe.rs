@@ -4,6 +4,7 @@
 //! branch when its observer is off, and no hook draws a random number.
 
 use super::{Cx, Simulator};
+use crate::connection::ConnectionPool;
 use crate::controller::{ControlAction, Controller, TickStats};
 use crate::critpath::{CritSeg, CritSite, EdgeKind};
 use crate::event::EventKind;
@@ -11,8 +12,8 @@ use crate::ids::{ControllerId, InstanceId, JobId, MachineId, PoolId, RequestId};
 use crate::job::Request;
 use crate::metrics::LatencySummary;
 use crate::telemetry::{
-    LatencyComponent, MergeRule, MetricKind, MetricsRegistry, MetricsSnapshot, SeriesDef,
-    SeriesSet, StreamingHistogram, TelemetryConfig, TelemetryState, TelemetryWindow, CSV_HEADER,
+    Baseline, MergeRule, MetricKind, MetricsRegistry, MetricsSnapshot, SeriesDef, SeriesSet,
+    StreamingHistogram, TelemetryConfig, TelemetryState, TelemetryWindow, CSV_HEADER,
     INSTANCE_QUEUE_DEPTH, INSTANCE_UTILIZATION, LATENCY_COMPONENT, NETWORK_UTILIZATION,
 };
 use crate::time::{SimDuration, SimTime};
@@ -31,45 +32,43 @@ pub(super) enum CritSiteRef {
     Pool(PoolId),
 }
 
+/// What a sampler column is about, named only when the columns are
+/// defined (see [`Simulator::sampler_columns`]).
+#[derive(Debug, Clone, Copy)]
+enum Entity<'a> {
+    /// The run as a whole: no label.
+    Run,
+    Instance(usize),
+    Machine(usize),
+    Pool(&'a ConnectionPool),
+}
+
 /// The one place a latency charge is written: charges `req`'s
-/// not-yet-attributed time `[mark, now]` to `component` and advances the
-/// frontier to `now`. Consecutive charges telescope, so on completion the
-/// components sum exactly to `completed - submitted`.
-///
-/// `site` records *where* the time was spent; with `critpath` (the
-/// streaming critical-path mode) on, every non-zero charge additionally
-/// buffers a [`CritSeg`] on the request (folded into the CPC profile at
-/// completion).
+/// not-yet-attributed time `[mark, now]` to `kind` at `site` — one
+/// [`CritSeg`] on the request unless the interval is empty — and advances
+/// the frontier to `now`. Consecutive charges telescope, so on completion
+/// the segments sum exactly to `completed - submitted`.
 #[inline]
-fn charge_latency(
-    req: &mut Request,
-    now: SimTime,
-    critpath: bool,
-    component: crate::telemetry::LatencyComponent,
-    site: CritSiteRef,
-) {
-    let dt = (now - req.mark).as_nanos();
+fn charge_latency(req: &mut Request, now: SimTime, kind: EdgeKind, site: CritSiteRef) {
+    let ns = (now - req.mark).as_nanos();
     req.mark = now;
-    req.components_ns[component as usize] += dt;
-    if critpath && dt > 0 {
-        // A retry's launch delay is backoff, not ordinary client
-        // connection wait; hedge twins keep the plain kind.
-        let kind = if component == LatencyComponent::ClientWait
-            && req.attempt > 0
-            && req.hedge_twin.is_none()
-        {
-            EdgeKind::RetryBackoff
-        } else {
-            EdgeKind::from_component(component)
-        };
-        let site = match site {
-            CritSiteRef::Client => CritSite::Client(req.client),
-            CritSiteRef::Instance(i) => CritSite::Instance(i),
-            CritSiteRef::Stage(i, s) => CritSite::Stage(i, s),
-            CritSiteRef::Pool(p) => CritSite::Pool(p),
-        };
-        req.crit.push(CritSeg { site, kind, ns: dt });
+    if ns == 0 {
+        return;
     }
+    // A retry's launch delay is backoff, not ordinary client connection
+    // wait; hedge twins keep the plain kind.
+    let kind = if kind == EdgeKind::ClientWait && req.attempt > 0 && req.hedge_twin.is_none() {
+        EdgeKind::RetryBackoff
+    } else {
+        kind
+    };
+    let site = match site {
+        CritSiteRef::Client => CritSite::Client(req.client),
+        CritSiteRef::Instance(i) => CritSite::Instance(i),
+        CritSiteRef::Stage(i, s) => CritSite::Stage(i, s),
+        CritSiteRef::Pool(p) => CritSite::Pool(p),
+    };
+    req.crit.push(CritSeg { site, kind, ns });
 }
 
 /// The observers of a run. Each is off until switched on, and costs one
@@ -84,7 +83,7 @@ pub(super) struct Observers {
     /// over its cores) and per machine (summed over its irq cores) — the
     /// origin of the since-warm-up `*_utilization` views. `None` until the
     /// builder's one-shot [`EventKind::TelemetrySample`] fires.
-    warmup_busy: Option<(Vec<u64>, Vec<u64>)>,
+    warmup_busy: Option<Baseline>,
     controllers: Vec<Box<dyn Controller>>,
     /// End-to-end latencies and per-instance node residencies since the
     /// last controller tick; only pushed while a controller is registered.
@@ -127,35 +126,29 @@ impl Observers {
         self.telemetry.is_some()
     }
 
-    /// Charges request `rid`'s time since its last charge to `component` at
+    /// Charges request `rid`'s time since its last charge to `kind` at
     /// `site` (see [`charge_latency`]). A single branch when telemetry is
     /// off; a no-op for a request that is already gone.
     #[inline]
-    pub(super) fn charge(
-        &self,
-        cx: &mut Cx,
-        rid: RequestId,
-        component: LatencyComponent,
-        site: CritSiteRef,
-    ) {
-        let Some(tel) = self.telemetry.as_deref() else {
+    pub(super) fn charge(&self, cx: &mut Cx, rid: RequestId, kind: EdgeKind, site: CritSiteRef) {
+        if self.telemetry.is_none() {
             return;
-        };
+        }
         if let Some(req) = cx.requests.get_mut(rid) {
-            charge_latency(req, cx.now, tel.cfg.critpath, component, site);
+            charge_latency(req, cx.now, kind, site);
         }
     }
 
-    /// Charges `rid`'s time since its last charge to `component` — the
-    /// queue wait before or the service in `stage` of `inst` — and, from
-    /// the warm-up instant on, records the job's interval since `since` in
+    /// Charges `rid`'s time since its last charge to `kind` — the queue
+    /// wait before or the service in `stage` of `inst` — and, from the
+    /// warm-up instant on, records the job's interval since `since` in
     /// that stage's histogram.
     #[inline]
     pub(super) fn on_stage_interval(
         &mut self,
         cx: &mut Cx,
         rid: RequestId,
-        component: LatencyComponent,
+        kind: EdgeKind,
         inst: InstanceId,
         stage: usize,
         since: SimTime,
@@ -164,27 +157,25 @@ impl Observers {
             return;
         };
         if let Some(req) = cx.requests.get_mut(rid) {
-            let site = CritSiteRef::Stage(inst, stage as u32);
-            charge_latency(req, cx.now, tel.cfg.critpath, component, site);
+            charge_latency(req, cx.now, kind, CritSiteRef::Stage(inst, stage as u32));
         }
         if cx.now >= cx.warmup_at {
-            let hists = match component {
-                LatencyComponent::QueueWait => &mut tel.stage_queue_wait,
+            let hists = match kind {
+                EdgeKind::QueueWait => &mut tel.stage_queue_wait,
                 _ => &mut tel.stage_service,
             };
             hists[inst.index()][stage].record((cx.now - since).as_nanos());
         }
     }
 
-    /// A request's response reached its client after `latency`, its
-    /// charges summing to `components`: feeds the sampler window unless
-    /// the response was `excluded` (timed out or superseded), and — for a
-    /// `measured` one — the decomposition and the critical-path fold.
+    /// Request `rid`'s response reached its client after `latency`: feeds
+    /// the sampler window unless the response was `excluded` (timed out or
+    /// superseded), and — for a `measured` one — the decomposition and
+    /// the fold by site, from the request's critical-path segments.
     pub(super) fn on_completion(
         &mut self,
         cx: &Cx,
         rid: RequestId,
-        components: [u64; LatencyComponent::COUNT],
         latency: SimDuration,
         excluded: bool,
         measured: bool,
@@ -192,24 +183,14 @@ impl Observers {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
+        let segs = cx.requests.get(rid).map_or(&[][..], |r| &r.crit);
         debug_assert!(
-            components.iter().sum::<u64>() == latency.as_nanos(),
-            "latency decomposition does not telescope: {components:?} vs {} ns",
+            segs.iter().map(|s| s.ns).sum::<u64>() == latency.as_nanos(),
+            "critical-path segments do not telescope: {segs:?} vs {} ns",
             latency.as_nanos()
         );
         if !excluded {
-            tel.on_completion(components, latency, measured);
-        }
-        if tel.cfg.critpath && measured {
-            // Fold the request's critical path into the CPC profile.
-            if let Some(req) = cx.requests.get(rid) {
-                debug_assert_eq!(
-                    req.crit.iter().map(|s| s.ns).sum::<u64>(),
-                    latency.as_nanos(),
-                    "critical-path segments do not telescope"
-                );
-                tel.crit.fold(latency.as_nanos(), &req.crit);
-            }
+            tel.on_completion(segs, latency, measured);
         }
     }
 
@@ -341,7 +322,7 @@ impl Simulator {
         if !tel.cfg.critpath {
             return None;
         }
-        Some(tel.crit.snapshot(&self.trace_meta()))
+        Some(tel.crit.snapshot(&self.trace_meta(), &tel.e2e_hist))
     }
 }
 
@@ -356,70 +337,14 @@ impl Simulator {
     /// [`EventKind::TelemetrySample`] event snapshots the gauge series and
     /// closes a [`TelemetryWindow`] at each tick.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let mut defs = vec![
-            SeriesDef {
-                metric: "live_requests",
-                label: None,
-            },
-            SeriesDef {
-                metric: "live_jobs",
-                label: None,
-            },
-            SeriesDef {
-                metric: "event_heap",
-                label: None,
-            },
-        ];
-        for i in 0..self.instances.len() {
-            for metric in [
-                "instance_queue_depth",
-                "instance_utilization",
-                "threads_running",
-                "threads_blocked",
-            ] {
-                defs.push(SeriesDef {
-                    metric,
-                    label: Some(("instance", self.instances.name(i).to_string())),
-                });
-            }
-        }
-        for m in 0..self.machines.len() {
-            for metric in ["network_utilization", "net_queue_depth"] {
-                defs.push(SeriesDef {
-                    metric,
-                    label: Some(("machine", self.machines.name(m).to_string())),
-                });
-            }
-        }
-        for p in self.paths.pools() {
-            let label = format!(
-                "{}->{}",
-                self.instances.name(p.up_instance.index()),
-                self.instances.name(p.down_instance.index())
-            );
-            for metric in ["pool_free", "pool_waiters"] {
-                defs.push(SeriesDef {
-                    metric,
-                    label: Some(("pool", label.clone())),
-                });
-            }
-        }
-        // Fault-gated series: a run with no fault plan exports exactly the
-        // same series set (and bytes) it did before the fault engine
-        // existed. Faults must be installed before telemetry is enabled
-        // (install_faults asserts this) so the column set is fixed here.
-        if self.faults.installed() {
+        let now = self.baseline();
+        let mut defs = Vec::new();
+        self.sampler_columns(&now, &now, |metric, entity, _| {
             defs.push(SeriesDef {
-                metric: "retry_rate",
-                label: None,
+                metric,
+                label: self.series_label(entity),
             });
-            for i in 0..self.instances.len() {
-                defs.push(SeriesDef {
-                    metric: "instance_fault_down",
-                    label: Some(("instance", self.instances.name(i).to_string())),
-                });
-            }
-        }
+        });
         let stage_hists: Vec<Vec<StreamingHistogram>> = (0..self.instances.len())
             .map(|i| vec![StreamingHistogram::new(); self.instances.stages(i).len()])
             .collect();
@@ -432,10 +357,7 @@ impl Simulator {
             window_buf: Vec::new(),
             windows: Vec::new(),
             series: SeriesSet::new(defs),
-            prev_inst_busy: self.inst_busy_sums(),
-            prev_irq_busy: self.irq_busy_sums(),
-            prev_tick: self.cx.now,
-            prev_retried: self.retried(),
+            prev: now,
             crit: crate::critpath::CritAccum::default(),
         };
         self.obs.telemetry = Some(Box::new(state));
@@ -451,18 +373,86 @@ impl Simulator {
         }
     }
 
-    /// Accumulated busy nanoseconds per instance (sum over its cores).
-    fn inst_busy_sums(&self) -> Vec<u64> {
-        (0..self.instances.len())
-            .map(|i| self.instances.busy_ns(&self.machines, i))
-            .collect()
+    /// The busy counters and the retry count now.
+    fn baseline(&self) -> Baseline {
+        Baseline {
+            at: self.cx.now,
+            inst_busy: (0..self.instances.len())
+                .map(|i| self.instances.busy_ns(&self.machines, i))
+                .collect(),
+            irq_busy: (0..self.machines.len())
+                .map(|m| self.machines.irq_busy_ns(m))
+                .collect(),
+            retried: self.retried(),
+        }
     }
 
-    /// Accumulated busy nanoseconds per machine (sum over its irq cores).
-    fn irq_busy_sums(&self) -> Vec<u64> {
-        (0..self.machines.len())
-            .map(|m| self.machines.irq_busy_ns(m))
-            .collect()
+    /// Walks the sampler's columns in [`SeriesSet`] order, handing `col`
+    /// each column's metric, the entity it is labeled with, and its value
+    /// over the tick from `prev` to `now`. `enable_telemetry` defines the
+    /// columns from this walk and each tick pushes its row from it, so the
+    /// two cannot disagree.
+    ///
+    /// The fault-gated columns come last and only with a fault plan: a run
+    /// without one exports exactly the series it did before the fault
+    /// engine existed. Faults are installed before telemetry is enabled
+    /// (`install_faults` asserts this), so the column set is fixed.
+    fn sampler_columns<'a>(
+        &'a self,
+        prev: &Baseline,
+        now: &Baseline,
+        mut col: impl FnMut(&'static str, Entity<'a>, f64),
+    ) {
+        let span_ns = (now.at - prev.at).as_nanos().max(1) as f64;
+        col("live_requests", Entity::Run, self.cx.requests.live() as f64);
+        col("live_jobs", Entity::Run, self.cx.jobs.live() as f64);
+        col("event_heap", Entity::Run, self.cx.events.len() as f64);
+        for i in 0..self.instances.len() {
+            let ncores = self.instances.cores(i).len().max(1) as f64;
+            let busy = now.inst_busy[i].saturating_sub(prev.inst_busy[i]);
+            let depth = self.instances.queue_depth(i);
+            let (running, blocked) = self.instances.thread_states(i);
+            let at = Entity::Instance(i);
+            col("instance_queue_depth", at, depth as f64);
+            col("instance_utilization", at, busy as f64 / (span_ns * ncores));
+            col("threads_running", at, running as f64);
+            col("threads_blocked", at, blocked as f64);
+        }
+        for m in 0..self.machines.len() {
+            let nirq = self.machines.irq_count(m).max(1) as f64;
+            let busy = now.irq_busy[m].saturating_sub(prev.irq_busy[m]);
+            let at = Entity::Machine(m);
+            col("network_utilization", at, busy as f64 / (span_ns * nirq));
+            col("net_queue_depth", at, self.machines.net_depth(m) as f64);
+        }
+        for p in self.paths.pools() {
+            col("pool_free", Entity::Pool(p), p.free_count() as f64);
+            col("pool_waiters", Entity::Pool(p), p.waiter_count() as f64);
+        }
+        if self.faults.installed() {
+            let retries = now.retried.saturating_sub(prev.retried);
+            col("retry_rate", Entity::Run, retries as f64 / (span_ns / 1e9));
+            for i in 0..self.instances.len() {
+                let down = f64::from(u8::from(self.faults.is_down(i)));
+                col("instance_fault_down", Entity::Instance(i), down);
+            }
+        }
+    }
+
+    /// The label of a sampler column about `entity`.
+    fn series_label(&self, entity: Entity<'_>) -> Option<(&'static str, String)> {
+        match entity {
+            Entity::Run => None,
+            Entity::Instance(i) => Some(("instance", self.instances.name(i).to_string())),
+            Entity::Machine(m) => Some(("machine", self.machines.name(m).to_string())),
+            Entity::Pool(p) => Some(("pool", self.pool_name(p))),
+        }
+    }
+
+    /// A pool's name: `up->down`, its two instances.
+    fn pool_name(&self, p: &ConnectionPool) -> String {
+        let up = self.instances.name(p.up_instance.index());
+        format!("{up}->{}", self.instances.name(p.down_instance.index()))
     }
 
     /// Handles a [`EventKind::TelemetrySample`] event. The one-shot
@@ -471,17 +461,16 @@ impl Simulator {
     /// so the since-warm-up utilization getters have an exact origin); the
     /// recurring variant is the sampler tick.
     pub(crate) fn on_telemetry_sample(&mut self, recurring: bool) {
+        let now = self.baseline();
         if !recurring {
-            self.obs.warmup_busy = Some((self.inst_busy_sums(), self.irq_busy_sums()));
+            self.obs.warmup_busy = Some(now);
             return;
         }
-        let now = self.cx.now;
-        let inst_busy = self.inst_busy_sums();
-        let irq_busy = self.irq_busy_sums();
-        let event_heap = self.cx.events.len();
-        let live_requests = self.cx.requests.live();
-        let live_jobs = self.cx.jobs.live();
-        let retried = self.retried();
+        let Some(tel) = self.obs.telemetry.as_deref() else {
+            return;
+        };
+        let mut row = Vec::with_capacity(tel.series.defs().len());
+        self.sampler_columns(&tel.prev, &now, |_, _, value| row.push(value));
 
         let Some(tel) = self.obs.telemetry.as_deref_mut() else {
             return;
@@ -490,11 +479,10 @@ impl Simulator {
             .cfg
             .sample_interval
             .expect("recurring sample without an interval");
-
         // Close the latency window over completions since the last tick.
         let summary = LatencySummary::from_samples(&tel.window_buf);
         tel.windows.push(TelemetryWindow {
-            end: now,
+            end: now.at,
             count: summary.count as u64,
             p50_s: summary.p50,
             p95_s: summary.p95,
@@ -502,50 +490,12 @@ impl Simulator {
             throughput: summary.count as f64 / interval.as_secs_f64(),
         });
         tel.window_buf.clear();
-
-        // Gauge row, in SeriesSet column order (see enable_telemetry).
-        let span_ns = (now - tel.prev_tick).as_nanos().max(1) as f64;
-        let mut row = Vec::with_capacity(tel.series.defs().len());
-        row.push(live_requests as f64);
-        row.push(live_jobs as f64);
-        row.push(event_heap as f64);
-        for (i, (busy, prev)) in inst_busy.iter().zip(&tel.prev_inst_busy).enumerate() {
-            let depth = self.instances.queue_depth(i);
-            let ncores = self.instances.cores(i).len().max(1) as f64;
-            let util = busy.saturating_sub(*prev) as f64 / (span_ns * ncores);
-            let (running, blocked) = self.instances.thread_states(i);
-            row.push(depth as f64);
-            row.push(util);
-            row.push(running as f64);
-            row.push(blocked as f64);
-        }
-        for (mi, (busy, prev)) in irq_busy.iter().zip(&tel.prev_irq_busy).enumerate() {
-            let nirq = self.machines.irq_count(mi).max(1) as f64;
-            let util = busy.saturating_sub(*prev) as f64 / (span_ns * nirq);
-            row.push(util);
-            row.push(self.machines.net_depth(mi) as f64);
-        }
-        for p in self.paths.pools() {
-            row.push(p.free_count() as f64);
-            row.push(p.waiter_count() as f64);
-        }
-        if self.faults.installed() {
-            // Matches the fault-gated defs in enable_telemetry.
-            row.push(retried.saturating_sub(tel.prev_retried) as f64 / (span_ns / 1e9));
-            for i in 0..self.instances.len() {
-                row.push(f64::from(u8::from(self.faults.is_down(i))));
-            }
-            tel.prev_retried = retried;
-        }
-        tel.series.push_row(now, &row);
-        tel.prev_inst_busy = inst_busy;
-        tel.prev_irq_busy = irq_busy;
-        tel.prev_tick = now;
-
-        self.cx.events.schedule(
-            now + interval,
-            EventKind::TelemetrySample { recurring: true },
-        );
+        tel.series.push_row(now.at, &row);
+        let next = now.at + interval;
+        tel.prev = now;
+        self.cx
+            .events
+            .schedule(next, EventKind::TelemetrySample { recurring: true });
     }
 
     /// Mean core utilization of an instance since the warm-up boundary, up
@@ -555,11 +505,7 @@ impl Simulator {
     pub fn instance_utilization(&self, instance: InstanceId) -> f64 {
         let i = instance.index();
         let busy = self.instances.busy_ns(&self.machines, i);
-        let at_warmup = self
-            .obs
-            .warmup_busy
-            .as_ref()
-            .map(|(inst_busy, _)| inst_busy[instance.index()]);
+        let at_warmup = self.obs.warmup_busy.as_ref().map(|b| b.inst_busy[i]);
         self.busy_share_since_warmup(busy, at_warmup, self.instances.cores(i).len())
     }
 
@@ -568,11 +514,7 @@ impl Simulator {
     pub fn network_utilization(&self, machine: MachineId) -> f64 {
         let m = machine.index();
         let busy = self.machines.irq_busy_ns(m);
-        let at_warmup = self
-            .obs
-            .warmup_busy
-            .as_ref()
-            .map(|(_, irq_busy)| irq_busy[machine.index()]);
+        let at_warmup = self.obs.warmup_busy.as_ref().map(|b| b.irq_busy[m]);
         self.busy_share_since_warmup(busy, at_warmup, self.machines.irq_count(m))
     }
 
@@ -634,7 +576,7 @@ impl Simulator {
                 t.e2e_hist.count(),
                 t.comp_hist.each_ref().map(|h| h.mean_secs()),
             ),
-            None => (0, [0.0; LatencyComponent::COUNT]),
+            None => (0, [0.0; EdgeKind::COMPONENTS]),
         };
         MetricsSnapshot {
             instance_utilization,
@@ -733,13 +675,7 @@ impl Simulator {
             let util = self.network_utilization(MachineId::from_raw(mi as u32));
             fam.gauge(vec![("machine", self.machines.name(mi).to_string())], util);
         }
-        let pool_label = |p: &crate::connection::ConnectionPool| {
-            let up = self.instances.name(p.up_instance.index());
-            vec![(
-                "pool",
-                format!("{up}->{}", self.instances.name(p.down_instance.index())),
-            )]
-        };
+        let pool_label = |p| vec![("pool", self.pool_name(p))];
         let fam = reg.declare(
             "uqsim_pool_free",
             "Free connections in the pool.",
@@ -844,7 +780,7 @@ impl Simulator {
             Add,
         );
         if let Some(t) = tel {
-            for (c, hist) in LatencyComponent::ALL.iter().zip(&t.comp_hist) {
+            for (c, hist) in EdgeKind::ALL.iter().zip(&t.comp_hist) {
                 fam.summary(vec![("component", c.name().to_string())], hist);
             }
         }

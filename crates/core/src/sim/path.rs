@@ -4,6 +4,7 @@
 use super::observe::{CritSiteRef, Observers};
 use super::{Cx, Simulator};
 use crate::connection::{Connection, ConnectionPool, UpEndpoint};
+use crate::critpath::EdgeKind;
 use crate::event::EventKind;
 use crate::fasthash::FastMap;
 use crate::ids::{
@@ -11,7 +12,6 @@ use crate::ids::{
 };
 use crate::job::Request;
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, RequestType};
-use crate::telemetry::LatencyComponent;
 use crate::time::SimDuration;
 use crate::trace::{RequestTypeMeta, TraceEvent};
 
@@ -434,7 +434,7 @@ impl Simulator {
         self.obs.charge(
             &mut self.cx,
             rid,
-            LatencyComponent::Blocking,
+            EdgeKind::Blocking,
             CritSiteRef::Pool(pid),
         );
         self.obs.record(TraceEvent::PoolGrant {

@@ -31,17 +31,22 @@
 //!
 //! Each live request carries an *attribution frontier* (`mark`): at every
 //! event that advances the request, the elapsed `[mark, now]` interval is
-//! charged to the [`LatencyComponent`] of the event that closed it and the
-//! frontier moves to `now`. Because the charges telescope from submission
-//! to completion, the components sum to the end-to-end latency **exactly**
-//! (integer nanoseconds, no rounding). The attribution is critical-path
-//! biased: when branches run in parallel, whichever branch's event fires
-//! next advances the shared frontier, so sibling work overlapping it is
-//! folded into the component of the event that happened to close each
-//! interval. Fan-in synchronization stalls (the wait for the slowest
-//! sibling at a merge node) are charged to
-//! [`LatencyComponent::FanInSync`].
+//! charged to the [`EdgeKind`] of the event that closed it, at the site
+//! where it was spent, and the frontier moves to `now`. Each non-zero
+//! charge is one segment of the request's critical path
+//! ([`crate::critpath`]), and that segment list is the request's only
+//! attribution record. On a measured completion the decomposition is the
+//! segments summed by kind, a retry's backoff counted as client wait:
+//! because the charges telescope from submission to completion, the
+//! components sum to the end-to-end latency **exactly** (integer
+//! nanoseconds, no rounding). The attribution is critical-path biased:
+//! when branches run in parallel, whichever branch's event fires next
+//! advances the shared frontier, so sibling work overlapping it is folded
+//! into the kind of the event that happened to close each interval.
+//! Fan-in synchronization stalls (the wait for the slowest sibling at a
+//! merge node) are charged to [`EdgeKind::FanInSync`].
 
+use crate::critpath::{CritAccum, CritSeg, EdgeKind};
 use crate::metrics::LatencySummary;
 use crate::run::RunResult;
 use crate::time::{SimDuration, SimTime};
@@ -254,68 +259,6 @@ impl StreamingHistogram {
 }
 
 // ---------------------------------------------------------------------
-// Latency decomposition
-// ---------------------------------------------------------------------
-
-/// The component an interval of a request's end-to-end latency is
-/// attributed to. Discriminant values index `components_ns` arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatencyComponent {
-    /// Waiting for a free client connection before launch.
-    ClientWait = 0,
-    /// Wire flight, transmission, and receive-side interrupt processing.
-    Network = 1,
-    /// Sitting in a stage queue waiting for a worker thread and core.
-    QueueWait = 2,
-    /// Being serviced by a stage batch (includes context-switch overhead).
-    Service = 3,
-    /// Waiting for a pooled connection to a downstream service.
-    Blocking = 4,
-    /// Waiting at a fan-in node for the slowest sibling branch.
-    FanInSync = 5,
-}
-
-impl LatencyComponent {
-    /// Number of components.
-    pub const COUNT: usize = 6;
-
-    /// All components in discriminant order.
-    pub const ALL: [LatencyComponent; Self::COUNT] = [
-        LatencyComponent::ClientWait,
-        LatencyComponent::Network,
-        LatencyComponent::QueueWait,
-        LatencyComponent::Service,
-        LatencyComponent::Blocking,
-        LatencyComponent::FanInSync,
-    ];
-
-    /// Stable snake_case name, used as the Prometheus/CSV label value.
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyComponent::ClientWait => "client_wait",
-            LatencyComponent::Network => "network",
-            LatencyComponent::QueueWait => "queue_wait",
-            LatencyComponent::Service => "service",
-            LatencyComponent::Blocking => "blocking",
-            LatencyComponent::FanInSync => "fan_in_sync",
-        }
-    }
-}
-
-impl Serialize for LatencyComponent {
-    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
-        sink.str(self.name());
-    }
-}
-
-impl Deserialize for LatencyComponent {
-    fn deserialize(src: &mut serde::Source<'_>) -> Result<Self, serde::Error> {
-        let names = LatencyComponent::ALL.map(LatencyComponent::name);
-        Ok(LatencyComponent::ALL[src.variant(&names, "LatencyComponent")?])
-    }
-}
-
-// ---------------------------------------------------------------------
 // Configuration and sampler state
 // ---------------------------------------------------------------------
 
@@ -323,22 +266,22 @@ impl Deserialize for LatencyComponent {
 ///
 /// The default is decomposition-only: per-request latency attribution
 /// folded into aggregate totals and streaming histograms, no periodic
-/// sampler — the cheapest useful setting, and
-/// what [`crate::run::run_one`] uses so sweeps carry decomposition columns.
-/// Nothing here is kept per request: the per-request record is the span
-/// log ([`Simulator::enable_span_tracing`](crate::Simulator::enable_span_tracing)), and the decomposition's
-/// per-request invariant (the components sum to the end-to-end latency)
+/// sampler and no fold by site — the cheapest useful setting.
+/// `uqsim run --metrics-out`, `uqsim top` and the Fig. 15/16 experiments
+/// add the sampler to it; [`crate::run::run_one`] (so every sweep cell)
+/// and `uqsim why` set `critpath` instead. Per request, the one record kept
+/// is the segment list of its critical path, until the request completes;
+/// the per-request invariant (the segments sum to the end-to-end latency)
 /// is a `debug_assert!` at every completion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Simulated interval between sampler ticks; `None` disables the
     /// time-series channel entirely.
     pub sample_interval: Option<SimDuration>,
-    /// Accumulate a streaming critical-path contribution profile
-    /// ([`crate::critpath::CpcProfile`]): every telescoping latency charge
-    /// additionally records a per-site segment, folded per e2e-latency
-    /// bucket on measured completions. Bounded memory, non-perturbing
-    /// (completions are bit-identical on vs off).
+    /// Also fold each measured request's critical-path segments by site
+    /// into a critical-path contribution profile
+    /// ([`crate::critpath::CpcProfile`]), per e2e-latency bucket. Bounded
+    /// memory, non-perturbing (completions are bit-identical on vs off).
     pub critpath: bool,
 }
 
@@ -806,9 +749,9 @@ pub struct MetricsSnapshot {
     /// Measured requests in the decomposition aggregates (0 when the
     /// telemetry layer is disabled).
     pub decomposed_requests: u64,
-    /// Mean seconds per request per [`LatencyComponent`], in discriminant
-    /// order.
-    pub component_mean_s: [f64; LatencyComponent::COUNT],
+    /// Mean seconds per request per decomposition component: the first
+    /// [`EdgeKind::COMPONENTS`] kinds, in discriminant order.
+    pub component_mean_s: [f64; EdgeKind::COMPONENTS],
 }
 
 impl Default for MetricsSnapshot {
@@ -817,7 +760,7 @@ impl Default for MetricsSnapshot {
             instance_utilization: 0.0,
             network_utilization: 0.0,
             decomposed_requests: 0,
-            component_mean_s: [0.0; LatencyComponent::COUNT],
+            component_mean_s: [0.0; EdgeKind::COMPONENTS],
         }
     }
 }
@@ -826,12 +769,28 @@ impl Default for MetricsSnapshot {
 // Simulator-side state
 // ---------------------------------------------------------------------
 
+/// The counters the sampler's rates and the since-warm-up utilizations
+/// are measured from, as they stood at `at`.
+#[derive(Debug, Clone)]
+pub(crate) struct Baseline {
+    pub(crate) at: SimTime,
+    /// Busy nanoseconds per instance, summed over its cores.
+    pub(crate) inst_busy: Vec<u64>,
+    /// Busy nanoseconds per machine, summed over its irq cores.
+    pub(crate) irq_busy: Vec<u64>,
+    /// Retries emitted.
+    pub(crate) retried: u64,
+}
+
 /// All telemetry state, boxed behind an `Option` on the simulator so the
 /// disabled cost is one pointer and one branch per hook.
 #[derive(Debug)]
 pub(crate) struct TelemetryState {
     pub(crate) cfg: TelemetryConfig,
-    pub(crate) comp_hist: [StreamingHistogram; LatencyComponent::COUNT],
+    /// Per-component latency of measured completions.
+    pub(crate) comp_hist: [StreamingHistogram; EdgeKind::COMPONENTS],
+    /// End-to-end latency of measured completions (also the e2e histogram
+    /// of the critical-path profile).
     pub(crate) e2e_hist: StreamingHistogram,
     /// `[instance][stage]` queue-wait histograms (post-warmup).
     pub(crate) stage_queue_wait: Vec<Vec<StreamingHistogram>>,
@@ -841,13 +800,10 @@ pub(crate) struct TelemetryState {
     pub(crate) window_buf: Vec<f64>,
     pub(crate) windows: Vec<TelemetryWindow>,
     pub(crate) series: SeriesSet,
-    pub(crate) prev_inst_busy: Vec<u64>,
-    pub(crate) prev_irq_busy: Vec<u64>,
-    pub(crate) prev_tick: SimTime,
-    /// Retry-emission counter at the previous tick (fault series only).
-    pub(crate) prev_retried: u64,
-    /// Streaming critical-path accumulator (only fed when `cfg.critpath`).
-    pub(crate) crit: crate::critpath::CritAccum,
+    /// The counters at the previous tick (at enabling, before the first).
+    pub(crate) prev: Baseline,
+    /// The fold by site (only fed when `cfg.critpath`).
+    pub(crate) crit: CritAccum,
 }
 
 impl TelemetryState {
@@ -860,24 +816,28 @@ impl TelemetryState {
     }
 
     /// Records a completing request that neither timed out nor was
-    /// superseded: buffers the windowed sample (warm-up included) and — for
-    /// `measured` completions — feeds the decomposition aggregates.
-    pub(crate) fn on_completion(
-        &mut self,
-        components_ns: [u64; LatencyComponent::COUNT],
-        latency: SimDuration,
-        measured: bool,
-    ) {
+    /// superseded, whose critical path is `segs`: buffers the windowed
+    /// sample (warm-up included) and — for `measured` completions — feeds
+    /// the decomposition (the segments summed by kind) and, with
+    /// `cfg.critpath`, the fold by site.
+    pub(crate) fn on_completion(&mut self, segs: &[CritSeg], latency: SimDuration, measured: bool) {
         if self.cfg.sample_interval.is_some() {
             self.window_buf.push(latency.as_secs_f64());
         }
         if !measured {
             return;
         }
-        for (hist, &ns) in self.comp_hist.iter_mut().zip(&components_ns) {
+        let mut components = [0u64; EdgeKind::COMPONENTS];
+        for s in segs {
+            components[s.kind.component()] += s.ns;
+        }
+        for (hist, ns) in self.comp_hist.iter_mut().zip(components) {
             hist.record(ns);
         }
         self.e2e_hist.record(latency.as_nanos());
+        if self.cfg.critpath {
+            self.crit.fold(latency.as_nanos(), segs);
+        }
     }
 }
 
@@ -1013,7 +973,8 @@ mod tests {
 
     #[test]
     fn component_names_are_stable() {
-        let names: Vec<&str> = LatencyComponent::ALL.iter().map(|c| c.name()).collect();
+        let components = &EdgeKind::ALL[..EdgeKind::COMPONENTS];
+        let names: Vec<&str> = components.iter().map(|c| c.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -1025,9 +986,14 @@ mod tests {
                 "fan_in_sync"
             ]
         );
-        for (i, c) in LatencyComponent::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i, "discriminants index the arrays");
+        for (i, c) in components.iter().enumerate() {
+            assert_eq!(c.component(), i, "a component counts under itself");
         }
+        assert_eq!(
+            EdgeKind::RetryBackoff.component(),
+            EdgeKind::ClientWait.component(),
+            "retry backoff is client wait"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! (in-sim) fold and the post-hoc trace replay must produce *identical*
 //! CPC profiles — the correspondence that lets `uqsim why` validate its
 //! own bookkeeping on every run — both on a clean run and under a fault
-//! plan with retries, crashes, and slowdowns in play — and the latency
-//! decomposition must be the same attribution summed by kind instead of
-//! by site.
+//! plan with retries, crashes, and slowdowns in play. The latency
+//! decomposition must be the same attribution, summed by kind instead of
+//! folded by site.
 
 use std::collections::BTreeMap;
 use uqsim_core::config::ScenarioConfig;

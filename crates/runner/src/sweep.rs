@@ -190,10 +190,10 @@ pub struct SweepRow {
     pub instance_util: MeanCi,
     /// Mean post-warmup network (irq-core) utilization across replications.
     pub network_util: MeanCi,
-    /// Mean milliseconds per request spent in each latency component
-    /// (discriminant order of [`uqsim_core::LatencyComponent`]), averaged
-    /// over replications.
-    pub components_ms: [f64; uqsim_core::LatencyComponent::COUNT],
+    /// Mean milliseconds per request spent in each latency component (the
+    /// first [`uqsim_core::EdgeKind::COMPONENTS`] kinds, in discriminant
+    /// order), averaged over replications.
+    pub components_ms: [f64; uqsim_core::EdgeKind::COMPONENTS],
     /// The p99+-cohort's top critical-path contributor as `site kind`
     /// (e.g. `backend/handler queue_wait`), from the replications' merged
     /// attribution profile; empty when no replication carried a profile.
@@ -279,10 +279,7 @@ impl SweepTable {
                 };
                 let components: serde_json::Value = serde_json::Value::Object({
                     let mut m = serde_json::Map::new();
-                    for (c, ms) in uqsim_core::LatencyComponent::ALL
-                        .iter()
-                        .zip(r.components_ms)
-                    {
+                    for (c, ms) in uqsim_core::EdgeKind::ALL.iter().zip(r.components_ms) {
                         m.insert(c.name(), serde_json::json!(ms / 1e3));
                     }
                     m
@@ -371,7 +368,7 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
         instance_util: mean_ci95(&pick(&|r| r.metrics.instance_utilization)),
         network_util: mean_ci95(&pick(&|r| r.metrics.network_utilization)),
         components_ms: {
-            let mut ms = [0.0; uqsim_core::LatencyComponent::COUNT];
+            let mut ms = [0.0; uqsim_core::EdgeKind::COMPONENTS];
             if !reps.is_empty() {
                 for (i, slot) in ms.iter_mut().enumerate() {
                     *slot = reps
