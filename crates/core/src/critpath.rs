@@ -55,9 +55,10 @@ use serde_json::{json, Value};
 
 /// What kind of time a segment of a request's critical path is. The
 /// first six are the latency decomposition's components (see
-/// [`crate::telemetry`]); `RetryBackoff` is a retry request's client-side
-/// launch delay, split out so retry storms are attributable, and the
-/// decomposition counts it as `ClientWait`.
+/// [`crate::telemetry`]); `RetryBackoff` is a retry's wait for a client
+/// connection, split out so retry storms are attributable, and the
+/// decomposition counts it as `ClientWait`. The backoff delay itself
+/// passes before the retry is emitted, so it is on no critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeKind {
     /// Waiting for a free client connection before launch.
@@ -72,8 +73,8 @@ pub enum EdgeKind {
     Blocking = 4,
     /// Waiting at a fan-in node for the slowest sibling branch.
     FanInSync = 5,
-    /// A retry's client-side launch delay (the `ClientWait` of a request
-    /// re-emitted by a resilience policy; hedges stay `ClientWait`).
+    /// A retry's wait for a client connection (the `ClientWait` of a
+    /// request re-emitted by a resilience policy; hedges stay `ClientWait`).
     RetryBackoff = 6,
 }
 

@@ -55,8 +55,8 @@ fn charge_latency(req: &mut Request, now: SimTime, kind: EdgeKind, site: CritSit
     if ns == 0 {
         return;
     }
-    // A retry's launch delay is backoff, not ordinary client connection
-    // wait; hedge twins keep the plain kind.
+    // A retry's wait for a client connection is split out from ordinary
+    // client wait; hedge twins keep the plain kind.
     let kind = if kind == EdgeKind::ClientWait && req.attempt > 0 && req.hedge_twin.is_none() {
         EdgeKind::RetryBackoff
     } else {
@@ -780,7 +780,8 @@ impl Simulator {
             Add,
         );
         if let Some(t) = tel {
-            for (c, hist) in EdgeKind::ALL.iter().zip(&t.comp_hist) {
+            let components = &EdgeKind::ALL[..EdgeKind::COMPONENTS];
+            for (c, hist) in components.iter().zip(&t.comp_hist) {
                 fam.summary(vec![("component", c.name().to_string())], hist);
             }
         }

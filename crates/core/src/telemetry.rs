@@ -36,7 +36,8 @@
 //! charge is one segment of the request's critical path
 //! ([`crate::critpath`]), and that segment list is the request's only
 //! attribution record. On a measured completion the decomposition is the
-//! segments summed by kind, a retry's backoff counted as client wait:
+//! segments summed by kind, a retry's wait for a client connection
+//! (`retry_backoff`) counted as client wait:
 //! because the charges telescope from submission to completion, the
 //! components sum to the end-to-end latency **exactly** (integer
 //! nanoseconds, no rounding). The attribution is critical-path biased:

@@ -65,7 +65,7 @@ fn streaming_equals_replay_under_faults() {
 }
 
 /// The decomposition component a CPC entry of `kind` counts under: a
-/// retry's backoff is client wait there.
+/// retry's wait for a client connection is client wait there.
 fn component_of(kind: EdgeKind) -> &'static str {
     match kind {
         EdgeKind::RetryBackoff => EdgeKind::ClientWait.name(),
@@ -194,11 +194,12 @@ const SHORT_CRASHES: &str = r#"{
   ] }
 }"#;
 
-/// Retries' backoff segments count as client wait in the decomposition.
+/// Retries' `retry_backoff` segments count as client wait in the
+/// decomposition.
 /// Under `EXAMPLE_FAULTS` every retry falls inside the crash window and
 /// fails again, so none is measured; the short crashes on a one-connection
 /// client get retries that complete after queueing for the connection,
-/// which is the wait charged as backoff.
+/// which is the wait charged as `retry_backoff`.
 #[test]
 fn decomposition_is_the_critical_path_by_kind_under_faults() {
     assert_one_attribution(EXAMPLE_SCENARIO, Some(EXAMPLE_FAULTS), 2.0);
@@ -210,7 +211,7 @@ fn decomposition_is_the_critical_path_by_kind_under_faults() {
     let profile = assert_one_attribution(&one_conn, Some(SHORT_CRASHES), 2.0);
     assert!(
         kind_ns(&profile, EdgeKind::RetryBackoff) > 0,
-        "the plan's retries left no backoff on the critical path"
+        "the plan's retries left no retry_backoff segment on the critical path"
     );
 }
 

@@ -279,7 +279,8 @@ impl SweepTable {
                 };
                 let components: serde_json::Value = serde_json::Value::Object({
                     let mut m = serde_json::Map::new();
-                    for (c, ms) in uqsim_core::EdgeKind::ALL.iter().zip(r.components_ms) {
+                    let components = &uqsim_core::EdgeKind::ALL[..uqsim_core::EdgeKind::COMPONENTS];
+                    for (c, ms) in components.iter().zip(r.components_ms) {
                         m.insert(c.name(), serde_json::json!(ms / 1e3));
                     }
                     m
