@@ -15,10 +15,11 @@
 //! **critical-path contribution (CPC) profile**: for every *site* (client,
 //! instance, stage, or connection pool) and *edge kind*
 //! ([`EdgeKind`]: queue wait, service, network, blocking, fan-in sync,
-//! client wait, retry backoff), how many nanoseconds of critical-path time
-//! it contributed — overall, and split by end-to-end latency cohort (the
-//! p50 band vs the p99+ band), so a differential "tail vs median" report
-//! can rank which sites *shift* under load or faults.
+//! client wait, a retry's wait for a client connection), how many
+//! nanoseconds of critical-path time it contributed — overall, and split
+//! by end-to-end latency cohort (the p50 band vs the p99+ band), so a
+//! differential "tail vs median" report can rank which sites *shift*
+//! under load or faults.
 //!
 //! Two acquisition modes produce byte-identical profiles:
 //!
